@@ -35,7 +35,8 @@ hb.verify_iso_ids(d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],
                   d.final_action, d.sd_action)
 print("endpoint is Z_3-isomorphic to sd K (explicit table verified)")
 
-# a replay rebuilds every intermediate universe and re-checks every step
+# a replay re-derives every cone universe in one cell store, checks its
+# fingerprint and re-checks every step
 final, action = hb.replay_sd_deformation(K, A, d.certificate)
 assert final.fingerprint_hex == d.final.fingerprint_hex
 print("replay ok; certificates compose backwards too:"

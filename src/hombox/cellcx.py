@@ -360,7 +360,9 @@ class GroupAction:
     The group is given by its action: element g is the permutation perms[g]
     of cell ids, with perms[0] the identity.  labels[g] is a hashable name
     (for S_r we use the permutation tuple).  The composition table satisfies
-    act(mult(g, h), x) == act(h, act(g, x)).
+    act(mult(g, h), x) == act(h, act(g, x)); it has |G|^2 entries of n-cell
+    compositions, so it is filled on the first call of mult, inverse or
+    verify.  gens is a generating set of element indices.
     """
 
     def __init__(self, cx, perms, labels, check=True):
@@ -372,33 +374,76 @@ class GroupAction:
             raise InputError("labels and permutations disagree in length")
         if check:
             self._check_automorphisms()
-        # The action need not be faithful (e.g. on an empty complex), so
-        # several elements may share a permutation; compositions resolve to
-        # the first element realizing them, which is sound everywhere the
-        # table is consumed (only the action of the result is ever used).
-        key = {}
-        for g, p in enumerate(self.perms):
-            key.setdefault(tuple(p), g)
         if tuple(self.perms[0]) != tuple(range(n)):
             raise VerificationError("group element 0 does not act as identity")
-        self.table = []
-        for g, pg in enumerate(self.perms):
-            row = []
-            for h, ph in enumerate(self.perms):
-                comp = tuple(ph[x] for x in pg)
-                k = key.get(comp)
-                if k is None:
-                    raise VerificationError(
-                        "composition of elements %d,%d leaves the group" % (g, h))
-                row.append(k)
-            self.table.append(row)
-        self.inv = [row.index(0) for row in self.table]
+        self.gens = self._generators()
+        self._table = None
+        self._inv = None
 
-    def _check_automorphisms(self, ids=None):
+    def _element_key(self):
+        """(key, first): key maps each permutation to the first element
+        realizing it, and first[g] is that element for perms[g].
+
+        The action need not be faithful (e.g. on an empty complex), so
+        several elements may share a permutation; compositions resolve to
+        the first element realizing them, which is sound everywhere the
+        table is consumed (only the action of the result is ever used).
+        """
+        key = {}
+        first = [key.setdefault(tuple(p), g) for g, p in enumerate(self.perms)]
+        return key, first
+
+    def _compose(self, g, h, key):
+        """The element acting as g then h, or VerificationError."""
+        k = key.get(tuple(map(self.perms[h].__getitem__, self.perms[g])))
+        if k is None:
+            raise VerificationError(
+                "composition of elements %d,%d leaves the group" % (g, h))
+        return k
+
+    def _generators(self):
+        """Check that the permutations form a group and return generators.
+
+        Generators are picked greedily from the elements, and the elements
+        reached from the identity by right multiplication with them must all
+        be in the set.  The reached set is then the subgroup they generate,
+        and the set is closed once every element is reached.  Each new
+        generator at least doubles the reached subgroup, so there are at most
+        log2|G| of them and the check makes at most |G| log2|G| compositions.
+        """
+        key, first = self._element_key()
+        reached = {0}
+        elems = [0]
+        gens, done = [], []
+        for g in range(len(self.perms)):
+            if first[g] in reached:
+                continue
+            gens.append(g)
+            done.append(0)
+            while any(d < len(elems) for d in done):
+                for k, s in enumerate(gens):
+                    while done[k] < len(elems):
+                        y = self._compose(elems[done[k]], s, key)
+                        done[k] += 1
+                        if y not in reached:
+                            reached.add(y)
+                            elems.append(y)
+        return gens
+
+    def _tables(self):
+        if self._table is None:
+            key = self._element_key()[0]
+            order = range(len(self.perms))
+            self._table = [[self._compose(g, h, key) for h in order]
+                           for g in order]
+            self._inv = [row.index(0) for row in self._table]
+        return self._table, self._inv
+
+    def _check_automorphisms(self):
         cx = self.cx
-        rng = range(len(cx.payloads)) if ids is None else ids
+        rng = range(len(cx.payloads))
         for g, p in enumerate(self.perms):
-            if sorted(set(p)) != list(range(len(cx.payloads))):
+            if sorted(set(p)) != list(rng):
                 raise VerificationError("element %d is not a bijection" % g)
             for i in rng:
                 if cx.dims[p[i]] != cx.dims[i]:
@@ -433,10 +478,10 @@ class GroupAction:
         return self.perms[g][i]
 
     def mult(self, g, h):
-        return self.table[g][h]
+        return self._tables()[0][g][h]
 
     def inverse(self, g):
-        return self.inv[g]
+        return self._tables()[1][g]
 
     def orbit(self, i):
         return tuple(sorted({p[i] for p in self.perms}))
@@ -468,9 +513,10 @@ class GroupAction:
         n = len(self.cx.payloads)
         if tuple(self.perms[0]) != tuple(range(n)):
             raise VerificationError("element 0 is not the identity")
+        table = self._tables()[0]
         for g in range(len(self.perms)):
             for h in range(len(self.perms)):
-                k = self.table[g][h]
+                k = table[g][h]
                 for x in range(n):
                     if self.perms[k][x] != self.perms[h][self.perms[g][x]]:
                         raise VerificationError(

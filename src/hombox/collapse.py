@@ -13,13 +13,19 @@ Three layers live here:
   K (recorded reversed, as expansions K -> L); leg B collapses the open stars
   and their cone tops, L -> sd_sigma(K).  Composing one stage per orbit of K
   (dimension descending) yields sd_deformation: a certificate from K to a
-  complex isomorphic to the barycentric subdivision sd K.
+  complex isomorphic to the barycentric subdivision sd K.  All stages of one
+  deformation, built or replayed, run in one append-only cell store: a stage
+  appends its apex and cone cells and then works on alive flags, so it costs
+  about its star, not the whole complex.  A step names a cell by its id in
+  the stage's L: its rank among the live cells, which L lists first in
+  store order, or its place after them for a cell the stage appended.
 
 * Certificates: a DeformationCertificate is a replayable list of orbit steps
   (collapse or expand) with 128-bit state fingerprints before and after each
-  step.  Replay never trusts the certificate: every step re-verifies
-  freeness, codimension, orbit closure and equivariant facet alignment
-  against a freshly built state, and every fingerprint is recomputed.
+  step.  Replay never trusts the certificate: parsing checks its schema,
+  every step re-verifies freeness, codimension, orbit closure and
+  equivariant facet alignment against a freshly built state, and every
+  fingerprint is recomputed.  A failure names the step and its cell.
 
 main_theorem_certificate chains these into a single machine-checkable
 witness that Hom(K_r^r, H) and B_edge(H) are simple-S_r-homotopy equivalent:
@@ -28,7 +34,9 @@ on sd B_edge(H), which expands to sd B_edge(H) ~ B_edge(H).
 """
 
 import heapq
+from bisect import bisect_left
 from collections import namedtuple
+from contextlib import contextmanager
 
 from .boxcx import i_image_ids
 from .cellcx import (
@@ -36,8 +44,10 @@ from .cellcx import (
     CONE,
     CellComplex,
     GroupAction,
+    _cell_digest,
     barycentric_subdivision,
     canon_key,
+    fmt_payload,
     free_facet,
     lift_action_to_order_complex,
     orbit_star_data,
@@ -108,6 +118,10 @@ class CollapseState:
         return [i for i, a in enumerate(self.alive) if a]
 
 
+def _label(K, i):
+    return fmt_payload(K.payloads[i])
+
+
 def _check_step_shape(state, action, step):
     """Structural checks shared by both step directions.
 
@@ -125,17 +139,16 @@ def _check_step_shape(state, action, step):
     if step["sigma"] != orbit[0]:
         raise VerificationError("step sigma is not the orbit representative")
     if len(set(facets)) != len(facets):
-        raise OrbitNotIndependentlyFree(
-            "facets of one orbit coincide: %s" % (sorted(facets),))
+        raise OrbitNotIndependentlyFree("facets of one orbit coincide")
     pos = {m: k for k, m in enumerate(orbit)}
     for m, f in zip(orbit, facets):
         if m not in K.down[f]:
-            raise VerificationError(
-                "cell %d is not a cover of cell %d" % (f, m))
+            raise VerificationError("cell %s is not a cover of cell %s"
+                                    % (_label(K, f), _label(K, m)))
         if K.dims[f] != K.dims[m] + 1:
             raise WrongCodimension(
-                "facet %d of cell %d has codimension %d"
-                % (f, m, K.dims[f] - K.dims[m]))
+                "facet %s of cell %s has codimension %d"
+                % (_label(K, f), _label(K, m), K.dims[f] - K.dims[m]))
     if action is not None:
         for g in range(action.order):
             gm = action.act(g, orbit[0])
@@ -145,8 +158,7 @@ def _check_step_shape(state, action, step):
                     "step orbit not closed under the group action")
             if action.act(g, facets[0]) != facets[k]:
                 raise VerificationError(
-                    "facet assignment of step at cell %d is not equivariant"
-                    % orbit[0])
+                    "facet assignment of the step is not equivariant")
         if {action.act(g, orbit[0]) for g in range(action.order)} != set(orbit):
             raise VerificationError("step orbit is not a single group orbit")
 
@@ -157,16 +169,19 @@ def apply_orbit_step(state, action, step):
     _check_step_shape(state, action, step)
     orbit = step["orbit"]
     facets = step["facets"]
+    K = state.cx
     if step["direction"] == "collapse":
         for m, f in zip(orbit, facets):
             if not (state.alive[m] and state.alive[f]):
-                raise NotFree("collapse step touches dead cell %d" % m)
+                raise NotFree(
+                    "collapse step touches dead cell %s" % _label(K, m))
             if state.updeg[f] != 0:
-                raise NotFree("facet %d is not maximal in the alive set" % f)
+                raise NotFree(
+                    "facet %s is not maximal in the alive set" % _label(K, f))
             if state.updeg[m] != 1:
                 raise NotFree(
-                    "cell %d has %d alive cofacets, so it is not free"
-                    % (m, state.updeg[m]))
+                    "cell %s has %d alive cofacets, so it is not free"
+                    % (_label(K, m), state.updeg[m]))
         touched = list(facets) + list(orbit)
         for x in touched:
             state.remove(x)
@@ -177,15 +192,18 @@ def apply_orbit_step(state, action, step):
                 raise VerificationError("expand step re-adds alive cell")
             if state.updeg[m] != 0 or state.updeg[f] != 0:
                 raise VerificationError(
-                    "expansion of cell %d would leave a dangling cofacet" % m)
-            for j in state.cx.down[m]:
+                    "expansion of cell %s would leave a dangling cofacet"
+                    % _label(K, m))
+            for j in K.down[m]:
                 if not state.alive[j]:
                     raise VerificationError(
-                        "expansion of cell %d lacks face %d" % (m, j))
-            for j in state.cx.down[f]:
+                        "expansion of cell %s lacks face %s"
+                        % (_label(K, m), _label(K, j)))
+            for j in K.down[f]:
                 if j != m and not state.alive[j]:
                     raise VerificationError(
-                        "expansion of facet %d lacks face %d" % (f, j))
+                        "expansion of facet %s lacks face %s"
+                        % (_label(K, f), _label(K, j)))
         touched = list(orbit) + list(facets)
         for x in touched:
             state.add(x)
@@ -197,6 +215,37 @@ def _flip_step(step):
     out = dict(step)
     out["direction"] = "expand" if step["direction"] == "collapse" else "collapse"
     return out
+
+
+def _map_step(step, f):
+    """A copy of step with every cell id passed through f."""
+    out = dict(step)
+    out["sigma"] = f(step["sigma"])
+    out["orbit"] = [f(x) for x in step["orbit"]]
+    out["facets"] = [f(x) for x in step["facets"]]
+    return out
+
+
+def _replay_steps(state, action, entries, first, to_state):
+    """Apply certificate entries (before, after, step), numbered from
+    `first`, to state.  to_state(step) checks the step's ids and returns it
+    in state ids.  The state fingerprint must match before and after each
+    step; a failure names the step, its direction and its cell."""
+    for i, (before, after, step) in enumerate(entries, first):
+        s = None
+        try:
+            s = to_state(step)
+            if state.fingerprint != before:
+                raise VerificationError("fingerprint drift before the step")
+            apply_orbit_step(state, action, s)
+            if state.fingerprint != after:
+                raise VerificationError("fingerprint drift after the step")
+        except (InputError, VerificationError) as e:
+            cell = "cell %s" % (step["sigma"],)
+            if s is not None:
+                cell += " " + fmt_payload(state.cx.payloads[s["sigma"]])
+            raise type(e)("step %d (%s at %s): %s"
+                          % (i, step["direction"], cell, e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +287,61 @@ class DeformationCertificate:
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
-            endpoints = tuple(int(f, 16) for f in obj["endpoints"])
-            stages = [(int(b, 16), int(a, 16), dict(step))
-                      for b, a, step in obj["stages"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError("malformed deformation certificate: %s" % e)
+        """Parse the JSON form; raises InputError unless every field has
+        its type: hex fingerprints, and steps with a direction and
+        non-negative integer cell ids."""
+        what = "deformation"
+        _need(isinstance(obj, dict), what, "not an object")
+        endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
+        rows = obj.get("stages")
+        _need(isinstance(rows, list), what, "stages is not a list")
+        stages = []
+        for k, row in enumerate(rows):
+            where = "step %d" % k
+            _need(isinstance(row, list) and len(row) == 3, what,
+                  "%s is not a [before, after, step] triple" % where)
+            before, after = _fingerprints(row[:2], what, where)
+            stages.append((before, after, _parse_step(row[2], where)))
         return cls(endpoints, stages)
 
     def total_cells_moved(self):
         return sum(2 * len(s["orbit"]) for _, _, s in self.stages)
+
+
+def _need(ok, what, msg):
+    if not ok:
+        raise InputError("malformed %s certificate: %s" % (what, msg))
+
+
+def _is_id(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _fingerprints(obj, what, where):
+    """A pair of hex fingerprint strings, as integers."""
+    _need(isinstance(obj, list) and len(obj) == 2
+          and all(isinstance(f, str) for f in obj),
+          what, "%s is not a pair of hex strings" % where)
+    try:
+        return tuple(int(f, 16) for f in obj)
+    except ValueError as e:
+        raise InputError("malformed %s certificate: %s: %s" % (what, where, e))
+
+
+def _parse_step(step, where):
+    what = "deformation"
+    _need(isinstance(step, dict), what, "%s is not an object" % where)
+    _need(step.get("direction") in ("collapse", "expand"), what,
+          '%s: direction is not "collapse" or "expand"' % where)
+    _need(_is_id(step.get("sigma")), what,
+          "%s: sigma is not a cell id" % where)
+    for key in ("orbit", "facets"):
+        ids = step.get(key)
+        _need(isinstance(ids, list) and ids and all(map(_is_id, ids)), what,
+              "%s: %s is not a nonempty list of cell ids" % (where, key))
+    _need(isinstance(step.get("universe", ""), str), what,
+          "%s: universe is not a fingerprint string" % where)
+    return dict(step)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +541,16 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
         raise VerificationError(
             "certificate start fingerprint %032x does not match the state %s"
             % (cert.endpoints[0], state.fingerprint_hex))
-    for before, after, step in cert.stages:
-        if state.fingerprint != before:
-            raise VerificationError(
-                "fingerprint drift before step at cell %d" % step["sigma"])
-        apply_orbit_step(state, action, step)
-        if state.fingerprint != after:
-            raise VerificationError(
-                "fingerprint drift after step at cell %d" % step["sigma"])
+    n = len(universe.payloads)
+
+    def in_universe(step):
+        orbit, facets = step["orbit"], step["facets"]
+        if not (0 <= step["sigma"] < n and min(orbit) >= 0 and max(orbit) < n
+                and min(facets) >= 0 and max(facets) < n):
+            raise InputError("a cell id is outside the %d-cell universe" % n)
+        return step
+
+    _replay_steps(state, action, cert.stages, 0, in_universe)
     if state.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
     return state
@@ -468,66 +564,210 @@ def _is_simplicial(K):
     return all(isinstance(p, frozenset) for p in K.payloads)
 
 
-def _cone_universe(K, A, orbit, cof, ring, simplicial, max_cells):
-    """L = K plus, per orbit member m, an apex and a cone cell over every
-    cell of the closed star of m.  K keeps its ids (0..len(K)-1); new cells
-    are appended deterministically.  Returns (L, L_action, apex_id, cone_id).
+class _CellStore(CollapseState):
+    """The append-only cells of one stellar deformation.
+
+    It starts as a copy of K and its action A.  Each stellar stage appends
+    its apex and cone cells, with their digests and permutation entries, and
+    then collapses and expands on the store's alive flags; no id ever moves.
+    The live cells in id order are the current complex, and the cells a
+    stage appends come after all of them.  Cells that died give up their
+    payloads, index entries and up links when the next stage settles the
+    store.
+
+    The store is the state, the universe complex and the group action that
+    apply_orbit_step, _run_greedy and orbit_star_data work on, so it borrows
+    the methods they call from CellComplex and GroupAction.
     """
-    n = len(K.payloads)
-    payloads = list(K.payloads)
-    dims = list(K.dims)
-    downs = [list(d) for d in K.down]
-    digests = list(K.digests)
-    apex_id = {}
-    cone_id = {}
+
+    faces = CellComplex.faces
+    cofaces = CellComplex.cofaces
+    act = GroupAction.act
+    orbit = GroupAction.orbit
+    orbits = GroupAction.orbits
+    order = GroupAction.order
+
+    def __init__(self, K, A):
+        n = len(K.payloads)
+        self.cx = self
+        self.base = A
+        self.payloads = list(K.payloads)
+        self.dims = list(K.dims)
+        self.down = list(K.down)
+        self.up = [list(u) for u in K.up]
+        self.digests = list(K.digests)
+        self.index = dict(K.index)
+        self.perms = [list(p) for p in A.perms]
+        self.alive = [True] * n
+        self.n_alive = n
+        self.updeg = [len(u) for u in K.up]
+        self.fingerprint = K.fingerprint
+        self.dead = []        # ascending ids of the settled dead cells
+        self.n_settled = n    # cells appended after this are not settled
+        self.removed = []     # ids removed since the last settle
+
+    def remove(self, i):
+        CollapseState.remove(self, i)
+        self.removed.append(i)
+
+    def extend(self, cells):
+        """Append (payload, dim, down) cells, dead, with their digests and
+        up links.  Returns their ids."""
+        first = len(self.payloads)
+        for payload, dim, down in cells:
+            if payload in self.index:
+                raise InputError(
+                    "duplicate cell payload: %s" % fmt_payload(payload))
+            self.index[payload] = len(self.payloads)
+            self.payloads.append(payload)
+            self.dims.append(dim)
+            self.down.append(tuple(down))
+        new = range(first, len(self.payloads))
+        self.up.extend([] for _ in new)
+        self.digests.extend(None for _ in new)
+        self.alive.extend(False for _ in new)
+        self.updeg.extend(0 for _ in new)
+        for i in new:
+            for j in self.down[i]:
+                self.up[j].append(i)
+        for i in sorted(new, key=self.dims.__getitem__):
+            self.digests[i] = _cell_digest(
+                self.payloads[i], self.dims[i],
+                [self.digests[j] for j in self.down[i]])
+        return new
+
+    def settle(self):
+        """Forget the cells that died since the last settle, or were
+        appended and never came alive."""
+        fresh = range(self.n_settled, len(self.payloads))
+        gone = sorted({i for i in self.removed if not self.alive[i]}
+                      | {i for i in fresh if not self.alive[i]})
+        self.removed = []
+        self.n_settled = len(self.payloads)
+        for i in gone:
+            del self.index[self.payloads[i]]
+            for j in self.down[i]:
+                if self.alive[j]:
+                    self.up[j].remove(i)
+            self.payloads[i] = None
+            self.down[i] = self.up[i] = ()
+        # A new list: a stage's _Universe keeps the one it started with.
+        self.dead = sorted(self.dead + gone)
+
+    def complex(self, ids):
+        """The complex on the ascending, downward closed store ids `ids`,
+        and the action restricted to it."""
+        new = {o: k for k, o in enumerate(ids)}
+        cx = CellComplex([self.payloads[o] for o in ids],
+                         [self.dims[o] for o in ids],
+                         [[new[j] for j in self.down[o]] for o in ids],
+                         digests=[self.digests[o] for o in ids])
+        perms = [[new[p[o]] for o in ids] for p in self.perms]
+        return cx, GroupAction(cx, perms, self.base.labels, check=False)
+
+
+class _Universe:
+    """One stage's universe L inside a store: the live cells in store
+    order, then the cells the stage appended (`new`).  Certificates name
+    cells by their ids in L; this converts them to store ids and back."""
+
+    def __init__(self, store, new, fingerprint):
+        self.dead = store.dead
+        self.new = new
+        self.n_live = store.n_alive
+        self.size = store.n_alive + len(new)
+        self.fingerprint_hex = "%032x" % fingerprint
+
+    def __len__(self):
+        return self.size
+
+    def local_id(self, s):
+        return s - bisect_left(self.dead, s)
+
+    def store_id(self, k):
+        if not _is_id(k) or k >= self.size:
+            raise InputError(
+                "cell id %r is outside the %d-cell universe" % (k, self.size))
+        if k >= self.n_live:
+            return k + len(self.dead)
+        # The k-th live cell is k + j for the least j with dead[j] - j > k.
+        dead = self.dead
+        lo, hi = 0, len(dead)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if dead[mid] - mid > k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return k + lo
+
+    def to_local(self, step):
+        return _map_step(step, self.local_id)
+
+    def to_store(self, step):
+        return _map_step(step, self.store_id)
+
+
+def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
+    """Append to the store, dead, the cells L adds to the live complex K:
+    per orbit member m an apex, and a cone cell over every cell of the
+    closed star of m.  They come in a fixed order, the apexes in orbit order
+    and then each member's cones by base id, and the action moves them with
+    their members and bases; its automorphism and closure laws are checked
+    on them.  Returns (L as a _Universe, apex_id, cone_id) in store ids.
+    """
     star_list = {m: sorted(cof[m] | ring[m]) for m in orbit}
-    for m in orbit:
-        apex_id[m] = len(payloads)
-        if simplicial:
-            payloads.append(frozenset([(BARY, K.payloads[m])]))
-        else:
-            payloads.append((BARY, K.payloads[m]))
-        dims.append(0)
-        downs.append([])
-        digests.append(None)
-    nxt = len(payloads)
-    for m in orbit:
-        for b in star_list[m]:
-            cone_id[(m, b)] = nxt
-            nxt += 1
-    for m in orbit:
-        ax = apex_id[m]
-        for b in star_list[m]:
-            if simplicial:
-                tok = (BARY, K.payloads[m])
-                payloads.append(K.payloads[b] | {tok})
-            else:
-                payloads.append((CONE, payloads[ax], K.payloads[b]))
-            dims.append(K.dims[b] + 1)
-            if K.dims[b] == 0:
-                downs.append([b, ax])
-            else:
-                downs.append([b] + [cone_id[(m, j)] for j in K.down[b]])
-            digests.append(None)
-    if max_cells is not None and len(payloads) > max_cells:
+    size = store.n_alive + sum(1 + len(s) for s in star_list.values())
+    if max_cells is not None and size > max_cells:
         raise SizeGuard(
             "cone universe needs %d cells, over the %d-cell guard"
-            % (len(payloads), max_cells),
-            needed=len(payloads), limit=max_cells)
-    L = CellComplex(payloads, dims, downs, digests=digests)
-    perms = []
-    for g, p in enumerate(A.perms):
-        perm = list(p)
-        perm.extend([None] * (len(payloads) - n))
-        for m in orbit:
-            gm = p[m]
-            perm[apex_id[m]] = apex_id[gm]
-            for b in star_list[m]:
-                perm[cone_id[(m, b)]] = cone_id[(gm, p[b])]
-        perms.append(perm)
-    LA = GroupAction(L, perms, A.labels, check=False)
-    LA._check_automorphisms(range(n, len(payloads)))
-    return L, LA, apex_id, cone_id
+            % (size, max_cells), needed=size, limit=max_cells)
+    first = len(store.payloads)
+    apex_id = {m: first + k for k, m in enumerate(orbit)}
+    cone_id = {}
+    for m in orbit:
+        for b in star_list[m]:
+            cone_id[(m, b)] = first + len(orbit) + len(cone_id)
+    cells = []
+    for m in orbit:
+        tok = (BARY, store.payloads[m])
+        cells.append((frozenset([tok]) if simplicial else tok, 0, ()))
+    for m in orbit:
+        tok = (BARY, store.payloads[m])
+        for b in star_list[m]:
+            bp = store.payloads[b]
+            if store.dims[b] == 0:
+                down = [b, apex_id[m]]
+            else:
+                down = [b] + [cone_id[(m, j)] for j in store.down[b]]
+            cells.append((bp | {tok} if simplicial else (CONE, tok, bp),
+                          store.dims[b] + 1, down))
+    new = store.extend(cells)
+
+    dims, down = store.dims, store.down
+    for g, p in enumerate(store.perms):
+        p.extend(apex_id[p[m]] for m in orbit)
+        p.extend(cone_id[(p[m], p[b])] for m in orbit for b in star_list[m])
+        if sorted(p[first:]) != list(new):
+            raise VerificationError(
+                "element %d does not permute the cone cells" % g)
+        for i in new:
+            if (dims[p[i]] != dims[i]
+                    or {p[j] for j in down[i]} != set(down[p[i]])):
+                raise VerificationError(
+                    "element %d does not preserve cone cell %s"
+                    % (g, fmt_payload(store.payloads[i])))
+    A = store.base
+    for g, pg in enumerate(store.perms):
+        for s in A.gens:
+            ps, pgs = store.perms[s], store.perms[A.mult(g, s)]
+            if any(ps[pg[i]] != pgs[i] for i in new):
+                raise VerificationError(
+                    "elements %d,%d do not compose on the cone cells"
+                    % (g, s))
+    fingerprint = (store.fingerprint
+                   + sum(store.digests[i] for i in new)) & _MASK128
+    return _Universe(store, new, fingerprint), apex_id, cone_id
 
 
 def _anchors(K, A, orbit):
@@ -553,8 +793,9 @@ def _anchors(K, A, orbit):
         img = K.payloads[A.act(g, aid)]
         if anchors.setdefault(m, img) != img:
             raise Stuck(
-                "the stabilizer of cell %d moves its anchor vertex: the "
-                "cone cells admit no equivariant matching" % m)
+                "the stabilizer of cell %s moves its anchor vertex: the "
+                "cone cells admit no equivariant matching"
+                % fmt_payload(K.payloads[m]))
     return anchors
 
 
@@ -579,16 +820,16 @@ def _conepartner(B, tstar, sstar):
     raise InputError("no pairing rule for cone base %r" % (B,))
 
 
-def _leg_a_pairs(K, A, L, LA, orbit, cof, ring, apex_id, cone_id, simplicial):
-    """Perfect matching on the cone cells of L (pairing each with its anchor
-    toggle), whose collapse retracts L back onto K.
+def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
+    """Perfect matching on the cone cells of the store L (pairing each with
+    its anchor toggle), whose collapse retracts L back onto K.
 
     The pairing is built on the representative's cone cells only and then
     transported along the action: a per-member construction would break
     equivariance whenever a group element reorders product coordinates.
     Raises Stuck when the pairing escapes the cone cells, fails to be a
     perfect involution, or clashes with a stabilizer."""
-    anchors = _anchors(K, A, orbit)
+    anchors = _anchors(L, L, orbit)
     rep = orbit[0]
     ids = [apex_id[rep]] + [cone_id[(rep, b)]
                             for b in sorted(cof[rep] | ring[rep])]
@@ -601,8 +842,8 @@ def _leg_a_pairs(K, A, L, LA, orbit, cof, ring, apex_id, cone_id, simplicial):
             q_pay = S - {v} if v in S else S | {v}
             q = L.index.get(q_pay)
             if q is None:
-                raise Stuck(
-                    "anchor toggle leaves the cone cells at cell %d" % cid)
+                raise Stuck("anchor toggle leaves the cone cells at cell %s"
+                            % fmt_payload(S))
             partner_rep[cid] = q
     else:
         tstar = tuple(next(iter(q)) for q in a_pay)
@@ -616,29 +857,31 @@ def _leg_a_pairs(K, A, L, LA, orbit, cof, ring, apex_id, cone_id, simplicial):
                 q_pay = apex_pay if qb is None else (CONE, apex_pay, qb)
             q = L.index.get(q_pay)
             if q is None:
-                raise Stuck(
-                    "anchor toggle leaves the cone cells at cell %d" % cid)
+                raise Stuck("anchor toggle leaves the cone cells at cell %s"
+                            % fmt_payload(X))
             partner_rep[cid] = q
     cone_cells = set()
     for m in orbit:
         cone_cells.add(apex_id[m])
         cone_cells.update(cone_id[(m, b)] for b in cof[m] | ring[m])
     partner = {}
-    for g in range(LA.order):
+    for g in range(L.order):
         for x, y in partner_rep.items():
-            gx, gy = LA.act(g, x), LA.act(g, y)
+            gx, gy = L.act(g, x), L.act(g, y)
             if partner.setdefault(gx, gy) != gy:
                 raise Stuck(
-                    "a stabilizer of cell %d is incompatible with its cone "
-                    "pairing" % A.act(g, rep))
+                    "a stabilizer of cell %s is incompatible with its cone "
+                    "pairing" % fmt_payload(L.payloads[L.act(g, rep)]))
     mu = {}
     for x, y in partner.items():
         if y not in partner or partner[y] != x or y not in cone_cells:
-            raise Stuck("cone pairing is not an involution at cell %d" % x)
+            raise Stuck("cone pairing is not an involution at cell %s"
+                        % fmt_payload(L.payloads[x]))
         if L.dims[y] == L.dims[x] + 1:
             mu[x] = y
         elif L.dims[y] != L.dims[x] - 1:
-            raise Stuck("cone pairing is not a facet pairing at cell %d" % x)
+            raise Stuck("cone pairing is not a facet pairing at cell %s"
+                        % fmt_payload(L.payloads[x]))
     if 2 * len(mu) != len(cone_cells):
         raise Stuck("cone pairing does not cover the cone cells")
     return mu
@@ -654,6 +897,50 @@ def _leg_b_pairs(cof, cone_id):
     return mu
 
 
+def _stellar_stage(store, rep, simplicial, max_cells, replay=None):
+    """One stellar stage, at the orbit of store cell rep: K (the live cells)
+    ~ L (K plus the cells _cone_universe appends) ~ sd_rep(K).
+
+    To build (replay None): leg A collapses the cone cells of L back onto K
+    and is recorded reversed, as expansions K -> L; the cone cells are then
+    restored, and leg B collapses the open stars and their cones, L ->
+    sd_rep(K).  To replay, `replay` is (universe fingerprint hex, entries,
+    index of the first entry): L's fingerprint is checked and the entries
+    applied from K.  Either way the store's live cells end as the stage's
+    end complex.  Returns (L as a _Universe, the stage's certificate entries
+    in L's ids).
+    """
+    store.settle()
+    if not store.alive[rep]:
+        raise VerificationError(
+            "schedule cell %d vanished before its stage" % rep)
+    orbit, cof, ring = orbit_star_data(store, store, rep)
+    U, apex_id, cone_id = _cone_universe(
+        store, orbit, cof, ring, simplicial, max_cells)
+    if replay is not None:
+        uhex, entries, first = replay
+        if U.fingerprint_hex != uhex:
+            raise VerificationError(
+                "step %d: universe fingerprint mismatch at schedule cell %d %s"
+                % (first, rep, fmt_payload(store.payloads[rep])))
+        _replay_steps(store, store, entries, first, U.to_store)
+        return U, entries
+
+    mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id,
+                        simplicial)
+    for x in U.new:
+        store.add(x)
+    stages_a = _run_greedy(store, store, mu_a, U.fingerprint_hex)
+    if any(store.alive[x] for x in U.new):
+        raise Stuck("cone collapse did not retract the universe onto K")
+    for x in U.new:
+        store.add(x)
+    stages_b = _run_greedy(store, store, _leg_b_pairs(cof, cone_id),
+                           U.fingerprint_hex)
+    expand = [(a, b, _flip_step(s)) for (b, a, s) in reversed(stages_a)]
+    return U, [(b, a, U.to_local(s)) for b, a, s in expand + stages_b]
+
+
 StellarStage = namedtuple(
     "StellarStage",
     "certificate universe universe_action final final_action old2new")
@@ -666,27 +953,11 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
     The end complex equals the output of stellar_g_subdivision (simplicial
     payloads) or stellar_subdivision_poset (otherwise), cell for cell.
     """
-    simplicial = _is_simplicial(K)
-    orbit, cof, ring = orbit_star_data(K, A, sigma)
-    L, LA, apex_id, cone_id = _cone_universe(
-        K, A, orbit, cof, ring, simplicial, max_cells)
-    uhex = L.fingerprint_hex
-
-    mu_a = _leg_a_pairs(K, A, L, LA, orbit, cof, ring, apex_id, cone_id,
-                        simplicial)
-    state_a = CollapseState(L)
-    stages_a = _run_greedy(state_a, LA, mu_a, universe_hex=uhex)
-    if state_a.alive_ids() != list(range(len(K.payloads))):
-        raise Stuck("cone collapse did not retract the universe onto K")
-
-    mu_b = _leg_b_pairs(cof, cone_id)
-    state_b = CollapseState(L)
-    stages_b = _run_greedy(state_b, LA, mu_b, universe_hex=uhex)
-
-    expand = [(a, b, _flip_step(s)) for (b, a, s) in reversed(stages_a)]
-    cert = DeformationCertificate(
-        (K.fingerprint, state_b.fingerprint), expand + stages_b)
-    final, old2new = L.subcomplex(state_b.alive_ids())
+    store = _CellStore(K, A)
+    _, stages = _stellar_stage(store, sigma, _is_simplicial(K), max_cells)
+    L, LA = store.complex(range(len(store.payloads)))
+    final, old2new = L.subcomplex(store.alive_ids())
+    cert = DeformationCertificate((K.fingerprint, final.fingerprint), stages)
     return StellarStage(cert, L, LA, final,
                         _restrict_action(LA, old2new, final), old2new)
 
@@ -731,27 +1002,19 @@ def _flatten_map(K, simplicial):
 
 def sd_deformation(K, A, max_cells=None):
     """Certify K ~ (a complex isomorphic to) sd K by composing one stellar
-    stage per orbit of K, dimension descending.
+    stage per orbit of K, dimension descending, all in one cell store.
 
     Verifies that the end complex is G-isomorphic to the barycentric
     subdivision sd K (with the action lifted to chains) and returns
     SdDeformation(certificate, final, final_action, sd, sd_action, iso).
     """
     simplicial = _is_simplicial(K)
-    schedule = _schedule(K, A)
-    loc = list(range(len(K.payloads)))
-    cur, cur_action = K, A
+    store = _CellStore(K, A)
     stages = []
-    for ob in schedule:
-        rep = loc[ob[0]]
-        if rep is None:
-            raise VerificationError(
-                "schedule cell %d vanished before its stage" % ob[0])
-        st = stellar_deformation_certificate(
-            cur, cur_action, rep, max_cells=max_cells)
-        stages.extend(st.certificate.stages)
-        loc = [st.old2new.get(x) if x is not None else None for x in loc]
-        cur, cur_action = st.final, st.final_action
+    for ob in _schedule(K, A):
+        stages.extend(
+            _stellar_stage(store, ob[0], simplicial, max_cells)[1])
+    cur, cur_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), stages)
     sd = barycentric_subdivision(K, max_cells=max_cells)
     sd_action = lift_action_to_order_complex(A, sd)
@@ -782,30 +1045,13 @@ def replay_sd_deformation(K, A, cert, max_cells=None):
             "certificate has %d stages but the schedule needs %d"
             % (len(runs), len(schedule)))
     simplicial = _is_simplicial(K)
-    loc = list(range(len(K.payloads)))
-    cur, cur_action = K, A
+    store = _CellStore(K, A)
+    first = 0
     for ob, (uhex, steps) in zip(schedule, runs):
-        rep = loc[ob[0]]
-        orbit, cof, ring = orbit_star_data(cur, cur_action, rep)
-        L, LA, _, _ = _cone_universe(
-            cur, cur_action, orbit, cof, ring, simplicial, max_cells)
-        if L.fingerprint_hex != uhex:
-            raise VerificationError(
-                "universe fingerprint mismatch at schedule cell %d" % ob[0])
-        state = CollapseState(L, alive=range(len(cur.payloads)))
-        if state.fingerprint != cur.fingerprint:
-            raise VerificationError("embedded state fingerprint mismatch")
-        for before, after, step in steps:
-            if state.fingerprint != before:
-                raise VerificationError(
-                    "fingerprint drift before step at cell %d" % step["sigma"])
-            apply_orbit_step(state, LA, step)
-            if state.fingerprint != after:
-                raise VerificationError(
-                    "fingerprint drift after step at cell %d" % step["sigma"])
-        final, old2new = L.subcomplex(state.alive_ids())
-        loc = [old2new.get(x) if x is not None else None for x in loc]
-        cur, cur_action = final, _restrict_action(LA, old2new, final)
+        _stellar_stage(store, ob[0], simplicial, max_cells,
+                       (uhex, steps, first))
+        first += len(steps)
+    cur, cur_action = store.complex(store.alive_ids())
     if cur.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
     return cur, cur_action
@@ -881,12 +1127,60 @@ class MainTheoremCertificate:
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
-            endpoints = tuple(int(f, 16) for f in obj["endpoints"])
-            stages = list(obj["stages"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError("malformed main theorem certificate: %s" % e)
-        return cls(endpoints, stages)
+        """Parse the JSON form; raises InputError unless every stage is an
+        object with a name and a kind, and carries what its kind needs: a
+        well-formed deformation certificate, or the from and to
+        fingerprints and a map of cell id pairs."""
+        what = "main theorem"
+        _need(isinstance(obj, dict), what, "not an object")
+        endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
+        stages = obj.get("stages")
+        _need(isinstance(stages, list), what, "stages is not a list")
+        for k, s in enumerate(stages, 1):
+            _need(isinstance(s, dict) and isinstance(s.get("name"), str),
+                  what, "stage %d is not an object with a name" % k)
+            where = "stage %d (%s)" % (k, s["name"])
+            if s.get("kind") == "deformation":
+                _need("certificate" in s, what,
+                      "%s has no certificate" % where)
+                try:
+                    DeformationCertificate.from_json_obj(s["certificate"])
+                except InputError as e:
+                    raise InputError("%s: %s" % (where, e)) from e
+            elif s.get("kind") == "isomorphism":
+                _need(isinstance(s.get("from"), str)
+                      and isinstance(s.get("to"), str),
+                      what, "%s lacks its from and to fingerprints" % where)
+                pairs = s.get("map")
+                _need(isinstance(pairs, list)
+                      and all(isinstance(p, list) and len(p) == 2
+                              and _is_id(p[0]) and _is_id(p[1])
+                              for p in pairs),
+                      what, "%s: map is not a list of cell id pairs" % where)
+            else:
+                _need(False, what, "%s has kind %r" % (where, s.get("kind")))
+        return cls(endpoints, list(stages))
+
+
+# The six stages of a main theorem certificate, by name and kind.
+_STAGES = [
+    ("subdivide-hom", "deformation"),
+    ("unfold-hom-subdivision", "isomorphism"),
+    ("products-into-sd-box", "isomorphism"),
+    ("expand-to-sd-box", "deformation"),
+    ("fold-box-subdivision", "isomorphism"),
+    ("desubdivide-box", "deformation"),
+]
+
+
+@contextmanager
+def _stage(name):
+    """Prefix the stage name to input and verification errors raised
+    inside."""
+    try:
+        yield
+    except (InputError, VerificationError) as e:
+        raise type(e)("%s: %s" % (name, e)) from e
 
 
 def _iso_stage(name, K1, K2, f):
@@ -949,7 +1243,10 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
     Every deformation is replayed step by step (preconditions and
     fingerprints re-checked), every isomorphism table is re-verified
     including equivariance, and all stage endpoints must chain.  Returns
-    True; raises VerificationError (or a subclass) on any mismatch."""
+    True; raises VerificationError (or a subclass) on any mismatch, and
+    InputError on a malformed certificate, with the stage name first in the
+    message.  Stage 6 is replayed from its end, so a step number there
+    counts from the end of its step list."""
     from .morse import build_matching
 
     if not isinstance(cert, MainTheoremCertificate):
@@ -959,43 +1256,54 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
         raise VerificationError(
             "certificate endpoints do not match Hom and box complexes")
     names = [s.get("name") for s in cert.stages]
-    want = ["subdivide-hom", "unfold-hom-subdivision", "products-into-sd-box",
-            "expand-to-sd-box", "fold-box-subdivision", "desubdivide-box"]
+    want = [name for name, _ in _STAGES]
     if names != want:
         raise VerificationError("certificate stages are %r, expected %r"
                                 % (names, want))
+    for s, (name, kind) in zip(cert.stages, _STAGES):
+        if s.get("kind") != kind:
+            raise VerificationError("stage %s has kind %r, expected %r"
+                                    % (name, s.get("kind"), kind))
     s = cert.stages
 
-    c0 = DeformationCertificate.from_json_obj(s[0]["certificate"])
-    e_hom, e_hom_action = replay_sd_deformation(
-        M.hom.cx, M.hom.action, c0, max_cells=max_cells)
+    with _stage("subdivide-hom"):
+        c0 = DeformationCertificate.from_json_obj(s[0]["certificate"])
+        e_hom, e_hom_action = replay_sd_deformation(
+            M.hom.cx, M.hom.action, c0, max_cells=max_cells)
 
-    sdh = barycentric_subdivision(M.hom.cx, max_cells=max_cells)
-    sdh_action = lift_action_to_order_complex(M.hom.action, sdh)
-    if (s[1]["from"], s[1]["to"]) != (e_hom.fingerprint_hex,
-                                      sdh.fingerprint_hex):
-        raise VerificationError("stage 2 endpoints do not match")
-    verify_iso_ids(e_hom, sdh, s[1]["map"], e_hom_action, sdh_action)
+    with _stage("unfold-hom-subdivision"):
+        sdh = barycentric_subdivision(M.hom.cx, max_cells=max_cells)
+        sdh_action = lift_action_to_order_complex(M.hom.action, sdh)
+        if (s[1]["from"], s[1]["to"]) != (e_hom.fingerprint_hex,
+                                          sdh.fingerprint_hex):
+            raise VerificationError("endpoints do not match")
+        verify_iso_ids(e_hom, sdh, s[1]["map"], e_hom_action, sdh_action)
 
-    crit, crit_action, _ = critical_complex(M)
-    if (s[2]["from"], s[2]["to"]) != (sdh.fingerprint_hex,
-                                      crit.fingerprint_hex):
-        raise VerificationError("stage 3 endpoints do not match")
-    verify_iso_ids(sdh, crit, s[2]["map"], sdh_action, crit_action)
+    with _stage("products-into-sd-box"):
+        crit, crit_action, _ = critical_complex(M)
+        if (s[2]["from"], s[2]["to"]) != (sdh.fingerprint_hex,
+                                          crit.fingerprint_hex):
+            raise VerificationError("endpoints do not match")
+        verify_iso_ids(sdh, crit, s[2]["map"], sdh_action, crit_action)
 
-    c3 = DeformationCertificate.from_json_obj(s[3]["certificate"])
-    if c3.endpoints != (crit.fingerprint, M.sd.fingerprint):
-        raise VerificationError("stage 4 endpoints do not match")
-    replay_collapse_certificate(M.sd, M.action, c3, start_alive=M.critical)
+    with _stage("expand-to-sd-box"):
+        c3 = DeformationCertificate.from_json_obj(s[3]["certificate"])
+        if c3.endpoints != (crit.fingerprint, M.sd.fingerprint):
+            raise VerificationError("endpoints do not match")
+        replay_collapse_certificate(M.sd, M.action, c3,
+                                    start_alive=M.critical)
 
-    c5 = DeformationCertificate.from_json_obj(s[5]["certificate"])
-    e_box, e_box_action = replay_sd_deformation(
-        M.box.cx, M.box.action, c5.reversed(), max_cells=max_cells)
-    if c5.endpoints != (e_box.fingerprint, M.box.cx.fingerprint):
-        raise VerificationError("stage 6 endpoints do not match")
+    # Stage 6 is replayed from its end, so its step numbers count from there.
+    with _stage("desubdivide-box, replayed reversed"):
+        c5 = DeformationCertificate.from_json_obj(s[5]["certificate"])
+        e_box, e_box_action = replay_sd_deformation(
+            M.box.cx, M.box.action, c5.reversed(), max_cells=max_cells)
+        if c5.endpoints != (e_box.fingerprint, M.box.cx.fingerprint):
+            raise VerificationError("endpoints do not match")
 
-    if (s[4]["from"], s[4]["to"]) != (M.sd.fingerprint_hex,
-                                      e_box.fingerprint_hex):
-        raise VerificationError("stage 5 endpoints do not match")
-    verify_iso_ids(M.sd, e_box, s[4]["map"], M.action, e_box_action)
+    with _stage("fold-box-subdivision"):
+        if (s[4]["from"], s[4]["to"]) != (M.sd.fingerprint_hex,
+                                          e_box.fingerprint_hex):
+            raise VerificationError("endpoints do not match")
+        verify_iso_ids(M.sd, e_box, s[4]["map"], M.action, e_box_action)
     return True

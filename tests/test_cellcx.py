@@ -137,6 +137,20 @@ def test_group_action_rejects_non_automorphism(hollow_triangle):
             [0, 1])
 
 
+def test_group_action_rejects_non_closed_set(hollow_triangle):
+    # {id, r} of the Z_3 rotation: both are automorphisms, but r.r = r^2
+    # is missing, so the set is not a group
+    A = z3_action(hollow_triangle)
+    with pytest.raises(VerificationError, match="leaves the group"):
+        hb.GroupAction(hollow_triangle, A.perms[:2], ["e", "r"])
+    with pytest.raises(VerificationError, match="leaves the group"):
+        hb.GroupAction(hollow_triangle, A.perms[:2], ["e", "r"],
+                       check=False)
+    # the full rotation group is closed, with a single generator
+    assert len(A.gens) == 1
+    assert A.verify()
+
+
 def test_lift_action_to_order_complex(hollow_triangle):
     A = z3_action(hollow_triangle)
     sd = hb.barycentric_subdivision(hollow_triangle)

@@ -170,6 +170,87 @@ def test_theorem_tampered_certificate(k3_112, tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def k3_122_theorem(tmp_path_factory):
+    """K3_122 and the theorem certificate the CLI writes for it: every
+    stage of it has steps."""
+    d = tmp_path_factory.mktemp("k3_122")
+    graph, cert = str(d / "k3_122.json"), str(d / "theorem.json")
+    with open(graph, "w") as fh:
+        fh.write(hb.complete_multipartite([1, 2, 2]).to_json_str())
+    assert main(["theorem", "--input", graph, "--certificate", cert]) == 0
+    with open(cert) as fh:
+        return graph, json.load(fh)
+
+
+def _first_step(obj, stage):
+    return obj["stages"][stage]["certificate"]["stages"][0][2]
+
+
+def _drop_direction(obj):
+    del _first_step(obj, 0)["direction"]
+
+
+def _stage_not_an_object(obj):
+    obj["stages"][1] = ["unfold-hom-subdivision"]
+
+
+def _drop_certificate(obj):
+    del obj["stages"][3]["certificate"]
+
+
+def _bool_id(obj):
+    _first_step(obj, 0)["sigma"] = True
+
+
+def _negative_id(obj):
+    _first_step(obj, 5)["facets"][0] = -1
+
+
+def _id_outside_stellar_universe(obj):
+    step = _first_step(obj, 0)
+    step["sigma"] = step["orbit"][0] = 10 ** 6
+
+
+def _id_outside_collapse_universe(obj):
+    _first_step(obj, 3)["facets"][0] = 10 ** 6
+
+
+def _bool_in_iso_map(obj):
+    obj["stages"][4]["map"][0][0] = True
+
+
+@pytest.mark.parametrize("tamper", [
+    _drop_direction, _stage_not_an_object, _drop_certificate, _bool_id,
+    _negative_id, _id_outside_stellar_universe,
+    _id_outside_collapse_universe, _bool_in_iso_map])
+def test_theorem_malformed_certificate(k3_122_theorem, tamper, tmp_path,
+                                       capsys):
+    graph, clean = k3_122_theorem
+    obj = json.loads(json.dumps(clean))
+    tamper(obj)
+    cert = str(tmp_path / "theorem.json")
+    with open(cert, "w") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+    assert main(["theorem", "--input", graph, "--certificate", cert]) == 4
+    assert "input error" in capsys.readouterr().err
+
+
+def test_theorem_tampered_stage_names_stage_and_step(k3_122_theorem, tmp_path,
+                                                     capsys):
+    graph, clean = k3_122_theorem
+    obj = json.loads(json.dumps(clean))
+    obj["stages"][5]["certificate"]["stages"][3][1] = "0" * 32
+    cert = str(tmp_path / "theorem.json")
+    with open(cert, "w") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+    assert main(["theorem", "--input", graph, "--certificate", cert]) == 2
+    err = capsys.readouterr().err
+    assert "desubdivide-box" in err and "step" in err
+
+
 def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):
     cert = str(tmp_path / "theorem.json")
     with open(cert, "w") as fh:

@@ -1,6 +1,7 @@
 """Collapsing: elementary G-collapses, the greedy engine, stellar and full
 subdivision deformations, certificates, replay, and tamper detection."""
 
+import hashlib
 import itertools
 import json
 
@@ -9,6 +10,7 @@ import pytest
 import hombox as hb
 from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
+from hombox.cli import canonical_json
 
 from conftest import z3_action
 
@@ -391,3 +393,51 @@ def test_main_theorem_tamper_detection(matchings):
     with pytest.raises(VerificationError):
         hb.replay_main_theorem(
             H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+
+
+# sha256 of the canonical JSON of the theorem certificate.  The values were
+# recorded when each stellar stage rebuilt its complexes from scratch; the
+# cell store must reproduce every certificate byte for byte.
+CERT_SHA256 = {
+    "K_4^2": "352e87faec2699581fb8038aa9c11b9069f280fc05e617c7a7068685261ad3f5",
+    "K_4^3": "5111d0f96caca58332e4d0c069a251a6bfad41ec52dfde3f34eb10fdd043870a",
+    "K3_122": "ab699838870e9c2020059134884eec4ad6ab1487c930425dc29d6fd6146bb3c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERT_SHA256))
+def test_main_theorem_certificate_bytes_pinned(matchings, name):
+    M = matchings[name]
+    cert = hb.main_theorem_certificate(M.graph, matching=M)
+    text = canonical_json(cert.to_json_obj())
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[name]
+
+
+def test_replay_error_names_stage_and_step(matchings):
+    M = matchings["K3_112"]
+    H = M.graph
+    obj = json.loads(json.dumps(
+        hb.main_theorem_certificate(H, matching=M).to_json_obj()))
+    steps = obj["stages"][5]["certificate"]["stages"]
+    steps[len(steps) // 2][0] = "f" * 32
+    bad = hb.MainTheoremCertificate.from_json_obj(obj)
+    pattern = (r"^desubdivide-box.*: step \d+ \((collapse|expand) at cell"
+               r" \d+ .+\): fingerprint drift")
+    with pytest.raises(VerificationError, match=pattern):
+        hb.replay_main_theorem(H, bad, matching=M)
+
+
+def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle):
+    A = hb.trivial_action(solid_triangle)
+    d = hb.sd_deformation(solid_triangle, A)
+    obj = d.certificate.to_json_obj()
+    step = obj["stages"][0][2]
+    step["sigma"] = step["orbit"][0] = 10 ** 6
+    bad = hb.DeformationCertificate.from_json_obj(obj)
+    with pytest.raises(InputError, match="outside the .*universe"):
+        hb.replay_sd_deformation(solid_triangle, A, bad)
+    for value in (-1, True):
+        obj = d.certificate.to_json_obj()
+        obj["stages"][0][2]["facets"] = [value]
+        with pytest.raises(InputError, match="facets"):
+            hb.DeformationCertificate.from_json_obj(obj)
