@@ -16,11 +16,11 @@ print("matching: %s" % M.summary())
 assert M.verify() and hb.verify_acyclic(M)
 
 # classification of a single chain, spelled out
-x = M.sigma1[0]
+x = M.sigma()[0]
 chain = M.sd.payloads[x]
 y = M.mu[x]
 print()
-print("a Sigma_1 chain of length %d is matched with the chain of length %d"
+print("a Sigma chain of length %d is matched with the chain of length %d"
       % (len(chain), len(M.sd.payloads[y])))
 print("  chain ids  %s" % (chain,))
 print("  mu(chain)  %s" % (M.sd.payloads[y],))

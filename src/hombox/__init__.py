@@ -5,7 +5,7 @@ r-uniform hypergraphs."""
 from .boxcx import (BoxComplex, box_edge, count_spanning, i_image_ids,
                     ip_fixed, ip_tables, iso_criterion, map_i, map_p)
 from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
-                     canon_bytes, canon_key, deletion, face_poset, free_facet,
+                     canon_bytes, canon_key, deletion, free_facet,
                      independently_free, lift_action_to_order_complex,
                      order_complex, orbit_star_data, stellar_g_subdivision,
                      stellar_subdivision_poset, trivial_action,
@@ -28,8 +28,7 @@ from .homcx import (HomComplex, action_on_multihoms, enumerate_multihoms,
                     hom_complex, hom_dim, hom_leq, s_r_labels)
 from .homology import (HomologyAgreement, betti, homology_agreement,
                        homology_report, oriented_boundary)
-from .morse import (ChainClass, Matching, build_matching, classify_chain, mu,
-                    verify_acyclic)
+from .morse import Matching, build_matching, classify_chain, mu, verify_acyclic
 from .rgraph import (RGraph, complete_multipartite, complete_rgraph,
                      contains_complete_sub, generates_complete, load_rgraph,
                      new_rgraph)
@@ -40,7 +39,7 @@ __all__ = [
     "BoxComplex", "box_edge", "count_spanning", "i_image_ids", "ip_fixed",
     "ip_tables", "iso_criterion", "map_i", "map_p",
     "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
-    "canon_key", "deletion", "face_poset", "free_facet",
+    "canon_key", "deletion", "free_facet",
     "independently_free", "lift_action_to_order_complex", "order_complex",
     "orbit_star_data", "stellar_g_subdivision", "stellar_subdivision_poset",
     "trivial_action", "verify_isomorphism",
@@ -61,7 +60,7 @@ __all__ = [
     "hom_dim", "hom_leq", "s_r_labels",
     "HomologyAgreement", "betti", "homology_agreement", "homology_report",
     "oriented_boundary",
-    "ChainClass", "Matching", "build_matching", "classify_chain", "mu",
+    "Matching", "build_matching", "classify_chain", "mu",
     "verify_acyclic",
     "RGraph", "complete_multipartite", "complete_rgraph",
     "contains_complete_sub", "generates_complete", "load_rgraph",

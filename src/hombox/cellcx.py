@@ -345,15 +345,6 @@ class CellComplex:
             len(self.payloads), self.dim_counts(), self.fingerprint_hex[:8])
 
 
-def face_poset(K):
-    """The poset of all nonempty cells of K ordered by the face relation.
-
-    Complexes are already stored as their face posets, so this is the
-    identity; it exists to keep call sites close to the mathematics.
-    """
-    return K
-
-
 class GroupAction:
     """A right action of a finite group on a cell complex.
 
@@ -574,8 +565,9 @@ def order_complex(K, max_cells=None):
 
 
 def barycentric_subdivision(K, max_cells=None):
-    """sd K = order complex of the face poset of K."""
-    return order_complex(face_poset(K), max_cells=max_cells)
+    """sd K = order complex of the face poset of K, which is how K is
+    stored."""
+    return order_complex(K, max_cells=max_cells)
 
 
 def lift_action_to_order_complex(A, sd):
@@ -743,10 +735,20 @@ def verify_isomorphism(K1, K2, payload_map, A1=None, A2=None):
         if j in seen:
             raise VerificationError("payload map is not injective at cell %d" % i)
         seen.add(j)
-        if K1.dims[i] != K2.dims[j]:
-            raise VerificationError("dimension mismatch at cell %d" % i)
         f[i] = j
-    for i in range(n1):
+    return _check_iso(K1, K2, f, A1, A2)
+
+
+def _check_iso(K1, K2, f, A1, A2):
+    """The checks shared by verify_isomorphism and collapse.verify_iso_ids:
+    the id bijection f (a list indexed by K1 ids) preserves dimensions and
+    covers, and commutes with the actions when they are supplied.  Returns
+    f; raises VerificationError with the offending cell."""
+    n = len(f)
+    for i in range(n):
+        if K1.dims[i] != K2.dims[f[i]]:
+            raise VerificationError("dimension mismatch at cell %d" % i)
+    for i in range(n):
         if {f[j] for j in K1.down[i]} != set(K2.down[f[i]]):
             raise VerificationError("covers are not preserved at cell %d" % i)
     if A1 is not None or A2 is not None:
@@ -754,7 +756,7 @@ def verify_isomorphism(K1, K2, payload_map, A1=None, A2=None):
             raise VerificationError("group actions are not aligned")
         for g in range(A1.order):
             p1, p2 = A1.perms[g], A2.perms[g]
-            for i in range(n1):
+            for i in range(n):
                 if f[p1[i]] != p2[f[i]]:
                     raise VerificationError(
                         "map is not equivariant at cell %d, element %d" % (i, g))

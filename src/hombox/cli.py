@@ -8,6 +8,7 @@ newline), so identical inputs produce byte-identical files.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,10 +77,18 @@ def make_parser():
 
 
 def _write(path, text):
+    """Write text to path through a temporary file in the same directory,
+    renamed onto path, so that a failed write leaves path as it was."""
+    tmp = None
     try:
-        with open(path, "w") as fh:
+        with open("%s.%d.tmp" % (path, os.getpid()), "x") as fh:
+            tmp = fh.name
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as e:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise InputError("cannot write %s: %s" % (path, e))
 
 

@@ -45,6 +45,7 @@ from .cellcx import (
     CellComplex,
     GroupAction,
     _cell_digest,
+    _check_iso,
     barycentric_subdivision,
     canon_key,
     fmt_payload,
@@ -1080,22 +1081,7 @@ def verify_iso_ids(K1, K2, pairs, A1=None, A2=None):
             raise VerificationError("isomorphism table is not a bijection")
         f[i] = j
         seen.add(j)
-        if K1.dims[i] != K2.dims[j]:
-            raise VerificationError("dimension mismatch at cell %d" % i)
-    for i in range(n):
-        if {f[j] for j in K1.down[i]} != set(K2.down[f[i]]):
-            raise VerificationError("covers are not preserved at cell %d" % i)
-    if A1 is not None or A2 is not None:
-        if A1 is None or A2 is None or A1.labels != A2.labels:
-            raise VerificationError("group actions are not aligned")
-        for g in range(A1.order):
-            p1, p2 = A1.perms[g], A2.perms[g]
-            for i in range(n):
-                if f[p1[i]] != p2[f[i]]:
-                    raise VerificationError(
-                        "map is not equivariant at cell %d, element %d"
-                        % (i, g))
-    return f
+    return _check_iso(K1, K2, f, A1, A2)
 
 
 class MainTheoremCertificate:

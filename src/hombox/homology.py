@@ -281,21 +281,20 @@ def _pad(report, upto):
 
 
 def homology_agreement(H, coeff="z", max_cells=None):
-    """Compare integral (or Z/2) homology of sd B_edge(H) and sd Hom(K_r^r,H).
+    """Compare integral (or Z/2) homology of B_edge(H) and Hom(K_r^r, H).
 
     The two must agree (they are homotopy equivalent complexes); returns
     HomologyAgreement(agree, box_report, hom_report) with reports padded to a
-    common length."""
+    common length.  The box complex is simplicial and is used as it is; the
+    polytopal Hom complex is taken through its order complex, built here
+    under the size guard."""
     from .boxcx import box_edge
-    from .cellcx import barycentric_subdivision
     from .homcx import hom_complex
 
     box = box_edge(H, max_cells=max_cells)
     hom = hom_complex(H, max_cells=max_cells)
-    sdb = barycentric_subdivision(box.cx, max_cells=max_cells)
-    sdh = barycentric_subdivision(hom.cx, max_cells=max_cells)
-    rb = homology_report(sdb, coeff)
-    rh = homology_report(sdh, coeff)
+    rb = homology_report(box.cx, coeff)
+    rh = homology_report(order_complex(hom.cx, max_cells=max_cells), coeff)
     upto = max(len(rb["betti"]), len(rh["betti"]))
     rb, rh = _pad(rb, upto), _pad(rh, upto)
     return HomologyAgreement(rb == rh, rb, rh)

@@ -1,88 +1,78 @@
-"""Equivariant acyclic partial matching on chains of box simplices.
+"""Equivariant acyclic matching on chains of box simplices.
 
-Cells of sd B_edge(H) are chains F = (F_0 ⊂ ... ⊂ F_k) of box simplices.
-D is the set of chains containing a non-product item.  For F in D let l(F)
-be the least broken index, P = i(p(F_l)), and r(F) the largest r with
-F_{l+r} contained in P (r >= 0 since F_l <= P always).  Then
+Cells of sd B_edge(H) are chains F_0 ⊂ ... ⊂ F_k of box simplices.  The map
+c = i∘p is a closure operator on box simplices: F <= c(F), c is monotone and
+c(c(F)) = c(F).  Its fixed points, the products, are the images i(f) of the
+multihomomorphisms f.  D is the set of chains with a non-product item.
 
-  Sigma_1 = { l+r = k,  P not an item }      mu appends P at the end,
-  Sigma_2 = { l+r < k,  Q = P ∩ F_{l+r+1} not an item }
-                                             mu inserts Q after position l+r,
+The rule is the closure-operator matching (Kozlov, Combinatorial Algebraic
+Topology, 2008, ch. 11; Freij, "Equivariant discrete Morse theory", 2009).
+For a chain in D let x be its topmost non-product item and toggle c(x).
+Every item above x is a product containing x, hence containing c(x), so c(x)
+belongs directly above x; being a product, it leaves x the topmost
+non-product.  Thus
 
-and Upper = D \\ (Sigma_1 ∪ Sigma_2).  On the graphs treated here Upper is
-exactly mu(Sigma_1 ∪ Sigma_2), giving a partition D = Sigma ⊔ mu(Sigma);
-build_matching checks that partition explicitly and raises MatchingInvalid
-with a counterexample when it fails (it can fail: chains whose l-th item has
-r = 0 and P ∩ F_{l+1} already an item are matched by nothing, e.g. in
-B_edge(K_6^3)).  The matching commutes with the S_r-action and is acyclic;
-its critical cells are precisely the chains of products, i.e. the order
-complex of i(multihom poset).
+  Sigma = chains in D without c(x)     mu inserts c(x) directly above x,
+  Upper = chains in D with c(x)        the partner drops c(x),
+
+and the toggle is an involution, so D = Sigma ⊔ mu(Sigma).  The critical
+cells are the chains of products, i.e. the order complex of the image of i,
+which is sd Hom(K_r^r, H).
+
+Equivariance: S_r permutes the coordinates of ordered edges, which commutes
+with p and with i, hence with c; the rule uses nothing else.
+
+Acyclicity: a step of a gradient path goes from s in Sigma to a facet y != s
+of mu(s) with y in Sigma.  Dropping any item other than x or c(x) leaves x
+topmost with c(x) above it, which is upper.  So y drops x, and the topmost
+non-product of y lies strictly below x.  Its box id therefore strictly
+decreases along every path, and no path closes.
+
+build_matching checks all of this explicitly (Matching.verify) and
+raises MatchingInvalid with a counterexample chain if any check fails.
 """
-
-from collections import namedtuple
 
 from .boxcx import box_edge, i_image_ids, ip_tables, map_i, map_p
 from .cellcx import barycentric_subdivision, lift_action_to_order_complex
 from .errors import MatchingInvalid, NotInSigma
 from .homcx import hom_complex
 
-ChainClass = namedtuple("ChainClass", "tag l r")
-
 CRITICAL = "critical"
-S1 = "S1"
-S2 = "S2"
+SIGMA = "sigma"
 UPPER = "upper"
 
 
-def _classify(items, is_fixed, image_of, meet, contains):
-    """Shared classifier.
+def _toggle(items, closure):
+    """The rule, on a chain of items (ascending tuple) with closure(x) =
+    c(x); x is a product iff closure(x) == x.
 
-    items: the chain, ascending;  is_fixed(x): x is a product;
-    image_of(x): i(p(x));  meet(a, b): intersection;  contains(a, b): b <= a.
-    Returns (ChainClass, mu_items or None).
-    """
-    top = len(items) - 1
-    l = None
-    for k, x in enumerate(items):
-        if not is_fixed(x):
-            l = k
-            break
-    if l is None:
-        return ChainClass(CRITICAL, None, None), None
-    P = image_of(items[l])
-    a = l
-    while a + 1 <= top and contains(P, items[a + 1]):
-        a += 1
-    r = a - l
-    if l + r == top:
-        if P in items:
-            return ChainClass(UPPER, l, r), None
-        return ChainClass(S1, l, r), items + (P,)
-    Q = meet(P, items[l + r + 1])
-    if Q in items:
-        return ChainClass(UPPER, l, r), None
-    return ChainClass(S2, l, r), items[:l + r + 1] + (Q,) + items[l + r + 1:]
+    Returns (tag, partner): the toggled chain for Sigma and upper chains,
+    None for critical ones."""
+    for k in range(len(items) - 1, -1, -1):
+        x = items[k]
+        c = closure(x)
+        if c == x:
+            continue
+        if k + 1 < len(items) and items[k + 1] == c:
+            return UPPER, items[:k + 1] + items[k + 2:]
+        return SIGMA, items[:k + 1] + (c,) + items[k + 1:]
+    return CRITICAL, None
 
 
 def classify_chain(chain):
     """Classify a chain of box simplices given as payloads (ascending tuple
-    of frozensets of ordered edges).  Returns (ChainClass, mu_chain or None);
-    mu_chain is None exactly for critical and upper chains."""
-    return _classify(
-        tuple(chain),
-        is_fixed=lambda F: map_i(map_p(F)) == F,
-        image_of=lambda F: map_i(map_p(F)),
-        meet=lambda A, B: A & B,
-        contains=lambda A, B: B <= A,
-    )
+    of frozensets of ordered edges).  Returns (tag, partner) with tag one of
+    "critical", "sigma", "upper"; partner is the chain matched with it, or
+    None for a critical chain."""
+    return _toggle(tuple(chain), lambda F: map_i(map_p(F)))
 
 
 def mu(chain):
     """The matched partner of a Sigma-chain of box simplex payloads.
     Raises NotInSigma on critical and upper chains."""
-    cls, partner = classify_chain(chain)
-    if partner is None:
-        raise NotInSigma("chain is %s, not in Sigma" % cls.tag)
+    tag, partner = classify_chain(chain)
+    if tag != SIGMA:
+        raise NotInSigma("chain is %s, not in Sigma" % tag)
     return partner
 
 
@@ -92,32 +82,27 @@ class Matching:
     Attributes (ids refer to cells of .sd unless stated otherwise):
       graph, hom, box   the r-graph and its Hom/box complex bundles
       sd, action        the subdivided box complex and its lifted S_r-action
-      tags              per-cell classification tag
-      classes           per-cell ChainClass
-      sigma1, sigma2    sorted id lists
-      mu                dict id -> id on Sigma = sigma1 + sigma2
+      tags              per-cell tag: "sigma", "upper" or "critical"
+      mu                dict id -> id on Sigma
       upper, critical   sorted id lists
     """
 
-    def __init__(self, graph, hom, box, sd, action, tags, classes, mu_map):
+    def __init__(self, graph, hom, box, sd, action, tags, mu_map):
         self.graph = graph
         self.hom = hom
         self.box = box
         self.sd = sd
         self.action = action
         self.tags = tags
-        self.classes = classes
         self.mu = mu_map
-        self.sigma1 = [i for i, t in enumerate(tags) if t == S1]
-        self.sigma2 = [i for i, t in enumerate(tags) if t == S2]
         self.upper = [i for i, t in enumerate(tags) if t == UPPER]
         self.critical = [i for i, t in enumerate(tags) if t == CRITICAL]
 
     def sigma(self):
-        return sorted(self.sigma1 + self.sigma2)
+        return [i for i, t in enumerate(self.tags) if t == SIGMA]
 
     def d_cells(self):
-        return sorted(self.sigma1 + self.sigma2 + self.upper)
+        return [i for i, t in enumerate(self.tags) if t != CRITICAL]
 
     def _chain_payloads(self, i):
         from .cellcx import canon_key
@@ -179,23 +164,16 @@ class Matching:
 
     def to_json_obj(self):
         pay = self.sd.payloads
-        sig = []
-        for x in self.sigma():
-            sig.append({
-                "chain": list(pay[x]),
-                "mu": list(pay[self.mu[x]]),
-                "class": self.tags[x],
-            })
         return {
-            "sigma": sig,
+            "sigma": [{"chain": list(pay[x]), "mu": list(pay[self.mu[x]])}
+                      for x in self.sigma()],
             "critical": [list(pay[c]) for c in self.critical],
         }
 
     def summary(self):
-        return ("%d chains; D %d = sigma1 %d + sigma2 %d + upper %d; "
-                "critical %d" % (len(self.sd), len(self.d_cells()),
-                                 len(self.sigma1), len(self.sigma2),
-                                 len(self.upper), len(self.critical)))
+        return ("%d chains; D %d = sigma %d + upper %d; critical %d"
+                % (len(self.sd), len(self.d_cells()), len(self.sigma()),
+                   len(self.upper), len(self.critical)))
 
 
 def _find_cycle(M):
@@ -240,33 +218,23 @@ def build_matching(H, max_cells=None):
     """Construct and fully verify the matching on sd B_edge(H).
 
     Raises MatchingInvalid (with a counterexample chain in the message) if
-    the Sigma/mu rules fail to partition D, are not equivariant, or are not
-    acyclic on this graph; raises SizeGuard via the complex constructors.
+    the rule fails any check of Matching.verify on this graph; raises
+    SizeGuard via the complex constructors.
     """
     hom = hom_complex(H, max_cells=max_cells)
     box = box_edge(H, max_cells=max_cells)
     sd = barycentric_subdivision(box.cx, max_cells=max_cells)
     action = lift_action_to_order_complex(box.action, sd)
-    fixed, ipim = ip_tables(box)
-    pay = box.cx.payloads
-    index = box.cx.index
+    closure = ip_tables(box)[1].__getitem__
 
     tags = []
-    classes = []
     mu_map = {}
     for i, items in enumerate(sd.payloads):
-        cls, partner = _classify(
-            items,
-            is_fixed=lambda x: fixed[x],
-            image_of=lambda x: ipim[x],
-            meet=lambda a, b: index[pay[a] & pay[b]],
-            contains=lambda a, b: pay[b] <= pay[a],
-        )
-        tags.append(cls.tag)
-        classes.append(cls)
-        if partner is not None:
+        tag, partner = _toggle(items, closure)
+        tags.append(tag)
+        if tag == SIGMA:
             mu_map[i] = sd.index[partner]
 
-    M = Matching(H, hom, box, sd, action, tags, classes, mu_map)
+    M = Matching(H, hom, box, sd, action, tags, mu_map)
     M.verify()
     return M

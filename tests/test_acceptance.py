@@ -235,13 +235,13 @@ def test_ac8_negative_controls(matchings):
         M = matchings["K3_122"]
         for mutate in MATCHING_MUTATIONS:
             bad = Matching(M.graph, M.hom, M.box, M.sd, M.action,
-                           M.tags, M.classes, mutate(M))
+                           M.tags, mutate(M))
             with pytest.raises(MatchingInvalid):
                 bad.verify()
 
         # a dropped pair also derails the collapse engine itself
         bad = Matching(M.graph, M.hom, M.box, M.sd, M.action,
-                       M.tags, M.classes, drop_mu_pair(M))
+                       M.tags, drop_mu_pair(M))
         with pytest.raises((Stuck, VerificationError)):
             hb.matching_to_collapse(bad.sd, bad.action, bad)
 

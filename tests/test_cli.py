@@ -78,6 +78,22 @@ def test_build_dot(k32, tmp_path, capsys):
     assert "rankdir=BT" in text
 
 
+def test_failed_write_leaves_target_unchanged(k32, tmp_path, monkeypatch,
+                                             capsys):
+    out = tmp_path / "out.json"
+    out.write_text("old\n")
+    before = sorted(tmp_path.iterdir())
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("hombox.cli.os.replace", fail)
+    assert main(["build", "--input", k32, "--out", str(out)]) == 4
+    assert "cannot write" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_build_edgeless_graph(edgeless, capsys):
     assert main(["build", "--input", edgeless]) == 0
     assert "box: 0 cells" in capsys.readouterr().out
@@ -99,7 +115,7 @@ def test_verify_collapsing_case(k3_122, tmp_path, capsys):
     rep = str(tmp_path / "report.json")
     assert main(["verify", "--input", k3_122, "--out", rep]) == 0
     out = capsys.readouterr().out
-    assert "sigma1 348" in out
+    assert "sigma 348" in out
     assert "critical 198" in out
     assert json.loads(open(rep).read()) == {
         "cells": 894, "d_cells": 696, "sigma": 348, "critical": 198,
@@ -151,6 +167,20 @@ def test_theorem_build_write_replay(k3_112, tmp_path, capsys):
                  "--out", rep2]) == 0
     assert "replayed: 6 stages ok" in capsys.readouterr().out
     assert open(rep).read() == open(rep2).read()
+
+
+def test_theorem_build_then_replay_former_matching_failure(tmp_path, capsys):
+    # K^2_{2,3}: the least-broken-index matching did not partition D here
+    graph = tmp_path / "k2_23.json"
+    graph.write_text(hb.complete_multipartite([2, 3]).to_json_str())
+    cert = str(tmp_path / "theorem.json")
+    args = ["theorem", "--input", str(graph), "--certificate", cert]
+    assert main(args) == 0
+    assert "theorem certificate built: 6 stages" in capsys.readouterr().out
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "replayed: 6 stages ok" in out
+    assert "homology agrees" in out
 
 
 def test_theorem_z2(k32, capsys):

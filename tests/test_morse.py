@@ -1,7 +1,12 @@
-"""The chain matching: payload-level classification rules, the partition
-failure on larger graphs, and the verified matchings on the corpus."""
+"""The chain matching: the payload-level toggle rule, the verified matchings
+on the corpus, on graphs where the former rule failed, and on random
+r-graphs."""
+
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hombox as hb
 from hombox import MatchingInvalid, NotInSigma
@@ -17,14 +22,14 @@ def F(*tuples):
 def test_classify_all_fixed_is_critical():
     f = (frozenset(["a"]), frozenset(["b", "c"]))
     chain = (frozenset([("a", "b")]), hb.map_i(f))
-    cls, partner = classify_chain(chain)
-    assert cls.tag == "critical" and partner is None
+    tag, partner = classify_chain(chain)
+    assert tag == "critical" and partner is None
 
 
-def test_classify_singleton_broken_is_s1():
+def test_classify_singleton_broken_is_sigma():
     Fb = F(("a", "b"), ("c", "d"))                 # p = ({a,c},{b,d})
-    cls, partner = classify_chain((Fb,))
-    assert cls.tag == "S1" and (cls.l, cls.r) == (0, 0)
+    tag, partner = classify_chain((Fb,))
+    assert tag == "sigma"
     P = hb.map_i(hb.map_p(Fb))
     assert partner == (Fb, P)
     assert len(P) == 4
@@ -33,8 +38,8 @@ def test_classify_singleton_broken_is_s1():
 def test_classify_broken_with_its_image_is_upper():
     Fb = F(("a", "b"), ("c", "d"))
     P = hb.map_i(hb.map_p(Fb))
-    cls, partner = classify_chain((Fb, P))
-    assert cls.tag == "upper" and partner is None
+    tag, partner = classify_chain((Fb, P))
+    assert tag == "upper" and partner == (Fb,)
     # and mu() refuses it
     with pytest.raises(NotInSigma):
         hb.mu((Fb, P))
@@ -42,57 +47,57 @@ def test_classify_broken_with_its_image_is_upper():
         hb.mu((hb.map_i((frozenset("a"), frozenset("b"))),))
 
 
-def test_classify_s2d():
-    # an S2 chain: the continuation leaves P but the meet is a new simplex
+def test_classify_toggles_closure_of_topmost_non_product():
+    # both items are non-products; the rule acts at the top one, F1, and
+    # its closure goes directly above it
     F0 = F((0, 1, 2), (0, 3, 4))
     F1 = F0 | F((5, 1, 2), (0, 1, 4))
-    cls, partner = classify_chain((F0, F1))
-    assert cls.tag == "S2" and (cls.l, cls.r) == (0, 0)
-    Q = F((0, 1, 2), (0, 3, 4), (0, 1, 4))
-    assert partner == (F0, Q, F1)
-    # mu output is a strictly ascending chain covering the input
-    assert F0 < Q < F1
+    c1 = hb.map_i(hb.map_p(F1))
+    assert hb.map_i(hb.map_p(F0)) != F0 and c1 != F1
+    tag, partner = classify_chain((F0, F1))
+    assert tag == "sigma" and partner == (F0, F1, c1)
+    # products above the topmost non-product contain its closure, so the
+    # toggle lands directly above it, below those products
+    top = hb.map_i((frozenset({0, 5, 9}), frozenset({1, 3}),
+                    frozenset({2, 4})))
+    assert c1 < top
+    assert classify_chain((F0, F1, top)) == ("sigma", (F0, F1, c1, top))
+    assert classify_chain((F0, F1, c1, top)) == ("upper", (F0, F1, top))
 
 
-def test_partition_gap_witness():
-    # this chain is upper but no Sigma chain maps onto it: the partition
-    # D = Sigma + mu(Sigma) genuinely fails on B_edge(K_6^3), and
-    # build_matching would report it (the complex is too large to build
-    # here, so the witness is checked at payload level)
+def test_classify_toggle_is_an_involution():
+    # (F0, F1) is the chain of B_edge(K_6^3) that no chain was matched
+    # with under the former least-broken-index rule; under the toggle its
+    # partner is matched back with it
     F0 = F((1, 2, 3), (1, 4, 5))
     F1 = F0 | F((6, 2, 3))
-    cls, partner = classify_chain((F0, F1))
-    assert cls.tag == "upper" and partner is None
-    # the only chains whose mu could end ...F0, F1 or insert F1: the two
-    # singletons; both are S1 with different targets
-    for single in ((F0,), (F1,)):
-        c2, p2 = classify_chain(single)
-        assert c2.tag == "S1"
-        assert p2 != (F0, F1)
-    # so (F0, F1) has no mu-preimage among subchains; on the full complex
-    # Matching.verify raises MatchingInvalid for exactly this reason
+    for chain in ((F0,), (F1,), (F0, F1)):
+        tag, partner = classify_chain(chain)
+        assert tag == "sigma" and len(partner) == len(chain) + 1
+        assert classify_chain(partner) == ("upper", chain)
+        assert hb.mu(chain) == partner
 
 
 GOLDEN = {
-    # name: (sd cells, sigma1, sigma2, upper, critical)
-    "K_2^2": (2, 0, 0, 0, 2),
-    "K_3^2": (24, 0, 0, 0, 24),
-    "K_3^3": (6, 0, 0, 0, 6),
-    "K_4^3": (132, 0, 0, 0, 132),
-    "K3_112": (30, 0, 0, 0, 30),
-    "K3_122": (894, 348, 0, 348, 198),
-    "K_5^3": (13350, 5220, 0, 5220, 2910),
+    # name: (sd cells, sigma, upper, critical)
+    "K_2^2": (2, 0, 0, 2),
+    "K_3^2": (24, 0, 0, 24),
+    "K_3^3": (6, 0, 0, 6),
+    "K_4^3": (132, 0, 0, 132),
+    "K3_112": (30, 0, 0, 30),
+    "K3_122": (894, 348, 348, 198),
+    "K_5^3": (13350, 5220, 5220, 2910),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_matching_golden_counts(matchings, name):
     M = matchings[name]
-    sd_n, s1, s2, up, crit = GOLDEN[name]
+    sd_n, sig, up, crit = GOLDEN[name]
     assert len(M.sd) == sd_n
-    assert (len(M.sigma1), len(M.sigma2)) == (s1, s2)
+    assert len(M.sigma()) == sig
     assert (len(M.upper), len(M.critical)) == (up, crit)
-    assert len(M.d_cells()) == s1 + s2 + up
+    assert len(M.d_cells()) == sig + up
 
 
 def test_matching_verify_and_acyclic(matchings):
@@ -129,16 +134,48 @@ def test_matching_json_shape(matchings):
     assert len(obj["sigma"]) == 348
     assert len(obj["critical"]) == 198
     ent = obj["sigma"][0]
-    assert sorted(ent) == ["chain", "class", "mu"]
-    assert ent["class"] in ("S1", "S2")
+    assert sorted(ent) == ["chain", "mu"]
     assert len(ent["mu"]) == len(ent["chain"]) + 1
 
 
 def test_corrupted_matching_detected(matchings):
     M = matchings["K3_122"]
     bad = hb.Matching(M.graph, M.hom, M.box, M.sd, M.action,
-                      list(M.tags), list(M.classes), dict(M.mu))
+                      list(M.tags), dict(M.mu))
     x = M.sigma()[0]
     bad.mu[x] = M.mu[M.sigma()[1]]
     with pytest.raises(MatchingInvalid):
         bad.verify()
+
+
+@pytest.mark.parametrize("sizes", [[2, 3], [1, 2, 3]])
+def test_matching_on_former_failures(sizes):
+    # the least-broken-index rule did not partition D on these graphs
+    M = hb.build_matching(hb.complete_multipartite(sizes))
+    assert len(M.critical) == len(hb.order_complex(M.hom.cx))
+    assert len(M.sigma()) == len(M.upper) > 0
+
+
+@st.composite
+def small_rgraphs(draw):
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 5))
+    verts = ["v%d" % i for i in range(n)]
+    possible = list(combinations(verts, r))
+    keep = draw(st.lists(st.booleans(), min_size=len(possible),
+                         max_size=len(possible)).filter(any))
+    return hb.new_rgraph(r, verts,
+                         [list(e) for e, k in zip(possible, keep) if k])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(small_rgraphs())
+def test_matching_verifies_on_random_rgraphs(H):
+    try:
+        hb.box_edge(H, max_cells=20000)
+    except hb.SizeGuard:
+        return
+    M = hb.build_matching(H)
+    for x, y in M.mu.items():
+        assert x in M.sd.down[y]
+        assert M.sd.dims[y] == M.sd.dims[x] + 1
