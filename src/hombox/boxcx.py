@@ -117,6 +117,19 @@ def box_edge(H, max_cells=None):
     enumeration if the total simplex count (computed by inclusion-exclusion
     per multihom) exceeds max_cells.
     """
+    cx = _box_cx(H, max_cells)
+    labels = s_r_labels(H.r)
+    maps = [
+        lambda F, s=s: frozenset(tuple(t[s[j]] for j in range(len(s)))
+                                 for t in F)
+        for s in labels
+    ]
+    action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
+    return BoxComplex(cx, action, H)
+
+
+def _box_cx(H, max_cells):
+    """The complex of box_edge(H, max_cells), without its action."""
     homs = enumerate_multihoms(H, max_cells=max_cells)
     if max_cells is not None:
         total = 0
@@ -131,15 +144,7 @@ def box_edge(H, max_cells=None):
         for S in _spanning_subsets(f):
             faces = [S - {t} for t in S] if len(S) >= 2 else []
             cells.append((S, len(S) - 1, faces))
-    cx = CellComplex.from_graded_cells(cells)
-    labels = s_r_labels(H.r)
-    maps = [
-        lambda F, s=s: frozenset(tuple(t[s[j]] for j in range(len(s)))
-                                 for t in F)
-        for s in labels
-    ]
-    action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
-    return BoxComplex(cx, action, H)
+    return CellComplex.from_graded_cells(cells)
 
 
 def ip_tables(box):
@@ -171,7 +176,7 @@ def iso_criterion(H, max_cells=None):
     simplicial isomorphisms between B_edge(H) and Hom(K_r^r, H) (the latter
     is then simplicial).
     """
-    box = box_edge(H, max_cells=max_cells)
-    all_fixed = all(ip_fixed(F) for F in box.cx.payloads)
+    cx = _box_cx(H, max_cells)
+    all_fixed = all(ip_fixed(F) for F in cx.payloads)
     pattern = [1] * (H.r - 2) + [2, 2]
     return all_fixed, not contains_complete_sub(H, pattern)

@@ -571,12 +571,46 @@ def barycentric_subdivision(K, max_cells=None):
 
 
 def lift_action_to_order_complex(A, sd):
-    """Transport a group action on K to its order complex (itemwise on chains)."""
-    perms = []
-    for p in A.perms:
-        perm = [sd.index[tuple(sorted(p[j] for j in ch))] for ch in sd.payloads]
-        perms.append(perm)
-    return GroupAction(sd, perms, A.labels, check=False)
+    """Transport a group action on K to its order complex sd = order_complex(K).
+
+    Element g maps the chain ch to the chain of images p[j], j in ch, where
+    p = A.perms[g].  Only the generators A.gens are lifted that way.  A poset
+    automorphism maps a chain to a chain whose ids already ascend, because
+    every cover has a smaller id (order_complex checks that), so the image
+    is looked up in sd.index as it is, without a sort.  Every other element
+    is a product of generators: walking the Cayley graph of A from the
+    identity, the element h = g.s (A._compose) gets the lift of g followed
+    by the lift of s.  Elements that share a permutation share the lift of
+    the first element realizing it.  The result equals the itemwise lift.
+
+    Raises VerificationError, naming the element's label and the chain, if
+    a generator maps a chain to one that is not a cell of sd, i.e. A is not
+    an action by automorphisms of K.
+    """
+    chains = sd.payloads
+    get = sd.index.get
+    perms = [None] * A.order
+    perms[0] = list(map(get, chains))  # the identity, sharing sd.index's ints
+    reached = [0]
+    for s in A.gens:
+        img = A.perms[s].__getitem__
+        perm = [get(tuple(map(img, ch))) for ch in chains]
+        if None in perm:
+            ch = chains[perm.index(None)]
+            raise VerificationError(
+                "element %r maps chain %s to %s, which is not a chain of the "
+                "order complex" % (A.labels[s], fmt_payload(ch),
+                                   fmt_payload(tuple(map(img, ch)))))
+        perms[s] = perm
+        reached.append(s)
+    key, first = A._element_key()
+    for g in reached:
+        for s in A.gens:
+            h = A._compose(g, s, key)
+            if perms[h] is None:
+                perms[h] = list(map(perms[s].__getitem__, perms[g]))
+                reached.append(h)
+    return GroupAction(sd, [perms[f] for f in first], A.labels, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,8 @@ def cmd_theorem(args):
         if path:
             _write(path, canonical_json(cert.to_json_obj()))
             print("theorem certificate written to %s" % path)
-    agree = homology_agreement(H, coeff=args.coeff, max_cells=mc)
+    agree = homology_agreement(H, coeff=args.coeff, max_cells=mc,
+                               matching=M)
     if not agree.agree:
         raise VerificationError(
             "homology disagrees: box %r vs hom %r"

@@ -86,6 +86,15 @@ def hom_complex(H, max_cells=None):
     Cells are multihoms; covers shrink one part by one vertex.  Returns a
     HomComplex(cx, action, graph) bundle.
     """
+    cx = _hom_cx(H, max_cells)
+    labels = s_r_labels(H.r)
+    maps = [lambda f, s=s: action_on_multihoms(f, s) for s in labels]
+    action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
+    return HomComplex(cx, action, H)
+
+
+def _hom_cx(H, max_cells):
+    """The complex of hom_complex(H, max_cells), without its action."""
     homs = enumerate_multihoms(H, max_cells=max_cells)
     cells = []
     for f in homs:
@@ -95,8 +104,4 @@ def hom_complex(H, max_cells=None):
                 for v in part:
                     faces.append(f[:j] + (part - {v},) + f[j + 1:])
         cells.append((f, hom_dim(f), faces))
-    cx = CellComplex.from_graded_cells(cells)
-    labels = s_r_labels(H.r)
-    maps = [lambda f, s=s: action_on_multihoms(f, s) for s in labels]
-    action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
-    return HomComplex(cx, action, H)
+    return CellComplex.from_graded_cells(cells)

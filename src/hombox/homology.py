@@ -280,21 +280,24 @@ def _pad(report, upto):
     return {"betti": b, "torsion": t}
 
 
-def homology_agreement(H, coeff="z", max_cells=None):
+def homology_agreement(H, coeff="z", max_cells=None, matching=None):
     """Compare integral (or Z/2) homology of B_edge(H) and Hom(K_r^r, H).
 
     The two must agree (they are homotopy equivalent complexes); returns
     HomologyAgreement(agree, box_report, hom_report) with reports padded to a
     common length.  The box complex is simplicial and is used as it is; the
     polytopal Hom complex is taken through its order complex, built here
-    under the size guard."""
-    from .boxcx import box_edge
-    from .homcx import hom_complex
+    under the size guard.  Homology reads no group action, so none is built.
+    Pass a prebuilt matching for H to reuse its box and Hom complexes."""
+    if matching is not None:
+        box_cx, hom_cx = matching.box.cx, matching.hom.cx
+    else:
+        from .boxcx import _box_cx
+        from .homcx import _hom_cx
 
-    box = box_edge(H, max_cells=max_cells)
-    hom = hom_complex(H, max_cells=max_cells)
-    rb = homology_report(box.cx, coeff)
-    rh = homology_report(order_complex(hom.cx, max_cells=max_cells), coeff)
+        box_cx, hom_cx = _box_cx(H, max_cells), _hom_cx(H, max_cells)
+    rb = homology_report(box_cx, coeff)
+    rh = homology_report(order_complex(hom_cx, max_cells=max_cells), coeff)
     upto = max(len(rb["betti"]), len(rh["betti"]))
     rb, rh = _pad(rb, upto), _pad(rh, upto)
     return HomologyAgreement(rb == rh, rb, rh)

@@ -136,15 +136,15 @@ class Matching:
                 raise MatchingInvalid(
                     "upper chain %r not matched by any Sigma chain: "
                     "D is not partitioned" % (self._chain_payloads(y),))
-        A = self.action
-        for g in range(A.order):
-            for x in range(len(sd)):
-                if self.tags[A.act(g, x)] != self.tags[x]:
+        A, tags = self.action, self.tags
+        for g, p in enumerate(A.perms):
+            for x, t in enumerate(tags):
+                if tags[p[x]] != t:
                     raise MatchingInvalid(
                         "classification not equivariant at %r under %r"
                         % (self._chain_payloads(x), A.labels[g]))
             for x in sig:
-                if mu_map[A.act(g, x)] != A.act(g, mu_map[x]):
+                if mu_map[p[x]] != p[mu_map[x]]:
                     raise MatchingInvalid(
                         "mu not equivariant at %r under %r"
                         % (self._chain_payloads(x), A.labels[g]))

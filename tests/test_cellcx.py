@@ -10,7 +10,7 @@ from hombox import (InputError, OrbitCofaceClash, SizeGuard,
                     VerificationError)
 from hombox.cellcx import canon_bytes, canon_key, fmt_payload
 
-from conftest import z3_action
+from conftest import CORPUS_NAMES, z3_action
 
 
 def test_canon_key_total_order():
@@ -159,6 +159,53 @@ def test_lift_action_to_order_complex(hollow_triangle):
     sdA.verify()
     assert sdA.is_free()
     assert len(sdA.orbits()) == len(sd) // 3
+
+
+def _itemwise_lift(A, sd):
+    """The definition: g maps a chain to the sorted chain of its images."""
+    return [[sd.index[tuple(sorted(p[j] for j in ch))] for ch in sd.payloads]
+            for p in A.perms]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_lift_equals_itemwise_definition(name, corpus):
+    H = corpus[name]
+    for bundle in (hb.box_edge(H), hb.hom_complex(H)):
+        sd = hb.order_complex(bundle.cx)
+        sdA = hb.lift_action_to_order_complex(bundle.action, sd)
+        assert sdA.perms == _itemwise_lift(bundle.action, sd)
+        assert sdA.labels == bundle.action.labels
+
+
+def test_lift_of_non_faithful_and_trivial_actions(hollow_triangle,
+                                                  solid_triangle):
+    # Z_6 acting through Z_3: elements g and g+3 share a permutation
+    rot = z3_action(hollow_triangle).perms
+    A = hb.GroupAction(hollow_triangle, [rot[g % 3] for g in range(6)],
+                       list(range(6)))
+    sd = hb.order_complex(hollow_triangle)
+    sdA = hb.lift_action_to_order_complex(A, sd)
+    assert sdA.perms == _itemwise_lift(A, sd)
+    assert all(sdA.perms[g] == sdA.perms[g + 3] for g in range(3))
+    assert len({tuple(p) for p in sdA.perms}) == 3
+    sdA.verify()
+    T = hb.trivial_action(solid_triangle)
+    sd = hb.order_complex(solid_triangle)
+    assert hb.lift_action_to_order_complex(T, sd).perms == [
+        list(range(len(sd)))]
+
+
+def test_lift_rejects_non_automorphism():
+    seg = hb.CellComplex.from_simplices([frozenset("xy")])
+    x, xy = seg.index[frozenset("x")], seg.index[frozenset("xy")]
+    # swaps the vertex x with the edge xy: a closed set of permutations,
+    # but not an action by automorphisms
+    bad = list(range(3))
+    bad[x], bad[xy] = xy, x
+    A = hb.GroupAction(seg, [list(range(3)), bad], ["e", "bad"], check=False)
+    sd = hb.order_complex(seg)
+    with pytest.raises(VerificationError, match="'bad' maps chain"):
+        hb.lift_action_to_order_complex(A, sd)
 
 
 def test_trivial_action(solid_triangle):

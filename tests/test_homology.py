@@ -230,3 +230,22 @@ def test_homology_agreement_z2(corpus):
     assert out.agree
     assert out.box_report["betti"] == [1, 1]
     assert all(row == [] for row in out.box_report["torsion"])
+
+
+@pytest.mark.parametrize("name", ["K_4^3", "K3_122"])
+def test_homology_agreement_reuses_matching(name, corpus, matchings,
+                                            monkeypatch):
+    # homology reads no group action, so none is built for it
+    built = []
+    init = hb.GroupAction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hb.GroupAction, "__init__", counting_init)
+    alone = hb.homology_agreement(corpus[name])
+    assert built == []
+    reused = hb.homology_agreement(corpus[name], matching=matchings[name])
+    assert built == []
+    assert alone == reused and alone.agree

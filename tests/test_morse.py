@@ -148,6 +148,27 @@ def test_corrupted_matching_detected(matchings):
         bad.verify()
 
 
+def _with_swap(M, a, b):
+    """M under a two-element action whose non-identity element swaps the
+    chains a and b and fixes every other chain."""
+    n = len(M.sd)
+    swap = list(range(n))
+    swap[a], swap[b] = b, a
+    action = hb.GroupAction(M.sd, [list(range(n)), swap], ["e", "swap"],
+                            check=False)
+    return hb.Matching(M.graph, M.hom, M.box, M.sd, action, M.tags, M.mu)
+
+
+def test_verify_checks_equivariance_under_every_element(matchings):
+    M = matchings["K3_122"]
+    sig = M.sigma()
+    with pytest.raises(MatchingInvalid,
+                       match="classification not equivariant .* 'swap'"):
+        _with_swap(M, sig[0], M.critical[0]).verify()
+    with pytest.raises(MatchingInvalid, match="mu not equivariant .* 'swap'"):
+        _with_swap(M, sig[0], sig[1]).verify()
+
+
 @pytest.mark.parametrize("sizes", [[2, 3], [1, 2, 3]])
 def test_matching_on_former_failures(sizes):
     # the least-broken-index rule did not partition D on these graphs
