@@ -17,9 +17,9 @@ from collections import namedtuple
 from itertools import product
 from math import comb
 
-from .cellcx import CellComplex, GroupAction, canon_key
+from .cellcx import CellComplex, GroupAction, _canon_join, canon_bytes
 from .errors import SizeGuard
-from .homcx import enumerate_multihoms, s_r_labels
+from .homcx import coordinate_map, enumerate_multihoms, s_r_labels
 from .rgraph import contains_complete_sub
 
 BoxComplex = namedtuple("BoxComplex", "cx action graph")
@@ -66,10 +66,10 @@ def count_spanning(sizes, cap=None):
     return total
 
 
-def _spanning_subsets(f):
+def _spanning_subsets(f, key):
     """All subsets of i(f) with full projections, by DFS with a
-    cover-feasibility prune."""
-    prod = sorted(map_i(f), key=canon_key)
+    cover-feasibility prune.  key is canon_bytes on ordered edges."""
+    prod = sorted(map_i(f), key=key)
     n = len(prod)
     r = len(f)
     # suffix[k] counts, for each (coordinate, vertex), how many of
@@ -119,11 +119,12 @@ def box_edge(H, max_cells=None):
     """
     cx = _box_cx(H, max_cells)
     labels = s_r_labels(H.r)
-    maps = [
-        lambda F, s=s: frozenset(tuple(t[s[j]] for j in range(len(s)))
-                                 for t in F)
-        for s in labels
-    ]
+    edges = H.ordered_edges()
+    maps = []
+    for s in labels:
+        move = coordinate_map(s, H.r)
+        vm = {t: move(t) for t in edges}
+        maps.append(lambda F, vm=vm: frozenset(map(vm.__getitem__, F)))
     action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
     return BoxComplex(cx, action, H)
 
@@ -139,12 +140,15 @@ def _box_cx(H, max_cells):
                 raise SizeGuard(
                     "box complex needs more than %d simplices" % max_cells,
                     limit=max_cells)
+    # A simplex's encoding is joined from those of its ordered edges.
+    edge_enc = {t: canon_bytes(t) for t in H.ordered_edges()}.__getitem__
     cells = []
     for f in homs:
-        for S in _spanning_subsets(f):
+        for S in _spanning_subsets(f, edge_enc):
             faces = [S - {t} for t in S] if len(S) >= 2 else []
             cells.append((S, len(S) - 1, faces))
-    return CellComplex.from_graded_cells(cells)
+    return CellComplex.from_graded_cells(
+        cells, encode=lambda S: _canon_join(b"F", sorted(map(edge_enc, S))))
 
 
 def ip_tables(box):

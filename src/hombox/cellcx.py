@@ -11,6 +11,11 @@ Conventions used throughout the package:
 
 * Cell ids are dense integers assigned by sorting (dim, canon_bytes(payload)),
   so rebuilding the same complex always reproduces the same ids.
+  canon_bytes puts a 4-byte big-endian length before each member of a
+  tuple, and an int encodes as b"I" and its decimal digits.  So on tuples
+  of one length made of non-negative ints, canon_bytes order is numeric
+  lexicographic order (fewer digits is a smaller length prefix), and
+  order_complex sorts its chains as int tuples, encoding none of them.
 * Payloads are built from ints, strings (not starting with "*"), tuples and
   frozensets.  The tags ("*b", p) and ("*c", apex, base) are reserved for
   barycenter and cone payloads introduced by subdivisions.
@@ -37,8 +42,6 @@ _MASK128 = (1 << 128) - 1
 BARY = "*b"
 CONE = "*c"
 
-_canon_memo = {}
-
 
 def canon_bytes(x):
     """Deterministic, injective byte encoding of a payload.
@@ -46,26 +49,38 @@ def canon_bytes(x):
     Supports ints, strings, tuples and frozensets; containers tag and
     length-prefix their members, and frozenset members are sorted by their
     own encodings, so equal payloads encode equally and distinct payloads
-    never collide.
+    never collide.  Nothing is memoized: True == 1, so a memo keyed by
+    payload would answer frozenset({True}) with the encoding of
+    frozenset({1}), and the answer would depend on what was encoded before.
+    Code that builds large complexes joins its cells' encodings from those
+    of the parts instead (_canon_join).
     """
     if isinstance(x, bool):
         raise InputError("booleans are not valid payload atoms")
-    got = _canon_memo.get(x)
-    if got is not None:
-        return got
     if isinstance(x, int):
-        out = b"I" + str(x).encode()
-    elif isinstance(x, str):
-        out = b"S" + x.encode("utf-8")
-    elif isinstance(x, tuple):
-        parts = [canon_bytes(y) for y in x]
-        out = b"T" + b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-    elif isinstance(x, frozenset):
-        parts = sorted(canon_bytes(y) for y in x)
-        out = b"F" + b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-    else:
-        raise InputError("unsupported payload type: %s" % type(x).__name__)
-    _canon_memo[x] = out
+        return b"I" + str(x).encode()
+    if isinstance(x, str):
+        return b"S" + x.encode("utf-8")
+    if isinstance(x, tuple):
+        return _canon_join(b"T", [canon_bytes(y) for y in x])
+    if isinstance(x, frozenset):
+        return _canon_join(b"F", sorted(canon_bytes(y) for y in x))
+    raise InputError("unsupported payload type: %s" % type(x).__name__)
+
+
+def _canon_join(tag, parts):
+    """The encoding of a tuple (tag b"T") or frozenset (b"F") from its
+    members' encodings, in order (sorted for a frozenset)."""
+    return tag + b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+
+
+def _canon_members(enc):
+    """The members' encodings of a tuple or frozenset encoding, in order."""
+    out, k = [], 1
+    while k < len(enc):
+        end = k + 4 + int.from_bytes(enc[k:k + 4], "big")
+        out.append(enc[k + 4:end])
+        k = end
     return out
 
 
@@ -91,13 +106,23 @@ def fmt_payload(x):
     return repr(x)
 
 
-def _cell_digest(payload, dim, cover_digests):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(canon_bytes(payload))
+def _cell_digest(payload_bytes, dim, cover_digests):
+    """The digest of a cell from canon_bytes of its payload, its dimension
+    and the digests of its covers."""
+    h = hashlib.blake2b(payload_bytes, digest_size=16)
     h.update(dim.to_bytes(4, "big"))
-    for d in sorted(cover_digests):
-        h.update(d.to_bytes(16, "big"))
+    h.update(b"".join([d.to_bytes(16, "big") for d in sorted(cover_digests)]))
     return int.from_bytes(h.digest(), "big")
+
+
+def _digests(encodings, dims, down):
+    """The digests of all cells, from canon_bytes of their payloads, computed
+    in order of dimension so that the covers' digests come first."""
+    out = [None] * len(dims)
+    get = out.__getitem__
+    for i in sorted(range(len(dims)), key=dims.__getitem__):
+        out[i] = _cell_digest(encodings[i], dims[i], map(get, down[i]))
+    return out
 
 
 class CellComplex:
@@ -110,28 +135,24 @@ class CellComplex:
     def __init__(self, payloads, dims, down, digests=None):
         self.payloads = list(payloads)
         self.dims = list(dims)
-        self.down = [tuple(d) for d in down]
+        self.down = list(map(tuple, down))
         n = len(self.payloads)
         up = [[] for _ in range(n)]
         for i, dn in enumerate(self.down):
             for j in dn:
                 up[j].append(i)
-        self.up = [tuple(u) for u in up]
-        self.index = {}
-        for i, p in enumerate(self.payloads):
-            if p in self.index:
-                raise InputError("duplicate cell payload: %s" % fmt_payload(p))
-            self.index[p] = i
+        self.up = list(map(tuple, up))
+        self.index = dict(zip(self.payloads, range(n)))
+        if len(self.index) != n:
+            seen = set()
+            for p in self.payloads:
+                if p in seen:
+                    raise InputError(
+                        "duplicate cell payload: %s" % fmt_payload(p))
+                seen.add(p)
         if digests is None:
-            digests = [None] * n
-        else:
-            digests = list(digests)
-        if any(d is None for d in digests):
-            for i in sorted(range(n), key=self.dims.__getitem__):
-                if digests[i] is None:
-                    digests[i] = _cell_digest(
-                        self.payloads[i], self.dims[i],
-                        [digests[j] for j in self.down[i]])
+            digests = _digests(list(map(canon_bytes, self.payloads)),
+                               self.dims, self.down)
         self.digests = list(digests)
         self.fingerprint = sum(self.digests) & _MASK128
         self._by_dim = None
@@ -143,20 +164,23 @@ class CellComplex:
         return cls([], [], [])
 
     @classmethod
-    def from_graded_cells(cls, cells):
+    def from_graded_cells(cls, cells, encode=canon_bytes):
         """Build from (payload, dim, iterable-of-cover-payloads) triples.
 
-        Ids are assigned by sorting on (dim, canon_bytes(payload)).
+        Ids are assigned by sorting on (dim, canon_bytes(payload)).  encode
+        is called once per cell; a caller may pass a function that joins
+        the encoding from its parts' encodings, and must return
+        canon_bytes(payload).
         """
-        cells = list(cells)
-        cells.sort(key=lambda c: (c[1], canon_key(c[0])))
+        cells = sorted(((d, encode(p), p, faces) for p, d, faces in cells),
+                       key=lambda c: c[:2])
         index = {}
-        for i, (p, d, _) in enumerate(cells):
+        for i, (_, _, p, _) in enumerate(cells):
             if p in index:
                 raise InputError("duplicate cell payload: %s" % fmt_payload(p))
             index[p] = i
         down = []
-        for p, d, faces in cells:
+        for _, _, p, faces in cells:
             row = []
             for fp in faces:
                 j = index.get(fp)
@@ -165,7 +189,9 @@ class CellComplex:
                         "missing face %s of cell %s" % (fmt_payload(fp), fmt_payload(p)))
                 row.append(j)
             down.append(tuple(sorted(row)))
-        return cls([c[0] for c in cells], [c[1] for c in cells], down)
+        dims = [c[0] for c in cells]
+        return cls([c[2] for c in cells], dims, down,
+                   _digests([c[1] for c in cells], dims, down))
 
     @classmethod
     def from_simplices(cls, simplices, close=True):
@@ -449,15 +475,11 @@ class GroupAction:
         """Build the id-level action from payload-level bijections."""
         perms = []
         for g, m in enumerate(maps):
-            perm = []
-            for p in cx.payloads:
-                q = m(p)
-                j = cx.index.get(q)
-                if j is None:
-                    raise VerificationError(
-                        "group element %d maps %s outside the complex"
-                        % (g, fmt_payload(p)))
-                perm.append(j)
+            perm = list(map(cx.index.get, map(m, cx.payloads)))
+            if None in perm:
+                raise VerificationError(
+                    "group element %d maps %s outside the complex"
+                    % (g, fmt_payload(cx.payloads[perm.index(None)])))
             perms.append(perm)
         return cls(cx, perms, labels, check=check)
 
@@ -528,38 +550,59 @@ def order_complex(K, max_cells=None):
 
     Cell payloads are tuples of K-ids in increasing order (equivalently,
     increasing dimension).  The result has attribute .base = K.
+
+    No chain is encoded or looked up by payload.  canon_bytes writes an
+    int as b"I" and its decimal digits, and a tuple as b"T" and each
+    member's encoding after its length in 4 big-endian bytes.  Between two
+    chains of one length, the first differing member decides: fewer digits
+    is a shorter length prefix and sorts first, and equal digit counts sort
+    numerically.  So (dim, canon_bytes) order, the ids from_graded_cells
+    would assign, is the order of (len(ch), ch) on int tuples.  Chains are
+    generated in tuple order, each bottom id's chains after its own
+    one-element chain and grouped by the next id up, and a stable sort by
+    length then gives the ids.  A chain's digest hashes canon_bytes(ch),
+    joined from one encoding per K-id.
     """
     n = len(K.payloads)
-    below = [None] * n
-    ends = [0] * n
-    total = 0
     for i in range(n):
-        b = set()
         for j in K.down[i]:
             if j >= i:
                 raise InputError("order_complex needs ids sorted by dimension")
-            b.add(j)
-            b |= below[j]
-        below[i] = b
-        ends[i] = 1 + sum(ends[j] for j in b)
-        total += ends[i]
+    above = [None] * n
+    starts = [0] * n
+    total = 0
+    for i in reversed(range(n)):
+        a = set()
+        for j in K.up[i]:
+            a.add(j)
+            a |= above[j]
+        above[i] = a
+        starts[i] = 1 + sum(starts[j] for j in a)
+        total += starts[i]
     if max_cells is not None and total > max_cells:
         raise SizeGuard(
             "order complex needs %d cells, over the %d-cell guard" % (total, max_cells),
             needed=total, limit=max_cells)
-    chains_at = [None] * n
-    for i in range(n):
+    chains_from = [None] * n
+    for i in reversed(range(n)):
         chs = [(i,)]
-        for j in sorted(below[i]):
-            chs.extend(ch + (i,) for ch in chains_at[j])
-        chains_at[i] = chs
-    cells = []
-    for i in range(n):
-        for ch in chains_at[i]:
-            k = len(ch)
-            faces = [ch[:t] + ch[t + 1:] for t in range(k)] if k >= 2 else []
-            cells.append((ch, k - 1, faces))
-    oc = CellComplex.from_graded_cells(cells)
+        for j in sorted(above[i]):
+            chs.extend((i,) + ch for ch in chains_from[j])
+        chains_from[i] = chs
+    chains = [ch for chs in chains_from for ch in chs]
+    del chains_from, above
+    chains.sort(key=len)
+    index = dict(zip(chains, range(len(chains)))).__getitem__
+    # Dropping a later member gives a smaller chain, so covers ascend.
+    down = [tuple([index(ch[:t] + ch[t + 1:])
+                   for t in range(len(ch) - 1, -1, -1)])
+            if len(ch) > 1 else () for ch in chains]
+    part = [len(b).to_bytes(4, "big") + b
+            for b in (b"I%d" % i for i in range(n))].__getitem__
+    dims = [len(ch) - 1 for ch in chains]
+    digests = _digests([b"T" + b"".join(map(part, ch)) for ch in chains],
+                       dims, down)
+    oc = CellComplex(chains, dims, down, digests)
     oc.base = K
     return oc
 

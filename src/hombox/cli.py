@@ -13,12 +13,12 @@ import json
 import os
 import sys
 
-from .boxcx import box_edge
+from .boxcx import _box_cx
 from .cellcx import barycentric_subdivision
 from .collapse import (MainTheoremCertificate, main_theorem_certificate,
                        replay_main_theorem, verify_critical_isomorphism)
 from .errors import InputError, SizeGuard, VerificationError
-from .homcx import hom_complex
+from .homcx import _hom_cx
 from .homology import homology_agreement
 from .morse import build_matching
 from .rgraph import load_rgraph
@@ -107,16 +107,10 @@ def cmd_build(args):
     H = _load(args)
     mc = args.max_cells
     kind = args.complex_kind
-    if kind == "box":
-        cx = box_edge(H, max_cells=mc).cx
-    elif kind == "hom":
-        cx = hom_complex(H, max_cells=mc).cx
-    elif kind == "sd-box":
-        cx = barycentric_subdivision(box_edge(H, max_cells=mc).cx,
-                                     max_cells=mc)
-    else:
-        cx = barycentric_subdivision(hom_complex(H, max_cells=mc).cx,
-                                     max_cells=mc)
+    build = _box_cx if kind in ("box", "sd-box") else _hom_cx
+    cx = build(H, mc)
+    if kind.startswith("sd-"):
+        cx = barycentric_subdivision(cx, max_cells=mc)
     print("%s: %d cells" % (kind, len(cx)))
     for d, n in enumerate(cx.dim_counts()):
         print("  dim %d: %d" % (d, n))

@@ -44,9 +44,12 @@ from .cellcx import (
     CONE,
     CellComplex,
     GroupAction,
+    _canon_join,
+    _canon_members,
     _cell_digest,
     _check_iso,
     barycentric_subdivision,
+    canon_bytes,
     canon_key,
     fmt_payload,
     free_facet,
@@ -65,6 +68,8 @@ from .errors import (
 )
 
 _MASK128 = (1 << 128) - 1
+_BARY_ENC = canon_bytes(BARY)
+_CONE_ENC = canon_bytes(CONE)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +438,10 @@ GCollapse = namedtuple("GCollapse", "cx action old2new orbit facets")
 
 
 def _restrict_action(A, old2new, sub):
-    perms = []
-    for p in A.perms:
-        perm = [None] * len(sub.payloads)
-        for old, new in old2new.items():
-            perm[new] = old2new[p[old]]
-        perms.append(perm)
+    """A on the subcomplex sub; old2new, as subcomplex returns it, maps the
+    kept ids in ascending order to 0, 1, ..."""
+    keep = list(old2new)
+    perms = [[old2new[p[o]] for o in keep] for p in A.perms]
     return GroupAction(sub, perms, A.labels, check=False)
 
 
@@ -597,6 +600,7 @@ class _CellStore(CollapseState):
         self.down = list(K.down)
         self.up = [list(u) for u in K.up]
         self.digests = list(K.digests)
+        self.canon = [None] * n  # canon_bytes of payloads, see encoding()
         self.index = dict(K.index)
         self.perms = [list(p) for p in A.perms]
         self.alive = [True] * n
@@ -611,11 +615,20 @@ class _CellStore(CollapseState):
         CollapseState.remove(self, i)
         self.removed.append(i)
 
+    def encoding(self, i):
+        """canon_bytes of cell i's payload, encoded once per cell.  Cells
+        a stage appends come with theirs, joined from those of the cells
+        they are built on."""
+        enc = self.canon[i]
+        if enc is None:
+            enc = self.canon[i] = canon_bytes(self.payloads[i])
+        return enc
+
     def extend(self, cells):
-        """Append (payload, dim, down) cells, dead, with their digests and
-        up links.  Returns their ids."""
+        """Append (payload, dim, down, encoding) cells, dead, with their
+        digests and up links.  Returns their ids."""
         first = len(self.payloads)
-        for payload, dim, down in cells:
+        for payload, dim, down, enc in cells:
             if payload in self.index:
                 raise InputError(
                     "duplicate cell payload: %s" % fmt_payload(payload))
@@ -623,6 +636,7 @@ class _CellStore(CollapseState):
             self.payloads.append(payload)
             self.dims.append(dim)
             self.down.append(tuple(down))
+            self.canon.append(enc)
         new = range(first, len(self.payloads))
         self.up.extend([] for _ in new)
         self.digests.extend(None for _ in new)
@@ -633,7 +647,7 @@ class _CellStore(CollapseState):
                 self.up[j].append(i)
         for i in sorted(new, key=self.dims.__getitem__):
             self.digests[i] = _cell_digest(
-                self.payloads[i], self.dims[i],
+                self.canon[i], self.dims[i],
                 [self.digests[j] for j in self.down[i]])
         return new
 
@@ -650,7 +664,7 @@ class _CellStore(CollapseState):
             for j in self.down[i]:
                 if self.alive[j]:
                     self.up[j].remove(i)
-            self.payloads[i] = None
+            self.payloads[i] = self.canon[i] = None
             self.down[i] = self.up[i] = ()
         # A new list: a stage's _Universe keeps the one it started with.
         self.dead = sorted(self.dead + gone)
@@ -729,20 +743,34 @@ def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
     for m in orbit:
         for b in star_list[m]:
             cone_id[(m, b)] = first + len(orbit) + len(cone_id)
+    # Each new cell comes with its payload's encoding, joined from those of
+    # the cells it is built on.
+    enc = store.encoding
+    toks = {m: ((BARY, store.payloads[m]),
+                _canon_join(b"T", (_BARY_ENC, enc(m)))) for m in orbit}
     cells = []
     for m in orbit:
-        tok = (BARY, store.payloads[m])
-        cells.append((frozenset([tok]) if simplicial else tok, 0, ()))
+        tok, tok_enc = toks[m]
+        if simplicial:
+            cells.append((frozenset([tok]), 0, (),
+                          _canon_join(b"F", [tok_enc])))
+        else:
+            cells.append((tok, 0, (), tok_enc))
     for m in orbit:
-        tok = (BARY, store.payloads[m])
+        tok, tok_enc = toks[m]
         for b in star_list[m]:
             bp = store.payloads[b]
             if store.dims[b] == 0:
                 down = [b, apex_id[m]]
             else:
                 down = [b] + [cone_id[(m, j)] for j in store.down[b]]
-            cells.append((bp | {tok} if simplicial else (CONE, tok, bp),
-                          store.dims[b] + 1, down))
+            if simplicial:
+                # tok is a new vertex, not a member of bp
+                cells.append((bp | {tok}, store.dims[b] + 1, down, _canon_join(
+                    b"F", sorted(_canon_members(enc(b)) + [tok_enc]))))
+            else:
+                cells.append(((CONE, tok, bp), store.dims[b] + 1, down,
+                              _canon_join(b"T", (_CONE_ENC, tok_enc, enc(b)))))
     new = store.extend(cells)
 
     dims, down = store.dims, store.down

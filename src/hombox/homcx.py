@@ -14,7 +14,8 @@ A multihom payload is a tuple of r frozensets.  The right S_r-action is
 from collections import namedtuple
 from itertools import permutations
 
-from .cellcx import CellComplex, GroupAction, canon_key
+from .cellcx import (CellComplex, GroupAction, _canon_join, canon_bytes,
+                     canon_key)
 from .errors import InvalidParams, SizeGuard
 
 HomComplex = namedtuple("HomComplex", "cx action graph")
@@ -55,8 +56,17 @@ def enumerate_multihoms(H, max_cells=None):
         if max_cells is not None and len(out) > max_cells:
             raise SizeGuard("more than %d multihomomorphisms" % max_cells,
                             limit=max_cells)
-    out.sort(key=lambda f: (sum(len(p) - 1 for p in f), canon_key(f)))
+    enc = _multihom_encoder(H)
+    out.sort(key=lambda f: (hom_dim(f), enc(f)))
     return out
+
+
+def _multihom_encoder(H):
+    """canon_bytes on the multihoms of H, joined from the encodings of its
+    vertices."""
+    venc = {v: canon_bytes(v) for v in H.vertices}.__getitem__
+    return lambda f: _canon_join(
+        b"T", [_canon_join(b"F", sorted(map(venc, p))) for p in f])
 
 
 def hom_dim(f):
@@ -73,11 +83,17 @@ def s_r_labels(r):
     return [tuple(p) for p in permutations(range(r))]
 
 
+def coordinate_map(sigma, r):
+    """The right action x -> x sigma, (x sigma)(j) = x(sigma(j)), on
+    r-tuples.  sigma is checked once here, not on every tuple."""
+    if sorted(sigma) != list(range(r)):
+        raise InvalidParams("not a permutation of 0..%d: %r" % (r - 1, sigma))
+    return lambda x: tuple(map(x.__getitem__, sigma))
+
+
 def action_on_multihoms(f, sigma):
     """The right action (f sigma)(j) = f(sigma(j))."""
-    if sorted(sigma) != list(range(len(f))):
-        raise InvalidParams("not a permutation of 0..%d: %r" % (len(f) - 1, sigma))
-    return tuple(f[sigma[j]] for j in range(len(f)))
+    return coordinate_map(sigma, len(f))(f)
 
 
 def hom_complex(H, max_cells=None):
@@ -88,7 +104,7 @@ def hom_complex(H, max_cells=None):
     """
     cx = _hom_cx(H, max_cells)
     labels = s_r_labels(H.r)
-    maps = [lambda f, s=s: action_on_multihoms(f, s) for s in labels]
+    maps = [coordinate_map(s, H.r) for s in labels]
     action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
     return HomComplex(cx, action, H)
 
@@ -104,4 +120,4 @@ def _hom_cx(H, max_cells):
                 for v in part:
                     faces.append(f[:j] + (part - {v},) + f[j + 1:])
         cells.append((f, hom_dim(f), faces))
-    return CellComplex.from_graded_cells(cells)
+    return CellComplex.from_graded_cells(cells, encode=_multihom_encoder(H))

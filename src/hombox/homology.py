@@ -19,7 +19,7 @@ block's factors.
 import heapq
 from collections import namedtuple
 
-from .cellcx import canon_key, order_complex
+from .cellcx import canon_bytes, order_complex
 from .errors import InputError
 
 
@@ -40,12 +40,20 @@ def oriented_boundary(K):
 
     Requires simplicial (frozenset) or chain (int tuple) payloads."""
     out = []
+    enc = {}  # canon_bytes of each vertex, once; keyed by == like K.index
+
+    def vertex_key(v):
+        e = enc.get(v)
+        if e is None:
+            e = enc[v] = canon_bytes(v)
+        return e
+
     for i, p in enumerate(K.payloads):
         if K.dims[i] == 0:
             out.append({})
             continue
         if isinstance(p, frozenset):
-            faces = [p - {v} for v in sorted(p, key=canon_key)]
+            faces = [p - {v} for v in sorted(p, key=vertex_key)]
         elif isinstance(p, tuple) and all(
                 isinstance(x, int) and not isinstance(x, bool) for x in p):
             faces = [p[:t] + p[t + 1:] for t in range(len(p))]

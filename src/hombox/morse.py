@@ -137,17 +137,23 @@ class Matching:
                     "upper chain %r not matched by any Sigma chain: "
                     "D is not partitioned" % (self._chain_payloads(y),))
         A, tags = self.action, self.tags
+        mu_of = mu_map.__getitem__
         for g, p in enumerate(A.perms):
-            for x, t in enumerate(tags):
-                if tags[p[x]] != t:
-                    raise MatchingInvalid(
-                        "classification not equivariant at %r under %r"
-                        % (self._chain_payloads(x), A.labels[g]))
-            for x in sig:
-                if mu_map[p[x]] != p[mu_map[x]]:
-                    raise MatchingInvalid(
-                        "mu not equivariant at %r under %r"
-                        % (self._chain_payloads(x), A.labels[g]))
+            act = p.__getitem__
+            # each test runs at C speed; the loop after it finds the cell
+            if list(map(tags.__getitem__, p)) != tags:
+                for x, t in enumerate(tags):
+                    if tags[p[x]] != t:
+                        raise MatchingInvalid(
+                            "classification not equivariant at %r under %r"
+                            % (self._chain_payloads(x), A.labels[g]))
+            if (list(map(mu_of, map(act, sig)))
+                    != list(map(act, map(mu_of, sig)))):
+                for x in sig:
+                    if mu_map[p[x]] != p[mu_map[x]]:
+                        raise MatchingInvalid(
+                            "mu not equivariant at %r under %r"
+                            % (self._chain_payloads(x), A.labels[g]))
         iP = set(i_image_ids(self.hom, self.box))
         for i, items in enumerate(sd.payloads):
             expect = all(x in iP for x in items)

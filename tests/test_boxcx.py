@@ -8,6 +8,8 @@ import pytest
 import hombox as hb
 from hombox import SizeGuard
 
+from conftest import CORPUS_NAMES
+
 
 def oracle_count_spanning(sizes):
     """Brute force: subsets of the product spanning every coordinate value."""
@@ -99,6 +101,19 @@ def test_box_action_free_and_right(corpus):
         for h in range(6):
             for x in range(0, n, 7):
                 assert A.act(A.mult(g, h), x) == A.act(h, A.act(g, x))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_box_action_equals_per_cell_definition(name, corpus):
+    # the definition: sigma permutes the coordinates of every ordered edge
+    box = hb.box_edge(corpus[name])
+    maps = [lambda F, s=s: frozenset(tuple(t[s[j]] for j in range(len(s)))
+                                     for t in F)
+            for s in box.action.labels]
+    want = hb.GroupAction.from_payload_maps(box.cx, maps, box.action.labels,
+                                            check=False)
+    assert box.action.perms == want.perms
+    assert box.action.labels == hb.s_r_labels(corpus[name].r)
 
 
 def test_box_guard(corpus):

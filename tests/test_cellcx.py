@@ -4,10 +4,13 @@ group actions, fingerprints, and isomorphism checking."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hombox as hb
 from hombox import (InputError, OrbitCofaceClash, SizeGuard,
                     VerificationError)
+from hombox import cellcx
 from hombox.cellcx import canon_bytes, canon_key, fmt_payload
 
 from conftest import CORPUS_NAMES, z3_action
@@ -23,6 +26,19 @@ def test_canon_key_total_order():
         canon_bytes(True)
     with pytest.raises(InputError):
         canon_bytes(1.5)
+
+
+@pytest.mark.parametrize("ints_first", [True, False])
+def test_canon_bytes_does_not_depend_on_history(ints_first):
+    # True == 1 and hash(True) == hash(1), so a memo keyed by payload would
+    # answer frozenset({True}) with the bytes of frozenset({1})
+    if ints_first:
+        assert canon_bytes(frozenset({1})) == b"F\x00\x00\x00\x02I1"
+    with pytest.raises(InputError):
+        canon_bytes(frozenset({True}))
+    with pytest.raises(InputError):
+        canon_bytes((1, frozenset({True})))
+    assert canon_bytes(frozenset({1})) == b"F\x00\x00\x00\x02I1"
 
 
 def test_from_simplices_closure(solid_triangle):
@@ -101,6 +117,91 @@ def test_order_complex_guard(solid_triangle):
     with pytest.raises(SizeGuard):
         hb.barycentric_subdivision(solid_triangle, max_cells=24)
     assert len(hb.barycentric_subdivision(solid_triangle, max_cells=25)) == 25
+
+
+def test_order_complex_rejects_unsorted_ids():
+    # cell 0 covers cell 1: ids are not sorted by dimension
+    K = hb.CellComplex(["e", "v"], [1, 0], [(1,), ()])
+    with pytest.raises(InputError, match="sorted by dimension"):
+        hb.order_complex(K)
+
+
+def _reference_order_complex(K):
+    """The definition: every chain of the face poset with its
+    remove-one-item faces, numbered by from_graded_cells."""
+    cells = []
+
+    def grow(ch):
+        faces = [ch[:t] + ch[t + 1:] for t in range(len(ch))]
+        cells.append((ch, len(ch) - 1, faces if len(ch) > 1 else []))
+        for j in K.faces(ch[0]) - {ch[0]}:
+            grow((j,) + ch)
+
+    for i in range(len(K)):
+        grow((i,))
+    return hb.CellComplex.from_graded_cells(cells)
+
+
+def _assert_same_complex(a, b):
+    assert a.payloads == b.payloads
+    assert a.dims == b.dims
+    assert a.down == b.down
+    assert a.digests == b.digests
+    assert a.fingerprint == b.fingerprint
+
+
+@st.composite
+def face_posets(draw):
+    """Graded posets of 10 to 320 cells in dimensions 0-3, each cell above
+    dimension 0 covering one to three cells one dimension down."""
+    sizes = draw(st.lists(st.integers(1, 80), min_size=1, max_size=4)
+                 .filter(lambda s: sum(s) >= 10))
+    cells, below = [], []
+    for d, size in enumerate(sizes):
+        names = ["%d.%d" % (d, k) for k in range(size)]
+        for name in names:
+            faces = draw(st.lists(st.sampled_from(below), min_size=1,
+                                  max_size=3, unique=True)) if below else []
+            cells.append((name, d, faces))
+        below = names
+    return hb.CellComplex.from_graded_cells(cells)
+
+
+simplicial_complexes = st.lists(
+    st.frozensets(st.integers(0, 7), min_size=1, max_size=4),
+    min_size=1, max_size=12).map(hb.CellComplex.from_simplices).filter(
+        lambda K: len(K) >= 10)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(face_posets(), simplicial_complexes))
+def test_order_complex_equals_reference(K):
+    _assert_same_complex(hb.order_complex(K), _reference_order_complex(K))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_order_complex_of_corpus_equals_reference(name, corpus):
+    H = corpus[name]
+    for cx in (hb.box_edge(H).cx, hb.hom_complex(H).cx):
+        sd = hb.order_complex(cx)
+        _assert_same_complex(sd, _reference_order_complex(cx))
+        # the per-id encodings order_complex joins into a chain's digest
+        enc = [len(b).to_bytes(4, "big") + b
+               for b in (b"I%d" % i for i in range(len(cx)))]
+        for ch in sd.payloads:
+            assert b"T" + b"".join(enc[i] for i in ch) == canon_bytes(ch)
+
+
+def test_order_complex_encodes_no_chain(corpus, monkeypatch):
+    K = hb.box_edge(corpus["K3_122"]).cx
+    want = hb.order_complex(K)
+
+    def forbidden(*args):
+        raise AssertionError("order_complex encoded a payload")
+
+    monkeypatch.setattr(cellcx, "canon_bytes", forbidden)
+    monkeypatch.setattr(hb.CellComplex, "from_graded_cells", forbidden)
+    _assert_same_complex(hb.order_complex(K), want)
 
 
 def test_group_action_basics(hollow_triangle):

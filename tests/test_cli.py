@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, canonical JSON output,
 and certificate check-or-write flows."""
 
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,34 @@ def test_build_out_is_canonical_and_stable(k3_112, tmp_path, capsys):
     obj = json.loads(b1)
     assert len(obj["cells"]) == 18
     assert {"id", "dim", "label", "covers"} <= set(obj["cells"][0])
+
+
+@pytest.mark.parametrize("kind, sha", [
+    ("box", "0cd0b2315e4a9c60e82549e372e474e8bda0e2fcbd5fb45ae414b3a32d0ee9a9"),
+    ("hom", "86c6ddec1f03c9f1a5f04d57a5008c2f1c67bd78a4fd2378f64bc86474dccb81"),
+    ("sd-box",
+     "8961043cbc119e3aab5a3dd4f6072ebed2ce9ca9d58fdc7352da7b0706ff52ef"),
+    ("sd-hom",
+     "3a7569d94d9bd81f59a70c21f794be99ac3d777ac339849948d65e3ad354cde2"),
+])
+def test_build_out_bytes_pinned_and_no_action_built(k3_122, kind, sha,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    # a dump reads only the complex, so no S_r-action is built for it
+    built = []
+    init = hb.GroupAction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hb.GroupAction, "__init__", counting_init)
+    out = str(tmp_path / "out.json")
+    assert main(["build", "--input", k3_122, "--complex", kind,
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert built == []
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == sha
 
 
 def test_build_dot(k32, tmp_path, capsys):

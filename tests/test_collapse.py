@@ -309,6 +309,23 @@ def test_sd_deformation_equivariant(hollow_triangle):
                       d.final_action, d.sd_action)
 
 
+def _recomputed(cx):
+    """cx rebuilt with every digest computed from canon_bytes."""
+    return hb.CellComplex(cx.payloads, cx.dims, cx.down)
+
+
+@pytest.mark.parametrize("side", ["hom", "box"])
+def test_stellar_cells_encode_as_canon_bytes(side, matchings):
+    # the cone cells' encodings are joined from their parts' encodings;
+    # Hom cells are tuples (cone payloads), box cells frozensets (simplicial)
+    bundle = getattr(matchings["K3_122"], side)
+    K, A = bundle.cx, bundle.action
+    st = hb.stellar_deformation_certificate(K, A, K.maximal_ids()[0])
+    assert st.universe.digests == _recomputed(st.universe).digests
+    d = hb.sd_deformation(K, A)
+    assert d.final.digests == _recomputed(d.final).digests
+
+
 def test_sd_deformation_stuck_on_reflection(hollow_triangle):
     # under the full S_3 action the stabilizer of an edge flips its
     # endpoints: no equivariant anchor exists and the deformation refuses

@@ -7,6 +7,8 @@ import pytest
 import hombox as hb
 from hombox import InvalidParams, SizeGuard
 
+from conftest import CORPUS_NAMES
+
 
 def _nonempty_subsets(verts):
     return [frozenset(c) for k in range(1, len(verts) + 1)
@@ -129,6 +131,18 @@ def test_hom_action_matches_payload_level(corpus):
         for i, f in enumerate(hom.cx.payloads):
             assert hom.cx.payloads[A.act(g, i)] == \
                 hb.action_on_multihoms(f, lab)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_hom_action_equals_per_cell_definition(name, corpus):
+    # the definition: (f sigma)(j) = f(sigma(j)), applied cell by cell
+    hom = hb.hom_complex(corpus[name])
+    maps = [lambda f, s=s: tuple(f[s[j]] for j in range(len(f)))
+            for s in hom.action.labels]
+    want = hb.GroupAction.from_payload_maps(hom.cx, maps, hom.action.labels,
+                                            check=False)
+    assert hom.action.perms == want.perms
+    assert hom.action.labels == hb.s_r_labels(corpus[name].r)
 
 
 def test_hom_complex_of_complete_graph_r2(corpus):
