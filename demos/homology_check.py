@@ -33,18 +33,18 @@ print("projective plane: betti %s torsion %s" % (b, t))
 b2, _ = hb.betti(rp2, coeff="z2")
 print("projective plane over Z/2: betti %s" % b2)
 
-# Hom complexes have product cells; betti() handles them through the
-# order complex of the face poset
+# Hom complexes have product cells; betti() orients each one as a product
+# of simplices, so the Hom complex is taken as it is, not subdivided
 hom = hb.hom_complex(hb.complete_rgraph(3, 2))
 b, t = hb.betti(hom.cx)
 print("Hom(K_2^2, K_3^2): %d cells, betti %s (a circle)" % (len(hom.cx), b))
 
-# the agreement check: sd box and sd Hom report identical homology,
-# as the certified deformation says they must
+# the agreement check: box and Hom report identical homology, as the
+# certified deformation says they must
 for name in ["K_3^2", "K_4^3", "K3_122"]:
     ag = hb.homology_agreement(make(name))
     assert ag.agree
-    print("%-8s sd box == sd hom: betti %s torsion %s"
+    print("%-8s box == hom: betti %s torsion %s"
           % (name, ag.box_report["betti"], ag.box_report["torsion"]))
 
 # the same check is available from the command line:

@@ -27,8 +27,11 @@ print("starring the edge orbit: %d cells -> %d, certified in %d steps"
       % (len(K), len(st.final), len(st.certificate.stages)))
 assert st.final.fingerprint_hex == direct.fingerprint_hex
 
-# the full composite: K deforms to (a complex isomorphic to) sd K
-d = hb.sd_deformation(K, A)
+# the full composite: K deforms to (a complex isomorphic to) sd K.  The
+# caller subdivides K once and lifts the action; the deformation unfolds
+# onto that subdivision and checks the isomorphism against it
+sd = hb.barycentric_subdivision(K)
+d = hb.sd_deformation(K, A, hb.lift_action_to_order_complex(A, sd))
 print("sd deformation: %d steps; endpoint %d cells, sd K has %d chains"
       % (len(d.certificate.stages), len(d.final), len(d.sd)))
 hb.verify_iso_ids(d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],
@@ -46,7 +49,9 @@ print("replay ok; certificates compose backwards too:"
 # the same machinery runs on polytopal (product) cells: the box complex of
 # K3_122 with its full S_3 action
 box = hb.box_edge(hb.complete_multipartite([1, 2, 2]))
-d2 = hb.sd_deformation(box.cx, box.action)
+sd_box = hb.barycentric_subdivision(box.cx)
+d2 = hb.sd_deformation(box.cx, box.action,
+                       hb.lift_action_to_order_complex(box.action, sd_box))
 print("box(K3_122): %d cells deform to sd with %d chains in %d steps"
       % (len(box.cx), len(d2.sd), len(d2.certificate.stages)))
 
@@ -61,6 +66,6 @@ for p in itertools.permutations(range(3)):
 A6 = hb.GroupAction.from_payload_maps(
     K, perms, list(itertools.permutations(range(3))))
 try:
-    hb.sd_deformation(K, A6)
+    hb.sd_deformation(K, A6, hb.lift_action_to_order_complex(A6, sd))
 except hb.Stuck as e:
     print("full S_3 on the triangle is refused: %s" % e)

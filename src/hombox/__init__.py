@@ -5,9 +5,9 @@ r-uniform hypergraphs."""
 from .boxcx import (BoxComplex, box_edge, count_spanning, i_image_ids,
                     ip_fixed, ip_tables, iso_criterion, map_i, map_p)
 from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
-                     canon_bytes, canon_key, deletion, free_facet,
-                     independently_free, lift_action_to_order_complex,
-                     order_complex, orbit_star_data, stellar_g_subdivision,
+                     canon_bytes, canon_key, free_facet,
+                     lift_action_to_order_complex, order_complex,
+                     orbit_star_data, stellar_g_subdivision,
                      stellar_subdivision_poset, trivial_action,
                      verify_isomorphism)
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
@@ -39,8 +39,8 @@ __all__ = [
     "BoxComplex", "box_edge", "count_spanning", "i_image_ids", "ip_fixed",
     "ip_tables", "iso_criterion", "map_i", "map_p",
     "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
-    "canon_key", "deletion", "free_facet",
-    "independently_free", "lift_action_to_order_complex", "order_complex",
+    "canon_key", "free_facet", "lift_action_to_order_complex",
+    "order_complex",
     "orbit_star_data", "stellar_g_subdivision", "stellar_subdivision_poset",
     "trivial_action", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",

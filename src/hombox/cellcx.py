@@ -5,7 +5,8 @@ dimension, a hashable payload naming it, and a list of covers (the faces of
 codimension one).  Simplicial complexes are the special case where payloads
 are frozensets of vertices; polytopal complexes (products of simplices) are
 carried purely at face-poset level, where all the predicates we need --
-free cells, independent freeness, deletion, collapsing, subdivision -- live.
+free cells, collapsing, subdivision -- live.  Homology orients every cell
+as a simplex or a product of simplices, so no complex is subdivided for it.
 
 Conventions used throughout the package:
 
@@ -31,7 +32,6 @@ from itertools import combinations
 
 from .errors import (
     InputError,
-    NotFree,
     OrbitCofaceClash,
     SizeGuard,
     VerificationError,
@@ -747,16 +747,7 @@ def stellar_subdivision_poset(K, A, sigma, max_cells=None):
 
 
 # ---------------------------------------------------------------------------
-# deletion and freeness
-
-
-def deletion(K, ids):
-    """The subcomplex of K obtained by removing every coface of every id."""
-    removed = set()
-    for i in ids:
-        removed |= K.cofaces(i)
-    keep = [i for i in range(len(K.payloads)) if i not in removed]
-    return K.subcomplex(keep, check=False)[0]
+# freeness
 
 
 def free_facet(K, i):
@@ -767,23 +758,6 @@ def free_facet(K, i):
     if len(maximal) == 1 and maximal[0] != i:
         return maximal[0]
     return None
-
-
-def independently_free(K, A, i):
-    """True iff no two distinct members of the orbit of i share a coface.
-
-    Every orbit member must be free (raises NotFree otherwise).
-    """
-    orbit = A.orbit(i)
-    cof = {}
-    for m in orbit:
-        if free_facet(K, m) is None:
-            raise NotFree("orbit member %d is not a free cell" % m)
-        cof[m] = K.cofaces(m)
-    for a, b in combinations(orbit, 2):
-        if cof[a] & cof[b]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,13 @@ def _check_step_shape(state, action, step):
         raise OrbitNotIndependentlyFree("facets of one orbit coincide")
     pos = {m: k for k, m in enumerate(orbit)}
     for m, f in zip(orbit, facets):
-        if m not in K.down[f]:
-            raise VerificationError("cell %s is not a cover of cell %s"
-                                    % (_label(K, f), _label(K, m)))
         if K.dims[f] != K.dims[m] + 1:
             raise WrongCodimension(
                 "facet %s of cell %s has codimension %d"
                 % (_label(K, f), _label(K, m), K.dims[f] - K.dims[m]))
+        if m not in K.down[f]:
+            raise VerificationError("cell %s is not a cover of cell %s"
+                                    % (_label(K, f), _label(K, m)))
     if action is not None:
         for g in range(action.order):
             gm = action.act(g, orbit[0])
@@ -448,39 +448,26 @@ def _restrict_action(A, old2new, sub):
 def elementary_g_collapse(K, A, sigma):
     """Remove the orbit of the free cell sigma together with its free facets.
 
-    Raises NotFree if any orbit member is not a free cell, WrongCodimension
-    if the free facet is more than one dimension up, and
-    OrbitNotIndependentlyFree if two orbit members share a coface.  Returns
-    GCollapse(cx, action, old2new, orbit, facets); exactly 2*|orbit| cells
-    are removed.
+    The facets come from free_facet, and the step is checked and applied by
+    apply_orbit_step: it raises NotFree if an orbit member is not a free
+    cell, WrongCodimension if its free facet is more than one dimension up,
+    and OrbitNotIndependentlyFree if two orbit members share their facet.
+    Returns GCollapse(cx, action, old2new, orbit, facets); exactly 2*|orbit|
+    cells are removed.
     """
-    orbit = A.orbit(sigma)
+    orbit = list(A.orbit(sigma))
     facets = []
-    cof = {}
     for m in orbit:
         f = free_facet(K, m)
         if f is None:
-            raise NotFree("cell %d is not a free cell" % m)
-        if K.dims[f] != K.dims[m] + 1:
-            raise WrongCodimension(
-                "free facet %d of cell %d has codimension %d"
-                % (f, m, K.dims[f] - K.dims[m]))
+            raise NotFree("cell %s is not a free cell" % _label(K, m))
         facets.append(f)
-        cof[m] = K.cofaces(m)
-    for i, a in enumerate(orbit):
-        for b in orbit[i + 1:]:
-            if cof[a] & cof[b]:
-                raise OrbitNotIndependentlyFree(
-                    "orbit members %d and %d share a coface" % (a, b))
-    removed = set(orbit) | set(facets)
-    if len(removed) != 2 * len(orbit):
-        raise OrbitNotIndependentlyFree(
-            "orbit of cell %d does not remove 2*%d distinct cells"
-            % (sigma, len(orbit)))
-    keep = [i for i in range(len(K.payloads)) if i not in removed]
-    sub, old2new = K.subcomplex(keep)
+    state = CollapseState(K)
+    apply_orbit_step(state, A, {"direction": "collapse", "sigma": orbit[0],
+                                "orbit": orbit, "facets": facets})
+    sub, old2new = K.subcomplex(state.alive_ids())
     return GCollapse(sub, _restrict_action(A, old2new, sub), old2new,
-                     list(orbit), facets)
+                     orbit, facets)
 
 
 CollapseRun = namedtuple("CollapseRun", "certificate final final_action old2new")
@@ -1029,12 +1016,14 @@ def _flatten_map(K, simplicial):
     return flat
 
 
-def sd_deformation(K, A, max_cells=None):
+def sd_deformation(K, A, sd_action, max_cells=None):
     """Certify K ~ (a complex isomorphic to) sd K by composing one stellar
     stage per orbit of K, dimension descending, all in one cell store.
 
-    Verifies that the end complex is G-isomorphic to the barycentric
-    subdivision sd K (with the action lifted to chains) and returns
+    sd_action is A lifted to sd = sd_action.cx, the barycentric subdivision
+    of K, which the caller builds once (barycentric_subdivision, then
+    lift_action_to_order_complex).  Verifies that the end complex is
+    G-isomorphic to sd and returns
     SdDeformation(certificate, final, final_action, sd, sd_action, iso).
     """
     simplicial = _is_simplicial(K)
@@ -1045,8 +1034,7 @@ def sd_deformation(K, A, max_cells=None):
             _stellar_stage(store, ob[0], simplicial, max_cells)[1])
     cur, cur_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), stages)
-    sd = barycentric_subdivision(K, max_cells=max_cells)
-    sd_action = lift_action_to_order_complex(A, sd)
+    sd = sd_action.cx
     iso = verify_isomorphism(cur, sd, _flatten_map(K, simplicial),
                              cur_action, sd_action)
     return SdDeformation(cert, cur, cur_action, sd, sd_action, iso)
@@ -1207,26 +1195,24 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     """Build (and fully verify while building) the six-stage certificate for
     H.  Pass a prebuilt verified matching to avoid reconstructing it.
 
+    Each complex is subdivided once: sd B_edge(H) is the matching's M.sd,
+    and verify_critical_isomorphism builds sd Hom while it checks stage 3.
+    The two sd-deformations unfold onto these, with their lifted actions.
     The returned object also carries the working pieces as attributes
     (matching, hom_def, box_def, collapse_run) for callers that want them.
     """
     from .morse import build_matching
 
     M = matching if matching is not None else build_matching(H, max_cells)
-    hom_def = sd_deformation(M.hom.cx, M.hom.action, max_cells=max_cells)
-    crit, crit_action, _ = critical_complex(M)
-    iids = i_image_ids(M.hom, M.box)
-    into_crit = verify_isomorphism(
-        hom_def.sd, crit, lambda ch: tuple(iids[h] for h in ch),
-        hom_def.sd_action, crit_action)
+    crit = verify_critical_isomorphism(M, max_cells)
+    hom_def = sd_deformation(M.hom.cx, M.hom.action, crit.sd_hom_action,
+                             max_cells=max_cells)
     run = matching_to_collapse(M.sd, M.action, M)
-    if run.final.fingerprint != crit.fingerprint:
+    if run.final.fingerprint != crit.critical.fingerprint:
         raise VerificationError(
             "collapse endpoint fingerprint differs from critical subcomplex")
-    box_def = sd_deformation(M.box.cx, M.box.action, max_cells=max_cells)
-    if box_def.sd.fingerprint != M.sd.fingerprint:
-        raise VerificationError(
-            "independent subdivisions of the box complex disagree")
+    box_def = sd_deformation(M.box.cx, M.box.action, M.action,
+                             max_cells=max_cells)
     inv3 = [None] * len(box_def.iso)
     for i, j in enumerate(box_def.iso):
         inv3[j] = i
@@ -1235,7 +1221,8 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
          "certificate": hom_def.certificate.to_json_obj()},
         _iso_stage("unfold-hom-subdivision", hom_def.final, hom_def.sd,
                    hom_def.iso),
-        _iso_stage("products-into-sd-box", hom_def.sd, crit, into_crit),
+        _iso_stage("products-into-sd-box", crit.sd_hom, crit.critical,
+                   crit.map),
         {"kind": "deformation", "name": "expand-to-sd-box",
          "certificate": run.certificate.reversed().to_json_obj()},
         _iso_stage("fold-box-subdivision", M.sd, box_def.final, inv3),

@@ -1,12 +1,15 @@
 """Cellular homology: Betti numbers and torsion over Z, Betti numbers over Z/2.
 
-Boundary matrices are assembled from the face poset.  Simplicial cells are
-oriented by sorting their vertices (by vertex-cell id, equivalently by
-canonical payload order): the face dropping the vertex in position t enters
-with sign (-1)^t.  Chain cells of order complexes are tuples and are already
-sorted, so the same rule applies positionally.  Complexes whose payloads are
-neither (e.g. the polytopal Hom complex) are computed through their order
-complex, which has the same homology.
+Boundary matrices are assembled from the face poset, with every cell
+oriented as a product of simplices (Munkres, Elements of Algebraic
+Topology, 1984, on the cellular chains of a product).  A frozenset payload
+is one simplex, its vertices ordered by canon_bytes; an int-tuple chain of
+an order complex is one simplex, in stored order; a Hom cell, a tuple of
+frozensets, is the product of its parts.  The face that drops the vertex
+in position t of factor k enters with sign (-1)^(t + the dimensions of the
+factors before k), the sign of the product boundary
+d(a x b) = da x b + (-1)^dim(a) a x db.  So the polytopal Hom complex is
+taken as it is, with no subdivision.
 
 Integer ranks and torsion come from a Smith normal form computed in two
 phases: a sparse elimination that only ever pivots on +-1 entries (chosen by
@@ -19,26 +22,20 @@ block's factors.
 import heapq
 from collections import namedtuple
 
-from .cellcx import canon_bytes, order_complex
+from .cellcx import canon_bytes
 from .errors import InputError
 
 
-def _simplicial_payloads(K):
-    return all(isinstance(p, frozenset) for p in K.payloads)
-
-
-def _chain_payloads(K):
-    return all(
-        isinstance(p, tuple) and p
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in p)
-        for p in K.payloads)
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def oriented_boundary(K):
     """Per-cell signed boundary: a dict {face_id: +-1} for every cell of
     positive dimension, empty dict for vertices.
 
-    Requires simplicial (frozenset) or chain (int tuple) payloads."""
+    Orients frozenset (simplex), int-tuple (chain) and tuple-of-frozensets
+    (product of simplices) payloads; any other shape raises InputError."""
     out = []
     enc = {}  # canon_bytes of each vertex, once; keyed by == like K.index
 
@@ -52,17 +49,24 @@ def oriented_boundary(K):
         if K.dims[i] == 0:
             out.append({})
             continue
-        if isinstance(p, frozenset):
-            faces = [p - {v} for v in sorted(p, key=vertex_key)]
-        elif isinstance(p, tuple) and all(
-                isinstance(x, int) and not isinstance(x, bool) for x in p):
-            faces = [p[:t] + p[t + 1:] for t in range(len(p))]
-        else:
-            raise InputError(
-                "cannot orient cells with payload %r; subdivide first" % (p,))
         col = {}
-        for t, fp in enumerate(faces):
-            col[K.index[fp]] = 1 if t % 2 == 0 else -1
+        if isinstance(p, frozenset):
+            for t, v in enumerate(sorted(p, key=vertex_key)):
+                col[K.index[p - {v}]] = (-1) ** t
+        elif isinstance(p, tuple) and p and all(map(_is_int, p)):
+            for t in range(len(p)):
+                col[K.index[p[:t] + p[t + 1:]]] = (-1) ** t
+        elif isinstance(p, tuple) and p and all(
+                isinstance(q, frozenset) for q in p):
+            before = 0  # dimensions of the factors before k
+            for k, part in enumerate(p):
+                if len(part) > 1:
+                    for t, v in enumerate(sorted(part, key=vertex_key)):
+                        face = p[:k] + (part - {v},) + p[k + 1:]
+                        col[K.index[face]] = (-1) ** (t + before)
+                before += len(part) - 1
+        else:
+            raise InputError("cannot orient cells with payload %r" % (p,))
         out.append(col)
     return out
 
@@ -240,14 +244,12 @@ def betti(K, coeff="z"):
     Over the integers ("z"), torsion[d] lists the invariant factors > 1 of
     the boundary in dimension d+1, i.e. the torsion coefficients of H_d.
     Over Z/2 ("z2"), Betti numbers are Z/2-dimensions and torsion rows are
-    empty.  Non-orientable payload shapes are computed via the order
-    complex."""
+    empty.  Cells are oriented by oriented_boundary, so K needs payloads
+    of the shapes it accepts."""
     if coeff not in ("z", "z2"):
         raise InputError("coeff must be 'z' or 'z2', not %r" % (coeff,))
     if len(K.payloads) == 0:
         return [], []
-    if not (_simplicial_payloads(K) or _chain_payloads(K)):
-        K = order_complex(K)
     D = K.max_dim
     bnd = oriented_boundary(K)
     ids_of = [K.cells_of_dim(d) for d in range(D + 1)]
@@ -293,10 +295,11 @@ def homology_agreement(H, coeff="z", max_cells=None, matching=None):
 
     The two must agree (they are homotopy equivalent complexes); returns
     HomologyAgreement(agree, box_report, hom_report) with reports padded to a
-    common length.  The box complex is simplicial and is used as it is; the
-    polytopal Hom complex is taken through its order complex, built here
-    under the size guard.  Homology reads no group action, so none is built.
-    Pass a prebuilt matching for H to reuse its box and Hom complexes."""
+    common length.  Both complexes are used as they are: the box complex is
+    simplicial and the Hom complex has product cells, so nothing is
+    subdivided, and max_cells guards only the builds of box and Hom.
+    Homology reads no group action, so none is built.  Pass a prebuilt
+    matching for H to reuse its box and Hom complexes."""
     if matching is not None:
         box_cx, hom_cx = matching.box.cx, matching.hom.cx
     else:
@@ -305,7 +308,7 @@ def homology_agreement(H, coeff="z", max_cells=None, matching=None):
 
         box_cx, hom_cx = _box_cx(H, max_cells), _hom_cx(H, max_cells)
     rb = homology_report(box_cx, coeff)
-    rh = homology_report(order_complex(hom_cx, max_cells=max_cells), coeff)
+    rh = homology_report(hom_cx, coeff)
     upto = max(len(rb["betti"]), len(rh["betti"]))
     rb, rh = _pad(rb, upto), _pad(rh, upto)
     return HomologyAgreement(rb == rh, rb, rh)

@@ -32,21 +32,31 @@ def _check_vertex_token(v):
         raise InputError("vertex names starting with '*' are reserved: %r" % v)
 
 
+def _collection(x, what):
+    """x as a list; InputError unless it is a list, tuple or set."""
+    if not isinstance(x, (list, tuple, set, frozenset)):
+        raise InputError("%s must be a list, got %r" % (what, x))
+    return list(x)
+
+
 class RGraph:
     """Immutable r-uniform hypergraph in canonical form."""
 
     def __init__(self, r, vertices, edges):
-        if not isinstance(r, int) or r < 1:
+        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
             raise InvalidParams("r must be a positive integer, got %r" % (r,))
         self.r = r
+        vertices = _collection(vertices, "vertices")
         for v in vertices:
             _check_vertex_token(v)
         self.vertices = tuple(sorted(set(vertices), key=canon_key))
         vset = set(self.vertices)
         canon = []
         seen = set()
-        for e in edges:
-            e = list(e)
+        for e in _collection(edges, "edges"):
+            e = _collection(e, "an edge")
+            for v in e:
+                _check_vertex_token(v)
             if len(e) != r:
                 raise EdgeWrongArity("edge %r has %d vertices, expected %d"
                                      % (e, len(e), r))

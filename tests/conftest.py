@@ -1,6 +1,10 @@
-"""Shared fixtures: the standard graph corpus and session-cached matchings."""
+"""Shared fixtures: the standard graph corpus, session-cached matchings,
+and a hypothesis strategy for small random r-graphs."""
+
+from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 import hombox as hb
 
@@ -50,3 +54,16 @@ def z3_action(hollow):
          lambda p: frozenset(rot[v] for v in p),
          lambda p: frozenset(rot2[v] for v in p)],
         ["e", "r", "rr"])
+
+
+@st.composite
+def small_rgraphs(draw):
+    """r-graphs with r in {2, 3} on at most 5 vertices, with some edges."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 5))
+    verts = ["v%d" % i for i in range(n)]
+    possible = list(combinations(verts, r))
+    keep = draw(st.lists(st.booleans(), min_size=len(possible),
+                         max_size=len(possible)).filter(any))
+    return hb.new_rgraph(r, verts,
+                         [list(e) for e, k in zip(possible, keep) if k])

@@ -157,7 +157,9 @@ def test_ac6_subdivision_deformation(matchings):
 
     def body():
         for K, A in cases():
-            d = hb.sd_deformation(K, A)
+            sd = hb.barycentric_subdivision(K)
+            d = hb.sd_deformation(K, A,
+                                  hb.lift_action_to_order_complex(A, sd))
             assert len(d.final) == len(d.sd)
             hb.verify_iso_ids(
                 d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],

@@ -367,7 +367,7 @@ def test_stellar_subdivision_poset_square():
         hb.stellar_g_subdivision(K, A, sq)   # payloads are not vertex sets
 
 
-def test_free_facet_and_deletion(solid_triangle, hollow_triangle):
+def test_free_facet(solid_triangle, hollow_triangle):
     K = solid_triangle
     top = K.index[frozenset("abc")]
     eab = K.index[frozenset("ab")]
@@ -377,21 +377,6 @@ def test_free_facet_and_deletion(solid_triangle, hollow_triangle):
     assert hb.free_facet(K, top) is None        # a facet is never free
     assert hb.free_facet(hollow_triangle,
                          hollow_triangle.index[frozenset("ab")]) is None
-    D = hb.deletion(K, [eab])
-    assert len(D) == 5 and frozenset("ab") not in D.index
-
-
-def test_independently_free(solid_triangle):
-    seg = hb.CellComplex.from_simplices([frozenset("xy")])
-    flip = {"x": "y", "y": "x"}
-    A = hb.GroupAction.from_payload_maps(
-        seg, [lambda p: p, lambda p: frozenset(flip[v] for v in p)], [0, 1])
-    vx = seg.index[frozenset("x")]
-    assert hb.independently_free(seg, A, vx) is False
-    with pytest.raises(hb.NotFree):
-        hb.independently_free(
-            solid_triangle, hb.trivial_action(solid_triangle),
-            solid_triangle.index[frozenset("abc")])
 
 
 def test_verify_isomorphism(hollow_triangle):

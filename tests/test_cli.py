@@ -3,6 +3,7 @@ and certificate check-or-write flows."""
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -342,6 +343,60 @@ def test_bad_graph_exit_code(tmp_path, capsys):
         {"r": 2, "vertices": ["a"], "edges": [["a", "a"]]}))
     assert main(["build", "--input", str(path)]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph", [
+    {"r": 2, "vertices": 5, "edges": []},
+    {"r": 2, "vertices": ["a", "b"], "edges": 7},
+    {"r": 2, "vertices": ["a", "b"], "edges": [5]},
+    {"r": 2, "vertices": ["a", "b"], "edges": [[["a"], "b"]]},
+    {"r": True, "vertices": ["a"], "edges": [["a"]]},
+])
+def test_malformed_graph_exit_code(graph, tmp_path, capsys):
+    # a malformed r-graph is an input error, never a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    assert main(["build", "--input", str(path)]) == 4
+    assert "input error" in capsys.readouterr().err
+
+
+def _count_order_complex_calls(monkeypatch):
+    """Wrap cellcx.order_complex in every hombox module that holds it;
+    returns the list the wrapper appends one entry to per call."""
+    from hombox import cellcx
+
+    calls = []
+    original = cellcx.order_complex
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "hombox" or name.startswith("hombox.")) and \
+                getattr(module, "order_complex", None) is original:
+            monkeypatch.setattr(module, "order_complex", counting)
+    return calls
+
+
+def test_theorem_subdivides_each_complex_once(k3_122, tmp_path, monkeypatch,
+                                              capsys):
+    # sd B_edge in the matching and sd Hom in the stage-3 check; the two
+    # sd-deformations and the homology check subdivide nothing more
+    from hombox import homology
+
+    assert not hasattr(homology, "order_complex")
+    calls = _count_order_complex_calls(monkeypatch)
+    cert = str(tmp_path / "theorem.json")
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 0
+    assert len(calls) == 2
+    del calls[:]
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 0
+    assert "replayed" in capsys.readouterr().out
+    assert len(calls) == 2
+    del calls[:]
+    assert hb.homology_agreement(hb.complete_multipartite([1, 2, 2])).agree
+    assert calls == []
 
 
 def test_bad_flag_exit_code(k32, capsys):

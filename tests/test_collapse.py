@@ -23,6 +23,12 @@ def seg_with_flip():
     return seg, A
 
 
+def sd_deformation(K, A):
+    """sd_deformation onto the barycentric subdivision of K, built here."""
+    sd = hb.barycentric_subdivision(K)
+    return hb.sd_deformation(K, A, hb.lift_action_to_order_complex(A, sd))
+
+
 def product_square():
     """A square as a product of two segments: cells are pairs of faces."""
     def P(*sets):
@@ -138,12 +144,12 @@ def test_apply_orbit_step_rejections(solid_triangle):
         base.update(kw)
         return base
 
-    with pytest.raises(VerificationError):
-        hb.apply_orbit_step(st, A, step(sigma=va, orbit=[va]))  # not a cover
+    with pytest.raises(WrongCodimension):
+        hb.apply_orbit_step(st, A, step(sigma=va, orbit=[va]))  # codim 2
     with pytest.raises(VerificationError):
         hb.apply_orbit_step(st, A, step(sigma=eac))         # not orbit[0]
-    with pytest.raises(VerificationError):
-        hb.apply_orbit_step(st, A, step(facets=[eac]))      # not a cover
+    with pytest.raises(WrongCodimension):
+        hb.apply_orbit_step(st, A, step(facets=[eac]))      # codim 0
     with pytest.raises(InputError):
         hb.apply_orbit_step(st, A, step(direction="sideways"))
     with pytest.raises(OrbitNotIndependentlyFree):
@@ -286,7 +292,7 @@ def test_stellar_deformation_product_square():
 
 def test_sd_deformation_trivial_and_replay(solid_triangle):
     A = hb.trivial_action(solid_triangle)
-    d = hb.sd_deformation(solid_triangle, A)
+    d = sd_deformation(solid_triangle, A)
     sd = hb.barycentric_subdivision(solid_triangle)
     assert len(d.final) == 25
     assert len(d.certificate.stages) == 59
@@ -300,13 +306,23 @@ def test_sd_deformation_trivial_and_replay(solid_triangle):
 
 def test_sd_deformation_equivariant(hollow_triangle):
     A = z3_action(hollow_triangle)
-    d = hb.sd_deformation(hollow_triangle, A)
+    d = sd_deformation(hollow_triangle, A)
     assert d.final_action.order == 3
     assert len(d.final) == 12
     # iso maps the deformation endpoint onto sd equivariantly; verified
     # inside, but run the explicit table check end to end again
     hb.verify_iso_ids(d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],
                       d.final_action, d.sd_action)
+
+
+def test_sd_deformation_checks_the_subdivision_it_is_given(
+        solid_triangle, hollow_triangle):
+    # the end complex is checked against the caller's subdivision, so a
+    # subdivision of another complex is refused
+    A = hb.trivial_action(solid_triangle)
+    other = hb.barycentric_subdivision(hollow_triangle)
+    with pytest.raises(VerificationError):
+        hb.sd_deformation(solid_triangle, A, hb.trivial_action(other))
 
 
 def _recomputed(cx):
@@ -322,7 +338,7 @@ def test_stellar_cells_encode_as_canon_bytes(side, matchings):
     K, A = bundle.cx, bundle.action
     st = hb.stellar_deformation_certificate(K, A, K.maximal_ids()[0])
     assert st.universe.digests == _recomputed(st.universe).digests
-    d = hb.sd_deformation(K, A)
+    d = sd_deformation(K, A)
     assert d.final.digests == _recomputed(d.final).digests
 
 
@@ -337,12 +353,12 @@ def test_sd_deformation_stuck_on_reflection(hollow_triangle):
     A = hb.GroupAction.from_payload_maps(
         hollow_triangle, perms, list(itertools.permutations(range(3))))
     with pytest.raises(Stuck):
-        hb.sd_deformation(hollow_triangle, A)
+        sd_deformation(hollow_triangle, A)
 
 
 def test_replay_sd_deformation_tamper(solid_triangle):
     A = hb.trivial_action(solid_triangle)
-    d = hb.sd_deformation(solid_triangle, A)
+    d = sd_deformation(solid_triangle, A)
     obj = d.certificate.to_json_obj()
     obj["stages"][0][0] = "f" * 32
     bad = hb.DeformationCertificate.from_json_obj(obj)
@@ -446,7 +462,7 @@ def test_replay_error_names_stage_and_step(matchings):
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle):
     A = hb.trivial_action(solid_triangle)
-    d = hb.sd_deformation(solid_triangle, A)
+    d = sd_deformation(solid_triangle, A)
     obj = d.certificate.to_json_obj()
     step = obj["stages"][0][2]
     step["sigma"] = step["orbit"][0] = 10 ** 6

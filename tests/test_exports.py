@@ -1,0 +1,21 @@
+"""The public names: every name in hombox.__all__ resolves, and the names
+removed from the API stay removed."""
+
+import hombox as hb
+from hombox import cellcx
+
+# Folded into elementary_g_collapse, which checks its step with
+# apply_orbit_step.
+REMOVED = ("deletion", "independently_free")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(hb.__all__)) == len(hb.__all__)
+    assert [name for name in hb.__all__ if not hasattr(hb, name)] == []
+
+
+def test_removed_names_are_not_exported():
+    for name in REMOVED:
+        assert name not in hb.__all__
+        assert not hasattr(hb, name)
+        assert not hasattr(cellcx, name)

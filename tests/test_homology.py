@@ -11,6 +11,8 @@ import hombox as hb
 from hombox import InputError
 from hombox.cellcx import canon_key
 
+from conftest import CORPUS_NAMES
+
 
 def rp2():
     """The 6-vertex triangulation of the real projective plane."""
@@ -113,10 +115,45 @@ def test_boundary_shape(solid_triangle):
             (-1) ** t for t in range(len(col)))
 
 
-def test_boundary_rejects_product_payloads(corpus):
+def test_boundary_rejects_cone_payloads(corpus):
+    # stellar_subdivision_poset names its new cells by cone payloads
+    # ("*c", apex, base), which are neither simplices nor products
     hom = hb.hom_complex(corpus["K_3^2"])
-    with pytest.raises(InputError):
-        hb.oriented_boundary(hom.cx)
+    top = hom.cx.maximal_ids()[0]
+    K = hb.stellar_subdivision_poset(
+        hom.cx, hb.trivial_action(hom.cx), top)
+    with pytest.raises(InputError, match="cannot orient"):
+        hb.oriented_boundary(K)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_hom_boundary_is_product_boundary(name, corpus):
+    # every Hom cell is a product of simplices: its oriented faces are
+    # exactly its covers, and the boundary squares to zero
+    cx = hb.hom_complex(corpus[name]).cx
+    bnd = hb.oriented_boundary(cx)
+    for i in range(len(cx)):
+        assert set(bnd[i]) == set(cx.down[i]), (name, i)
+        acc = {}
+        for f, s in bnd[i].items():
+            for f2, s2 in bnd[f].items():
+                acc[f2] = acc.get(f2, 0) + s * s2
+        assert all(v == 0 for v in acc.values()), (name, i)
+
+
+def test_product_boundary_signs(corpus):
+    # a square, the product of two segments: d(ab x cd) has the factor
+    # dimension 1 in the sign of the faces of the second factor
+    cx = hb.hom_complex(corpus["K_4^2"]).cx
+    sq = next(i for i, p in enumerate(cx.payloads)
+              if [len(q) for q in p] == [2, 2])
+    (a, b), (c, d) = (sorted(q, key=canon_key) for q in cx.payloads[sq])
+    want = {(frozenset([b]), frozenset([c, d])): 1,
+            (frozenset([a]), frozenset([c, d])): -1,
+            (frozenset([a, b]), frozenset([d])): -1,
+            (frozenset([a, b]), frozenset([c])): 1}
+    got = {cx.payloads[j]: s for j, s in hb.oriented_boundary(cx)[sq].items()}
+    assert got == want
 
 
 # -- Betti numbers against the oracle ----------------------------------------
@@ -138,17 +175,19 @@ def test_betti_box_matches_oracle(corpus):
     ob, ot, _ = oracle_homology(box.cx)
     b, t = hb.betti(box.cx, "z")
     assert (b, [sorted(r) for r in t]) == (ob, ot) == ([1, 13], [[], []])
-    # and the order complex (used for non-simplicial payloads) agrees
+    # and so does its order complex, whose cells are int-tuple chains
     assert hb.betti(hb.order_complex(box.cx), "z") == (b, t)
 
 
-def test_betti_hom_goes_via_order_complex(corpus):
+def test_betti_hom_matches_order_complex_oracle(corpus):
+    # the Hom complex is oriented by its product cells, not subdivided
     hom = hb.hom_complex(corpus["K_4^3"])
     oc = hb.order_complex(hom.cx)
-    ob, ot, _ = oracle_homology(oc)
+    ob, ot, ob2 = oracle_homology(oc)
     b, t = hb.betti(hom.cx, "z")
     assert b == ob and [sorted(r) for r in t] == ot
     assert b == [1, 13]
+    assert hb.betti(hom.cx, "z2")[0] == ob2
 
 
 def test_betti_known_values():

@@ -2,15 +2,14 @@
 on the corpus, on graphs where the former rule failed, and on random
 r-graphs."""
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import hombox as hb
 from hombox import MatchingInvalid, NotInSigma
 from hombox.morse import classify_chain
+
+from conftest import small_rgraphs
 
 FIX = frozenset([("a", "b")])                      # a product vertex
 
@@ -175,18 +174,6 @@ def test_matching_on_former_failures(sizes):
     M = hb.build_matching(hb.complete_multipartite(sizes))
     assert len(M.critical) == len(hb.order_complex(M.hom.cx))
     assert len(M.sigma()) == len(M.upper) > 0
-
-
-@st.composite
-def small_rgraphs(draw):
-    r = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(r, 5))
-    verts = ["v%d" % i for i in range(n)]
-    possible = list(combinations(verts, r))
-    keep = draw(st.lists(st.booleans(), min_size=len(possible),
-                         max_size=len(possible)).filter(any))
-    return hb.new_rgraph(r, verts,
-                         [list(e) for e, k in zip(possible, keep) if k])
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -38,6 +38,12 @@ def test_int_and_str_tokens_mix():
     (dict(r=2, vertices=["*a", "b"], edges=[]), InputError),
     (dict(r=2, vertices=[True, "b"], edges=[]), InputError),
     (dict(r=2, vertices=[1.5, "b"], edges=[]), InputError),
+    (dict(r=True, vertices=["a"], edges=[["a"]]), InvalidParams),
+    (dict(r=2, vertices=5, edges=[]), InputError),
+    (dict(r=2, vertices="ab", edges=[]), InputError),
+    (dict(r=2, vertices=["a", "b"], edges=7), InputError),
+    (dict(r=2, vertices=["a", "b"], edges=[5]), InputError),
+    (dict(r=2, vertices=["a", "b"], edges=[[["a"], "b"]]), InputError),
 ])
 def test_constructor_rejects(bad, err):
     with pytest.raises(err):
@@ -69,6 +75,11 @@ def test_json_round_trip(tmp_path):
     "[1,2]",                                   # not an object
     '{"r": 2, "vertices": []}',                # missing edges
     '{"vertices": [], "edges": []}',           # missing r
+    '{"r": 2, "vertices": 5, "edges": []}',    # vertices not a list
+    '{"r": 2, "vertices": ["a"], "edges": 7}',  # edges not a list
+    '{"r": 2, "vertices": ["a"], "edges": [5]}',  # an edge not a list
+    '{"r": 2, "vertices": ["a", "b"], "edges": [[["a"], "b"]]}',  # unhashable
+    '{"r": true, "vertices": ["a"], "edges": [["a"]]}',  # boolean r
 ])
 def test_load_rgraph_rejects(obj):
     with pytest.raises(InputError):
