@@ -25,7 +25,8 @@ from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity, EmptyPart,
                      OrbitNotIndependentlyFree, SizeGuard, Stuck,
                      UnknownVertex, VerificationError, WrongCodimension)
 from .homcx import (HomComplex, action_on_multihoms, enumerate_multihoms,
-                    hom_complex, hom_dim, hom_leq, s_r_labels)
+                    hom_complex, hom_dim, hom_leq, s_r_generators,
+                    s_r_labels)
 from .homology import (HomologyAgreement, betti, homology_agreement,
                        homology_report, oriented_boundary)
 from .morse import Matching, build_matching, classify_chain, mu, verify_acyclic
@@ -57,7 +58,7 @@ __all__ = [
     "SizeGuard", "Stuck", "UnknownVertex", "VerificationError",
     "WrongCodimension",
     "HomComplex", "action_on_multihoms", "enumerate_multihoms", "hom_complex",
-    "hom_dim", "hom_leq", "s_r_labels",
+    "hom_dim", "hom_leq", "s_r_generators", "s_r_labels",
     "HomologyAgreement", "betti", "homology_agreement", "homology_report",
     "oriented_boundary",
     "Matching", "build_matching", "classify_chain", "mu",

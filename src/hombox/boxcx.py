@@ -19,7 +19,7 @@ from math import comb
 
 from .cellcx import CellComplex, GroupAction, _canon_join, canon_bytes
 from .errors import SizeGuard
-from .homcx import coordinate_map, enumerate_multihoms, s_r_labels
+from .homcx import coordinate_map, enumerate_multihoms, s_r_generators
 from .rgraph import contains_complete_sub
 
 BoxComplex = namedtuple("BoxComplex", "cx action graph")
@@ -118,15 +118,14 @@ def box_edge(H, max_cells=None):
     per multihom) exceeds max_cells.
     """
     cx = _box_cx(H, max_cells)
-    labels = s_r_labels(H.r)
+    labels = s_r_generators(H.r)
     edges = H.ordered_edges()
     maps = []
     for s in labels:
         move = coordinate_map(s, H.r)
         vm = {t: move(t) for t in edges}
         maps.append(lambda F, vm=vm: frozenset(map(vm.__getitem__, F)))
-    action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
-    return BoxComplex(cx, action, H)
+    return BoxComplex(cx, GroupAction.symmetric(cx, maps, labels), H)
 
 
 def _box_cx(H, max_cells):

@@ -20,7 +20,11 @@ Conventions used throughout the package:
 * Payloads are built from ints, strings (not starting with "*"), tuples and
   frozensets.  The tags ("*b", p) and ("*c", apex, base) are reserved for
   barycenter and cone payloads introduced by subdivisions.
-* Group actions are right actions: act(mult(g, h), x) == act(h, act(g, x)).
+* Group actions are right actions, carried by their generators: x.(gh) =
+  (x.g).h, so a word in the generators acts letter by letter from the left.
+  Relations between the generators, checked on the cell permutations, prove
+  that they define an action of the group, and a law that holds for every
+  generator (an automorphism, an equivariant map) holds for every element.
 * A complex fingerprint is the order-independent 128-bit sum of per-cell
   digests; a cell digest hashes its payload, dimension and the digests of its
   covers, so fingerprints agree between a subcomplex and the same cells
@@ -28,7 +32,9 @@ Conventions used throughout the package:
 """
 
 import hashlib
+from functools import reduce
 from itertools import combinations
+from math import factorial
 
 from .errors import (
     InputError,
@@ -230,10 +236,6 @@ class CellComplex:
         return len(self.payloads)
 
     @property
-    def n_cells(self):
-        return len(self.payloads)
-
-    @property
     def max_dim(self):
         return max(self.dims, default=-1)
 
@@ -372,132 +374,120 @@ class CellComplex:
 
 
 class GroupAction:
-    """A right action of a finite group on a cell complex.
+    """A right action of a finite group G on a cell complex, by generators.
 
-    The group is given by its action: element g is the permutation perms[g]
-    of cell ids, with perms[0] the identity.  labels[g] is a hashable name
-    (for S_r we use the permutation tuple).  The composition table satisfies
-    act(mult(g, h), x) == act(h, act(g, x)); it has |G|^2 entries of n-cell
-    compositions, so it is filled on the first call of mult, inverse or
-    verify.  gens is a generating set of element indices.
-    """
+    Generator k permutes the cell ids by perms[k] and is named labels[k];
+    order is |G|.  relations lists pairs (u, v) of words in the generators
+    (tuples of their indices, acting from left to right) that act alike;
+    with the generators they present G.  Given every element instead
+    (perms[0] the identity, no order), it checks closure and keeps greedy
+    generators and their relations (_presentation).  Given order and
+    relations, check tests the relations on the cell permutations, and the
+    caller vouches that they present a group of that order (symmetric);
+    transport carries both over unchecked."""
 
-    def __init__(self, cx, perms, labels, check=True):
+    def __init__(self, cx, perms, labels, check=True, order=None,
+                 relations=None):
         self.cx = cx
-        self.perms = [list(p) for p in perms]
-        self.labels = list(labels)
-        n = len(cx.payloads)
-        if len(self.labels) != len(self.perms):
+        perms = [list(p) for p in perms]
+        labels = list(labels)
+        if len(labels) != len(perms):
             raise InputError("labels and permutations disagree in length")
+        given = order is not None
+        if not given:
+            if tuple(perms[0]) != tuple(range(len(cx.payloads))):
+                raise VerificationError(
+                    "group element 0 does not act as identity")
+            gens, relations = _presentation(perms)
+            order = len(perms)
+            perms = [perms[g] for g in gens]
+            labels = [labels[g] for g in gens]
+        self.perms, self.labels = perms, labels
+        self.order, self.relations = order, relations
         if check:
             self._check_automorphisms()
-        if tuple(self.perms[0]) != tuple(range(n)):
-            raise VerificationError("group element 0 does not act as identity")
-        self.gens = self._generators()
-        self._table = None
-        self._inv = None
-
-    def _element_key(self):
-        """(key, first): key maps each permutation to the first element
-        realizing it, and first[g] is that element for perms[g].
-
-        The action need not be faithful (e.g. on an empty complex), so
-        several elements may share a permutation; compositions resolve to
-        the first element realizing them, which is sound everywhere the
-        table is consumed (only the action of the result is ever used).
-        """
-        key = {}
-        first = [key.setdefault(tuple(p), g) for g, p in enumerate(self.perms)]
-        return key, first
-
-    def _compose(self, g, h, key):
-        """The element acting as g then h, or VerificationError."""
-        k = key.get(tuple(map(self.perms[h].__getitem__, self.perms[g])))
-        if k is None:
-            raise VerificationError(
-                "composition of elements %d,%d leaves the group" % (g, h))
-        return k
-
-    def _generators(self):
-        """Check that the permutations form a group and return generators.
-
-        Generators are picked greedily from the elements, and the elements
-        reached from the identity by right multiplication with them must all
-        be in the set.  The reached set is then the subgroup they generate,
-        and the set is closed once every element is reached.  Each new
-        generator at least doubles the reached subgroup, so there are at most
-        log2|G| of them and the check makes at most |G| log2|G| compositions.
-        """
-        key, first = self._element_key()
-        reached = {0}
-        elems = [0]
-        gens, done = [], []
-        for g in range(len(self.perms)):
-            if first[g] in reached:
-                continue
-            gens.append(g)
-            done.append(0)
-            while any(d < len(elems) for d in done):
-                for k, s in enumerate(gens):
-                    while done[k] < len(elems):
-                        y = self._compose(elems[done[k]], s, key)
-                        done[k] += 1
-                        if y not in reached:
-                            reached.add(y)
-                            elems.append(y)
-        return gens
-
-    def _tables(self):
-        if self._table is None:
-            key = self._element_key()[0]
-            order = range(len(self.perms))
-            self._table = [[self._compose(g, h, key) for h in order]
-                           for g in order]
-            self._inv = [row.index(0) for row in self._table]
-        return self._table, self._inv
-
-    def _check_automorphisms(self):
-        cx = self.cx
-        rng = range(len(cx.payloads))
-        for g, p in enumerate(self.perms):
-            if sorted(set(p)) != list(rng):
-                raise VerificationError("element %d is not a bijection" % g)
-            for i in rng:
-                if cx.dims[p[i]] != cx.dims[i]:
-                    raise VerificationError(
-                        "element %d does not preserve dimension at cell %d" % (g, i))
-                if {p[j] for j in cx.down[i]} != set(cx.down[p[i]]):
-                    raise VerificationError(
-                        "element %d does not preserve covers at cell %d" % (g, i))
+            if given:
+                self._check_relations()
 
     @classmethod
-    def from_payload_maps(cls, cx, maps, labels, check=True):
+    def from_payload_maps(cls, cx, maps, labels, check=True, **form):
         """Build the id-level action from payload-level bijections."""
         perms = []
-        for g, m in enumerate(maps):
+        for s, m in zip(labels, maps):
             perm = list(map(cx.index.get, map(m, cx.payloads)))
             if None in perm:
                 raise VerificationError(
-                    "group element %d maps %s outside the complex"
-                    % (g, fmt_payload(cx.payloads[perm.index(None)])))
+                    "%r maps %s outside the complex"
+                    % (s, fmt_payload(cx.payloads[perm.index(None)])))
             perms.append(perm)
-        return cls(cx, perms, labels, check=check)
+        return cls(cx, perms, labels, check, **form)
 
-    @property
-    def order(self):
-        return len(self.perms)
+    @classmethod
+    def symmetric(cls, cx, maps, labels):
+        """The right S_r-action in which maps[i], named labels[i], moves the
+        payloads by the adjacent transposition s_i = (i, i+1), i < r - 1.
 
-    def act(self, g, i):
-        return self.perms[g][i]
+        Each generator is checked as an automorphism, and the Coxeter
+        relations s_i^2 = 1, (s_i s_(i+1))^3 = 1 and (s_i s_j)^2 = 1 for
+        |i - j| >= 2 on the cell permutations.  They present S_r (Björner
+        and Brenti, Combinatorics of Coxeter Groups, 2005, ch. 1).
+        """
+        n = len(maps)
+        rels = [((i, j) * (1 if j == i else 3 if j == i + 1 else 2), ())
+                for i in range(n) for j in range(i, n)]
+        return cls.from_payload_maps(cx, maps, labels, order=factorial(n + 1),
+                                     relations=rels)
 
-    def mult(self, g, h):
-        return self._tables()[0][g][h]
+    def transport(self, cx, perms):
+        """This action on cx, where generator k acts by perms[k]: its image
+        under a map that commutes with it (a lift to chains, a restriction
+        to an invariant subcomplex), so the relations still hold."""
+        return GroupAction(cx, perms, self.labels, False, self.order,
+                           self.relations)
 
-    def inverse(self, g):
-        return self._tables()[1][g]
+    def _check_automorphisms(self, ids=None):
+        """Check that each generator permutes the cells ids (default: all)
+        and preserves their dimensions and covers."""
+        cx = self.cx
+        n = len(cx.payloads)
+        ids = list(range(n) if ids is None else ids)
+        for s, p in zip(self.labels, self.perms):
+            img = list(map(p.__getitem__, ids)) if len(p) == n else [None]
+            if None in img or sorted(img) != ids:
+                raise VerificationError("generator %r does not permute the "
+                                        "cells" % (s,))
+            for i in ids:
+                if (cx.dims[p[i]] != cx.dims[i]
+                        or {p[j] for j in cx.down[i]} != set(cx.down[p[i]])):
+                    raise VerificationError(
+                        "generator %r does not preserve dimension and covers "
+                        "at cell %s" % (s, fmt_payload(cx.payloads[i])))
+
+    def _check_relations(self, ids=None):
+        """Check every relation on the cells ids (default: all)."""
+        ids = list(range(len(self.cx.payloads)) if ids is None else ids)
+        perms = self.perms
+        for words in self.relations:
+            ends = [reduce(lambda x, k: list(map(perms[k].__getitem__, x)),
+                           word, ids) for word in words]
+            if ends[0] != ends[1]:
+                i = next(i for i, a, b in zip(ids, *ends) if a != b)
+                u, v = (" ".join("%r" % (self.labels[k],) for k in w) or "1"
+                        for w in words)
+                raise VerificationError("relation %s = %s fails at cell %s"
+                                        % (u, v, fmt_payload(
+                                            self.cx.payloads[i])))
 
     def orbit(self, i):
-        return tuple(sorted({p[i] for p in self.perms}))
+        """The orbit of cell i, as a sorted tuple."""
+        seen = {i}
+        todo = [i]
+        for x in todo:
+            for p in self.perms:
+                if p[x] not in seen:
+                    seen.add(p[x])
+                    todo.append(p[x])
+        return tuple(sorted(seen))
 
     def orbits(self, ids=None):
         """Orbits (as sorted tuples) listed by ascending minimal member."""
@@ -512,33 +502,58 @@ class GroupAction:
         return out
 
     def is_free(self, ids=None):
-        """True iff every cell in ids (default: all) has trivial stabilizer."""
-        rng = range(len(self.cx.payloads)) if ids is None else ids
-        for i in rng:
-            for g in range(1, len(self.perms)):
-                if self.perms[g][i] == i:
-                    return False
-        return True
+        """True iff every cell in ids (default: all) has |G| cells in its
+        orbit, i.e. a trivial stabilizer."""
+        return all(len(ob) == self.order for ob in self.orbits(ids))
 
     def verify(self):
-        """Full recheck: identity, automorphisms, closure, right-action law."""
+        """Full recheck of the generators and the relations."""
         self._check_automorphisms()
-        n = len(self.cx.payloads)
-        if tuple(self.perms[0]) != tuple(range(n)):
-            raise VerificationError("element 0 is not the identity")
-        table = self._tables()[0]
-        for g in range(len(self.perms)):
-            for h in range(len(self.perms)):
-                k = table[g][h]
-                for x in range(n):
-                    if self.perms[k][x] != self.perms[h][self.perms[g][x]]:
-                        raise VerificationError(
-                            "right-action law fails at (%d,%d)" % (g, h))
+        self._check_relations()
         return True
+
+
+def _presentation(perms):
+    """Greedy generators (indices) of the group formed by perms, perms[0]
+    the identity, and relations presenting it; VerificationError if the set
+    is not closed under composition.
+
+    Each new generator at least doubles the subgroup reached, so there are
+    at most log2|G|.  The words that first reach the elements span the
+    Cayley graph as a tree; each other edge x.s = y gives the relation
+    word(x) s = word(y), and these present the group (Schreier).  Elements
+    may share a permutation; the first one stands for them.
+    """
+    key = {}
+    first = [key.setdefault(tuple(p), g) for g, p in enumerate(perms)]
+    word = {0: ()}
+    elems = [0]
+    gens, done, rels = [], [], []
+    for g in range(len(perms)):
+        if first[g] in word:
+            continue
+        gens.append(g)
+        done.append(0)
+        while any(d < len(elems) for d in done):
+            for k, s in enumerate(gens):
+                while done[k] < len(elems):
+                    x = elems[done[k]]
+                    done[k] += 1
+                    y = key.get(tuple(map(perms[s].__getitem__, perms[x])))
+                    if y is None:
+                        raise VerificationError(
+                            "composition of elements %d,%d leaves the group"
+                            % (x, s))
+                    if y in word:
+                        rels.append((word[x] + (k,), word[y]))
+                    else:
+                        word[y] = word[x] + (k,)
+                        elems.append(y)
+    return gens, rels
 
 
 def trivial_action(cx):
-    return GroupAction(cx, [list(range(len(cx.payloads)))], [0], check=False)
+    return GroupAction(cx, [], [], False, 1, [])
 
 
 # ---------------------------------------------------------------------------
@@ -616,44 +631,28 @@ def barycentric_subdivision(K, max_cells=None):
 def lift_action_to_order_complex(A, sd):
     """Transport a group action on K to its order complex sd = order_complex(K).
 
-    Element g maps the chain ch to the chain of images p[j], j in ch, where
-    p = A.perms[g].  Only the generators A.gens are lifted that way.  A poset
-    automorphism maps a chain to a chain whose ids already ascend, because
-    every cover has a smaller id (order_complex checks that), so the image
-    is looked up in sd.index as it is, without a sort.  Every other element
-    is a product of generators: walking the Cayley graph of A from the
-    identity, the element h = g.s (A._compose) gets the lift of g followed
-    by the lift of s.  Elements that share a permutation share the lift of
-    the first element realizing it.  The result equals the itemwise lift.
-
-    Raises VerificationError, naming the element's label and the chain, if
-    a generator maps a chain to one that is not a cell of sd, i.e. A is not
-    an action by automorphisms of K.
+    Generator p maps the chain ch to the chain of the images p[j], j in ch.
+    A poset automorphism keeps a chain's ids ascending, since every cover has
+    a smaller id (order_complex checks that), so the image is looked up in
+    sd.index as it is.  Lifting is a homomorphism, so the lifted generators
+    satisfy A's relations.  Raises VerificationError, naming the generator
+    and the chain, if an image is not a chain of sd, i.e. A is not an action
+    by automorphisms of K.
     """
     chains = sd.payloads
     get = sd.index.get
-    perms = [None] * A.order
-    perms[0] = list(map(get, chains))  # the identity, sharing sd.index's ints
-    reached = [0]
-    for s in A.gens:
-        img = A.perms[s].__getitem__
+    perms = []
+    for s, p in zip(A.labels, A.perms):
+        img = p.__getitem__
         perm = [get(tuple(map(img, ch))) for ch in chains]
         if None in perm:
             ch = chains[perm.index(None)]
             raise VerificationError(
-                "element %r maps chain %s to %s, which is not a chain of the "
-                "order complex" % (A.labels[s], fmt_payload(ch),
-                                   fmt_payload(tuple(map(img, ch)))))
-        perms[s] = perm
-        reached.append(s)
-    key, first = A._element_key()
-    for g in reached:
-        for s in A.gens:
-            h = A._compose(g, s, key)
-            if perms[h] is None:
-                perms[h] = list(map(perms[s].__getitem__, perms[g]))
-                reached.append(h)
-    return GroupAction(sd, [perms[f] for f in first], A.labels, check=False)
+                "generator %r maps chain %s to %s, which is not a chain of "
+                "the order complex" % (s, fmt_payload(ch),
+                                       fmt_payload(tuple(map(img, ch)))))
+        perms.append(perm)
+    return A.transport(sd, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -803,12 +802,14 @@ def _check_iso(K1, K2, f, A1, A2):
         if {f[j] for j in K1.down[i]} != set(K2.down[f[i]]):
             raise VerificationError("covers are not preserved at cell %d" % i)
     if A1 is not None or A2 is not None:
-        if A1 is None or A2 is None or A1.labels != A2.labels:
+        if (A1 is None or A2 is None or A1.labels != A2.labels
+                or A1.order != A2.order):
             raise VerificationError("group actions are not aligned")
-        for g in range(A1.order):
-            p1, p2 = A1.perms[g], A2.perms[g]
-            for i in range(n):
-                if f[p1[i]] != p2[f[i]]:
-                    raise VerificationError(
-                        "map is not equivariant at cell %d, element %d" % (i, g))
+        # commuting with every generator, f commutes with every element
+        for s, p1, p2 in zip(A1.labels, A1.perms, A2.perms):
+            if list(map(f.__getitem__, p1)) != list(map(p2.__getitem__, f)):
+                i = next(i for i in range(n) if f[p1[i]] != p2[f[i]])
+                raise VerificationError(
+                    "map is not equivariant at cell %d, generator %r"
+                    % (i, s))
     return f

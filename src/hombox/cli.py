@@ -92,15 +92,21 @@ def _write(path, text):
         raise InputError("cannot write %s: %s" % (path, e))
 
 
+def _read(path, what, parse=str):
+    """The text of the certificate file path, parsed; InputError if it
+    cannot be read as text or parsed (JSON nested too deeply for the parser
+    included)."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, RecursionError) as e:
+        raise InputError("cannot read %s certificate %s: %s" % (what, path, e))
+
+
 def _load(args):
     if args.max_cells < 1:
         raise InputError("--max-cells must be at least 1")
-    try:
-        return load_rgraph(args.input)
-    except OSError as e:
-        raise InputError("cannot read %s: %s" % (args.input, e))
-    except ValueError as e:
-        raise InputError("bad r-graph JSON in %s: %s" % (args.input, e))
+    return load_rgraph(args.input)
 
 
 def cmd_build(args):
@@ -123,12 +129,7 @@ def cmd_build(args):
 
 def _check_or_write(path, payload, what):
     if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                old = fh.read()
-        except OSError as e:
-            raise InputError("cannot read %s: %s" % (path, e))
-        if old != payload:
+        if _read(path, what) != payload:
             raise VerificationError(
                 "%s certificate %s does not match this run" % (what, path))
         print("%s certificate %s verified" % (what, path))
@@ -166,14 +167,8 @@ def cmd_theorem(args):
     M = build_matching(H, max_cells=mc)
     path = args.certificate
     if path and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as e:
-            raise InputError("cannot read %s: %s" % (path, e))
-        except ValueError as e:
-            raise InputError("bad certificate JSON in %s: %s" % (path, e))
-        cert = MainTheoremCertificate.from_json_obj(obj)
+        cert = MainTheoremCertificate.from_json_obj(
+            _read(path, "theorem", json.loads))
         replay_main_theorem(H, cert, max_cells=mc, matching=M)
         print("theorem certificate %s replayed: %d stages ok"
               % (path, len(cert.stages)))

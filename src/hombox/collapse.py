@@ -37,6 +37,7 @@ import heapq
 from bisect import bisect_left
 from collections import namedtuple
 from contextlib import contextmanager
+from itertools import compress
 
 from .boxcx import i_image_ids
 from .cellcx import (
@@ -89,18 +90,17 @@ class CollapseState:
         n = len(universe.payloads)
         if alive is None:
             self.alive = [True] * n
+            self.updeg = list(map(len, universe.up))
         else:
             aset = set(alive)
             self.alive = [i in aset for i in range(n)]
-        self.n_alive = sum(self.alive)
-        self.updeg = [0] * n
-        for i in range(n):
-            if self.alive[i]:
+            self.updeg = [0] * n
+            for i in compress(range(n), self.alive):
                 for j in universe.down[i]:
                     self.updeg[j] += 1
-        self.fingerprint = sum(
-            d for i, d in enumerate(universe.digests) if self.alive[i]
-        ) & _MASK128
+        self.n_alive = sum(self.alive)
+        self.fingerprint = sum(compress(universe.digests,
+                                        self.alive)) & _MASK128
 
     @property
     def fingerprint_hex(self):
@@ -131,10 +131,10 @@ def _label(K, i):
 def _check_step_shape(state, action, step):
     """Structural checks shared by both step directions.
 
-    Verifies the orbit is ascending and closed under the action, and that the
-    facet assignment is equivariant; raises WrongCodimension if any facet is
-    not one dimension above its cell, OrbitNotIndependentlyFree if facets
-    repeat."""
+    Verifies the orbit is ascending, closed under the action and a single
+    orbit, and that the facet assignment is equivariant; raises
+    WrongCodimension if any facet is not one dimension above its cell,
+    OrbitNotIndependentlyFree if facets repeat."""
     K = state.cx
     orbit = step["orbit"]
     facets = step["facets"]
@@ -146,7 +146,6 @@ def _check_step_shape(state, action, step):
         raise VerificationError("step sigma is not the orbit representative")
     if len(set(facets)) != len(facets):
         raise OrbitNotIndependentlyFree("facets of one orbit coincide")
-    pos = {m: k for k, m in enumerate(orbit)}
     for m, f in zip(orbit, facets):
         if K.dims[f] != K.dims[m] + 1:
             raise WrongCodimension(
@@ -155,18 +154,59 @@ def _check_step_shape(state, action, step):
         if m not in K.down[f]:
             raise VerificationError("cell %s is not a cover of cell %s"
                                     % (_label(K, f), _label(K, m)))
-    if action is not None:
-        for g in range(action.order):
-            gm = action.act(g, orbit[0])
-            k = pos.get(gm)
-            if k is None:
-                raise VerificationError(
-                    "step orbit not closed under the group action")
-            if action.act(g, facets[0]) != facets[k]:
-                raise VerificationError(
-                    "facet assignment of the step is not equivariant")
-        if {action.act(g, orbit[0]) for g in range(action.order)} != set(orbit):
-            raise VerificationError("step orbit is not a single group orbit")
+    if action is None:
+        return
+    # Search the orbit along the generators from orbit[0], checking closure
+    # and the facets on each edge; an edge back to a cell already met is
+    # rechecked, which covers the stabilizers, unless the orbit is free.
+    fac = dict(zip(orbit, facets))
+    free = len(orbit) == action.order
+    gens = list(zip(action.labels, action.perms))
+    todo = [orbit[0]]
+    seen = {orbit[0]}
+    for x in todo:
+        fx = fac[x]
+        for s, p in gens:
+            y = p[x]
+            if y not in seen:
+                if fac.get(y) != p[fx]:
+                    raise _step_clash(s, y in fac)
+                seen.add(y)
+                todo.append(y)
+            elif not free and fac[y] != p[fx]:
+                raise _step_clash(s, True)
+    if len(todo) != len(orbit):
+        raise VerificationError(
+            "step orbit is not a single group orbit: the generators do not "
+            "reach cell %s from cell %s"
+            % (_label(K, min(set(orbit) - seen)), _label(K, orbit[0])))
+
+
+def _step_clash(s, closed):
+    if not closed:
+        return VerificationError(
+            "step orbit not closed under generator %r" % (s,))
+    return VerificationError("facet assignment of the step is not "
+                             "equivariant under generator %r" % (s,))
+
+
+def _carry(L, orbit, value, move, clash):
+    """{cell: value} on the orbit of orbit[0], searched along the
+    generators, where orbit[0] gets value and generator p takes the value v
+    at x to p[x] as move(p, v).  A cell met again must get the same value
+    again, which covers the stabilizers, or clash(generator label, cell) is
+    raised; a free orbit (|G| cells) has no stabilizer to recheck."""
+    free = len(orbit) == L.order
+    family = {orbit[0]: value}
+    todo = [orbit[0]]
+    for x in todo:
+        for s, p in zip(L.labels, L.perms):
+            if p[x] not in family:
+                family[p[x]] = move(p, family[x])
+                todo.append(p[x])
+            elif not free and family[p[x]] != move(p, family[x]):
+                raise clash(s, p[x])
+    return family
 
 
 def apply_orbit_step(state, action, step):
@@ -441,8 +481,9 @@ def _restrict_action(A, old2new, sub):
     """A on the subcomplex sub; old2new, as subcomplex returns it, maps the
     kept ids in ascending order to 0, 1, ..."""
     keep = list(old2new)
-    perms = [[old2new[p[o]] for o in keep] for p in A.perms]
-    return GroupAction(sub, perms, A.labels, check=False)
+    return A.transport(sub, [list(map(old2new.__getitem__,
+                                      map(p.__getitem__, keep)))
+                             for p in A.perms])
 
 
 def elementary_g_collapse(K, A, sigma):
@@ -559,8 +600,9 @@ class _CellStore(CollapseState):
     """The append-only cells of one stellar deformation.
 
     It starts as a copy of K and its action A.  Each stellar stage appends
-    its apex and cone cells, with their digests and permutation entries, and
-    then collapses and expands on the store's alive flags; no id ever moves.
+    its apex and cone cells, with their digests and the generators'
+    permutation entries, and then collapses and expands on the store's
+    alive flags; no id ever moves.
     The live cells in id order are the current complex, and the cells a
     stage appends come after all of them.  Cells that died give up their
     payloads, index entries and up links when the next stage settles the
@@ -573,15 +615,17 @@ class _CellStore(CollapseState):
 
     faces = CellComplex.faces
     cofaces = CellComplex.cofaces
-    act = GroupAction.act
     orbit = GroupAction.orbit
     orbits = GroupAction.orbits
-    order = GroupAction.order
+    transport = GroupAction.transport
+    _check_automorphisms = GroupAction._check_automorphisms
+    _check_relations = GroupAction._check_relations
 
     def __init__(self, K, A):
         n = len(K.payloads)
         self.cx = self
-        self.base = A
+        self.labels, self.order, self.relations = (A.labels, A.order,
+                                                   A.relations)
         self.payloads = list(K.payloads)
         self.dims = list(K.dims)
         self.down = list(K.down)
@@ -664,8 +708,7 @@ class _CellStore(CollapseState):
                          [self.dims[o] for o in ids],
                          [[new[j] for j in self.down[o]] for o in ids],
                          digests=[self.digests[o] for o in ids])
-        perms = [[new[p[o]] for o in ids] for p in self.perms]
-        return cx, GroupAction(cx, perms, self.base.labels, check=False)
+        return cx, _restrict_action(self, new, cx)
 
 
 class _Universe:
@@ -714,9 +757,10 @@ def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
     """Append to the store, dead, the cells L adds to the live complex K:
     per orbit member m an apex, and a cone cell over every cell of the
     closed star of m.  They come in a fixed order, the apexes in orbit order
-    and then each member's cones by base id, and the action moves them with
-    their members and bases; its automorphism and closure laws are checked
-    on them.  Returns (L as a _Universe, apex_id, cone_id) in store ids.
+    and then each member's cones by base id, and each generator moves them
+    with their members and bases; on them it is checked as an automorphism,
+    and the relations are checked.  Returns (L as a _Universe, apex_id,
+    cone_id) in store ids.
     """
     star_list = {m: sorted(cof[m] | ring[m]) for m in orbit}
     size = store.n_alive + sum(1 + len(s) for s in star_list.values())
@@ -760,59 +804,15 @@ def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
                               _canon_join(b"T", (_CONE_ENC, tok_enc, enc(b)))))
     new = store.extend(cells)
 
-    dims, down = store.dims, store.down
-    for g, p in enumerate(store.perms):
+    for p in store.perms:
         p.extend(apex_id[p[m]] for m in orbit)
-        p.extend(cone_id[(p[m], p[b])] for m in orbit for b in star_list[m])
-        if sorted(p[first:]) != list(new):
-            raise VerificationError(
-                "element %d does not permute the cone cells" % g)
-        for i in new:
-            if (dims[p[i]] != dims[i]
-                    or {p[j] for j in down[i]} != set(down[p[i]])):
-                raise VerificationError(
-                    "element %d does not preserve cone cell %s"
-                    % (g, fmt_payload(store.payloads[i])))
-    A = store.base
-    for g, pg in enumerate(store.perms):
-        for s in A.gens:
-            ps, pgs = store.perms[s], store.perms[A.mult(g, s)]
-            if any(ps[pg[i]] != pgs[i] for i in new):
-                raise VerificationError(
-                    "elements %d,%d do not compose on the cone cells"
-                    % (g, s))
+        p.extend(cone_id.get((p[m], p[b]))
+                 for m in orbit for b in star_list[m])
+    store._check_automorphisms(new)
+    store._check_relations(new)
     fingerprint = (store.fingerprint
                    + sum(store.digests[i] for i in new)) & _MASK128
     return _Universe(store, new, fingerprint), apex_id, cone_id
-
-
-def _anchors(K, A, orbit):
-    """An equivariant family of anchor vertices: the minimal vertex cell under
-    the representative, transported along the action.  Raises Stuck when a
-    stabilizer moves the anchor (then no equivariant matching of this shape
-    exists)."""
-    rep = orbit[0]
-    pay = K.payloads[rep]
-    if isinstance(pay, frozenset):
-        a_pay = frozenset([min(pay, key=canon_key)])
-    elif isinstance(pay, tuple) and all(isinstance(q, frozenset) for q in pay):
-        a_pay = tuple(frozenset([min(q, key=canon_key)]) for q in pay)
-    else:
-        raise InputError(
-            "no anchor rule for payloads of shape %r" % (type(pay).__name__,))
-    aid = K.index.get(a_pay)
-    if aid is None:
-        raise Stuck("anchor vertex %r is not a cell" % (a_pay,))
-    anchors = {}
-    for g in range(A.order):
-        m = A.act(g, rep)
-        img = K.payloads[A.act(g, aid)]
-        if anchors.setdefault(m, img) != img:
-            raise Stuck(
-                "the stabilizer of cell %s moves its anchor vertex: the "
-                "cone cells admit no equivariant matching"
-                % fmt_payload(K.payloads[m]))
-    return anchors
 
 
 def _conepartner(B, tstar, sstar):
@@ -840,54 +840,58 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
     """Perfect matching on the cone cells of the store L (pairing each with
     its anchor toggle), whose collapse retracts L back onto K.
 
+    The anchor is the minimal vertex under the representative orbit[0].
     The pairing is built on the representative's cone cells only and then
-    transported along the action: a per-member construction would break
-    equivariance whenever a group element reorders product coordinates.
-    Raises Stuck when the pairing escapes the cone cells, fails to be a
-    perfect involution, or clashes with a stabilizer."""
-    anchors = _anchors(L, L, orbit)
+    carried along the generators (_carry), with the anchor: a per-member
+    construction would break equivariance whenever a group element reorders
+    product coordinates.  Raises Stuck when a stabilizer moves the anchor
+    (then no equivariant matching of this shape exists), or the pairing
+    escapes the cone cells, fails to be a perfect involution, or clashes
+    with a stabilizer."""
     rep = orbit[0]
-    ids = [apex_id[rep]] + [cone_id[(rep, b)]
-                            for b in sorted(cof[rep] | ring[rep])]
-    a_pay = anchors[rep]
-    partner_rep = {}
-    if simplicial:
-        v = next(iter(a_pay))
-        for cid in ids:
-            S = L.payloads[cid]
-            q_pay = S - {v} if v in S else S | {v}
-            q = L.index.get(q_pay)
-            if q is None:
-                raise Stuck("anchor toggle leaves the cone cells at cell %s"
-                            % fmt_payload(S))
-            partner_rep[cid] = q
+    pay = L.payloads[rep]
+    if isinstance(pay, frozenset):
+        a_pay = frozenset([min(pay, key=canon_key)])
+    elif isinstance(pay, tuple) and all(isinstance(q, frozenset) for q in pay):
+        a_pay = tuple(frozenset([min(q, key=canon_key)]) for q in pay)
     else:
-        tstar = tuple(next(iter(q)) for q in a_pay)
-        apex_pay = L.payloads[apex_id[rep]]
-        for cid in ids:
-            X = L.payloads[cid]
-            if cid == apex_id[rep]:
-                q_pay = (CONE, apex_pay, a_pay)
-            else:
-                qb = _conepartner(X[2], tstar, a_pay)
-                q_pay = apex_pay if qb is None else (CONE, apex_pay, qb)
-            q = L.index.get(q_pay)
-            if q is None:
-                raise Stuck("anchor toggle leaves the cone cells at cell %s"
-                            % fmt_payload(X))
-            partner_rep[cid] = q
+        raise InputError(
+            "no anchor rule for payloads of shape %r" % (type(pay).__name__,))
+    if a_pay not in L.index:
+        raise Stuck("anchor vertex %r is not a cell" % (a_pay,))
+    _carry(L, orbit, L.index[a_pay], list.__getitem__, lambda s, m: Stuck(
+        "the stabilizer of cell %s moves its anchor vertex: the cone cells "
+        "admit no equivariant matching" % fmt_payload(L.payloads[m])))
+    apex = apex_id[rep]
+    tstar = () if simplicial else tuple(next(iter(q)) for q in a_pay)
+    partner_rep = {}
+    for cid in [apex] + [cone_id[(rep, b)]
+                         for b in sorted(cof[rep] | ring[rep])]:
+        X = L.payloads[cid]
+        if simplicial:
+            q_pay = X ^ a_pay
+        elif cid == apex:
+            q_pay = (CONE, X, a_pay)
+        else:
+            qb = _conepartner(X[2], tstar, a_pay)
+            q_pay = X[1] if qb is None else (CONE, X[1], qb)
+        if q_pay not in L.index:
+            raise Stuck("anchor toggle leaves the cone cells at cell %s"
+                        % fmt_payload(X))
+        partner_rep[cid] = L.index[q_pay]
     cone_cells = set()
     for m in orbit:
         cone_cells.add(apex_id[m])
         cone_cells.update(cone_id[(m, b)] for b in cof[m] | ring[m])
     partner = {}
-    for g in range(L.order):
-        for x, y in partner_rep.items():
-            gx, gy = L.act(g, x), L.act(g, y)
-            if partner.setdefault(gx, gy) != gy:
-                raise Stuck(
-                    "a stabilizer of cell %s is incompatible with its cone "
-                    "pairing" % fmt_payload(L.payloads[L.act(g, rep)]))
+    for part in _carry(
+            L, orbit, partner_rep,
+            lambda p, d: dict(zip(map(p.__getitem__, d),
+                                  map(p.__getitem__, d.values()))),
+            lambda s, m: Stuck("a stabilizer of cell %s is incompatible "
+                               "with its cone pairing"
+                               % fmt_payload(L.payloads[m]))).values():
+        partner.update(part)
     mu = {}
     for x, y in partner.items():
         if y not in partner or partner[y] != x or y not in cone_cells:

@@ -83,6 +83,13 @@ def s_r_labels(r):
     return [tuple(p) for p in permutations(range(r))]
 
 
+def s_r_generators(r):
+    """The adjacent transpositions s_i = (i, i+1), i < r - 1, as image
+    tuples: the Coxeter generators of S_r."""
+    return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, r))
+            for i in range(r - 1)]
+
+
 def coordinate_map(sigma, r):
     """The right action x -> x sigma, (x sigma)(j) = x(sigma(j)), on
     r-tuples.  sigma is checked once here, not on every tuple."""
@@ -103,10 +110,9 @@ def hom_complex(H, max_cells=None):
     HomComplex(cx, action, graph) bundle.
     """
     cx = _hom_cx(H, max_cells)
-    labels = s_r_labels(H.r)
+    labels = s_r_generators(H.r)
     maps = [coordinate_map(s, H.r) for s in labels]
-    action = GroupAction.from_payload_maps(cx, maps, labels, check=True)
-    return HomComplex(cx, action, H)
+    return HomComplex(cx, GroupAction.symmetric(cx, maps, labels), H)
 
 
 def _hom_cx(H, max_cells):

@@ -107,13 +107,18 @@ def new_rgraph(r, vertices, edges):
 
 
 def load_rgraph(obj):
-    """Parse the JSON input format (a dict, a JSON string, or a file path)."""
+    """Parse the JSON input format (a dict, a JSON string, or a file path).
+    A file that cannot be read, or text that is not JSON (nested too deeply
+    for the parser included), is an InputError."""
     if isinstance(obj, str):
-        if obj.lstrip()[:1] in ("{", "["):
-            obj = json.loads(obj)
-        else:
-            with open(obj) as fh:
-                obj = json.load(fh)
+        try:
+            if obj.lstrip()[:1] in ("{", "["):
+                obj = json.loads(obj)
+            else:
+                with open(obj, encoding="utf-8") as fh:
+                    obj = json.load(fh)
+        except (OSError, ValueError, RecursionError) as e:
+            raise InputError("cannot read r-graph JSON: %s" % (e,)) from None
     if not isinstance(obj, dict):
         raise InputError("r-graph JSON must be an object")
     missing = {"r", "vertices", "edges"} - set(obj)

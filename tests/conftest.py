@@ -45,6 +45,25 @@ def hollow_triangle():
         [frozenset("ab"), frozenset("bc"), frozenset("ca")])
 
 
+def elements(A):
+    """Every element of A's group as a permutation of the cells (a tuple),
+    generated from A's generators by a breadth-first search."""
+    found = [tuple(range(len(A.cx.payloads)))]
+    seen = set(found)
+    for q in found:
+        for p in A.perms:
+            qp = tuple(map(p.__getitem__, q))
+            if qp not in seen:
+                seen.add(qp)
+                found.append(qp)
+    return seen
+
+
+def itemwise_action(cx, maps):
+    """The permutations of cx's cell ids by the payload maps, one by one."""
+    return {tuple(cx.index[m(x)] for x in cx.payloads) for m in maps}
+
+
 def z3_action(hollow):
     rot = {"a": "b", "b": "c", "c": "a"}
     rot2 = {v: rot[rot[v]] for v in rot}

@@ -11,7 +11,7 @@ from hombox import (NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
 from hombox.morse import Matching, MatchingInvalid
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, elements
 
 
 def timed(fn):
@@ -45,8 +45,8 @@ def test_ac1_counterexample_reproduction(matchings):
         assert 0 < len(crit) < len(M.sd)
         sub, _ = M.sd.subcomplex(sorted(crit))   # downward closed
         assert len(sub) == 198
-        for g in range(M.action.order):
-            assert all(M.action.act(g, c) in crit for c in crit)
+        for p in elements(M.action):
+            assert all(p[c] in crit for c in crit)
         return None
 
     _, dt = timed(body)
@@ -206,7 +206,8 @@ def swap_mu_across_orbits(M):
 
 def swap_mu_on_orbit_pair(M):
     x = M.sigma()[0]
-    gx = next(M.action.act(g, x) for g in range(1, M.action.order))
+    # the image of x under (0, 2, 1), the first element after the identity
+    gx = M.action.perms[M.action.labels.index((0, 2, 1))][x]
     mu = dict(M.mu)
     mu[x], mu[gx] = mu[gx], mu[x]
     return mu

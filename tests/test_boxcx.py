@@ -8,7 +8,7 @@ import pytest
 import hombox as hb
 from hombox import SizeGuard
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, elements, itemwise_action
 
 
 def oracle_count_spanning(sizes):
@@ -90,30 +90,41 @@ def test_box_cells_are_spanning_subsets(corpus):
     assert total == len(box.cx)
 
 
+def _coordinate_maps(box):
+    """Per element sigma of S_r, its payload map on box simplices."""
+    return {s: lambda F, s=s: frozenset(tuple(t[j] for j in s) for t in F)
+            for s in hb.s_r_labels(box.graph.r)}
+
+
 def test_box_action_free_and_right(corpus):
     box = hb.box_edge(corpus["K3_122"])
     A = box.action
-    assert A.order == 6
+    assert A.order == 6 and len(elements(A)) == 6
     A.verify()
     assert A.is_free()
     n = len(box.cx)
-    for g in range(6):
-        for h in range(6):
+    perm = {s: [box.cx.index[m(F)] for F in box.cx.payloads]
+            for s, m in _coordinate_maps(box).items()}
+    # right-action law: sigma then tau acts as sigma tau, j -> sigma(tau(j))
+    for g in perm:
+        for h in perm:
+            gh = tuple(g[h[j]] for j in range(3))
             for x in range(0, n, 7):
-                assert A.act(A.mult(g, h), x) == A.act(h, A.act(g, x))
+                assert perm[gh][x] == perm[h][perm[g][x]]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_box_action_equals_per_cell_definition(name, corpus):
     # the definition: sigma permutes the coordinates of every ordered edge
+    # of every element; the generators generate exactly these permutations
     box = hb.box_edge(corpus[name])
-    maps = [lambda F, s=s: frozenset(tuple(t[s[j]] for j in range(len(s)))
-                                     for t in F)
-            for s in box.action.labels]
-    want = hb.GroupAction.from_payload_maps(box.cx, maps, box.action.labels,
-                                            check=False)
-    assert box.action.perms == want.perms
-    assert box.action.labels == hb.s_r_labels(corpus[name].r)
+    maps = _coordinate_maps(box)
+    assert elements(box.action) == itemwise_action(box.cx, maps.values())
+    # generator k is the coordinate map of its own label
+    assert box.action.labels == hb.s_r_generators(corpus[name].r)
+    assert box.action.perms == [[box.cx.index[maps[s](F)]
+                                 for F in box.cx.payloads]
+                                for s in box.action.labels]
 
 
 def test_box_guard(corpus):

@@ -2,6 +2,7 @@
 group actions, fingerprints, and isomorphism checking."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from hombox import (InputError, OrbitCofaceClash, SizeGuard,
 from hombox import cellcx
 from hombox.cellcx import canon_bytes, canon_key, fmt_payload
 
-from conftest import CORPUS_NAMES, z3_action
+from conftest import (CORPUS_NAMES, elements, itemwise_action, make_graph,
+                      z3_action)
 
 
 def test_canon_key_total_order():
@@ -204,6 +206,13 @@ def test_order_complex_encodes_no_chain(corpus, monkeypatch):
     _assert_same_complex(hb.order_complex(K), want)
 
 
+def _z3_perms(hollow):
+    """The identity, the rotation r and r^2 of the hollow triangle abc."""
+    rot = {"a": "b", "b": "c", "c": "a"}
+    r = [hollow.index[frozenset(rot[v] for v in p)] for p in hollow.payloads]
+    return list(range(len(hollow))), r, [r[x] for x in r]
+
+
 def test_group_action_basics(hollow_triangle):
     A = z3_action(hollow_triangle)
     assert A.order == 3
@@ -213,12 +222,11 @@ def test_group_action_basics(hollow_triangle):
         hollow_triangle.index[frozenset(v)] for v in "abc"))
     assert len(A.orbits()) == 2
     assert A.is_free()
-    assert A.inverse(1) == 2 and A.mult(1, 2) == 0
-    # right-action law: act(mult(g,h),x) == act(h, act(g,x))
-    for g in range(3):
-        for h in range(3):
-            for x in range(len(hollow_triangle)):
-                assert A.act(A.mult(g, h), x) == A.act(h, A.act(g, x))
+    e, r, rr = _z3_perms(hollow_triangle)
+    assert A.perms == [r] and A.labels == ["r"]
+    assert elements(A) == {tuple(e), tuple(r), tuple(rr)}
+    # the relation presenting Z_3 on its generator: r r r = 1
+    assert A.relations == [((0, 0, 0), ())]
 
 
 def test_group_action_rejects_non_automorphism(hollow_triangle):
@@ -241,14 +249,14 @@ def test_group_action_rejects_non_automorphism(hollow_triangle):
 def test_group_action_rejects_non_closed_set(hollow_triangle):
     # {id, r} of the Z_3 rotation: both are automorphisms, but r.r = r^2
     # is missing, so the set is not a group
-    A = z3_action(hollow_triangle)
+    e, r, _ = _z3_perms(hollow_triangle)
     with pytest.raises(VerificationError, match="leaves the group"):
-        hb.GroupAction(hollow_triangle, A.perms[:2], ["e", "r"])
+        hb.GroupAction(hollow_triangle, [e, r], ["e", "r"])
     with pytest.raises(VerificationError, match="leaves the group"):
-        hb.GroupAction(hollow_triangle, A.perms[:2], ["e", "r"],
-                       check=False)
+        hb.GroupAction(hollow_triangle, [e, r], ["e", "r"], check=False)
     # the full rotation group is closed, with a single generator
-    assert len(A.gens) == 1
+    A = z3_action(hollow_triangle)
+    assert len(A.perms) == 1
     assert A.verify()
 
 
@@ -262,10 +270,10 @@ def test_lift_action_to_order_complex(hollow_triangle):
     assert len(sdA.orbits()) == len(sd) // 3
 
 
-def _itemwise_lift(A, sd):
-    """The definition: g maps a chain to the sorted chain of its images."""
-    return [[sd.index[tuple(sorted(p[j] for j in ch))] for ch in sd.payloads]
-            for p in A.perms]
+def _itemwise_lift(perms, sd):
+    """The definition: p maps a chain to the sorted chain of its images."""
+    return [tuple(sd.index[tuple(sorted(p[j] for j in ch))]
+                  for ch in sd.payloads) for p in perms]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -274,26 +282,121 @@ def test_lift_equals_itemwise_definition(name, corpus):
     for bundle in (hb.box_edge(H), hb.hom_complex(H)):
         sd = hb.order_complex(bundle.cx)
         sdA = hb.lift_action_to_order_complex(bundle.action, sd)
-        assert sdA.perms == _itemwise_lift(bundle.action, sd)
+        assert list(map(tuple, sdA.perms)) == _itemwise_lift(
+            bundle.action.perms, sd)
+        assert elements(sdA) == set(_itemwise_lift(elements(bundle.action),
+                                                   sd))
         assert sdA.labels == bundle.action.labels
+        assert sdA.order == bundle.action.order
 
 
 def test_lift_of_non_faithful_and_trivial_actions(hollow_triangle,
                                                   solid_triangle):
     # Z_6 acting through Z_3: elements g and g+3 share a permutation
-    rot = z3_action(hollow_triangle).perms
+    rot = _z3_perms(hollow_triangle)
     A = hb.GroupAction(hollow_triangle, [rot[g % 3] for g in range(6)],
                        list(range(6)))
+    assert A.order == 6 and A.labels == [1]
     sd = hb.order_complex(hollow_triangle)
     sdA = hb.lift_action_to_order_complex(A, sd)
-    assert sdA.perms == _itemwise_lift(A, sd)
-    assert all(sdA.perms[g] == sdA.perms[g + 3] for g in range(3))
-    assert len({tuple(p) for p in sdA.perms}) == 3
+    assert elements(sdA) == set(_itemwise_lift(rot, sd))
+    assert len(elements(sdA)) == 3
+    assert sdA.order == 6 and not sdA.is_free()
     sdA.verify()
     T = hb.trivial_action(solid_triangle)
     sd = hb.order_complex(solid_triangle)
-    assert hb.lift_action_to_order_complex(T, sd).perms == [
-        list(range(len(sd)))]
+    TL = hb.lift_action_to_order_complex(T, sd)
+    assert TL.perms == [] and elements(TL) == {tuple(range(len(sd)))}
+
+
+def _vertex_maps(*swaps):
+    """Payload maps of simplices, one per vertex permutation in swaps."""
+    return [lambda p, m=m: frozenset(m.get(v, v) for v in p) for m in swaps]
+
+
+def _relation(*labels):
+    return re.escape("relation %s = 1 fails" % " ".join(map(repr, labels)))
+
+
+def test_symmetric_rejects_non_automorphism(hollow_triangle):
+    # a bijection of the cells that swaps the vertex a with the edge ab
+    a, ab = frozenset("a"), frozenset("ab")
+    swap = {a: ab, ab: a}
+    with pytest.raises(VerificationError,
+                       match=re.escape("generator (1, 0) does not preserve")):
+        hb.GroupAction.symmetric(hollow_triangle,
+                                 [lambda p: swap.get(p, p)], [(1, 0)])
+
+
+def test_symmetric_rejects_each_broken_coxeter_relation(hollow_triangle):
+    # automorphisms that break exactly one relation each
+    s = hb.s_r_generators(4)
+    # r = 2: a rotation of order 3 as s_0, so s_0^2 != 1
+    with pytest.raises(VerificationError, match=_relation((1, 0), (1, 0))):
+        hb.GroupAction.symmetric(
+            hollow_triangle, _vertex_maps({"a": "b", "b": "c", "c": "a"}),
+            [(1, 0)])
+    # r = 3 on a square abcd: two reflections whose product turns it by a
+    # quarter, so (s_0 s_1)^3 != 1
+    square = hb.CellComplex.from_simplices(map(frozenset, ["ab", "bc", "cd",
+                                                          "da"]))
+    gens = hb.s_r_generators(3)
+    with pytest.raises(VerificationError, match=_relation(*gens * 3)):
+        hb.GroupAction.symmetric(
+            square, _vertex_maps({"a": "b", "b": "a", "c": "d", "d": "c"},
+                                 {"b": "d", "d": "b"}), gens)
+    # r = 4: the transpositions (ab), (bc), (ac) satisfy the braid relations
+    # of s_0 s_1 and s_1 s_2, but s_0 and s_2 do not commute
+    with pytest.raises(VerificationError, match=_relation(*[s[0], s[2]] * 2)):
+        hb.GroupAction.symmetric(
+            hollow_triangle, _vertex_maps({"a": "b", "b": "a"},
+                                          {"b": "c", "c": "b"},
+                                          {"a": "c", "c": "a"}), s)
+
+
+def test_checked_action_with_given_relations_checks_them(hollow_triangle):
+    # generators and relations handed to the constructor directly: with
+    # check on, a relation that fails on the cells is rejected
+    rot = hb.GroupAction.from_payload_maps(
+        hollow_triangle, _vertex_maps({"a": "b", "b": "c", "c": "a"}), ["r"],
+        check=False, order=2, relations=[((0, 0), ())])
+    with pytest.raises(VerificationError, match=_relation("r", "r")):
+        hb.GroupAction(hollow_triangle, rot.perms, ["r"], True, 2,
+                       [((0, 0), ())])
+    hb.GroupAction(hollow_triangle, rot.perms, ["r"], True, 3,
+                   [((0, 0, 0), ())])
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["K_4^4"])
+def test_generator_form_equals_itemwise_action(name):
+    # box, Hom and sd box: the generators generate exactly the permutations
+    # of the r! elements applied one by one, with the same orbits and
+    # freeness
+    H = make_graph(name)
+    labels = hb.s_r_labels(H.r)
+    box, hom = hb.box_edge(H), hb.hom_complex(H)
+    sd = hb.order_complex(box.cx)
+    box_all = itemwise_action(box.cx, [
+        lambda F, s=s: frozenset(tuple(t[j] for j in s) for t in F)
+        for s in labels])
+    cases = [
+        (box.action, box_all),
+        (hom.action, itemwise_action(
+            hom.cx, [lambda f, s=s: tuple(f[j] for j in s) for s in labels])),
+        (hb.lift_action_to_order_complex(box.action, sd),
+         set(_itemwise_lift(box_all, sd)))]
+    for A, want in cases:
+        assert A.order == math.factorial(H.r)
+        assert len(A.perms) == H.r - 1
+        assert elements(A) == want
+        n = len(A.cx)
+        orbit = [tuple(sorted({p[i] for p in want})) for i in range(n)]
+        assert [A.orbit(i) for i in range(n)] == orbit
+        assert A.orbits() == sorted(set(orbit))
+        fixed = {i for p in want if p != tuple(range(n))
+                 for i in range(n) if p[i] == i}
+        assert A.is_free() == (not fixed)
+        assert A.is_free(range(0, n, 2)) == fixed.isdisjoint(range(0, n, 2))
 
 
 def test_lift_rejects_non_automorphism():

@@ -3,6 +3,7 @@ and certificate check-or-write flows."""
 
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -405,3 +406,44 @@ def test_bad_flag_exit_code(k32, capsys):
     assert main([]) == 4
     assert main(["build", "--input", k32, "--max-cells", "0"]) == 4
     capsys.readouterr()
+
+
+def test_theorem_actions_hold_only_generators(k3_122, tmp_path, monkeypatch,
+                                              capsys):
+    # every S_3-action of a build and of a replay, and every stellar cell
+    # store, carries r - 1 = 2 permutations: the adjacent transpositions
+    from hombox import collapse
+
+    held = []
+    for cls in (hb.GroupAction, collapse._CellStore):
+        def wrapped(self, cx, *args, init=cls.__init__, **kwargs):
+            init(self, cx, *args, **kwargs)
+            held.append(len(self.perms))
+        monkeypatch.setattr(cls, "__init__", wrapped)
+    cert = str(tmp_path / "theorem.json")
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 0
+    assert len(held) >= 8 and set(held) == {2}
+    del held[:]
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 0
+    assert "replayed" in capsys.readouterr().out
+    assert len(held) >= 8 and set(held) == {2}
+
+
+@pytest.mark.parametrize("command, flag, content, message", [
+    ("verify", "--certificate", b"\xff\xfe{}",
+     "cannot read matching certificate"),
+    ("theorem", "--certificate", b"[" * 200000,
+     "cannot read theorem certificate .*recursion"),
+    ("build", "--input", b"[" * 200000, "cannot read r-graph JSON.*recursion"),
+], ids=["verify", "theorem", "build"])
+def test_unreadable_input_exit_code(command, flag, content, message, k3_122,
+                                    tmp_path, capsys):
+    # a file that is not UTF-8, or JSON nested past the parser's recursion
+    # limit, is an input error (exit 4), not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [command, "--input", k3_122, flag, str(bad)]
+    if flag == "--input":
+        argv = [command, "--input", str(bad)]
+    assert main(argv) == 4
+    assert re.search(message, capsys.readouterr().err)

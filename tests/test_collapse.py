@@ -164,6 +164,81 @@ def test_apply_orbit_step_rejections(solid_triangle):
         hb.apply_orbit_step(st2, A, step())
 
 
+def _explicit_action(K, name, moves):
+    """The two-element action on K whose non-identity element, named name,
+    permutes the vertex names by moves (a bijection of the cells)."""
+    return hb.GroupAction.from_payload_maps(
+        K, [lambda p: p, lambda p: frozenset(moves.get(v, v) for v in p)],
+        ["e", name], check=False)
+
+
+def _step(K, orbit, facets):
+    ids = [K.index[frozenset(c)] for c in orbit]
+    return {"direction": "collapse", "sigma": ids[0], "orbit": ids,
+            "facets": [K.index[frozenset(f)] for f in facets]}
+
+
+def test_step_closed_under_generators_but_two_orbits():
+    # the flip swaps ab with cd and pq with rs: {a, c, p, r} is closed under
+    # it, with facets carried along, but it is two orbits
+    K = hb.CellComplex.from_simplices(map(frozenset, ["ab", "cd", "pq",
+                                                     "rs"]))
+    A = _explicit_action(K, "flip", {"a": "c", "c": "a", "b": "d", "d": "b",
+                                     "p": "r", "r": "p", "q": "s", "s": "q"})
+    with pytest.raises(VerificationError,
+                       match=r"not a single group orbit.* reach cell \{p\} "
+                             r"from cell \{a\}"):
+        hb.apply_orbit_step(hb.CollapseState(K), A,
+                            _step(K, "acpr", ["ab", "cd", "pq", "rs"]))
+
+
+def test_step_facets_misaligned_by_a_stabilizer():
+    # the flip fixes m but swaps its cofacets am and bm: no facet choice
+    # for the orbit {m} commutes with it
+    K = hb.CellComplex.from_simplices(map(frozenset, ["am", "bm"]))
+    A = _explicit_action(K, "flip", {"a": "b", "b": "a"})
+    with pytest.raises(VerificationError,
+                       match="not equivariant under generator 'flip'"):
+        hb.apply_orbit_step(hb.CollapseState(K), A, _step(K, "m", ["am"]))
+
+
+def test_cone_cell_image_that_is_not_a_cone_cell():
+    # the swap of y and z is a bijection of the cells of xy + z but not an
+    # automorphism: at the orbit {x} it maps the cone over y, in the star
+    # of x, to a cone over z, which the stage does not build
+    K = hb.CellComplex.from_simplices(map(frozenset, ["xy", "z"]))
+    y, z = K.index[frozenset("y")], K.index[frozenset("z")]
+    swap = list(range(len(K)))
+    swap[y], swap[z] = z, y
+    A = hb.GroupAction(K, [list(range(len(K))), swap], ["e", "swap"],
+                       check=False)
+    with pytest.raises(VerificationError,
+                       match="generator 'swap' does not permute the cells"):
+        hb.stellar_deformation_certificate(K, A, K.index[frozenset("x")])
+
+
+def test_cone_cells_checked_against_the_relations(hollow_triangle):
+    # the rotation of order 3 claimed as a generator with the relation
+    # r r = 1: the relation check on the stage's new cells catches it
+    A = z3_action(hollow_triangle)
+    bad = hb.GroupAction(hollow_triangle, A.perms, ["r"], False, 2,
+                         [((0, 0), ())])
+    with pytest.raises(VerificationError,
+                       match="relation 'r' 'r' = 1 fails at cell"):
+        hb.stellar_deformation_certificate(
+            hollow_triangle, bad, hollow_triangle.index[frozenset("ab")])
+
+
+def test_stellar_stage_stuck_when_a_stabilizer_moves_the_anchor():
+    # the flip fixes the edge xy and swaps its vertices, so it moves the
+    # anchor x of the orbit {xy}: carrying the anchor along the generators
+    # meets xy again with the anchor y
+    seg, A = seg_with_flip()
+    with pytest.raises(Stuck,
+                       match=r"stabilizer of cell \{x,y\} moves its anchor"):
+        hb.stellar_deformation_certificate(seg, A, seg.index[frozenset("xy")])
+
+
 def test_apply_orbit_step_codimension():
     # a cover relation jumping two dimensions is caught by the step checker
     K = hb.CellComplex.from_graded_cells([("v", 0, []), ("c", 2, ["v"])])

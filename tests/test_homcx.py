@@ -7,7 +7,7 @@ import pytest
 import hombox as hb
 from hombox import InvalidParams, SizeGuard
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, elements, itemwise_action
 
 
 def _nonempty_subsets(verts):
@@ -114,35 +114,36 @@ def test_action_on_multihoms():
 def test_hom_action_is_right_action_and_free(corpus):
     hom = hb.hom_complex(corpus["K3_122"])
     A = hom.action
-    assert A.order == 6
+    assert A.order == 6 and len(elements(A)) == 6
     A.verify()
     assert A.is_free()
-    n = len(hom.cx)
-    for g in range(6):
-        for h in range(6):
-            for x in range(n):
-                assert A.act(A.mult(g, h), x) == A.act(h, A.act(g, x))
+    perm = {s: [hom.cx.index[hb.action_on_multihoms(f, s)]
+                for f in hom.cx.payloads] for s in hb.s_r_labels(3)}
+    # right-action law: sigma then tau acts as sigma tau, j -> sigma(tau(j))
+    for g in perm:
+        for h in perm:
+            gh = tuple(g[h[j]] for j in range(3))
+            for x in range(len(hom.cx)):
+                assert perm[gh][x] == perm[h][perm[g][x]]
 
 
 def test_hom_action_matches_payload_level(corpus):
     hom = hb.hom_complex(corpus["K_4^3"])
     A = hom.action
-    for g, lab in enumerate(A.labels):
+    for p, lab in zip(A.perms, A.labels):
         for i, f in enumerate(hom.cx.payloads):
-            assert hom.cx.payloads[A.act(g, i)] == \
-                hb.action_on_multihoms(f, lab)
+            assert hom.cx.payloads[p[i]] == hb.action_on_multihoms(f, lab)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_hom_action_equals_per_cell_definition(name, corpus):
-    # the definition: (f sigma)(j) = f(sigma(j)), applied cell by cell
+    # the definition: (f sigma)(j) = f(sigma(j)), applied cell by cell, for
+    # every element; the generators generate exactly these permutations
     hom = hb.hom_complex(corpus[name])
     maps = [lambda f, s=s: tuple(f[s[j]] for j in range(len(f)))
-            for s in hom.action.labels]
-    want = hb.GroupAction.from_payload_maps(hom.cx, maps, hom.action.labels,
-                                            check=False)
-    assert hom.action.perms == want.perms
-    assert hom.action.labels == hb.s_r_labels(corpus[name].r)
+            for s in hb.s_r_labels(corpus[name].r)]
+    assert elements(hom.action) == itemwise_action(hom.cx, maps)
+    assert hom.action.labels == hb.s_r_generators(corpus[name].r)
 
 
 def test_hom_complex_of_complete_graph_r2(corpus):

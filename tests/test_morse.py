@@ -9,7 +9,7 @@ import hombox as hb
 from hombox import MatchingInvalid, NotInSigma
 from hombox.morse import classify_chain
 
-from conftest import small_rgraphs
+from conftest import elements, small_rgraphs
 
 FIX = frozenset([("a", "b")])                      # a product vertex
 
@@ -111,12 +111,11 @@ def test_matching_verify_and_acyclic(matchings):
 
 def test_matching_equivariance_explicit(matchings):
     M = matchings["K3_122"]
-    A = M.action
-    for g in range(A.order):
+    for p in elements(M.action):
         for x in M.sigma():
-            assert M.mu[A.act(g, x)] == A.act(g, M.mu[x])
+            assert M.mu[p[x]] == p[M.mu[x]]
         for x in range(len(M.sd)):
-            assert M.tags[A.act(g, x)] == M.tags[x]
+            assert M.tags[p[x]] == M.tags[x]
 
 
 def test_critical_cells_are_chains_of_products(matchings):

@@ -86,6 +86,31 @@ def test_load_rgraph_rejects(obj):
         hb.load_rgraph(obj)
 
 
+def test_load_rgraph_rejects_deep_nesting(tmp_path):
+    # past the JSON parser's recursion limit, as a string and as a file
+    deep = "[" * 200000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for obj in (deep, str(path)):
+        with pytest.raises(InputError, match="recursion depth"):
+            hb.load_rgraph(obj)
+
+
+def test_load_rgraph_rejects_unreadable_files(tmp_path):
+    # a missing file, a file that is not UTF-8 and a file that is not JSON
+    bad = tmp_path / "bad.json"
+    with pytest.raises(InputError, match="cannot read r-graph JSON"):
+        hb.load_rgraph(str(bad))
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InputError, match="cannot read r-graph JSON"):
+        hb.load_rgraph(str(bad))
+    bad.write_text("{,}")
+    with pytest.raises(InputError, match="cannot read r-graph JSON"):
+        hb.load_rgraph(str(bad))
+    with pytest.raises(InputError, match="cannot read r-graph JSON"):
+        hb.load_rgraph("{,}")
+
+
 def test_ordered_edges():
     H = hb.complete_rgraph(4, 3)
     oe = H.ordered_edges()
