@@ -30,9 +30,9 @@ assert x in M.sd.down[y]
 run = hb.matching_to_collapse(M.sd, M.action, M)
 cert = run.certificate
 print()
-print("collapse: %d whole-orbit stages, %d cells moved (= |Sigma|+|mu(Sigma)|)"
-      % (len(cert.stages), cert.total_cells_moved()))
-assert cert.total_cells_moved() == len(M.sigma()) + len(M.upper)
+print("collapse: %d whole-orbit steps, %d cells moved (= |Sigma|+|mu(Sigma)|)"
+      % (len(cert), run.cells_moved))
+assert run.cells_moved == len(M.sigma()) + len(M.upper)
 print("endpoint: %d cells == critical subcomplex" % len(run.final))
 
 # the endpoint is S_3-isomorphic to sd Hom(K_3^3, H)
@@ -40,17 +40,21 @@ iso = hb.verify_critical_isomorphism(M)
 print("sd Hom has %d chains; isomorphism onto the critical cells checked"
       % len(iso.map))
 
-# the certificate is replayable JSON: every step and fingerprint re-verified
+# the certificate is replayable JSON, one short row per step: replay
+# regenerates each orbit from the action and re-verifies every step and
+# fingerprint
 text = json.dumps(cert.to_json_obj())
 back = hb.DeformationCertificate.from_json_obj(json.loads(text))
 state = hb.replay_collapse_certificate(M.sd, M.action, back)
-print("replayed %d stages from %d bytes of JSON; %d cells alive"
-      % (len(back.stages), len(text), state.n_alive))
+print("replayed %d steps from %d bytes of JSON; %d cells alive"
+      % (len(back), len(text), state.n_alive))
+print("first step [direction, sigma, facet, after]: %s"
+      % json.dumps(back.to_json_obj()["runs"][0][1]))
 assert state.alive_ids() == sorted(M.critical)
 
 # tampering is detected
 obj = back.to_json_obj()
-obj["stages"][0][0] = "f" * 32
+obj["runs"][0][1][3] = "f" * 32
 try:
     hb.replay_collapse_certificate(
         M.sd, M.action, hb.DeformationCertificate.from_json_obj(obj))

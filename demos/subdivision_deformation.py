@@ -24,7 +24,7 @@ e = K.index[frozenset("ab")]
 st = hb.stellar_deformation_certificate(K, A, e)
 direct = hb.stellar_g_subdivision(K, A, e)
 print("starring the edge orbit: %d cells -> %d, certified in %d steps"
-      % (len(K), len(st.final), len(st.certificate.stages)))
+      % (len(K), len(st.final), len(st.certificate)))
 assert st.final.fingerprint_hex == direct.fingerprint_hex
 
 # the full composite: K deforms to (a complex isomorphic to) sd K.  The
@@ -33,9 +33,8 @@ assert st.final.fingerprint_hex == direct.fingerprint_hex
 sd = hb.barycentric_subdivision(K)
 d = hb.sd_deformation(K, A, hb.lift_action_to_order_complex(A, sd))
 print("sd deformation: %d steps; endpoint %d cells, sd K has %d chains"
-      % (len(d.certificate.stages), len(d.final), len(d.sd)))
-hb.verify_iso_ids(d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],
-                  d.final_action, d.sd_action)
+      % (len(d.certificate), len(d.final), len(d.sd)))
+hb.verify_iso_ids(d.final, d.sd, d.iso, d.final_action, d.sd_action)
 print("endpoint is Z_3-isomorphic to sd K (explicit table verified)")
 
 # a replay re-derives every cone universe in one cell store, checks its
@@ -53,7 +52,7 @@ sd_box = hb.barycentric_subdivision(box.cx)
 d2 = hb.sd_deformation(box.cx, box.action,
                        hb.lift_action_to_order_complex(box.action, sd_box))
 print("box(K3_122): %d cells deform to sd with %d chains in %d steps"
-      % (len(box.cx), len(d2.sd), len(d2.certificate.stages)))
+      % (len(box.cx), len(d2.sd), len(d2.certificate)))
 
 # with a non-free action the anchors can clash; the engine refuses instead
 # of producing an unverified deformation

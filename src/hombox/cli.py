@@ -30,6 +30,24 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _say(line):
+    """Print a progress line.  When the reader of standard output has gone
+    (a pipe into `grep -q`), the command goes on: it still writes its files
+    and returns its own exit code, and its output goes to the null
+    device."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Point the stream at the null device, so that writing out what it
+        # still holds, at the latest when the interpreter exits, succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems by raising InputError (exit 4)."""
 
@@ -117,9 +135,9 @@ def cmd_build(args):
     cx = build(H, mc)
     if kind.startswith("sd-"):
         cx = barycentric_subdivision(cx, max_cells=mc)
-    print("%s: %d cells" % (kind, len(cx)))
+    _say("%s: %d cells" % (kind, len(cx)))
     for d, n in enumerate(cx.dim_counts()):
-        print("  dim %d: %d" % (d, n))
+        _say("  dim %d: %d" % (d, n))
     if args.out:
         _write(args.out, canonical_json(cx.to_json_obj()))
     if args.dot:
@@ -132,10 +150,10 @@ def _check_or_write(path, payload, what):
         if _read(path, what) != payload:
             raise VerificationError(
                 "%s certificate %s does not match this run" % (what, path))
-        print("%s certificate %s verified" % (what, path))
+        _say("%s certificate %s verified" % (what, path))
     else:
         _write(path, payload)
-        print("%s certificate written to %s" % (what, path))
+        _say("%s certificate written to %s" % (what, path))
 
 
 def cmd_verify(args):
@@ -143,9 +161,9 @@ def cmd_verify(args):
     M = build_matching(H, max_cells=args.max_cells)
     verify_critical_isomorphism(M, max_cells=args.max_cells)
     if not M.d_cells():
-        print("D empty; complexes isomorphic")
+        _say("D empty; complexes isomorphic")
     else:
-        print(M.summary())
+        _say(M.summary())
     payload = canonical_json(M.to_json_obj())
     if args.certificate:
         _check_or_write(args.certificate, payload, "matching")
@@ -170,28 +188,28 @@ def cmd_theorem(args):
         cert = MainTheoremCertificate.from_json_obj(
             _read(path, "theorem", json.loads))
         replay_main_theorem(H, cert, max_cells=mc, matching=M)
-        print("theorem certificate %s replayed: %d stages ok"
-              % (path, len(cert.stages)))
+        _say("theorem certificate %s replayed: %d stages ok"
+             % (path, len(cert.stages)))
     else:
         cert = main_theorem_certificate(H, max_cells=mc, matching=M)
-        print("theorem certificate built: %d stages" % len(cert.stages))
+        _say("theorem certificate built: %d stages" % len(cert.stages))
         if path:
             _write(path, canonical_json(cert.to_json_obj()))
-            print("theorem certificate written to %s" % path)
+            _say("theorem certificate written to %s" % path)
     agree = homology_agreement(H, coeff=args.coeff, max_cells=mc,
                                matching=M)
     if not agree.agree:
         raise VerificationError(
             "homology disagrees: box %r vs hom %r"
             % (agree.box_report, agree.hom_report))
-    print("homology agrees: betti %s torsion %s"
-          % (agree.box_report["betti"], agree.box_report["torsion"]))
+    _say("homology agrees: betti %s torsion %s"
+         % (agree.box_report["betti"], agree.box_report["torsion"]))
     if args.out:
         report = {
             "agree": True,
             "betti": agree.box_report["betti"],
             "torsion": agree.box_report["torsion"],
-            "endpoints": cert.to_json_obj()["endpoints"],
+            "endpoints": ["%032x" % f for f in cert.endpoints],
         }
         _write(args.out, canonical_json(report))
     return 0

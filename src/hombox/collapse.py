@@ -5,7 +5,10 @@ Three layers live here:
 * Elementary G-collapses: remove a free cell orbit together with its facets
   (elementary_g_collapse), and a greedy whole-orbit engine that executes an
   equivariant acyclic matching as a sequence of such collapses
-  (matching_to_collapse).
+  (matching_to_collapse).  One primitive, apply_orbit_step, checks and
+  applies every orbit step, built or replayed: given the orbit's least cell
+  and its facet, it regenerates the orbit and the other facets from the
+  action's generators.
 
 * Stellar deformations: a stellar G-subdivision K -> sd_sigma(K) is certified
   as a zig-zag through the auxiliary complex L = K + cones over the closed
@@ -21,11 +24,16 @@ Three layers live here:
   store order, or its place after them for a cell the stage appended.
 
 * Certificates: a DeformationCertificate is a replayable list of orbit steps
-  (collapse or expand) with 128-bit state fingerprints before and after each
-  step.  Replay never trusts the certificate: parsing checks its schema,
-  every step re-verifies freeness, codimension, orbit closure and
+  (collapse or expand), one short row each: direction, the orbit's least
+  cell, its facet, and the 128-bit state fingerprint after the step.  The
+  steps of one stellar stage form a run that names its cone universe once.
+  Replay never trusts the certificate: parsing checks its schema, every
+  step regenerates its orbit and re-verifies freeness, codimension and
   equivariant facet alignment against a freshly built state, and every
   fingerprint is recomputed.  A failure names the step and its cell.
+  Version 1 certificates, which listed every orbit, its facets and the
+  fingerprint before each step, replay through the same primitive, which
+  also checks what they list.
 
 main_theorem_certificate chains these into a single machine-checkable
 witness that Hom(K_r^r, H) and B_edge(H) are simple-S_r-homotopy equivalent:
@@ -37,7 +45,7 @@ import heapq
 from bisect import bisect_left
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import compress
+from itertools import chain, compress
 
 from .boxcx import i_image_ids
 from .cellcx import (
@@ -69,6 +77,10 @@ from .errors import (
 )
 
 _MASK128 = (1 << 128) - 1
+# Step directions as certificates write them, with their names, and the
+# direction that undoes each.
+_DIRECTIONS = {"c": "collapse", "e": "expand"}
+_FLIP = {"c": "e", "e": "c"}
 _BARY_ENC = canon_bytes(BARY)
 _CONE_ENC = canon_bytes(CONE)
 
@@ -128,170 +140,178 @@ def _label(K, i):
     return fmt_payload(K.payloads[i])
 
 
-def _check_step_shape(state, action, step):
-    """Structural checks shared by both step directions.
+def apply_orbit_step(state, action, direction, sigma, facet):
+    """Verify an orbit step against the current state, then apply it.
 
-    Verifies the orbit is ascending, closed under the action and a single
-    orbit, and that the facet assignment is equivariant; raises
-    WrongCodimension if any facet is not one dimension above its cell,
-    OrbitNotIndependentlyFree if facets repeat."""
+    The step moves the orbit of cell sigma with one facet per member: sigma
+    gets `facet`, and a generator carries a member's facet to its image's.
+    The orbit and its facets come from a search along the generators
+    (_carry); unless the orbit is free, every generator must carry the
+    facets so, which covers the stabilizers.  direction "c" collapses the
+    orbit with its facets, "e" expands them.
+
+    Raises InputError for another direction; WrongCodimension if facet is
+    not one dimension above sigma; VerificationError if it does not cover
+    sigma, if sigma is not the least cell of its orbit, or if a stabilizer
+    moves the facet; OrbitNotIndependentlyFree if two members share their
+    facet; NotFree if a collapsed cell is not free in the alive set; and
+    VerificationError for an expansion whose cells are alive or lack a
+    face.  Returns the orbit as {member: facet}.
+    """
+    if direction not in ("c", "e"):
+        raise InputError("unknown step direction %r" % (direction,))
     K = state.cx
-    orbit = step["orbit"]
-    facets = step["facets"]
-    if len(orbit) != len(facets):
-        raise VerificationError("orbit and facet lists differ in length")
-    if list(orbit) != sorted(set(orbit)):
-        raise VerificationError("step orbit is not an ascending id list")
-    if step["sigma"] != orbit[0]:
+    if K.dims[facet] != K.dims[sigma] + 1:
+        raise WrongCodimension(
+            "facet %s of cell %s has codimension %d"
+            % (_label(K, facet), _label(K, sigma),
+               K.dims[facet] - K.dims[sigma]))
+    if sigma not in K.down[facet]:
+        raise VerificationError("cell %s is not a cover of cell %s"
+                                % (_label(K, facet), _label(K, sigma)))
+    orbit = _carry(action, sigma, facet, list.__getitem__, _facet_clash)
+    if min(orbit) != sigma:
         raise VerificationError("step sigma is not the orbit representative")
-    if len(set(facets)) != len(facets):
+    if len(set(orbit.values())) != len(orbit):
         raise OrbitNotIndependentlyFree("facets of one orbit coincide")
-    for m, f in zip(orbit, facets):
-        if K.dims[f] != K.dims[m] + 1:
-            raise WrongCodimension(
-                "facet %s of cell %s has codimension %d"
-                % (_label(K, f), _label(K, m), K.dims[f] - K.dims[m]))
-        if m not in K.down[f]:
-            raise VerificationError("cell %s is not a cover of cell %s"
-                                    % (_label(K, f), _label(K, m)))
-    if action is None:
-        return
-    # Search the orbit along the generators from orbit[0], checking closure
-    # and the facets on each edge; an edge back to a cell already met is
-    # rechecked, which covers the stabilizers, unless the orbit is free.
-    fac = dict(zip(orbit, facets))
-    free = len(orbit) == action.order
-    gens = list(zip(action.labels, action.perms))
-    todo = [orbit[0]]
-    seen = {orbit[0]}
-    for x in todo:
-        fx = fac[x]
-        for s, p in gens:
-            y = p[x]
-            if y not in seen:
-                if fac.get(y) != p[fx]:
-                    raise _step_clash(s, y in fac)
-                seen.add(y)
-                todo.append(y)
-            elif not free and fac[y] != p[fx]:
-                raise _step_clash(s, True)
-    if len(todo) != len(orbit):
+    alive, updeg = state.alive, state.updeg
+    if direction == "c":
+        for m, f in orbit.items():
+            if not (alive[m] and alive[f]):
+                raise NotFree(
+                    "collapse step touches dead cell %s" % _label(K, m))
+            if updeg[f] != 0:
+                raise NotFree(
+                    "facet %s is not maximal in the alive set" % _label(K, f))
+            if updeg[m] != 1:
+                raise NotFree(
+                    "cell %s has %d alive cofacets, so it is not free"
+                    % (_label(K, m), updeg[m]))
+        for m, f in orbit.items():
+            state.remove(f)
+            state.remove(m)
+        return orbit
+    for m, f in orbit.items():
+        if alive[m] or alive[f]:
+            raise VerificationError("expand step re-adds alive cell")
+        if updeg[m] != 0 or updeg[f] != 0:
+            raise VerificationError(
+                "expansion of cell %s would leave a dangling cofacet"
+                % _label(K, m))
+        for j in K.down[m]:
+            if not alive[j]:
+                raise VerificationError("expansion of cell %s lacks face %s"
+                                        % (_label(K, m), _label(K, j)))
+        for j in K.down[f]:
+            if j != m and not alive[j]:
+                raise VerificationError(
+                    "expansion of facet %s lacks face %s"
+                    % (_label(K, f), _label(K, j)))
+    for m, f in orbit.items():
+        state.add(m)
+        state.add(f)
+    return orbit
+
+
+def _check_listing(K, sigma, orbit, listed_orbit, listed_facets):
+    """A version 1 step lists the orbit and facets that the step's search
+    found (`orbit`, {member: facet}): they must be the same, the orbit
+    ascending."""
+    if len(listed_orbit) != len(listed_facets):
+        raise VerificationError("orbit and facet lists differ in length")
+    if listed_orbit != sorted(set(listed_orbit)):
+        raise VerificationError("step orbit is not an ascending id list")
+    if listed_orbit[0] != sigma:
+        raise VerificationError("step sigma is not the orbit representative")
+    unreached = set(listed_orbit) - orbit.keys()
+    if unreached:
         raise VerificationError(
             "step orbit is not a single group orbit: the generators do not "
             "reach cell %s from cell %s"
-            % (_label(K, min(set(orbit) - seen)), _label(K, orbit[0])))
+            % (_label(K, min(unreached)), _label(K, sigma)))
+    if len(listed_orbit) != len(orbit):
+        raise VerificationError(
+            "step orbit is not closed under the generators: it lacks cell %s"
+            % _label(K, min(orbit.keys() - set(listed_orbit))))
+    for m, f in zip(listed_orbit, listed_facets):
+        if orbit[m] != f:
+            raise VerificationError(
+                "facet assignment of the step is not equivariant: cell %s "
+                "lists facet %s, where the generators carry %s"
+                % (_label(K, m), _label(K, f), _label(K, orbit[m])))
 
 
-def _step_clash(s, closed):
-    if not closed:
-        return VerificationError(
-            "step orbit not closed under generator %r" % (s,))
+def _carry(L, start, value, move, clash):
+    """{cell: value} on the orbit of cell start, searched along the
+    generators of L, where start gets value and generator p takes the value
+    v at x to p[x] as move(p, v).  Unless the orbit is free (|G| cells),
+    each generator must take every cell's value to its image's, which
+    covers the stabilizers, or clash(generator label, image) is raised."""
+    family = {start: value}
+    todo = [start]
+    for x in todo:
+        v = family[x]
+        for p in L.perms:
+            if p[x] not in family:
+                family[p[x]] = move(p, v)
+                todo.append(p[x])
+    if len(family) < L.order:
+        for s, p in zip(L.labels, L.perms):
+            for x, v in family.items():
+                if family[p[x]] != move(p, v):
+                    raise clash(s, p[x])
+    return family
+
+
+def _facet_clash(s, cell):
     return VerificationError("facet assignment of the step is not "
                              "equivariant under generator %r" % (s,))
 
 
-def _carry(L, orbit, value, move, clash):
-    """{cell: value} on the orbit of orbit[0], searched along the
-    generators, where orbit[0] gets value and generator p takes the value v
-    at x to p[x] as move(p, v).  A cell met again must get the same value
-    again, which covers the stabilizers, or clash(generator label, cell) is
-    raised; a free orbit (|G| cells) has no stabilizer to recheck."""
-    free = len(orbit) == L.order
-    family = {orbit[0]: value}
-    todo = [orbit[0]]
-    for x in todo:
-        for s, p in zip(L.labels, L.perms):
-            if p[x] not in family:
-                family[p[x]] = move(p, family[x])
-                todo.append(p[x])
-            elif not free and family[p[x]] != move(p, family[x]):
-                raise clash(s, p[x])
-    return family
-
-
-def apply_orbit_step(state, action, step):
-    """Verify all preconditions of an orbit step against the current state,
-    then apply it.  Returns the list of cell ids removed (or added)."""
-    _check_step_shape(state, action, step)
-    orbit = step["orbit"]
-    facets = step["facets"]
-    K = state.cx
-    if step["direction"] == "collapse":
-        for m, f in zip(orbit, facets):
-            if not (state.alive[m] and state.alive[f]):
-                raise NotFree(
-                    "collapse step touches dead cell %s" % _label(K, m))
-            if state.updeg[f] != 0:
-                raise NotFree(
-                    "facet %s is not maximal in the alive set" % _label(K, f))
-            if state.updeg[m] != 1:
-                raise NotFree(
-                    "cell %s has %d alive cofacets, so it is not free"
-                    % (_label(K, m), state.updeg[m]))
-        touched = list(facets) + list(orbit)
-        for x in touched:
-            state.remove(x)
-        return touched
-    if step["direction"] == "expand":
-        for m, f in zip(orbit, facets):
-            if state.alive[m] or state.alive[f]:
-                raise VerificationError("expand step re-adds alive cell")
-            if state.updeg[m] != 0 or state.updeg[f] != 0:
-                raise VerificationError(
-                    "expansion of cell %s would leave a dangling cofacet"
-                    % _label(K, m))
-            for j in K.down[m]:
-                if not state.alive[j]:
-                    raise VerificationError(
-                        "expansion of cell %s lacks face %s"
-                        % (_label(K, m), _label(K, j)))
-            for j in K.down[f]:
-                if j != m and not state.alive[j]:
-                    raise VerificationError(
-                        "expansion of facet %s lacks face %s"
-                        % (_label(K, f), _label(K, j)))
-        touched = list(orbit) + list(facets)
-        for x in touched:
-            state.add(x)
-        return touched
-    raise InputError("unknown step direction %r" % (step["direction"],))
-
-
-def _flip_step(step):
-    out = dict(step)
-    out["direction"] = "expand" if step["direction"] == "collapse" else "collapse"
-    return out
-
-
-def _map_step(step, f):
-    """A copy of step with every cell id passed through f."""
-    out = dict(step)
-    out["sigma"] = f(step["sigma"])
-    out["orbit"] = [f(x) for x in step["orbit"]]
-    out["facets"] = [f(x) for x in step["facets"]]
-    return out
-
-
-def _replay_steps(state, action, entries, first, to_state):
-    """Apply certificate entries (before, after, step), numbered from
-    `first`, to state.  to_state(step) checks the step's ids and returns it
-    in state ids.  The state fingerprint must match before and after each
-    step; a failure names the step, its direction and its cell."""
-    for i, (before, after, step) in enumerate(entries, first):
+def _replay_steps(state, action, steps, first, to_state):
+    """Apply certificate steps, numbered from `first`, to state.
+    to_state(k) is the state id of certificate cell id k, or raises
+    InputError.  The state fingerprint must match after each step, and a
+    version 1 step's listed fields must hold too; a failure names the
+    step, its direction and its cell."""
+    for i, (direction, sigma, facet, after, *listed) in enumerate(steps,
+                                                                   first):
         s = None
         try:
-            s = to_state(step)
-            if state.fingerprint != before:
+            s = to_state(sigma)
+            if listed and listed[0] != state.fingerprint:
                 raise VerificationError("fingerprint drift before the step")
-            apply_orbit_step(state, action, s)
+            orbit = apply_orbit_step(state, action, direction, s,
+                                     to_state(facet))
+            if listed:
+                _check_listing(state.cx, s, orbit,
+                               list(map(to_state, listed[1])),
+                               list(map(to_state, listed[2])))
             if state.fingerprint != after:
                 raise VerificationError("fingerprint drift after the step")
         except (InputError, VerificationError) as e:
-            cell = "cell %s" % (step["sigma"],)
+            cell = "cell %s" % (sigma,)
             if s is not None:
-                cell += " " + fmt_payload(state.cx.payloads[s["sigma"]])
+                cell += " " + fmt_payload(state.cx.payloads[s])
             raise type(e)("step %d (%s at %s): %s"
-                          % (i, step["direction"], cell, e)) from e
+                          % (i, _DIRECTIONS[direction], cell, e)) from e
+
+
+def _undo(steps, before):
+    """The steps undone, last first: each becomes the opposite step and
+    ends where it began, `before` for the first step (a version 1 step
+    swaps its listed fingerprints instead).  Returns them and the
+    fingerprint the steps end at."""
+    back = []
+    for direction, sigma, facet, after, *listed in steps:
+        if listed:
+            back.append((_FLIP[direction], sigma, facet, listed[0], after,
+                         *listed[1:]))
+        else:
+            back.append((_FLIP[direction], sigma, facet, before))
+        before = after
+    back.reverse()
+    return back, before
 
 
 # ---------------------------------------------------------------------------
@@ -301,57 +321,91 @@ def _replay_steps(state, action, entries, first, to_state):
 class DeformationCertificate:
     """A replayable zig-zag of elementary G-collapses and G-expansions.
 
-    stages is a list of (fp_before, fp_after, step) with 128-bit integer
-    state fingerprints; endpoints are the fingerprints of the two end
-    complexes.  Steps acting inside an auxiliary universe carry its
-    fingerprint under the "universe" key.
+    endpoints are the 128-bit fingerprints of the two end complexes.  runs
+    is a list of (universe, steps), each with at least one step: the steps
+    of one stellar stage act in its cone universe, whose fingerprint the
+    run holds once; a collapse in a complex the caller names has one run
+    with universe None, or none if it has no step.  A step is the tuple
+    (direction, sigma, facet, after): "c" (collapse) or "e" (expand), the
+    least cell of the orbit, its facet, and the state fingerprint after the
+    step.  The state before a step is the previous step's after, or
+    endpoints[0]; replay regenerates the orbit and the other members'
+    facets from the action.  A step parsed from a version 1 certificate has
+    three more fields, its listed (before, orbit, facets), which replay
+    checks against the fingerprint chain and the regenerated orbit.
     """
 
-    def __init__(self, endpoints, stages):
+    def __init__(self, endpoints, runs):
         self.endpoints = tuple(endpoints)
-        self.stages = list(stages)
+        self.runs = list(runs)
 
     def __len__(self):
-        return len(self.stages)
+        return sum(len(steps) for _, steps in self.runs)
 
     def __eq__(self, other):
         return (isinstance(other, DeformationCertificate)
                 and self.endpoints == other.endpoints
-                and self.stages == other.stages)
+                and self.runs == other.runs)
 
     def reversed(self):
-        stages = [(a, b, _flip_step(s)) for (b, a, s) in reversed(self.stages)]
-        return DeformationCertificate(
-            (self.endpoints[1], self.endpoints[0]), stages)
+        """This certificate run backwards, each step undone.  Raises
+        VerificationError unless the last step ends at endpoints[1], since
+        no step of the reversed form holds that fingerprint."""
+        runs, before = [], self.endpoints[0]
+        for universe, steps in self.runs:
+            back, before = _undo(steps, before)
+            runs.append((universe, back))
+        if before != self.endpoints[1]:
+            raise VerificationError(
+                "the last step does not end at the end fingerprint")
+        return DeformationCertificate(self.endpoints[::-1], runs[::-1])
 
     def to_json_obj(self):
+        """The version 2 form: a run is [universe, step, ...] and a step
+        [direction, sigma, facet, after]."""
         return {
-            "endpoints": ["%032x" % f for f in self.endpoints],
-            "stages": [["%032x" % b, "%032x" % a, step]
-                       for (b, a, step) in self.stages],
+            "endpoints": [_hex(f) for f in self.endpoints],
+            "runs": [[None if u is None else _hex(u)]
+                     + [[d, s, f, _hex(a)] for d, s, f, a, *_ in steps]
+                     for u, steps in self.runs],
         }
 
     @classmethod
-    def from_json_obj(cls, obj):
-        """Parse the JSON form; raises InputError unless every field has
-        its type: hex fingerprints, and steps with a direction and
-        non-negative integer cell ids."""
+    def from_json_obj(cls, obj, version=2):
+        """Parse the JSON form of the given certificate version; raises
+        InputError unless every field has its type: hex fingerprints, and
+        steps with a direction and non-negative integer cell ids."""
         what = "deformation"
         _need(isinstance(obj, dict), what, "not an object")
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
-        rows = obj.get("stages")
-        _need(isinstance(rows, list), what, "stages is not a list")
-        stages = []
-        for k, row in enumerate(rows):
-            where = "step %d" % k
-            _need(isinstance(row, list) and len(row) == 3, what,
-                  "%s is not a [before, after, step] triple" % where)
-            before, after = _fingerprints(row[:2], what, where)
-            stages.append((before, after, _parse_step(row[2], where)))
-        return cls(endpoints, stages)
+        if version == 1:
+            return cls(endpoints, _parse_v1_runs(obj.get("stages")))
+        rows = obj.get("runs")
+        _need(isinstance(rows, list), what, "runs is not a list")
+        runs = []
+        k = 0
+        for j, row in enumerate(rows):
+            _need(isinstance(row, list) and len(row) > 1, what,
+                  "run %d is not a [universe, step, ...] list" % j)
+            universe = row[0]
+            if universe is not None:
+                universe = _fingerprint(universe, what, "run %d universe" % j)
+            steps = []
+            for step in row[1:]:
+                _need(isinstance(step, list) and len(step) == 4
+                      and step[0] in ("c", "e") and _is_id(step[1])
+                      and _is_id(step[2]), what,
+                      "step %d is not a [direction, sigma, facet, after] row"
+                      % k)
+                steps.append((step[0], step[1], step[2],
+                              _fingerprint(step[3], what, "step %d" % k)))
+                k += 1
+            runs.append((universe, steps))
+        return cls(endpoints, runs)
 
-    def total_cells_moved(self):
-        return sum(2 * len(s["orbit"]) for _, _, s in self.stages)
+
+def _hex(fingerprint):
+    return "%032x" % fingerprint
 
 
 def _need(ok, what, msg):
@@ -363,46 +417,69 @@ def _is_id(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _fingerprint(x, what, where):
+    """A fingerprint as the 32 lowercase hex digits it is written as."""
+    _need(isinstance(x, str) and len(x) == 32
+          and x.strip("0123456789abcdef") == "",
+          what, "%s is not a 32-digit hex fingerprint" % where)
+    return int(x, 16)
+
+
 def _fingerprints(obj, what, where):
     """A pair of hex fingerprint strings, as integers."""
-    _need(isinstance(obj, list) and len(obj) == 2
-          and all(isinstance(f, str) for f in obj),
-          what, "%s is not a pair of hex strings" % where)
-    try:
-        return tuple(int(f, 16) for f in obj)
-    except ValueError as e:
-        raise InputError("malformed %s certificate: %s: %s" % (what, where, e))
+    _need(isinstance(obj, list) and len(obj) == 2, what,
+          "%s is not a pair of hex strings" % where)
+    return tuple(_fingerprint(f, what, where) for f in obj)
 
 
-def _parse_step(step, where):
+def _parse_v1_runs(rows):
+    """The runs of a version 1 deformation certificate, whose rows are
+    [before, after, step] with step an object; consecutive steps with one
+    universe fingerprint (or none) form a run."""
     what = "deformation"
-    _need(isinstance(step, dict), what, "%s is not an object" % where)
-    _need(step.get("direction") in ("collapse", "expand"), what,
-          '%s: direction is not "collapse" or "expand"' % where)
-    _need(_is_id(step.get("sigma")), what,
-          "%s: sigma is not a cell id" % where)
-    for key in ("orbit", "facets"):
-        ids = step.get(key)
-        _need(isinstance(ids, list) and ids and all(map(_is_id, ids)), what,
-              "%s: %s is not a nonempty list of cell ids" % (where, key))
-    _need(isinstance(step.get("universe", ""), str), what,
-          "%s: universe is not a fingerprint string" % where)
-    return dict(step)
+    _need(isinstance(rows, list), what, "stages is not a list")
+    runs = []
+    for k, row in enumerate(rows):
+        where = "step %d" % k
+        _need(isinstance(row, list) and len(row) == 3, what,
+              "%s is not a [before, after, step] triple" % where)
+        before, after = _fingerprints(row[:2], what, where)
+        step = row[2]
+        _need(isinstance(step, dict), what, "%s is not an object" % where)
+        _need(step.get("direction") in ("collapse", "expand"), what,
+              '%s: direction is not "collapse" or "expand"' % where)
+        _need(_is_id(step.get("sigma")), what,
+              "%s: sigma is not a cell id" % where)
+        for key in ("orbit", "facets"):
+            ids = step.get(key)
+            _need(isinstance(ids, list) and ids and all(map(_is_id, ids)),
+                  what, "%s: %s is not a nonempty list of cell ids"
+                  % (where, key))
+        universe = step.get("universe")
+        if "universe" in step:
+            universe = _fingerprint(universe, what, "%s: universe" % where)
+        if not runs or runs[-1][0] != universe:
+            runs.append((universe, []))
+        runs[-1][1].append((step["direction"][0], step["sigma"],
+                            step["facets"][0], after, before,
+                            step["orbit"], step["facets"]))
+    return runs
 
 
 # ---------------------------------------------------------------------------
 # greedy whole-orbit engine
 
 
-def _run_greedy(state, action, mu, universe_hex=None):
+def _run_greedy(state, action, mu):
     """Collapse every matched pair of mu (cell -> facet), whole orbits at a
     time, smallest representative first among the ready orbits.
 
     Readiness of an orbit is monotone (a ready orbit stays ready until it is
     consumed), so taking the minimal ready representative each time
     reproduces a deterministic scan of the matched cells in id order.
-    Returns the recorded stages; raises Stuck if unmatched readiness never
-    arrives (which is exactly a cycle in the matching digraph).
+    Returns the steps as DeformationCertificate holds them; raises Stuck if
+    unmatched readiness never arrives (which is exactly a cycle in the
+    matching digraph).
     """
     sigma_ids = sorted(mu)
     orbs = action.orbits(sigma_ids)
@@ -434,23 +511,19 @@ def _run_greedy(state, action, mu, universe_hex=None):
     for k in range(len(orbs)):
         if ready(k):
             heapq.heappush(heap, (members[k][0], k))
-    stages = []
+    steps = []
     remaining = len(orbs)
     while heap:
         _, k = heapq.heappop(heap)
         if done[k] or not ready(k):
             continue
-        before = state.fingerprint
-        step = {"direction": "collapse", "sigma": members[k][0],
-                "orbit": list(members[k]), "facets": list(facets[k])}
-        if universe_hex is not None:
-            step["universe"] = universe_hex
-        removed = apply_orbit_step(state, action, step)
-        stages.append((before, state.fingerprint, step))
+        sigma = members[k][0]
+        orbit = apply_orbit_step(state, action, "c", sigma, mu[sigma])
+        steps.append(("c", sigma, mu[sigma], state.fingerprint))
         done[k] = True
         remaining -= 1
         seen = set()
-        for x in removed:
+        for x in chain(orbit, orbit.values()):
             for y in state.cx.down[x]:
                 if y in seen or not state.alive[y]:
                     continue
@@ -467,7 +540,7 @@ def _run_greedy(state, action, mu, universe_hex=None):
             "collapse stuck with %d orbit(s) remaining (first representative "
             "cell %d): the matching is not acyclic on the alive set"
             % (remaining, min(left)))
-    return stages
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -489,29 +562,29 @@ def _restrict_action(A, old2new, sub):
 def elementary_g_collapse(K, A, sigma):
     """Remove the orbit of the free cell sigma together with its free facets.
 
-    The facets come from free_facet, and the step is checked and applied by
-    apply_orbit_step: it raises NotFree if an orbit member is not a free
-    cell, WrongCodimension if its free facet is more than one dimension up,
-    and OrbitNotIndependentlyFree if two orbit members share their facet.
-    Returns GCollapse(cx, action, old2new, orbit, facets); exactly 2*|orbit|
-    cells are removed.
+    The least cell of the orbit gets its facet from free_facet, and the
+    step is checked and applied by apply_orbit_step: it raises NotFree if
+    an orbit member is not a free cell, WrongCodimension if its free facet
+    is more than one dimension up, and OrbitNotIndependentlyFree if two
+    orbit members share their facet.  Returns GCollapse(cx, action,
+    old2new, orbit, facets), the orbit ascending; exactly 2*|orbit| cells
+    are removed.
     """
-    orbit = list(A.orbit(sigma))
-    facets = []
-    for m in orbit:
-        f = free_facet(K, m)
-        if f is None:
-            raise NotFree("cell %s is not a free cell" % _label(K, m))
-        facets.append(f)
+    rep = A.orbit(sigma)[0]
+    f = free_facet(K, rep)
+    if f is None:
+        raise NotFree("cell %s is not a free cell" % _label(K, rep))
     state = CollapseState(K)
-    apply_orbit_step(state, A, {"direction": "collapse", "sigma": orbit[0],
-                                "orbit": orbit, "facets": facets})
+    orbit = apply_orbit_step(state, A, "c", rep, f)
     sub, old2new = K.subcomplex(state.alive_ids())
+    members = sorted(orbit)
     return GCollapse(sub, _restrict_action(A, old2new, sub), old2new,
-                     orbit, facets)
+                     members, [orbit[m] for m in members])
 
 
-CollapseRun = namedtuple("CollapseRun", "certificate final final_action old2new")
+# cells_moved counts the cells the collapse removed.
+CollapseRun = namedtuple("CollapseRun",
+                         "certificate final final_action old2new cells_moved")
 
 
 def matching_to_collapse(K, A, M):
@@ -524,8 +597,8 @@ def matching_to_collapse(K, A, M):
     matching).
     """
     state = CollapseState(K)
-    stages = _run_greedy(state, A, M.mu)
-    moved = sum(2 * len(s["orbit"]) for _, _, s in stages)
+    steps = _run_greedy(state, A, M.mu)
+    moved = len(K.payloads) - state.n_alive
     expect = len(M.sigma()) + len(M.upper)
     if moved != expect:
         raise VerificationError(
@@ -535,9 +608,10 @@ def matching_to_collapse(K, A, M):
         raise VerificationError(
             "collapse endpoint differs from the critical subcomplex")
     final, old2new = K.subcomplex(state.alive_ids())
-    cert = DeformationCertificate((K.fingerprint, final.fingerprint), stages)
+    cert = DeformationCertificate((K.fingerprint, final.fingerprint),
+                                  [(None, steps)] if steps else [])
     return CollapseRun(cert, final, _restrict_action(A, old2new, final),
-                       old2new)
+                       old2new, moved)
 
 
 CriticalIso = namedtuple(
@@ -575,14 +649,19 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
             % (cert.endpoints[0], state.fingerprint_hex))
     n = len(universe.payloads)
 
-    def in_universe(step):
-        orbit, facets = step["orbit"], step["facets"]
-        if not (0 <= step["sigma"] < n and min(orbit) >= 0 and max(orbit) < n
-                and min(facets) >= 0 and max(facets) < n):
+    def in_universe(k):
+        if not 0 <= k < n:
             raise InputError("a cell id is outside the %d-cell universe" % n)
-        return step
+        return k
 
-    _replay_steps(state, action, cert.stages, 0, in_universe)
+    first = 0
+    for universe_fp, steps in cert.runs:
+        if universe_fp is not None:
+            raise VerificationError(
+                "step %d names a stellar universe in a collapse certificate"
+                % first)
+        _replay_steps(state, action, steps, first, in_universe)
+        first += len(steps)
     if state.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
     return state
@@ -721,7 +800,7 @@ class _Universe:
         self.new = new
         self.n_live = store.n_alive
         self.size = store.n_alive + len(new)
-        self.fingerprint_hex = "%032x" % fingerprint
+        self.fingerprint = fingerprint
 
     def __len__(self):
         return self.size
@@ -745,12 +824,6 @@ class _Universe:
             else:
                 lo = mid + 1
         return k + lo
-
-    def to_local(self, step):
-        return _map_step(step, self.local_id)
-
-    def to_store(self, step):
-        return _map_step(step, self.store_id)
 
 
 def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
@@ -859,7 +932,7 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
             "no anchor rule for payloads of shape %r" % (type(pay).__name__,))
     if a_pay not in L.index:
         raise Stuck("anchor vertex %r is not a cell" % (a_pay,))
-    _carry(L, orbit, L.index[a_pay], list.__getitem__, lambda s, m: Stuck(
+    _carry(L, rep, L.index[a_pay], list.__getitem__, lambda s, m: Stuck(
         "the stabilizer of cell %s moves its anchor vertex: the cone cells "
         "admit no equivariant matching" % fmt_payload(L.payloads[m])))
     apex = apex_id[rep]
@@ -885,7 +958,7 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
         cone_cells.update(cone_id[(m, b)] for b in cof[m] | ring[m])
     partner = {}
     for part in _carry(
-            L, orbit, partner_rep,
+            L, rep, partner_rep,
             lambda p, d: dict(zip(map(p.__getitem__, d),
                                   map(p.__getitem__, d.values()))),
             lambda s, m: Stuck("a stabilizer of cell %s is incompatible "
@@ -924,11 +997,10 @@ def _stellar_stage(store, rep, simplicial, max_cells, replay=None):
     To build (replay None): leg A collapses the cone cells of L back onto K
     and is recorded reversed, as expansions K -> L; the cone cells are then
     restored, and leg B collapses the open stars and their cones, L ->
-    sd_rep(K).  To replay, `replay` is (universe fingerprint hex, entries,
-    index of the first entry): L's fingerprint is checked and the entries
-    applied from K.  Either way the store's live cells end as the stage's
-    end complex.  Returns (L as a _Universe, the stage's certificate entries
-    in L's ids).
+    sd_rep(K).  To replay, `replay` is the stage's run (universe
+    fingerprint, steps) and the number of its first step: L's fingerprint
+    is checked and the steps applied from K.  Either way the store's live cells end as the stage's
+    end complex.  Returns (L as a _Universe, the stage's steps in L's ids).
     """
     store.settle()
     if not store.alive[rep]:
@@ -938,27 +1010,27 @@ def _stellar_stage(store, rep, simplicial, max_cells, replay=None):
     U, apex_id, cone_id = _cone_universe(
         store, orbit, cof, ring, simplicial, max_cells)
     if replay is not None:
-        uhex, entries, first = replay
-        if U.fingerprint_hex != uhex:
+        (universe, steps), first = replay
+        if U.fingerprint != universe:
             raise VerificationError(
                 "step %d: universe fingerprint mismatch at schedule cell %d %s"
                 % (first, rep, fmt_payload(store.payloads[rep])))
-        _replay_steps(store, store, entries, first, U.to_store)
-        return U, entries
+        _replay_steps(store, store, steps, first, U.store_id)
+        return U, steps
 
     mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id,
                         simplicial)
     for x in U.new:
         store.add(x)
-    stages_a = _run_greedy(store, store, mu_a, U.fingerprint_hex)
+    steps_a = _run_greedy(store, store, mu_a)
     if any(store.alive[x] for x in U.new):
         raise Stuck("cone collapse did not retract the universe onto K")
     for x in U.new:
         store.add(x)
-    stages_b = _run_greedy(store, store, _leg_b_pairs(cof, cone_id),
-                           U.fingerprint_hex)
-    expand = [(a, b, _flip_step(s)) for (b, a, s) in reversed(stages_a)]
-    return U, [(b, a, U.to_local(s)) for b, a, s in expand + stages_b]
+    steps_b = _run_greedy(store, store, _leg_b_pairs(cof, cone_id))
+    expand = _undo(steps_a, U.fingerprint)[0]
+    local = U.local_id
+    return U, [(d, local(s), local(f), a) for d, s, f, a in expand + steps_b]
 
 
 StellarStage = namedtuple(
@@ -974,10 +1046,11 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
     payloads) or stellar_subdivision_poset (otherwise), cell for cell.
     """
     store = _CellStore(K, A)
-    _, stages = _stellar_stage(store, sigma, _is_simplicial(K), max_cells)
+    U, steps = _stellar_stage(store, sigma, _is_simplicial(K), max_cells)
     L, LA = store.complex(range(len(store.payloads)))
     final, old2new = L.subcomplex(store.alive_ids())
-    cert = DeformationCertificate((K.fingerprint, final.fingerprint), stages)
+    cert = DeformationCertificate((K.fingerprint, final.fingerprint),
+                                  [(U.fingerprint, steps)])
     return StellarStage(cert, L, LA, final,
                         _restrict_action(LA, old2new, final), old2new)
 
@@ -1032,12 +1105,12 @@ def sd_deformation(K, A, sd_action, max_cells=None):
     """
     simplicial = _is_simplicial(K)
     store = _CellStore(K, A)
-    stages = []
+    runs = []
     for ob in _schedule(K, A):
-        stages.extend(
-            _stellar_stage(store, ob[0], simplicial, max_cells)[1])
+        U, steps = _stellar_stage(store, ob[0], simplicial, max_cells)
+        runs.append((U.fingerprint, steps))
     cur, cur_action = store.complex(store.alive_ids())
-    cert = DeformationCertificate((K.fingerprint, cur.fingerprint), stages)
+    cert = DeformationCertificate((K.fingerprint, cur.fingerprint), runs)
     sd = sd_action.cx
     iso = verify_isomorphism(cur, sd, _flatten_map(K, simplicial),
                              cur_action, sd_action)
@@ -1046,32 +1119,24 @@ def sd_deformation(K, A, sd_action, max_cells=None):
 
 def replay_sd_deformation(K, A, cert, max_cells=None):
     """Replay an sd_deformation certificate: rebuild each cone universe from
-    the deterministic schedule, check its fingerprint against the steps'
-    "universe" key, re-verify and apply every step, and check the chained
-    state fingerprints.  Returns (final complex, final action)."""
+    the deterministic schedule, check its fingerprint against its run's,
+    re-verify and apply every step, and check the chained state
+    fingerprints.  Returns (final complex, final action)."""
     if cert.endpoints[0] != K.fingerprint:
         raise VerificationError("certificate does not start at this complex")
-    runs = []
-    for st in cert.stages:
-        u = st[2].get("universe")
-        if u is None:
-            raise VerificationError("subdivision step lacks a universe mark")
-        if runs and runs[-1][0] == u:
-            runs[-1][1].append(st)
-        else:
-            runs.append((u, [st]))
+    if any(universe is None for universe, _ in cert.runs):
+        raise VerificationError("subdivision step lacks a universe mark")
     schedule = _schedule(K, A)
-    if len(runs) != len(schedule):
+    if len(cert.runs) != len(schedule):
         raise VerificationError(
             "certificate has %d stages but the schedule needs %d"
-            % (len(runs), len(schedule)))
+            % (len(cert.runs), len(schedule)))
     simplicial = _is_simplicial(K)
     store = _CellStore(K, A)
     first = 0
-    for ob, (uhex, steps) in zip(schedule, runs):
-        _stellar_stage(store, ob[0], simplicial, max_cells,
-                       (uhex, steps, first))
-        first += len(steps)
+    for ob, run in zip(schedule, cert.runs):
+        _stellar_stage(store, ob[0], simplicial, max_cells, (run, first))
+        first += len(run[1])
     cur, cur_action = store.complex(store.alive_ids())
     if cur.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
@@ -1082,26 +1147,23 @@ def replay_sd_deformation(K, A, cert, max_cells=None):
 # the main theorem certificate
 
 
-def verify_iso_ids(K1, K2, pairs, A1=None, A2=None):
-    """Check that an explicit id-pair list is a (G-)isomorphism K1 -> K2.
+def verify_iso_ids(K1, K2, f, A1=None, A2=None):
+    """Check that the id list f, f[i] the image of K1 cell i, is a
+    (G-)isomorphism K1 -> K2.
 
-    Raises VerificationError with the offending cell; returns the map as a
-    list indexed by K1 ids."""
+    Raises VerificationError with the offending cell; returns f as a
+    list."""
     n = len(K1.payloads)
     if len(K2.payloads) != n:
         raise VerificationError("cell counts differ: %d vs %d"
                                 % (n, len(K2.payloads)))
-    if len(pairs) != n:
+    if len(f) != n:
         raise VerificationError("isomorphism table has %d rows, expected %d"
-                                % (len(pairs), n))
-    f = [None] * n
-    seen = set()
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n) or f[i] is not None or j in seen:
-            raise VerificationError("isomorphism table is not a bijection")
-        f[i] = j
-        seen.add(j)
-    return _check_iso(K1, K2, f, A1, A2)
+                                % (len(f), n))
+    if not all(_is_id(j) and j < n for j in f) or len(set(f)) != n:
+        raise VerificationError("isomorphism table is not a bijection of "
+                                "cell ids")
+    return _check_iso(K1, K2, list(f), A1, A2)
 
 
 class MainTheoremCertificate:
@@ -1116,6 +1178,11 @@ class MainTheoremCertificate:
       4. expand-to-sd-box       critical  ~>  sd B_edge  (reversed collapse)
       5. fold-box-subdivision   sd B_edge ≅ E_box
       6. desubdivide-box        E_box  ~>  B_edge  (reversed stellar stages)
+
+    Each stage is a dict with its "kind" and "name".  A deformation stage
+    holds its DeformationCertificate under "certificate"; an isomorphism
+    stage holds the fingerprints of its two complexes under "from" and
+    "to", and its "map": the list f in which f[i] is the image of cell i.
     """
 
     def __init__(self, endpoints, stages):
@@ -1128,44 +1195,81 @@ class MainTheoremCertificate:
                 and self.stages == other.stages)
 
     def to_json_obj(self):
-        return {"endpoints": ["%032x" % f for f in self.endpoints],
-                "stages": self.stages}
+        """The version 2 JSON form."""
+        stages = []
+        for s in self.stages:
+            if s["kind"] == "deformation":
+                stages.append(
+                    dict(s, certificate=s["certificate"].to_json_obj()))
+            else:
+                stages.append(dict(s, **{"from": _hex(s["from"]),
+                                         "to": _hex(s["to"])}))
+        return {"version": 2,
+                "endpoints": [_hex(f) for f in self.endpoints],
+                "stages": stages}
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Parse the JSON form; raises InputError unless every stage is an
-        object with a name and a kind, and carries what its kind needs: a
-        well-formed deformation certificate, or the from and to
-        fingerprints and a map of cell id pairs."""
+        """Parse the JSON form, version 2 or 1 (which has no version
+        field); raises InputError for another version, or unless every
+        stage is an object with a name and a kind, and carries what its
+        kind needs: a well-formed deformation certificate, or the from and
+        to fingerprints and a map of cell ids (of cell id pairs in version
+        1)."""
         what = "main theorem"
         _need(isinstance(obj, dict), what, "not an object")
+        version = obj.get("version", 1)
+        _need(version in (1, 2) and _is_id(version), what,
+              "unknown version %r" % (version,))
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
-        stages = obj.get("stages")
-        _need(isinstance(stages, list), what, "stages is not a list")
-        for k, s in enumerate(stages, 1):
+        rows = obj.get("stages")
+        _need(isinstance(rows, list), what, "stages is not a list")
+        stages = []
+        for k, s in enumerate(rows, 1):
             _need(isinstance(s, dict) and isinstance(s.get("name"), str),
                   what, "stage %d is not an object with a name" % k)
             where = "stage %d (%s)" % (k, s["name"])
+            stage = {"kind": s.get("kind"), "name": s["name"]}
             if s.get("kind") == "deformation":
                 _need("certificate" in s, what,
                       "%s has no certificate" % where)
                 try:
-                    DeformationCertificate.from_json_obj(s["certificate"])
+                    stage["certificate"] = DeformationCertificate \
+                        .from_json_obj(s["certificate"], version)
                 except InputError as e:
                     raise InputError("%s: %s" % (where, e)) from e
             elif s.get("kind") == "isomorphism":
                 _need(isinstance(s.get("from"), str)
                       and isinstance(s.get("to"), str),
                       what, "%s lacks its from and to fingerprints" % where)
-                pairs = s.get("map")
-                _need(isinstance(pairs, list)
-                      and all(isinstance(p, list) and len(p) == 2
-                              and _is_id(p[0]) and _is_id(p[1])
-                              for p in pairs),
-                      what, "%s: map is not a list of cell id pairs" % where)
+                stage["from"], stage["to"] = _fingerprints(
+                    [s["from"], s["to"]], what, where)
+                stage["map"] = _parse_map(s.get("map"), version, where)
             else:
                 _need(False, what, "%s has kind %r" % (where, s.get("kind")))
-        return cls(endpoints, list(stages))
+            stages.append(stage)
+        return cls(endpoints, stages)
+
+
+def _parse_map(obj, version, where):
+    """An isomorphism stage's map as the list f: a list of cell ids, or in
+    version 1 the rows [i, f[i]], one for each cell i."""
+    what = "main theorem"
+    if version == 2:
+        _need(isinstance(obj, list) and all(map(_is_id, obj)), what,
+              "%s: map is not a list of cell ids" % where)
+        return obj
+    _need(isinstance(obj, list)
+          and all(isinstance(p, list) and len(p) == 2
+                  and _is_id(p[0]) and _is_id(p[1]) for p in obj),
+          what, "%s: map is not a list of cell id pairs" % where)
+    f = [None] * len(obj)
+    for i, j in obj:
+        _need(i < len(f) and f[i] is None, what,
+              "%s: map rows are not one for each of cells 0 to %d"
+              % (where, len(f) - 1))
+        f[i] = j
+    return f
 
 
 # The six stages of a main theorem certificate, by name and kind.
@@ -1191,8 +1295,7 @@ def _stage(name):
 
 def _iso_stage(name, K1, K2, f):
     return {"kind": "isomorphism", "name": name,
-            "from": K1.fingerprint_hex, "to": K2.fingerprint_hex,
-            "map": [[i, j] for i, j in enumerate(f)]}
+            "from": K1.fingerprint, "to": K2.fingerprint, "map": list(f)}
 
 
 def main_theorem_certificate(H, max_cells=None, matching=None):
@@ -1222,16 +1325,16 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
         inv3[j] = i
     stages = [
         {"kind": "deformation", "name": "subdivide-hom",
-         "certificate": hom_def.certificate.to_json_obj()},
+         "certificate": hom_def.certificate},
         _iso_stage("unfold-hom-subdivision", hom_def.final, hom_def.sd,
                    hom_def.iso),
         _iso_stage("products-into-sd-box", crit.sd_hom, crit.critical,
                    crit.map),
         {"kind": "deformation", "name": "expand-to-sd-box",
-         "certificate": run.certificate.reversed().to_json_obj()},
+         "certificate": run.certificate.reversed()},
         _iso_stage("fold-box-subdivision", M.sd, box_def.final, inv3),
         {"kind": "deformation", "name": "desubdivide-box",
-         "certificate": box_def.certificate.reversed().to_json_obj()},
+         "certificate": box_def.certificate.reversed()},
     ]
     cert = MainTheoremCertificate(
         (M.hom.cx.fingerprint, M.box.cx.fingerprint), stages)
@@ -1272,27 +1375,25 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
     s = cert.stages
 
     with _stage("subdivide-hom"):
-        c0 = DeformationCertificate.from_json_obj(s[0]["certificate"])
         e_hom, e_hom_action = replay_sd_deformation(
-            M.hom.cx, M.hom.action, c0, max_cells=max_cells)
+            M.hom.cx, M.hom.action, s[0]["certificate"], max_cells=max_cells)
 
     with _stage("unfold-hom-subdivision"):
         sdh = barycentric_subdivision(M.hom.cx, max_cells=max_cells)
         sdh_action = lift_action_to_order_complex(M.hom.action, sdh)
-        if (s[1]["from"], s[1]["to"]) != (e_hom.fingerprint_hex,
-                                          sdh.fingerprint_hex):
+        if (s[1]["from"], s[1]["to"]) != (e_hom.fingerprint,
+                                          sdh.fingerprint):
             raise VerificationError("endpoints do not match")
         verify_iso_ids(e_hom, sdh, s[1]["map"], e_hom_action, sdh_action)
 
     with _stage("products-into-sd-box"):
         crit, crit_action, _ = critical_complex(M)
-        if (s[2]["from"], s[2]["to"]) != (sdh.fingerprint_hex,
-                                          crit.fingerprint_hex):
+        if (s[2]["from"], s[2]["to"]) != (sdh.fingerprint, crit.fingerprint):
             raise VerificationError("endpoints do not match")
         verify_iso_ids(sdh, crit, s[2]["map"], sdh_action, crit_action)
 
     with _stage("expand-to-sd-box"):
-        c3 = DeformationCertificate.from_json_obj(s[3]["certificate"])
+        c3 = s[3]["certificate"]
         if c3.endpoints != (crit.fingerprint, M.sd.fingerprint):
             raise VerificationError("endpoints do not match")
         replay_collapse_certificate(M.sd, M.action, c3,
@@ -1300,15 +1401,14 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
 
     # Stage 6 is replayed from its end, so its step numbers count from there.
     with _stage("desubdivide-box, replayed reversed"):
-        c5 = DeformationCertificate.from_json_obj(s[5]["certificate"])
+        c5 = s[5]["certificate"]
         e_box, e_box_action = replay_sd_deformation(
             M.box.cx, M.box.action, c5.reversed(), max_cells=max_cells)
         if c5.endpoints != (e_box.fingerprint, M.box.cx.fingerprint):
             raise VerificationError("endpoints do not match")
 
     with _stage("fold-box-subdivision"):
-        if (s[4]["from"], s[4]["to"]) != (M.sd.fingerprint_hex,
-                                          e_box.fingerprint_hex):
+        if (s[4]["from"], s[4]["to"]) != (M.sd.fingerprint, e_box.fingerprint):
             raise VerificationError("endpoints do not match")
         verify_iso_ids(M.sd, e_box, s[4]["map"], M.action, e_box_action)
     return True

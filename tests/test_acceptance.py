@@ -129,8 +129,7 @@ def test_ac5_collapse_execution(matchings):
 
         (run, iso), dt = timed(body)
         worst = max(worst, dt)
-        assert run.certificate.total_cells_moved() == (
-            len(M.sigma()) + len(M.upper))
+        assert run.cells_moved == len(M.sigma()) + len(M.upper)
         assert len(run.final) == len(M.critical)
         assert len(iso.map) == len(M.critical)
     assert worst < 120.0
@@ -161,9 +160,8 @@ def test_ac6_subdivision_deformation(matchings):
             d = hb.sd_deformation(K, A,
                                   hb.lift_action_to_order_complex(A, sd))
             assert len(d.final) == len(d.sd)
-            hb.verify_iso_ids(
-                d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],
-                d.final_action, d.sd_action)
+            hb.verify_iso_ids(d.final, d.sd, d.iso, d.final_action,
+                              d.sd_action)
         return None
 
     _, dt = timed(body)
@@ -269,7 +267,7 @@ def test_ac8_negative_controls(matchings):
         # tampered replayable certificate
         run = hb.matching_to_collapse(M.sd, M.action, M)
         obj = run.certificate.to_json_obj()
-        obj["stages"][0][0] = "f" * 32
+        obj["runs"][0][1][3] = "f" * 32
         bad_cert = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_collapse_certificate(M.sd, M.action, bad_cert)

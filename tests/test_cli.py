@@ -3,13 +3,19 @@ and certificate check-or-write flows."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hombox as hb
 from hombox.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+V1_K3_122 = ROOT / "tests" / "fixtures" / "theorem_v1_K3_122.json"
 
 
 @pytest.fixture()
@@ -224,7 +230,7 @@ def test_theorem_tampered_certificate(k3_112, tmp_path, capsys):
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 0
     capsys.readouterr()
     obj = json.loads(open(cert).read())
-    obj["stages"][2]["map"][0][1] = obj["stages"][2]["map"][1][1]
+    obj["stages"][2]["map"][0] = obj["stages"][2]["map"][1]
     with open(cert, "w") as fh:
         json.dump(obj, fh)
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 2
@@ -233,15 +239,33 @@ def test_theorem_tampered_certificate(k3_112, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def k3_122_theorem(tmp_path_factory):
-    """K3_122 and the theorem certificate the CLI writes for it: every
-    stage of it has steps."""
+    """K3_122 and its theorem certificates by version: the one the CLI
+    writes (2) and the fixture (1).  Every stage of each has steps."""
     d = tmp_path_factory.mktemp("k3_122")
     graph, cert = str(d / "k3_122.json"), str(d / "theorem.json")
     with open(graph, "w") as fh:
         fh.write(hb.complete_multipartite([1, 2, 2]).to_json_str())
     assert main(["theorem", "--input", graph, "--certificate", cert]) == 0
     with open(cert) as fh:
-        return graph, json.load(fh)
+        return graph, {1: json.loads(V1_K3_122.read_text()),
+                       2: json.load(fh)}
+
+
+def _replay_tampered(k3_122_theorem, version, tamper, tmp_path, capsys):
+    """Exit code and standard error of a replay of K3_122's certificate of
+    the given version after tamper(obj) edits it."""
+    graph, clean = k3_122_theorem
+    obj = json.loads(json.dumps(clean[version]))
+    tamper(obj)
+    cert = str(tmp_path / "theorem.json")
+    with open(cert, "w") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+    rc = main(["theorem", "--input", graph, "--certificate", cert])
+    return rc, capsys.readouterr().err
+
+
+# Tampers of a version 1 certificate: a step is [before, after, {...}].
 
 
 def _first_step(obj, stage):
@@ -287,29 +311,117 @@ def _bool_in_iso_map(obj):
     _id_outside_collapse_universe, _bool_in_iso_map])
 def test_theorem_malformed_certificate(k3_122_theorem, tamper, tmp_path,
                                        capsys):
-    graph, clean = k3_122_theorem
-    obj = json.loads(json.dumps(clean))
-    tamper(obj)
-    cert = str(tmp_path / "theorem.json")
-    with open(cert, "w") as fh:
-        json.dump(obj, fh)
-    capsys.readouterr()
-    assert main(["theorem", "--input", graph, "--certificate", cert]) == 4
-    assert "input error" in capsys.readouterr().err
+    rc, err = _replay_tampered(k3_122_theorem, 1, tamper, tmp_path, capsys)
+    assert rc == 4
+    assert "input error" in err
+
+
+# The same tampers of a version 2 certificate, whose steps are rows
+# [direction, sigma, facet, after], and two that only version 2 has.
+
+
+def _first_row(obj, stage):
+    return obj["stages"][stage]["certificate"]["runs"][0][1]
+
+
+def _drop_direction_v2(obj):
+    del _first_row(obj, 0)[0]
+
+
+def _bool_id_v2(obj):
+    _first_row(obj, 0)[1] = True
+
+
+def _negative_id_v2(obj):
+    _first_row(obj, 5)[2] = -1
+
+
+def _id_outside_stellar_universe_v2(obj):
+    _first_row(obj, 0)[1] = 10 ** 6
+
+
+def _id_outside_collapse_universe_v2(obj):
+    _first_row(obj, 3)[2] = 10 ** 6
+
+
+def _bool_in_iso_map_v2(obj):
+    obj["stages"][4]["map"][0] = True
+
+
+def _unknown_version(obj):
+    obj["version"] = 3
+
+
+def _universe_not_hex(obj):
+    obj["stages"][0]["certificate"]["runs"][0][0] = "z" * 32
+
+
+@pytest.mark.parametrize("tamper", [
+    _drop_direction_v2, _stage_not_an_object, _drop_certificate,
+    _bool_id_v2, _negative_id_v2, _id_outside_stellar_universe_v2,
+    _id_outside_collapse_universe_v2, _bool_in_iso_map_v2, _unknown_version,
+    _universe_not_hex])
+def test_theorem_malformed_certificate_v2(k3_122_theorem, tamper, tmp_path,
+                                          capsys):
+    rc, err = _replay_tampered(k3_122_theorem, 2, tamper, tmp_path, capsys)
+    assert rc == 4
+    assert "input error" in err
+
+
+def _v1_after_of_step_3(obj):
+    obj["stages"][5]["certificate"]["stages"][3][1] = "0" * 32
+
+
+def _v2_after_of_step_3(obj):
+    obj["stages"][5]["certificate"]["runs"][0][4][3] = "0" * 32
 
 
 def test_theorem_tampered_stage_names_stage_and_step(k3_122_theorem, tmp_path,
                                                      capsys):
-    graph, clean = k3_122_theorem
-    obj = json.loads(json.dumps(clean))
-    obj["stages"][5]["certificate"]["stages"][3][1] = "0" * 32
-    cert = str(tmp_path / "theorem.json")
-    with open(cert, "w") as fh:
-        json.dump(obj, fh)
-    capsys.readouterr()
-    assert main(["theorem", "--input", graph, "--certificate", cert]) == 2
-    err = capsys.readouterr().err
-    assert "desubdivide-box" in err and "step" in err
+    for version, tamper in ((1, _v1_after_of_step_3),
+                            (2, _v2_after_of_step_3)):
+        rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
+                                   capsys)
+        assert rc == 2
+        assert "desubdivide-box" in err and "step" in err
+
+
+class _ClosedStdout:
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+def test_theorem_with_closed_stdout(k3_122, tmp_path, monkeypatch):
+    # as in `hombox theorem ... | grep -q built`: the command still writes
+    # the certificate and the report, and exits with its own code
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    cert, rep = tmp_path / "theorem.json", tmp_path / "report.json"
+    assert main(["theorem", "--input", k3_122, "--certificate", str(cert),
+                 "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["agree"] is True
+    assert hb.replay_main_theorem(hb.complete_multipartite([1, 2, 2]),
+                                  json.loads(cert.read_text()))
+
+
+def test_theorem_into_a_closed_pipe(k3_112, tmp_path):
+    # a real pipe whose reader is gone before the first line: no traceback,
+    # exit 0, and the certificate is written
+    cert = tmp_path / "theorem.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hombox", "theorem", "--input", k3_112,
+         "--certificate", str(cert)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert json.loads(cert.read_text())["version"] == 2
 
 
 def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):

@@ -4,6 +4,7 @@ subdivision deformations, certificates, replay, and tamper detection."""
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,21 @@ from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
 from hombox.cli import canonical_json
 
 from conftest import z3_action
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def v1_fixture(name):
+    """The version 1 theorem certificate the CLI wrote for a corpus graph
+    before version 2, as JSON text."""
+    return (FIXTURES / ("theorem_v1_%s.json" % name.replace("^", "_"))
+            ).read_text()
+
+
+def v1_deformation(name, stage):
+    """Stage `stage` (0-based) of a version 1 fixture, parsed."""
+    obj = json.loads(v1_fixture(name))["stages"][stage]["certificate"]
+    return hb.DeformationCertificate.from_json_obj(obj, version=1)
 
 
 def seg_with_flip():
@@ -120,13 +136,9 @@ def test_apply_orbit_step_collapse_and_expand(solid_triangle):
     eab = solid_triangle.index[frozenset("ab")]
     top = solid_triangle.index[frozenset("abc")]
     st = hb.CollapseState(solid_triangle)
-    step = {"direction": "collapse", "sigma": eab,
-            "orbit": [eab], "facets": [top]}
-    assert sorted(hb.apply_orbit_step(st, A, step)) == sorted([eab, top])
+    assert hb.apply_orbit_step(st, A, "c", eab, top) == {eab: top}
     assert st.n_alive == 5
-    back = {"direction": "expand", "sigma": eab,
-            "orbit": [eab], "facets": [top]}
-    hb.apply_orbit_step(st, A, back)
+    assert hb.apply_orbit_step(st, A, "e", eab, top) == {eab: top}
     assert st.fingerprint == solid_triangle.fingerprint
 
 
@@ -138,30 +150,30 @@ def test_apply_orbit_step_rejections(solid_triangle):
     va = K.index[frozenset("a")]
     st = hb.CollapseState(K)
 
-    def step(**kw):
-        base = {"direction": "collapse", "sigma": eab,
-                "orbit": [eab], "facets": [top]}
-        base.update(kw)
-        return base
-
     with pytest.raises(WrongCodimension):
-        hb.apply_orbit_step(st, A, step(sigma=va, orbit=[va]))  # codim 2
-    with pytest.raises(VerificationError):
-        hb.apply_orbit_step(st, A, step(sigma=eac))         # not orbit[0]
+        hb.apply_orbit_step(st, A, "c", va, top)            # codim 2
     with pytest.raises(WrongCodimension):
-        hb.apply_orbit_step(st, A, step(facets=[eac]))      # codim 0
+        hb.apply_orbit_step(st, A, "c", eab, eac)           # codim 0
+    with pytest.raises(VerificationError, match="not a cover"):
+        hb.apply_orbit_step(st, A, "c", va, K.index[frozenset("bc")])
     with pytest.raises(InputError):
-        hb.apply_orbit_step(st, A, step(direction="sideways"))
-    with pytest.raises(OrbitNotIndependentlyFree):
-        hb.apply_orbit_step(st, A, step(
-            sigma=eab, orbit=[eab, eac], facets=[top, top]))
+        hb.apply_orbit_step(st, A, "sideways", eab, top)
     # a cell with two alive cofacets is not free
     with pytest.raises(NotFree):
-        hb.apply_orbit_step(st, A, step(sigma=va, orbit=[va], facets=[eab]))
+        hb.apply_orbit_step(st, A, "c", va, eab)
     # dead cells cannot be collapsed
     st2 = hb.CollapseState(K, alive=[va])
     with pytest.raises(NotFree):
-        hb.apply_orbit_step(st2, A, step())
+        hb.apply_orbit_step(st2, A, "c", eab, top)
+    # the flip swaps x and y and fixes xy: y is not the least cell of its
+    # orbit, and x and y share their facet
+    seg, flip = seg_with_flip()
+    x, y = seg.index[frozenset("x")], seg.index[frozenset("y")]
+    xy = seg.index[frozenset("xy")]
+    with pytest.raises(VerificationError, match="not the orbit represent"):
+        hb.apply_orbit_step(hb.CollapseState(seg), flip, "c", max(x, y), xy)
+    with pytest.raises(OrbitNotIndependentlyFree):
+        hb.apply_orbit_step(hb.CollapseState(seg), flip, "c", min(x, y), xy)
 
 
 def _explicit_action(K, name, moves):
@@ -172,10 +184,16 @@ def _explicit_action(K, name, moves):
         ["e", name], check=False)
 
 
-def _step(K, orbit, facets):
+def _replay_v1_step(K, A, orbit, facets):
+    """Replay, from all of K, a version 1 collapse certificate of one step
+    that lists the orbit and facets given as vertex names."""
     ids = [K.index[frozenset(c)] for c in orbit]
-    return {"direction": "collapse", "sigma": ids[0], "orbit": ids,
+    fp = "%032x" % K.fingerprint
+    step = {"direction": "collapse", "sigma": ids[0], "orbit": ids,
             "facets": [K.index[frozenset(f)] for f in facets]}
+    cert = hb.DeformationCertificate.from_json_obj(
+        {"endpoints": [fp, fp], "stages": [[fp, fp, step]]}, version=1)
+    hb.replay_collapse_certificate(K, A, cert)
 
 
 def test_step_closed_under_generators_but_two_orbits():
@@ -188,8 +206,7 @@ def test_step_closed_under_generators_but_two_orbits():
     with pytest.raises(VerificationError,
                        match=r"not a single group orbit.* reach cell \{p\} "
                              r"from cell \{a\}"):
-        hb.apply_orbit_step(hb.CollapseState(K), A,
-                            _step(K, "acpr", ["ab", "cd", "pq", "rs"]))
+        _replay_v1_step(K, A, "acpr", ["ab", "cd", "pq", "rs"])
 
 
 def test_step_facets_misaligned_by_a_stabilizer():
@@ -199,7 +216,8 @@ def test_step_facets_misaligned_by_a_stabilizer():
     A = _explicit_action(K, "flip", {"a": "b", "b": "a"})
     with pytest.raises(VerificationError,
                        match="not equivariant under generator 'flip'"):
-        hb.apply_orbit_step(hb.CollapseState(K), A, _step(K, "m", ["am"]))
+        hb.apply_orbit_step(hb.CollapseState(K), A, "c",
+                            K.index[frozenset("m")], K.index[frozenset("am")])
 
 
 def test_cone_cell_image_that_is_not_a_cone_cell():
@@ -245,20 +263,22 @@ def test_apply_orbit_step_codimension():
     A = hb.trivial_action(K)
     st = hb.CollapseState(K)
     with pytest.raises(WrongCodimension):
-        hb.apply_orbit_step(st, A, {
-            "direction": "collapse", "sigma": 0, "orbit": [0], "facets": [1]})
+        hb.apply_orbit_step(st, A, "c", 0, 1)
 
 
 def test_step_equivariance_enforced():
+    # orbit of x is {x, y}: a version 1 step listing only x is not
+    # action-closed
     seg, A = seg_with_flip()
-    vx = seg.index[frozenset("x")]
-    e = seg.index[frozenset("xy")]
-    st = hb.CollapseState(seg)
-    # orbit of x is {x, y}: a step listing only x is not action-closed
     with pytest.raises(VerificationError):
-        hb.apply_orbit_step(st, A, {
-            "direction": "collapse", "sigma": vx,
-            "orbit": [vx], "facets": [e]})
+        _replay_v1_step(seg, A, "x", ["xy"])
+    # the same with a free flip: the listed orbit lacks y
+    two = hb.CellComplex.from_simplices([frozenset("xa"), frozenset("yb")])
+    A2 = _explicit_action(two, "flip", {"x": "y", "y": "x", "a": "b",
+                                        "b": "a"})
+    with pytest.raises(VerificationError,
+                       match=r"not closed under the generators.* \{y\}"):
+        _replay_v1_step(two, A2, "x", ["xa"])
 
 
 # -- certificates -----------------------------------------------------------
@@ -282,15 +302,17 @@ def test_matching_to_collapse_bookkeeping(matchings):
     M = matchings["K3_122"]
     run = hb.matching_to_collapse(M.sd, M.action, M)
     cert = run.certificate
-    assert len(cert.stages) == 58
-    assert cert.total_cells_moved() == 696 == 2 * len(M.sigma())
+    assert len(cert) == 58
+    assert run.cells_moved == 696 == 2 * len(M.sigma())
     assert cert.endpoints[0] == M.sd.fingerprint
     assert cert.endpoints[1] == run.final.fingerprint
     # endpoint complex is exactly the critical subcomplex
     crit, crit_action, _ = hb.critical_complex(M)
     assert run.final.fingerprint_hex == crit.fingerprint_hex
     # the action is free, so every step moves a whole 6-element orbit
-    assert all(len(s["orbit"]) == 6 for _, _, s in cert.stages)
+    [(universe, steps)] = cert.runs
+    assert universe is None
+    assert all(len(M.action.orbit(s[1])) == 6 for s in steps)
 
 
 def test_replay_collapse_certificate_and_tampering(matchings):
@@ -300,29 +322,52 @@ def test_replay_collapse_certificate_and_tampering(matchings):
     state = hb.replay_collapse_certificate(M.sd, M.action, cert)
     assert state.alive_ids() == sorted(M.critical)
 
-    # tamper: swap two stages (fingerprint chain breaks)
-    obj = cert.to_json_obj()
-    obj["stages"][3], obj["stages"][4] = obj["stages"][4], obj["stages"][3]
-    bad = hb.DeformationCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError):
-        hb.replay_collapse_certificate(M.sd, M.action, bad)
+    def rejected(obj, version=2):
+        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        if version == 1:  # stage 4 of the theorem is the collapse reversed
+            bad = bad.reversed()
+        with pytest.raises(VerificationError):
+            hb.replay_collapse_certificate(M.sd, M.action, bad)
 
-    # tamper: drop one orbit member (equivariance check fires)
+    # the version 1 collapse of the fixture replays, and is this one
+    v1 = json.loads(v1_fixture("K3_122"))["stages"][3]["certificate"]
+    old = hb.DeformationCertificate.from_json_obj(v1, 1).reversed()
+    assert old.endpoints == cert.endpoints
+    assert hb.replay_collapse_certificate(
+        M.sd, M.action, old).alive_ids() == sorted(M.critical)
+
+    # tamper: swap two stages (fingerprint chain breaks)
+    obj = json.loads(json.dumps(v1))
+    obj["stages"][3], obj["stages"][4] = obj["stages"][4], obj["stages"][3]
+    rejected(obj, 1)
     obj = cert.to_json_obj()
-    step = dict(obj["stages"][0][2])
+    steps = obj["runs"][0]
+    steps[4], steps[5] = steps[5], steps[4]
+    rejected(obj)
+
+    # tamper: drop one orbit member (equivariance check fires); version 2
+    # lists no orbit, so there sigma becomes another member of its orbit
+    obj = json.loads(json.dumps(v1))
+    step = obj["stages"][0][2]
     step["orbit"] = step["orbit"][:-1]
     step["facets"] = step["facets"][:-1]
-    obj["stages"][0] = [obj["stages"][0][0], obj["stages"][0][1], step]
-    bad = hb.DeformationCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError):
-        hb.replay_collapse_certificate(M.sd, M.action, bad)
+    rejected(obj, 1)
+    obj = cert.to_json_obj()
+    sigma = obj["runs"][0][1][1]
+    obj["runs"][0][1][1] = M.action.orbit(sigma)[-1]
+    rejected(obj)
 
     # tamper: wrong endpoint fingerprint
+    for obj, version in ((json.loads(json.dumps(v1)), 1),
+                         (cert.to_json_obj(), 2)):
+        end = 0 if version == 1 else 1  # version 1 holds the reversal
+        obj["endpoints"][end] = "0" * 32
+        rejected(obj, version)
+
+    # tamper: a stellar universe named in a collapse
     obj = cert.to_json_obj()
-    obj["endpoints"] = [obj["endpoints"][0], "0" * 32]
-    bad = hb.DeformationCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError):
-        hb.replay_collapse_certificate(M.sd, M.action, bad)
+    obj["runs"][0][0] = "0" * 32
+    rejected(obj)
 
 
 def test_critical_isomorphism(matchings):
@@ -347,12 +392,12 @@ def test_stellar_deformation_matches_direct_subdivision(hollow_triangle):
     assert st.certificate.endpoints == (
         hollow_triangle.fingerprint, st.final.fingerprint)
     # expansions first (into the cone universe), then collapses
-    dirs = [s["direction"] for _, _, s in st.certificate.stages]
-    k = dirs.index("collapse")
-    assert all(d == "expand" for d in dirs[:k])
-    assert all(d == "collapse" for d in dirs[k:])
-    assert all(s.get("universe") == st.universe.fingerprint_hex
-               for _, _, s in st.certificate.stages)
+    [(universe, steps)] = st.certificate.runs
+    dirs = [s[0] for s in steps]
+    k = dirs.index("c")
+    assert all(d == "e" for d in dirs[:k])
+    assert all(d == "c" for d in dirs[k:])
+    assert universe == st.universe.fingerprint
 
 
 def test_stellar_deformation_product_square():
@@ -370,7 +415,7 @@ def test_sd_deformation_trivial_and_replay(solid_triangle):
     d = sd_deformation(solid_triangle, A)
     sd = hb.barycentric_subdivision(solid_triangle)
     assert len(d.final) == 25
-    assert len(d.certificate.stages) == 59
+    assert len(d.certificate) == 59
     assert d.sd.fingerprint_hex == sd.fingerprint_hex
     assert len(d.iso) == 25
     final, action = hb.replay_sd_deformation(
@@ -386,8 +431,7 @@ def test_sd_deformation_equivariant(hollow_triangle):
     assert len(d.final) == 12
     # iso maps the deformation endpoint onto sd equivariantly; verified
     # inside, but run the explicit table check end to end again
-    hb.verify_iso_ids(d.final, d.sd, [[i, j] for i, j in enumerate(d.iso)],
-                      d.final_action, d.sd_action)
+    hb.verify_iso_ids(d.final, d.sd, d.iso, d.final_action, d.sd_action)
 
 
 def test_sd_deformation_checks_the_subdivision_it_is_given(
@@ -431,19 +475,41 @@ def test_sd_deformation_stuck_on_reflection(hollow_triangle):
         sd_deformation(hollow_triangle, A)
 
 
-def test_replay_sd_deformation_tamper(solid_triangle):
+def test_replay_sd_deformation_tamper(solid_triangle, matchings):
+    # version 2: the triangle's deformation; version 1: the Hom deformation
+    # (stage 1) of the K_4^3 fixture
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
-    obj = d.certificate.to_json_obj()
-    obj["stages"][0][0] = "f" * 32
-    bad = hb.DeformationCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError):
-        hb.replay_sd_deformation(solid_triangle, A, bad)
-    obj = d.certificate.to_json_obj()
-    obj["endpoints"] = ["f" * 32, obj["endpoints"][1]]
-    bad = hb.DeformationCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError):
-        hb.replay_sd_deformation(solid_triangle, A, bad)
+    hom = matchings["K_4^3"].hom
+    v1 = json.loads(v1_fixture("K_4^3"))["stages"][0]["certificate"]
+    assert hb.replay_sd_deformation(
+        hom.cx, hom.action,
+        hb.DeformationCertificate.from_json_obj(v1, 1))[0] is not None
+    for K, A, version, clean in ((solid_triangle, A, 2,
+                                  d.certificate.to_json_obj()),
+                                 (hom.cx, hom.action, 1, v1)):
+        obj = json.loads(json.dumps(clean))
+        if version == 1:
+            obj["stages"][0][0] = "f" * 32
+        else:
+            obj["runs"][0][1][3] = "f" * 32
+        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        with pytest.raises(VerificationError):
+            hb.replay_sd_deformation(K, A, bad)
+        obj = json.loads(json.dumps(clean))
+        obj["endpoints"] = ["f" * 32, obj["endpoints"][1]]
+        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        with pytest.raises(VerificationError):
+            hb.replay_sd_deformation(K, A, bad)
+        # the universe of the first run (of the first step, in version 1)
+        obj = json.loads(json.dumps(clean))
+        if version == 1:
+            obj["stages"][0][2]["universe"] = "0" * 32
+        else:
+            obj["runs"][0][0] = "0" * 32
+        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        with pytest.raises(VerificationError):
+            hb.replay_sd_deformation(K, A, bad)
 
 
 # -- iso tables and the main theorem ----------------------------------------
@@ -453,15 +519,23 @@ def test_verify_iso_ids_rejects(hollow_triangle):
     K2 = hb.CellComplex.from_simplices(
         [frozenset("pq"), frozenset("qs"), frozenset("sp")])
     ren = {"a": "p", "b": "q", "c": "s"}
-    pairs = [[i, K2.index[frozenset(ren[v] for v in p)]]
-             for i, p in enumerate(hollow_triangle.payloads)]
-    assert hb.verify_iso_ids(hollow_triangle, K2, pairs)
-    bad = [list(x) for x in pairs]
-    bad[0][1] = bad[1][1]
+    f = [K2.index[frozenset(ren[v] for v in p)]
+         for p in hollow_triangle.payloads]
+    assert hb.verify_iso_ids(hollow_triangle, K2, f)
+    bad = list(f)
+    bad[0] = bad[1]
     with pytest.raises(VerificationError):
         hb.verify_iso_ids(hollow_triangle, K2, bad)
     with pytest.raises(VerificationError):
-        hb.verify_iso_ids(hollow_triangle, K2, pairs[:-1])
+        hb.verify_iso_ids(hollow_triangle, K2, f[:-1])
+    bad = list(f)
+    bad[0] = len(f)
+    with pytest.raises(VerificationError):
+        hb.verify_iso_ids(hollow_triangle, K2, bad)
+    # the [i, f(i)] rows of a version 1 table are not a map
+    with pytest.raises(VerificationError, match="bijection of cell ids"):
+        hb.verify_iso_ids(hollow_triangle, K2, [[i, j] for i, j in
+                                                enumerate(f)])
 
 
 def test_main_theorem_certificate_round_trip(matchings):
@@ -479,73 +553,149 @@ def test_main_theorem_certificate_round_trip(matchings):
 
 
 def test_main_theorem_tamper_detection(matchings):
+    # version 2: K3_112 built here; version 1: the K3_122 fixture
     M = matchings["K3_112"]
-    H = M.graph
-    cert = hb.main_theorem_certificate(H, matching=M)
-    clean = json.dumps(cert.to_json_obj())
+    cert = hb.main_theorem_certificate(M.graph, matching=M)
+    M1 = matchings["K3_122"]
+    for M, clean, version in ((M, json.dumps(cert.to_json_obj()), 2),
+                              (M1, v1_fixture("K3_122"), 1)):
+        H = M.graph
 
-    obj = json.loads(clean)
-    obj["stages"][2]["map"][0][1] = obj["stages"][2]["map"][1][1]
-    with pytest.raises(VerificationError):
-        hb.replay_main_theorem(
-            H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+        obj = json.loads(clean)
+        pairs = obj["stages"][2]["map"]
+        if version == 1:
+            pairs[0][1] = pairs[1][1]
+        else:
+            pairs[0] = pairs[1]
+        with pytest.raises(VerificationError):
+            hb.replay_main_theorem(
+                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
 
-    obj = json.loads(clean)
-    obj["endpoints"][0] = "1" * 32
-    with pytest.raises(VerificationError):
-        hb.replay_main_theorem(
-            H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+        obj = json.loads(clean)
+        obj["endpoints"][0] = "1" * 32
+        with pytest.raises(VerificationError):
+            hb.replay_main_theorem(
+                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
 
-    obj = json.loads(clean)
-    obj["stages"][0]["name"] = "warp"
-    with pytest.raises(VerificationError):
-        hb.replay_main_theorem(
-            H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+        obj = json.loads(clean)
+        obj["stages"][0]["name"] = "warp"
+        with pytest.raises(VerificationError):
+            hb.replay_main_theorem(
+                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+
+        # the end of the last step of stage 6, which its replay from the
+        # end starts from
+        obj = json.loads(clean)
+        box_def = obj["stages"][5]["certificate"]
+        if version == 1:
+            box_def["stages"][-1][1] = "0" * 32
+        else:
+            box_def["runs"][-1][-1][3] = "0" * 32
+        with pytest.raises(VerificationError):
+            hb.replay_main_theorem(
+                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
 
 
-# sha256 of the canonical JSON of the theorem certificate.  The values were
-# recorded when each stellar stage rebuilt its complexes from scratch; the
-# cell store must reproduce every certificate byte for byte.
-CERT_SHA256 = {
+# sha256 of the canonical JSON of the version 1 theorem certificates, the
+# fixtures.  The values were recorded when each stellar stage rebuilt its
+# complexes from scratch; the cell store reproduced every byte of them.
+CERT_V1_SHA256 = {
     "K_4^2": "352e87faec2699581fb8038aa9c11b9069f280fc05e617c7a7068685261ad3f5",
     "K_4^3": "5111d0f96caca58332e4d0c069a251a6bfad41ec52dfde3f34eb10fdd043870a",
     "K3_122": "ab699838870e9c2020059134884eec4ad6ab1487c930425dc29d6fd6146bb3c6",
 }
+# sha256 of the canonical JSON of the version 2 theorem certificates.
+CERT_V2_SHA256 = {
+    "K_4^2": "c107bd564e337bf8055dfa9b6616dff760007ec6f64ec04e2b7587ac5ddb8d6c",
+    "K_4^3": "b09312bd78ce4aeef74324b452a069dd3dc77848f9e265c75e47b3b325ab9356",
+    "K3_122": "c987c42901b8466eebb7e9b44318104940000ea547e15b9a765c368b22cdb1d3",
+}
 
 
-@pytest.mark.parametrize("name", sorted(CERT_SHA256))
+@pytest.mark.parametrize("name", sorted(CERT_V1_SHA256))
 def test_main_theorem_certificate_bytes_pinned(matchings, name):
+    # the version 1 fixtures keep their bytes and replay
+    M = matchings[name]
+    text = v1_fixture(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V1_SHA256[name]
+    assert hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
+
+
+@pytest.mark.parametrize("name", sorted(CERT_V2_SHA256))
+def test_main_theorem_certificate_v2_bytes_pinned(matchings, name):
     M = matchings[name]
     cert = hb.main_theorem_certificate(M.graph, matching=M)
     text = canonical_json(cert.to_json_obj())
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V2_SHA256[name]
+    # the version 1 fixture holds the same steps, endpoints and maps
+    old = hb.MainTheoremCertificate.from_json_obj(json.loads(v1_fixture(name)))
+    assert canonical_json(old.to_json_obj()) == text
 
 
 def test_replay_error_names_stage_and_step(matchings):
+    # version 2: K3_112 built here; version 1: the K3_122 fixture
+    pattern = (r"^desubdivide-box.*: step \d+ \((collapse|expand) at cell"
+               r" \d+ .+\): fingerprint drift")
     M = matchings["K3_112"]
-    H = M.graph
     obj = json.loads(json.dumps(
-        hb.main_theorem_certificate(H, matching=M).to_json_obj()))
+        hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()))
+    [run] = obj["stages"][5]["certificate"]["runs"][2:3]
+    run[len(run) // 2][3] = "f" * 32
+    bad = hb.MainTheoremCertificate.from_json_obj(obj)
+    with pytest.raises(VerificationError, match=pattern):
+        hb.replay_main_theorem(M.graph, bad, matching=M)
+
+    M = matchings["K3_122"]
+    obj = json.loads(v1_fixture("K3_122"))
     steps = obj["stages"][5]["certificate"]["stages"]
     steps[len(steps) // 2][0] = "f" * 32
     bad = hb.MainTheoremCertificate.from_json_obj(obj)
-    pattern = (r"^desubdivide-box.*: step \d+ \((collapse|expand) at cell"
-               r" \d+ .+\): fingerprint drift")
     with pytest.raises(VerificationError, match=pattern):
-        hb.replay_main_theorem(H, bad, matching=M)
+        hb.replay_main_theorem(M.graph, bad, matching=M)
 
 
-def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle):
+def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
+                                                      matchings):
+    # version 2: the triangle's deformation; version 1: the Hom deformation
+    # (stage 1) of the K_4^3 fixture
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
     obj = d.certificate.to_json_obj()
-    step = obj["stages"][0][2]
-    step["sigma"] = step["orbit"][0] = 10 ** 6
+    obj["runs"][0][1][1] = 10 ** 6
     bad = hb.DeformationCertificate.from_json_obj(obj)
     with pytest.raises(InputError, match="outside the .*universe"):
         hb.replay_sd_deformation(solid_triangle, A, bad)
     for value in (-1, True):
         obj = d.certificate.to_json_obj()
+        obj["runs"][0][1][2] = value
+        with pytest.raises(InputError, match="facet"):
+            hb.DeformationCertificate.from_json_obj(obj)
+
+    hom = matchings["K_4^3"].hom
+    clean = json.loads(v1_fixture("K_4^3"))["stages"][0]["certificate"]
+    obj = json.loads(json.dumps(clean))
+    step = obj["stages"][0][2]
+    step["sigma"] = step["orbit"][0] = 10 ** 6
+    bad = hb.DeformationCertificate.from_json_obj(obj, version=1)
+    with pytest.raises(InputError, match="outside the .*universe"):
+        hb.replay_sd_deformation(hom.cx, hom.action, bad)
+    for value in (-1, True):
+        obj = json.loads(json.dumps(clean))
         obj["stages"][0][2]["facets"] = [value]
         with pytest.raises(InputError, match="facets"):
-            hb.DeformationCertificate.from_json_obj(obj)
+            hb.DeformationCertificate.from_json_obj(obj, version=1)
+
+
+def test_certificate_versions(matchings):
+    # a certificate of another version, or none, is an input error; a
+    # version 2 deformation does not parse as version 1, nor the reverse
+    M = matchings["K_4^3"]
+    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    for version in (0, 3, True, "2", None, [2]):
+        with pytest.raises(InputError, match="unknown version"):
+            hb.MainTheoremCertificate.from_json_obj(dict(obj, version=version))
+    with pytest.raises(InputError, match="stages is not a list"):
+        hb.MainTheoremCertificate.from_json_obj(dict(obj, version=1))
+    old = json.loads(v1_fixture("K_4^3"))
+    with pytest.raises(InputError, match="runs is not a list"):
+        hb.MainTheoremCertificate.from_json_obj(dict(old, version=2))

@@ -1,13 +1,21 @@
 """Properties that hold for every r-graph, checked on random small ones:
 the theorem certificate builds and replays, box and Hom homology agree, and
 the Hom complex oriented by its product cells has the homology of its order
-complex."""
+complex.  And a property of replay: a theorem certificate with any one
+field changed is rejected with a HomboxError."""
 
+import json
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hombox as hb
 
 from conftest import small_rgraphs
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # Graphs whose sd B_edge(H) has more chains than this are skipped, to keep
 # the suite fast; most graphs on at most 5 vertices stay under it.
@@ -42,3 +50,78 @@ def test_homology_agrees_and_hom_needs_no_subdivision(H):
     sd_hom = hb.order_complex(M.hom.cx)
     for coeff in ("z", "z2"):
         assert hb.betti(M.hom.cx, coeff) == hb.betti(sd_hom, coeff)
+
+
+def _fields(obj, path=()):
+    """The paths of every field inside the JSON value obj, containers
+    included."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+_CERTS = {}
+
+
+def _certificate(version, matchings):
+    """K_4^3's theorem certificate of the given version, as JSON text, and
+    the paths of its fields: version 2 built here, version 1 the
+    fixture."""
+    if version not in _CERTS:
+        if version == 1:
+            text = (FIXTURES / "theorem_v1_K_4_3.json").read_text()
+        else:
+            M = matchings["K_4^3"]
+            text = json.dumps(hb.main_theorem_certificate(
+                M.graph, matching=M).to_json_obj())
+        _CERTS[version] = text, list(_fields(json.loads(text)))
+    return _CERTS[version]
+
+
+def _tampered(value, kind, shift):
+    """value replaced by a different one of the given kind."""
+    if kind == "shift":
+        return value + shift
+    if kind == "negative":
+        return -1
+    if kind == "bool":
+        return value is not True
+    if kind == "none":
+        return None
+    if kind == "string":
+        return "tampered"
+    return [] if value != [] else [0]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_single_field_tamper_is_rejected(matchings, version, data):
+    text, paths = _certificate(version, matchings)
+    obj = json.loads(text)
+    path = data.draw(st.sampled_from(paths), label="field")
+    *up, key = path
+    parent = obj
+    for k in up:
+        parent = parent[k]
+    value = parent[key]
+    kinds = ["negative", "bool", "none", "string", "list"]
+    if isinstance(value, int) and not isinstance(value, bool):
+        kinds.append("shift")
+    if isinstance(parent, dict):
+        kinds.append("drop")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "drop":
+        del parent[key]
+    else:
+        shift = data.draw(st.integers(1, 3) | st.integers(-3, -1),
+                          label="shift")
+        new = _tampered(value, kind, shift)
+        if new == value and type(new) is type(value):
+            return
+        parent[key] = new
+    M = matchings["K_4^3"]
+    with pytest.raises(hb.HomboxError):
+        hb.replay_main_theorem(M.graph, obj, matching=M)
