@@ -15,8 +15,11 @@ Three layers live here:
   stars of the orbit members.  Leg A collapses all cone cells of L back onto
   K (recorded reversed, as expansions K -> L); leg B collapses the open stars
   and their cone tops, L -> sd_sigma(K).  Composing one stage per orbit of K
-  (dimension descending) yields sd_deformation: a certificate from K to a
-  complex isomorphic to the barycentric subdivision sd K.  All stages of one
+  of positive dimension (dimension descending) yields sd_deformation: a
+  certificate from K to a complex isomorphic to the barycentric subdivision
+  sd K.  Starring at a vertex only renames it, so no stage stars a vertex
+  orbit: the end complex keeps each vertex of K, and the isomorphism onto
+  sd K maps it to its one-element chain.  All stages of one
   deformation, built or replayed, run in one append-only cell store: a stage
   appends its apex and cone cells and then works on alive flags, so it costs
   about its star, not the whole complex.  A step names a cell by its id in
@@ -31,9 +34,12 @@ Three layers live here:
   step regenerates its orbit and re-verifies freeness, codimension and
   equivariant facet alignment against a freshly built state, and every
   fingerprint is recomputed.  A failure names the step and its cell.
-  Version 1 certificates, which listed every orbit, its facets and the
-  fingerprint before each step, replay through the same primitive, which
-  also checks what they list.
+  The version decides the schedule of an sd-deformation: version 3 has one
+  run per orbit of positive dimension, versions 1 and 2 one per orbit, the
+  vertex orbits last, and they still replay with that schedule.  Version 1
+  certificates, which listed every orbit, its facets and the fingerprint
+  before each step, replay through the same primitive, which also checks
+  what they list.
 
 main_theorem_certificate chains these into a single machine-checkable
 witness that Hom(K_r^r, H) and B_edge(H) are simple-S_r-homotopy equivalent:
@@ -77,6 +83,8 @@ from .errors import (
 )
 
 _MASK128 = (1 << 128) - 1
+# The certificate format version this module builds and writes.
+VERSION = 3
 # Step directions as certificates write them, with their names, and the
 # direction that undoes each.
 _DIRECTIONS = {"c": "collapse", "e": "expand"}
@@ -333,11 +341,14 @@ class DeformationCertificate:
     facets from the action.  A step parsed from a version 1 certificate has
     three more fields, its listed (before, orbit, facets), which replay
     checks against the fingerprint chain and the regenerated orbit.
+    version is the format the certificate was built or parsed as; for an
+    sd-deformation it decides the schedule of its runs (_schedule).
     """
 
-    def __init__(self, endpoints, runs):
+    def __init__(self, endpoints, runs, version=VERSION):
         self.endpoints = tuple(endpoints)
         self.runs = list(runs)
+        self.version = version
 
     def __len__(self):
         return sum(len(steps) for _, steps in self.runs)
@@ -345,7 +356,8 @@ class DeformationCertificate:
     def __eq__(self, other):
         return (isinstance(other, DeformationCertificate)
                 and self.endpoints == other.endpoints
-                and self.runs == other.runs)
+                and self.runs == other.runs
+                and self.version == other.version)
 
     def reversed(self):
         """This certificate run backwards, each step undone.  Raises
@@ -358,11 +370,12 @@ class DeformationCertificate:
         if before != self.endpoints[1]:
             raise VerificationError(
                 "the last step does not end at the end fingerprint")
-        return DeformationCertificate(self.endpoints[::-1], runs[::-1])
+        return DeformationCertificate(self.endpoints[::-1], runs[::-1],
+                                      self.version)
 
     def to_json_obj(self):
-        """The version 2 form: a run is [universe, step, ...] and a step
-        [direction, sigma, facet, after]."""
+        """The form of versions 2 and 3: a run is [universe, step, ...] and
+        a step [direction, sigma, facet, after]."""
         return {
             "endpoints": [_hex(f) for f in self.endpoints],
             "runs": [[None if u is None else _hex(u)]
@@ -371,7 +384,7 @@ class DeformationCertificate:
         }
 
     @classmethod
-    def from_json_obj(cls, obj, version=2):
+    def from_json_obj(cls, obj, version=VERSION):
         """Parse the JSON form of the given certificate version; raises
         InputError unless every field has its type: hex fingerprints, and
         steps with a direction and non-negative integer cell ids."""
@@ -379,7 +392,7 @@ class DeformationCertificate:
         _need(isinstance(obj, dict), what, "not an object")
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
         if version == 1:
-            return cls(endpoints, _parse_v1_runs(obj.get("stages")))
+            return cls(endpoints, _parse_v1_runs(obj.get("stages")), 1)
         rows = obj.get("runs")
         _need(isinstance(rows, list), what, "runs is not a list")
         runs = []
@@ -401,7 +414,7 @@ class DeformationCertificate:
                               _fingerprint(step[3], what, "step %d" % k)))
                 k += 1
             runs.append((universe, steps))
-        return cls(endpoints, runs)
+        return cls(endpoints, runs, version)
 
 
 def _hex(fingerprint):
@@ -1063,50 +1076,72 @@ SdDeformation = namedtuple(
     "SdDeformation", "certificate final final_action sd sd_action iso")
 
 
-def _schedule(K, A):
-    """Orbits of K, dimension descending, representatives ascending."""
-    orbs = A.orbits()
+def _schedule(K, A, version):
+    """The orbits of K that the stellar stages of an sd-deformation of the
+    given certificate version star, dimension descending, representatives
+    ascending.  Version 3 stars every orbit of positive dimension; versions
+    1 and 2 star the vertex orbits too, last.  Starring at a vertex v cones
+    the link of v from a new apex, which is K again with v renamed, so from
+    version 3 on each vertex of K stays bare."""
+    low = 1 if version >= 3 else 0
+    orbs = [ob for ob in A.orbits() if K.dims[ob[0]] >= low]
     return sorted(orbs, key=lambda ob: (-K.dims[ob[0]], ob[0]))
 
 
 def _flatten_map(K, simplicial):
-    """Payload map from fully subdivided cells (apexes and nested cones over
-    cells of K) to chains of K-ids, i.e. cells of sd K."""
+    """Payload map from the cells of a version 3 sd-deformation's end
+    complex to chains of K-ids, i.e. cells of sd K.  Such a cell is built
+    from the apexes (BARY, payload of a cell of K) and the vertices of K,
+    which no stage stars: as tokens of a vertex set (simplicial), or
+    nested in cones (CONE, apex, base).  Raises VerificationError naming
+    the cell for any other part, as the map is only proposed and
+    verify_isomorphism certifies it."""
+    def k_id(cell, q, vertex):
+        i = K.index.get(q)
+        if i is None or (vertex and K.dims[i] != 0):
+            raise VerificationError(
+                "cell %s is not fully subdivided: %s is not a %s of K"
+                % (fmt_payload(cell), fmt_payload(q),
+                   "vertex" if vertex else "cell"))
+        return i
+
+    def is_apex(x):
+        return isinstance(x, tuple) and len(x) == 2 and x[0] == BARY
+
     if simplicial:
         def flat(p):
-            ids = []
-            for tok in p:
-                if not (isinstance(tok, tuple) and len(tok) == 2
-                        and tok[0] == BARY):
-                    raise VerificationError(
-                        "cell %r is not fully subdivided" % (p,))
-                ids.append(K.index[tok[1]])
-            return tuple(sorted(ids))
+            return tuple(sorted(
+                k_id(p, tok[1], False) if is_apex(tok)
+                else k_id(p, frozenset([tok]), True) for tok in p))
         return flat
 
     def flat(p):
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == BARY:
-            return (K.index[p[1]],)
-        if isinstance(p, tuple) and len(p) == 3 and p[0] == CONE:
-            return tuple(sorted(flat(p[2]) + flat(p[1])))
-        raise VerificationError("cell %r is not fully subdivided" % (p,))
+        def ids(x):
+            if is_apex(x):
+                return [k_id(p, x[1], False)]
+            if isinstance(x, tuple) and len(x) == 3 and x[0] == CONE:
+                return ids(x[2]) + ids(x[1])
+            return [k_id(p, x, True)]
+        return tuple(sorted(ids(p)))
     return flat
 
 
 def sd_deformation(K, A, sd_action, max_cells=None):
     """Certify K ~ (a complex isomorphic to) sd K by composing one stellar
-    stage per orbit of K, dimension descending, all in one cell store.
+    stage per orbit of K of positive dimension, dimension descending, all
+    in one cell store; the certificate is of version 3 (_schedule).
 
     sd_action is A lifted to sd = sd_action.cx, the barycentric subdivision
     of K, which the caller builds once (barycentric_subdivision, then
-    lift_action_to_order_complex).  Verifies that the end complex is
-    G-isomorphic to sd and returns
+    lift_action_to_order_complex).  Verifies that the end complex, in which
+    each vertex of K stands for its one-element chain, is G-isomorphic to
+    sd and returns
     SdDeformation(certificate, final, final_action, sd, sd_action, iso).
     """
     simplicial = _is_simplicial(K)
     store = _CellStore(K, A)
     runs = []
-    for ob in _schedule(K, A):
+    for ob in _schedule(K, A, VERSION):
         U, steps = _stellar_stage(store, ob[0], simplicial, max_cells)
         runs.append((U.fingerprint, steps))
     cur, cur_action = store.complex(store.alive_ids())
@@ -1119,14 +1154,15 @@ def sd_deformation(K, A, sd_action, max_cells=None):
 
 def replay_sd_deformation(K, A, cert, max_cells=None):
     """Replay an sd_deformation certificate: rebuild each cone universe from
-    the deterministic schedule, check its fingerprint against its run's,
-    re-verify and apply every step, and check the chained state
-    fingerprints.  Returns (final complex, final action)."""
+    the deterministic schedule of the certificate's version, check its
+    fingerprint against its run's, re-verify and apply every step, and
+    check the chained state fingerprints.  Returns (final complex, final
+    action)."""
     if cert.endpoints[0] != K.fingerprint:
         raise VerificationError("certificate does not start at this complex")
     if any(universe is None for universe, _ in cert.runs):
         raise VerificationError("subdivision step lacks a universe mark")
-    schedule = _schedule(K, A)
+    schedule = _schedule(K, A, cert.version)
     if len(cert.runs) != len(schedule):
         raise VerificationError(
             "certificate has %d stages but the schedule needs %d"
@@ -1183,19 +1219,25 @@ class MainTheoremCertificate:
     holds its DeformationCertificate under "certificate"; an isomorphism
     stage holds the fingerprints of its two complexes under "from" and
     "to", and its "map": the list f in which f[i] is the image of cell i.
+
+    version is the format the certificate is written as: 3 when built
+    here.  One parsed from version 1 or 2 holds runs at the vertex orbits,
+    so it is written as version 2, which has their schedule.
     """
 
-    def __init__(self, endpoints, stages):
+    def __init__(self, endpoints, stages, version=VERSION):
         self.endpoints = tuple(endpoints)
         self.stages = list(stages)
+        self.version = version
 
     def __eq__(self, other):
         return (isinstance(other, MainTheoremCertificate)
                 and self.endpoints == other.endpoints
-                and self.stages == other.stages)
+                and self.stages == other.stages
+                and self.version == other.version)
 
     def to_json_obj(self):
-        """The version 2 JSON form."""
+        """The JSON form of the certificate's version."""
         stages = []
         for s in self.stages:
             if s["kind"] == "deformation":
@@ -1204,13 +1246,13 @@ class MainTheoremCertificate:
             else:
                 stages.append(dict(s, **{"from": _hex(s["from"]),
                                          "to": _hex(s["to"])}))
-        return {"version": 2,
+        return {"version": self.version,
                 "endpoints": [_hex(f) for f in self.endpoints],
                 "stages": stages}
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Parse the JSON form, version 2 or 1 (which has no version
+        """Parse the JSON form, version 3, 2 or 1 (which has no version
         field); raises InputError for another version, or unless every
         stage is an object with a name and a kind, and carries what its
         kind needs: a well-formed deformation certificate, or the from and
@@ -1219,7 +1261,7 @@ class MainTheoremCertificate:
         what = "main theorem"
         _need(isinstance(obj, dict), what, "not an object")
         version = obj.get("version", 1)
-        _need(version in (1, 2) and _is_id(version), what,
+        _need(version in (1, 2, 3) and _is_id(version), what,
               "unknown version %r" % (version,))
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
         rows = obj.get("stages")
@@ -1248,14 +1290,14 @@ class MainTheoremCertificate:
             else:
                 _need(False, what, "%s has kind %r" % (where, s.get("kind")))
             stages.append(stage)
-        return cls(endpoints, stages)
+        return cls(endpoints, stages, max(version, 2))
 
 
 def _parse_map(obj, version, where):
     """An isomorphism stage's map as the list f: a list of cell ids, or in
     version 1 the rows [i, f[i]], one for each cell i."""
     what = "main theorem"
-    if version == 2:
+    if version >= 2:
         _need(isinstance(obj, list) and all(map(_is_id, obj)), what,
               "%s: map is not a list of cell ids" % where)
         return obj

@@ -15,7 +15,7 @@ import hombox as hb
 from hombox.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-V1_K3_122 = ROOT / "tests" / "fixtures" / "theorem_v1_K3_122.json"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 @pytest.fixture()
@@ -225,30 +225,21 @@ def test_theorem_z2(k32, capsys):
     assert "betti [1, 1]" in capsys.readouterr().out
 
 
-def test_theorem_tampered_certificate(k3_112, tmp_path, capsys):
-    cert = str(tmp_path / "theorem.json")
-    assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 0
-    capsys.readouterr()
-    obj = json.loads(open(cert).read())
-    obj["stages"][2]["map"][0] = obj["stages"][2]["map"][1]
-    with open(cert, "w") as fh:
-        json.dump(obj, fh)
-    assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 2
-    assert "verification failed" in capsys.readouterr().err
-
-
 @pytest.fixture(scope="module")
 def k3_122_theorem(tmp_path_factory):
     """K3_122 and its theorem certificates by version: the one the CLI
-    writes (2) and the fixture (1).  Every stage of each has steps."""
+    writes (3) and the fixtures (1 and 2).  Every deformation stage of each
+    has steps."""
     d = tmp_path_factory.mktemp("k3_122")
     graph, cert = str(d / "k3_122.json"), str(d / "theorem.json")
     with open(graph, "w") as fh:
         fh.write(hb.complete_multipartite([1, 2, 2]).to_json_str())
     assert main(["theorem", "--input", graph, "--certificate", cert]) == 0
+    certs = {v: json.loads((FIXTURES / ("theorem_v%d_K3_122.json" % v))
+                           .read_text()) for v in (1, 2)}
     with open(cert) as fh:
-        return graph, {1: json.loads(V1_K3_122.read_text()),
-                       2: json.load(fh)}
+        certs[3] = json.load(fh)
+    return graph, certs
 
 
 def _replay_tampered(k3_122_theorem, version, tamper, tmp_path, capsys):
@@ -263,6 +254,36 @@ def _replay_tampered(k3_122_theorem, version, tamper, tmp_path, capsys):
     capsys.readouterr()
     rc = main(["theorem", "--input", graph, "--certificate", cert])
     return rc, capsys.readouterr().err
+
+
+def _copy_iso_row(obj):
+    # stage 3's map sends cells 0 and 1 to one cell
+    rows = obj["stages"][2]["map"]
+    rows[0] = rows[1]
+
+
+def _copy_iso_row_v1(obj):
+    rows = obj["stages"][2]["map"]
+    rows[0][1] = rows[1][1]
+
+
+def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
+                                      capsys):
+    cert = str(tmp_path / "theorem.json")
+    assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 0
+    capsys.readouterr()
+    obj = json.loads(open(cert).read())
+    _copy_iso_row(obj)
+    with open(cert, "w") as fh:
+        json.dump(obj, fh)
+    assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 2
+    assert "verification failed" in capsys.readouterr().err
+    for version, tamper in ((1, _copy_iso_row_v1), (2, _copy_iso_row),
+                            (3, _copy_iso_row)):
+        rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
+                                   capsys)
+        assert rc == 2
+        assert "verification failed" in err
 
 
 # Tampers of a version 1 certificate: a step is [before, after, {...}].
@@ -316,8 +337,8 @@ def test_theorem_malformed_certificate(k3_122_theorem, tamper, tmp_path,
     assert "input error" in err
 
 
-# The same tampers of a version 2 certificate, whose steps are rows
-# [direction, sigma, facet, after], and two that only version 2 has.
+# The same tampers of a version 2 or 3 certificate, whose steps are rows
+# [direction, sigma, facet, after], and two that only these versions have.
 
 
 def _first_row(obj, stage):
@@ -349,7 +370,7 @@ def _bool_in_iso_map_v2(obj):
 
 
 def _unknown_version(obj):
-    obj["version"] = 3
+    obj["version"] = 4
 
 
 def _universe_not_hex(obj):
@@ -363,9 +384,11 @@ def _universe_not_hex(obj):
     _universe_not_hex])
 def test_theorem_malformed_certificate_v2(k3_122_theorem, tamper, tmp_path,
                                           capsys):
-    rc, err = _replay_tampered(k3_122_theorem, 2, tamper, tmp_path, capsys)
-    assert rc == 4
-    assert "input error" in err
+    for version in (2, 3):
+        rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
+                                   capsys)
+        assert rc == 4
+        assert "input error" in err
 
 
 def _v1_after_of_step_3(obj):
@@ -379,7 +402,8 @@ def _v2_after_of_step_3(obj):
 def test_theorem_tampered_stage_names_stage_and_step(k3_122_theorem, tmp_path,
                                                      capsys):
     for version, tamper in ((1, _v1_after_of_step_3),
-                            (2, _v2_after_of_step_3)):
+                            (2, _v2_after_of_step_3),
+                            (3, _v2_after_of_step_3)):
         rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
                                    capsys)
         assert rc == 2
@@ -421,7 +445,7 @@ def test_theorem_into_a_closed_pipe(k3_112, tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
-    assert json.loads(cert.read_text())["version"] == 2
+    assert json.loads(cert.read_text())["version"] == 3
 
 
 def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):
@@ -435,6 +459,30 @@ def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):
 def test_theorem_edgeless_graph(edgeless, capsys):
     assert main(["theorem", "--input", edgeless]) == 0
     assert "homology agrees" in capsys.readouterr().out
+
+
+def test_theorem_with_no_stellar_stage(tmp_path, capsys):
+    # box and Hom of K_3^3 are 0-dimensional, so both sd-deformations have
+    # no run; a run added to either of them is refused
+    graph = tmp_path / "k33.json"
+    graph.write_text(hb.complete_rgraph(3, 3).to_json_str())
+    cert = tmp_path / "theorem.json"
+    args = ["theorem", "--input", str(graph), "--certificate", str(cert)]
+    assert main(args) == 0
+    clean = json.loads(cert.read_text())
+    assert [clean["stages"][k]["certificate"]["runs"] for k in (0, 5)] \
+        == [[], []]
+    assert main(args) == 0
+    assert "replayed: 6 stages ok" in capsys.readouterr().out
+    for k in (0, 5):
+        obj = json.loads(json.dumps(clean))
+        runs = obj["stages"][k]["certificate"]["runs"]
+        fp = obj["stages"][k]["certificate"]["endpoints"][1]
+        runs.append([fp, ["e", 0, 1, fp]])
+        cert.write_text(json.dumps(obj))
+        assert main(args) == 2
+        assert re.search("certificate has 1 stages but the schedule needs 0",
+                         capsys.readouterr().err)
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -4,6 +4,7 @@ subdivision deformations, certificates, replay, and tamper detection."""
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import hombox as hb
 from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
+from hombox.cellcx import BARY, CONE, fmt_payload
 from hombox.cli import canonical_json
 
 from conftest import z3_action
@@ -18,17 +20,11 @@ from conftest import z3_action
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def v1_fixture(name):
-    """The version 1 theorem certificate the CLI wrote for a corpus graph
-    before version 2, as JSON text."""
-    return (FIXTURES / ("theorem_v1_%s.json" % name.replace("^", "_"))
-            ).read_text()
-
-
-def v1_deformation(name, stage):
-    """Stage `stage` (0-based) of a version 1 fixture, parsed."""
-    obj = json.loads(v1_fixture(name))["stages"][stage]["certificate"]
-    return hb.DeformationCertificate.from_json_obj(obj, version=1)
+def fixture(name, version):
+    """The theorem certificate of the given version, 1 or 2, that the CLI
+    wrote for a corpus graph before the next version, as JSON text."""
+    return (FIXTURES / ("theorem_v%d_%s.json"
+                        % (version, name.replace("^", "_")))).read_text()
 
 
 def seg_with_flip():
@@ -322,52 +318,63 @@ def test_replay_collapse_certificate_and_tampering(matchings):
     state = hb.replay_collapse_certificate(M.sd, M.action, cert)
     assert state.alive_ids() == sorted(M.critical)
 
-    def rejected(obj, version=2):
+    def rejected(obj, version):
         bad = hb.DeformationCertificate.from_json_obj(obj, version)
         if version == 1:  # stage 4 of the theorem is the collapse reversed
             bad = bad.reversed()
         with pytest.raises(VerificationError):
             hb.replay_collapse_certificate(M.sd, M.action, bad)
 
-    # the version 1 collapse of the fixture replays, and is this one
-    v1 = json.loads(v1_fixture("K3_122"))["stages"][3]["certificate"]
-    old = hb.DeformationCertificate.from_json_obj(v1, 1).reversed()
-    assert old.endpoints == cert.endpoints
-    assert hb.replay_collapse_certificate(
-        M.sd, M.action, old).alive_ids() == sorted(M.critical)
+    # the collapse of each fixture replays, and is this one
+    v1 = json.loads(fixture("K3_122", 1))["stages"][3]["certificate"]
+    for version in (1, 2):
+        obj = json.loads(fixture("K3_122", version))["stages"][3]
+        old = hb.DeformationCertificate.from_json_obj(
+            obj["certificate"], version).reversed()
+        assert old.endpoints == cert.endpoints
+        assert hb.replay_collapse_certificate(
+            M.sd, M.action, old).alive_ids() == sorted(M.critical)
+    # versions 2 and 3 write a collapse in the same rows
+    assert (hb.DeformationCertificate.from_json_obj(
+        json.loads(fixture("K3_122", 2))["stages"][3]["certificate"], 2)
+        .reversed().runs == cert.runs)
 
     # tamper: swap two stages (fingerprint chain breaks)
     obj = json.loads(json.dumps(v1))
     obj["stages"][3], obj["stages"][4] = obj["stages"][4], obj["stages"][3]
     rejected(obj, 1)
-    obj = cert.to_json_obj()
-    steps = obj["runs"][0]
-    steps[4], steps[5] = steps[5], steps[4]
-    rejected(obj)
+    for version in (2, 3):
+        obj = cert.to_json_obj()
+        steps = obj["runs"][0]
+        steps[4], steps[5] = steps[5], steps[4]
+        rejected(obj, version)
 
-    # tamper: drop one orbit member (equivariance check fires); version 2
-    # lists no orbit, so there sigma becomes another member of its orbit
+    # tamper: drop one orbit member (equivariance check fires); versions 2
+    # and 3 list no orbit, so there sigma becomes another member of its
+    # orbit
     obj = json.loads(json.dumps(v1))
     step = obj["stages"][0][2]
     step["orbit"] = step["orbit"][:-1]
     step["facets"] = step["facets"][:-1]
     rejected(obj, 1)
-    obj = cert.to_json_obj()
-    sigma = obj["runs"][0][1][1]
-    obj["runs"][0][1][1] = M.action.orbit(sigma)[-1]
-    rejected(obj)
+    for version in (2, 3):
+        obj = cert.to_json_obj()
+        sigma = obj["runs"][0][1][1]
+        obj["runs"][0][1][1] = M.action.orbit(sigma)[-1]
+        rejected(obj, version)
 
     # tamper: wrong endpoint fingerprint
     for obj, version in ((json.loads(json.dumps(v1)), 1),
-                         (cert.to_json_obj(), 2)):
+                         (cert.to_json_obj(), 2), (cert.to_json_obj(), 3)):
         end = 0 if version == 1 else 1  # version 1 holds the reversal
         obj["endpoints"][end] = "0" * 32
         rejected(obj, version)
 
     # tamper: a stellar universe named in a collapse
-    obj = cert.to_json_obj()
-    obj["runs"][0][0] = "0" * 32
-    rejected(obj)
+    for version in (2, 3):
+        obj = cert.to_json_obj()
+        obj["runs"][0][0] = "0" * 32
+        rejected(obj, version)
 
 
 def test_critical_isomorphism(matchings):
@@ -415,7 +422,7 @@ def test_sd_deformation_trivial_and_replay(solid_triangle):
     d = sd_deformation(solid_triangle, A)
     sd = hb.barycentric_subdivision(solid_triangle)
     assert len(d.final) == 25
-    assert len(d.certificate) == 59
+    assert len(d.certificate) == 23
     assert d.sd.fingerprint_hex == sd.fingerprint_hex
     assert len(d.iso) == 25
     final, action = hb.replay_sd_deformation(
@@ -475,19 +482,27 @@ def test_sd_deformation_stuck_on_reflection(hollow_triangle):
         sd_deformation(hollow_triangle, A)
 
 
+def hom_deformation(name, version):
+    """The JSON form of the Hom deformation (stage 1) of a fixture."""
+    return json.loads(fixture(name, version))["stages"][0]["certificate"]
+
+
 def test_replay_sd_deformation_tamper(solid_triangle, matchings):
-    # version 2: the triangle's deformation; version 1: the Hom deformation
-    # (stage 1) of the K_4^3 fixture
+    # version 3: the triangle's deformation; versions 1 and 2: the Hom
+    # deformation (stage 1) of the K_4^3 fixtures
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
     hom = matchings["K_4^3"].hom
-    v1 = json.loads(v1_fixture("K_4^3"))["stages"][0]["certificate"]
-    assert hb.replay_sd_deformation(
-        hom.cx, hom.action,
-        hb.DeformationCertificate.from_json_obj(v1, 1))[0] is not None
-    for K, A, version, clean in ((solid_triangle, A, 2,
+    for version in (1, 2):
+        assert hb.replay_sd_deformation(
+            hom.cx, hom.action, hb.DeformationCertificate.from_json_obj(
+                hom_deformation("K_4^3", version), version))[0] is not None
+    for K, A, version, clean in ((solid_triangle, A, 3,
                                   d.certificate.to_json_obj()),
-                                 (hom.cx, hom.action, 1, v1)):
+                                 (hom.cx, hom.action, 2,
+                                  hom_deformation("K_4^3", 2)),
+                                 (hom.cx, hom.action, 1,
+                                  hom_deformation("K_4^3", 1))):
         obj = json.loads(json.dumps(clean))
         if version == 1:
             obj["stages"][0][0] = "f" * 32
@@ -549,16 +564,19 @@ def test_main_theorem_certificate_round_trip(matchings):
     obj = json.loads(json.dumps(cert.to_json_obj()))
     back = hb.MainTheoremCertificate.from_json_obj(obj)
     assert back == cert
+    # the version decides the schedule, so it takes part in equality
+    assert back != hb.MainTheoremCertificate(back.endpoints, back.stages, 2)
     assert hb.replay_main_theorem(H, back, matching=M) is True
 
 
 def test_main_theorem_tamper_detection(matchings):
-    # version 2: K3_112 built here; version 1: the K3_122 fixture
+    # version 3: K3_112 built here; versions 1 and 2: the K3_122 fixtures
     M = matchings["K3_112"]
     cert = hb.main_theorem_certificate(M.graph, matching=M)
     M1 = matchings["K3_122"]
-    for M, clean, version in ((M, json.dumps(cert.to_json_obj()), 2),
-                              (M1, v1_fixture("K3_122"), 1)):
+    for M, clean, version in ((M, json.dumps(cert.to_json_obj()), 3),
+                              (M1, fixture("K3_122", 2), 2),
+                              (M1, fixture("K3_122", 1), 1)):
         H = M.graph
 
         obj = json.loads(clean)
@@ -604,11 +622,18 @@ CERT_V1_SHA256 = {
     "K_4^3": "5111d0f96caca58332e4d0c069a251a6bfad41ec52dfde3f34eb10fdd043870a",
     "K3_122": "ab699838870e9c2020059134884eec4ad6ab1487c930425dc29d6fd6146bb3c6",
 }
-# sha256 of the canonical JSON of the version 2 theorem certificates.
+# sha256 of the canonical JSON of the version 2 theorem certificates, the
+# fixtures, as the builder of version 2 wrote them.
 CERT_V2_SHA256 = {
     "K_4^2": "c107bd564e337bf8055dfa9b6616dff760007ec6f64ec04e2b7587ac5ddb8d6c",
     "K_4^3": "b09312bd78ce4aeef74324b452a069dd3dc77848f9e265c75e47b3b325ab9356",
     "K3_122": "c987c42901b8466eebb7e9b44318104940000ea547e15b9a765c368b22cdb1d3",
+}
+# sha256 of the canonical JSON of the version 3 theorem certificates.
+CERT_V3_SHA256 = {
+    "K_4^2": "ab8fc2a6469b7eee33271c34cc407c8543a6c3b6f98a665c29eb8651077584d2",
+    "K_4^3": "3e76d2ffc655de0a0de6b0041ee1750f4cbbf79d956186afff6f5b62e843f417",
+    "K3_122": "2e5716a45bbb06c68748ff321679e5674d2fc48b911439a0c7fa74f3f82ccd8e",
 }
 
 
@@ -616,63 +641,89 @@ CERT_V2_SHA256 = {
 def test_main_theorem_certificate_bytes_pinned(matchings, name):
     # the version 1 fixtures keep their bytes and replay
     M = matchings[name]
-    text = v1_fixture(name)
+    text = fixture(name, 1)
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V1_SHA256[name]
     assert hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V2_SHA256))
 def test_main_theorem_certificate_v2_bytes_pinned(matchings, name):
+    # the version 2 fixtures keep their bytes and replay, and the version 1
+    # fixture, parsed and written again, is its version 2 fixture
     M = matchings[name]
-    cert = hb.main_theorem_certificate(M.graph, matching=M)
-    text = canonical_json(cert.to_json_obj())
+    text = fixture(name, 2)
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V2_SHA256[name]
-    # the version 1 fixture holds the same steps, endpoints and maps
-    old = hb.MainTheoremCertificate.from_json_obj(json.loads(v1_fixture(name)))
+    cert = hb.MainTheoremCertificate.from_json_obj(json.loads(text))
+    assert cert.version == 2
+    assert hb.replay_main_theorem(M.graph, cert, matching=M)
+    assert canonical_json(cert.to_json_obj()) == text
+    old = hb.MainTheoremCertificate.from_json_obj(json.loads(fixture(name, 1)))
     assert canonical_json(old.to_json_obj()) == text
 
 
+@pytest.mark.parametrize("name", sorted(CERT_V3_SHA256))
+def test_main_theorem_certificate_v3_bytes_pinned(matchings, name):
+    M = matchings[name]
+    cert = hb.main_theorem_certificate(M.graph, matching=M)
+    text = canonical_json(cert.to_json_obj())
+    assert json.loads(text)["version"] == 3
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V3_SHA256[name]
+    assert hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
+    # the stages that star nothing are those of version 2
+    old = json.loads(fixture(name, 2))["stages"]
+    for k in (2, 3):
+        assert json.loads(text)["stages"][k] == old[k]
+
+
 def test_replay_error_names_stage_and_step(matchings):
-    # version 2: K3_112 built here; version 1: the K3_122 fixture
+    # version 3: K3_112 built here; versions 1 and 2: the K3_122 fixtures
     pattern = (r"^desubdivide-box.*: step \d+ \((collapse|expand) at cell"
                r" \d+ .+\): fingerprint drift")
     M = matchings["K3_112"]
-    obj = json.loads(json.dumps(
-        hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()))
-    [run] = obj["stages"][5]["certificate"]["runs"][2:3]
-    run[len(run) // 2][3] = "f" * 32
-    bad = hb.MainTheoremCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError, match=pattern):
-        hb.replay_main_theorem(M.graph, bad, matching=M)
+    built = json.dumps(
+        hb.main_theorem_certificate(M.graph, matching=M).to_json_obj())
+    M1 = matchings["K3_122"]
+    for M, clean in ((M, built), (M1, fixture("K3_122", 2))):
+        obj = json.loads(clean)
+        runs = obj["stages"][5]["certificate"]["runs"]
+        run = runs[len(runs) // 2]
+        run[len(run) // 2][3] = "f" * 32
+        bad = hb.MainTheoremCertificate.from_json_obj(obj)
+        with pytest.raises(VerificationError, match=pattern):
+            hb.replay_main_theorem(M.graph, bad, matching=M)
 
-    M = matchings["K3_122"]
-    obj = json.loads(v1_fixture("K3_122"))
+    obj = json.loads(fixture("K3_122", 1))
     steps = obj["stages"][5]["certificate"]["stages"]
     steps[len(steps) // 2][0] = "f" * 32
     bad = hb.MainTheoremCertificate.from_json_obj(obj)
     with pytest.raises(VerificationError, match=pattern):
-        hb.replay_main_theorem(M.graph, bad, matching=M)
+        hb.replay_main_theorem(M1.graph, bad, matching=M1)
 
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
                                                       matchings):
-    # version 2: the triangle's deformation; version 1: the Hom deformation
-    # (stage 1) of the K_4^3 fixture
+    # version 3: the triangle's deformation; version 2: the Hom deformation
+    # (stage 1) of the K_4^3 fixture, and version 1 that of its version 1
+    # fixture
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
-    obj = d.certificate.to_json_obj()
-    obj["runs"][0][1][1] = 10 ** 6
-    bad = hb.DeformationCertificate.from_json_obj(obj)
-    with pytest.raises(InputError, match="outside the .*universe"):
-        hb.replay_sd_deformation(solid_triangle, A, bad)
-    for value in (-1, True):
-        obj = d.certificate.to_json_obj()
-        obj["runs"][0][1][2] = value
-        with pytest.raises(InputError, match="facet"):
-            hb.DeformationCertificate.from_json_obj(obj)
-
     hom = matchings["K_4^3"].hom
-    clean = json.loads(v1_fixture("K_4^3"))["stages"][0]["certificate"]
+    for K, A, version, clean in ((solid_triangle, A, 3,
+                                  d.certificate.to_json_obj()),
+                                 (hom.cx, hom.action, 2,
+                                  hom_deformation("K_4^3", 2))):
+        obj = json.loads(json.dumps(clean))
+        obj["runs"][0][1][1] = 10 ** 6
+        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        with pytest.raises(InputError, match="outside the .*universe"):
+            hb.replay_sd_deformation(K, A, bad)
+        for value in (-1, True):
+            obj = json.loads(json.dumps(clean))
+            obj["runs"][0][1][2] = value
+            with pytest.raises(InputError, match="facet"):
+                hb.DeformationCertificate.from_json_obj(obj, version)
+
+    clean = hom_deformation("K_4^3", 1)
     obj = json.loads(json.dumps(clean))
     step = obj["stages"][0][2]
     step["sigma"] = step["orbit"][0] = 10 ** 6
@@ -687,15 +738,145 @@ def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
 
 
 def test_certificate_versions(matchings):
-    # a certificate of another version, or none, is an input error; a
-    # version 2 deformation does not parse as version 1, nor the reverse
+    # versions 1, 2 and 3 parse; a certificate of another version, or none,
+    # is an input error; a version 2 or 3 deformation does not parse as
+    # version 1, nor the reverse
     M = matchings["K_4^3"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
-    for version in (0, 3, True, "2", None, [2]):
+    assert obj["version"] == 3
+    assert hb.MainTheoremCertificate.from_json_obj(obj).version == 3
+    for version in (0, 4, True, "2", None, [2]):
         with pytest.raises(InputError, match="unknown version"):
             hb.MainTheoremCertificate.from_json_obj(dict(obj, version=version))
     with pytest.raises(InputError, match="stages is not a list"):
         hb.MainTheoremCertificate.from_json_obj(dict(obj, version=1))
-    old = json.loads(v1_fixture("K_4^3"))
-    with pytest.raises(InputError, match="runs is not a list"):
-        hb.MainTheoremCertificate.from_json_obj(dict(old, version=2))
+    old = json.loads(fixture("K_4^3", 1))
+    for version in (2, 3):
+        with pytest.raises(InputError, match="runs is not a list"):
+            hb.MainTheoremCertificate.from_json_obj(dict(old, version=version))
+    # a certificate parsed from version 1 or 2 is written as version 2
+    for version in (1, 2):
+        cert = hb.MainTheoremCertificate.from_json_obj(
+            json.loads(fixture("K_4^3", version)))
+        assert cert.version == 2
+        assert cert.to_json_obj()["version"] == 2
+
+
+# -- the vertex orbits, which no version 3 stage stars ------------------------
+
+
+def _corpus_complexes(matchings):
+    """(name, K, A, sd action) for the box and Hom complexes of the corpus;
+    the box's sd action is the matching's."""
+    for name, M in sorted(matchings.items()):
+        yield "box " + name, M.box.cx, M.box.action, M.action
+        sd = hb.barycentric_subdivision(M.hom.cx)
+        yield ("hom " + name, M.hom.cx, M.hom.action,
+               hb.lift_action_to_order_complex(M.hom.action, sd))
+
+
+def _renamed(E, S, orbit, simplicial):
+    """The id map E -> S of a stellar subdivision S of E at a vertex orbit
+    that renames each member m to its apex: a cell above m becomes the cone
+    from the apex over its one facet that is not above m."""
+    above = {c: m for m in orbit for c in E.cofaces(m)}
+    f = []
+    for i, p in enumerate(E.payloads):
+        m = above.get(i)
+        if m is not None:
+            apex = (BARY, E.payloads[m])
+            if i == m:
+                p = frozenset([apex]) if simplicial else apex
+            else:
+                [b] = [j for j in E.down[i] if above.get(j) != m]
+                p = (E.payloads[b] | {apex} if simplicial
+                     else (CONE, apex, E.payloads[b]))
+        f.append(S.index[p])
+    return f
+
+
+def test_starring_a_vertex_orbit_renames_it(matchings):
+    # the lemma version 3 rests on: where the version 2 schedule starred a
+    # vertex orbit of K, the complex E after the stages of positive
+    # dimension, the stellar subdivision is E with each member renamed to
+    # its apex, G-isomorphically.  A simplicial K (the box) is such a
+    # complex itself; a Hom complex is not, as starring a square at a
+    # corner cuts it in two triangles
+    for label, K, A, sd_action in _corpus_complexes(matchings):
+        simplicial = label.startswith("box")
+        d = hb.sd_deformation(K, A, sd_action)
+        positive = [ob for ob in A.orbits() if K.dims[ob[0]] > 0]
+        assert len(d.certificate.runs) == len(positive), label
+        assert all(u is not None and steps
+                   for u, steps in d.certificate.runs), label
+        vertex = next(i for i in range(len(K)) if K.dims[i] == 0)
+        stellar = (hb.stellar_g_subdivision if simplicial
+                   else hb.stellar_subdivision_poset)
+        pairs = [(d.final, d.final_action)]
+        if simplicial:
+            pairs.append((K, A))
+        for E, EA in pairs:
+            m = E.index[K.payloads[vertex]]
+            st = hb.stellar_deformation_certificate(E, EA, m)
+            assert (st.final.fingerprint
+                    == stellar(E, EA, m).fingerprint), label
+            f = _renamed(E, st.final, EA.orbit(m), simplicial)
+            hb.verify_iso_ids(E, st.final, f, EA, st.final_action)
+
+
+def test_version_3_rejects_vertex_runs(matchings):
+    # a vertex run appended to a version 3 deformation, and a version 2
+    # certificate relabelled as version 3, are refused naming both counts
+    M = matchings["K_4^3"]
+    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    v2 = json.loads(fixture("K_4^3", 2))
+    n3 = len(obj["stages"][0]["certificate"]["runs"])
+    n2 = len(v2["stages"][0]["certificate"]["runs"])
+    assert n2 > n3
+    obj["stages"][0]["certificate"]["runs"].append(
+        v2["stages"][0]["certificate"]["runs"][-1])
+    cases = [(obj, n3 + 1), (dict(v2, version=3), n2)]
+    for bad, runs in cases:
+        with pytest.raises(VerificationError,
+                           match=r"^subdivide-hom: certificate has %d stages "
+                                 r"but the schedule needs %d$" % (runs, n3)):
+            hb.replay_main_theorem(M.graph, bad, matching=M)
+
+
+def _crafted(E, old, new):
+    """E with the payload old replaced by new."""
+    return hb.CellComplex([new if p == old else p for p in E.payloads],
+                          E.dims, E.down)
+
+
+def test_flatten_map_names_a_cell_outside_k(solid_triangle):
+    # the end complex's payload map raises a VerificationError that names
+    # the cell, for a bare vertex that is not one of K and an apex of a
+    # cell that K lacks, simplicial and polytopal alike: each case replaces
+    # the payload old of the end complex by new, whose part q is at fault
+    from hombox.collapse import _flatten_map
+
+    def P(*sets):
+        return tuple(frozenset(s) for s in sets)
+
+    F = frozenset
+    K, _ = product_square()
+    for K, simplicial, cases in (
+            (solid_triangle, True, [
+                (F("a"), F("z"), F("z"), "vertex"),
+                (F([(BARY, F("ab"))]), F([(BARY, F("az"))]), F("az"),
+                 "cell")]),
+            (K, False, [
+                (P("a", "x"), P("c", "x"), P("c", "x"), "vertex"),
+                (P("a", "x"), P("ab", "x"), P("ab", "x"), "vertex"),
+                ((BARY, P("ab", "x")), (BARY, P("bc", "x")), P("bc", "x"),
+                 "cell")])):
+        d = sd_deformation(K, hb.trivial_action(K))
+        flat = _flatten_map(K, simplicial)
+        assert hb.verify_isomorphism(d.final, d.sd, flat) == d.iso
+        for old, new, q, kind in cases:
+            E = _crafted(d.final, old, new)
+            with pytest.raises(VerificationError, match="^%s$" % re.escape(
+                    "cell %s is not fully subdivided: %s is not a %s of K"
+                    % (fmt_payload(new), fmt_payload(q), kind))):
+                hb.verify_isomorphism(E, d.sd, flat)

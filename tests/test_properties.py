@@ -65,19 +65,21 @@ def _fields(obj, path=()):
 _CERTS = {}
 
 
-def _certificate(version, matchings):
-    """K_4^3's theorem certificate of the given version, as JSON text, and
-    the paths of its fields: version 2 built here, version 1 the
-    fixture."""
-    if version not in _CERTS:
-        if version == 1:
-            text = (FIXTURES / "theorem_v1_K_4_3.json").read_text()
+def _certificate(name, version, matchings):
+    """A corpus graph's theorem certificate of the given version, as JSON
+    text, and the paths of its fields: version 3 built here, versions 1 and
+    2 the fixtures."""
+    if (name, version) not in _CERTS:
+        if version < 3:
+            text = (FIXTURES / ("theorem_v%d_%s.json"
+                                % (version, name.replace("^", "_")))
+                    ).read_text()
         else:
-            M = matchings["K_4^3"]
+            M = matchings[name]
             text = json.dumps(hb.main_theorem_certificate(
                 M.graph, matching=M).to_json_obj())
-        _CERTS[version] = text, list(_fields(json.loads(text)))
-    return _CERTS[version]
+        _CERTS[name, version] = text, list(_fields(json.loads(text)))
+    return _CERTS[name, version]
 
 
 def _tampered(value, kind, shift):
@@ -95,11 +97,15 @@ def _tampered(value, kind, shift):
     return [] if value != [] else [0]
 
 
-@pytest.mark.parametrize("version", [1, 2])
+# K_4^3's expand-to-sd-box stage has no step; K3_122's has 58.
+@pytest.mark.parametrize("name, version", [
+    pytest.param("K_4^3", 1, id="1"), pytest.param("K_4^3", 2, id="2"),
+    pytest.param("K_4^3", 3, id="3"),
+    pytest.param("K3_122", 3, id="K3_122-3")])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_any_single_field_tamper_is_rejected(matchings, version, data):
-    text, paths = _certificate(version, matchings)
+def test_any_single_field_tamper_is_rejected(matchings, name, version, data):
+    text, paths = _certificate(name, version, matchings)
     obj = json.loads(text)
     path = data.draw(st.sampled_from(paths), label="field")
     *up, key = path
@@ -122,6 +128,6 @@ def test_any_single_field_tamper_is_rejected(matchings, version, data):
         if new == value and type(new) is type(value):
             return
         parent[key] = new
-    M = matchings["K_4^3"]
+    M = matchings[name]
     with pytest.raises(hb.HomboxError):
         hb.replay_main_theorem(M.graph, obj, matching=M)
