@@ -32,8 +32,9 @@ Conventions used throughout the package:
 """
 
 import hashlib
-from functools import reduce
-from itertools import combinations
+from collections import Counter
+from functools import cached_property, reduce
+from itertools import chain, combinations
 from math import factorial
 
 from .errors import (
@@ -134,21 +135,24 @@ def _digests(encodings, dims, down):
 class CellComplex:
     """A finite graded cell complex, stored as its face poset.
 
+    The cover relation is stored once, in down: down[i] is the tuple of the
+    faces of codimension one of cell i.  up (the cofacets of each cell) and
+    the up-degrees are derived from down on first use and kept, so a
+    complex that no caller asks for cofaces never builds them.
+
     The constructor is low-level and trusts its arguments; build complexes
     through from_graded_cells / from_simplices / order_complex and friends.
+    index, if given, is the payload -> id dict of payloads, which the
+    complex then keeps instead of building its own.
     """
 
-    def __init__(self, payloads, dims, down, digests=None):
+    def __init__(self, payloads, dims, down, digests=None, index=None):
         self.payloads = list(payloads)
         self.dims = list(dims)
         self.down = list(map(tuple, down))
         n = len(self.payloads)
-        up = [[] for _ in range(n)]
-        for i, dn in enumerate(self.down):
-            for j in dn:
-                up[j].append(i)
-        self.up = list(map(tuple, up))
-        self.index = dict(zip(self.payloads, range(n)))
+        self.index = (dict(zip(self.payloads, range(n))) if index is None
+                      else index)
         if len(self.index) != n:
             seen = set()
             for p in self.payloads:
@@ -265,6 +269,26 @@ class CellComplex:
                     stack.append(j)
         return seen
 
+    @cached_property
+    def up(self):
+        """The cofacets of each cell, as ascending id tuples."""
+        up = [[] for _ in self.payloads]
+        for i, dn in enumerate(self.down):
+            for j in dn:
+                up[j].append(i)
+        return list(map(tuple, up))
+
+    @cached_property
+    def _up_count(self):
+        """The number of cofacets of each cell, counted once from down."""
+        count = Counter(chain.from_iterable(self.down))
+        return list(map(count.__getitem__, range(len(self.payloads))))
+
+    def up_degrees(self):
+        """The number of cofacets of each cell, as a new list that the
+        caller may change."""
+        return list(self._up_count)
+
     def cofaces(self, i):
         """All cells >= i (including i)."""
         seen = {i}
@@ -284,7 +308,7 @@ class CellComplex:
         return out
 
     def maximal_ids(self):
-        return [i for i in range(len(self.payloads)) if not self.up[i]]
+        return [i for i, d in enumerate(self._up_count) if not d]
 
     @property
     def fingerprint_hex(self):
@@ -318,7 +342,14 @@ class CellComplex:
 
     def verify(self):
         """Check structural invariants; raise VerificationError on failure."""
-        for i in range(len(self.payloads)):
+        n = len(self.payloads)
+        for i in range(n):
+            for j in self.down[i]:
+                if type(j) is not int or not 0 <= j < n:
+                    raise VerificationError(
+                        "cover %r of cell %d is not a cell id in 0..%d"
+                        % (j, i, n - 1))
+        for i in range(n):
             d = self.dims[i]
             if d < 0:
                 raise VerificationError("negative dimension at cell %d" % i)
@@ -384,12 +415,15 @@ class GroupAction:
     generators and their relations (_presentation).  Given order and
     relations, check tests the relations on the cell permutations, and the
     caller vouches that they present a group of that order (symmetric);
-    transport carries both over unchecked."""
+    transport carries both over unchecked.  Given order, unchecked, the
+    action takes over the permutation lists in perms; otherwise it copies
+    them."""
 
     def __init__(self, cx, perms, labels, check=True, order=None,
                  relations=None):
         self.cx = cx
-        perms = [list(p) for p in perms]
+        perms = ([list(p) for p in perms] if check or order is None
+                 else list(perms))
         labels = list(labels)
         if len(labels) != len(perms):
             raise InputError("labels and permutations disagree in length")
@@ -441,7 +475,11 @@ class GroupAction:
     def transport(self, cx, perms):
         """This action on cx, where generator k acts by perms[k]: its image
         under a map that commutes with it (a lift to chains, a restriction
-        to an invariant subcomplex), so the relations still hold."""
+        to an invariant subcomplex), so the relations still hold.
+
+        The new action takes over perms and its lists, without copying
+        them: the caller passes lists it built for it and changes them no
+        more."""
         return GroupAction(cx, perms, self.labels, False, self.order,
                            self.relations)
 
@@ -607,9 +645,10 @@ def order_complex(K, max_cells=None):
     chains = [ch for chs in chains_from for ch in chs]
     del chains_from, above
     chains.sort(key=len)
-    index = dict(zip(chains, range(len(chains)))).__getitem__
+    index = dict(zip(chains, range(len(chains))))
+    id_of = index.__getitem__
     # Dropping a later member gives a smaller chain, so covers ascend.
-    down = [tuple([index(ch[:t] + ch[t + 1:])
+    down = [tuple([id_of(ch[:t] + ch[t + 1:])
                    for t in range(len(ch) - 1, -1, -1)])
             if len(ch) > 1 else () for ch in chains]
     part = [len(b).to_bytes(4, "big") + b
@@ -617,7 +656,7 @@ def order_complex(K, max_cells=None):
     dims = [len(ch) - 1 for ch in chains]
     digests = _digests([b"T" + b"".join(map(part, ch)) for ch in chains],
                        dims, down)
-    oc = CellComplex(chains, dims, down, digests)
+    oc = CellComplex(chains, dims, down, digests, index)
     oc.base = K
     return oc
 
@@ -753,7 +792,7 @@ def free_facet(K, i):
     """The unique facet strictly above i, if i is a proper face of exactly
     one facet of K; None otherwise (a facet itself is never free)."""
     cof = K.cofaces(i)
-    maximal = [c for c in cof if not K.up[c]]
+    maximal = [c for c in cof if not K._up_count[c]]
     if len(maximal) == 1 and maximal[0] != i:
         return maximal[0]
     return None

@@ -102,7 +102,8 @@ class CollapseState:
 
     Tracks, per cell, the number of alive cells covering it (updeg) and the
     order-independent fingerprint of the alive set, both maintained
-    incrementally under removals and additions.
+    incrementally under removals and additions.  With every cell alive,
+    updeg starts as a copy of the universe's up-degree count.
     """
 
     def __init__(self, universe, alive=None):
@@ -110,7 +111,7 @@ class CollapseState:
         n = len(universe.payloads)
         if alive is None:
             self.alive = [True] * n
-            self.updeg = list(map(len, universe.up))
+            self.updeg = universe.up_degrees()
         else:
             aset = set(alive)
             self.alive = [i in aset for i in range(n)]
@@ -728,7 +729,7 @@ class _CellStore(CollapseState):
         self.perms = [list(p) for p in A.perms]
         self.alive = [True] * n
         self.n_alive = n
-        self.updeg = [len(u) for u in K.up]
+        self.updeg = K.up_degrees()
         self.fingerprint = K.fingerprint
         self.dead = []        # ascending ids of the settled dead cells
         self.n_settled = n    # cells appended after this are not settled

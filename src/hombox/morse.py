@@ -190,7 +190,8 @@ def _find_cycle(M):
     succ = {}
     indeg = dict.fromkeys(sig, 0)
     for x in sig:
-        outs = [y for y in M.sd.down[M.mu[x]] if y != x and y in sigset]
+        outs = tuple([y for y in M.sd.down[M.mu[x]]
+                      if y != x and y in sigset])
         succ[x] = outs
         for y in outs:
             indeg[y] += 1

@@ -181,10 +181,33 @@ def test_order_complex_equals_reference(K):
     _assert_same_complex(hb.order_complex(K), _reference_order_complex(K))
 
 
+def _eager_up(K):
+    """The cofacets of each cell, built from down as the constructor once
+    did for every complex."""
+    up = [[] for _ in range(len(K))]
+    for i, dn in enumerate(K.down):
+        for j in dn:
+            up[j].append(i)
+    return [tuple(u) for u in up]
+
+
+def _assert_derived_covers(K):
+    """K's derived up, up-degrees and maximal cells equal the eager
+    construction, and the degrees and maximal cells build no up."""
+    up = _eager_up(K)
+    assert "up" not in vars(K)
+    assert K.maximal_ids() == [i for i in range(len(K)) if not up[i]]
+    assert K.up_degrees() == [len(u) for u in up]
+    assert "up" not in vars(K)
+    assert K.up == up
+    assert K.up_degrees() == [len(u) for u in K.up]
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_order_complex_of_corpus_equals_reference(name, corpus):
     H = corpus[name]
-    for cx in (hb.box_edge(H).cx, hb.hom_complex(H).cx):
+    hom = hb.hom_complex(H)
+    for cx in (hb.box_edge(H).cx, hom.cx):
         sd = hb.order_complex(cx)
         _assert_same_complex(sd, _reference_order_complex(cx))
         # the per-id encodings order_complex joins into a chain's digest
@@ -192,6 +215,29 @@ def test_order_complex_of_corpus_equals_reference(name, corpus):
                for b in (b"I%d" % i for i in range(len(cx)))]
         for ch in sd.payloads:
             assert b"T" + b"".join(enc[i] for i in ch) == canon_bytes(ch)
+        # the order complex keeps the index it numbered the chains by
+        assert sd.index == {ch: i for i, ch in enumerate(sd.payloads)}
+        _assert_derived_covers(sd)
+        # order_complex has read the cofaces of its base
+        assert cx.up == _eager_up(cx)
+        assert cx.up_degrees() == [len(u) for u in cx.up]
+        assert cx.maximal_ids() == [i for i, u in enumerate(cx.up) if not u]
+    top = hom.cx.cells_of_dim(hom.cx.max_dim)[0]
+    stage = hb.stellar_deformation_certificate(hom.cx, hom.action, top)
+    _assert_derived_covers(stage.final)
+    _assert_derived_covers(hb.CellComplex.empty())
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_verify_rejects_cover_ids_out_of_range(bad):
+    # -1 would read as the last cell; 3 is past it
+    K = hb.CellComplex(["a", "ab", "b"], [0, 1, 0], [(), (bad,), ()],
+                       digests=[1, 2, 3])
+    with pytest.raises(VerificationError,
+                       match=r"cover %d of cell 1 is not a cell id" % bad):
+        K.verify()
+    ok = hb.CellComplex(["a", "ab", "b"], [0, 1, 0], [(), (0, 2), ()])
+    assert ok.verify() is True
 
 
 def test_order_complex_encodes_no_chain(corpus, monkeypatch):

@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 import hombox as hb
+from hombox import collapse
 from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
 from hombox.cellcx import BARY, CONE, fmt_payload
 from hombox.cli import canonical_json
 
-from conftest import z3_action
+from conftest import elements, z3_action
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -375,6 +376,83 @@ def test_replay_collapse_certificate_and_tampering(matchings):
         obj = cert.to_json_obj()
         obj["runs"][0][0] = "0" * 32
         rejected(obj, version)
+
+
+def test_collapse_states_do_not_share_degrees(matchings):
+    # Each state starts from a copy of the universe's up-degrees and
+    # changes it; a state that changed the shared count would make the
+    # next replay or collapse of the same complex fail or differ.
+    M = matchings["K3_122"]
+    first = hb.matching_to_collapse(M.sd, M.action, M)
+    for _ in range(2):
+        state = hb.replay_collapse_certificate(M.sd, M.action,
+                                               first.certificate)
+        assert state.fingerprint == first.certificate.endpoints[1]
+        assert state.alive_ids() == sorted(M.critical)
+    again = hb.matching_to_collapse(M.sd, M.action, M)
+    assert again.certificate == first.certificate
+    assert again.certificate.endpoints == first.certificate.endpoints
+    want = M.sd.up_degrees()
+    state = hb.CollapseState(M.sd)
+    state.updeg[M.critical[0]] += 1
+    assert hb.CollapseState(M.sd).updeg == want
+    assert M.sd.up_degrees() == want
+
+
+def test_matching_path_builds_no_cofaces_of_sd(corpus):
+    # Nothing on the matching path asks sd B_edge(H) for cofaces, so its
+    # up tuples stay unbuilt; the states count cofacets from down.
+    M = hb.build_matching(corpus["K3_122"])
+    hb.verify_critical_isomorphism(M)
+    run = hb.matching_to_collapse(M.sd, M.action, M)
+    hb.replay_collapse_certificate(M.sd, M.action, run.certificate)
+    assert "up" not in vars(M.sd)
+
+
+def _shared(perms, others):
+    """The lists in perms that are also in others, by identity."""
+    theirs = {id(p) for p in others}
+    return [p for p in perms if id(p) in theirs]
+
+
+def test_transported_actions_share_no_lists(matchings, monkeypatch):
+    # A transported action takes over the lists its caller built, so they
+    # must be new: the cell store extends its own lists at every stage.
+    M = matchings["K3_122"]
+    A = M.box.action
+    sd = hb.barycentric_subdivision(M.box.cx)
+    lifted = hb.lift_action_to_order_complex(A, sd)
+    assert _shared(lifted.perms, A.perms) == []
+    run = hb.matching_to_collapse(M.sd, M.action, M)
+    assert _shared(run.final_action.perms, M.action.perms) == []
+    stores = []
+
+    class RecordingStore(collapse._CellStore):
+        def __init__(self, K, A):
+            super().__init__(K, A)
+            stores.append(self)
+
+    monkeypatch.setattr(collapse, "_CellStore", RecordingStore)
+    d = hb.sd_deformation(M.box.cx, A, lifted)
+    stage = hb.stellar_deformation_certificate(
+        M.hom.cx, M.hom.action, M.hom.cx.cells_of_dim(M.hom.cx.max_dim)[0])
+    box_store, hom_store = stores
+    assert _shared(d.final_action.perms,
+                   A.perms + lifted.perms + box_store.perms) == []
+    assert _shared(stage.universe_action.perms + stage.final_action.perms,
+                   M.hom.action.perms + hom_store.perms) == []
+    # transport takes its lists over; construction from every element, or
+    # checked construction, copies them
+    n = len(M.box.cx)
+    mine = [list(p) for p in A.perms]
+    assert A.transport(M.box.cx, mine).perms[0] is mine[0]
+    checked = hb.GroupAction(M.box.cx, mine, A.labels, True, A.order,
+                             A.relations)
+    assert _shared(checked.perms, mine) == []
+    every = [list(range(n))] + [list(q) for q in elements(A)
+                                if q != tuple(range(n))]
+    built = hb.GroupAction(M.box.cx, every, range(len(every)))
+    assert built.order == 6 and _shared(built.perms, every) == []
 
 
 def test_critical_isomorphism(matchings):
