@@ -224,6 +224,7 @@ def test_order_complex_of_corpus_equals_reference(name, corpus):
         assert cx.maximal_ids() == [i for i, u in enumerate(cx.up) if not u]
     top = hom.cx.cells_of_dim(hom.cx.max_dim)[0]
     stage = hb.stellar_deformation_certificate(hom.cx, hom.action, top)
+    _assert_derived_covers(stage.universe)
     _assert_derived_covers(stage.final)
     _assert_derived_covers(hb.CellComplex.empty())
 
