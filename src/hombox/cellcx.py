@@ -26,9 +26,13 @@ Conventions used throughout the package:
   that they define an action of the group, and a law that holds for every
   generator (an automorphism, an equivariant map) holds for every element.
 * A complex fingerprint is the order-independent 128-bit sum of per-cell
-  digests; a cell digest hashes its payload, dimension and the digests of its
-  covers, so fingerprints agree between a subcomplex and the same cells
-  rebuilt standalone.
+  digests.  A complex built from payloads gives each cell the digest of its
+  payload, dimension and the digests of its covers, so fingerprints agree
+  between a subcomplex and the same cells rebuilt standalone.  The cells a
+  stellar stage appends get digests from their parts instead (collapse,
+  _CellStore), so a complex holding them keeps the digests it was given: a
+  subcomplex shares its fingerprint, but a standalone rebuild from its
+  payloads does not.
 """
 
 import hashlib
@@ -79,16 +83,6 @@ def _canon_join(tag, parts):
     """The encoding of a tuple (tag b"T") or frozenset (b"F") from its
     members' encodings, in order (sorted for a frozenset)."""
     return tag + b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-
-
-def _canon_members(enc):
-    """The members' encodings of a tuple or frozenset encoding, in order."""
-    out, k = [], 1
-    while k < len(enc):
-        end = k + 4 + int.from_bytes(enc[k:k + 4], "big")
-        out.append(enc[k + 4:end])
-        k = end
-    return out
 
 
 def canon_key(x):

@@ -26,6 +26,16 @@ Three layers live here:
   the stage's L: its rank among the live cells, which L lists first in
   store order, or its place after them for a cell the stage appended.
 
+  A cell a stage appends gets its digest from its parts, and its payload is
+  never encoded: an apex digests the tag b"A" and its member's digest, a
+  cone cell the tag b"C", its apex's digest and its base's digest.  Every
+  other cell digests canon_bytes of its payload, which starts with b"I",
+  b"S", b"T" or b"F", so no hash input of one kind is one of the other.
+  Within a kind the input determines the cell: an apex is determined by its
+  member, and a cone cell by its apex and its base, which are cells with
+  digests of their own.  So two different cells get one digest only by a
+  collision of the 128-bit hash.
+
 * Certificates: a DeformationCertificate is a replayable list of orbit steps
   (collapse or expand), one short row each: direction, the orbit's least
   cell, its facet, and the 128-bit state fingerprint after the step.  The
@@ -34,12 +44,8 @@ Three layers live here:
   step regenerates its orbit and re-verifies freeness, codimension and
   equivariant facet alignment against a freshly built state, and every
   fingerprint is recomputed.  A failure names the step and its cell.
-  The version decides the schedule of an sd-deformation: version 3 has one
-  run per orbit of positive dimension, versions 1 and 2 one per orbit, the
-  vertex orbits last, and they still replay with that schedule.  Version 1
-  certificates, which listed every orbit, its facets and the fingerprint
-  before each step, replay through the same primitive, which also checks
-  what they list.
+  Certificates are of format version 4; earlier versions digested the
+  stellar cells from their payload encodings, and are refused.
 
 main_theorem_certificate chains these into a single machine-checkable
 witness that Hom(K_r^r, H) and B_edge(H) are simple-S_r-homotopy equivalent:
@@ -47,6 +53,7 @@ Hom ~ sd Hom = order complex of products = critical cells of the matching
 on sd B_edge(H), which expands to sd B_edge(H) ~ B_edge(H).
 """
 
+import hashlib
 import heapq
 from bisect import bisect_left
 from collections import namedtuple
@@ -59,12 +66,8 @@ from .cellcx import (
     CONE,
     CellComplex,
     GroupAction,
-    _canon_join,
-    _canon_members,
-    _cell_digest,
     _check_iso,
     barycentric_subdivision,
-    canon_bytes,
     canon_key,
     fmt_payload,
     free_facet,
@@ -83,14 +86,16 @@ from .errors import (
 )
 
 _MASK128 = (1 << 128) - 1
-# The certificate format version this module builds and writes.
-VERSION = 3
+# The certificate format version this module builds, writes and replays.
+VERSION = 4
 # Step directions as certificates write them, with their names, and the
 # direction that undoes each.
 _DIRECTIONS = {"c": "collapse", "e": "expand"}
 _FLIP = {"c": "e", "e": "c"}
-_BARY_ENC = canon_bytes(BARY)
-_CONE_ENC = canon_bytes(CONE)
+# Digest tags of the apexes and cone cells a stellar stage appends; see the
+# module docstring.
+_APEX_TAG = b"A"
+_CONE_TAG = b"C"
 
 
 # ---------------------------------------------------------------------------
@@ -222,34 +227,6 @@ def apply_orbit_step(state, action, direction, sigma, facet):
     return orbit
 
 
-def _check_listing(K, sigma, orbit, listed_orbit, listed_facets):
-    """A version 1 step lists the orbit and facets that the step's search
-    found (`orbit`, {member: facet}): they must be the same, the orbit
-    ascending."""
-    if len(listed_orbit) != len(listed_facets):
-        raise VerificationError("orbit and facet lists differ in length")
-    if listed_orbit != sorted(set(listed_orbit)):
-        raise VerificationError("step orbit is not an ascending id list")
-    if listed_orbit[0] != sigma:
-        raise VerificationError("step sigma is not the orbit representative")
-    unreached = set(listed_orbit) - orbit.keys()
-    if unreached:
-        raise VerificationError(
-            "step orbit is not a single group orbit: the generators do not "
-            "reach cell %s from cell %s"
-            % (_label(K, min(unreached)), _label(K, sigma)))
-    if len(listed_orbit) != len(orbit):
-        raise VerificationError(
-            "step orbit is not closed under the generators: it lacks cell %s"
-            % _label(K, min(orbit.keys() - set(listed_orbit))))
-    for m, f in zip(listed_orbit, listed_facets):
-        if orbit[m] != f:
-            raise VerificationError(
-                "facet assignment of the step is not equivariant: cell %s "
-                "lists facet %s, where the generators carry %s"
-                % (_label(K, m), _label(K, f), _label(K, orbit[m])))
-
-
 def _carry(L, start, value, move, clash):
     """{cell: value} on the orbit of cell start, searched along the
     generators of L, where start gets value and generator p takes the value
@@ -280,22 +257,13 @@ def _facet_clash(s, cell):
 def _replay_steps(state, action, steps, first, to_state):
     """Apply certificate steps, numbered from `first`, to state.
     to_state(k) is the state id of certificate cell id k, or raises
-    InputError.  The state fingerprint must match after each step, and a
-    version 1 step's listed fields must hold too; a failure names the
-    step, its direction and its cell."""
-    for i, (direction, sigma, facet, after, *listed) in enumerate(steps,
-                                                                   first):
+    InputError.  The state fingerprint must match after each step; a
+    failure names the step, its direction and its cell."""
+    for i, (direction, sigma, facet, after) in enumerate(steps, first):
         s = None
         try:
             s = to_state(sigma)
-            if listed and listed[0] != state.fingerprint:
-                raise VerificationError("fingerprint drift before the step")
-            orbit = apply_orbit_step(state, action, direction, s,
-                                     to_state(facet))
-            if listed:
-                _check_listing(state.cx, s, orbit,
-                               list(map(to_state, listed[1])),
-                               list(map(to_state, listed[2])))
+            apply_orbit_step(state, action, direction, s, to_state(facet))
             if state.fingerprint != after:
                 raise VerificationError("fingerprint drift after the step")
         except (InputError, VerificationError) as e:
@@ -308,16 +276,11 @@ def _replay_steps(state, action, steps, first, to_state):
 
 def _undo(steps, before):
     """The steps undone, last first: each becomes the opposite step and
-    ends where it began, `before` for the first step (a version 1 step
-    swaps its listed fingerprints instead).  Returns them and the
+    ends where it began, `before` for the first step.  Returns them and the
     fingerprint the steps end at."""
     back = []
-    for direction, sigma, facet, after, *listed in steps:
-        if listed:
-            back.append((_FLIP[direction], sigma, facet, listed[0], after,
-                         *listed[1:]))
-        else:
-            back.append((_FLIP[direction], sigma, facet, before))
+    for direction, sigma, facet, after in steps:
+        back.append((_FLIP[direction], sigma, facet, before))
         before = after
     back.reverse()
     return back, before
@@ -339,17 +302,12 @@ class DeformationCertificate:
     least cell of the orbit, its facet, and the state fingerprint after the
     step.  The state before a step is the previous step's after, or
     endpoints[0]; replay regenerates the orbit and the other members'
-    facets from the action.  A step parsed from a version 1 certificate has
-    three more fields, its listed (before, orbit, facets), which replay
-    checks against the fingerprint chain and the regenerated orbit.
-    version is the format the certificate was built or parsed as; for an
-    sd-deformation it decides the schedule of its runs (_schedule).
+    facets from the action.
     """
 
-    def __init__(self, endpoints, runs, version=VERSION):
+    def __init__(self, endpoints, runs):
         self.endpoints = tuple(endpoints)
         self.runs = list(runs)
-        self.version = version
 
     def __len__(self):
         return sum(len(steps) for _, steps in self.runs)
@@ -357,8 +315,7 @@ class DeformationCertificate:
     def __eq__(self, other):
         return (isinstance(other, DeformationCertificate)
                 and self.endpoints == other.endpoints
-                and self.runs == other.runs
-                and self.version == other.version)
+                and self.runs == other.runs)
 
     def reversed(self):
         """This certificate run backwards, each step undone.  Raises
@@ -371,29 +328,26 @@ class DeformationCertificate:
         if before != self.endpoints[1]:
             raise VerificationError(
                 "the last step does not end at the end fingerprint")
-        return DeformationCertificate(self.endpoints[::-1], runs[::-1],
-                                      self.version)
+        return DeformationCertificate(self.endpoints[::-1], runs[::-1])
 
     def to_json_obj(self):
-        """The form of versions 2 and 3: a run is [universe, step, ...] and
-        a step [direction, sigma, facet, after]."""
+        """A run is [universe, step, ...] and a step [direction, sigma,
+        facet, after]."""
         return {
             "endpoints": [_hex(f) for f in self.endpoints],
             "runs": [[None if u is None else _hex(u)]
-                     + [[d, s, f, _hex(a)] for d, s, f, a, *_ in steps]
+                     + [[d, s, f, _hex(a)] for d, s, f, a in steps]
                      for u, steps in self.runs],
         }
 
     @classmethod
-    def from_json_obj(cls, obj, version=VERSION):
-        """Parse the JSON form of the given certificate version; raises
-        InputError unless every field has its type: hex fingerprints, and
-        steps with a direction and non-negative integer cell ids."""
+    def from_json_obj(cls, obj):
+        """Parse the JSON form; raises InputError unless every field has its
+        type: hex fingerprints, and steps with a direction and non-negative
+        integer cell ids."""
         what = "deformation"
         _need(isinstance(obj, dict), what, "not an object")
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
-        if version == 1:
-            return cls(endpoints, _parse_v1_runs(obj.get("stages")), 1)
         rows = obj.get("runs")
         _need(isinstance(rows, list), what, "runs is not a list")
         runs = []
@@ -415,7 +369,7 @@ class DeformationCertificate:
                               _fingerprint(step[3], what, "step %d" % k)))
                 k += 1
             runs.append((universe, steps))
-        return cls(endpoints, runs, version)
+        return cls(endpoints, runs)
 
 
 def _hex(fingerprint):
@@ -446,40 +400,6 @@ def _fingerprints(obj, what, where):
     return tuple(_fingerprint(f, what, where) for f in obj)
 
 
-def _parse_v1_runs(rows):
-    """The runs of a version 1 deformation certificate, whose rows are
-    [before, after, step] with step an object; consecutive steps with one
-    universe fingerprint (or none) form a run."""
-    what = "deformation"
-    _need(isinstance(rows, list), what, "stages is not a list")
-    runs = []
-    for k, row in enumerate(rows):
-        where = "step %d" % k
-        _need(isinstance(row, list) and len(row) == 3, what,
-              "%s is not a [before, after, step] triple" % where)
-        before, after = _fingerprints(row[:2], what, where)
-        step = row[2]
-        _need(isinstance(step, dict), what, "%s is not an object" % where)
-        _need(step.get("direction") in ("collapse", "expand"), what,
-              '%s: direction is not "collapse" or "expand"' % where)
-        _need(_is_id(step.get("sigma")), what,
-              "%s: sigma is not a cell id" % where)
-        for key in ("orbit", "facets"):
-            ids = step.get(key)
-            _need(isinstance(ids, list) and ids and all(map(_is_id, ids)),
-                  what, "%s: %s is not a nonempty list of cell ids"
-                  % (where, key))
-        universe = step.get("universe")
-        if "universe" in step:
-            universe = _fingerprint(universe, what, "%s: universe" % where)
-        if not runs or runs[-1][0] != universe:
-            runs.append((universe, []))
-        runs[-1][1].append((step["direction"][0], step["sigma"],
-                            step["facets"][0], after, before,
-                            step["orbit"], step["facets"]))
-    return runs
-
-
 # ---------------------------------------------------------------------------
 # greedy whole-orbit engine
 
@@ -489,8 +409,10 @@ def _run_greedy(state, action, mu):
     time, smallest representative first among the ready orbits.
 
     Readiness of an orbit is monotone (a ready orbit stays ready until it is
-    consumed), so taking the minimal ready representative each time
-    reproduces a deterministic scan of the matched cells in id order.
+    consumed), so an orbit is queued once, when it becomes ready, and taking
+    the minimal queued representative each time reproduces a deterministic
+    scan of the matched cells in id order.  A step can only make ready the
+    orbits of the alive faces of the cells it removed.
     Returns the steps as DeformationCertificate holds them; raises Stuck if
     unmatched readiness never arrives (which is exactly a cycle in the
     matching digraph).
@@ -515,45 +437,43 @@ def _run_greedy(state, action, mu):
                 raise Stuck("cell %d appears in two matched pairs" % f)
             facet_orbit[f] = k
 
-    def ready(k):
-        return (all(state.alive[m] and state.updeg[m] == 1 for m in members[k])
-                and all(state.alive[f] and state.updeg[f] == 0
-                        for f in facets[k]))
-
-    done = [False] * len(orbs)
+    alive, updeg = state.alive, state.updeg
+    queued = [False] * len(orbs)
     heap = []
-    for k in range(len(orbs)):
-        if ready(k):
+
+    def queue_if_ready(k):
+        if (not queued[k]
+                and all(alive[m] and updeg[m] == 1 for m in members[k])
+                and all(alive[f] and updeg[f] == 0 for f in facets[k])):
+            queued[k] = True
             heapq.heappush(heap, (members[k][0], k))
+
+    for k in range(len(orbs)):
+        queue_if_ready(k)
     steps = []
-    remaining = len(orbs)
     while heap:
         _, k = heapq.heappop(heap)
-        if done[k] or not ready(k):
-            continue
         sigma = members[k][0]
         orbit = apply_orbit_step(state, action, "c", sigma, mu[sigma])
         steps.append(("c", sigma, mu[sigma], state.fingerprint))
-        done[k] = True
-        remaining -= 1
         seen = set()
         for x in chain(orbit, orbit.values()):
             for y in state.cx.down[x]:
-                if y in seen or not state.alive[y]:
+                if y in seen or not alive[y]:
                     continue
                 seen.add(y)
                 j = member_orbit.get(y)
-                if j is not None and not done[j] and state.updeg[y] == 1:
-                    heapq.heappush(heap, (members[j][0], j))
+                if j is not None and updeg[y] == 1:
+                    queue_if_ready(j)
                 j = facet_orbit.get(y)
-                if j is not None and not done[j] and state.updeg[y] == 0:
-                    heapq.heappush(heap, (members[j][0], j))
-    if remaining:
-        left = [members[k][0] for k in range(len(orbs)) if not done[k]]
+                if j is not None and updeg[y] == 0:
+                    queue_if_ready(j)
+    left = [members[k][0] for k in range(len(orbs)) if not queued[k]]
+    if left:
         raise Stuck(
             "collapse stuck with %d orbit(s) remaining (first representative "
             "cell %d): the matching is not acyclic on the alive set"
-            % (remaining, min(left)))
+            % (len(left), min(left)))
     return steps
 
 
@@ -602,13 +522,14 @@ CollapseRun = namedtuple("CollapseRun",
 
 
 def matching_to_collapse(K, A, M):
-    """Execute the verified matching M on K = sd B_edge(H) as a sequence of
-    elementary S_r-collapses, yielding a replayable certificate whose end
-    complex is the critical subcomplex.
+    """Execute the verified matching M on K = M.sd = sd B_edge(H), with A =
+    M.action, as a sequence of elementary S_r-collapses, yielding a
+    replayable certificate whose end complex is the critical subcomplex.
 
     Removes exactly |Sigma| + |mu(Sigma)| cells in whole-orbit steps;
     raises Stuck if the greedy scan cannot finish (impossible for an acyclic
-    matching).
+    matching).  The end complex and its action are those of
+    critical_complex(M), once the alive cells are checked to be M.critical.
     """
     state = CollapseState(K)
     steps = _run_greedy(state, A, M.mu)
@@ -621,11 +542,10 @@ def matching_to_collapse(K, A, M):
     if state.alive_ids() != sorted(M.critical):
         raise VerificationError(
             "collapse endpoint differs from the critical subcomplex")
-    final, old2new = K.subcomplex(state.alive_ids())
+    final, final_action, old2new = critical_complex(M)
     cert = DeformationCertificate((K.fingerprint, final.fingerprint),
                                   [(None, steps)] if steps else [])
-    return CollapseRun(cert, final, _restrict_action(A, old2new, final),
-                       old2new, moved)
+    return CollapseRun(cert, final, final_action, old2new, moved)
 
 
 CriticalIso = namedtuple(
@@ -633,9 +553,15 @@ CriticalIso = namedtuple(
 
 
 def critical_complex(M):
-    """The critical subcomplex of M.sd with its restricted action."""
-    crit, old2new = M.sd.subcomplex(M.critical)
-    return crit, _restrict_action(M.action, old2new, crit), old2new
+    """The critical subcomplex of M.sd, its restricted action and the
+    old2new map of its ids.  They are built on first use and kept on M, so
+    the stage-3 check and the collapse endpoint share them."""
+    kept = getattr(M, "_critical_complex", None)
+    if kept is None:
+        crit, old2new = M.sd.subcomplex(M.critical)
+        kept = M._critical_complex = (
+            crit, _restrict_action(M.action, old2new, crit), old2new)
+    return kept
 
 
 def verify_critical_isomorphism(M, max_cells=None):
@@ -701,6 +627,15 @@ class _CellStore(CollapseState):
     payloads, index entries and up links when the next stage settles the
     store.
 
+    The cells of K keep their digests.  An appended cell's digest comes from
+    its parts (_cone_universe): the tag b"A" and its member's digest for an
+    apex, the tag b"C", its apex's digest and its base's digest for a cone
+    cell.  Its payload is never encoded.  A cone cell is determined by its
+    apex and its base and an apex by its member, and the cells of K digest
+    payload encodings that start with another byte, so two different cells
+    share a digest only if the hash collides.  The store still refuses a
+    payload it already holds.
+
     The store is the state, the universe complex and the group action that
     apply_orbit_step, _run_greedy and orbit_star_data work on, so it borrows
     the methods they call from CellComplex and GroupAction.
@@ -724,7 +659,6 @@ class _CellStore(CollapseState):
         self.down = list(K.down)
         self.up = [list(u) for u in K.up]
         self.digests = list(K.digests)
-        self.canon = [None] * n  # canon_bytes of payloads, see encoding()
         self.index = dict(K.index)
         self.perms = [list(p) for p in A.perms]
         self.alive = [True] * n
@@ -739,40 +673,28 @@ class _CellStore(CollapseState):
         CollapseState.remove(self, i)
         self.removed.append(i)
 
-    def encoding(self, i):
-        """canon_bytes of cell i's payload, encoded once per cell.  Cells
-        a stage appends come with theirs, joined from those of the cells
-        they are built on."""
-        enc = self.canon[i]
-        if enc is None:
-            enc = self.canon[i] = canon_bytes(self.payloads[i])
-        return enc
-
     def extend(self, cells):
-        """Append (payload, dim, down, encoding) cells, dead, with their
-        digests and up links.  Returns their ids."""
+        """Append (payload, dim, down, digest) cells, dead, with their up
+        links; down is a tuple.  Returns their ids."""
         first = len(self.payloads)
-        for payload, dim, down, enc in cells:
-            if payload in self.index:
+        payloads, dims, downs, digests = zip(*cells)
+        new = range(first, first + len(cells))
+        index = self.index
+        for i, payload in zip(new, payloads):
+            if index.setdefault(payload, i) != i:
                 raise InputError(
                     "duplicate cell payload: %s" % fmt_payload(payload))
-            self.index[payload] = len(self.payloads)
-            self.payloads.append(payload)
-            self.dims.append(dim)
-            self.down.append(tuple(down))
-            self.canon.append(enc)
-        new = range(first, len(self.payloads))
-        self.up.extend([] for _ in new)
-        self.digests.extend(None for _ in new)
-        self.alive.extend(False for _ in new)
-        self.updeg.extend(0 for _ in new)
-        for i in new:
-            for j in self.down[i]:
-                self.up[j].append(i)
-        for i in sorted(new, key=self.dims.__getitem__):
-            self.digests[i] = _cell_digest(
-                self.canon[i], self.dims[i],
-                [self.digests[j] for j in self.down[i]])
+        self.payloads += payloads
+        self.dims += dims
+        self.down += downs
+        self.digests += digests
+        self.up += [[] for _ in new]
+        self.alive += [False] * len(new)
+        self.updeg += [0] * len(new)
+        up = self.up
+        for i, down in zip(new, downs):
+            for j in down:
+                up[j].append(i)
         return new
 
     def settle(self):
@@ -788,7 +710,7 @@ class _CellStore(CollapseState):
             for j in self.down[i]:
                 if self.alive[j]:
                     self.up[j].remove(i)
-            self.payloads[i] = self.canon[i] = None
+            self.payloads[i] = None
             self.down[i] = self.up[i] = ()
         # A new list: a stage's _Universe keeps the one it started with.
         self.dead = sorted(self.dead + gone)
@@ -840,14 +762,22 @@ class _Universe:
         return k + lo
 
 
+def _part_digest(prefix, digest):
+    """The digest of a cell a stellar stage appends: prefix is its tag,
+    followed by its apex's digest for a cone cell, and digest that of its
+    member (apex) or base (cone cell).  Digests enter as 16 bytes."""
+    return int.from_bytes(hashlib.blake2b(
+        prefix + digest.to_bytes(16, "big"), digest_size=16).digest(), "big")
+
+
 def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
     """Append to the store, dead, the cells L adds to the live complex K:
     per orbit member m an apex, and a cone cell over every cell of the
     closed star of m.  They come in a fixed order, the apexes in orbit order
     and then each member's cones by base id, and each generator moves them
     with their members and bases; on them it is checked as an automorphism,
-    and the relations are checked.  Returns (L as a _Universe, apex_id,
-    cone_id) in store ids.
+    and the relations are checked.  Each gets its digest from its parts.
+    Returns (L as a _Universe, apex_id, cone_id) in store ids.
     """
     star_list = {m: sorted(cof[m] | ring[m]) for m in orbit}
     size = store.n_alive + sum(1 + len(s) for s in star_list.values())
@@ -861,40 +791,32 @@ def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
     for m in orbit:
         for b in star_list[m]:
             cone_id[(m, b)] = first + len(orbit) + len(cone_id)
-    # Each new cell comes with its payload's encoding, joined from those of
-    # the cells it is built on.
-    enc = store.encoding
-    toks = {m: ((BARY, store.payloads[m]),
-                _canon_join(b"T", (_BARY_ENC, enc(m)))) for m in orbit}
+    digests = store.digests
+    toks = {}
     cells = []
     for m in orbit:
-        tok, tok_enc = toks[m]
-        if simplicial:
-            cells.append((frozenset([tok]), 0, (),
-                          _canon_join(b"F", [tok_enc])))
-        else:
-            cells.append((tok, 0, (), tok_enc))
+        tok = (BARY, store.payloads[m])
+        toks[m] = tok, _part_digest(_APEX_TAG, digests[m])
+        cells.append((frozenset([tok]) if simplicial else tok, 0, (),
+                      toks[m][1]))
     for m in orbit:
-        tok, tok_enc = toks[m]
+        tok, apex = toks[m]
+        prefix = _CONE_TAG + apex.to_bytes(16, "big")
         for b in star_list[m]:
             bp = store.payloads[b]
             if store.dims[b] == 0:
-                down = [b, apex_id[m]]
+                down = (b, apex_id[m])
             else:
-                down = [b] + [cone_id[(m, j)] for j in store.down[b]]
-            if simplicial:
-                # tok is a new vertex, not a member of bp
-                cells.append((bp | {tok}, store.dims[b] + 1, down, _canon_join(
-                    b"F", sorted(_canon_members(enc(b)) + [tok_enc]))))
-            else:
-                cells.append(((CONE, tok, bp), store.dims[b] + 1, down,
-                              _canon_join(b"T", (_CONE_ENC, tok_enc, enc(b)))))
+                down = (b, *[cone_id[(m, j)] for j in store.down[b]])
+            # tok is a new vertex, not a member of bp
+            cells.append((bp | {tok} if simplicial else (CONE, tok, bp),
+                          store.dims[b] + 1, down,
+                          _part_digest(prefix, digests[b])))
     new = store.extend(cells)
 
     for p in store.perms:
-        p.extend(apex_id[p[m]] for m in orbit)
-        p.extend(cone_id.get((p[m], p[b]))
-                 for m in orbit for b in star_list[m])
+        p += [apex_id[p[m]] for m in orbit]
+        p += [cone_id.get((p[m], p[b])) for m in orbit for b in star_list[m]]
     store._check_automorphisms(new)
     store._check_relations(new)
     fingerprint = (store.fingerprint
@@ -1077,60 +999,69 @@ SdDeformation = namedtuple(
     "SdDeformation", "certificate final final_action sd sd_action iso")
 
 
-def _schedule(K, A, version):
-    """The orbits of K that the stellar stages of an sd-deformation of the
-    given certificate version star, dimension descending, representatives
-    ascending.  Version 3 stars every orbit of positive dimension; versions
-    1 and 2 star the vertex orbits too, last.  Starring at a vertex v cones
-    the link of v from a new apex, which is K again with v renamed, so from
-    version 3 on each vertex of K stays bare."""
-    low = 1 if version >= 3 else 0
-    orbs = [ob for ob in A.orbits() if K.dims[ob[0]] >= low]
+def _schedule(K, A):
+    """The orbits of K that the stellar stages of an sd-deformation star:
+    those of positive dimension, dimension descending, representatives
+    ascending.  Starring at a vertex v cones the link of v from a new apex,
+    which is K again with v renamed, so each vertex of K stays bare."""
+    orbs = [ob for ob in A.orbits() if K.dims[ob[0]] > 0]
     return sorted(orbs, key=lambda ob: (-K.dims[ob[0]], ob[0]))
 
 
 def _flatten_map(K, simplicial):
-    """Payload map from the cells of a version 3 sd-deformation's end
-    complex to chains of K-ids, i.e. cells of sd K.  Such a cell is built
-    from the apexes (BARY, payload of a cell of K) and the vertices of K,
-    which no stage stars: as tokens of a vertex set (simplicial), or
-    nested in cones (CONE, apex, base).  Raises VerificationError naming
-    the cell for any other part, as the map is only proposed and
-    verify_isomorphism certifies it."""
-    def k_id(cell, q, vertex):
-        i = K.index.get(q)
-        if i is None or (vertex and K.dims[i] != 0):
-            raise VerificationError(
-                "cell %s is not fully subdivided: %s is not a %s of K"
-                % (fmt_payload(cell), fmt_payload(q),
-                   "vertex" if vertex else "cell"))
-        return i
+    """Payload map from the cells of an sd-deformation's end complex to
+    chains of K-ids, i.e. cells of sd K.  Such a cell is built from the
+    apexes (BARY, payload of a cell of K) and the vertices of K, which no
+    stage stars: as tokens of a vertex set (simplicial), or nested in cones
+    (CONE, apex, base).  Raises VerificationError naming the cell for any
+    other part, as the map is only proposed and verify_isomorphism
+    certifies it."""
+    found = {}
 
-    def is_apex(x):
-        return isinstance(x, tuple) and len(x) == 2 and x[0] == BARY
+    def k_id(cell, tok):
+        # the K-id of an apex token (BARY, q), or of a vertex token
+        i = found.get(tok)
+        if i is None:
+            vertex = not (isinstance(tok, tuple) and len(tok) == 2
+                          and tok[0] == BARY)
+            q = (tok[1] if not vertex
+                 else frozenset([tok]) if simplicial else tok)
+            i = K.index.get(q)
+            if i is None or (vertex and K.dims[i] != 0):
+                raise VerificationError(
+                    "cell %s is not fully subdivided: %s is not a %s of K"
+                    % (fmt_payload(cell), fmt_payload(q),
+                       "vertex" if vertex else "cell"))
+            found[tok] = i
+        return i
 
     if simplicial:
         def flat(p):
-            return tuple(sorted(
-                k_id(p, tok[1], False) if is_apex(tok)
-                else k_id(p, frozenset([tok]), True) for tok in p))
+            return tuple(sorted([k_id(p, tok) for tok in p]))
         return flat
 
     def flat(p):
         def ids(x):
-            if is_apex(x):
-                return [k_id(p, x[1], False)]
             if isinstance(x, tuple) and len(x) == 3 and x[0] == CONE:
                 return ids(x[2]) + ids(x[1])
-            return [k_id(p, x, True)]
+            return [k_id(p, x)]
         return tuple(sorted(ids(p)))
     return flat
+
+
+def _unfold(K, E, EA, sd_action):
+    """The id map of the G-isomorphism from E, the end complex of an
+    sd-deformation of K with action EA, onto sd K = sd_action.cx, as
+    _flatten_map proposes it and verify_isomorphism checks it."""
+    return verify_isomorphism(E, sd_action.cx,
+                              _flatten_map(K, _is_simplicial(K)), EA,
+                              sd_action)
 
 
 def sd_deformation(K, A, sd_action, max_cells=None):
     """Certify K ~ (a complex isomorphic to) sd K by composing one stellar
     stage per orbit of K of positive dimension, dimension descending, all
-    in one cell store; the certificate is of version 3 (_schedule).
+    in one cell store (_schedule).
 
     sd_action is A lifted to sd = sd_action.cx, the barycentric subdivision
     of K, which the caller builds once (barycentric_subdivision, then
@@ -1142,28 +1073,25 @@ def sd_deformation(K, A, sd_action, max_cells=None):
     simplicial = _is_simplicial(K)
     store = _CellStore(K, A)
     runs = []
-    for ob in _schedule(K, A, VERSION):
+    for ob in _schedule(K, A):
         U, steps = _stellar_stage(store, ob[0], simplicial, max_cells)
         runs.append((U.fingerprint, steps))
     cur, cur_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), runs)
-    sd = sd_action.cx
-    iso = verify_isomorphism(cur, sd, _flatten_map(K, simplicial),
-                             cur_action, sd_action)
-    return SdDeformation(cert, cur, cur_action, sd, sd_action, iso)
+    iso = _unfold(K, cur, cur_action, sd_action)
+    return SdDeformation(cert, cur, cur_action, sd_action.cx, sd_action, iso)
 
 
 def replay_sd_deformation(K, A, cert, max_cells=None):
     """Replay an sd_deformation certificate: rebuild each cone universe from
-    the deterministic schedule of the certificate's version, check its
-    fingerprint against its run's, re-verify and apply every step, and
-    check the chained state fingerprints.  Returns (final complex, final
-    action)."""
+    the deterministic schedule, check its fingerprint against its run's,
+    re-verify and apply every step, and check the chained state
+    fingerprints.  Returns (final complex, final action)."""
     if cert.endpoints[0] != K.fingerprint:
         raise VerificationError("certificate does not start at this complex")
     if any(universe is None for universe, _ in cert.runs):
         raise VerificationError("subdivision step lacks a universe mark")
-    schedule = _schedule(K, A, cert.version)
+    schedule = _schedule(K, A)
     if len(cert.runs) != len(schedule):
         raise VerificationError(
             "certificate has %d stages but the schedule needs %d"
@@ -1207,8 +1135,7 @@ class MainTheoremCertificate:
     """A six-stage machine-checkable witness that Hom(K_r^r, H) and
     B_edge(H) are simple-S_r-homotopy equivalent.
 
-    Stages (deformation certificates alternating with explicit isomorphism
-    tables):
+    Stages (deformation certificates alternating with isomorphisms):
       1. subdivide-hom          Hom  ~>  E_hom  (stellar stages)
       2. unfold-hom-subdivision E_hom ≅ sd Hom
       3. products-into-sd-box   sd Hom ≅ critical subcomplex of sd B_edge
@@ -1219,26 +1146,22 @@ class MainTheoremCertificate:
     Each stage is a dict with its "kind" and "name".  A deformation stage
     holds its DeformationCertificate under "certificate"; an isomorphism
     stage holds the fingerprints of its two complexes under "from" and
-    "to", and its "map": the list f in which f[i] is the image of cell i.
-
-    version is the format the certificate is written as: 3 when built
-    here.  One parsed from version 1 or 2 holds runs at the vertex orbits,
-    so it is written as version 2, which has their schedule.
+    "to".  It stores no map: replay regenerates each isomorphism from the
+    payloads as the build does (_unfold for stages 2 and 5, the product map
+    i for stage 3) and checks it.  The JSON form is of format version 4.
     """
 
-    def __init__(self, endpoints, stages, version=VERSION):
+    def __init__(self, endpoints, stages):
         self.endpoints = tuple(endpoints)
         self.stages = list(stages)
-        self.version = version
 
     def __eq__(self, other):
         return (isinstance(other, MainTheoremCertificate)
                 and self.endpoints == other.endpoints
-                and self.stages == other.stages
-                and self.version == other.version)
+                and self.stages == other.stages)
 
     def to_json_obj(self):
-        """The JSON form of the certificate's version."""
+        """The JSON form, of format version 4."""
         stages = []
         for s in self.stages:
             if s["kind"] == "deformation":
@@ -1247,22 +1170,26 @@ class MainTheoremCertificate:
             else:
                 stages.append(dict(s, **{"from": _hex(s["from"]),
                                          "to": _hex(s["to"])}))
-        return {"version": self.version,
+        return {"version": VERSION,
                 "endpoints": [_hex(f) for f in self.endpoints],
                 "stages": stages}
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Parse the JSON form, version 3, 2 or 1 (which has no version
-        field); raises InputError for another version, or unless every
-        stage is an object with a name and a kind, and carries what its
-        kind needs: a well-formed deformation certificate, or the from and
-        to fingerprints and a map of cell ids (of cell id pairs in version
-        1)."""
+        """Parse the JSON form of version 4; raises InputError for another
+        version (one without a version field is version 1), or unless every
+        stage is an object with a name, a kind and the fields its kind
+        needs, and no others: a well-formed deformation certificate, or the
+        from and to fingerprints."""
         what = "main theorem"
         _need(isinstance(obj, dict), what, "not an object")
         version = obj.get("version", 1)
-        _need(version in (1, 2, 3) and _is_id(version), what,
+        if version in (1, 2, 3) and _is_id(version):
+            raise InputError(
+                "main theorem certificate of format version %d, which this "
+                "hombox no longer replays: rebuild it with `hombox theorem`"
+                % version)
+        _need(version == VERSION and _is_id(version), what,
               "unknown version %r" % (version,))
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
         rows = obj.get("stages")
@@ -1272,49 +1199,30 @@ class MainTheoremCertificate:
             _need(isinstance(s, dict) and isinstance(s.get("name"), str),
                   what, "stage %d is not an object with a name" % k)
             where = "stage %d (%s)" % (k, s["name"])
-            stage = {"kind": s.get("kind"), "name": s["name"]}
-            if s.get("kind") == "deformation":
-                _need("certificate" in s, what,
-                      "%s has no certificate" % where)
+            kind = s.get("kind")
+            fields = _STAGE_FIELDS.get(kind) if isinstance(kind, str) else None
+            _need(fields is not None, what, "%s has kind %r" % (where, kind))
+            _need(set(s) == fields, what, "%s has the fields %s, not %s"
+                  % (where, sorted(s), sorted(fields)))
+            stage = {"kind": kind, "name": s["name"]}
+            if kind == "deformation":
                 try:
                     stage["certificate"] = DeformationCertificate \
-                        .from_json_obj(s["certificate"], version)
+                        .from_json_obj(s["certificate"])
                 except InputError as e:
                     raise InputError("%s: %s" % (where, e)) from e
-            elif s.get("kind") == "isomorphism":
-                _need(isinstance(s.get("from"), str)
-                      and isinstance(s.get("to"), str),
-                      what, "%s lacks its from and to fingerprints" % where)
+            else:
                 stage["from"], stage["to"] = _fingerprints(
                     [s["from"], s["to"]], what, where)
-                stage["map"] = _parse_map(s.get("map"), version, where)
-            else:
-                _need(False, what, "%s has kind %r" % (where, s.get("kind")))
             stages.append(stage)
-        return cls(endpoints, stages, max(version, 2))
+        return cls(endpoints, stages)
 
 
-def _parse_map(obj, version, where):
-    """An isomorphism stage's map as the list f: a list of cell ids, or in
-    version 1 the rows [i, f[i]], one for each cell i."""
-    what = "main theorem"
-    if version >= 2:
-        _need(isinstance(obj, list) and all(map(_is_id, obj)), what,
-              "%s: map is not a list of cell ids" % where)
-        return obj
-    _need(isinstance(obj, list)
-          and all(isinstance(p, list) and len(p) == 2
-                  and _is_id(p[0]) and _is_id(p[1]) for p in obj),
-          what, "%s: map is not a list of cell id pairs" % where)
-    f = [None] * len(obj)
-    for i, j in obj:
-        _need(i < len(f) and f[i] is None, what,
-              "%s: map rows are not one for each of cells 0 to %d"
-              % (where, len(f) - 1))
-        f[i] = j
-    return f
-
-
+# The fields of a main theorem certificate stage, by kind.
+_STAGE_FIELDS = {
+    "deformation": {"kind", "name", "certificate"},
+    "isomorphism": {"kind", "name", "from", "to"},
+}
 # The six stages of a main theorem certificate, by name and kind.
 _STAGES = [
     ("subdivide-hom", "deformation"),
@@ -1336,9 +1244,15 @@ def _stage(name):
         raise type(e)("%s: %s" % (name, e)) from e
 
 
-def _iso_stage(name, K1, K2, f):
+def _iso_stage(name, K1, K2):
     return {"kind": "isomorphism", "name": name,
-            "from": K1.fingerprint, "to": K2.fingerprint, "map": list(f)}
+            "from": K1.fingerprint, "to": K2.fingerprint}
+
+
+def _check_ends(stage, K1, K2):
+    """An isomorphism stage must name K1 and K2 by their fingerprints."""
+    if (stage["from"], stage["to"]) != (K1.fingerprint, K2.fingerprint):
+        raise VerificationError("endpoints do not match")
 
 
 def main_theorem_certificate(H, max_cells=None, matching=None):
@@ -1358,24 +1272,16 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     hom_def = sd_deformation(M.hom.cx, M.hom.action, crit.sd_hom_action,
                              max_cells=max_cells)
     run = matching_to_collapse(M.sd, M.action, M)
-    if run.final.fingerprint != crit.critical.fingerprint:
-        raise VerificationError(
-            "collapse endpoint fingerprint differs from critical subcomplex")
     box_def = sd_deformation(M.box.cx, M.box.action, M.action,
                              max_cells=max_cells)
-    inv3 = [None] * len(box_def.iso)
-    for i, j in enumerate(box_def.iso):
-        inv3[j] = i
     stages = [
         {"kind": "deformation", "name": "subdivide-hom",
          "certificate": hom_def.certificate},
-        _iso_stage("unfold-hom-subdivision", hom_def.final, hom_def.sd,
-                   hom_def.iso),
-        _iso_stage("products-into-sd-box", crit.sd_hom, crit.critical,
-                   crit.map),
+        _iso_stage("unfold-hom-subdivision", hom_def.final, hom_def.sd),
+        _iso_stage("products-into-sd-box", crit.sd_hom, crit.critical),
         {"kind": "deformation", "name": "expand-to-sd-box",
          "certificate": run.certificate.reversed()},
-        _iso_stage("fold-box-subdivision", M.sd, box_def.final, inv3),
+        _iso_stage("fold-box-subdivision", M.sd, box_def.final),
         {"kind": "deformation", "name": "desubdivide-box",
          "certificate": box_def.certificate.reversed()},
     ]
@@ -1392,12 +1298,14 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
     """Re-verify a main theorem certificate against a fresh build for H.
 
     Every deformation is replayed step by step (preconditions and
-    fingerprints re-checked), every isomorphism table is re-verified
-    including equivariance, and all stage endpoints must chain.  Returns
-    True; raises VerificationError (or a subclass) on any mismatch, and
-    InputError on a malformed certificate, with the stage name first in the
-    message.  Stage 6 is replayed from its end, so a step number there
-    counts from the end of its step list."""
+    fingerprints re-checked), every isomorphism is regenerated from the
+    payloads and re-verified, including equivariance, and all stage
+    endpoints must chain.  Returns True; raises VerificationError (or a
+    subclass) on any mismatch, and InputError on a malformed certificate,
+    with the stage name first in the message.  Stage 3 is checked before
+    stage 2, since it builds sd Hom, and stage 6 before stage 5, replayed
+    from its end, so a step number there counts from the end of its step
+    list."""
     from .morse import build_matching
 
     if not isinstance(cert, MainTheoremCertificate):
@@ -1421,23 +1329,17 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
         e_hom, e_hom_action = replay_sd_deformation(
             M.hom.cx, M.hom.action, s[0]["certificate"], max_cells=max_cells)
 
-    with _stage("unfold-hom-subdivision"):
-        sdh = barycentric_subdivision(M.hom.cx, max_cells=max_cells)
-        sdh_action = lift_action_to_order_complex(M.hom.action, sdh)
-        if (s[1]["from"], s[1]["to"]) != (e_hom.fingerprint,
-                                          sdh.fingerprint):
-            raise VerificationError("endpoints do not match")
-        verify_iso_ids(e_hom, sdh, s[1]["map"], e_hom_action, sdh_action)
-
     with _stage("products-into-sd-box"):
-        crit, crit_action, _ = critical_complex(M)
-        if (s[2]["from"], s[2]["to"]) != (sdh.fingerprint, crit.fingerprint):
-            raise VerificationError("endpoints do not match")
-        verify_iso_ids(sdh, crit, s[2]["map"], sdh_action, crit_action)
+        crit = verify_critical_isomorphism(M, max_cells)
+        _check_ends(s[2], crit.sd_hom, crit.critical)
+
+    with _stage("unfold-hom-subdivision"):
+        _check_ends(s[1], e_hom, crit.sd_hom)
+        _unfold(M.hom.cx, e_hom, e_hom_action, crit.sd_hom_action)
 
     with _stage("expand-to-sd-box"):
         c3 = s[3]["certificate"]
-        if c3.endpoints != (crit.fingerprint, M.sd.fingerprint):
+        if c3.endpoints != (crit.critical.fingerprint, M.sd.fingerprint):
             raise VerificationError("endpoints do not match")
         replay_collapse_certificate(M.sd, M.action, c3,
                                     start_alive=M.critical)
@@ -1451,7 +1353,6 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
             raise VerificationError("endpoints do not match")
 
     with _stage("fold-box-subdivision"):
-        if (s[4]["from"], s[4]["to"]) != (M.sd.fingerprint, e_box.fingerprint):
-            raise VerificationError("endpoints do not match")
-        verify_iso_ids(M.sd, e_box, s[4]["map"], M.action, e_box_action)
+        _check_ends(s[4], M.sd, e_box)
+        _unfold(M.box.cx, e_box, e_box_action, M.action)
     return True

@@ -228,17 +228,17 @@ def test_theorem_z2(k32, capsys):
 @pytest.fixture(scope="module")
 def k3_122_theorem(tmp_path_factory):
     """K3_122 and its theorem certificates by version: the one the CLI
-    writes (3) and the fixtures (1 and 2).  Every deformation stage of each
-    has steps."""
+    writes (4) and the fixtures (1, 2 and 3), which it no longer replays.
+    Every deformation stage of each has steps."""
     d = tmp_path_factory.mktemp("k3_122")
     graph, cert = str(d / "k3_122.json"), str(d / "theorem.json")
     with open(graph, "w") as fh:
         fh.write(hb.complete_multipartite([1, 2, 2]).to_json_str())
     assert main(["theorem", "--input", graph, "--certificate", cert]) == 0
     certs = {v: json.loads((FIXTURES / ("theorem_v%d_K3_122.json" % v))
-                           .read_text()) for v in (1, 2)}
+                           .read_text()) for v in (1, 2, 3)}
     with open(cert) as fh:
-        certs[3] = json.load(fh)
+        certs[4] = json.load(fh)
     return graph, certs
 
 
@@ -256,15 +256,10 @@ def _replay_tampered(k3_122_theorem, version, tamper, tmp_path, capsys):
     return rc, capsys.readouterr().err
 
 
-def _copy_iso_row(obj):
-    # stage 3's map sends cells 0 and 1 to one cell
-    rows = obj["stages"][2]["map"]
-    rows[0] = rows[1]
-
-
-def _copy_iso_row_v1(obj):
-    rows = obj["stages"][2]["map"]
-    rows[0][1] = rows[1][1]
+def _flip_iso_from(obj):
+    # stage 3's from fingerprint, one bit changed
+    stage = obj["stages"][2]
+    stage["from"] = "%032x" % (int(stage["from"], 16) ^ 1)
 
 
 def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
@@ -273,20 +268,33 @@ def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 0
     capsys.readouterr()
     obj = json.loads(open(cert).read())
-    _copy_iso_row(obj)
+    _flip_iso_from(obj)
     with open(cert, "w") as fh:
         json.dump(obj, fh)
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 2
-    assert "verification failed" in capsys.readouterr().err
-    for version, tamper in ((1, _copy_iso_row_v1), (2, _copy_iso_row),
-                            (3, _copy_iso_row)):
-        rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
-                                   capsys)
-        assert rc == 2
-        assert "verification failed" in err
+    assert "verification failed: products-into-sd-box: endpoints do not " \
+        "match" in capsys.readouterr().err
+    rc, err = _replay_tampered(k3_122_theorem, 4, _flip_iso_from, tmp_path,
+                               capsys)
+    assert rc == 2
+    assert "verification failed: products-into-sd-box" in err
 
 
-# Tampers of a version 1 certificate: a step is [before, after, {...}].
+def test_theorem_refuses_old_versions(k3_122_theorem, tmp_path, capsys):
+    # the certificates of versions 1 to 3 are input errors that name the
+    # version and ask for a rebuild
+    for version in (1, 2, 3):
+        rc, err = _replay_tampered(k3_122_theorem, version, lambda obj: None,
+                                   tmp_path, capsys)
+        assert rc == 4
+        assert err == (
+            "input error: main theorem certificate of format version %d, "
+            "which this hombox no longer replays: rebuild it with `hombox "
+            "theorem`\n" % version)
+
+
+# Tampers of a version 1 certificate: a step is [before, after, {...}].  A
+# version 1 certificate is refused by its version, whatever its fields.
 
 
 def _first_step(obj, stage):
@@ -334,11 +342,12 @@ def test_theorem_malformed_certificate(k3_122_theorem, tamper, tmp_path,
                                        capsys):
     rc, err = _replay_tampered(k3_122_theorem, 1, tamper, tmp_path, capsys)
     assert rc == 4
-    assert "input error" in err
+    assert "input error: main theorem certificate of format version 1" in err
 
 
-# The same tampers of a version 2 or 3 certificate, whose steps are rows
-# [direction, sigma, facet, after], and two that only these versions have.
+# The same tampers of a version 4 certificate, whose steps are rows
+# [direction, sigma, facet, after] as in versions 2 and 3, and two that only
+# these versions have.
 
 
 def _first_row(obj, stage):
@@ -366,11 +375,12 @@ def _id_outside_collapse_universe_v2(obj):
 
 
 def _bool_in_iso_map_v2(obj):
-    obj["stages"][4]["map"][0] = True
+    # version 4 isomorphism stages have no map
+    obj["stages"][4]["map"] = [True]
 
 
 def _unknown_version(obj):
-    obj["version"] = 4
+    obj["version"] = 5
 
 
 def _universe_not_hex(obj):
@@ -384,15 +394,9 @@ def _universe_not_hex(obj):
     _universe_not_hex])
 def test_theorem_malformed_certificate_v2(k3_122_theorem, tamper, tmp_path,
                                           capsys):
-    for version in (2, 3):
-        rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
-                                   capsys)
-        assert rc == 4
-        assert "input error" in err
-
-
-def _v1_after_of_step_3(obj):
-    obj["stages"][5]["certificate"]["stages"][3][1] = "0" * 32
+    rc, err = _replay_tampered(k3_122_theorem, 4, tamper, tmp_path, capsys)
+    assert rc == 4
+    assert "input error" in err
 
 
 def _v2_after_of_step_3(obj):
@@ -401,13 +405,10 @@ def _v2_after_of_step_3(obj):
 
 def test_theorem_tampered_stage_names_stage_and_step(k3_122_theorem, tmp_path,
                                                      capsys):
-    for version, tamper in ((1, _v1_after_of_step_3),
-                            (2, _v2_after_of_step_3),
-                            (3, _v2_after_of_step_3)):
-        rc, err = _replay_tampered(k3_122_theorem, version, tamper, tmp_path,
-                                   capsys)
-        assert rc == 2
-        assert "desubdivide-box" in err and "step" in err
+    rc, err = _replay_tampered(k3_122_theorem, 4, _v2_after_of_step_3,
+                               tmp_path, capsys)
+    assert rc == 2
+    assert "desubdivide-box" in err and "step" in err
 
 
 class _ClosedStdout:
@@ -445,7 +446,7 @@ def test_theorem_into_a_closed_pipe(k3_112, tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
-    assert json.loads(cert.read_text())["version"] == 3
+    assert json.loads(cert.read_text())["version"] == 4
 
 
 def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):

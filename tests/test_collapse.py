@@ -2,6 +2,7 @@
 subdivision deformations, certificates, replay, and tamper detection."""
 
 import hashlib
+import heapq
 import itertools
 import json
 import re
@@ -22,8 +23,8 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def fixture(name, version):
-    """The theorem certificate of the given version, 1 or 2, that the CLI
-    wrote for a corpus graph before the next version, as JSON text."""
+    """The theorem certificate of the given version, 1, 2 or 3, that the
+    CLI wrote for a corpus graph before the next version, as JSON text."""
     return (FIXTURES / ("theorem_v%d_%s.json"
                         % (version, name.replace("^", "_")))).read_text()
 
@@ -40,6 +41,17 @@ def sd_deformation(K, A):
     """sd_deformation onto the barycentric subdivision of K, built here."""
     sd = hb.barycentric_subdivision(K)
     return hb.sd_deformation(K, A, hb.lift_action_to_order_complex(A, sd))
+
+
+def assert_same_cells(K1, K2):
+    """K1 and K2 have the same cells: the same payloads, and for each the
+    same dimension and the same covers, compared by payload."""
+    assert len(K1) == len(K2) and set(K1.index) == set(K2.index)
+    for i, p in enumerate(K1.payloads):
+        j = K2.index[p]
+        assert K1.dims[i] == K2.dims[j], fmt_payload(p)
+        assert ({K1.payloads[k] for k in K1.down[i]}
+                == {K2.payloads[k] for k in K2.down[j]}), fmt_payload(p)
 
 
 def product_square():
@@ -181,29 +193,36 @@ def _explicit_action(K, name, moves):
         ["e", name], check=False)
 
 
-def _replay_v1_step(K, A, orbit, facets):
-    """Replay, from all of K, a version 1 collapse certificate of one step
-    that lists the orbit and facets given as vertex names."""
-    ids = [K.index[frozenset(c)] for c in orbit]
-    fp = "%032x" % K.fingerprint
-    step = {"direction": "collapse", "sigma": ids[0], "orbit": ids,
-            "facets": [K.index[frozenset(f)] for f in facets]}
+def _replay_one_step(K, A, sigma, facet, removed):
+    """Replay, from all of K, a collapse certificate of one step at sigma
+    with its facet, whose after fingerprint claims that the cells `removed`
+    are gone; cells are given as vertex names."""
+    def ids(cells):
+        return {K.index[frozenset(c)] for c in cells}
+    [s], [f] = ids([sigma]), ids([facet])
+    end = "%032x" % K.subcomplex(set(range(len(K))) - ids(removed))[0] \
+        .fingerprint
     cert = hb.DeformationCertificate.from_json_obj(
-        {"endpoints": [fp, fp], "stages": [[fp, fp, step]]}, version=1)
-    hb.replay_collapse_certificate(K, A, cert)
+        {"endpoints": ["%032x" % K.fingerprint, end],
+         "runs": [[None, ["c", s, f, end]]]})
+    return hb.replay_collapse_certificate(K, A, cert)
 
 
 def test_step_closed_under_generators_but_two_orbits():
     # the flip swaps ab with cd and pq with rs: {a, c, p, r} is closed under
-    # it, with facets carried along, but it is two orbits
+    # it, with facets carried along, but it is two orbits, and a step at a
+    # moves only the orbit {a, c}
     K = hb.CellComplex.from_simplices(map(frozenset, ["ab", "cd", "pq",
                                                      "rs"]))
     A = _explicit_action(K, "flip", {"a": "c", "c": "a", "b": "d", "d": "b",
                                      "p": "r", "r": "p", "q": "s", "s": "q"})
+    state = _replay_one_step(K, A, "a", "ab", ["a", "c", "ab", "cd"])
+    assert state.n_alive == len(K) - 4
     with pytest.raises(VerificationError,
-                       match=r"not a single group orbit.* reach cell \{p\} "
-                             r"from cell \{a\}"):
-        _replay_v1_step(K, A, "acpr", ["ab", "cd", "pq", "rs"])
+                       match=r"^step 0 \(collapse at cell 0 \{a\}\): "
+                             r"fingerprint drift after the step$"):
+        _replay_one_step(K, A, "a", "ab",
+                         ["a", "c", "p", "r", "ab", "cd", "pq", "rs"])
 
 
 def test_step_facets_misaligned_by_a_stabilizer():
@@ -264,18 +283,19 @@ def test_apply_orbit_step_codimension():
 
 
 def test_step_equivariance_enforced():
-    # orbit of x is {x, y}: a version 1 step listing only x is not
-    # action-closed
+    # orbit of x is {x, y}: a step at x moves y too, and under the flip
+    # both would take the facet xy
     seg, A = seg_with_flip()
-    with pytest.raises(VerificationError):
-        _replay_v1_step(seg, A, "x", ["xy"])
-    # the same with a free flip: the listed orbit lacks y
+    with pytest.raises(OrbitNotIndependentlyFree):
+        _replay_one_step(seg, A, "x", "xy", ["x", "xy"])
+    # the same with a free flip: the step at x moves y and its facet yb
+    # too, so a fingerprint that says only x and xa are gone drifts
     two = hb.CellComplex.from_simplices([frozenset("xa"), frozenset("yb")])
     A2 = _explicit_action(two, "flip", {"x": "y", "y": "x", "a": "b",
                                         "b": "a"})
-    with pytest.raises(VerificationError,
-                       match=r"not closed under the generators.* \{y\}"):
-        _replay_v1_step(two, A2, "x", ["xa"])
+    _replay_one_step(two, A2, "x", "xa", ["x", "y", "xa", "yb"])
+    with pytest.raises(VerificationError, match="fingerprint drift"):
+        _replay_one_step(two, A2, "x", "xa", ["x", "xa"])
 
 
 # -- certificates -----------------------------------------------------------
@@ -319,63 +339,37 @@ def test_replay_collapse_certificate_and_tampering(matchings):
     state = hb.replay_collapse_certificate(M.sd, M.action, cert)
     assert state.alive_ids() == sorted(M.critical)
 
-    def rejected(obj, version):
-        bad = hb.DeformationCertificate.from_json_obj(obj, version)
-        if version == 1:  # stage 4 of the theorem is the collapse reversed
-            bad = bad.reversed()
+    def rejected(obj):
+        bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_collapse_certificate(M.sd, M.action, bad)
 
-    # the collapse of each fixture replays, and is this one
-    v1 = json.loads(fixture("K3_122", 1))["stages"][3]["certificate"]
-    for version in (1, 2):
-        obj = json.loads(fixture("K3_122", version))["stages"][3]
-        old = hb.DeformationCertificate.from_json_obj(
-            obj["certificate"], version).reversed()
-        assert old.endpoints == cert.endpoints
-        assert hb.replay_collapse_certificate(
-            M.sd, M.action, old).alive_ids() == sorted(M.critical)
-    # versions 2 and 3 write a collapse in the same rows
-    assert (hb.DeformationCertificate.from_json_obj(
-        json.loads(fixture("K3_122", 2))["stages"][3]["certificate"], 2)
-        .reversed().runs == cert.runs)
+    # the collapse of the version 3 fixture is this one: the format of a
+    # collapse has not changed since version 2
+    old = json.loads(fixture("K3_122", 3))["stages"][3]["certificate"]
+    assert hb.DeformationCertificate.from_json_obj(old).reversed() == cert
 
-    # tamper: swap two stages (fingerprint chain breaks)
-    obj = json.loads(json.dumps(v1))
-    obj["stages"][3], obj["stages"][4] = obj["stages"][4], obj["stages"][3]
-    rejected(obj, 1)
-    for version in (2, 3):
-        obj = cert.to_json_obj()
-        steps = obj["runs"][0]
-        steps[4], steps[5] = steps[5], steps[4]
-        rejected(obj, version)
+    # tamper: swap two steps (fingerprint chain breaks)
+    obj = cert.to_json_obj()
+    steps = obj["runs"][0]
+    steps[4], steps[5] = steps[5], steps[4]
+    rejected(obj)
 
-    # tamper: drop one orbit member (equivariance check fires); versions 2
-    # and 3 list no orbit, so there sigma becomes another member of its
-    # orbit
-    obj = json.loads(json.dumps(v1))
-    step = obj["stages"][0][2]
-    step["orbit"] = step["orbit"][:-1]
-    step["facets"] = step["facets"][:-1]
-    rejected(obj, 1)
-    for version in (2, 3):
-        obj = cert.to_json_obj()
-        sigma = obj["runs"][0][1][1]
-        obj["runs"][0][1][1] = M.action.orbit(sigma)[-1]
-        rejected(obj, version)
+    # tamper: sigma becomes another member of its orbit
+    obj = cert.to_json_obj()
+    sigma = obj["runs"][0][1][1]
+    obj["runs"][0][1][1] = M.action.orbit(sigma)[-1]
+    rejected(obj)
 
     # tamper: wrong endpoint fingerprint
-    for obj, version in ((json.loads(json.dumps(v1)), 1),
-                         (cert.to_json_obj(), 2), (cert.to_json_obj(), 3)):
-        end = 0 if version == 1 else 1  # version 1 holds the reversal
-        obj["endpoints"][end] = "0" * 32
-        rejected(obj, version)
+    obj = cert.to_json_obj()
+    obj["endpoints"][1] = "0" * 32
+    rejected(obj)
 
     # tamper: a stellar universe named in a collapse
-    for version in (2, 3):
-        obj = cert.to_json_obj()
-        obj["runs"][0][0] = "0" * 32
-        rejected(obj, version)
+    obj = cert.to_json_obj()
+    obj["runs"][0][0] = "0" * 32
+    rejected(obj)
 
 
 def test_collapse_states_do_not_share_degrees(matchings):
@@ -465,6 +459,50 @@ def test_critical_isomorphism(matchings):
         assert want == set(iso.critical.down[iso.map[i]])
 
 
+def test_critical_subcomplex_built_once(corpus, monkeypatch):
+    # the stage-3 check and the collapse share one critical subcomplex and
+    # its action, in either order
+    subcomplexes = []
+    subcomplex = hb.CellComplex.subcomplex
+
+    def counting(self, *args, **kwargs):
+        subcomplexes.append(len(self))
+        return subcomplex(self, *args, **kwargs)
+
+    monkeypatch.setattr(hb.CellComplex, "subcomplex", counting)
+    for first_check in (True, False):
+        M = hb.build_matching(corpus["K3_122"])
+        del subcomplexes[:]
+        if first_check:
+            iso = hb.verify_critical_isomorphism(M)
+        run = hb.matching_to_collapse(M.sd, M.action, M)
+        if not first_check:
+            iso = hb.verify_critical_isomorphism(M)
+        assert subcomplexes == [len(M.sd)]
+        assert run.final is iso.critical
+        assert run.final_action is iso.critical_action
+        assert run.final.payloads == [M.sd.payloads[i] for i in M.critical]
+
+
+def test_greedy_queues_each_orbit_once(matchings, monkeypatch):
+    # readiness is monotone, so each orbit enters the heap once, when it
+    # becomes ready, and leaves it as one step
+    pops = []
+
+    class CountingHeap:
+        heappush = staticmethod(heapq.heappush)
+
+        @staticmethod
+        def heappop(heap):
+            pops.append(1)
+            return heapq.heappop(heap)
+
+    M = matchings["K3_122"]
+    monkeypatch.setattr(collapse, "heapq", CountingHeap)
+    run = hb.matching_to_collapse(M.sd, M.action, M)
+    assert len(pops) == len(run.certificate) == 58
+
+
 # -- stellar deformation -----------------------------------------------------
 
 
@@ -472,8 +510,8 @@ def test_stellar_deformation_matches_direct_subdivision(hollow_triangle):
     A = z3_action(hollow_triangle)
     e = hollow_triangle.index[frozenset("ab")]
     st = hb.stellar_deformation_certificate(hollow_triangle, A, e)
-    direct = hb.stellar_g_subdivision(hollow_triangle, A, e)
-    assert st.final.fingerprint_hex == direct.fingerprint_hex
+    assert_same_cells(st.final, hb.stellar_g_subdivision(hollow_triangle, A,
+                                                         e))
     assert st.certificate.endpoints == (
         hollow_triangle.fingerprint, st.final.fingerprint)
     # expansions first (into the cone universe), then collapses
@@ -490,8 +528,7 @@ def test_stellar_deformation_product_square():
     A = hb.trivial_action(K)
     sq = K.index[sq_pay]
     st = hb.stellar_deformation_certificate(K, A, sq)
-    direct = hb.stellar_subdivision_poset(K, A, sq)
-    assert st.final.fingerprint_hex == direct.fingerprint_hex
+    assert_same_cells(st.final, hb.stellar_subdivision_poset(K, A, sq))
     assert st.final.dim_counts() == [5, 8, 4]
 
 
@@ -529,21 +566,81 @@ def test_sd_deformation_checks_the_subdivision_it_is_given(
         hb.sd_deformation(solid_triangle, A, hb.trivial_action(other))
 
 
-def _recomputed(cx):
-    """cx rebuilt with every digest computed from canon_bytes."""
-    return hb.CellComplex(cx.payloads, cx.dims, cx.down)
+def _part_digest(tag, *parts):
+    return int.from_bytes(hashlib.blake2b(
+        tag + b"".join(d.to_bytes(16, "big") for d in parts),
+        digest_size=16).digest(), "big")
+
+
+def _digests_from_parts(K, cx):
+    """The digests of the cells of cx, a complex built by stellar stages on
+    K, recomputed from their payloads: a cell of K keeps its digest, an
+    apex (BARY, q) digests b"A" and the digest of q, and a cone cell b"C",
+    its apex's digest and its base's.  In a vertex set the apex is the
+    token of the last stage, whose member has the least dimension."""
+    simplicial = all(isinstance(p, frozenset) for p in K.payloads)
+    digest_of = {}
+
+    def apex(q):
+        return _part_digest(b"A", K.digests[K.index[q]])
+
+    def digest(p):
+        if p in K.index:
+            return K.digests[K.index[p]]
+        if p not in digest_of:
+            if not simplicial:
+                digest_of[p] = (apex(p[1]) if p[0] == BARY else _part_digest(
+                    b"C", digest(p[1]), digest(p[2])))
+            else:
+                tok = min((t for t in p if isinstance(t, tuple)
+                           and len(t) == 2 and t[0] == BARY),
+                          key=lambda t: K.dims[K.index[t[1]]])
+                digest_of[p] = (apex(tok[1]) if len(p) == 1 else _part_digest(
+                    b"C", digest(frozenset([tok])), digest(p - {tok})))
+        return digest_of[p]
+    return [digest(p) for p in cx.payloads]
 
 
 @pytest.mark.parametrize("side", ["hom", "box"])
-def test_stellar_cells_encode_as_canon_bytes(side, matchings):
-    # the cone cells' encodings are joined from their parts' encodings;
-    # Hom cells are tuples (cone payloads), box cells frozensets (simplicial)
-    bundle = getattr(matchings["K3_122"], side)
-    K, A = bundle.cx, bundle.action
-    st = hb.stellar_deformation_certificate(K, A, K.maximal_ids()[0])
-    assert st.universe.digests == _recomputed(st.universe).digests
-    d = sd_deformation(K, A)
-    assert d.final.digests == _recomputed(d.final).digests
+def test_stellar_cell_digests_from_parts(side, matchings):
+    # the digest of every cell a stage appends follows the rule: from its
+    # parts, not from its payload's encoding.  Hom cells are tuples (cone
+    # payloads), box cells frozensets (simplicial)
+    for name, M in sorted(matchings.items()):
+        bundle = getattr(M, side)
+        K, A = bundle.cx, bundle.action
+        if K.max_dim > 0:
+            st = hb.stellar_deformation_certificate(K, A, K.maximal_ids()[0])
+            assert st.universe.digests == _digests_from_parts(
+                K, st.universe), name
+        d = sd_deformation(K, A)
+        assert d.final.digests == _digests_from_parts(K, d.final), name
+
+
+@pytest.mark.parametrize("side", ["hom", "box"])
+def test_stellar_universe_digests_are_distinct(side, matchings, monkeypatch):
+    # no two cells of any stage's universe share a digest, and the universe
+    # fingerprint is the sum of its cells' digests
+    universes = []
+    cone_universe = collapse._cone_universe
+
+    def recording(store, *args):
+        U, apex_id, cone_id = cone_universe(store, *args)
+        digests = [d for d, a in zip(store.digests, store.alive) if a]
+        digests += [store.digests[i] for i in U.new]
+        assert len(digests) == len(U)
+        assert len(set(digests)) == len(digests)
+        assert sum(digests) % 2 ** 128 == U.fingerprint
+        universes.append(U)
+        return U, apex_id, cone_id
+
+    monkeypatch.setattr(collapse, "_cone_universe", recording)
+    for name, M in sorted(matchings.items()):
+        bundle = getattr(M, side)
+        before = len(universes)
+        d = sd_deformation(bundle.cx, bundle.action)
+        assert len(universes) - before == len(d.certificate.runs), name
+    assert len(universes) > 0
 
 
 def test_sd_deformation_stuck_on_reflection(hollow_triangle):
@@ -566,43 +663,41 @@ def hom_deformation(name, version):
 
 
 def test_replay_sd_deformation_tamper(solid_triangle, matchings):
-    # version 3: the triangle's deformation; versions 1 and 2: the Hom
-    # deformation (stage 1) of the K_4^3 fixtures
+    # the triangle's deformation, and the Hom deformation of K_4^3
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
-    hom = matchings["K_4^3"].hom
-    for version in (1, 2):
-        assert hb.replay_sd_deformation(
-            hom.cx, hom.action, hb.DeformationCertificate.from_json_obj(
-                hom_deformation("K_4^3", version), version))[0] is not None
-    for K, A, version, clean in ((solid_triangle, A, 3,
-                                  d.certificate.to_json_obj()),
-                                 (hom.cx, hom.action, 2,
-                                  hom_deformation("K_4^3", 2)),
-                                 (hom.cx, hom.action, 1,
-                                  hom_deformation("K_4^3", 1))):
+    M = matchings["K_4^3"]
+    hom = M.hom
+    hom_def = hb.main_theorem_certificate(M.graph, matching=M).hom_def
+    for K, A, clean in ((solid_triangle, A, d.certificate.to_json_obj()),
+                        (hom.cx, hom.action,
+                         hom_def.certificate.to_json_obj())):
         obj = json.loads(json.dumps(clean))
-        if version == 1:
-            obj["stages"][0][0] = "f" * 32
-        else:
-            obj["runs"][0][1][3] = "f" * 32
-        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        obj["runs"][0][1][3] = "f" * 32
+        bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_sd_deformation(K, A, bad)
         obj = json.loads(json.dumps(clean))
         obj["endpoints"] = ["f" * 32, obj["endpoints"][1]]
-        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_sd_deformation(K, A, bad)
-        # the universe of the first run (of the first step, in version 1)
+        # the universe of the first run
         obj = json.loads(json.dumps(clean))
-        if version == 1:
-            obj["stages"][0][2]["universe"] = "0" * 32
-        else:
-            obj["runs"][0][0] = "0" * 32
-        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        obj["runs"][0][0] = "0" * 32
+        bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_sd_deformation(K, A, bad)
+    # the version 3 fixture's Hom deformation has the same steps, but its
+    # universes digest the stellar cells' payload encodings
+    old = hb.DeformationCertificate.from_json_obj(
+        hom_deformation("K_4^3", 3))
+    assert ([[s[:3] for s in steps] for _, steps in old.runs]
+            == [[s[:3] for s in steps]
+                for _, steps in hom_def.certificate.runs])
+    with pytest.raises(VerificationError,
+                       match="^step 0: universe fingerprint mismatch"):
+        hb.replay_sd_deformation(hom.cx, hom.action, old)
 
 
 # -- iso tables and the main theorem ----------------------------------------
@@ -625,7 +720,7 @@ def test_verify_iso_ids_rejects(hollow_triangle):
     bad[0] = len(f)
     with pytest.raises(VerificationError):
         hb.verify_iso_ids(hollow_triangle, K2, bad)
-    # the [i, f(i)] rows of a version 1 table are not a map
+    # rows [i, f(i)] are not a map
     with pytest.raises(VerificationError, match="bijection of cell ids"):
         hb.verify_iso_ids(hollow_triangle, K2, [[i, j] for i, j in
                                                 enumerate(f)])
@@ -640,32 +735,30 @@ def test_main_theorem_certificate_round_trip(matchings):
                      "products-into-sd-box", "expand-to-sd-box",
                      "fold-box-subdivision", "desubdivide-box"]
     obj = json.loads(json.dumps(cert.to_json_obj()))
+    # an isomorphism stage stores no map, only its two fingerprints
+    assert [sorted(s) for s in obj["stages"][1::3]] \
+        == [["from", "kind", "name", "to"]] * 2
     back = hb.MainTheoremCertificate.from_json_obj(obj)
     assert back == cert
-    # the version decides the schedule, so it takes part in equality
-    assert back != hb.MainTheoremCertificate(back.endpoints, back.stages, 2)
     assert hb.replay_main_theorem(H, back, matching=M) is True
 
 
 def test_main_theorem_tamper_detection(matchings):
-    # version 3: K3_112 built here; versions 1 and 2: the K3_122 fixtures
-    M = matchings["K3_112"]
-    cert = hb.main_theorem_certificate(M.graph, matching=M)
-    M1 = matchings["K3_122"]
-    for M, clean, version in ((M, json.dumps(cert.to_json_obj()), 3),
-                              (M1, fixture("K3_122", 2), 2),
-                              (M1, fixture("K3_122", 1), 1)):
+    # K3_112 and K3_122, built here
+    for M in (matchings["K3_112"], matchings["K3_122"]):
         H = M.graph
+        clean = json.dumps(
+            hb.main_theorem_certificate(H, matching=M).to_json_obj())
 
-        obj = json.loads(clean)
-        pairs = obj["stages"][2]["map"]
-        if version == 1:
-            pairs[0][1] = pairs[1][1]
-        else:
-            pairs[0] = pairs[1]
-        with pytest.raises(VerificationError):
-            hb.replay_main_theorem(
-                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+        # each fingerprint of each isomorphism stage, with the stage named
+        for k in (1, 2, 4):
+            for end in ("from", "to"):
+                obj = json.loads(clean)
+                stage = obj["stages"][k]
+                stage[end] = "%032x" % (int(stage[end], 16) ^ 1)
+                with pytest.raises(VerificationError, match="^%s: endpoints "
+                                   "do not match$" % stage["name"]):
+                    hb.replay_main_theorem(H, obj, matching=M)
 
         obj = json.loads(clean)
         obj["endpoints"][0] = "1" * 32
@@ -682,87 +775,121 @@ def test_main_theorem_tamper_detection(matchings):
         # the end of the last step of stage 6, which its replay from the
         # end starts from
         obj = json.loads(clean)
-        box_def = obj["stages"][5]["certificate"]
-        if version == 1:
-            box_def["stages"][-1][1] = "0" * 32
-        else:
-            box_def["runs"][-1][-1][3] = "0" * 32
+        obj["stages"][5]["certificate"]["runs"][-1][-1][3] = "0" * 32
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
                 H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
 
 
-# sha256 of the canonical JSON of the version 1 theorem certificates, the
-# fixtures.  The values were recorded when each stellar stage rebuilt its
-# complexes from scratch; the cell store reproduced every byte of them.
+def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
+    # replay checks each isomorphism it regenerates from the payloads: a
+    # payload map that is no isomorphism fails with the stage named.  Each
+    # map here sends every cell to one cell of the target
+    M = matchings["K3_122"]
+    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    flatten_map = collapse._flatten_map
+    for stage, simplicial in (("unfold-hom-subdivision", False),
+                              ("fold-box-subdivision", True)):
+        monkeypatch.setattr(
+            collapse, "_flatten_map",
+            lambda K, box: ((lambda p: (0,)) if box == simplicial
+                            else flatten_map(K, box)))
+        with pytest.raises(VerificationError, match="^%s: payload map is "
+                           "not injective at cell 1$" % stage):
+            hb.replay_main_theorem(M.graph, obj, matching=M)
+    monkeypatch.undo()
+    product = hb.i_image_ids(M.hom, M.box)[0]
+    monkeypatch.setattr(collapse, "i_image_ids",
+                        lambda hom, box: [product] * len(hom.cx))
+    with pytest.raises(VerificationError, match="^products-into-sd-box: "
+                       "payload map is not injective at cell 1$"):
+        hb.replay_main_theorem(M.graph, obj, matching=M)
+
+
+# sha256 of the canonical JSON of the theorem certificates of versions 1,
+# 2 and 3, the fixtures.  The version 1 values were recorded when each
+# stellar stage rebuilt its complexes from scratch, the others as the
+# builder of each version wrote them.  No version before 4 replays.
 CERT_V1_SHA256 = {
     "K_4^2": "352e87faec2699581fb8038aa9c11b9069f280fc05e617c7a7068685261ad3f5",
     "K_4^3": "5111d0f96caca58332e4d0c069a251a6bfad41ec52dfde3f34eb10fdd043870a",
     "K3_122": "ab699838870e9c2020059134884eec4ad6ab1487c930425dc29d6fd6146bb3c6",
 }
-# sha256 of the canonical JSON of the version 2 theorem certificates, the
-# fixtures, as the builder of version 2 wrote them.
 CERT_V2_SHA256 = {
     "K_4^2": "c107bd564e337bf8055dfa9b6616dff760007ec6f64ec04e2b7587ac5ddb8d6c",
     "K_4^3": "b09312bd78ce4aeef74324b452a069dd3dc77848f9e265c75e47b3b325ab9356",
     "K3_122": "c987c42901b8466eebb7e9b44318104940000ea547e15b9a765c368b22cdb1d3",
 }
-# sha256 of the canonical JSON of the version 3 theorem certificates.
 CERT_V3_SHA256 = {
     "K_4^2": "ab8fc2a6469b7eee33271c34cc407c8543a6c3b6f98a665c29eb8651077584d2",
     "K_4^3": "3e76d2ffc655de0a0de6b0041ee1750f4cbbf79d956186afff6f5b62e843f417",
     "K3_122": "2e5716a45bbb06c68748ff321679e5674d2fc48b911439a0c7fa74f3f82ccd8e",
 }
+# sha256 of the canonical JSON of the version 4 theorem certificates.
+CERT_V4_SHA256 = {
+    "K_4^2": "8ae77174285aee69eace5cadf0df2216610a9d814b8a1ea03f6854dbb9c78049",
+    "K_4^3": "f87a92fbd252352a552575871e2ef3c1bcec2c2f263a4840138bcb02481aad05",
+    "K3_122": "f162ae8375fc269ff0d4a4e518daa68c933a0e9794152d6757f706dce62ac976",
+}
+
+
+def _refused(matchings, name, version, sha256):
+    """The fixture of the given version keeps its bytes, and replay refuses
+    it by its version, asking for a rebuild."""
+    M = matchings[name]
+    text = fixture(name, version)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    message = ("^main theorem certificate of format version %d, which this "
+               "hombox no longer replays: rebuild it with `hombox theorem`$"
+               % version)
+    with pytest.raises(InputError, match=message):
+        hb.MainTheoremCertificate.from_json_obj(json.loads(text))
+    with pytest.raises(InputError, match=message):
+        hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V1_SHA256))
 def test_main_theorem_certificate_bytes_pinned(matchings, name):
-    # the version 1 fixtures keep their bytes and replay
-    M = matchings[name]
-    text = fixture(name, 1)
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V1_SHA256[name]
-    assert hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
+    _refused(matchings, name, 1, CERT_V1_SHA256[name])
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V2_SHA256))
 def test_main_theorem_certificate_v2_bytes_pinned(matchings, name):
-    # the version 2 fixtures keep their bytes and replay, and the version 1
-    # fixture, parsed and written again, is its version 2 fixture
-    M = matchings[name]
-    text = fixture(name, 2)
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V2_SHA256[name]
-    cert = hb.MainTheoremCertificate.from_json_obj(json.loads(text))
-    assert cert.version == 2
-    assert hb.replay_main_theorem(M.graph, cert, matching=M)
-    assert canonical_json(cert.to_json_obj()) == text
-    old = hb.MainTheoremCertificate.from_json_obj(json.loads(fixture(name, 1)))
-    assert canonical_json(old.to_json_obj()) == text
+    _refused(matchings, name, 2, CERT_V2_SHA256[name])
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V3_SHA256))
 def test_main_theorem_certificate_v3_bytes_pinned(matchings, name):
+    _refused(matchings, name, 3, CERT_V3_SHA256[name])
+
+
+@pytest.mark.parametrize("name", sorted(CERT_V4_SHA256))
+def test_main_theorem_certificate_v4_bytes_pinned(matchings, name):
     M = matchings[name]
     cert = hb.main_theorem_certificate(M.graph, matching=M)
     text = canonical_json(cert.to_json_obj())
-    assert json.loads(text)["version"] == 3
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V3_SHA256[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V4_SHA256[name]
     assert hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
-    # the stages that star nothing are those of version 2
-    old = json.loads(fixture(name, 2))["stages"]
-    for k in (2, 3):
-        assert json.loads(text)["stages"][k] == old[k]
+    # against version 3, only fingerprints changed: the endpoints, every
+    # step's direction, sigma and facet, the whole collapse stage and the
+    # fingerprints of stage 3 are the same
+    new, old = json.loads(text), json.loads(fixture(name, 3))
+    assert new["endpoints"] == old["endpoints"]
+    assert new["stages"][3] == old["stages"][3]
+    assert [new["stages"][2][k] for k in ("from", "to")] \
+        == [old["stages"][2][k] for k in ("from", "to")]
+    for k in (0, 5):
+        runs = [s["stages"][k]["certificate"]["runs"] for s in (new, old)]
+        assert [[row[:3] for row in run[1:]] for run in runs[0]] \
+            == [[row[:3] for row in run[1:]] for run in runs[1]]
 
 
 def test_replay_error_names_stage_and_step(matchings):
-    # version 3: K3_112 built here; versions 1 and 2: the K3_122 fixtures
+    # K3_112 and K3_122, built here
     pattern = (r"^desubdivide-box.*: step \d+ \((collapse|expand) at cell"
                r" \d+ .+\): fingerprint drift")
-    M = matchings["K3_112"]
-    built = json.dumps(
-        hb.main_theorem_certificate(M.graph, matching=M).to_json_obj())
-    M1 = matchings["K3_122"]
-    for M, clean in ((M, built), (M1, fixture("K3_122", 2))):
-        obj = json.loads(clean)
+    for M in (matchings["K3_112"], matchings["K3_122"]):
+        obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
         runs = obj["stages"][5]["certificate"]["runs"]
         run = runs[len(runs) // 2]
         run[len(run) // 2][3] = "f" * 32
@@ -770,77 +897,60 @@ def test_replay_error_names_stage_and_step(matchings):
         with pytest.raises(VerificationError, match=pattern):
             hb.replay_main_theorem(M.graph, bad, matching=M)
 
-    obj = json.loads(fixture("K3_122", 1))
-    steps = obj["stages"][5]["certificate"]["stages"]
-    steps[len(steps) // 2][0] = "f" * 32
-    bad = hb.MainTheoremCertificate.from_json_obj(obj)
-    with pytest.raises(VerificationError, match=pattern):
-        hb.replay_main_theorem(M1.graph, bad, matching=M1)
-
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
                                                       matchings):
-    # version 3: the triangle's deformation; version 2: the Hom deformation
-    # (stage 1) of the K_4^3 fixture, and version 1 that of its version 1
-    # fixture
+    # the triangle's deformation, and the Hom deformation (stage 1) of
+    # K_4^3
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
-    hom = matchings["K_4^3"].hom
-    for K, A, version, clean in ((solid_triangle, A, 3,
-                                  d.certificate.to_json_obj()),
-                                 (hom.cx, hom.action, 2,
-                                  hom_deformation("K_4^3", 2))):
+    M = matchings["K_4^3"]
+    hom = M.hom
+    hom_def = hb.main_theorem_certificate(M.graph, matching=M).hom_def
+    for K, A, clean in ((solid_triangle, A, d.certificate.to_json_obj()),
+                        (hom.cx, hom.action,
+                         hom_def.certificate.to_json_obj())):
         obj = json.loads(json.dumps(clean))
         obj["runs"][0][1][1] = 10 ** 6
-        bad = hb.DeformationCertificate.from_json_obj(obj, version)
+        bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(InputError, match="outside the .*universe"):
             hb.replay_sd_deformation(K, A, bad)
         for value in (-1, True):
             obj = json.loads(json.dumps(clean))
             obj["runs"][0][1][2] = value
             with pytest.raises(InputError, match="facet"):
-                hb.DeformationCertificate.from_json_obj(obj, version)
-
-    clean = hom_deformation("K_4^3", 1)
-    obj = json.loads(json.dumps(clean))
-    step = obj["stages"][0][2]
-    step["sigma"] = step["orbit"][0] = 10 ** 6
-    bad = hb.DeformationCertificate.from_json_obj(obj, version=1)
-    with pytest.raises(InputError, match="outside the .*universe"):
-        hb.replay_sd_deformation(hom.cx, hom.action, bad)
-    for value in (-1, True):
-        obj = json.loads(json.dumps(clean))
-        obj["stages"][0][2]["facets"] = [value]
-        with pytest.raises(InputError, match="facets"):
-            hb.DeformationCertificate.from_json_obj(obj, version=1)
+                hb.DeformationCertificate.from_json_obj(obj)
 
 
 def test_certificate_versions(matchings):
-    # versions 1, 2 and 3 parse; a certificate of another version, or none,
-    # is an input error; a version 2 or 3 deformation does not parse as
-    # version 1, nor the reverse
+    # version 4 parses; versions 1 to 3 (1 has no version field) are input
+    # errors that name the version and ask for a rebuild, and any other
+    # version is unknown
     M = matchings["K_4^3"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
-    assert obj["version"] == 3
-    assert hb.MainTheoremCertificate.from_json_obj(obj).version == 3
-    for version in (0, 4, True, "2", None, [2]):
+    assert obj["version"] == 4
+    assert hb.MainTheoremCertificate.from_json_obj(obj).to_json_obj() == obj
+    for version in (0, 5, True, "4", None, [4], 4.0):
         with pytest.raises(InputError, match="unknown version"):
             hb.MainTheoremCertificate.from_json_obj(dict(obj, version=version))
-    with pytest.raises(InputError, match="stages is not a list"):
-        hb.MainTheoremCertificate.from_json_obj(dict(obj, version=1))
-    old = json.loads(fixture("K_4^3", 1))
-    for version in (2, 3):
-        with pytest.raises(InputError, match="runs is not a list"):
-            hb.MainTheoremCertificate.from_json_obj(dict(old, version=version))
-    # a certificate parsed from version 1 or 2 is written as version 2
-    for version in (1, 2):
-        cert = hb.MainTheoremCertificate.from_json_obj(
-            json.loads(fixture("K_4^3", version)))
-        assert cert.version == 2
-        assert cert.to_json_obj()["version"] == 2
+    old = dict(obj)
+    del old["version"]
+    for bad, version in ((old, 1), (dict(obj, version=2), 2),
+                         (dict(obj, version=3), 3)):
+        with pytest.raises(InputError, match="format version %d, which .* "
+                           "rebuild it with `hombox theorem`" % version):
+            hb.MainTheoremCertificate.from_json_obj(bad)
+    # a stage with a field its kind does not have, as a version 3
+    # isomorphism stage with its map, is malformed
+    for k, field in ((4, "map"), (3, "from")):
+        bad = json.loads(json.dumps(obj))
+        bad["stages"][k][field] = []
+        with pytest.raises(InputError, match="stage %d .* has the fields"
+                           % (k + 1)):
+            hb.MainTheoremCertificate.from_json_obj(bad)
 
 
-# -- the vertex orbits, which no version 3 stage stars ------------------------
+# -- the vertex orbits, which no stage stars ---------------------------------
 
 
 def _corpus_complexes(matchings):
@@ -874,7 +984,7 @@ def _renamed(E, S, orbit, simplicial):
 
 
 def test_starring_a_vertex_orbit_renames_it(matchings):
-    # the lemma version 3 rests on: where the version 2 schedule starred a
+    # the lemma the schedule rests on: where versions 1 and 2 starred a
     # vertex orbit of K, the complex E after the stages of positive
     # dimension, the stellar subdivision is E with each member renamed to
     # its apex, G-isomorphically.  A simplicial K (the box) is such a
@@ -896,28 +1006,29 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
         for E, EA in pairs:
             m = E.index[K.payloads[vertex]]
             st = hb.stellar_deformation_certificate(E, EA, m)
-            assert (st.final.fingerprint
-                    == stellar(E, EA, m).fingerprint), label
+            assert_same_cells(st.final, stellar(E, EA, m))
             f = _renamed(E, st.final, EA.orbit(m), simplicial)
             hb.verify_iso_ids(E, st.final, f, EA, st.final_action)
 
 
 def test_version_3_rejects_vertex_runs(matchings):
-    # a vertex run appended to a version 3 deformation, and a version 2
-    # certificate relabelled as version 3, are refused naming both counts
+    # the schedule of version 3 on stars no vertex orbit: a vertex run
+    # appended to a deformation, and the runs of a version 2 deformation,
+    # which starred the vertex orbits too, are refused naming both counts
     M = matchings["K_4^3"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
-    v2 = json.loads(fixture("K_4^3", 2))
-    n3 = len(obj["stages"][0]["certificate"]["runs"])
-    n2 = len(v2["stages"][0]["certificate"]["runs"])
-    assert n2 > n3
-    obj["stages"][0]["certificate"]["runs"].append(
-        v2["stages"][0]["certificate"]["runs"][-1])
-    cases = [(obj, n3 + 1), (dict(v2, version=3), n2)]
-    for bad, runs in cases:
+    v2 = json.loads(fixture("K_4^3", 2))["stages"][0]["certificate"]
+    n4 = len(obj["stages"][0]["certificate"]["runs"])
+    n2 = len(v2["runs"])
+    assert n2 > n4
+    bad = json.loads(json.dumps(obj))
+    bad["stages"][0]["certificate"]["runs"].append(v2["runs"][-1])
+    old = json.loads(json.dumps(obj))
+    old["stages"][0]["certificate"] = v2
+    for bad, runs in ((bad, n4 + 1), (old, n2)):
         with pytest.raises(VerificationError,
                            match=r"^subdivide-hom: certificate has %d stages "
-                                 r"but the schedule needs %d$" % (runs, n3)):
+                                 r"but the schedule needs %d$" % (runs, n4)):
             hb.replay_main_theorem(M.graph, bad, matching=M)
 
 
