@@ -16,7 +16,7 @@ Conventions used throughout the package:
   tuple, and an int encodes as b"I" and its decimal digits.  So on tuples
   of one length made of non-negative ints, canon_bytes order is numeric
   lexicographic order (fewer digits is a smaller length prefix), and
-  order_complex sorts its chains as int tuples, encoding none of them.
+  order_complex numbers its chains as int tuples, encoding none of them.
 * Payloads are built from ints, strings (not starting with "*"), tuples and
   frozensets.  The tags ("*b", p) and ("*c", apex, base) are reserved for
   barycenter and cone payloads introduced by subdivisions.
@@ -36,9 +36,10 @@ Conventions used throughout the package:
 """
 
 import hashlib
+from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import factorial
 
 from .errors import (
@@ -107,22 +108,39 @@ def fmt_payload(x):
     return repr(x)
 
 
-def _cell_digest(payload_bytes, dim, cover_digests):
-    """The digest of a cell from canon_bytes of its payload, its dimension
-    and the digests of its covers."""
-    h = hashlib.blake2b(payload_bytes, digest_size=16)
-    h.update(dim.to_bytes(4, "big"))
-    h.update(b"".join([d.to_bytes(16, "big") for d in sorted(cover_digests)]))
-    return int.from_bytes(h.digest(), "big")
+def _digests(encoding, dims, down):
+    """The digests of all cells, from canon_bytes of their payloads (cell i
+    encodes as encoding(i), called once), computed in order of dimension so
+    that the covers' digests come first.
 
-
-def _digests(encodings, dims, down):
-    """The digests of all cells, from canon_bytes of their payloads, computed
-    in order of dimension so that the covers' digests come first."""
+    A cell's digest is the 128-bit blake2b hash of its encoding, its
+    dimension in 4 big-endian bytes and its covers' digests in 16 big-endian
+    bytes each, in ascending order (bytes of one length sort as the ints
+    do).  The covers of a cell lie one dimension down, so only the digest
+    bytes of the dimension before are kept; a cover elsewhere (a complex
+    that is not graded) has its bytes taken from its int digest.
+    """
     out = [None] * len(dims)
-    get = out.__getitem__
-    for i in sorted(range(len(dims)), key=dims.__getitem__):
-        out[i] = _cell_digest(encodings[i], dims[i], map(get, down[i]))
+    by_dim = {}
+    for i, d in enumerate(dims):
+        by_dim.setdefault(d, []).append(i)
+    blake = hashlib.blake2b
+    below = {}
+    for d in sorted(by_dim):
+        dim = d.to_bytes(4, "big")
+        get = below.__getitem__
+        cur = {}
+        for i in by_dim[d]:
+            h = blake(encoding(i), digest_size=16)
+            h.update(dim)
+            try:
+                covers = sorted(map(get, down[i]))
+            except KeyError:
+                covers = sorted(out[j].to_bytes(16, "big") for j in down[i])
+            h.update(b"".join(covers))
+            cur[i] = b = h.digest()
+            out[i] = int.from_bytes(b, "big")
+        below = cur
     return out
 
 
@@ -155,7 +173,7 @@ class CellComplex:
                         "duplicate cell payload: %s" % fmt_payload(p))
                 seen.add(p)
         if digests is None:
-            digests = _digests(list(map(canon_bytes, self.payloads)),
+            digests = _digests(lambda i: canon_bytes(self.payloads[i]),
                                self.dims, self.down)
         self.digests = list(digests)
         self.fingerprint = sum(self.digests) & _MASK128
@@ -195,7 +213,7 @@ class CellComplex:
             down.append(tuple(sorted(row)))
         dims = [c[0] for c in cells]
         return cls([c[2] for c in cells], dims, down,
-                   _digests([c[1] for c in cells], dims, down))
+                   _digests(lambda i: cells[i][1], dims, down))
 
     @classmethod
     def from_simplices(cls, simplices, close=True):
@@ -604,11 +622,20 @@ def order_complex(K, max_cells=None):
     chains of one length, the first differing member decides: fewer digits
     is a shorter length prefix and sorts first, and equal digit counts sort
     numerically.  So (dim, canon_bytes) order, the ids from_graded_cells
-    would assign, is the order of (len(ch), ch) on int tuples.  Chains are
-    generated in tuple order, each bottom id's chains after its own
-    one-element chain and grouped by the next id up, and a stable sort by
-    length then gives the ids.  A chain's digest hashes canon_bytes(ch),
-    joined from one encoding per K-id.
+    would assign, is the order of (len(ch), ch) on int tuples.  A chain's
+    digest hashes canon_bytes(ch), joined from one encoding per K-id.
+
+    Every chain of length L >= 2 is its bottom id i followed by its tail
+    t, a chain of length L - 1.  For a 2-chain (i, j), the chains (i,) + t
+    with t of bottom j fill one block of ids, in the order of their tails,
+    so id((i,) + t) = t + shift, one shift per block; the ids are counted
+    out before any chain is built.  The covers of (i,) + t, in ascending id
+    order, are (i,) + f for the covers f of t, then t itself (for a 2-chain
+    (i, j): (i,), then (j,)); the f before the last share t's bottom, and
+    the last is t's tail.  So a chain's last cover is its tail and its first
+    cover (drop the top item) keeps its two lowest items:
+    lift_action_to_order_complex and the matching read the chains by bottom
+    and tail from these covers (_chain_blocks).
     """
     n = len(K.payloads)
     for i in range(n):
@@ -616,39 +643,69 @@ def order_complex(K, max_cells=None):
             if j >= i:
                 raise InputError("order_complex needs ids sorted by dimension")
     above = [None] * n
-    starts = [0] * n
-    total = 0
     for i in reversed(range(n)):
         a = set()
         for j in K.up[i]:
             a.add(j)
             a |= above[j]
         above[i] = a
-        starts[i] = 1 + sum(starts[j] for j in a)
-        total += starts[i]
+    above = list(map(sorted, above))
+    # counts[L][j]: the chains of length L + 1 with bottom j
+    counts = [[1] * n]
+    while True:
+        prev = counts[-1]
+        cnt = [sum(map(prev.__getitem__, a)) for a in above]
+        if not any(cnt):
+            break
+        counts.append(cnt)
+    total = sum(map(sum, counts))
     if max_cells is not None and total > max_cells:
         raise SizeGuard(
             "order complex needs %d cells, over the %d-cell guard" % (total, max_cells),
             needed=total, limit=max_cells)
-    chains_from = [None] * n
-    for i in reversed(range(n)):
-        chs = [(i,)]
-        for j in sorted(above[i]):
-            chs.extend((i,) + ch for ch in chains_from[j])
-        chains_from[i] = chs
-    chains = [ch for chs in chains_from for ch in chs]
-    del chains_from, above
-    chains.sort(key=len)
-    index = dict(zip(chains, range(len(chains))))
-    id_of = index.__getitem__
-    # Dropping a later member gives a smaller chain, so covers ascend.
-    down = [tuple([id_of(ch[:t] + ch[t + 1:])
-                   for t in range(len(ch) - 1, -1, -1)])
-            if len(ch) > 1 else () for ch in chains]
+    # firsts[L][j]: the id of the first chain of length L + 1 with bottom j
+    firsts, start = [], 0
+    for cnt in counts:
+        first = list(accumulate(cnt, initial=start))
+        start = first.pop()
+        firsts.append(first)
+    # Every id is one shared int object, held by the index and by the
+    # covers, rather than a new int per cover.
+    ids = list(range(total))
+    chains = [(i,) for i in ids[:n]] + [None] * (total - n)
+    down = [()] * n + [None] * (total - n)
+    # Bottoms in decreasing order, so every tail is built before its chains.
+    for i in reversed(ids[:n]):
+        shift = None
+        for L in range(1, len(counts)):
+            if not counts[L][i]:
+                break
+            cnt, first = counts[L - 1], firsts[L - 1]
+            x = firsts[L][i]
+            prev, shift = shift, {}
+            for j in above[i]:
+                s = cnt[j]
+                if not s:
+                    continue
+                t0 = first[j]
+                shift[j] = d = x - t0
+                x += s
+                if L == 1:
+                    # the 2-chain (i, j), whose tail is the 1-chain j
+                    chains[x - 1] = down[x - 1] = (i, j)
+                    continue
+                dj = prev[j]
+                for t in ids[t0:t0 + s]:
+                    ch, dt = chains[t], down[t]
+                    chains[t + d] = (i,) + ch
+                    down[t + d] = (*[ids[f + dj] for f in dt[:-1]],
+                                   ids[dt[-1] + prev[ch[1]]], t)
+    del above, firsts
+    index = dict(zip(chains, ids))
     part = [len(b).to_bytes(4, "big") + b
             for b in (b"I%d" % i for i in range(n))].__getitem__
-    dims = [len(ch) - 1 for ch in chains]
-    digests = _digests([b"T" + b"".join(map(part, ch)) for ch in chains],
+    dims = [d for d, cnt in enumerate(counts) for _ in range(sum(cnt))]
+    digests = _digests(lambda x: b"T" + b"".join(map(part, chains[x])),
                        dims, down)
     oc = CellComplex(chains, dims, down, digests, index)
     oc.base = K
@@ -661,30 +718,94 @@ def barycentric_subdivision(K, max_cells=None):
     return order_complex(K, max_cells=max_cells)
 
 
+def _chain_blocks(sd):
+    """sd = order_complex(K) by bottom and tail, read from its covers.
+
+    Returns (layers, ids, head, shift, pair):
+      layers  the id range of the chains of each length, shortest first
+              (the first is the ids of K, one per one-element chain)
+      ids     ids[x] is x as the int object the index holds (order_complex
+              enters the chains in id order), so that tables built from
+              computed ids share those objects
+      head    head[x] is the id of the 2-chain of the two lowest items of
+              chain x, for x of length >= 2; a chain's first cover has the
+              same two lowest items
+      shift   shift[L - 1][e], for the 2-chain e = (i, j) and a chain t of
+              length L - 1 with bottom j, is id((i,) + t) - t; a chain's
+              last cover is its tail
+      pair    pair[(a, b)] is the id of the 2-chain (a, b)
+    No chain is looked up in sd.index.
+    """
+    down, dims = sd.down, sd.dims
+    ids = list(sd.index.values())
+    ends = [bisect_left(dims, d) for d in range(max(sd.max_dim, 0) + 2)]
+    layers = [range(a, b) for a, b in zip(ends, ends[1:])]
+    head = [None] * len(layers[0])
+    shift = [None]
+    pair = {}
+    if len(layers) > 1:
+        a, b = layers[1].start, layers[1].stop
+        pair = dict(zip(down[a:b], ids[a:b]))
+        head += ids[a:b]
+        for layer in layers[1:]:
+            if layer.start != a:
+                head += [head[dn[0]] for dn in down[layer.start:layer.stop]]
+            sh = [0] * b
+            for x in layer:
+                sh[head[x]] = x - down[x][-1]
+            shift.append(sh)
+    return layers, ids, head, shift, pair
+
+
 def lift_action_to_order_complex(A, sd):
     """Transport a group action on K to its order complex sd = order_complex(K).
 
-    Generator p maps the chain ch to the chain of the images p[j], j in ch.
-    A poset automorphism keeps a chain's ids ascending, since every cover has
-    a smaller id (order_complex checks that), so the image is looked up in
-    sd.index as it is.  Lifting is a homomorphism, so the lifted generators
-    satisfy A's relations.  Raises VerificationError, naming the generator
-    and the chain, if an image is not a chain of sd, i.e. A is not an action
-    by automorphisms of K.
+    Generator p maps the chain ch to the chain of the images p[j], j in ch,
+    through bottoms and tails (_chain_blocks), with no chain looked up by
+    payload: (i,) goes to (p[i],), whose id is p[i]; a 2-chain (i, j) to the
+    2-chain (p[i], p[j]); and, in id order, (i,) + t to the chain with tail
+    p(t) in the block of the 2-chain p((i, t[0])).  If every 2-chain maps to
+    a chain, so does every chain, as p then keeps consecutive items
+    comparable.  Lifting is a homomorphism, so the lifted generators satisfy
+    A's relations.  Raises VerificationError, naming the generator and the
+    chain, if an image is not a chain of sd, i.e. A is not an action by
+    automorphisms of K, and InputError if A acts on a complex other than K
+    (compared by cell count and fingerprint).
     """
-    chains = sd.payloads
-    get = sd.index.get
+    K = sd.base
+    n = len(K.payloads)
+    if (len(A.cx.payloads) != n or A.cx.fingerprint != K.fingerprint
+            or any(len(p) != n for p in A.perms)):
+        raise InputError(
+            "the action is on a complex of %d cells with fingerprint %s, not "
+            "on the base of the order complex (%d cells, %s)"
+            % (len(A.cx.payloads), A.cx.fingerprint_hex[:8], n,
+               K.fingerprint_hex[:8]))
+    layers, ids, head, shift, pair = _chain_blocks(sd)
+    down = sd.down
+    twos = layers[1] if len(layers) > 1 else range(0)
+    pairs = down[twos.start:twos.stop]
     perms = []
     for s, p in zip(A.labels, A.perms):
-        img = p.__getitem__
-        perm = [get(tuple(map(img, ch))) for ch in chains]
-        if None in perm:
-            ch = chains[perm.index(None)]
+        lift = list(p)
+        bad = next((i for i in range(n) if not 0 <= lift[i] < n), None)
+        if bad is None:
+            img = [pair.get((p[i], p[j])) for i, j in pairs]
+            if None in img:
+                bad = twos[img.index(None)]
+            lift += img
+        if bad is not None:
+            ch = sd.payloads[bad]
             raise VerificationError(
                 "generator %r maps chain %s to %s, which is not a chain of "
                 "the order complex" % (s, fmt_payload(ch),
-                                       fmt_payload(tuple(map(img, ch)))))
-        perms.append(perm)
+                                       fmt_payload(tuple(map(p.__getitem__,
+                                                             ch)))))
+        for layer, sh in zip(layers[2:], shift[2:]):
+            a, b = layer.start, layer.stop
+            lift += [ids[lift[dn[-1]] + sh[lift[e]]]
+                     for dn, e in zip(down[a:b], head[a:b])]
+        perms.append(lift)
     return A.transport(sd, perms)
 
 

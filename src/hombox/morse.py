@@ -19,6 +19,17 @@ and the toggle is an involution, so D = Sigma ⊔ mu(Sigma).  The critical
 cells are the chains of products, i.e. the order complex of the image of i,
 which is sd Hom(K_r^r, H).
 
+Through tails: a chain of length >= 2 is its bottom item i followed by
+its tail t.  The toggle never touches the bottom item (c(x) goes directly
+above x), and the topmost non-product x lies in t unless every item of t
+is a product.  So, with t classified first (it has a smaller id): if t is
+not critical, the chain takes t's tag and its partner is (i,) +
+partner(t); otherwise it is critical if i is a product, upper if t starts
+with c(i), and in Sigma with partner (i, c(i)) + t if not.  build_matching
+applies the rule this way, finding partners through the blocks of the
+order complex's ids (cellcx._chain_blocks); classify_chain applies it
+item by item.
+
 Equivariance: S_r permutes the coordinates of ordered edges, which commutes
 with p and with i, hence with c; the rule uses nothing else.
 
@@ -33,7 +44,12 @@ raises MatchingInvalid with a counterexample chain if any check fails.
 """
 
 from .boxcx import box_edge, i_image_ids, ip_tables, map_i, map_p
-from .cellcx import barycentric_subdivision, lift_action_to_order_complex
+from .cellcx import (
+    _chain_blocks,
+    barycentric_subdivision,
+    canon_key,
+    lift_action_to_order_complex,
+)
 from .errors import MatchingInvalid, NotInSigma
 from .homcx import hom_complex
 
@@ -42,29 +58,23 @@ SIGMA = "sigma"
 UPPER = "upper"
 
 
-def _toggle(items, closure):
-    """The rule, on a chain of items (ascending tuple) with closure(x) =
-    c(x); x is a product iff closure(x) == x.
-
-    Returns (tag, partner): the toggled chain for Sigma and upper chains,
-    None for critical ones."""
+def classify_chain(chain):
+    """Classify a chain of box simplices given as payloads (ascending tuple
+    of frozensets of ordered edges) by the rule, item by item: toggle c(x)
+    at the topmost non-product x.  Returns (tag, partner) with tag one of
+    "critical", "sigma", "upper"; partner is the chain matched with it, or
+    None for a critical chain.  build_matching applies the same rule
+    through tails (_classify); the tests compare the two."""
+    items = tuple(chain)
     for k in range(len(items) - 1, -1, -1):
         x = items[k]
-        c = closure(x)
+        c = map_i(map_p(x))
         if c == x:
             continue
         if k + 1 < len(items) and items[k + 1] == c:
             return UPPER, items[:k + 1] + items[k + 2:]
         return SIGMA, items[:k + 1] + (c,) + items[k + 1:]
     return CRITICAL, None
-
-
-def classify_chain(chain):
-    """Classify a chain of box simplices given as payloads (ascending tuple
-    of frozensets of ordered edges).  Returns (tag, partner) with tag one of
-    "critical", "sigma", "upper"; partner is the chain matched with it, or
-    None for a critical chain."""
-    return _toggle(tuple(chain), lambda F: map_i(map_p(F)))
 
 
 def mu(chain):
@@ -105,9 +115,7 @@ class Matching:
         return [i for i, t in enumerate(self.tags) if t != CRITICAL]
 
     def _chain_payloads(self, i):
-        from .cellcx import canon_key
-        pay = self.box.cx.payloads
-        return [sorted(pay[x], key=canon_key) for x in self.sd.payloads[i]]
+        return _chain_payloads(self.box, self.sd, i)
 
     def verify(self):
         """Re-run every structural check; raise MatchingInvalid on failure."""
@@ -156,7 +164,7 @@ class Matching:
                             % (self._chain_payloads(x), A.labels[g]))
         iP = set(i_image_ids(self.hom, self.box))
         for i, items in enumerate(sd.payloads):
-            expect = all(x in iP for x in items)
+            expect = iP.issuperset(items)
             if expect != (self.tags[i] == CRITICAL):
                 raise MatchingInvalid(
                     "critical cells differ from chains of products at %r"
@@ -180,6 +188,65 @@ class Matching:
         return ("%d chains; D %d = sigma %d + upper %d; critical %d"
                 % (len(self.sd), len(self.d_cells()), len(self.sigma()),
                    len(self.upper), len(self.critical)))
+
+
+def _chain_payloads(box, sd, i):
+    """Chain i of sd as a list of box simplex payloads, for messages."""
+    pay = box.cx.payloads
+    return [sorted(pay[x], key=canon_key) for x in sd.payloads[i]]
+
+
+def _classify(box, sd, closure):
+    """The tag of every chain of sd = sd B_edge(H) and mu on Sigma, by the
+    rule applied through tails (module docstring), in id order; closure[i]
+    is the box id of c(i).  A one-element chain (i,) is critical if i is a
+    product, and in Sigma with partner (i, c(i)) if not.  A partner is found
+    in the block of its lowest 2-chain (cellcx._chain_blocks), and (i, c(i))
+    + t through (c(i),) + t.  Raises MatchingInvalid, naming the chain, if a
+    partner is not a chain, i.e. closure is not a closure operator.
+    """
+    layers, ids, head, shift, pair = _chain_blocks(sd)
+    down = sd.down
+    tags = [None] * len(down)
+    mu_map = {}
+
+    def missing(x):
+        return MatchingInvalid(
+            "the toggle partner of chain %r is not a chain"
+            % (_chain_payloads(box, sd, x),))
+
+    for i in layers[0]:
+        c = closure[i]
+        if c == i:
+            tags[i] = CRITICAL
+        else:
+            tags[i] = SIGMA
+            mu_map[i] = pair.get((i, c))
+            if mu_map[i] is None:
+                raise missing(i)
+    for layer, sh, up in zip(layers[1:], shift[1:], shift[2:] + [None]):
+        for x in layer:
+            t = down[x][-1]
+            tag = tags[t]
+            if tag == SIGMA:
+                tags[x] = SIGMA
+                mu_map[x] = ids[mu_map[t] + up[head[x]]]
+            elif tag == UPPER:
+                tags[x] = UPPER
+            else:
+                i, j = down[head[x]]
+                c = closure[i]
+                if c == i:
+                    tags[x] = CRITICAL
+                elif c == j:
+                    tags[x] = UPPER
+                else:
+                    a, b = pair.get((c, j)), pair.get((i, c))
+                    if a is None or b is None:
+                        raise missing(x)
+                    tags[x] = SIGMA
+                    mu_map[x] = ids[t + sh[a] + up[b]]
+    return tags, mu_map
 
 
 def _find_cycle(M):
@@ -224,6 +291,10 @@ def verify_acyclic(M):
 def build_matching(H, max_cells=None):
     """Construct and fully verify the matching on sd B_edge(H).
 
+    The lift and the classification read the chains by bottom and tail
+    from the covers of sd and keep no table on it; Matching.verify then
+    rechecks the result from the chains' payloads.
+
     Raises MatchingInvalid (with a counterexample chain in the message) if
     the rule fails any check of Matching.verify on this graph; raises
     SizeGuard via the complex constructors.
@@ -232,16 +303,7 @@ def build_matching(H, max_cells=None):
     box = box_edge(H, max_cells=max_cells)
     sd = barycentric_subdivision(box.cx, max_cells=max_cells)
     action = lift_action_to_order_complex(box.action, sd)
-    closure = ip_tables(box)[1].__getitem__
-
-    tags = []
-    mu_map = {}
-    for i, items in enumerate(sd.payloads):
-        tag, partner = _toggle(items, closure)
-        tags.append(tag)
-        if tag == SIGMA:
-            mu_map[i] = sd.index[partner]
-
+    tags, mu_map = _classify(box, sd, ip_tables(box)[1])
     M = Matching(H, hom, box, sd, action, tags, mu_map)
     M.verify()
     return M

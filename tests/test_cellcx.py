@@ -1,6 +1,7 @@
 """Cell complexes: construction, face poset navigation, subdivision,
 group actions, fingerprints, and isomorphism checking."""
 
+import hashlib
 import math
 import re
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import hombox as hb
 from hombox import (InputError, OrbitCofaceClash, SizeGuard,
                     VerificationError)
-from hombox import cellcx
+from hombox import cellcx, morse
 from hombox.cellcx import canon_bytes, canon_key, fmt_payload
 
 from conftest import (CORPUS_NAMES, elements, itemwise_action, make_graph,
@@ -253,6 +254,54 @@ def test_order_complex_encodes_no_chain(corpus, monkeypatch):
     _assert_same_complex(hb.order_complex(K), want)
 
 
+class _NoLookup(dict):
+    """An index that fails any lookup of a chain by payload."""
+
+    def __getitem__(self, key):
+        raise AssertionError("chain %r looked up in sd.index" % (key,))
+
+    get = __contains__ = __getitem__
+
+
+def test_lift_and_classification_look_up_no_chain(corpus, monkeypatch):
+    H = corpus["K3_122"]
+    want = hb.build_matching(H)
+    real = morse.barycentric_subdivision
+
+    def guarded(K, max_cells=None):
+        sd = real(K, max_cells=max_cells)
+        sd.index = _NoLookup(sd.index)
+        return sd
+
+    monkeypatch.setattr(morse, "barycentric_subdivision", guarded)
+    M = hb.build_matching(H)
+    assert type(M.sd.index) is _NoLookup
+    with pytest.raises(AssertionError, match="looked up"):
+        M.sd.index.get(M.sd.payloads[0])
+    assert M.action.perms == want.action.perms
+    assert M.tags == want.tags and M.mu == want.mu
+
+
+def test_order_complex_and_lift_of_empty_complex():
+    E = hb.CellComplex.empty()
+    sd = hb.order_complex(E)
+    assert (sd.payloads, sd.down, sd.index, sd.fingerprint) == ([], [], {}, 0)
+    assert sd.base is E
+    lift = hb.lift_action_to_order_complex
+    assert lift(hb.trivial_action(E), sd).perms == []
+    A = hb.GroupAction(E, [[]], ["e"], check=False, order=1, relations=[])
+    assert lift(A, sd).perms == [[]]
+
+
+def test_digest_of_a_cover_two_dimensions_down():
+    # digests keep only the previous dimension's bytes; a cover further
+    # down still enters as its 16-byte digest
+    K = hb.CellComplex(["v", "c"], [0, 2], [(), (0,)])
+    h = hashlib.blake2b(canon_bytes("c"), digest_size=16)
+    h.update((2).to_bytes(4, "big") + K.digests[0].to_bytes(16, "big"))
+    assert K.digests[1] == int.from_bytes(h.digest(), "big")
+
+
 def _z3_perms(hollow):
     """The identity, the rotation r and r^2 of the hollow triangle abc."""
     rot = {"a": "b", "b": "c", "c": "a"}
@@ -457,6 +506,54 @@ def test_lift_rejects_non_automorphism():
     sd = hb.order_complex(seg)
     with pytest.raises(VerificationError, match="'bad' maps chain"):
         hb.lift_action_to_order_complex(A, sd)
+
+
+def test_lift_rejects_action_on_another_complex(solid_triangle):
+    sd = hb.order_complex(solid_triangle)
+    # a segment: fewer cells than the triangle
+    seg = hb.CellComplex.from_simplices([frozenset("xy")])
+    # a path a-b-c-d: as many cells as the triangle, another complex
+    path = hb.CellComplex.from_simplices(map(frozenset, ["ab", "bc", "cd"]))
+    assert len(path) == len(solid_triangle)
+    for K, swap in ((seg, {"x": "y", "y": "x"}),
+                    (path, {"a": "d", "d": "a", "b": "c", "c": "b"})):
+        A = hb.GroupAction.symmetric(K, _vertex_maps(swap), [(1, 0)])
+        with pytest.raises(InputError, match="not on the base of the order"):
+            hb.lift_action_to_order_complex(A, sd)
+
+
+@st.composite
+def symmetric_complexes(draw):
+    """A simplicial complex on the vertices 0-7 and a vertex permutation
+    that maps it to itself, with the order of that permutation."""
+    perm = draw(st.permutations(range(8)))
+    simplices = draw(st.lists(
+        st.frozensets(st.integers(0, 7), min_size=1, max_size=4),
+        min_size=1, max_size=6))
+    closed = set()
+    for s in simplices:
+        while s not in closed:
+            closed.add(s)
+            s = frozenset(perm[v] for v in s)
+    order, power = 1, list(perm)
+    while power != list(range(8)):
+        power = [perm[v] for v in power]
+        order += 1
+    return hb.CellComplex.from_simplices(closed), perm, order
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(symmetric_complexes())
+def test_lift_of_vertex_permutation_equals_itemwise(case):
+    K, perm, order = case
+    A = hb.GroupAction.from_payload_maps(
+        K, [lambda s: frozenset(perm[v] for v in s)], ["pi"], order=order,
+        relations=[((0,) * order, ())])
+    sd = hb.order_complex(K)
+    sdA = hb.lift_action_to_order_complex(A, sd)
+    assert list(map(tuple, sdA.perms)) == _itemwise_lift(A.perms, sd)
+    assert (sdA.labels, sdA.order) == (["pi"], order)
+    sdA.verify()
 
 
 def test_trivial_action(solid_triangle):

@@ -2,14 +2,17 @@
 on the corpus, on graphs where the former rule failed, and on random
 r-graphs."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
 import hombox as hb
-from hombox import MatchingInvalid, NotInSigma
+from hombox import MatchingInvalid, NotInSigma, morse
+from hombox.cellcx import canon_key
 from hombox.morse import classify_chain
 
-from conftest import elements, small_rgraphs
+from conftest import CORPUS_NAMES, elements, small_rgraphs
 
 FIX = frozenset([("a", "b")])                      # a product vertex
 
@@ -186,3 +189,51 @@ def test_matching_verifies_on_random_rgraphs(H):
     for x, y in M.mu.items():
         assert x in M.sd.down[y]
         assert M.sd.dims[y] == M.sd.dims[x] + 1
+    _assert_classified_as_payload_rule(M)
+
+
+def _assert_classified_as_payload_rule(M):
+    """M's tags and mu, built through tails, are classify_chain on the box
+    simplex payloads of every chain."""
+    pay = M.box.cx.payloads
+    chains = [tuple(map(pay.__getitem__, ch)) for ch in M.sd.payloads]
+    for x, chain in enumerate(chains):
+        tag, partner = classify_chain(chain)
+        assert M.tags[x] == tag
+        if tag == "sigma":
+            assert chains[M.mu[x]] == partner
+    assert sorted(M.mu) == M.sigma()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_classification_equals_payload_rule(matchings, name):
+    _assert_classified_as_payload_rule(matchings[name])
+
+
+@pytest.mark.parametrize("case", ["closure below", "non-product fixed"])
+def test_missing_toggle_partner_names_the_chain(corpus, monkeypatch, case):
+    # closure tables that are not closures
+    box = hb.box_edge(corpus["K3_122"])
+    fixed, closure = morse.ip_tables(box)
+    cx = box.cx
+    bad = list(closure)
+    if case == "closure below":
+        # a cell of smaller id is never above the non-product i, so the
+        # partner (i, c(i)) of the chain (i,) is none
+        i = next(i for i, c in enumerate(closure) if c != i and i > 0)
+        bad[i] = 0
+        chain = (i,)
+    else:
+        # the non-product j taken for a product: the chain (i, j), i the
+        # least non-product below j, gets the partner (i, c(i), j), and
+        # c(i) lies above j
+        j = next(j for j, c in enumerate(closure) if c != j and any(
+            closure[i] != i for i in cx.faces(j) - {j}))
+        i = min(i for i in cx.faces(j) - {j} if closure[i] != i)
+        bad[j] = j
+        chain = (i, j)
+    monkeypatch.setattr(morse, "ip_tables", lambda box: (fixed, bad))
+    named = [sorted(cx.payloads[x], key=canon_key) for x in chain]
+    with pytest.raises(MatchingInvalid, match=re.escape(
+            "toggle partner of chain %r is not a chain" % (named,))):
+        hb.build_matching(corpus["K3_122"])
