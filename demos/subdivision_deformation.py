@@ -10,12 +10,9 @@ import hombox as hb
 K = hb.CellComplex.from_simplices(
     [frozenset("ab"), frozenset("bc"), frozenset("ca")])
 rot = {"a": "b", "b": "c", "c": "a"}
-rot2 = {v: rot[rot[v]] for v in rot}
 A = hb.GroupAction.from_payload_maps(
-    K,
-    [lambda p: p, lambda p: frozenset(rot[v] for v in p),
-     lambda p: frozenset(rot2[v] for v in p)],
-    ["e", "r", "rr"])
+    K, [lambda p: frozenset(rot[v] for v in p)], ["r"], order=3,
+    relations=[((0, 0, 0), ())])
 print("K: %d cells %s with a free Z_3 action (%d orbits)"
       % (len(K), K.dim_counts(), len(A.orbits())))
 
@@ -64,15 +61,12 @@ print("box(K3_122): %d cells deform to sd with %d chains in %d steps"
       % (len(box.cx), len(d2.sd), len(d2.certificate)))
 
 # with a non-free action the anchors can clash; the engine refuses instead
-# of producing an unverified deformation
-import itertools
-
-perms = []
-for p in itertools.permutations(range(3)):
-    m = {"abc"[i]: "abc"[p[i]] for i in range(3)}
-    perms.append(lambda pay, m=m: frozenset(m[v] for v in pay))
-A6 = hb.GroupAction.from_payload_maps(
-    K, perms, list(itertools.permutations(range(3))))
+# of producing an unverified deformation.  S_3 acts by the transpositions
+# a <-> b and b <-> c
+A6 = hb.GroupAction.symmetric(
+    K, [lambda p, m=m: frozenset(m.get(v, v) for v in p)
+        for m in ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})],
+    hb.s_r_generators(3))
 try:
     hb.sd_deformation(K, A6, hb.lift_action_to_order_complex(A6, sd))
 except hb.Stuck as e:

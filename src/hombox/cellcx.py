@@ -20,10 +20,11 @@ Conventions used throughout the package:
 * Payloads are built from ints, strings (not starting with "*"), tuples and
   frozensets.  The tags ("*b", p) and ("*c", apex, base) are reserved for
   barycenter and cone payloads introduced by subdivisions.
-* Group actions are right actions, carried by their generators: x.(gh) =
-  (x.g).h, so a word in the generators acts letter by letter from the left.
-  Relations between the generators, checked on the cell permutations, prove
-  that they define an action of the group, and a law that holds for every
+* Group actions are right actions, given by a presentation of the group:
+  its generators, its order and relations between the generators.  x.(gh)
+  = (x.g).h, so a word in the generators acts letter by letter from the
+  left.  The relations, checked on the cell permutations, prove that the
+  generators define an action of the group, and a law that holds for every
   generator (an automorphism, an equivariant map) holds for every element.
 * A complex fingerprint is the order-independent 128-bit sum of per-cell
   digests.  A complex built from payloads gives each cell the digest of its
@@ -417,47 +418,48 @@ class CellComplex:
 
 
 class GroupAction:
-    """A right action of a finite group G on a cell complex, by generators.
+    """A right action of a finite group G on a cell complex, by a
+    presentation of G.
 
     Generator k permutes the cell ids by perms[k] and is named labels[k];
     order is |G|.  relations lists pairs (u, v) of words in the generators
     (tuples of their indices, acting from left to right) that act alike;
-    with the generators they present G.  Given every element instead
-    (perms[0] the identity, no order), it checks closure and keeps greedy
-    generators and their relations (_presentation).  Given order and
-    relations, check tests the relations on the cell permutations, and the
-    caller vouches that they present a group of that order (symmetric);
-    transport carries both over unchecked.  Given order, unchecked, the
-    action takes over the permutation lists in perms; otherwise it copies
-    them."""
+    with the generators they present G.  order and relations are always
+    given, and are checked for form (InputError).  check tests each
+    generator as an automorphism and each relation on the cell
+    permutations; the caller vouches that the relations present a group of
+    that order (symmetric), and transport carries both over unchecked.
+    Checked, the action copies the permutation lists in perms; unchecked,
+    it takes them over."""
 
-    def __init__(self, cx, perms, labels, check=True, order=None,
-                 relations=None):
+    def __init__(self, cx, perms, labels, check=True, *, order, relations):
         self.cx = cx
-        perms = ([list(p) for p in perms] if check or order is None
-                 else list(perms))
-        labels = list(labels)
-        if len(labels) != len(perms):
+        self.perms = [list(p) for p in perms] if check else list(perms)
+        self.labels = list(labels)
+        n = len(self.perms)
+        if len(self.labels) != n:
             raise InputError("labels and permutations disagree in length")
-        given = order is not None
-        if not given:
-            if tuple(perms[0]) != tuple(range(len(cx.payloads))):
-                raise VerificationError(
-                    "group element 0 does not act as identity")
-            gens, relations = _presentation(perms)
-            order = len(perms)
-            perms = [perms[g] for g in gens]
-            labels = [labels[g] for g in gens]
-        self.perms, self.labels = perms, labels
+        if type(order) is not int or order < 1:
+            raise InputError("group order %r is not a positive int" % (order,))
+        for rel in relations:
+            if not (isinstance(rel, tuple) and len(rel) == 2 and all(
+                    isinstance(w, tuple) and all(
+                        type(k) is int and 0 <= k < n for k in w)
+                    for w in rel)):
+                raise InputError("relation %r is not a pair of words in the "
+                                 "%d generators" % (rel, n))
         self.order, self.relations = order, relations
         if check:
             self._check_automorphisms()
-            if given:
-                self._check_relations()
+            self._check_relations()
 
     @classmethod
-    def from_payload_maps(cls, cx, maps, labels, check=True, **form):
+    def from_payload_maps(cls, cx, maps, labels, check=True, *, order,
+                          relations):
         """Build the id-level action from payload-level bijections."""
+        if len(maps) != len(labels):
+            raise InputError("%d payload maps for %d labels"
+                             % (len(maps), len(labels)))
         perms = []
         for s, m in zip(labels, maps):
             perm = list(map(cx.index.get, map(m, cx.payloads)))
@@ -466,7 +468,7 @@ class GroupAction:
                     "%r maps %s outside the complex"
                     % (s, fmt_payload(cx.payloads[perm.index(None)])))
             perms.append(perm)
-        return cls(cx, perms, labels, check, **form)
+        return cls(cx, perms, labels, check, order=order, relations=relations)
 
     @classmethod
     def symmetric(cls, cx, maps, labels):
@@ -492,8 +494,8 @@ class GroupAction:
         The new action takes over perms and its lists, without copying
         them: the caller passes lists it built for it and changes them no
         more."""
-        return GroupAction(cx, perms, self.labels, False, self.order,
-                           self.relations)
+        return GroupAction(cx, perms, self.labels, False, order=self.order,
+                           relations=self.relations)
 
     def _check_automorphisms(self, ids=None):
         """Check that each generator permutes the cells ids (default: all)
@@ -563,47 +565,8 @@ class GroupAction:
         return True
 
 
-def _presentation(perms):
-    """Greedy generators (indices) of the group formed by perms, perms[0]
-    the identity, and relations presenting it; VerificationError if the set
-    is not closed under composition.
-
-    Each new generator at least doubles the subgroup reached, so there are
-    at most log2|G|.  The words that first reach the elements span the
-    Cayley graph as a tree; each other edge x.s = y gives the relation
-    word(x) s = word(y), and these present the group (Schreier).  Elements
-    may share a permutation; the first one stands for them.
-    """
-    key = {}
-    first = [key.setdefault(tuple(p), g) for g, p in enumerate(perms)]
-    word = {0: ()}
-    elems = [0]
-    gens, done, rels = [], [], []
-    for g in range(len(perms)):
-        if first[g] in word:
-            continue
-        gens.append(g)
-        done.append(0)
-        while any(d < len(elems) for d in done):
-            for k, s in enumerate(gens):
-                while done[k] < len(elems):
-                    x = elems[done[k]]
-                    done[k] += 1
-                    y = key.get(tuple(map(perms[s].__getitem__, perms[x])))
-                    if y is None:
-                        raise VerificationError(
-                            "composition of elements %d,%d leaves the group"
-                            % (x, s))
-                    if y in word:
-                        rels.append((word[x] + (k,), word[y]))
-                    else:
-                        word[y] = word[x] + (k,)
-                        elems.append(y)
-    return gens, rels
-
-
 def trivial_action(cx):
-    return GroupAction(cx, [], [], False, 1, [])
+    return GroupAction(cx, [], [], False, order=1, relations=[])
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +735,13 @@ def lift_action_to_order_complex(A, sd):
     automorphisms of K, and InputError if A acts on a complex other than K
     (compared by cell count and fingerprint).
     """
+    return _lift(A, sd, _chain_blocks(sd))
+
+
+def _lift(A, sd, blocks):
+    """lift_action_to_order_complex(A, sd), given blocks = _chain_blocks(sd),
+    so that build_matching reads the blocks once for the lift and the
+    classification."""
     K = sd.base
     n = len(K.payloads)
     if (len(A.cx.payloads) != n or A.cx.fingerprint != K.fingerprint
@@ -781,7 +751,7 @@ def lift_action_to_order_complex(A, sd):
             "on the base of the order complex (%d cells, %s)"
             % (len(A.cx.payloads), A.cx.fingerprint_hex[:8], n,
                K.fingerprint_hex[:8]))
-    layers, ids, head, shift, pair = _chain_blocks(sd)
+    layers, ids, head, shift, pair = blocks
     down = sd.down
     twos = layers[1] if len(layers) > 1 else range(0)
     pairs = down[twos.start:twos.stop]

@@ -44,12 +44,7 @@ raises MatchingInvalid with a counterexample chain if any check fails.
 """
 
 from .boxcx import box_edge, i_image_ids, ip_tables, map_i, map_p
-from .cellcx import (
-    _chain_blocks,
-    barycentric_subdivision,
-    canon_key,
-    lift_action_to_order_complex,
-)
+from .cellcx import _chain_blocks, _lift, barycentric_subdivision, canon_key
 from .errors import MatchingInvalid, NotInSigma
 from .homcx import hom_complex
 
@@ -196,16 +191,16 @@ def _chain_payloads(box, sd, i):
     return [sorted(pay[x], key=canon_key) for x in sd.payloads[i]]
 
 
-def _classify(box, sd, closure):
+def _classify(box, sd, closure, blocks):
     """The tag of every chain of sd = sd B_edge(H) and mu on Sigma, by the
     rule applied through tails (module docstring), in id order; closure[i]
-    is the box id of c(i).  A one-element chain (i,) is critical if i is a
-    product, and in Sigma with partner (i, c(i)) if not.  A partner is found
-    in the block of its lowest 2-chain (cellcx._chain_blocks), and (i, c(i))
-    + t through (c(i),) + t.  Raises MatchingInvalid, naming the chain, if a
+    is the box id of c(i), and blocks = cellcx._chain_blocks(sd).  A
+    one-element chain (i,) is critical if i is a product, and in Sigma with
+    partner (i, c(i)) if not.  A partner is found in the block of its lowest
+    2-chain, and (i, c(i)) + t through (c(i),) + t.  Raises MatchingInvalid, naming the chain, if a
     partner is not a chain, i.e. closure is not a closure operator.
     """
-    layers, ids, head, shift, pair = _chain_blocks(sd)
+    layers, ids, head, shift, pair = blocks
     down = sd.down
     tags = [None] * len(down)
     mu_map = {}
@@ -292,8 +287,9 @@ def build_matching(H, max_cells=None):
     """Construct and fully verify the matching on sd B_edge(H).
 
     The lift and the classification read the chains by bottom and tail
-    from the covers of sd and keep no table on it; Matching.verify then
-    rechecks the result from the chains' payloads.
+    from the covers of sd, through one set of tables (cellcx._chain_blocks)
+    that they share and that is dropped before Matching.verify rechecks the
+    result from the chains' payloads.
 
     Raises MatchingInvalid (with a counterexample chain in the message) if
     the rule fails any check of Matching.verify on this graph; raises
@@ -302,8 +298,10 @@ def build_matching(H, max_cells=None):
     hom = hom_complex(H, max_cells=max_cells)
     box = box_edge(H, max_cells=max_cells)
     sd = barycentric_subdivision(box.cx, max_cells=max_cells)
-    action = lift_action_to_order_complex(box.action, sd)
-    tags, mu_map = _classify(box, sd, ip_tables(box)[1])
+    blocks = _chain_blocks(sd)
+    action = _lift(box.action, sd, blocks)
+    tags, mu_map = _classify(box, sd, ip_tables(box)[1], blocks)
+    del blocks
     M = Matching(H, hom, box, sd, action, tags, mu_map)
     M.verify()
     return M

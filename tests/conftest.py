@@ -64,15 +64,13 @@ def itemwise_action(cx, maps):
     return {tuple(cx.index[m(x)] for x in cx.payloads) for m in maps}
 
 
-def z3_action(hollow):
-    rot = {"a": "b", "b": "c", "c": "a"}
-    rot2 = {v: rot[rot[v]] for v in rot}
+def z3_action(hollow, cycle="abc"):
+    """Z_3 on the hollow triangle with vertices cycle, generated by the
+    rotation r = cycle[0] -> cycle[1] -> cycle[2] -> cycle[0], r^3 = 1."""
+    rot = dict(zip(cycle, cycle[1:] + cycle[0]))
     return hb.GroupAction.from_payload_maps(
-        hollow,
-        [lambda p: p,
-         lambda p: frozenset(rot[v] for v in p),
-         lambda p: frozenset(rot2[v] for v in p)],
-        ["e", "r", "rr"])
+        hollow, [lambda p: frozenset(rot[v] for v in p)], ["r"], order=3,
+        relations=[((0, 0, 0), ())])
 
 
 @st.composite

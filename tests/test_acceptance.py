@@ -11,7 +11,7 @@ from hombox import (NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
 from hombox.morse import Matching, MatchingInvalid
 
-from conftest import CORPUS_NAMES, elements
+from conftest import CORPUS_NAMES, elements, z3_action
 
 
 def timed(fn):
@@ -144,13 +144,7 @@ def test_ac6_subdivision_deformation(matchings):
         yield solid, hb.trivial_action(solid)
         hollow = hb.CellComplex.from_simplices(
             [frozenset("ab"), frozenset("bc"), frozenset("ca")])
-        rot = {"a": "b", "b": "c", "c": "a"}
-        rot2 = {v: rot[rot[v]] for v in rot}
-        yield hollow, hb.GroupAction.from_payload_maps(
-            hollow,
-            [lambda p: p, lambda p: frozenset(rot[v] for v in p),
-             lambda p: frozenset(rot2[v] for v in p)],
-            ["e", "r", "rr"])
+        yield hollow, z3_action(hollow)
         box = matchings["K3_122"].box
         yield box.cx, box.action
 
@@ -258,9 +252,8 @@ def test_ac8_negative_controls(matchings):
                                      solid.index[frozenset("a")])
         seg = hb.CellComplex.from_simplices([frozenset("xy")])
         flip = {"x": "y", "y": "x"}
-        A2 = hb.GroupAction.from_payload_maps(
-            seg, [lambda p: p, lambda p: frozenset(flip[v] for v in p)],
-            [0, 1])
+        A2 = hb.GroupAction.symmetric(
+            seg, [lambda p: frozenset(flip[v] for v in p)], [(1, 0)])
         with pytest.raises(OrbitNotIndependentlyFree):
             hb.elementary_g_collapse(seg, A2, seg.index[frozenset("x")])
 

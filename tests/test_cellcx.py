@@ -333,27 +333,13 @@ def test_group_action_rejects_non_automorphism(hollow_triangle):
         n = len(hollow_triangle)
         perm = list(range(n))
         perm[0], perm[n - 1] = perm[n - 1], perm[0]  # vertex <-> edge
-        hb.GroupAction(hollow_triangle, [list(range(n)), perm], [0, 1])
+        hb.GroupAction(hollow_triangle, [perm], [1], order=2,
+                       relations=[((0, 0), ())])
     # payload map leaving the complex
     with pytest.raises(VerificationError):
-        hb.GroupAction.from_payload_maps(
+        hb.GroupAction.symmetric(
             hollow_triangle,
-            [lambda p: p, lambda p: frozenset(swap[v] for v in p) | {"z"}],
-            [0, 1])
-
-
-def test_group_action_rejects_non_closed_set(hollow_triangle):
-    # {id, r} of the Z_3 rotation: both are automorphisms, but r.r = r^2
-    # is missing, so the set is not a group
-    e, r, _ = _z3_perms(hollow_triangle)
-    with pytest.raises(VerificationError, match="leaves the group"):
-        hb.GroupAction(hollow_triangle, [e, r], ["e", "r"])
-    with pytest.raises(VerificationError, match="leaves the group"):
-        hb.GroupAction(hollow_triangle, [e, r], ["e", "r"], check=False)
-    # the full rotation group is closed, with a single generator
-    A = z3_action(hollow_triangle)
-    assert len(A.perms) == 1
-    assert A.verify()
+            [lambda p: frozenset(swap[v] for v in p) | {"z"}], [(1, 0)])
 
 
 def test_lift_action_to_order_complex(hollow_triangle):
@@ -388,10 +374,11 @@ def test_lift_equals_itemwise_definition(name, corpus):
 
 def test_lift_of_non_faithful_and_trivial_actions(hollow_triangle,
                                                   solid_triangle):
-    # Z_6 acting through Z_3: elements g and g+3 share a permutation
+    # Z_6 = <r | r^6> acting through Z_3: r has order 3 on the cells, so
+    # elements g and g+3 share a permutation
     rot = _z3_perms(hollow_triangle)
-    A = hb.GroupAction(hollow_triangle, [rot[g % 3] for g in range(6)],
-                       list(range(6)))
+    A = hb.GroupAction(hollow_triangle, [rot[1]], [1], order=6,
+                       relations=[((0,) * 6, ())])
     assert A.order == 6 and A.labels == [1]
     sd = hb.order_complex(hollow_triangle)
     sdA = hb.lift_action_to_order_complex(A, sd)
@@ -457,10 +444,43 @@ def test_checked_action_with_given_relations_checks_them(hollow_triangle):
         hollow_triangle, _vertex_maps({"a": "b", "b": "c", "c": "a"}), ["r"],
         check=False, order=2, relations=[((0, 0), ())])
     with pytest.raises(VerificationError, match=_relation("r", "r")):
-        hb.GroupAction(hollow_triangle, rot.perms, ["r"], True, 2,
-                       [((0, 0), ())])
-    hb.GroupAction(hollow_triangle, rot.perms, ["r"], True, 3,
-                   [((0, 0, 0), ())])
+        hb.GroupAction(hollow_triangle, rot.perms, ["r"], order=2,
+                       relations=[((0, 0), ())])
+    hb.GroupAction(hollow_triangle, rot.perms, ["r"], order=3,
+                   relations=[((0, 0, 0), ())])
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_malformed_presentation_is_an_input_error(hollow_triangle, check):
+    r = _z3_perms(hollow_triangle)[1]
+    for order, relations, message in [
+            (3, [((0, 1), ())], r"relation \(\(0, 1\), \(\)\) is not a pair"),
+            (3, [((0, 0, 0),)], r"relation \(\(0, 0, 0\),\) is not a pair"),
+            (3, [((0, 0, 0), (), ())], "is not a pair of words"),
+            (3, [((-1,), ())], "is not a pair of words in the 1 generators"),
+            (3, [(("r",), ())], "is not a pair of words"),
+            (3, [((0.0,), ())], "is not a pair of words"),
+            (3, [([0, 0, 0], ())], "is not a pair of words"),
+            (3, [[(0, 0, 0), ()]], "is not a pair of words"),
+            (0, [], "group order 0 is not a positive int"),
+            (-3, [], "group order -3 is not a positive int"),
+            (3.0, [], "group order 3.0 is not a positive int"),
+            (True, [], "group order True is not a positive int"),
+            (None, [], "group order None is not a positive int")]:
+        with pytest.raises(InputError, match=message):
+            hb.GroupAction(hollow_triangle, [r], ["r"], check, order=order,
+                           relations=relations)
+
+
+def test_payload_maps_and_labels_must_agree_in_length(hollow_triangle):
+    rot = _vertex_maps({"a": "b", "b": "c", "c": "a"})[0]
+    for maps, labels in (([rot, rot], ["r"]), ([rot], ["r", "s"])):
+        with pytest.raises(InputError,
+                           match="%d payload maps for %d labels"
+                           % (len(maps), len(labels))):
+            hb.GroupAction.from_payload_maps(
+                hollow_triangle, maps, labels, order=3,
+                relations=[((0, 0, 0), ())])
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["K_4^4"])
@@ -502,7 +522,8 @@ def test_lift_rejects_non_automorphism():
     # but not an action by automorphisms
     bad = list(range(3))
     bad[x], bad[xy] = xy, x
-    A = hb.GroupAction(seg, [list(range(3)), bad], ["e", "bad"], check=False)
+    A = hb.GroupAction(seg, [bad], ["bad"], check=False, order=2,
+                       relations=[((0, 0), ())])
     sd = hb.order_complex(seg)
     with pytest.raises(VerificationError, match="'bad' maps chain"):
         hb.lift_action_to_order_complex(A, sd)
@@ -584,10 +605,8 @@ def test_stellar_g_subdivision_hollow_triangle_orbit(hollow_triangle):
 def test_stellar_orbit_coface_clash(solid_triangle):
     # vertices a and b share the coface ab, so subdividing at a Z2-orbit
     # {a, b} must be refused
-    flip = {"a": "b", "b": "a", "c": "c"}
-    A = hb.GroupAction.from_payload_maps(
-        solid_triangle,
-        [lambda p: p, lambda p: frozenset(flip[v] for v in p)], [0, 1])
+    A = hb.GroupAction.symmetric(
+        solid_triangle, _vertex_maps({"a": "b", "b": "a"}), [(1, 0)])
     va = solid_triangle.index[frozenset("a")]
     with pytest.raises(OrbitCofaceClash):
         hb.stellar_g_subdivision(solid_triangle, A, va)
@@ -639,14 +658,7 @@ def test_verify_isomorphism(hollow_triangle):
             lambda p: frozenset("pq") if len(p) == 2 else
             frozenset(ren[v] for v in p))
     # equivariance: rotation on both sides commutes with renaming
-    A1 = z3_action(hollow_triangle)
-    rot2 = {"p": "q", "q": "s", "s": "p"}
-    rr2 = {v: rot2[rot2[v]] for v in rot2}
-    A2 = hb.GroupAction.from_payload_maps(
-        K2, [lambda p: p,
-             lambda p: frozenset(rot2[v] for v in p),
-             lambda p: frozenset(rr2[v] for v in p)],
-        ["e", "r", "rr"])
+    A1, A2 = z3_action(hollow_triangle), z3_action(K2, "pqs")
     hb.verify_isomorphism(hollow_triangle, K2,
                           lambda p: frozenset(ren[v] for v in p), A1, A2)
 

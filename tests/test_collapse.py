@@ -3,7 +3,6 @@ subdivision deformations, certificates, replay, and tamper detection."""
 
 import hashlib
 import heapq
-import itertools
 import json
 import re
 from pathlib import Path
@@ -17,7 +16,7 @@ from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
 from hombox.cellcx import BARY, CONE, fmt_payload
 from hombox.cli import canonical_json
 
-from conftest import elements, z3_action
+from conftest import z3_action
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -32,8 +31,8 @@ def fixture(name, version):
 def seg_with_flip():
     seg = hb.CellComplex.from_simplices([frozenset("xy")])
     flip = {"x": "y", "y": "x"}
-    A = hb.GroupAction.from_payload_maps(
-        seg, [lambda p: p, lambda p: frozenset(flip[v] for v in p)], [0, 1])
+    A = hb.GroupAction.symmetric(
+        seg, [lambda p: frozenset(flip[v] for v in p)], [(1, 0)])
     return seg, A
 
 
@@ -110,8 +109,8 @@ def test_elementary_collapse_orbit_share_coface():
 def test_equivariant_elementary_collapse():
     two = hb.CellComplex.from_simplices([frozenset("abc"), frozenset("pqr")])
     swap = dict(zip("abcpqr", "pqrabc"))
-    A = hb.GroupAction.from_payload_maps(
-        two, [lambda p: p, lambda p: frozenset(swap[v] for v in p)], [0, 1])
+    A = hb.GroupAction.symmetric(
+        two, [lambda p: frozenset(swap[v] for v in p)], [(1, 0)])
     eab = two.index[frozenset("ab")]
     g = hb.elementary_g_collapse(two, A, eab)
     assert len(g.cx) == 10
@@ -186,11 +185,11 @@ def test_apply_orbit_step_rejections(solid_triangle):
 
 
 def _explicit_action(K, name, moves):
-    """The two-element action on K whose non-identity element, named name,
+    """The unchecked action of Z_2 = <name | name^2> on K, where name
     permutes the vertex names by moves (a bijection of the cells)."""
     return hb.GroupAction.from_payload_maps(
-        K, [lambda p: p, lambda p: frozenset(moves.get(v, v) for v in p)],
-        ["e", name], check=False)
+        K, [lambda p: frozenset(moves.get(v, v) for v in p)], [name],
+        check=False, order=2, relations=[((0, 0), ())])
 
 
 def _replay_one_step(K, A, sigma, facet, removed):
@@ -244,8 +243,8 @@ def test_cone_cell_image_that_is_not_a_cone_cell():
     y, z = K.index[frozenset("y")], K.index[frozenset("z")]
     swap = list(range(len(K)))
     swap[y], swap[z] = z, y
-    A = hb.GroupAction(K, [list(range(len(K))), swap], ["e", "swap"],
-                       check=False)
+    A = hb.GroupAction(K, [swap], ["swap"], check=False, order=2,
+                       relations=[((0, 0), ())])
     with pytest.raises(VerificationError,
                        match="generator 'swap' does not permute the cells"):
         hb.stellar_deformation_certificate(K, A, K.index[frozenset("x")])
@@ -255,8 +254,8 @@ def test_cone_cells_checked_against_the_relations(hollow_triangle):
     # the rotation of order 3 claimed as a generator with the relation
     # r r = 1: the relation check on the stage's new cells catches it
     A = z3_action(hollow_triangle)
-    bad = hb.GroupAction(hollow_triangle, A.perms, ["r"], False, 2,
-                         [((0, 0), ())])
+    bad = hb.GroupAction(hollow_triangle, A.perms, ["r"], False, order=2,
+                         relations=[((0, 0), ())])
     with pytest.raises(VerificationError,
                        match="relation 'r' 'r' = 1 fails at cell"):
         hb.stellar_deformation_certificate(
@@ -435,18 +434,16 @@ def test_transported_actions_share_no_lists(matchings, monkeypatch):
                    A.perms + lifted.perms + box_store.perms) == []
     assert _shared(stage.universe_action.perms + stage.final_action.perms,
                    M.hom.action.perms + hom_store.perms) == []
-    # transport takes its lists over; construction from every element, or
-    # checked construction, copies them
-    n = len(M.box.cx)
+    # transport and unchecked construction take their lists over; checked
+    # construction copies them
     mine = [list(p) for p in A.perms]
     assert A.transport(M.box.cx, mine).perms[0] is mine[0]
-    checked = hb.GroupAction(M.box.cx, mine, A.labels, True, A.order,
-                             A.relations)
+    unchecked = hb.GroupAction(M.box.cx, mine, A.labels, False,
+                               order=A.order, relations=A.relations)
+    assert unchecked.perms[0] is mine[0]
+    checked = hb.GroupAction(M.box.cx, mine, A.labels, order=A.order,
+                             relations=A.relations)
     assert _shared(checked.perms, mine) == []
-    every = [list(range(n))] + [list(q) for q in elements(A)
-                                if q != tuple(range(n))]
-    built = hb.GroupAction(M.box.cx, every, range(len(every)))
-    assert built.order == 6 and _shared(built.perms, every) == []
 
 
 def test_critical_isomorphism(matchings):
@@ -646,13 +643,11 @@ def test_stellar_universe_digests_are_distinct(side, matchings, monkeypatch):
 def test_sd_deformation_stuck_on_reflection(hollow_triangle):
     # under the full S_3 action the stabilizer of an edge flips its
     # endpoints: no equivariant anchor exists and the deformation refuses
-    names = "abc"
-    perms = []
-    for p in itertools.permutations(range(3)):
-        m = {names[i]: names[p[i]] for i in range(3)}
-        perms.append(lambda pay, m=m: frozenset(m[v] for v in pay))
-    A = hb.GroupAction.from_payload_maps(
-        hollow_triangle, perms, list(itertools.permutations(range(3))))
+    A = hb.GroupAction.symmetric(
+        hollow_triangle,
+        [lambda p, m=m: frozenset(m.get(v, v) for v in p)
+         for m in ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})],
+        hb.s_r_generators(3))
     with pytest.raises(Stuck):
         sd_deformation(hollow_triangle, A)
 

@@ -4,9 +4,10 @@ removed from the API stay removed."""
 import hombox as hb
 from hombox import cellcx
 
-# Folded into elementary_g_collapse, which checks its step with
-# apply_orbit_step.
-REMOVED = ("deletion", "independently_free")
+# deletion and independently_free: folded into elementary_g_collapse, which
+# checks its step with apply_orbit_step.  _presentation: every action is
+# given by a presentation, so no presentation is searched for.
+REMOVED = ("deletion", "independently_free", "_presentation")
 
 
 def test_every_exported_name_resolves():

@@ -155,8 +155,8 @@ def _with_swap(M, a, b):
     n = len(M.sd)
     swap = list(range(n))
     swap[a], swap[b] = b, a
-    action = hb.GroupAction(M.sd, [list(range(n)), swap], ["e", "swap"],
-                            check=False)
+    action = hb.GroupAction(M.sd, [swap], ["swap"], check=False, order=2,
+                            relations=[((0, 0), ())])
     return hb.Matching(M.graph, M.hom, M.box, M.sd, action, M.tags, M.mu)
 
 
