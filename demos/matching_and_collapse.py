@@ -33,10 +33,11 @@ print()
 print("collapse: %d whole-orbit steps, %d cells moved (= |Sigma|+|mu(Sigma)|)"
       % (len(cert), run.cells_moved))
 assert run.cells_moved == len(M.sigma()) + len(M.upper)
-print("endpoint: %d cells == critical subcomplex" % len(run.final))
 
-# the endpoint is S_3-isomorphic to sd Hom(K_3^3, H)
+# the endpoint is the critical subcomplex, S_3-isomorphic to sd Hom(K_3^3, H)
 iso = hb.verify_critical_isomorphism(M)
+assert cert.endpoints[1] == iso.critical.fingerprint
+print("endpoint: %d cells == critical subcomplex" % len(iso.critical))
 print("sd Hom has %d chains; isomorphism onto the critical cells checked"
       % len(iso.map))
 

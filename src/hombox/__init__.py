@@ -13,9 +13,9 @@ from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        DeformationCertificate, GCollapse,
                        MainTheoremCertificate, SdDeformation, StellarStage,
-                       apply_orbit_step, critical_complex,
-                       elementary_g_collapse, main_theorem_certificate,
-                       matching_to_collapse, replay_collapse_certificate,
+                       apply_orbit_step, elementary_g_collapse,
+                       main_theorem_certificate, matching_to_collapse,
+                       replay_collapse_certificate,
                        replay_main_theorem, replay_sd_deformation,
                        sd_deformation, stellar_deformation_certificate,
                        verify_critical_isomorphism, verify_iso_ids)
@@ -46,7 +46,7 @@ __all__ = [
     "trivial_action", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",
     "GCollapse", "MainTheoremCertificate", "SdDeformation", "StellarStage",
-    "apply_orbit_step", "critical_complex", "elementary_g_collapse",
+    "apply_orbit_step", "elementary_g_collapse",
     "main_theorem_certificate", "matching_to_collapse",
     "replay_collapse_certificate", "replay_main_theorem",
     "replay_sd_deformation", "sd_deformation",

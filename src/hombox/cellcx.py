@@ -217,12 +217,9 @@ class CellComplex:
                    _digests(lambda i: cells[i][1], dims, down))
 
     @classmethod
-    def from_simplices(cls, simplices, close=True):
-        """Build a simplicial complex from an iterable of frozensets.
-
-        With close=True the family is closed downward first; otherwise every
-        proper face must already be listed.
-        """
+    def from_simplices(cls, simplices):
+        """Build a simplicial complex from an iterable of frozensets, closed
+        downward: every nonempty face of a listed simplex is a cell."""
         seen = set()
         stack = []
         for s in simplices:
@@ -232,15 +229,14 @@ class CellComplex:
             if s not in seen:
                 seen.add(s)
                 stack.append(s)
-        if close:
-            while stack:
-                s = stack.pop()
-                if len(s) >= 2:
-                    for v in s:
-                        f = s - {v}
-                        if f not in seen:
-                            seen.add(f)
-                            stack.append(f)
+        while stack:
+            s = stack.pop()
+            if len(s) >= 2:
+                for v in s:
+                    f = s - {v}
+                    if f not in seen:
+                        seen.add(f)
+                        stack.append(f)
         cells = []
         for s in seen:
             faces = [s - {v} for v in s] if len(s) >= 2 else []
@@ -329,8 +325,9 @@ class CellComplex:
 
     # -- derived complexes -------------------------------------------------
 
-    def subcomplex(self, keep, check=True):
-        """Restrict to the cell ids in `keep` (which must be downward closed).
+    def subcomplex(self, keep):
+        """Restrict to the cell ids in `keep`, which must be downward closed
+        (InputError otherwise).
 
         Returns (complex, old2new dict).  Relative id order is preserved, so
         a subcomplex of a canonically-sorted complex stays canonically sorted.
@@ -338,12 +335,11 @@ class CellComplex:
         keep = sorted(set(keep))
         kset = set(keep)
         old2new = {o: n for n, o in enumerate(keep)}
-        if check:
-            for o in keep:
-                for j in self.down[o]:
-                    if j not in kset:
-                        raise InputError(
-                            "subcomplex is not downward closed at cell %d" % o)
+        for o in keep:
+            for j in self.down[o]:
+                if j not in kset:
+                    raise InputError(
+                        "subcomplex is not downward closed at cell %d" % o)
         sub = CellComplex(
             [self.payloads[o] for o in keep],
             [self.dims[o] for o in keep],
@@ -783,7 +779,7 @@ def _lift(A, sd, blocks):
 # stellar subdivision
 
 
-def orbit_star_data(K, A, sigma, check_clash=True):
+def orbit_star_data(K, A, sigma):
     """Shared preprocessing for stellar subdivision at the orbit of sigma.
 
     Returns (orbit, cofaces-per-member, ring-per-member) where ring(m) is the
@@ -793,13 +789,12 @@ def orbit_star_data(K, A, sigma, check_clash=True):
     """
     orbit = A.orbit(sigma)
     cof = {m: K.cofaces(m) for m in orbit}
-    if check_clash:
-        for a, b in combinations(orbit, 2):
-            common = cof[a] & cof[b]
-            if common:
-                raise OrbitCofaceClash(
-                    "cells %d and %d of one orbit share coface %d"
-                    % (a, b, min(common)))
+    for a, b in combinations(orbit, 2):
+        common = cof[a] & cof[b]
+        if common:
+            raise OrbitCofaceClash(
+                "cells %d and %d of one orbit share coface %d"
+                % (a, b, min(common)))
     ring = {}
     for m in orbit:
         star = set()

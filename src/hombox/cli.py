@@ -182,22 +182,22 @@ def cmd_verify(args):
 def cmd_theorem(args):
     H = _load(args)
     mc = args.max_cells
-    M = build_matching(H, max_cells=mc)
     path = args.certificate
     if path and os.path.exists(path):
         cert = MainTheoremCertificate.from_json_obj(
             _read(path, "theorem", json.loads))
-        replay_main_theorem(H, cert, max_cells=mc, matching=M)
+        complexes = replay_main_theorem(H, cert, max_cells=mc)
         _say("theorem certificate %s replayed: %d stages ok"
              % (path, len(cert.stages)))
     else:
-        cert = main_theorem_certificate(H, max_cells=mc, matching=M)
+        cert = main_theorem_certificate(H, max_cells=mc)
+        complexes = (cert.matching.hom, cert.matching.box)
         _say("theorem certificate built: %d stages" % len(cert.stages))
         if path:
             _write(path, canonical_json(cert.to_json_obj()))
             _say("theorem certificate written to %s" % path)
     agree = homology_agreement(H, coeff=args.coeff, max_cells=mc,
-                               matching=M)
+                               complexes=complexes)
     if not agree.agree:
         raise VerificationError(
             "homology disagrees: box %r vs hom %r"

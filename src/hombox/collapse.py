@@ -60,7 +60,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain, compress
 
-from .boxcx import i_image_ids
+from .boxcx import box_edge, i_image_ids, ip_tables
 from .cellcx import (
     BARY,
     CONE,
@@ -84,6 +84,7 @@ from .errors import (
     VerificationError,
     WrongCodimension,
 )
+from .homcx import hom_complex
 
 _MASK128 = (1 << 128) - 1
 # The certificate format version this module builds, writes and replays.
@@ -517,8 +518,7 @@ def elementary_g_collapse(K, A, sigma):
 
 
 # cells_moved counts the cells the collapse removed.
-CollapseRun = namedtuple("CollapseRun",
-                         "certificate final final_action old2new cells_moved")
+CollapseRun = namedtuple("CollapseRun", "certificate cells_moved")
 
 
 def matching_to_collapse(K, A, M):
@@ -528,8 +528,9 @@ def matching_to_collapse(K, A, M):
 
     Removes exactly |Sigma| + |mu(Sigma)| cells in whole-orbit steps;
     raises Stuck if the greedy scan cannot finish (impossible for an acyclic
-    matching).  The end complex and its action are those of
-    critical_complex(M), once the alive cells are checked to be M.critical.
+    matching).  No end complex is built: once the alive cells are checked
+    to be M.critical, the end fingerprint is the state's, which is that of
+    the critical subcomplex, as a subcomplex keeps its cells' digests.
     """
     state = CollapseState(K)
     steps = _run_greedy(state, A, M.mu)
@@ -542,35 +543,30 @@ def matching_to_collapse(K, A, M):
     if state.alive_ids() != sorted(M.critical):
         raise VerificationError(
             "collapse endpoint differs from the critical subcomplex")
-    final, final_action, old2new = critical_complex(M)
-    cert = DeformationCertificate((K.fingerprint, final.fingerprint),
+    cert = DeformationCertificate((K.fingerprint, state.fingerprint),
                                   [(None, steps)] if steps else [])
-    return CollapseRun(cert, final, final_action, old2new, moved)
+    return CollapseRun(cert, moved)
 
 
 CriticalIso = namedtuple(
     "CriticalIso", "sd_hom sd_hom_action critical critical_action old2new map")
 
 
-def critical_complex(M):
-    """The critical subcomplex of M.sd, its restricted action and the
-    old2new map of its ids.  They are built on first use and kept on M, so
-    the stage-3 check and the collapse endpoint share them."""
-    kept = getattr(M, "_critical_complex", None)
-    if kept is None:
-        crit, old2new = M.sd.subcomplex(M.critical)
-        kept = M._critical_complex = (
-            crit, _restrict_action(M.action, old2new, crit), old2new)
-    return kept
-
-
 def verify_critical_isomorphism(M, max_cells=None):
-    """Check that chains of products (the critical cells) form a complex
-    S_r-isomorphic to sd Hom(K_r^r, H), via the itemwise product map i."""
-    sdh = barycentric_subdivision(M.hom.cx, max_cells=max_cells)
-    sdh_action = lift_action_to_order_complex(M.hom.action, sdh)
-    iids = i_image_ids(M.hom, M.box)
-    crit, crit_action, old2new = critical_complex(M)
+    """Check that chains of products (the critical cells of the matching M)
+    form a complex S_r-isomorphic to sd Hom(K_r^r, H), via the itemwise
+    product map i.  Each complex and action of the CriticalIso returned is
+    built once, here."""
+    return _critical_iso(M.hom, M.box, M.sd, M.action, M.critical, max_cells)
+
+
+def _critical_iso(hom, box, sd, action, critical, max_cells):
+    """verify_critical_isomorphism on the parts of a matching."""
+    sdh = barycentric_subdivision(hom.cx, max_cells=max_cells)
+    sdh_action = lift_action_to_order_complex(hom.action, sdh)
+    iids = i_image_ids(hom, box)
+    crit, old2new = sd.subcomplex(critical)
+    crit_action = _restrict_action(action, old2new, crit)
     f = verify_isomorphism(
         sdh, crit,
         lambda ch: tuple(iids[h] for h in ch),
@@ -1294,24 +1290,26 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     return cert
 
 
-def replay_main_theorem(H, cert, max_cells=None, matching=None):
+def replay_main_theorem(H, cert, max_cells=None):
     """Re-verify a main theorem certificate against a fresh build for H.
 
-    Every deformation is replayed step by step (preconditions and
-    fingerprints re-checked), every isomorphism is regenerated from the
-    payloads and re-verified, including equivariance, and all stage
-    endpoints must chain.  Returns True; raises VerificationError (or a
-    subclass) on any mismatch, and InputError on a malformed certificate,
-    with the stage name first in the message.  Stage 3 is checked before
-    stage 2, since it builds sd Hom, and stage 6 before stage 5, replayed
-    from its end, so a step number there counts from the end of its step
-    list."""
-    from .morse import build_matching
-
+    The endpoints are checked against Hom(K_r^r, H) and B_edge(H) before
+    anything is subdivided.  No matching is built: the critical cells are
+    the chains of products, whose items i∘p fixes (ip_tables), the set
+    Matching.verify checks a matching's critical cells against.  Every
+    deformation is replayed step by step, every isomorphism is regenerated
+    from the payloads and re-verified, including equivariance, and all
+    stage endpoints must chain.  Returns the (hom, box) bundles it checked;
+    raises VerificationError (or a subclass) on any mismatch, and
+    InputError on a malformed certificate, with the stage name first in the
+    message.  Stage 3 is checked before stage 2, since it builds sd Hom, and
+    stage 6 before stage 5, replayed from its end, so a step number there
+    counts from the end of its step list."""
     if not isinstance(cert, MainTheoremCertificate):
         cert = MainTheoremCertificate.from_json_obj(cert)
-    M = matching if matching is not None else build_matching(H, max_cells)
-    if cert.endpoints != (M.hom.cx.fingerprint, M.box.cx.fingerprint):
+    hom = hom_complex(H, max_cells=max_cells)
+    box = box_edge(H, max_cells=max_cells)
+    if cert.endpoints != (hom.cx.fingerprint, box.cx.fingerprint):
         raise VerificationError(
             "certificate endpoints do not match Hom and box complexes")
     names = [s.get("name") for s in cert.stages]
@@ -1324,35 +1322,39 @@ def replay_main_theorem(H, cert, max_cells=None, matching=None):
             raise VerificationError("stage %s has kind %r, expected %r"
                                     % (name, s.get("kind"), kind))
     s = cert.stages
+    sd = barycentric_subdivision(box.cx, max_cells=max_cells)
+    action = lift_action_to_order_complex(box.action, sd)
+    fixed = ip_tables(box)[0]
+    critical = [k for k, chain in enumerate(sd.payloads)
+                if all(map(fixed.__getitem__, chain))]
 
     with _stage("subdivide-hom"):
         e_hom, e_hom_action = replay_sd_deformation(
-            M.hom.cx, M.hom.action, s[0]["certificate"], max_cells=max_cells)
+            hom.cx, hom.action, s[0]["certificate"], max_cells=max_cells)
 
     with _stage("products-into-sd-box"):
-        crit = verify_critical_isomorphism(M, max_cells)
+        crit = _critical_iso(hom, box, sd, action, critical, max_cells)
         _check_ends(s[2], crit.sd_hom, crit.critical)
 
     with _stage("unfold-hom-subdivision"):
         _check_ends(s[1], e_hom, crit.sd_hom)
-        _unfold(M.hom.cx, e_hom, e_hom_action, crit.sd_hom_action)
+        _unfold(hom.cx, e_hom, e_hom_action, crit.sd_hom_action)
 
     with _stage("expand-to-sd-box"):
         c3 = s[3]["certificate"]
-        if c3.endpoints != (crit.critical.fingerprint, M.sd.fingerprint):
+        if c3.endpoints != (crit.critical.fingerprint, sd.fingerprint):
             raise VerificationError("endpoints do not match")
-        replay_collapse_certificate(M.sd, M.action, c3,
-                                    start_alive=M.critical)
+        replay_collapse_certificate(sd, action, c3, start_alive=critical)
 
     # Stage 6 is replayed from its end, so its step numbers count from there.
     with _stage("desubdivide-box, replayed reversed"):
         c5 = s[5]["certificate"]
         e_box, e_box_action = replay_sd_deformation(
-            M.box.cx, M.box.action, c5.reversed(), max_cells=max_cells)
-        if c5.endpoints != (e_box.fingerprint, M.box.cx.fingerprint):
+            box.cx, box.action, c5.reversed(), max_cells=max_cells)
+        if c5.endpoints != (e_box.fingerprint, box.cx.fingerprint):
             raise VerificationError("endpoints do not match")
 
     with _stage("fold-box-subdivision"):
-        _check_ends(s[4], M.sd, e_box)
-        _unfold(M.box.cx, e_box, e_box_action, M.action)
-    return True
+        _check_ends(s[4], sd, e_box)
+        _unfold(box.cx, e_box, e_box_action, action)
+    return hom, box

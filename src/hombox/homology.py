@@ -290,7 +290,7 @@ def _pad(report, upto):
     return {"betti": b, "torsion": t}
 
 
-def homology_agreement(H, coeff="z", max_cells=None, matching=None):
+def homology_agreement(H, coeff="z", max_cells=None, complexes=None):
     """Compare integral (or Z/2) homology of B_edge(H) and Hom(K_r^r, H).
 
     The two must agree (they are homotopy equivalent complexes); returns
@@ -298,10 +298,11 @@ def homology_agreement(H, coeff="z", max_cells=None, matching=None):
     common length.  Both complexes are used as they are: the box complex is
     simplicial and the Hom complex has product cells, so nothing is
     subdivided, and max_cells guards only the builds of box and Hom.
-    Homology reads no group action, so none is built.  Pass a prebuilt
-    matching for H to reuse its box and Hom complexes."""
-    if matching is not None:
-        box_cx, hom_cx = matching.box.cx, matching.hom.cx
+    Homology reads no group action, so none is built.  Pass complexes=(hom,
+    box), bundles built for H, as replay_main_theorem returns them, to
+    reuse them."""
+    if complexes is not None:
+        hom_cx, box_cx = (c.cx for c in complexes)
     else:
         from .boxcx import _box_cx
         from .homcx import _hom_cx

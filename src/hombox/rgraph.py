@@ -43,7 +43,7 @@ class RGraph:
     """Immutable r-uniform hypergraph in canonical form."""
 
     def __init__(self, r, vertices, edges):
-        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        if type(r) is not int or r < 1:
             raise InvalidParams("r must be a positive integer, got %r" % (r,))
         self.r = r
         vertices = _collection(vertices, "vertices")
@@ -129,7 +129,7 @@ def load_rgraph(obj):
 
 def complete_rgraph(m, r):
     """K_m^r: all r-subsets of an m-element vertex set (vertices v0..v{m-1})."""
-    if not (isinstance(m, int) and isinstance(r, int)) or r < 1 or m < r:
+    if type(m) is not int or type(r) is not int or r < 1 or m < r:
         raise InvalidParams("complete_rgraph needs m >= r >= 1, got m=%r r=%r"
                             % (m, r))
     verts = ["v%d" % i for i in range(m)]
@@ -147,7 +147,7 @@ def complete_multipartite(part_sizes):
         raise InvalidParams("need at least one part")
     if r > 26:
         raise InvalidParams("at most 26 parts supported")
-    if any(not isinstance(s, int) or s < 1 for s in sizes):
+    if any(type(s) is not int or s < 1 for s in sizes):
         raise InvalidParams("part sizes must be positive integers: %r" % (sizes,))
     parts = [["%c%d" % (97 + i, k) for k in range(s)] for i, s in enumerate(sizes)]
     verts = [v for p in parts for v in p]
@@ -190,7 +190,7 @@ def contains_complete_sub(H, sizes, cap=10 ** 6):
     part assignments raise SizeGuard.
     """
     sizes = list(sizes)
-    if any(not isinstance(s, int) or s < 1 for s in sizes):
+    if any(type(s) is not int or s < 1 for s in sizes):
         raise InvalidParams("part sizes must be positive integers: %r" % (sizes,))
     if len(sizes) != H.r:
         return False

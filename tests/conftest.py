@@ -45,6 +45,17 @@ def hollow_triangle():
         [frozenset("ab"), frozenset("bc"), frozenset("ca")])
 
 
+def replays(H, cert):
+    """Replay the main theorem certificate cert (or its JSON form) for H, and
+    check that the Hom and box bundles replay returns are the ones the
+    certificate's endpoints name."""
+    hom, box = hb.replay_main_theorem(H, cert)
+    if not isinstance(cert, hb.MainTheoremCertificate):
+        cert = hb.MainTheoremCertificate.from_json_obj(cert)
+    assert (hom.cx.fingerprint, box.cx.fingerprint) == cert.endpoints
+    return hom, box
+
+
 def elements(A):
     """Every element of A's group as a permutation of the cells (a tuple),
     generated from A's generators by a breadth-first search."""

@@ -11,7 +11,7 @@ from hombox import (NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
 from hombox.morse import Matching, MatchingInvalid
 
-from conftest import CORPUS_NAMES, elements, z3_action
+from conftest import CORPUS_NAMES, elements, replays, z3_action
 
 
 def timed(fn):
@@ -130,8 +130,8 @@ def test_ac5_collapse_execution(matchings):
         (run, iso), dt = timed(body)
         worst = max(worst, dt)
         assert run.cells_moved == len(M.sigma()) + len(M.upper)
-        assert len(run.final) == len(M.critical)
-        assert len(iso.map) == len(M.critical)
+        assert run.certificate.endpoints[1] == iso.critical.fingerprint
+        assert len(iso.critical) == len(iso.map) == len(M.critical)
     assert worst < 120.0
 
 
@@ -170,7 +170,7 @@ def test_ac7_main_theorem_pipeline(matchings):
         for name in CORPUS_NAMES:
             M = matchings[name]
             cert = hb.main_theorem_certificate(M.graph, matching=M)
-            assert hb.replay_main_theorem(M.graph, cert, matching=M) is True
+            replays(M.graph, cert)
             agree = hb.homology_agreement(M.graph)
             assert agree.agree
             if name == "K3_122":

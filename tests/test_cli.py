@@ -14,6 +14,8 @@ import pytest
 import hombox as hb
 from hombox.cli import main
 
+from conftest import replays
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
@@ -428,8 +430,7 @@ def test_theorem_with_closed_stdout(k3_122, tmp_path, monkeypatch):
     assert main(["theorem", "--input", k3_122, "--certificate", str(cert),
                  "--out", str(rep)]) == 0
     assert json.loads(rep.read_text())["agree"] is True
-    assert hb.replay_main_theorem(hb.complete_multipartite([1, 2, 2]),
-                                  json.loads(cert.read_text()))
+    replays(hb.complete_multipartite([1, 2, 2]), json.loads(cert.read_text()))
 
 
 def test_theorem_into_a_closed_pipe(k3_112, tmp_path):
@@ -558,6 +559,39 @@ def test_theorem_subdivides_each_complex_once(k3_122, tmp_path, monkeypatch,
     assert len(calls) == 2
     del calls[:]
     assert hb.homology_agreement(hb.complete_multipartite([1, 2, 2])).agree
+    assert calls == []
+
+
+def test_theorem_replay_builds_no_matching(k3_122, tmp_path, monkeypatch,
+                                           capsys):
+    # replay takes the critical cells as the chains of products: it
+    # classifies no chain, builds no mu and runs no matching check
+    from hombox import morse
+
+    cert = str(tmp_path / "theorem.json")
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replay built or checked a matching")
+
+    monkeypatch.setattr(morse, "build_matching", refuse)
+    monkeypatch.setattr(morse, "_classify", refuse)
+    monkeypatch.setattr(morse.Matching, "verify", refuse)
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 0
+    assert "replayed: 6 stages ok" in capsys.readouterr().out
+
+
+def test_theorem_certificate_of_another_graph(k3_112, k3_122, tmp_path,
+                                              monkeypatch, capsys):
+    # the endpoints are checked before anything is subdivided
+    cert = str(tmp_path / "theorem.json")
+    assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 0
+    capsys.readouterr()
+    calls = _count_order_complex_calls(monkeypatch)
+    assert main(["theorem", "--input", k3_122, "--certificate", cert]) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: certificate endpoints do not match Hom and "
+        "box complexes\n")
     assert calls == []
 
 

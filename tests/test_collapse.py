@@ -16,7 +16,7 @@ from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
 from hombox.cellcx import BARY, CONE, fmt_payload
 from hombox.cli import canonical_json
 
-from conftest import z3_action
+from conftest import replays, z3_action
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -321,10 +321,10 @@ def test_matching_to_collapse_bookkeeping(matchings):
     assert len(cert) == 58
     assert run.cells_moved == 696 == 2 * len(M.sigma())
     assert cert.endpoints[0] == M.sd.fingerprint
-    assert cert.endpoints[1] == run.final.fingerprint
     # endpoint complex is exactly the critical subcomplex
-    crit, crit_action, _ = hb.critical_complex(M)
-    assert run.final.fingerprint_hex == crit.fingerprint_hex
+    crit = hb.verify_critical_isomorphism(M).critical
+    assert cert.endpoints[1] == crit.fingerprint
+    assert crit.payloads == [M.sd.payloads[i] for i in M.critical]
     # the action is free, so every step moves a whole 6-element orbit
     [(universe, steps)] = cert.runs
     assert universe is None
@@ -416,8 +416,8 @@ def test_transported_actions_share_no_lists(matchings, monkeypatch):
     sd = hb.barycentric_subdivision(M.box.cx)
     lifted = hb.lift_action_to_order_complex(A, sd)
     assert _shared(lifted.perms, A.perms) == []
-    run = hb.matching_to_collapse(M.sd, M.action, M)
-    assert _shared(run.final_action.perms, M.action.perms) == []
+    critical_action = hb.verify_critical_isomorphism(M).critical_action
+    assert _shared(critical_action.perms, M.action.perms) == []
     stores = []
 
     class RecordingStore(collapse._CellStore):
@@ -457,8 +457,9 @@ def test_critical_isomorphism(matchings):
 
 
 def test_critical_subcomplex_built_once(corpus, monkeypatch):
-    # the stage-3 check and the collapse share one critical subcomplex and
-    # its action, in either order
+    # the stage-3 check builds the critical subcomplex and its action, and
+    # the collapse, before or after it, ends at its fingerprint without
+    # building it
     subcomplexes = []
     subcomplex = hb.CellComplex.subcomplex
 
@@ -476,9 +477,10 @@ def test_critical_subcomplex_built_once(corpus, monkeypatch):
         if not first_check:
             iso = hb.verify_critical_isomorphism(M)
         assert subcomplexes == [len(M.sd)]
-        assert run.final is iso.critical
-        assert run.final_action is iso.critical_action
-        assert run.final.payloads == [M.sd.payloads[i] for i in M.critical]
+        assert run.certificate.endpoints[1] == iso.critical.fingerprint
+        assert iso.critical.payloads == [M.sd.payloads[i]
+                                         for i in M.critical]
+        assert iso.critical_action.cx is iso.critical
 
 
 def test_greedy_queues_each_orbit_once(matchings, monkeypatch):
@@ -735,7 +737,7 @@ def test_main_theorem_certificate_round_trip(matchings):
         == [["from", "kind", "name", "to"]] * 2
     back = hb.MainTheoremCertificate.from_json_obj(obj)
     assert back == cert
-    assert hb.replay_main_theorem(H, back, matching=M) is True
+    replays(H, back)
 
 
 def test_main_theorem_tamper_detection(matchings):
@@ -753,19 +755,19 @@ def test_main_theorem_tamper_detection(matchings):
                 stage[end] = "%032x" % (int(stage[end], 16) ^ 1)
                 with pytest.raises(VerificationError, match="^%s: endpoints "
                                    "do not match$" % stage["name"]):
-                    hb.replay_main_theorem(H, obj, matching=M)
+                    hb.replay_main_theorem(H, obj)
 
         obj = json.loads(clean)
         obj["endpoints"][0] = "1" * 32
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
-                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+                H, hb.MainTheoremCertificate.from_json_obj(obj))
 
         obj = json.loads(clean)
         obj["stages"][0]["name"] = "warp"
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
-                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+                H, hb.MainTheoremCertificate.from_json_obj(obj))
 
         # the end of the last step of stage 6, which its replay from the
         # end starts from
@@ -773,7 +775,7 @@ def test_main_theorem_tamper_detection(matchings):
         obj["stages"][5]["certificate"]["runs"][-1][-1][3] = "0" * 32
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
-                H, hb.MainTheoremCertificate.from_json_obj(obj), matching=M)
+                H, hb.MainTheoremCertificate.from_json_obj(obj))
 
 
 def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
@@ -791,14 +793,14 @@ def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
                             else flatten_map(K, box)))
         with pytest.raises(VerificationError, match="^%s: payload map is "
                            "not injective at cell 1$" % stage):
-            hb.replay_main_theorem(M.graph, obj, matching=M)
+            hb.replay_main_theorem(M.graph, obj)
     monkeypatch.undo()
     product = hb.i_image_ids(M.hom, M.box)[0]
     monkeypatch.setattr(collapse, "i_image_ids",
                         lambda hom, box: [product] * len(hom.cx))
     with pytest.raises(VerificationError, match="^products-into-sd-box: "
                        "payload map is not injective at cell 1$"):
-        hb.replay_main_theorem(M.graph, obj, matching=M)
+        hb.replay_main_theorem(M.graph, obj)
 
 
 # sha256 of the canonical JSON of the theorem certificates of versions 1,
@@ -840,7 +842,7 @@ def _refused(matchings, name, version, sha256):
     with pytest.raises(InputError, match=message):
         hb.MainTheoremCertificate.from_json_obj(json.loads(text))
     with pytest.raises(InputError, match=message):
-        hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
+        hb.replay_main_theorem(M.graph, json.loads(text))
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V1_SHA256))
@@ -864,7 +866,7 @@ def test_main_theorem_certificate_v4_bytes_pinned(matchings, name):
     cert = hb.main_theorem_certificate(M.graph, matching=M)
     text = canonical_json(cert.to_json_obj())
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V4_SHA256[name]
-    assert hb.replay_main_theorem(M.graph, json.loads(text), matching=M)
+    replays(M.graph, json.loads(text))
     # against version 3, only fingerprints changed: the endpoints, every
     # step's direction, sigma and facet, the whole collapse stage and the
     # fingerprints of stage 3 are the same
@@ -890,7 +892,7 @@ def test_replay_error_names_stage_and_step(matchings):
         run[len(run) // 2][3] = "f" * 32
         bad = hb.MainTheoremCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError, match=pattern):
-            hb.replay_main_theorem(M.graph, bad, matching=M)
+            hb.replay_main_theorem(M.graph, bad)
 
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
@@ -1024,7 +1026,7 @@ def test_version_3_rejects_vertex_runs(matchings):
         with pytest.raises(VerificationError,
                            match=r"^subdivide-hom: certificate has %d stages "
                                  r"but the schedule needs %d$" % (runs, n4)):
-            hb.replay_main_theorem(M.graph, bad, matching=M)
+            hb.replay_main_theorem(M.graph, bad)
 
 
 def _crafted(E, old, new):

@@ -2,12 +2,15 @@
 removed from the API stay removed."""
 
 import hombox as hb
-from hombox import cellcx
+from hombox import cellcx, collapse
 
 # deletion and independently_free: folded into elementary_g_collapse, which
 # checks its step with apply_orbit_step.  _presentation: every action is
 # given by a presentation, so no presentation is searched for.
-REMOVED = ("deletion", "independently_free", "_presentation")
+# critical_complex: the stage-3 check builds the critical subcomplex, and
+# the collapse of a matching ends at its fingerprint without building it.
+REMOVED = ("deletion", "independently_free", "_presentation",
+           "critical_complex")
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +23,4 @@ def test_removed_names_are_not_exported():
         assert name not in hb.__all__
         assert not hasattr(hb, name)
         assert not hasattr(cellcx, name)
+        assert not hasattr(collapse, name)

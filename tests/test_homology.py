@@ -285,6 +285,7 @@ def test_homology_agreement_reuses_matching(name, corpus, matchings,
     monkeypatch.setattr(hb.GroupAction, "__init__", counting_init)
     alone = hb.homology_agreement(corpus[name])
     assert built == []
-    reused = hb.homology_agreement(corpus[name], matching=matchings[name])
+    M = matchings[name]
+    reused = hb.homology_agreement(corpus[name], complexes=(M.hom, M.box))
     assert built == []
     assert alone == reused and alone.agree

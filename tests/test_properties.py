@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hombox as hb
 
-from conftest import small_rgraphs
+from conftest import replays, small_rgraphs
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -36,7 +36,7 @@ def test_theorem_certificate_builds_and_replays(H):
     if M is None:
         return
     cert = hb.main_theorem_certificate(H, matching=M)
-    assert hb.replay_main_theorem(H, cert.to_json_obj(), matching=M) is True
+    replays(H, cert.to_json_obj())
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -45,8 +45,8 @@ def test_homology_agrees_and_hom_needs_no_subdivision(H):
     M = matching_or_none(H)
     if M is None:
         return
-    assert hb.homology_agreement(H, matching=M).agree
-    assert hb.homology_agreement(H, coeff="z2", matching=M).agree
+    assert hb.homology_agreement(H, complexes=(M.hom, M.box)).agree
+    assert hb.homology_agreement(H, coeff="z2", complexes=(M.hom, M.box)).agree
     sd_hom = hb.order_complex(M.hom.cx)
     for coeff in ("z", "z2"):
         assert hb.betti(M.hom.cx, coeff) == hb.betti(sd_hom, coeff)
@@ -132,4 +132,4 @@ def test_any_single_field_tamper_is_rejected(matchings, name, version, data):
         parent[key] = new
     M = matchings[name]
     with pytest.raises(hb.HomboxError):
-        hb.replay_main_theorem(M.graph, obj, matching=M)
+        hb.replay_main_theorem(M.graph, obj)

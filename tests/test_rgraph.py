@@ -139,6 +139,20 @@ def test_complete_multipartite():
         hb.complete_multipartite([1, 0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: hb.complete_rgraph(True, 1),
+    lambda: hb.complete_rgraph(3, True),
+    lambda: hb.complete_multipartite([True, 2]),
+    lambda: hb.complete_multipartite([2, False]),
+    lambda: hb.contains_complete_sub(hb.complete_rgraph(3, 2), [True, 1]),
+], ids=["rgraph-m", "rgraph-r", "multipartite", "multipartite-false",
+        "contains"])
+def test_bool_sizes_are_invalid(build):
+    # True == 1 in Python, but a bool is not a size
+    with pytest.raises(InvalidParams):
+        build()
+
+
 def test_generates_complete():
     H = hb.complete_multipartite([1, 2, 2])
     assert hb.generates_complete(H, [["a0"], ["b0", "b1"], ["c0", "c1"]])
