@@ -19,12 +19,14 @@ print("K: %d cells %s with a free Z_3 action (%d orbits)"
 # one stellar stage: star the orbit of an edge
 e = K.index[frozenset("ab")]
 st = hb.stellar_deformation_certificate(K, A, e)
-direct = hb.stellar_g_subdivision(K, A, e)
+direct = hb.stellar_subdivision_poset(K, A, e)
 print("starring the edge orbit: %d cells -> %d, certified in %d steps"
       % (len(K), len(st.final), len(st.certificate)))
-# the end complex has the cells of the direct subdivision.  Its fingerprint
-# differs: the cells a stage appends get digests from their parts (apex and
-# base), not from their payloads, so compare payloads, dimensions and covers
+# the end complex has the cells of the direct subdivision, each new cell
+# named as a cone ("*c", apex, base) from an apex ("*b", edge).  Its
+# fingerprint differs: the cells a stage appends get digests from their
+# parts (apex and base), not from their payloads, so compare payloads,
+# dimensions and covers
 assert set(st.final.index) == set(direct.index)
 for i, p in enumerate(st.final.payloads):
     j = direct.index[p]

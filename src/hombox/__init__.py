@@ -7,9 +7,8 @@ from .boxcx import (BoxComplex, box_edge, count_spanning, i_image_ids,
 from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
                      canon_bytes, canon_key, free_facet,
                      lift_action_to_order_complex, order_complex,
-                     orbit_star_data, stellar_g_subdivision,
-                     stellar_subdivision_poset, trivial_action,
-                     verify_isomorphism)
+                     orbit_star_data, stellar_subdivision_poset,
+                     trivial_action, verify_isomorphism)
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        DeformationCertificate, GCollapse,
                        MainTheoremCertificate, SdDeformation, StellarStage,
@@ -42,7 +41,7 @@ __all__ = [
     "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
     "canon_key", "free_facet", "lift_action_to_order_complex",
     "order_complex",
-    "orbit_star_data", "stellar_g_subdivision", "stellar_subdivision_poset",
+    "orbit_star_data", "stellar_subdivision_poset",
     "trivial_action", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",
     "GCollapse", "MainTheoremCertificate", "SdDeformation", "StellarStage",

@@ -333,17 +333,18 @@ class CellComplex:
         a subcomplex of a canonically-sorted complex stays canonically sorted.
         """
         keep = sorted(set(keep))
-        kset = set(keep)
         old2new = {o: n for n, o in enumerate(keep)}
+        new = old2new.__getitem__
+        down = []
         for o in keep:
-            for j in self.down[o]:
-                if j not in kset:
-                    raise InputError(
-                        "subcomplex is not downward closed at cell %d" % o)
+            try:
+                down.append(tuple(map(new, self.down[o])))
+            except KeyError:
+                raise InputError("subcomplex is not downward closed at cell "
+                                 "%d" % o) from None
         sub = CellComplex(
             [self.payloads[o] for o in keep],
-            [self.dims[o] for o in keep],
-            [tuple(old2new[j] for j in self.down[o]) for o in keep],
+            [self.dims[o] for o in keep], down,
             digests=[self.digests[o] for o in keep])
         return sub, old2new
 
@@ -804,7 +805,15 @@ def orbit_star_data(K, A, sigma):
     return orbit, cof, ring
 
 
-def _stellar_cells(K, A, sigma, simplicial, max_cells):
+def stellar_subdivision_poset(K, A, sigma, max_cells=None):
+    """Simultaneous stellar subdivision of K at the orbit of sigma, at
+    face-poset level, for any complex, vertex sets and products alike.
+
+    Cells not above any orbit member survive; the open star of each member
+    m is replaced by the cone from a fresh apex ("*b", payload of m) over
+    the star's boundary ring, whose cells are named by cone payloads ("*c",
+    apex, base).  A stellar stage of collapse ends at these cells.
+    """
     orbit, cof, ring = orbit_star_data(K, A, sigma)
     removed = set()
     for m in orbit:
@@ -818,50 +827,16 @@ def _stellar_cells(K, A, sigma, simplicial, max_cells):
     cells = [(K.payloads[i], K.dims[i], [K.payloads[j] for j in K.down[i]])
              for i in survivors]
     for m in orbit:
-        if simplicial:
-            sp = K.payloads[m]
-            if not isinstance(sp, frozenset):
-                raise InputError("simplicial stellar subdivision needs "
-                                 "frozenset payloads")
-            ax = (BARY, sp)
-            cells.append((frozenset([ax]), 0, []))
-            for b in ring[m]:
-                bp = K.payloads[b]
-                np = bp | {ax}
-                faces = [bp] + [(bp - {v}) | {ax} for v in bp]
-                cells.append((np, len(np) - 1, faces))
-        else:
-            ax = (BARY, K.payloads[m])
-            cells.append((ax, 0, []))
-            for b in ring[m]:
-                bp = K.payloads[b]
-                if K.dims[b] == 0:
-                    faces = [bp, ax]
-                else:
-                    faces = [bp] + [(CONE, ax, K.payloads[j]) for j in K.down[b]]
-                cells.append(((CONE, ax, bp), K.dims[b] + 1, faces))
-    return cells
-
-
-def stellar_g_subdivision(K, A, sigma, max_cells=None):
-    """Simultaneous stellar subdivision of simplicial K at the orbit of sigma.
-
-    Cells not above any orbit member survive; each open star is replaced by
-    the cone from a fresh apex over the star's boundary ring.  Payloads stay
-    vertex sets: the apex of a cell with payload s is the vertex ("*b", s).
-    """
-    return CellComplex.from_graded_cells(
-        _stellar_cells(K, A, sigma, simplicial=True, max_cells=max_cells))
-
-
-def stellar_subdivision_poset(K, A, sigma, max_cells=None):
-    """Stellar subdivision at face-poset level, for non-simplicial complexes.
-
-    Same cell structure as stellar_g_subdivision, but cells are named by
-    cone payloads ("*c", apex, base) instead of enlarged vertex sets.
-    """
-    return CellComplex.from_graded_cells(
-        _stellar_cells(K, A, sigma, simplicial=False, max_cells=max_cells))
+        ax = (BARY, K.payloads[m])
+        cells.append((ax, 0, []))
+        for b in ring[m]:
+            bp = K.payloads[b]
+            if K.dims[b] == 0:
+                faces = [bp, ax]
+            else:
+                faces = [bp] + [(CONE, ax, K.payloads[j]) for j in K.down[b]]
+            cells.append(((CONE, ax, bp), K.dims[b] + 1, faces))
+    return CellComplex.from_graded_cells(cells)
 
 
 # ---------------------------------------------------------------------------

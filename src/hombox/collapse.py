@@ -55,7 +55,7 @@ on sd B_edge(H), which expands to sd B_edge(H) ~ B_edge(H).
 
 import hashlib
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain, compress
@@ -272,7 +272,8 @@ def _replay_steps(state, action, steps, first, to_state):
             if s is not None:
                 cell += " " + fmt_payload(state.cx.payloads[s])
             raise type(e)("step %d (%s at %s): %s"
-                          % (i, _DIRECTIONS[direction], cell, e)) from e
+                          % (i, _DIRECTIONS.get(direction, repr(direction)),
+                             cell, e)) from e
 
 
 def _undo(steps, before):
@@ -586,8 +587,9 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
     n = len(universe.payloads)
 
     def in_universe(k):
-        if not 0 <= k < n:
-            raise InputError("a cell id is outside the %d-cell universe" % n)
+        if not _is_id(k) or k >= n:
+            raise InputError(
+                "cell id %r is outside the %d-cell universe" % (k, n))
         return k
 
     first = 0
@@ -605,10 +607,6 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
 
 # ---------------------------------------------------------------------------
 # stellar deformation stages
-
-
-def _is_simplicial(K):
-    return all(isinstance(p, frozenset) for p in K.payloads)
 
 
 class _CellStore(CollapseState):
@@ -712,14 +710,10 @@ class _CellStore(CollapseState):
         self.dead = sorted(self.dead + gone)
 
     def complex(self, ids):
-        """The complex on the ascending, downward closed store ids `ids`,
-        and the action restricted to it."""
-        new = {o: k for k, o in enumerate(ids)}
-        cx = CellComplex([self.payloads[o] for o in ids],
-                         [self.dims[o] for o in ids],
-                         [[new[j] for j in self.down[o]] for o in ids],
-                         digests=[self.digests[o] for o in ids])
-        return cx, _restrict_action(self, new, cx)
+        """The complex on the downward closed store ids `ids`, as
+        CellComplex.subcomplex builds it, and the action restricted to it."""
+        cx, old2new = CellComplex.subcomplex(self, ids)
+        return cx, _restrict_action(self, old2new, cx)
 
 
 class _Universe:
@@ -744,18 +738,12 @@ class _Universe:
         if not _is_id(k) or k >= self.size:
             raise InputError(
                 "cell id %r is outside the %d-cell universe" % (k, self.size))
-        if k >= self.n_live:
-            return k + len(self.dead)
-        # The k-th live cell is k + j for the least j with dead[j] - j > k.
         dead = self.dead
-        lo, hi = 0, len(dead)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if dead[mid] - mid > k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return k + lo
+        if k >= self.n_live:
+            return k + len(dead)
+        # The k-th live cell is k + j for the least j with dead[j] - j > k.
+        return k + bisect_right(range(len(dead)), k,
+                                key=lambda j: dead[j] - j)
 
 
 def _part_digest(prefix, digest):
@@ -766,14 +754,16 @@ def _part_digest(prefix, digest):
         prefix + digest.to_bytes(16, "big"), digest_size=16).digest(), "big")
 
 
-def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
+def _cone_universe(store, orbit, cof, ring, max_cells):
     """Append to the store, dead, the cells L adds to the live complex K:
-    per orbit member m an apex, and a cone cell over every cell of the
-    closed star of m.  They come in a fixed order, the apexes in orbit order
-    and then each member's cones by base id, and each generator moves them
-    with their members and bases; on them it is checked as an automorphism,
-    and the relations are checked.  Each gets its digest from its parts.
-    Returns (L as a _Universe, apex_id, cone_id) in store ids.
+    per orbit member m an apex (BARY, payload of m), and over every cell b
+    of the closed star of m a cone cell (CONE, apex, payload of b), whether
+    the cells of K are vertex sets or products.  They come in a fixed
+    order, the apexes in orbit order and then each member's cones by base
+    id, and each generator moves them with their members and bases; on
+    them it is checked as an automorphism, and the relations are checked.
+    Each gets its digest from its parts.  Returns (L as a _Universe,
+    apex_id, cone_id) in store ids.
     """
     star_list = {m: sorted(cof[m] | ring[m]) for m in orbit}
     size = store.n_alive + sum(1 + len(s) for s in star_list.values())
@@ -793,21 +783,17 @@ def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
     for m in orbit:
         tok = (BARY, store.payloads[m])
         toks[m] = tok, _part_digest(_APEX_TAG, digests[m])
-        cells.append((frozenset([tok]) if simplicial else tok, 0, (),
-                      toks[m][1]))
+        cells.append((tok, 0, (), toks[m][1]))
     for m in orbit:
         tok, apex = toks[m]
         prefix = _CONE_TAG + apex.to_bytes(16, "big")
         for b in star_list[m]:
-            bp = store.payloads[b]
             if store.dims[b] == 0:
                 down = (b, apex_id[m])
             else:
                 down = (b, *[cone_id[(m, j)] for j in store.down[b]])
-            # tok is a new vertex, not a member of bp
-            cells.append((bp | {tok} if simplicial else (CONE, tok, bp),
-                          store.dims[b] + 1, down,
-                          _part_digest(prefix, digests[b])))
+            cells.append(((CONE, tok, store.payloads[b]), store.dims[b] + 1,
+                          down, _part_digest(prefix, digests[b])))
     new = store.extend(cells)
 
     for p in store.perms:
@@ -821,15 +807,22 @@ def _cone_universe(store, orbit, cof, ring, simplicial, max_cells):
 
 
 def _conepartner(B, tstar, sstar):
-    """Partner of a cone-base payload under the anchored pairing: toggle the
-    anchor in the first non-anchor coordinate of a product, recursing through
-    nested cones; None means the empty base (the partner is the bare apex).
+    """Partner of a payload B under the anchored pairing; sstar is the
+    anchor vertex's payload, and tstar, for a product anchor, its vertex in
+    each coordinate.  An apex pairs with its cone over the anchor, and a
+    cone with the cone from its apex over its base's partner, recursing
+    through nested cones.  A cell of K toggles the anchor: a vertex set B
+    gives B ^ sstar, and a product toggles tstar[j] in its first coordinate
+    j that is not tstar[j] alone.  None means the empty base: a cone over
+    the anchor alone pairs with its bare apex.
     """
     if isinstance(B, tuple) and len(B) == 2 and B[0] == BARY:
         return (CONE, B, sstar)
     if isinstance(B, tuple) and len(B) == 3 and B[0] == CONE:
         q = _conepartner(B[2], tstar, sstar)
         return B[1] if q is None else (CONE, B[1], q)
+    if isinstance(B, frozenset):
+        return B ^ sstar or None
     if isinstance(B, tuple) and all(isinstance(q, frozenset) for q in B):
         for j, part in enumerate(B):
             tj = tstar[j]
@@ -841,11 +834,13 @@ def _conepartner(B, tstar, sstar):
     raise InputError("no pairing rule for cone base %r" % (B,))
 
 
-def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
+def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
     """Perfect matching on the cone cells of the store L (pairing each with
-    its anchor toggle), whose collapse retracts L back onto K.
+    its anchor toggle, _conepartner), whose collapse retracts L back onto K.
 
-    The anchor is the minimal vertex under the representative orbit[0].
+    The anchor is the minimal vertex under the representative orbit[0]: of
+    a vertex set, its least vertex; of a product, its least vertex in each
+    coordinate.
     The pairing is built on the representative's cone cells only and then
     carried along the generators (_carry), with the anchor: a per-member
     construction would break equivariance whenever a group element reorders
@@ -855,10 +850,12 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
     with a stabilizer."""
     rep = orbit[0]
     pay = L.payloads[rep]
+    tstar = None
     if isinstance(pay, frozenset):
         a_pay = frozenset([min(pay, key=canon_key)])
     elif isinstance(pay, tuple) and all(isinstance(q, frozenset) for q in pay):
-        a_pay = tuple(frozenset([min(q, key=canon_key)]) for q in pay)
+        tstar = tuple(min(q, key=canon_key) for q in pay)
+        a_pay = tuple(frozenset([t]) for t in tstar)
     else:
         raise InputError(
             "no anchor rule for payloads of shape %r" % (type(pay).__name__,))
@@ -867,19 +864,11 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id, simplicial):
     _carry(L, rep, L.index[a_pay], list.__getitem__, lambda s, m: Stuck(
         "the stabilizer of cell %s moves its anchor vertex: the cone cells "
         "admit no equivariant matching" % fmt_payload(L.payloads[m])))
-    apex = apex_id[rep]
-    tstar = () if simplicial else tuple(next(iter(q)) for q in a_pay)
     partner_rep = {}
-    for cid in [apex] + [cone_id[(rep, b)]
-                         for b in sorted(cof[rep] | ring[rep])]:
+    for cid in [apex_id[rep]] + [cone_id[(rep, b)]
+                                 for b in sorted(cof[rep] | ring[rep])]:
         X = L.payloads[cid]
-        if simplicial:
-            q_pay = X ^ a_pay
-        elif cid == apex:
-            q_pay = (CONE, X, a_pay)
-        else:
-            qb = _conepartner(X[2], tstar, a_pay)
-            q_pay = X[1] if qb is None else (CONE, X[1], qb)
+        q_pay = _conepartner(X, tstar, a_pay)
         if q_pay not in L.index:
             raise Stuck("anchor toggle leaves the cone cells at cell %s"
                         % fmt_payload(X))
@@ -922,7 +911,7 @@ def _leg_b_pairs(cof, cone_id):
     return mu
 
 
-def _stellar_stage(store, rep, simplicial, max_cells, replay=None):
+def _stellar_stage(store, rep, max_cells, replay=None):
     """One stellar stage, at the orbit of store cell rep: K (the live cells)
     ~ L (K plus the cells _cone_universe appends) ~ sd_rep(K).
 
@@ -931,16 +920,17 @@ def _stellar_stage(store, rep, simplicial, max_cells, replay=None):
     restored, and leg B collapses the open stars and their cones, L ->
     sd_rep(K).  To replay, `replay` is the stage's run (universe
     fingerprint, steps) and the number of its first step: L's fingerprint
-    is checked and the steps applied from K.  Either way the store's live cells end as the stage's
-    end complex.  Returns (L as a _Universe, the stage's steps in L's ids).
+    is checked and the steps applied from K.  Either way the store's live
+    cells end as the stage's end complex, which has the cells of
+    stellar_subdivision_poset.  Returns (L as a _Universe, the stage's
+    steps in L's ids).
     """
     store.settle()
     if not store.alive[rep]:
         raise VerificationError(
             "schedule cell %d vanished before its stage" % rep)
     orbit, cof, ring = orbit_star_data(store, store, rep)
-    U, apex_id, cone_id = _cone_universe(
-        store, orbit, cof, ring, simplicial, max_cells)
+    U, apex_id, cone_id = _cone_universe(store, orbit, cof, ring, max_cells)
     if replay is not None:
         (universe, steps), first = replay
         if U.fingerprint != universe:
@@ -950,8 +940,7 @@ def _stellar_stage(store, rep, simplicial, max_cells, replay=None):
         _replay_steps(store, store, steps, first, U.store_id)
         return U, steps
 
-    mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id,
-                        simplicial)
+    mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id)
     for x in U.new:
         store.add(x)
     steps_a = _run_greedy(store, store, mu_a)
@@ -974,11 +963,12 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
     """Certify K ~ stellar G-subdivision of K at the orbit of sigma, as
     expansions K -> L followed by collapses L -> sd_sigma(K).
 
-    The end complex equals the output of stellar_g_subdivision (simplicial
-    payloads) or stellar_subdivision_poset (otherwise), cell for cell.
+    The end complex has the cells of stellar_subdivision_poset, cone
+    payloads included, whether the cells of K are vertex sets or products;
+    the cells the stage appended keep the digests of their parts.
     """
     store = _CellStore(K, A)
-    U, steps = _stellar_stage(store, sigma, _is_simplicial(K), max_cells)
+    U, steps = _stellar_stage(store, sigma, max_cells)
     L, LA = store.complex(range(len(store.payloads)))
     final, old2new = L.subcomplex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, final.fingerprint),
@@ -1004,14 +994,13 @@ def _schedule(K, A):
     return sorted(orbs, key=lambda ob: (-K.dims[ob[0]], ob[0]))
 
 
-def _flatten_map(K, simplicial):
+def _flatten_map(K):
     """Payload map from the cells of an sd-deformation's end complex to
-    chains of K-ids, i.e. cells of sd K.  Such a cell is built from the
-    apexes (BARY, payload of a cell of K) and the vertices of K, which no
-    stage stars: as tokens of a vertex set (simplicial), or nested in cones
-    (CONE, apex, base).  Raises VerificationError naming the cell for any
-    other part, as the map is only proposed and verify_isomorphism
-    certifies it."""
+    chains of K-ids, i.e. cells of sd K.  Such a cell is an apex (BARY,
+    payload of a cell of K), a vertex of K, which no stage stars and which
+    keeps its K payload, or a cone (CONE, apex, base) over such a cell.
+    Raises VerificationError naming the cell for any other part, as the
+    map is only proposed and verify_isomorphism certifies it."""
     found = {}
 
     def k_id(cell, tok):
@@ -1020,8 +1009,7 @@ def _flatten_map(K, simplicial):
         if i is None:
             vertex = not (isinstance(tok, tuple) and len(tok) == 2
                           and tok[0] == BARY)
-            q = (tok[1] if not vertex
-                 else frozenset([tok]) if simplicial else tok)
+            q = tok if vertex else tok[1]
             i = K.index.get(q)
             if i is None or (vertex and K.dims[i] != 0):
                 raise VerificationError(
@@ -1031,17 +1019,15 @@ def _flatten_map(K, simplicial):
             found[tok] = i
         return i
 
-    if simplicial:
-        def flat(p):
-            return tuple(sorted([k_id(p, tok) for tok in p]))
-        return flat
-
     def flat(p):
-        def ids(x):
-            if isinstance(x, tuple) and len(x) == 3 and x[0] == CONE:
-                return ids(x[2]) + ids(x[1])
-            return [k_id(p, x)]
-        return tuple(sorted(ids(p)))
+        # a cone's apex is a token, so only its base nests
+        ids = []
+        x = p
+        while type(x) is tuple and len(x) == 3 and x[0] == CONE:
+            ids.append(k_id(p, x[1]))
+            x = x[2]
+        ids.append(k_id(p, x))
+        return tuple(sorted(ids))
     return flat
 
 
@@ -1049,8 +1035,7 @@ def _unfold(K, E, EA, sd_action):
     """The id map of the G-isomorphism from E, the end complex of an
     sd-deformation of K with action EA, onto sd K = sd_action.cx, as
     _flatten_map proposes it and verify_isomorphism checks it."""
-    return verify_isomorphism(E, sd_action.cx,
-                              _flatten_map(K, _is_simplicial(K)), EA,
+    return verify_isomorphism(E, sd_action.cx, _flatten_map(K), EA,
                               sd_action)
 
 
@@ -1066,11 +1051,10 @@ def sd_deformation(K, A, sd_action, max_cells=None):
     sd and returns
     SdDeformation(certificate, final, final_action, sd, sd_action, iso).
     """
-    simplicial = _is_simplicial(K)
     store = _CellStore(K, A)
     runs = []
     for ob in _schedule(K, A):
-        U, steps = _stellar_stage(store, ob[0], simplicial, max_cells)
+        U, steps = _stellar_stage(store, ob[0], max_cells)
         runs.append((U.fingerprint, steps))
     cur, cur_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), runs)
@@ -1092,11 +1076,10 @@ def replay_sd_deformation(K, A, cert, max_cells=None):
         raise VerificationError(
             "certificate has %d stages but the schedule needs %d"
             % (len(cert.runs), len(schedule)))
-    simplicial = _is_simplicial(K)
     store = _CellStore(K, A)
     first = 0
     for ob, run in zip(schedule, cert.runs):
-        _stellar_stage(store, ob[0], simplicial, max_cells, (run, first))
+        _stellar_stage(store, ob[0], max_cells, (run, first))
         first += len(run[1])
     cur, cur_action = store.complex(store.alive_ids())
     if cur.fingerprint != cert.endpoints[1]:

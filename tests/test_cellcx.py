@@ -84,9 +84,13 @@ def test_subcomplex_and_fingerprint(solid_triangle):
     rebuilt = hb.CellComplex.from_simplices([frozenset("ab")])
     assert sub.fingerprint_hex == rebuilt.fingerprint_hex
     assert sub.fingerprint_hex != K.fingerprint_hex
-    # non-closed subsets are rejected
-    with pytest.raises(InputError):
-        K.subcomplex([K.index[frozenset("ab")]])
+    # non-closed subsets are rejected, naming the least cell that lacks a
+    # cover
+    ab, abc = K.index[frozenset("ab")], K.index[frozenset("abc")]
+    for bad in ([ab], [abc, ab]):
+        with pytest.raises(InputError, match="^subcomplex is not downward "
+                           "closed at cell %d$" % ab):
+            K.subcomplex(bad)
 
 
 def test_fingerprint_input_order_invariance():
@@ -586,16 +590,16 @@ def test_trivial_action(solid_triangle):
 def test_stellar_subdivision_of_segment_is_path():
     seg = hb.CellComplex.from_simplices([frozenset("xy")])
     A = hb.trivial_action(seg)
-    out = hb.stellar_g_subdivision(seg, A, seg.index[frozenset("xy")])
+    out = hb.stellar_subdivision_poset(seg, A, seg.index[frozenset("xy")])
     assert len(out) == 5
     assert out.dim_counts() == [3, 2]
     out.verify()
 
 
-def test_stellar_g_subdivision_hollow_triangle_orbit(hollow_triangle):
+def test_stellar_subdivision_hollow_triangle_orbit(hollow_triangle):
     A = z3_action(hollow_triangle)
     e = hollow_triangle.index[frozenset("ab")]
-    out = hb.stellar_g_subdivision(hollow_triangle, A, e)
+    out = hb.stellar_subdivision_poset(hollow_triangle, A, e)
     assert out.dim_counts() == [6, 6]      # a 6-cycle
     out.verify()
     # each old edge is gone, replaced by two edges through a new vertex
@@ -609,12 +613,12 @@ def test_stellar_orbit_coface_clash(solid_triangle):
         solid_triangle, _vertex_maps({"a": "b", "b": "a"}), [(1, 0)])
     va = solid_triangle.index[frozenset("a")]
     with pytest.raises(OrbitCofaceClash):
-        hb.stellar_g_subdivision(solid_triangle, A, va)
+        hb.stellar_subdivision_poset(solid_triangle, A, va)
 
 
 def test_stellar_subdivision_poset_square():
-    # a single square cell: not simplicial, so the poset-level variant is
-    # needed; its stellar subdivision at the square is the 4-triangle fan
+    # a single square cell, which is not a simplex: its stellar
+    # subdivision at the square is the 4-triangle fan
     cells = [
         ("p", 0, []), ("q", 0, []), ("s", 0, []), ("t", 0, []),
         (("e", "pq"), 1, ["p", "q"]), (("e", "qs"), 1, ["q", "s"]),
@@ -629,8 +633,6 @@ def test_stellar_subdivision_poset_square():
     assert len(out) == 17
     assert out.dim_counts() == [5, 8, 4]
     out.verify()
-    with pytest.raises(InputError):
-        hb.stellar_g_subdivision(K, A, sq)   # payloads are not vertex sets
 
 
 def test_free_facet(solid_triangle, hollow_triangle):

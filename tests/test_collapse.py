@@ -509,8 +509,8 @@ def test_stellar_deformation_matches_direct_subdivision(hollow_triangle):
     A = z3_action(hollow_triangle)
     e = hollow_triangle.index[frozenset("ab")]
     st = hb.stellar_deformation_certificate(hollow_triangle, A, e)
-    assert_same_cells(st.final, hb.stellar_g_subdivision(hollow_triangle, A,
-                                                         e))
+    assert_same_cells(st.final, hb.stellar_subdivision_poset(hollow_triangle,
+                                                             A, e))
     assert st.certificate.endpoints == (
         hollow_triangle.fingerprint, st.final.fingerprint)
     # expansions first (into the cone universe), then collapses
@@ -574,28 +574,17 @@ def _part_digest(tag, *parts):
 def _digests_from_parts(K, cx):
     """The digests of the cells of cx, a complex built by stellar stages on
     K, recomputed from their payloads: a cell of K keeps its digest, an
-    apex (BARY, q) digests b"A" and the digest of q, and a cone cell b"C",
-    its apex's digest and its base's.  In a vertex set the apex is the
-    token of the last stage, whose member has the least dimension."""
-    simplicial = all(isinstance(p, frozenset) for p in K.payloads)
+    apex (BARY, q) digests b"A" and the digest of q, and a cone cell
+    (CONE, apex, base) b"C", its apex's digest and its base's."""
     digest_of = {}
-
-    def apex(q):
-        return _part_digest(b"A", K.digests[K.index[q]])
 
     def digest(p):
         if p in K.index:
             return K.digests[K.index[p]]
         if p not in digest_of:
-            if not simplicial:
-                digest_of[p] = (apex(p[1]) if p[0] == BARY else _part_digest(
-                    b"C", digest(p[1]), digest(p[2])))
-            else:
-                tok = min((t for t in p if isinstance(t, tuple)
-                           and len(t) == 2 and t[0] == BARY),
-                          key=lambda t: K.dims[K.index[t[1]]])
-                digest_of[p] = (apex(tok[1]) if len(p) == 1 else _part_digest(
-                    b"C", digest(frozenset([tok])), digest(p - {tok})))
+            digest_of[p] = (
+                _part_digest(b"A", K.digests[K.index[p[1]]]) if p[0] == BARY
+                else _part_digest(b"C", digest(p[1]), digest(p[2])))
         return digest_of[p]
     return [digest(p) for p in cx.payloads]
 
@@ -603,15 +592,20 @@ def _digests_from_parts(K, cx):
 @pytest.mark.parametrize("side", ["hom", "box"])
 def test_stellar_cell_digests_from_parts(side, matchings):
     # the digest of every cell a stage appends follows the rule: from its
-    # parts, not from its payload's encoding.  Hom cells are tuples (cone
-    # payloads), box cells frozensets (simplicial)
+    # parts, not from its payload's encoding.  Hom cells are products and
+    # box cells vertex sets; the cells a stage appends are cones on both,
+    # so a stage at a maximal cell ends at the cells of the one reference,
+    # stellar_subdivision_poset
     for name, M in sorted(matchings.items()):
         bundle = getattr(M, side)
         K, A = bundle.cx, bundle.action
         if K.max_dim > 0:
-            st = hb.stellar_deformation_certificate(K, A, K.maximal_ids()[0])
+            top = K.maximal_ids()[0]
+            st = hb.stellar_deformation_certificate(K, A, top)
             assert st.universe.digests == _digests_from_parts(
                 K, st.universe), name
+            assert_same_cells(st.final,
+                              hb.stellar_subdivision_poset(K, A, top))
         d = sd_deformation(K, A)
         assert d.final.digests == _digests_from_parts(K, d.final), name
 
@@ -785,12 +779,14 @@ def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
     M = matchings["K3_122"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
     flatten_map = collapse._flatten_map
-    for stage, simplicial in (("unfold-hom-subdivision", False),
-                              ("fold-box-subdivision", True)):
+    # the stage is chosen by K's payload type: Hom cells are products
+    # (tuples), box cells vertex sets (frozensets)
+    for stage, kind in (("unfold-hom-subdivision", tuple),
+                        ("fold-box-subdivision", frozenset)):
         monkeypatch.setattr(
             collapse, "_flatten_map",
-            lambda K, box: ((lambda p: (0,)) if box == simplicial
-                            else flatten_map(K, box)))
+            lambda K: ((lambda p: (0,)) if isinstance(K.payloads[0], kind)
+                       else flatten_map(K)))
         with pytest.raises(VerificationError, match="^%s: payload map is "
                            "not injective at cell 1$" % stage):
             hb.replay_main_theorem(M.graph, obj)
@@ -919,6 +915,66 @@ def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
                 hb.DeformationCertificate.from_json_obj(obj)
 
 
+def _segment_certificate(path):
+    """The segment xy with the trivial action, a certificate of the given
+    path built on it and that path's replay: the collapse of x into xy, or
+    the sd-deformation."""
+    seg = hb.CellComplex.from_simplices([frozenset("xy")])
+    A = hb.trivial_action(seg)
+    if path == "collapse":
+        end = seg.subcomplex([seg.index[frozenset("y")]])[0].fingerprint
+        cert = hb.DeformationCertificate(
+            (seg.fingerprint, end),
+            [(None, [("c", seg.index[frozenset("x")],
+                      seg.index[frozenset("xy")], end)])])
+        return cert, lambda c: hb.replay_collapse_certificate(seg, A, c)
+    cert = sd_deformation(seg, A).certificate
+    return cert, lambda c: hb.replay_sd_deformation(seg, A, c)
+
+
+@pytest.mark.parametrize("path", ["collapse", "subdivision"])
+@pytest.mark.parametrize("field, value, message", [
+    (0, "x", "unknown step direction 'x'"),
+    (1, "a", r"cell id 'a' is outside the \d+-cell universe"),
+    (2, True, r"cell id True is outside the \d+-cell universe"),
+], ids=["direction", "str-sigma", "bool-facet"])
+def test_replay_of_a_certificate_built_in_code(path, field, value, message):
+    # a certificate built in code skips the parser's checks, so replay
+    # itself refuses a step with another direction or a cell id that is
+    # not a non-negative int, naming the step, as an InputError
+    cert, replay = _segment_certificate(path)
+    replay(cert)
+    (universe, steps), = cert.runs
+    step = list(steps[0])
+    step[field] = value
+    bad = hb.DeformationCertificate(
+        cert.endpoints, [(universe, [tuple(step)] + steps[1:])])
+    with pytest.raises(InputError, match=r"^step 0 \(.*\): %s$" % message):
+        replay(bad)
+
+
+def test_universe_store_ids_skip_the_dead(solid_triangle):
+    # a stage's universe names its cells by their rank among the live store
+    # cells, then the appended ones after them; once cells have died,
+    # store_id inverts local_id on all of them
+    A = hb.trivial_action(solid_triangle)
+    store = collapse._CellStore(solid_triangle, A)
+    deaths = []
+    for ob in collapse._schedule(solid_triangle, A):
+        U, _ = collapse._stellar_stage(store, ob[0], None)
+        dead = set(U.dead)
+        deaths.append(len(dead))
+        cells = [s for s in range(U.new.start) if s not in dead] + list(U.new)
+        assert len(cells) == len(U)
+        assert [U.local_id(s) for s in cells] == list(range(len(U)))
+        assert [U.store_id(U.local_id(s)) for s in cells] == cells
+        for k in (len(U), -1, True):
+            with pytest.raises(InputError, match="cell id %r is outside the "
+                               "%d-cell universe" % (k, len(U))):
+                U.store_id(k)
+    assert deaths[0] == 0 and max(deaths) > 1
+
+
 def test_certificate_versions(matchings):
     # version 4 parses; versions 1 to 3 (1 has no version field) are input
     # errors that name the version and ask for a rebuild, and any other
@@ -960,7 +1016,7 @@ def _corpus_complexes(matchings):
                hb.lift_action_to_order_complex(M.hom.action, sd))
 
 
-def _renamed(E, S, orbit, simplicial):
+def _renamed(E, S, orbit):
     """The id map E -> S of a stellar subdivision S of E at a vertex orbit
     that renames each member m to its apex: a cell above m becomes the cone
     from the apex over its one facet that is not above m."""
@@ -971,11 +1027,10 @@ def _renamed(E, S, orbit, simplicial):
         if m is not None:
             apex = (BARY, E.payloads[m])
             if i == m:
-                p = frozenset([apex]) if simplicial else apex
+                p = apex
             else:
                 [b] = [j for j in E.down[i] if above.get(j) != m]
-                p = (E.payloads[b] | {apex} if simplicial
-                     else (CONE, apex, E.payloads[b]))
+                p = (CONE, apex, E.payloads[b])
         f.append(S.index[p])
     return f
 
@@ -984,27 +1039,24 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
     # the lemma the schedule rests on: where versions 1 and 2 starred a
     # vertex orbit of K, the complex E after the stages of positive
     # dimension, the stellar subdivision is E with each member renamed to
-    # its apex, G-isomorphically.  A simplicial K (the box) is such a
-    # complex itself; a Hom complex is not, as starring a square at a
-    # corner cuts it in two triangles
+    # its apex, G-isomorphically.  The box, whose cells are simplices, is
+    # such a complex itself; a Hom complex is not, as starring a square at
+    # a corner cuts it in two triangles
     for label, K, A, sd_action in _corpus_complexes(matchings):
-        simplicial = label.startswith("box")
         d = hb.sd_deformation(K, A, sd_action)
         positive = [ob for ob in A.orbits() if K.dims[ob[0]] > 0]
         assert len(d.certificate.runs) == len(positive), label
         assert all(u is not None and steps
                    for u, steps in d.certificate.runs), label
         vertex = next(i for i in range(len(K)) if K.dims[i] == 0)
-        stellar = (hb.stellar_g_subdivision if simplicial
-                   else hb.stellar_subdivision_poset)
         pairs = [(d.final, d.final_action)]
-        if simplicial:
+        if label.startswith("box"):
             pairs.append((K, A))
         for E, EA in pairs:
             m = E.index[K.payloads[vertex]]
             st = hb.stellar_deformation_certificate(E, EA, m)
-            assert_same_cells(st.final, stellar(E, EA, m))
-            f = _renamed(E, st.final, EA.orbit(m), simplicial)
+            assert_same_cells(st.final, hb.stellar_subdivision_poset(E, EA, m))
+            f = _renamed(E, st.final, EA.orbit(m))
             hb.verify_iso_ids(E, st.final, f, EA, st.final_action)
 
 
@@ -1038,8 +1090,9 @@ def _crafted(E, old, new):
 def test_flatten_map_names_a_cell_outside_k(solid_triangle):
     # the end complex's payload map raises a VerificationError that names
     # the cell, for a bare vertex that is not one of K and an apex of a
-    # cell that K lacks, simplicial and polytopal alike: each case replaces
-    # the payload old of the end complex by new, whose part q is at fault
+    # cell that K lacks, on vertex sets and products alike: each case
+    # replaces the payload old of the end complex by new, whose part q is
+    # at fault
     from hombox.collapse import _flatten_map
 
     def P(*sets):
@@ -1047,18 +1100,18 @@ def test_flatten_map_names_a_cell_outside_k(solid_triangle):
 
     F = frozenset
     K, _ = product_square()
-    for K, simplicial, cases in (
-            (solid_triangle, True, [
+    for K, cases in (
+            (solid_triangle, [
                 (F("a"), F("z"), F("z"), "vertex"),
-                (F([(BARY, F("ab"))]), F([(BARY, F("az"))]), F("az"),
-                 "cell")]),
-            (K, False, [
+                (F("a"), F("ab"), F("ab"), "vertex"),
+                ((BARY, F("ab")), (BARY, F("az")), F("az"), "cell")]),
+            (K, [
                 (P("a", "x"), P("c", "x"), P("c", "x"), "vertex"),
                 (P("a", "x"), P("ab", "x"), P("ab", "x"), "vertex"),
                 ((BARY, P("ab", "x")), (BARY, P("bc", "x")), P("bc", "x"),
                  "cell")])):
         d = sd_deformation(K, hb.trivial_action(K))
-        flat = _flatten_map(K, simplicial)
+        flat = _flatten_map(K)
         assert hb.verify_isomorphism(d.final, d.sd, flat) == d.iso
         for old, new, q, kind in cases:
             E = _crafted(d.final, old, new)

@@ -9,8 +9,12 @@ from hombox import cellcx, collapse
 # given by a presentation, so no presentation is searched for.
 # critical_complex: the stage-3 check builds the critical subcomplex, and
 # the collapse of a matching ends at its fingerprint without building it.
+# stellar_g_subdivision, _stellar_cells and _is_simplicial: every stellar
+# cell is named by a cone payload, on vertex sets and products alike, so
+# stellar_subdivision_poset is the one reference subdivision.
 REMOVED = ("deletion", "independently_free", "_presentation",
-           "critical_complex")
+           "critical_complex", "stellar_g_subdivision", "_stellar_cells",
+           "_is_simplicial")
 
 
 def test_every_exported_name_resolves():
