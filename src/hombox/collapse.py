@@ -38,14 +38,16 @@ Three layers live here:
 
 * Certificates: a DeformationCertificate is a replayable list of orbit steps
   (collapse or expand), one short row each: direction, the orbit's least
-  cell, its facet, and the 128-bit state fingerprint after the step.  The
-  steps of one stellar stage form a run that names its cone universe once.
-  Replay never trusts the certificate: parsing checks its schema, every
-  step regenerates its orbit and re-verifies freeness, codimension and
-  equivariant facet alignment against a freshly built state, and every
-  fingerprint is recomputed.  A failure names the step and its cell.
-  Certificates are of format version 4; earlier versions digested the
-  stellar cells from their payload encodings, and are refused.
+  cell and its facet.  The steps of one stellar stage form a run that names
+  its cone universe once, and each run holds the fingerprint of the state
+  at its end.  Replay never trusts the certificate: parsing checks its
+  schema, every step regenerates its orbit and re-verifies freeness,
+  codimension and equivariant facet alignment against a freshly built
+  state, and every fingerprint is recomputed.  A step that is not a valid
+  orbit step fails at its index, naming its cell; a valid step other than
+  the one the build took fails at its run's end, naming the run and its
+  schedule cell.  Certificates are of format version 5; versions 1-4 are
+  refused.
 
 main_theorem_certificate chains these into a single machine-checkable
 witness that Hom(K_r^r, H) and B_edge(H) are simple-S_r-homotopy equivalent:
@@ -88,7 +90,7 @@ from .homcx import hom_complex
 
 _MASK128 = (1 << 128) - 1
 # The certificate format version this module builds, writes and replays.
-VERSION = 4
+VERSION = 5
 # Step directions as certificates write them, with their names, and the
 # direction that undoes each.
 _DIRECTIONS = {"c": "collapse", "e": "expand"}
@@ -119,8 +121,9 @@ class CollapseState:
             self.alive = [True] * n
             self.updeg = universe.up_degrees()
         else:
-            aset = set(alive)
-            self.alive = [i in aset for i in range(n)]
+            self.alive = [False] * n
+            for i in alive:
+                self.alive[_cell_id(i, n)] = True
             self.updeg = [0] * n
             for i in compress(range(n), self.alive):
                 for j in universe.down[i]:
@@ -255,18 +258,16 @@ def _facet_clash(s, cell):
                              "equivariant under generator %r" % (s,))
 
 
-def _replay_steps(state, action, steps, first, to_state):
-    """Apply certificate steps, numbered from `first`, to state.
+def _replay_steps(state, action, steps, first, to_state, end, where):
+    """Apply certificate steps, numbered from `first`, to state, then check
+    that it ends at the fingerprint `end` of their run, named by `where`.
     to_state(k) is the state id of certificate cell id k, or raises
-    InputError.  The state fingerprint must match after each step; a
-    failure names the step, its direction and its cell."""
-    for i, (direction, sigma, facet, after) in enumerate(steps, first):
+    InputError.  A failing step is named with its direction and its cell."""
+    for i, (direction, sigma, facet) in enumerate(steps, first):
         s = None
         try:
             s = to_state(sigma)
             apply_orbit_step(state, action, direction, s, to_state(facet))
-            if state.fingerprint != after:
-                raise VerificationError("fingerprint drift after the step")
         except (InputError, VerificationError) as e:
             cell = "cell %s" % (sigma,)
             if s is not None:
@@ -274,18 +275,15 @@ def _replay_steps(state, action, steps, first, to_state):
             raise type(e)("step %d (%s at %s): %s"
                           % (i, _DIRECTIONS.get(direction, repr(direction)),
                              cell, e)) from e
+    if state.fingerprint != end:
+        raise VerificationError(
+            "%s: the state after step %d is not the run's end fingerprint"
+            % (where, first + len(steps) - 1))
 
 
-def _undo(steps, before):
-    """The steps undone, last first: each becomes the opposite step and
-    ends where it began, `before` for the first step.  Returns them and the
-    fingerprint the steps end at."""
-    back = []
-    for direction, sigma, facet, after in steps:
-        back.append((_FLIP[direction], sigma, facet, before))
-        before = after
-    back.reverse()
-    return back, before
+def _undo(steps):
+    """The steps undone, last first, each the opposite step."""
+    return [(_FLIP[d], sigma, facet) for d, sigma, facet in reversed(steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +294,15 @@ class DeformationCertificate:
     """A replayable zig-zag of elementary G-collapses and G-expansions.
 
     endpoints are the 128-bit fingerprints of the two end complexes.  runs
-    is a list of (universe, steps), each with at least one step: the steps
-    of one stellar stage act in its cone universe, whose fingerprint the
-    run holds once; a collapse in a complex the caller names has one run
-    with universe None, or none if it has no step.  A step is the tuple
-    (direction, sigma, facet, after): "c" (collapse) or "e" (expand), the
-    least cell of the orbit, its facet, and the state fingerprint after the
-    step.  The state before a step is the previous step's after, or
-    endpoints[0]; replay regenerates the orbit and the other members'
-    facets from the action.
+    is a list of (universe, end, steps), each with at least one step: the
+    steps of one stellar stage act in its cone universe, whose fingerprint
+    the run holds once; a collapse in a complex the caller names has one run
+    with universe None, or none if it has no step.  end is the fingerprint
+    of the state after the run's last step; the state before a run is the
+    previous run's end, or endpoints[0].  A step is the tuple (direction,
+    sigma, facet): "c" (collapse) or "e" (expand), the least cell of the
+    orbit and its facet; replay regenerates the orbit and the other
+    members' facets from the action.
     """
 
     def __init__(self, endpoints, runs):
@@ -312,7 +310,7 @@ class DeformationCertificate:
         self.runs = list(runs)
 
     def __len__(self):
-        return sum(len(steps) for _, steps in self.runs)
+        return sum(len(steps) for _, _, steps in self.runs)
 
     def __eq__(self, other):
         return (isinstance(other, DeformationCertificate)
@@ -320,26 +318,27 @@ class DeformationCertificate:
                 and self.runs == other.runs)
 
     def reversed(self):
-        """This certificate run backwards, each step undone.  Raises
-        VerificationError unless the last step ends at endpoints[1], since
-        no step of the reversed form holds that fingerprint."""
+        """This certificate run backwards, each step undone: a run undone
+        ends where the run before it ended, or at endpoints[0].  Raises
+        VerificationError unless the last run ends at endpoints[1], since
+        no run of the reversed form holds that fingerprint."""
         runs, before = [], self.endpoints[0]
-        for universe, steps in self.runs:
-            back, before = _undo(steps, before)
-            runs.append((universe, back))
+        for universe, end, steps in self.runs:
+            runs.append((universe, before, _undo(steps)))
+            before = end
         if before != self.endpoints[1]:
             raise VerificationError(
-                "the last step does not end at the end fingerprint")
+                "the last run does not end at the end fingerprint")
         return DeformationCertificate(self.endpoints[::-1], runs[::-1])
 
     def to_json_obj(self):
-        """A run is [universe, step, ...] and a step [direction, sigma,
-        facet, after]."""
+        """A run is [universe, end, step, ...] and a step [direction,
+        sigma, facet]."""
         return {
             "endpoints": [_hex(f) for f in self.endpoints],
-            "runs": [[None if u is None else _hex(u)]
-                     + [[d, s, f, _hex(a)] for d, s, f, a in steps]
-                     for u, steps in self.runs],
+            "runs": [[None if u is None else _hex(u), _hex(end)]
+                     + [list(step) for step in steps]
+                     for u, end, steps in self.runs],
         }
 
     @classmethod
@@ -355,22 +354,19 @@ class DeformationCertificate:
         runs = []
         k = 0
         for j, row in enumerate(rows):
-            _need(isinstance(row, list) and len(row) > 1, what,
-                  "run %d is not a [universe, step, ...] list" % j)
+            _need(isinstance(row, list) and len(row) > 2, what,
+                  "run %d is not a [universe, end, step, ...] list" % j)
             universe = row[0]
             if universe is not None:
                 universe = _fingerprint(universe, what, "run %d universe" % j)
-            steps = []
-            for step in row[1:]:
-                _need(isinstance(step, list) and len(step) == 4
+            end = _fingerprint(row[1], what, "run %d end" % j)
+            for step in row[2:]:
+                _need(isinstance(step, list) and len(step) == 3
                       and step[0] in ("c", "e") and _is_id(step[1])
                       and _is_id(step[2]), what,
-                      "step %d is not a [direction, sigma, facet, after] row"
-                      % k)
-                steps.append((step[0], step[1], step[2],
-                              _fingerprint(step[3], what, "step %d" % k)))
+                      "step %d is not a [direction, sigma, facet] row" % k)
                 k += 1
-            runs.append((universe, steps))
+            runs.append((universe, end, [tuple(step) for step in row[2:]]))
         return cls(endpoints, runs)
 
 
@@ -385,6 +381,13 @@ def _need(ok, what, msg):
 
 def _is_id(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _cell_id(k, n):
+    """k, if it is the id of a cell of an n-cell universe; else InputError."""
+    if not _is_id(k) or k >= n:
+        raise InputError("cell id %r is outside the %d-cell universe" % (k, n))
+    return k
 
 
 def _fingerprint(x, what, where):
@@ -457,7 +460,7 @@ def _run_greedy(state, action, mu):
         _, k = heapq.heappop(heap)
         sigma = members[k][0]
         orbit = apply_orbit_step(state, action, "c", sigma, mu[sigma])
-        steps.append(("c", sigma, mu[sigma], state.fingerprint))
+        steps.append(("c", sigma, mu[sigma]))
         seen = set()
         for x in chain(orbit, orbit.values()):
             for y in state.cx.down[x]:
@@ -544,8 +547,9 @@ def matching_to_collapse(K, A, M):
     if state.alive_ids() != sorted(M.critical):
         raise VerificationError(
             "collapse endpoint differs from the critical subcomplex")
-    cert = DeformationCertificate((K.fingerprint, state.fingerprint),
-                                  [(None, steps)] if steps else [])
+    cert = DeformationCertificate(
+        (K.fingerprint, state.fingerprint),
+        [(None, state.fingerprint, steps)] if steps else [])
     return CollapseRun(cert, moved)
 
 
@@ -585,20 +589,14 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
             "certificate start fingerprint %032x does not match the state %s"
             % (cert.endpoints[0], state.fingerprint_hex))
     n = len(universe.payloads)
-
-    def in_universe(k):
-        if not _is_id(k) or k >= n:
-            raise InputError(
-                "cell id %r is outside the %d-cell universe" % (k, n))
-        return k
-
     first = 0
-    for universe_fp, steps in cert.runs:
+    for j, (universe_fp, end, steps) in enumerate(cert.runs):
         if universe_fp is not None:
             raise VerificationError(
                 "step %d names a stellar universe in a collapse certificate"
                 % first)
-        _replay_steps(state, action, steps, first, in_universe)
+        _replay_steps(state, action, steps, first,
+                      lambda k: _cell_id(k, n), end, "run %d" % j)
         first += len(steps)
     if state.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
@@ -735,9 +733,7 @@ class _Universe:
         return s - bisect_left(self.dead, s)
 
     def store_id(self, k):
-        if not _is_id(k) or k >= self.size:
-            raise InputError(
-                "cell id %r is outside the %d-cell universe" % (k, self.size))
+        _cell_id(k, self.size)
         dead = self.dead
         if k >= self.n_live:
             return k + len(dead)
@@ -919,11 +915,11 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     and is recorded reversed, as expansions K -> L; the cone cells are then
     restored, and leg B collapses the open stars and their cones, L ->
     sd_rep(K).  To replay, `replay` is the stage's run (universe
-    fingerprint, steps) and the number of its first step: L's fingerprint
-    is checked and the steps applied from K.  Either way the store's live
-    cells end as the stage's end complex, which has the cells of
-    stellar_subdivision_poset.  Returns (L as a _Universe, the stage's
-    steps in L's ids).
+    fingerprint, end fingerprint, steps), the number of its first step and
+    the run's number: L's fingerprint is checked, the steps applied from K
+    and the end checked.  Either way the store's live cells end as the
+    stage's end complex, which has the cells of stellar_subdivision_poset.
+    Returns L as a _Universe and the stage's run, its steps in L's ids.
     """
     store.settle()
     if not store.alive[rep]:
@@ -932,13 +928,15 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     orbit, cof, ring = orbit_star_data(store, store, rep)
     U, apex_id, cone_id = _cone_universe(store, orbit, cof, ring, max_cells)
     if replay is not None:
-        (universe, steps), first = replay
-        if U.fingerprint != universe:
+        run, first, j = replay
+        label = fmt_payload(store.payloads[rep])
+        if U.fingerprint != run[0]:
             raise VerificationError(
                 "step %d: universe fingerprint mismatch at schedule cell %d %s"
-                % (first, rep, fmt_payload(store.payloads[rep])))
-        _replay_steps(store, store, steps, first, U.store_id)
-        return U, steps
+                % (first, rep, label))
+        _replay_steps(store, store, run[2], first, U.store_id, run[1],
+                      "run %d (schedule cell %d %s)" % (j, rep, label))
+        return U, run
 
     mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id)
     for x in U.new:
@@ -949,9 +947,9 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     for x in U.new:
         store.add(x)
     steps_b = _run_greedy(store, store, _leg_b_pairs(cof, cone_id))
-    expand = _undo(steps_a, U.fingerprint)[0]
     local = U.local_id
-    return U, [(d, local(s), local(f), a) for d, s, f, a in expand + steps_b]
+    steps = [(d, local(s), local(f)) for d, s, f in _undo(steps_a) + steps_b]
+    return U, (U.fingerprint, store.fingerprint, steps)
 
 
 StellarStage = namedtuple(
@@ -968,11 +966,10 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
     the cells the stage appended keep the digests of their parts.
     """
     store = _CellStore(K, A)
-    U, steps = _stellar_stage(store, sigma, max_cells)
+    run = _stellar_stage(store, sigma, max_cells)[1]
     L, LA = store.complex(range(len(store.payloads)))
     final, old2new = L.subcomplex(store.alive_ids())
-    cert = DeformationCertificate((K.fingerprint, final.fingerprint),
-                                  [(U.fingerprint, steps)])
+    cert = DeformationCertificate((K.fingerprint, final.fingerprint), [run])
     return StellarStage(cert, L, LA, final,
                         _restrict_action(LA, old2new, final), old2new)
 
@@ -1052,10 +1049,8 @@ def sd_deformation(K, A, sd_action, max_cells=None):
     SdDeformation(certificate, final, final_action, sd, sd_action, iso).
     """
     store = _CellStore(K, A)
-    runs = []
-    for ob in _schedule(K, A):
-        U, steps = _stellar_stage(store, ob[0], max_cells)
-        runs.append((U.fingerprint, steps))
+    runs = [_stellar_stage(store, ob[0], max_cells)[1]
+            for ob in _schedule(K, A)]
     cur, cur_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), runs)
     iso = _unfold(K, cur, cur_action, sd_action)
@@ -1065,11 +1060,11 @@ def sd_deformation(K, A, sd_action, max_cells=None):
 def replay_sd_deformation(K, A, cert, max_cells=None):
     """Replay an sd_deformation certificate: rebuild each cone universe from
     the deterministic schedule, check its fingerprint against its run's,
-    re-verify and apply every step, and check the chained state
-    fingerprints.  Returns (final complex, final action)."""
+    re-verify and apply every step, and check the state at each run's end.
+    Returns (final complex, final action)."""
     if cert.endpoints[0] != K.fingerprint:
         raise VerificationError("certificate does not start at this complex")
-    if any(universe is None for universe, _ in cert.runs):
+    if any(run[0] is None for run in cert.runs):
         raise VerificationError("subdivision step lacks a universe mark")
     schedule = _schedule(K, A)
     if len(cert.runs) != len(schedule):
@@ -1078,9 +1073,9 @@ def replay_sd_deformation(K, A, cert, max_cells=None):
             % (len(cert.runs), len(schedule)))
     store = _CellStore(K, A)
     first = 0
-    for ob, run in zip(schedule, cert.runs):
-        _stellar_stage(store, ob[0], max_cells, (run, first))
-        first += len(run[1])
+    for j, (ob, run) in enumerate(zip(schedule, cert.runs)):
+        _stellar_stage(store, ob[0], max_cells, (run, first, j))
+        first += len(run[2])
     cur, cur_action = store.complex(store.alive_ids())
     if cur.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
@@ -1127,7 +1122,8 @@ class MainTheoremCertificate:
     stage holds the fingerprints of its two complexes under "from" and
     "to".  It stores no map: replay regenerates each isomorphism from the
     payloads as the build does (_unfold for stages 2 and 5, the product map
-    i for stage 3) and checks it.  The JSON form is of format version 4.
+    i for stage 3) and checks it.  The JSON form is of format version 5;
+    see DeformationCertificate for its runs and steps.
     """
 
     def __init__(self, endpoints, stages):
@@ -1140,7 +1136,7 @@ class MainTheoremCertificate:
                 and self.stages == other.stages)
 
     def to_json_obj(self):
-        """The JSON form, of format version 4."""
+        """The JSON form, of format version 5."""
         stages = []
         for s in self.stages:
             if s["kind"] == "deformation":
@@ -1155,7 +1151,7 @@ class MainTheoremCertificate:
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Parse the JSON form of version 4; raises InputError for another
+        """Parse the JSON form of version 5; raises InputError for another
         version (one without a version field is version 1), or unless every
         stage is an object with a name, a kind and the fields its kind
         needs, and no others: a well-formed deformation certificate, or the
@@ -1163,7 +1159,7 @@ class MainTheoremCertificate:
         what = "main theorem"
         _need(isinstance(obj, dict), what, "not an object")
         version = obj.get("version", 1)
-        if version in (1, 2, 3) and _is_id(version):
+        if version in (1, 2, 3, 4) and _is_id(version):
             raise InputError(
                 "main theorem certificate of format version %d, which this "
                 "hombox no longer replays: rebuild it with `hombox theorem`"
@@ -1286,8 +1282,8 @@ def replay_main_theorem(H, cert, max_cells=None):
     raises VerificationError (or a subclass) on any mismatch, and
     InputError on a malformed certificate, with the stage name first in the
     message.  Stage 3 is checked before stage 2, since it builds sd Hom, and
-    stage 6 before stage 5, replayed from its end, so a step number there
-    counts from the end of its step list."""
+    stage 6 before stage 5, replayed from its end, so a step or run number
+    there counts from the end of its step or run list."""
     if not isinstance(cert, MainTheoremCertificate):
         cert = MainTheoremCertificate.from_json_obj(cert)
     hom = hom_complex(H, max_cells=max_cells)
@@ -1329,7 +1325,8 @@ def replay_main_theorem(H, cert, max_cells=None):
             raise VerificationError("endpoints do not match")
         replay_collapse_certificate(sd, action, c3, start_alive=critical)
 
-    # Stage 6 is replayed from its end, so its step numbers count from there.
+    # Stage 6 is replayed from its end, so its step and run numbers count
+    # from there.
     with _stage("desubdivide-box, replayed reversed"):
         c5 = s[5]["certificate"]
         e_box, e_box_action = replay_sd_deformation(

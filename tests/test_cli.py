@@ -230,7 +230,7 @@ def test_theorem_z2(k32, capsys):
 @pytest.fixture(scope="module")
 def k3_122_theorem(tmp_path_factory):
     """K3_122 and its theorem certificates by version: the one the CLI
-    writes (4) and the fixtures (1, 2 and 3), which it no longer replays.
+    writes (5) and the fixtures (1 to 4), which it no longer replays.
     Every deformation stage of each has steps."""
     d = tmp_path_factory.mktemp("k3_122")
     graph, cert = str(d / "k3_122.json"), str(d / "theorem.json")
@@ -238,9 +238,9 @@ def k3_122_theorem(tmp_path_factory):
         fh.write(hb.complete_multipartite([1, 2, 2]).to_json_str())
     assert main(["theorem", "--input", graph, "--certificate", cert]) == 0
     certs = {v: json.loads((FIXTURES / ("theorem_v%d_K3_122.json" % v))
-                           .read_text()) for v in (1, 2, 3)}
+                           .read_text()) for v in (1, 2, 3, 4)}
     with open(cert) as fh:
-        certs[4] = json.load(fh)
+        certs[5] = json.load(fh)
     return graph, certs
 
 
@@ -276,16 +276,16 @@ def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 2
     assert "verification failed: products-into-sd-box: endpoints do not " \
         "match" in capsys.readouterr().err
-    rc, err = _replay_tampered(k3_122_theorem, 4, _flip_iso_from, tmp_path,
+    rc, err = _replay_tampered(k3_122_theorem, 5, _flip_iso_from, tmp_path,
                                capsys)
     assert rc == 2
     assert "verification failed: products-into-sd-box" in err
 
 
 def test_theorem_refuses_old_versions(k3_122_theorem, tmp_path, capsys):
-    # the certificates of versions 1 to 3 are input errors that name the
+    # the certificates of versions 1 to 4 are input errors that name the
     # version and ask for a rebuild
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         rc, err = _replay_tampered(k3_122_theorem, version, lambda obj: None,
                                    tmp_path, capsys)
         assert rc == 4
@@ -347,13 +347,13 @@ def test_theorem_malformed_certificate(k3_122_theorem, tamper, tmp_path,
     assert "input error: main theorem certificate of format version 1" in err
 
 
-# The same tampers of a version 4 certificate, whose steps are rows
-# [direction, sigma, facet, after] as in versions 2 and 3, and two that only
-# these versions have.
+# The same tampers of a version 5 certificate, whose steps are rows
+# [direction, sigma, facet] after each run's universe and end, and two that
+# only versions 2 to 5 have.
 
 
 def _first_row(obj, stage):
-    return obj["stages"][stage]["certificate"]["runs"][0][1]
+    return obj["stages"][stage]["certificate"]["runs"][0][2]
 
 
 def _drop_direction_v2(obj):
@@ -377,12 +377,12 @@ def _id_outside_collapse_universe_v2(obj):
 
 
 def _bool_in_iso_map_v2(obj):
-    # version 4 isomorphism stages have no map
+    # version 5 isomorphism stages have no map
     obj["stages"][4]["map"] = [True]
 
 
 def _unknown_version(obj):
-    obj["version"] = 5
+    obj["version"] = 6
 
 
 def _universe_not_hex(obj):
@@ -396,21 +396,25 @@ def _universe_not_hex(obj):
     _universe_not_hex])
 def test_theorem_malformed_certificate_v2(k3_122_theorem, tamper, tmp_path,
                                           capsys):
-    rc, err = _replay_tampered(k3_122_theorem, 4, tamper, tmp_path, capsys)
+    rc, err = _replay_tampered(k3_122_theorem, 5, tamper, tmp_path, capsys)
     assert rc == 4
     assert "input error" in err
 
 
-def _v2_after_of_step_3(obj):
-    obj["stages"][5]["certificate"]["runs"][0][4][3] = "0" * 32
+def _end_of_run_0(obj):
+    obj["stages"][5]["certificate"]["runs"][0][1] = "0" * 32
 
 
 def test_theorem_tampered_stage_names_stage_and_step(k3_122_theorem, tmp_path,
                                                      capsys):
-    rc, err = _replay_tampered(k3_122_theorem, 4, _v2_after_of_step_3,
+    # stage 6 is replayed from its end, so the end of its first run is the
+    # end of the run before the last
+    rc, err = _replay_tampered(k3_122_theorem, 5, _end_of_run_0,
                                tmp_path, capsys)
     assert rc == 2
-    assert "desubdivide-box" in err and "step" in err
+    assert re.match(r"verification failed: desubdivide-box, replayed "
+                    r"reversed: run \d+ \(schedule cell \d+ .+\): the state "
+                    r"after step \d+ is not the run's end fingerprint\n$", err)
 
 
 class _ClosedStdout:
@@ -447,7 +451,7 @@ def test_theorem_into_a_closed_pipe(k3_112, tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
-    assert json.loads(cert.read_text())["version"] == 4
+    assert json.loads(cert.read_text())["version"] == 5
 
 
 def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):
@@ -480,7 +484,7 @@ def test_theorem_with_no_stellar_stage(tmp_path, capsys):
         obj = json.loads(json.dumps(clean))
         runs = obj["stages"][k]["certificate"]["runs"]
         fp = obj["stages"][k]["certificate"]["endpoints"][1]
-        runs.append([fp, ["e", 0, 1, fp]])
+        runs.append([fp, fp, ["e", 0, 1]])
         cert.write_text(json.dumps(obj))
         assert main(args) == 2
         assert re.search("certificate has 1 stages but the schedule needs 0",

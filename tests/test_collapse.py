@@ -22,8 +22,8 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def fixture(name, version):
-    """The theorem certificate of the given version, 1, 2 or 3, that the
-    CLI wrote for a corpus graph before the next version, as JSON text."""
+    """The theorem certificate of the given version, 1 to 4, that the CLI
+    wrote for a corpus graph before the next version, as JSON text."""
     return (FIXTURES / ("theorem_v%d_%s.json"
                         % (version, name.replace("^", "_")))).read_text()
 
@@ -194,8 +194,8 @@ def _explicit_action(K, name, moves):
 
 def _replay_one_step(K, A, sigma, facet, removed):
     """Replay, from all of K, a collapse certificate of one step at sigma
-    with its facet, whose after fingerprint claims that the cells `removed`
-    are gone; cells are given as vertex names."""
+    with its facet, whose run's end fingerprint claims that the cells
+    `removed` are gone; cells are given as vertex names."""
     def ids(cells):
         return {K.index[frozenset(c)] for c in cells}
     [s], [f] = ids([sigma]), ids([facet])
@@ -203,7 +203,7 @@ def _replay_one_step(K, A, sigma, facet, removed):
         .fingerprint
     cert = hb.DeformationCertificate.from_json_obj(
         {"endpoints": ["%032x" % K.fingerprint, end],
-         "runs": [[None, ["c", s, f, end]]]})
+         "runs": [[None, end, ["c", s, f]]]})
     return hb.replay_collapse_certificate(K, A, cert)
 
 
@@ -218,8 +218,8 @@ def test_step_closed_under_generators_but_two_orbits():
     state = _replay_one_step(K, A, "a", "ab", ["a", "c", "ab", "cd"])
     assert state.n_alive == len(K) - 4
     with pytest.raises(VerificationError,
-                       match=r"^step 0 \(collapse at cell 0 \{a\}\): "
-                             r"fingerprint drift after the step$"):
+                       match=r"^run 0: the state after step 0 is not the "
+                             r"run's end fingerprint$"):
         _replay_one_step(K, A, "a", "ab",
                          ["a", "c", "p", "r", "ab", "cd", "pq", "rs"])
 
@@ -288,12 +288,12 @@ def test_step_equivariance_enforced():
     with pytest.raises(OrbitNotIndependentlyFree):
         _replay_one_step(seg, A, "x", "xy", ["x", "xy"])
     # the same with a free flip: the step at x moves y and its facet yb
-    # too, so a fingerprint that says only x and xa are gone drifts
+    # too, so a run end that says only x and xa are gone does not match
     two = hb.CellComplex.from_simplices([frozenset("xa"), frozenset("yb")])
     A2 = _explicit_action(two, "flip", {"x": "y", "y": "x", "a": "b",
                                         "b": "a"})
     _replay_one_step(two, A2, "x", "xa", ["x", "y", "xa", "yb"])
-    with pytest.raises(VerificationError, match="fingerprint drift"):
+    with pytest.raises(VerificationError, match="not the run's end finger"):
         _replay_one_step(two, A2, "x", "xa", ["x", "xa"])
 
 
@@ -326,8 +326,8 @@ def test_matching_to_collapse_bookkeeping(matchings):
     assert cert.endpoints[1] == crit.fingerprint
     assert crit.payloads == [M.sd.payloads[i] for i in M.critical]
     # the action is free, so every step moves a whole 6-element orbit
-    [(universe, steps)] = cert.runs
-    assert universe is None
+    [(universe, end, steps)] = cert.runs
+    assert universe is None and end == cert.endpoints[1]
     assert all(len(M.action.orbit(s[1])) == 6 for s in steps)
 
 
@@ -343,21 +343,42 @@ def test_replay_collapse_certificate_and_tampering(matchings):
         with pytest.raises(VerificationError):
             hb.replay_collapse_certificate(M.sd, M.action, bad)
 
-    # the collapse of the version 3 fixture is this one: the format of a
-    # collapse has not changed since version 2
-    old = json.loads(fixture("K3_122", 3))["stages"][3]["certificate"]
-    assert hb.DeformationCertificate.from_json_obj(old).reversed() == cert
+    # the collapse of the version 4 fixture has these steps, reversed: its
+    # rows are the version 5 rows with the fingerprint after each step, and
+    # the last of those is the end of the version 5 run
+    old = json.loads(fixture("K3_122", 4))["stages"][3]["certificate"]
+    new = cert.reversed().to_json_obj()
+    assert new["endpoints"] == old["endpoints"]
+    [[universe, end, *rows]], [[_, *old_rows]] = new["runs"], old["runs"]
+    assert universe is None and rows == [row[:3] for row in old_rows]
+    assert end == old_rows[-1][3] == new["endpoints"][1]
 
-    # tamper: swap two steps (fingerprint chain breaks)
+    # tamper: swap steps 2 and 3, which do not commute: the facet of step
+    # 3 is not maximal before step 2
     obj = cert.to_json_obj()
-    steps = obj["runs"][0]
-    steps[4], steps[5] = steps[5], steps[4]
+    steps = obj["runs"][0][2:]
+    steps[2], steps[3] = steps[3], steps[2]
+    obj["runs"][0][2:] = steps
     rejected(obj)
+    # steps 3 and 4 commute: swapped, they are another valid collapse of
+    # the same cells, which replays to the same end
+    obj = cert.to_json_obj()
+    steps = obj["runs"][0][2:]
+    steps[3], steps[4] = steps[4], steps[3]
+    obj["runs"][0][2:] = steps
+    swapped = hb.DeformationCertificate.from_json_obj(obj)
+    assert hb.replay_collapse_certificate(M.sd, M.action, swapped) \
+        .alive_ids() == sorted(M.critical)
 
     # tamper: sigma becomes another member of its orbit
     obj = cert.to_json_obj()
-    sigma = obj["runs"][0][1][1]
-    obj["runs"][0][1][1] = M.action.orbit(sigma)[-1]
+    sigma = obj["runs"][0][2][1]
+    obj["runs"][0][2][1] = M.action.orbit(sigma)[-1]
+    rejected(obj)
+
+    # tamper: the run's end fingerprint
+    obj = cert.to_json_obj()
+    obj["runs"][0][1] = "0" * 32
     rejected(obj)
 
     # tamper: wrong endpoint fingerprint
@@ -369,6 +390,24 @@ def test_replay_collapse_certificate_and_tampering(matchings):
     obj = cert.to_json_obj()
     obj["runs"][0][0] = "0" * 32
     rejected(obj)
+
+
+def test_collapse_state_refuses_ids_outside_the_universe(matchings):
+    # an alive set with an id that is no cell of the universe is an input
+    # error naming the first such id: one past the end, -1, and True, which
+    # is not cell 1
+    M = matchings["K_4^3"]
+    cert = hb.matching_to_collapse(M.sd, M.action, M).certificate.reversed()
+    critical = sorted(M.critical)
+    hb.replay_collapse_certificate(M.sd, M.action, cert, start_alive=critical)
+    n = len(M.sd)
+    for bad in (10 ** 9, n, -1, True):
+        message = r"^cell id %r is outside the %d-cell universe$" % (bad, n)
+        with pytest.raises(InputError, match=message):
+            hb.replay_collapse_certificate(M.sd, M.action, cert,
+                                           start_alive=critical + [bad, -2])
+        with pytest.raises(InputError, match=message):
+            hb.CollapseState(M.sd, alive=[bad])
 
 
 def test_collapse_states_do_not_share_degrees(matchings):
@@ -514,7 +553,8 @@ def test_stellar_deformation_matches_direct_subdivision(hollow_triangle):
     assert st.certificate.endpoints == (
         hollow_triangle.fingerprint, st.final.fingerprint)
     # expansions first (into the cone universe), then collapses
-    [(universe, steps)] = st.certificate.runs
+    [(universe, end, steps)] = st.certificate.runs
+    assert end == st.final.fingerprint
     dirs = [s[0] for s in steps]
     k = dirs.index("c")
     assert all(d == "e" for d in dirs[:k])
@@ -653,6 +693,14 @@ def hom_deformation(name, version):
     return json.loads(fixture(name, version))["stages"][0]["certificate"]
 
 
+def v5_runs(runs):
+    """Runs [universe, step, ...] of versions 2 to 4, whose steps are rows
+    [direction, sigma, facet, after], in the version 5 layout: [universe,
+    end, step, ...], the end being the last step's after."""
+    return [[run[0], run[-1][3]] + [row[:3] for row in run[1:]]
+            for run in runs]
+
+
 def test_replay_sd_deformation_tamper(solid_triangle, matchings):
     # the triangle's deformation, and the Hom deformation of K_4^3
     A = hb.trivial_action(solid_triangle)
@@ -664,7 +712,7 @@ def test_replay_sd_deformation_tamper(solid_triangle, matchings):
                         (hom.cx, hom.action,
                          hom_def.certificate.to_json_obj())):
         obj = json.loads(json.dumps(clean))
-        obj["runs"][0][1][3] = "f" * 32
+        obj["runs"][0][1] = "f" * 32
         bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_sd_deformation(K, A, bad)
@@ -681,11 +729,11 @@ def test_replay_sd_deformation_tamper(solid_triangle, matchings):
             hb.replay_sd_deformation(K, A, bad)
     # the version 3 fixture's Hom deformation has the same steps, but its
     # universes digest the stellar cells' payload encodings
-    old = hb.DeformationCertificate.from_json_obj(
-        hom_deformation("K_4^3", 3))
-    assert ([[s[:3] for s in steps] for _, steps in old.runs]
-            == [[s[:3] for s in steps]
-                for _, steps in hom_def.certificate.runs])
+    old = hom_deformation("K_4^3", 3)
+    old["runs"] = v5_runs(old["runs"])
+    old = hb.DeformationCertificate.from_json_obj(old)
+    assert ([steps for _, _, steps in old.runs]
+            == [steps for _, _, steps in hom_def.certificate.runs])
     with pytest.raises(VerificationError,
                        match="^step 0: universe fingerprint mismatch"):
         hb.replay_sd_deformation(hom.cx, hom.action, old)
@@ -763,10 +811,10 @@ def test_main_theorem_tamper_detection(matchings):
             hb.replay_main_theorem(
                 H, hb.MainTheoremCertificate.from_json_obj(obj))
 
-        # the end of the last step of stage 6, which its replay from the
+        # the end of the last run of stage 6, which its replay from the
         # end starts from
         obj = json.loads(clean)
-        obj["stages"][5]["certificate"]["runs"][-1][-1][3] = "0" * 32
+        obj["stages"][5]["certificate"]["runs"][-1][1] = "0" * 32
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
                 H, hb.MainTheoremCertificate.from_json_obj(obj))
@@ -799,10 +847,10 @@ def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
         hb.replay_main_theorem(M.graph, obj)
 
 
-# sha256 of the canonical JSON of the theorem certificates of versions 1,
-# 2 and 3, the fixtures.  The version 1 values were recorded when each
+# sha256 of the canonical JSON of the theorem certificates of versions 1
+# to 4, the fixtures.  The version 1 values were recorded when each
 # stellar stage rebuilt its complexes from scratch, the others as the
-# builder of each version wrote them.  No version before 4 replays.
+# builder of each version wrote them.  No version before 5 replays.
 CERT_V1_SHA256 = {
     "K_4^2": "352e87faec2699581fb8038aa9c11b9069f280fc05e617c7a7068685261ad3f5",
     "K_4^3": "5111d0f96caca58332e4d0c069a251a6bfad41ec52dfde3f34eb10fdd043870a",
@@ -818,11 +866,26 @@ CERT_V3_SHA256 = {
     "K_4^3": "3e76d2ffc655de0a0de6b0041ee1750f4cbbf79d956186afff6f5b62e843f417",
     "K3_122": "2e5716a45bbb06c68748ff321679e5674d2fc48b911439a0c7fa74f3f82ccd8e",
 }
-# sha256 of the canonical JSON of the version 4 theorem certificates.
 CERT_V4_SHA256 = {
     "K_4^2": "8ae77174285aee69eace5cadf0df2216610a9d814b8a1ea03f6854dbb9c78049",
     "K_4^3": "f87a92fbd252352a552575871e2ef3c1bcec2c2f263a4840138bcb02481aad05",
     "K3_122": "f162ae8375fc269ff0d4a4e518daa68c933a0e9794152d6757f706dce62ac976",
+}
+# sha256 and bytes of the canonical JSON of the version 5 theorem
+# certificates of the corpus.
+CERT_V5_SHA256 = {
+    "K_2^2": "e0c7e5ed40134150ebc6db9332c253c4ee0563d75f91cb129524dc58be430812",
+    "K_3^2": "5a9aedd4d54c5c06507c10fc8db204a10ba3c46e8016b2308090b2ea9873acff",
+    "K_4^2": "2abf1d2973004a878e71bb3835f606c84af60109991f1cb5afb224cd0696f17a",
+    "K_3^3": "ec45c3a6209be5ff952a45a8e51eff5c4b5ee19c42fbe9deb054bee0efbc499f",
+    "K_4^3": "252396e74bdc8b60808ad5bb2b04bd05dc955e082a55369fba65fd488aed87f0",
+    "K_5^3": "c928e702684696265d315a139dc999cfa941e641eea80510fe352848784132ac",
+    "K3_112": "8bea6f08050535da8d46393628855ef2758556d3213c069c8d006a49b097fdd6",
+    "K3_122": "87445de5b78107e2aa5f9cb4e1fd2c2d130f67eb39164c29b6146e0971c394ab",
+}
+CERT_V5_BYTES = {
+    "K_2^2": 989, "K_3^2": 1629, "K_4^2": 16743, "K_3^3": 989,
+    "K_4^3": 2311, "K_5^3": 76949, "K3_112": 1203, "K3_122": 5553,
 }
 
 
@@ -858,37 +921,122 @@ def test_main_theorem_certificate_v3_bytes_pinned(matchings, name):
 
 @pytest.mark.parametrize("name", sorted(CERT_V4_SHA256))
 def test_main_theorem_certificate_v4_bytes_pinned(matchings, name):
+    _refused(matchings, name, 4, CERT_V4_SHA256[name])
+
+
+@pytest.mark.parametrize("name", sorted(CERT_V4_SHA256))
+def test_main_theorem_certificate_v5_bytes_pinned(matchings, name):
     M = matchings[name]
     cert = hb.main_theorem_certificate(M.graph, matching=M)
     text = canonical_json(cert.to_json_obj())
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V4_SHA256[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
     replays(M.graph, json.loads(text))
-    # against version 3, only fingerprints changed: the endpoints, every
-    # step's direction, sigma and facet, the whole collapse stage and the
-    # fingerprints of stage 3 are the same
-    new, old = json.loads(text), json.loads(fixture(name, 3))
+    # against version 4, only the fingerprints after each step went: the
+    # endpoints, the isomorphism stages, every step's direction, sigma and
+    # facet, and each run's universe are the same, and a run's end is the
+    # fingerprint after its last step
+    new, old = json.loads(text), json.loads(fixture(name, 4))
     assert new["endpoints"] == old["endpoints"]
-    assert new["stages"][3] == old["stages"][3]
-    assert [new["stages"][2][k] for k in ("from", "to")] \
-        == [old["stages"][2][k] for k in ("from", "to")]
-    for k in (0, 5):
-        runs = [s["stages"][k]["certificate"]["runs"] for s in (new, old)]
-        assert [[row[:3] for row in run[1:]] for run in runs[0]] \
-            == [[row[:3] for row in run[1:]] for run in runs[1]]
+    for k in (1, 2, 4):
+        assert new["stages"][k] == old["stages"][k]
+    for k in (0, 3, 5):
+        runs = [s["stages"][k]["certificate"] for s in (new, old)]
+        assert runs[0]["endpoints"] == runs[1]["endpoints"]
+        assert runs[0]["runs"] == v5_runs(runs[1]["runs"])
+
+
+@pytest.mark.parametrize("name", sorted(CERT_V5_BYTES))
+def test_main_theorem_certificate_v5_size(matchings, name):
+    # the byte count of each corpus certificate, and no per-step data: a
+    # deformation run holds two fingerprints, its universe (None for the
+    # collapse) and its end, and then steps [direction, sigma, facet]
+    M = matchings[name]
+    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    text = canonical_json(obj)
+    assert len(text) == CERT_V5_BYTES[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
+    for stage in obj["stages"]:
+        if stage["kind"] != "deformation":
+            continue
+        for universe, end, *steps in stage["certificate"]["runs"]:
+            assert universe is None or re.fullmatch("[0-9a-f]{32}", universe)
+            assert re.fullmatch("[0-9a-f]{32}", end)
+            assert (universe is None) == (stage["name"] == "expand-to-sd-box")
+            assert steps and all(
+                len(step) == 3 and step[0] in ("c", "e")
+                and all(type(i) is int for i in step[1:]) for step in steps)
 
 
 def test_replay_error_names_stage_and_step(matchings):
-    # K3_112 and K3_122, built here
-    pattern = (r"^desubdivide-box.*: step \d+ \((collapse|expand) at cell"
-               r" \d+ .+\): fingerprint drift")
+    # K3_112 and K3_122, built here.  Stage 6 is replayed from its end, so
+    # the end of its run k is the end of run n - 2 - k of the replay, which
+    # the error names with its schedule cell and its last step, counted
+    # from the end; the end of its last run is where the replay starts
     for M in (matchings["K3_112"], matchings["K3_122"]):
-        obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
-        runs = obj["stages"][5]["certificate"]["runs"]
-        run = runs[len(runs) // 2]
-        run[len(run) // 2][3] = "f" * 32
-        bad = hb.MainTheoremCertificate.from_json_obj(obj)
-        with pytest.raises(VerificationError, match=pattern):
-            hb.replay_main_theorem(M.graph, bad)
+        clean = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+        runs = clean["stages"][5]["certificate"]["runs"]
+        schedule = collapse._schedule(M.box.cx, M.box.action)
+        n = len(runs)
+        for k in range(n):
+            obj = json.loads(json.dumps(clean))
+            obj["stages"][5]["certificate"]["runs"][k][1] = "f" * 32
+            if k == n - 1:
+                pattern = "the last run does not end at the end fingerprint"
+            else:
+                j = n - 2 - k
+                rep = schedule[j][0]
+                last = sum(len(run) - 2 for run in runs[k + 1:]) - 1
+                pattern = (r"run %d \(schedule cell %d %s\): the state "
+                           r"after step %d is not the run's end fingerprint"
+                           % (j, rep, re.escape(fmt_payload(
+                               M.box.cx.payloads[rep])), last))
+            with pytest.raises(VerificationError, match="^desubdivide-box, "
+                               "replayed reversed: %s$" % pattern):
+                hb.replay_main_theorem(M.graph, obj)
+
+
+def _another_last_step(K, A, j):
+    """A collapse step other than the last step of stage j of the
+    sd-deformation of K, valid in the state before that step, in the ids of
+    the stage's universe; None if there is none."""
+    store = collapse._CellStore(K, A)
+    for ob in collapse._schedule(K, A)[:j + 1]:
+        U, (_, _, steps) = collapse._stellar_stage(store, ob[0], None)
+    last = [U.store_id(k) for k in steps[-1][1:]]
+    hb.apply_orbit_step(store, store, "e", *last)
+    for x in range(len(store.payloads)):
+        if not store.alive[x] or store.updeg[x] != 1:
+            continue
+        [f] = [y for y in store.up[x] if store.alive[y]]
+        if [x, f] == last:
+            continue
+        try:
+            hb.apply_orbit_step(store, store, "c", x, f)
+        except VerificationError:
+            continue
+        return ["c", U.local_id(x), U.local_id(f)]
+    return None
+
+
+def test_another_valid_step_fails_at_its_run_end(matchings):
+    # the last step of a run of stage 1 swapped for another valid orbit
+    # step: every step replays, and the run's end names the stage, the run
+    # and its schedule cell
+    M = matchings["K3_122"]
+    K, A = M.hom.cx, M.hom.action
+    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    runs = obj["stages"][0]["certificate"]["runs"]
+    j, step = next((j, step) for j in range(len(runs))
+                   for step in [_another_last_step(K, A, j)] if step)
+    assert step != runs[j][-1]
+    runs[j][-1] = step
+    rep = collapse._schedule(K, A)[j][0]
+    last = sum(len(run) - 2 for run in runs[:j + 1]) - 1
+    pattern = (r"^subdivide-hom: run %d \(schedule cell %d %s\): the state "
+               r"after step %d is not the run's end fingerprint$"
+               % (j, rep, re.escape(fmt_payload(K.payloads[rep])), last))
+    with pytest.raises(VerificationError, match=pattern):
+        hb.replay_main_theorem(M.graph, obj)
 
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
@@ -904,13 +1052,13 @@ def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
                         (hom.cx, hom.action,
                          hom_def.certificate.to_json_obj())):
         obj = json.loads(json.dumps(clean))
-        obj["runs"][0][1][1] = 10 ** 6
+        obj["runs"][0][2][1] = 10 ** 6
         bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(InputError, match="outside the .*universe"):
             hb.replay_sd_deformation(K, A, bad)
         for value in (-1, True):
             obj = json.loads(json.dumps(clean))
-            obj["runs"][0][1][2] = value
+            obj["runs"][0][2][2] = value
             with pytest.raises(InputError, match="facet"):
                 hb.DeformationCertificate.from_json_obj(obj)
 
@@ -925,8 +1073,8 @@ def _segment_certificate(path):
         end = seg.subcomplex([seg.index[frozenset("y")]])[0].fingerprint
         cert = hb.DeformationCertificate(
             (seg.fingerprint, end),
-            [(None, [("c", seg.index[frozenset("x")],
-                      seg.index[frozenset("xy")], end)])])
+            [(None, end, [("c", seg.index[frozenset("x")],
+                           seg.index[frozenset("xy")])])])
         return cert, lambda c: hb.replay_collapse_certificate(seg, A, c)
     cert = sd_deformation(seg, A).certificate
     return cert, lambda c: hb.replay_sd_deformation(seg, A, c)
@@ -944,11 +1092,11 @@ def test_replay_of_a_certificate_built_in_code(path, field, value, message):
     # not a non-negative int, naming the step, as an InputError
     cert, replay = _segment_certificate(path)
     replay(cert)
-    (universe, steps), = cert.runs
+    (universe, end, steps), = cert.runs
     step = list(steps[0])
     step[field] = value
     bad = hb.DeformationCertificate(
-        cert.endpoints, [(universe, [tuple(step)] + steps[1:])])
+        cert.endpoints, [(universe, end, [tuple(step)] + steps[1:])])
     with pytest.raises(InputError, match=r"^step 0 \(.*\): %s$" % message):
         replay(bad)
 
@@ -976,20 +1124,20 @@ def test_universe_store_ids_skip_the_dead(solid_triangle):
 
 
 def test_certificate_versions(matchings):
-    # version 4 parses; versions 1 to 3 (1 has no version field) are input
+    # version 5 parses; versions 1 to 4 (1 has no version field) are input
     # errors that name the version and ask for a rebuild, and any other
     # version is unknown
     M = matchings["K_4^3"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
-    assert obj["version"] == 4
+    assert obj["version"] == 5
     assert hb.MainTheoremCertificate.from_json_obj(obj).to_json_obj() == obj
-    for version in (0, 5, True, "4", None, [4], 4.0):
+    for version in (0, 6, True, "5", None, [5], 5.0):
         with pytest.raises(InputError, match="unknown version"):
             hb.MainTheoremCertificate.from_json_obj(dict(obj, version=version))
     old = dict(obj)
     del old["version"]
     for bad, version in ((old, 1), (dict(obj, version=2), 2),
-                         (dict(obj, version=3), 3)):
+                         (dict(obj, version=3), 3), (dict(obj, version=4), 4)):
         with pytest.raises(InputError, match="format version %d, which .* "
                            "rebuild it with `hombox theorem`" % version):
             hb.MainTheoremCertificate.from_json_obj(bad)
@@ -1047,7 +1195,7 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
         positive = [ob for ob in A.orbits() if K.dims[ob[0]] > 0]
         assert len(d.certificate.runs) == len(positive), label
         assert all(u is not None and steps
-                   for u, steps in d.certificate.runs), label
+                   for u, _, steps in d.certificate.runs), label
         vertex = next(i for i in range(len(K)) if K.dims[i] == 0)
         pairs = [(d.final, d.final_action)]
         if label.startswith("box"):
@@ -1063,10 +1211,12 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
 def test_version_3_rejects_vertex_runs(matchings):
     # the schedule of version 3 on stars no vertex orbit: a vertex run
     # appended to a deformation, and the runs of a version 2 deformation,
-    # which starred the vertex orbits too, are refused naming both counts
+    # which starred the vertex orbits too, are refused naming both counts;
+    # the version 2 runs are rewritten in the version 5 layout
     M = matchings["K_4^3"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
     v2 = json.loads(fixture("K_4^3", 2))["stages"][0]["certificate"]
+    v2["runs"] = v5_runs(v2["runs"])
     n4 = len(obj["stages"][0]["certificate"]["runs"])
     n2 = len(v2["runs"])
     assert n2 > n4

@@ -67,10 +67,10 @@ _CERTS = {}
 
 def _certificate(name, version, matchings):
     """A corpus graph's theorem certificate of the given version, as JSON
-    text, and the paths of its fields: version 4 built here, versions 1 to
-    3 the fixtures, which replay refuses by their version."""
+    text, and the paths of its fields: version 5 built here, versions 1 to
+    4 the fixtures, which replay refuses by their version."""
     if (name, version) not in _CERTS:
-        if version < 4:
+        if version < 5:
             text = (FIXTURES / ("theorem_v%d_%s.json"
                                 % (version, name.replace("^", "_")))
                     ).read_text()
@@ -98,12 +98,14 @@ def _tampered(value, kind, shift):
 
 
 # K_4^3's expand-to-sd-box stage has no step; K3_122's has 58.  A tamper
-# of an old certificate's version field can make it read as version 4.
+# of an old certificate's version field can make it read as version 5.
 @pytest.mark.parametrize("name, version", [
     pytest.param("K_4^3", 1, id="1"), pytest.param("K_4^3", 2, id="2"),
     pytest.param("K_4^3", 3, id="3"), pytest.param("K_4^3", 4, id="4"),
+    pytest.param("K_4^3", 5, id="5"),
     pytest.param("K3_122", 3, id="K3_122-3"),
-    pytest.param("K3_122", 4, id="K3_122-4")])
+    pytest.param("K3_122", 4, id="K3_122-4"),
+    pytest.param("K3_122", 5, id="K3_122-5")])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_any_single_field_tamper_is_rejected(matchings, name, version, data):
