@@ -30,8 +30,8 @@ from .homology import (HomologyAgreement, betti, homology_agreement,
                        homology_report, oriented_boundary)
 from .morse import Matching, build_matching, classify_chain, mu, verify_acyclic
 from .rgraph import (RGraph, complete_multipartite, complete_rgraph,
-                     contains_complete_sub, generates_complete, load_rgraph,
-                     new_rgraph)
+                     contains_complete_sub, generates_complete, kneser_rgraph,
+                     load_rgraph, new_rgraph)
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,6 @@ __all__ = [
     "Matching", "build_matching", "classify_chain", "mu",
     "verify_acyclic",
     "RGraph", "complete_multipartite", "complete_rgraph",
-    "contains_complete_sub", "generates_complete", "load_rgraph",
-    "new_rgraph",
+    "contains_complete_sub", "generates_complete", "kneser_rgraph",
+    "load_rgraph", "new_rgraph",
 ]

@@ -11,15 +11,25 @@ project onto every part of f.
 map_p and map_i realize the poset maps p (projection) and i (product);
 p(i(f)) = f and F <= i(p(F)) always, so i∘p is a closure operator on
 simplices.  The right S_r-action permutes tuple coordinates.
+
+The complex is built on integer ids, from the multihoms as vertex masks
+(homcx).  The ordered edges are numbered in canon_bytes order; a simplex is
+the int mask of its edge ids, a facet clears one bit of it, and its
+encoding is joined from one piece per id in ascending order.  Per multihom
+f, a DFS lists the spanning subsets of i(f) on int masks of the
+(coordinate, vertex) pairs each edge provides, taking a branch only while
+it can still cover f, so the work follows the output.  Payloads are built
+once per cell, at the end.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
 from math import comb
 
-from .cellcx import CellComplex, GroupAction, _canon_join, canon_bytes
+from .cellcx import GroupAction, _keyed_cx, _piece, canon_bytes
 from .errors import SizeGuard
-from .homcx import coordinate_map, enumerate_multihoms, s_r_generators
+from .homcx import (_members, _memo, _multihom_masks, coordinate_map,
+                    s_r_generators)
 from .rgraph import contains_complete_sub
 
 BoxComplex = namedtuple("BoxComplex", "cx action graph")
@@ -66,56 +76,43 @@ def count_spanning(sizes, cap=None):
     return total
 
 
-def _spanning_subsets(f, key):
-    """All subsets of i(f) with full projections, by DFS with a
-    cover-feasibility prune.  key is canon_bytes on ordered edges."""
-    prod = sorted(map_i(f), key=key)
-    n = len(prod)
-    r = len(f)
-    # suffix[k] counts, for each (coordinate, vertex), how many of
-    # prod[k:] still provide it.
-    suffix = [dict() for _ in range(n + 1)]
-    for k in range(n - 1, -1, -1):
-        cnt = dict(suffix[k + 1])
-        for j in range(r):
-            key = (j, prod[k][j])
-            cnt[key] = cnt.get(key, 0) + 1
-        suffix[k] = cnt
-    out = []
+def _spanning(els, need, provides, out):
+    """Append to out, as ascending tuples, every subset of the edge ids els
+    (ascending) whose provides masks cover need.
+
+    A DFS decides each edge in turn and carries the requirements still
+    missing.  suffix[k] is what els[k:] provide together, so a branch is
+    taken only while it can still cover need, and every branch ends in at
+    least one subset.  Once nothing is missing, the edges left are each
+    freely in or out.
+    """
+    m = len(els)
+    suffix = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | provides[els[k]]
 
     def dfs(k, chosen, missing):
         if not missing:
-            # Everything is covered; each remaining cell is freely in or out.
-            base = tuple(chosen)
-            rest = prod[k:]
-            for mask in range(1 << len(rest)):
-                extra = tuple(rest[i] for i in range(len(rest))
-                              if mask >> i & 1)
-                out.append(frozenset(base + extra))
+            found = [chosen]
+            for e in els[k:]:
+                found += [s + (e,) for s in found]
+            out.extend(found)
             return
-        if k == n:
-            return
-        for key in missing:
-            if suffix[k].get(key, 0) == 0:
-                return
-        t = prod[k]
-        covered = {(j, t[j]) for j in range(r)} & missing
-        chosen.append(t)
-        dfs(k + 1, chosen, missing - covered)
-        chosen.pop()
-        dfs(k + 1, chosen, missing)
+        e = els[k]
+        dfs(k + 1, chosen + (e,), missing & ~provides[e])
+        if not missing & ~suffix[k + 1]:
+            dfs(k + 1, chosen, missing)
 
-    missing0 = {(j, v) for j in range(r) for v in f[j]}
-    dfs(0, [], missing0)
-    return out
+    dfs(0, (), need)
 
 
 def box_edge(H, max_cells=None):
     """B_edge(H) as a simplicial complex with its right S_r-action.
 
     Returns a BoxComplex(cx, action, graph) bundle.  Raises SizeGuard before
-    enumeration if the total simplex count (computed by inclusion-exclusion
-    per multihom) exceeds max_cells.
+    listing a simplex if the total simplex count exceeds max_cells; the
+    count is by inclusion-exclusion (count_spanning), once per part-size
+    signature of the multihoms.
     """
     cx = _box_cx(H, max_cells)
     labels = s_r_generators(H.r)
@@ -129,25 +126,51 @@ def box_edge(H, max_cells=None):
 
 
 def _box_cx(H, max_cells):
-    """The complex of box_edge(H, max_cells), without its action."""
-    homs = enumerate_multihoms(H, max_cells=max_cells)
+    """The complex of box_edge(H, max_cells), without its action.
+
+    A simplex is listed as the ascending tuple of its edge ids, and keyed
+    by their mask.  Coordinate j taking vertex id v is requirement bit
+    j * n + v, for n vertices: an edge provides r bits, and multihom f needs
+    the bits of its Hom key.
+    """
+    homs = _multihom_masks(H, max_cells)
     if max_cells is not None:
         total = 0
-        for f in homs:
-            total += count_spanning([len(p) for p in f], cap=max_cells)
+        for sizes, k in Counter(
+                tuple(sorted(m.bit_count() for m in f)) for f in homs).items():
+            total += k * count_spanning(sizes, cap=max_cells)
             if total > max_cells:
                 raise SizeGuard(
                     "box complex needs more than %d simplices" % max_cells,
                     limit=max_cells)
-    # A simplex's encoding is joined from those of its ordered edges.
-    edge_enc = {t: canon_bytes(t) for t in H.ordered_edges()}.__getitem__
-    cells = []
+    n = len(H.vertices)
+    vid = {v: i for i, v in enumerate(H.vertices)}
+    edges = sorted((canon_bytes(t), t) for t in H.ordered_edges())
+    epiece = [_piece(e) for e, _ in edges]
+    edges = [t for _, t in edges]
+    eid = {tuple(map(vid.__getitem__, t)): i for i, t in enumerate(edges)}
+    provides = [sum(1 << (j * n + vid[v]) for j, v in enumerate(t))
+                for t in edges]
+    members = _memo(_members)
+    simplices = []
     for f in homs:
-        for S in _spanning_subsets(f, edge_enc):
-            faces = [S - {t} for t in S] if len(S) >= 2 else []
-            cells.append((S, len(S) - 1, faces))
-    return CellComplex.from_graded_cells(
-        cells, encode=lambda S: _canon_join(b"F", sorted(map(edge_enc, S))))
+        els = sorted(map(eid.__getitem__, product(*map(members, f))))
+        _spanning(els, sum(m << (j * n) for j, m in enumerate(f)), provides,
+                  simplices)
+    cells = []
+    for S in simplices:
+        g = 0
+        for e in S:
+            g |= 1 << e
+        cells.append((len(S) - 1, b"F" + b"".join(map(epiece.__getitem__, S)),
+                      g, S))
+    cells.sort()
+
+    def faces(g, S):
+        return [g ^ 1 << e for e in S] if len(S) >= 2 else []
+
+    return _keyed_cx(cells, faces,
+                     lambda S: frozenset(map(edges.__getitem__, S)))
 
 
 def ip_tables(box):

@@ -66,7 +66,7 @@ def canon_bytes(x):
     payload would answer frozenset({True}) with the encoding of
     frozenset({1}), and the answer would depend on what was encoded before.
     Code that builds large complexes joins its cells' encodings from those
-    of the parts instead (_canon_join).
+    of the parts instead (_canon_join, _piece).
     """
     if isinstance(x, bool):
         raise InputError("booleans are not valid payload atoms")
@@ -84,7 +84,13 @@ def canon_bytes(x):
 def _canon_join(tag, parts):
     """The encoding of a tuple (tag b"T") or frozenset (b"F") from its
     members' encodings, in order (sorted for a frozenset)."""
-    return tag + b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+    return tag + b"".join(map(_piece, parts))
+
+
+def _piece(enc):
+    """A member's encoding enc as _canon_join joins it: its length, then
+    itself."""
+    return len(enc).to_bytes(4, "big") + enc
 
 
 def canon_key(x):
@@ -145,6 +151,19 @@ def _digests(encoding, dims, down):
     return out
 
 
+def _keyed_cx(cells, faces, payload):
+    """The CellComplex of cells (dim, canon_bytes, key, data), given in
+    ascending order: the ids from_graded_cells would give.  faces(key,
+    data) gives the keys of a cell's covers, and payload(data) its payload,
+    built once per cell here."""
+    id_of = {c[2]: i for i, c in enumerate(cells)}
+    get = id_of.__getitem__
+    down = [tuple(sorted(map(get, faces(c[2], c[3])))) for c in cells]
+    dims = [c[0] for c in cells]
+    digests = _digests(lambda i: cells[i][1], dims, down)
+    return CellComplex([payload(c[3]) for c in cells], dims, down, digests)
+
+
 class CellComplex:
     """A finite graded cell complex, stored as its face poset.
 
@@ -187,16 +206,14 @@ class CellComplex:
         return cls([], [], [])
 
     @classmethod
-    def from_graded_cells(cls, cells, encode=canon_bytes):
+    def from_graded_cells(cls, cells):
         """Build from (payload, dim, iterable-of-cover-payloads) triples.
 
-        Ids are assigned by sorting on (dim, canon_bytes(payload)).  encode
-        is called once per cell; a caller may pass a function that joins
-        the encoding from its parts' encodings, and must return
-        canon_bytes(payload).
+        Ids are assigned by sorting on (dim, canon_bytes(payload)), and
+        canon_bytes is called once per cell.
         """
-        cells = sorted(((d, encode(p), p, faces) for p, d, faces in cells),
-                       key=lambda c: c[:2])
+        cells = sorted(((d, canon_bytes(p), p, faces)
+                        for p, d, faces in cells), key=lambda c: c[:2])
         index = {}
         for i, (_, _, p, _) in enumerate(cells):
             if p in index:

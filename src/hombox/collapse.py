@@ -929,13 +929,11 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     U, apex_id, cone_id = _cone_universe(store, orbit, cof, ring, max_cells)
     if replay is not None:
         run, first, j = replay
-        label = fmt_payload(store.payloads[rep])
+        where = _run_name(j, store, rep)
         if U.fingerprint != run[0]:
             raise VerificationError(
-                "step %d: universe fingerprint mismatch at schedule cell %d %s"
-                % (first, rep, label))
-        _replay_steps(store, store, run[2], first, U.store_id, run[1],
-                      "run %d (schedule cell %d %s)" % (j, rep, label))
+                "%s: universe fingerprint mismatch" % where)
+        _replay_steps(store, store, run[2], first, U.store_id, run[1], where)
         return U, run
 
     mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id)
@@ -980,6 +978,13 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
 
 SdDeformation = namedtuple(
     "SdDeformation", "certificate final final_action sd sd_action iso")
+
+
+def _run_name(j, K, rep):
+    """How replay names run j of a stellar deformation, the stage at cell
+    rep of K (a complex or a cell store)."""
+    return "run %d (schedule cell %d %s)" % (j, rep,
+                                             fmt_payload(K.payloads[rep]))
 
 
 def _schedule(K, A):
@@ -1329,6 +1334,14 @@ def replay_main_theorem(H, cert, max_cells=None):
     # from there.
     with _stage("desubdivide-box, replayed reversed"):
         c5 = s[5]["certificate"]
+        if c5.runs and c5.runs[-1][1] != c5.endpoints[1]:
+            # The stage's last run is the replay's run 0, whose schedule
+            # cell reversed() cannot name.
+            schedule = _schedule(box.cx, box.action)
+            if schedule:
+                raise VerificationError(
+                    "%s: the stage's last run does not end at its end "
+                    "fingerprint" % _run_name(0, box.cx, schedule[0][0]))
         e_box, e_box_action = replay_sd_deformation(
             box.cx, box.action, c5.reversed(), max_cells=max_cells)
         if c5.endpoints != (e_box.fingerprint, box.cx.fingerprint):

@@ -155,6 +155,27 @@ def complete_multipartite(part_sizes):
     return RGraph(r, verts, edges)
 
 
+def kneser_rgraph(n, k, r):
+    """KG^r(n, k): the vertices are the k-subsets of {0, ..., n-1}, and the
+    edges are the sets of r pairwise disjoint ones.
+
+    The subset {a_1 < ... < a_k} is named by its members in ascending
+    order, each zero-padded to the number of digits of n - 1, with nothing
+    between them: "03" for {0, 3} when n <= 10, "0003" when n <= 100.  Needs
+    k >= 1, r >= 1 and n >= r k, so that there is an edge.
+    """
+    if (any(type(x) is not int for x in (n, k, r)) or k < 1 or r < 1
+            or n < r * k):
+        raise InvalidParams("kneser_rgraph needs k >= 1, r >= 1 and n >= r k,"
+                            " got n=%r k=%r r=%r" % (n, k, r))
+    subsets = list(combinations(range(n), k))
+    width = len(str(n - 1))
+    name = {s: "".join("%0*d" % (width, a) for a in s) for s in subsets}
+    edges = [[name[s] for s in e] for e in combinations(subsets, r)
+             if len(set().union(*e)) == r * k]
+    return RGraph(r, list(name.values()), edges)
+
+
 def generates_complete(H, parts, cap=10 ** 6):
     """True iff every selection of one vertex per part is an edge of H.
 

@@ -734,8 +734,11 @@ def test_replay_sd_deformation_tamper(solid_triangle, matchings):
     old = hb.DeformationCertificate.from_json_obj(old)
     assert ([steps for _, _, steps in old.runs]
             == [steps for _, _, steps in hom_def.certificate.runs])
+    rep = collapse._schedule(hom.cx, hom.action)[0][0]
     with pytest.raises(VerificationError,
-                       match="^step 0: universe fingerprint mismatch"):
+                       match=r"^run 0 \(schedule cell %d %s\): universe "
+                       r"fingerprint mismatch$"
+                       % (rep, re.escape(fmt_payload(hom.cx.payloads[rep])))):
         hb.replay_sd_deformation(hom.cx, hom.action, old)
 
 
@@ -971,7 +974,8 @@ def test_replay_error_names_stage_and_step(matchings):
     # K3_112 and K3_122, built here.  Stage 6 is replayed from its end, so
     # the end of its run k is the end of run n - 2 - k of the replay, which
     # the error names with its schedule cell and its last step, counted
-    # from the end; the end of its last run is where the replay starts
+    # from the end; its last run is run 0 of the replay, named with its
+    # schedule cell too
     for M in (matchings["K3_112"], matchings["K3_122"]):
         clean = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
         runs = clean["stages"][5]["certificate"]["runs"]
@@ -981,7 +985,11 @@ def test_replay_error_names_stage_and_step(matchings):
             obj = json.loads(json.dumps(clean))
             obj["stages"][5]["certificate"]["runs"][k][1] = "f" * 32
             if k == n - 1:
-                pattern = "the last run does not end at the end fingerprint"
+                rep = schedule[0][0]
+                pattern = (r"run 0 \(schedule cell %d %s\): the stage's last "
+                           r"run does not end at its end fingerprint"
+                           % (rep, re.escape(fmt_payload(
+                               M.box.cx.payloads[rep]))))
             else:
                 j = n - 2 - k
                 rep = schedule[j][0]

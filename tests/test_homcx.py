@@ -1,13 +1,19 @@
-"""Multihomomorphisms and the Hom complex, checked against brute force."""
+"""Multihomomorphisms and the Hom complex, checked against brute force;
+and the Hom and box complexes, built on integer ids, checked against their
+definitions."""
 
+import tracemalloc
 from itertools import chain, combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
 
 import hombox as hb
 from hombox import InvalidParams, SizeGuard
+from hombox.boxcx import _box_cx
+from hombox.homcx import _hom_cx
 
-from conftest import CORPUS_NAMES, elements, itemwise_action
+from conftest import CORPUS_NAMES, elements, itemwise_action, small_rgraphs
 
 
 def _nonempty_subsets(verts):
@@ -152,3 +158,144 @@ def test_hom_complex_of_complete_graph_r2(corpus):
     assert hom.cx.dim_counts() == [6, 6]
     assert all(len(hom.cx.down[i]) == 2
                for i in hom.cx.cells_of_dim(1))
+
+
+# -- the Hom and box complexes against their definitions -------------------
+
+
+def grown_multihoms(H):
+    """Every multihom of H, grown from the ordered edges by adding one vertex
+    to one part while every transversal stays an edge.  Taking a vertex out
+    of a part of two or more leaves a multihom, so every multihom is reached
+    this way; unlike oracle_multihoms, this takes no vertex subset that is
+    not a part."""
+    found = {tuple(frozenset([v]) for v in t) for t in H.ordered_edges()}
+    stack = list(found)
+    while stack:
+        f = stack.pop()
+        used = frozenset().union(*f)
+        for j, part in enumerate(f):
+            for w in H.vertices:
+                g = f[:j] + (part | {w},) + f[j + 1:]
+                if (w not in used and g not in found
+                        and all(H.is_edge(sel) for sel in product(*g))):
+                    found.add(g)
+                    stack.append(g)
+    return found
+
+
+def definition_complexes(homs):
+    """(Hom, box) built from the multihoms homs by from_graded_cells with
+    the default canon_bytes: a Hom cell f covers f with one vertex taken out
+    of one part, and the box simplices over f are the subsets S of i(f)
+    with p(S) = f, found by itertools."""
+    hom, box = [], []
+    for f in homs:
+        hom.append((f, hb.hom_dim(f),
+                    [f[:j] + (part - {v},) + f[j + 1:]
+                     for j, part in enumerate(f) if len(part) >= 2
+                     for v in part]))
+        cube = list(product(*f))
+        for k in range(1, len(cube) + 1):
+            for S in map(frozenset, combinations(cube, k)):
+                if hb.map_p(S) == f:
+                    box.append((S, k - 1, [S - {t} for t in S] if k >= 2
+                                else []))
+    return (hb.CellComplex.from_graded_cells(hom),
+            hb.CellComplex.from_graded_cells(box))
+
+
+def assert_same_cells(got, want):
+    assert got.payloads == want.payloads
+    assert got.dims == want.dims
+    assert got.down == want.down
+    assert got.digests == want.digests
+    assert got.fingerprint == want.fingerprint
+    assert got.index == want.index
+
+
+def assert_kernel_matches_definition(H, homs):
+    hom, box = definition_complexes(homs)
+    assert_same_cells(_hom_cx(H, None), hom)
+    assert_same_cells(_box_cx(H, None), box)
+    assert hb.enumerate_multihoms(H) == hom.payloads
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_kernel_matches_definition_on_corpus(corpus, name):
+    H = corpus[name]
+    homs = oracle_multihoms(H)
+    assert grown_multihoms(H) == set(homs)
+    assert_kernel_matches_definition(H, homs)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(small_rgraphs())
+def test_kernel_matches_definition_on_random_rgraphs(H):
+    homs = oracle_multihoms(H)
+    assert grown_multihoms(H) == set(homs)
+    assert_kernel_matches_definition(H, homs)
+
+
+@pytest.mark.parametrize("n, k, r", [(5, 2, 2), (7, 2, 3)])
+def test_kernel_matches_definition_on_kneser(n, k, r):
+    # KG^3(7, 2) has 21 vertices, too many for oracle_multihoms
+    H = hb.kneser_rgraph(n, k, r)
+    assert_kernel_matches_definition(H, grown_multihoms(H))
+
+
+SPARSE = {
+    "two 4-edges": (4, "abcdefgh", ["abcd", "efgh"]),
+    "loose 3-cycle and 4 lone vertices": (3, "abcdefghijkl",
+                                          ["abc", "cde", "efg", "gha"]),
+    "5-sunflower": (5, "abcdefghijklm", ["abcde", "afghi", "ajklm",
+                                         "bfjcd"]),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_kernel_matches_definition_on_sparse_rgraphs(name):
+    r, verts, edges = SPARSE[name]
+    H = hb.new_rgraph(r, list(verts), [list(e) for e in edges])
+    # one tail mask would take more than 64 bits per ordered edge, so the
+    # search keys the tails by their first coordinates
+    assert len(H.vertices) ** r > 64 * len(H.ordered_edges())
+    assert_kernel_matches_definition(H, grown_multihoms(H))
+
+
+def test_multihom_search_memory_on_a_sparse_rgraph():
+    # six disjoint 6-edges: one mask of all ordered edges would have 36^6
+    # bits, 272 MB
+    verts = ["v%02d" % i for i in range(36)]
+    H = hb.new_rgraph(6, verts, [verts[i:i + 6] for i in range(0, 36, 6)])
+    tracemalloc.start()
+    try:
+        homs = hb.enumerate_multihoms(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(homs) == 6 * 720
+    assert peak < 2 * 10 ** 7
+
+
+def test_kernel_fingerprints_of_k64():
+    H = hb.complete_rgraph(6, 4)
+    hom, box = _hom_cx(H, None), _box_cx(H, None)
+    assert (len(hom), len(box)) == (3360, 9840)
+    assert "%032x" % hom.fingerprint == "a6947fd822594a23b23c8e070849d75b"
+    assert "%032x" % box.fingerprint == "68f0ae11c5a6b23427519f29b48193f9"
+
+
+@pytest.mark.parametrize("build", [hb.enumerate_multihoms, _hom_cx, _box_cx],
+                         ids=["enumerate", "hom", "box"])
+def test_multihom_guard_raises_before_listing(build):
+    # K_14^2 has about 4.8M multihoms; listing them would take about a GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuard, match="^more than 1000 "
+                           "multihomomorphisms$"):
+            build(hb.complete_rgraph(14, 2), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 7

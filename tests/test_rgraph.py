@@ -139,14 +139,51 @@ def test_complete_multipartite():
         hb.complete_multipartite([1, 0])
 
 
+def test_kneser_rgraph():
+    # KG^2(5, 2) is the Petersen graph: 10 vertices, 15 edges, 3-regular
+    H = hb.kneser_rgraph(5, 2, 2)
+    assert H.r == 2
+    assert H.vertices == ("01", "02", "03", "04", "12", "13", "14", "23",
+                          "24", "34")
+    assert len(H.edges) == 15
+    assert all(sum(v in e for e in H.edges) == 3 for v in H.vertices)
+    assert H.is_edge(("01", "23")) and not H.is_edge(("01", "12"))
+    # the edges are the r-sets of pairwise disjoint k-subsets
+    for n, k, r in [(6, 2, 3), (7, 2, 3), (7, 3, 2), (8, 2, 4), (4, 1, 2),
+                    (3, 1, 1), (12, 2, 2)]:
+        H = hb.kneser_rgraph(n, k, r)
+        subsets = list(combinations(range(n), k))
+        width = len(str(n - 1))
+        name = {s: "".join("%0*d" % (width, a) for a in s) for s in subsets}
+        assert set(H.vertices) == set(name.values())
+        assert len(H.vertices) == len(subsets)
+        want = {frozenset(name[s] for s in e)
+                for e in combinations(subsets, r)
+                if len(set().union(*e)) == r * k}
+        assert set(H.edges) == want
+    assert hb.kneser_rgraph(12, 2, 2).vertices[:2] == ("0001", "0002")
+
+
+@pytest.mark.parametrize("n, k, r", [
+    (3, 2, 2), (5, 0, 2), (5, 2, 0), (-1, 1, 1), (5, 2.0, 2), ("5", 2, 2),
+    (5, 2, None),
+])
+def test_kneser_rgraph_rejects(n, k, r):
+    with pytest.raises(InvalidParams):
+        hb.kneser_rgraph(n, k, r)
+
+
 @pytest.mark.parametrize("build", [
     lambda: hb.complete_rgraph(True, 1),
     lambda: hb.complete_rgraph(3, True),
     lambda: hb.complete_multipartite([True, 2]),
     lambda: hb.complete_multipartite([2, False]),
     lambda: hb.contains_complete_sub(hb.complete_rgraph(3, 2), [True, 1]),
+    lambda: hb.kneser_rgraph(True, 1, 1),
+    lambda: hb.kneser_rgraph(2, True, 1),
+    lambda: hb.kneser_rgraph(2, 1, True),
 ], ids=["rgraph-m", "rgraph-r", "multipartite", "multipartite-false",
-        "contains"])
+        "contains", "kneser-n", "kneser-k", "kneser-r"])
 def test_bool_sizes_are_invalid(build):
     # True == 1 in Python, but a bool is not a size
     with pytest.raises(InvalidParams):
