@@ -5,33 +5,31 @@ r-uniform hypergraphs."""
 from .boxcx import (BoxComplex, box_edge, count_spanning, i_image_ids,
                     ip_fixed, ip_tables, iso_criterion, map_i, map_p)
 from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
-                     canon_bytes, canon_key, free_facet,
-                     lift_action_to_order_complex, order_complex,
-                     orbit_star_data, stellar_subdivision_poset,
-                     trivial_action, verify_isomorphism)
+                     canon_bytes, canon_key, lift_action_to_order_complex,
+                     order_complex, orbit_star_data,
+                     stellar_subdivision_poset, trivial_action,
+                     verify_isomorphism)
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
-                       DeformationCertificate, GCollapse,
-                       MainTheoremCertificate, SdDeformation, StellarStage,
-                       apply_orbit_step, elementary_g_collapse,
+                       DeformationCertificate, MainTheoremCertificate,
+                       SdDeformation, StellarStage, apply_orbit_step,
                        main_theorem_certificate, matching_to_collapse,
                        replay_collapse_certificate,
                        replay_main_theorem, replay_sd_deformation,
                        sd_deformation, stellar_deformation_certificate,
                        verify_critical_isomorphism, verify_iso_ids)
-from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity, EmptyPart,
+from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                      HomboxError, InputError, InvalidParams, MatchingInvalid,
                      NotFree, NotInSigma, OrbitCofaceClash,
                      OrbitNotIndependentlyFree, SizeGuard, Stuck,
                      UnknownVertex, VerificationError, WrongCodimension)
 from .homcx import (HomComplex, action_on_multihoms, enumerate_multihoms,
-                    hom_complex, hom_dim, hom_leq, s_r_generators,
-                    s_r_labels)
+                    hom_complex, hom_dim, s_r_generators, s_r_labels)
 from .homology import (HomologyAgreement, betti, homology_agreement,
                        homology_report, oriented_boundary)
-from .morse import Matching, build_matching, classify_chain, mu, verify_acyclic
+from .morse import Matching, build_matching, classify_chain, mu
 from .rgraph import (RGraph, complete_multipartite, complete_rgraph,
-                     contains_complete_sub, generates_complete, kneser_rgraph,
-                     load_rgraph, new_rgraph)
+                     contains_complete_sub, kneser_rgraph, load_rgraph,
+                     new_rgraph)
 
 __version__ = "0.1.0"
 
@@ -39,30 +37,27 @@ __all__ = [
     "BoxComplex", "box_edge", "count_spanning", "i_image_ids", "ip_fixed",
     "ip_tables", "iso_criterion", "map_i", "map_p",
     "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
-    "canon_key", "free_facet", "lift_action_to_order_complex",
-    "order_complex",
+    "canon_key", "lift_action_to_order_complex", "order_complex",
     "orbit_star_data", "stellar_subdivision_poset",
     "trivial_action", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",
-    "GCollapse", "MainTheoremCertificate", "SdDeformation", "StellarStage",
-    "apply_orbit_step", "elementary_g_collapse",
-    "main_theorem_certificate", "matching_to_collapse",
+    "MainTheoremCertificate", "SdDeformation", "StellarStage",
+    "apply_orbit_step", "main_theorem_certificate", "matching_to_collapse",
     "replay_collapse_certificate", "replay_main_theorem",
     "replay_sd_deformation", "sd_deformation",
     "stellar_deformation_certificate", "verify_critical_isomorphism",
     "verify_iso_ids",
-    "DegenerateEdge", "DuplicateEdge", "EdgeWrongArity", "EmptyPart",
+    "DegenerateEdge", "DuplicateEdge", "EdgeWrongArity",
     "HomboxError", "InputError", "InvalidParams", "MatchingInvalid",
     "NotFree", "NotInSigma", "OrbitCofaceClash", "OrbitNotIndependentlyFree",
     "SizeGuard", "Stuck", "UnknownVertex", "VerificationError",
     "WrongCodimension",
     "HomComplex", "action_on_multihoms", "enumerate_multihoms", "hom_complex",
-    "hom_dim", "hom_leq", "s_r_generators", "s_r_labels",
+    "hom_dim", "s_r_generators", "s_r_labels",
     "HomologyAgreement", "betti", "homology_agreement", "homology_report",
     "oriented_boundary",
     "Matching", "build_matching", "classify_chain", "mu",
-    "verify_acyclic",
     "RGraph", "complete_multipartite", "complete_rgraph",
-    "contains_complete_sub", "generates_complete", "kneser_rgraph",
+    "contains_complete_sub", "kneser_rgraph",
     "load_rgraph", "new_rgraph",
 ]

@@ -326,16 +326,6 @@ class CellComplex:
                     stack.append(j)
         return seen
 
-    def closed_star(self, i):
-        """All faces of all cofaces of i."""
-        out = set()
-        for c in self.cofaces(i):
-            out |= self.faces(c)
-        return out
-
-    def maximal_ids(self):
-        return [i for i, d in enumerate(self._up_count) if not d]
-
     @property
     def fingerprint_hex(self):
         return "%032x" % self.fingerprint
@@ -854,20 +844,6 @@ def stellar_subdivision_poset(K, A, sigma, max_cells=None):
                 faces = [bp] + [(CONE, ax, K.payloads[j]) for j in K.down[b]]
             cells.append(((CONE, ax, bp), K.dims[b] + 1, faces))
     return CellComplex.from_graded_cells(cells)
-
-
-# ---------------------------------------------------------------------------
-# freeness
-
-
-def free_facet(K, i):
-    """The unique facet strictly above i, if i is a proper face of exactly
-    one facet of K; None otherwise (a facet itself is never free)."""
-    cof = K.cofaces(i)
-    maximal = [c for c in cof if not K._up_count[c]]
-    if len(maximal) == 1 and maximal[0] != i:
-        return maximal[0]
-    return None
 
 
 # ---------------------------------------------------------------------------

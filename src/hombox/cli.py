@@ -95,14 +95,21 @@ def make_parser():
 
 
 def _write(path, text):
-    """Write text to path through a temporary file in the same directory,
-    renamed onto path, so that a failed write leaves path as it was."""
+    """Write text to path through a temporary file beside the file path
+    names, renamed onto it, so that a failed write leaves it as it was.  A
+    symlink is followed, not replaced; an existing target that is not a
+    regular file (a pipe, a device) is written in place."""
     tmp = None
     try:
-        with open("%s.%d.tmp" % (path, os.getpid()), "x") as fh:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        real = os.path.realpath(path)
+        with open("%s.%d.tmp" % (real, os.getpid()), "x") as fh:
             tmp = fh.name
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except OSError as e:
         if tmp is not None:
             with contextlib.suppress(OSError):

@@ -2,13 +2,12 @@
 
 Three layers live here:
 
-* Elementary G-collapses: remove a free cell orbit together with its facets
-  (elementary_g_collapse), and a greedy whole-orbit engine that executes an
-  equivariant acyclic matching as a sequence of such collapses
-  (matching_to_collapse).  One primitive, apply_orbit_step, checks and
-  applies every orbit step, built or replayed: given the orbit's least cell
-  and its facet, it regenerates the orbit and the other facets from the
-  action's generators.
+* Elementary G-collapses: one primitive, apply_orbit_step, removes a free
+  cell orbit together with its facets (or adds them back), and checks every
+  orbit step, built or replayed: given the orbit's least cell and its
+  facet, it regenerates the orbit and the other facets from the action's
+  generators.  A greedy whole-orbit engine executes an equivariant acyclic
+  matching as a sequence of such steps (matching_to_collapse).
 
 * Stellar deformations: a stellar G-subdivision K -> sd_sigma(K) is certified
   as a zig-zag through the auxiliary complex L = K + cones over the closed
@@ -72,7 +71,6 @@ from .cellcx import (
     barycentric_subdivision,
     canon_key,
     fmt_payload,
-    free_facet,
     lift_action_to_order_complex,
     orbit_star_data,
     verify_isomorphism,
@@ -483,10 +481,7 @@ def _run_greedy(state, action, mu):
 
 
 # ---------------------------------------------------------------------------
-# elementary G-collapse and the matching-driven collapse
-
-
-GCollapse = namedtuple("GCollapse", "cx action old2new orbit facets")
+# the matching-driven collapse
 
 
 def _restrict_action(A, old2new, sub):
@@ -496,29 +491,6 @@ def _restrict_action(A, old2new, sub):
     return A.transport(sub, [list(map(old2new.__getitem__,
                                       map(p.__getitem__, keep)))
                              for p in A.perms])
-
-
-def elementary_g_collapse(K, A, sigma):
-    """Remove the orbit of the free cell sigma together with its free facets.
-
-    The least cell of the orbit gets its facet from free_facet, and the
-    step is checked and applied by apply_orbit_step: it raises NotFree if
-    an orbit member is not a free cell, WrongCodimension if its free facet
-    is more than one dimension up, and OrbitNotIndependentlyFree if two
-    orbit members share their facet.  Returns GCollapse(cx, action,
-    old2new, orbit, facets), the orbit ascending; exactly 2*|orbit| cells
-    are removed.
-    """
-    rep = A.orbit(sigma)[0]
-    f = free_facet(K, rep)
-    if f is None:
-        raise NotFree("cell %s is not a free cell" % _label(K, rep))
-    state = CollapseState(K)
-    orbit = apply_orbit_step(state, A, "c", rep, f)
-    sub, old2new = K.subcomplex(state.alive_ids())
-    members = sorted(orbit)
-    return GCollapse(sub, _restrict_action(A, old2new, sub), old2new,
-                     members, [orbit[m] for m in members])
 
 
 # cells_moved counts the cells the collapse removed.

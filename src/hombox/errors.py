@@ -38,10 +38,6 @@ class DuplicateEdge(InputError):
     """The same edge (as a set) appears twice."""
 
 
-class EmptyPart(InputError):
-    """A multipartite construction was given an empty part."""
-
-
 class InvalidParams(InputError):
     """Parameters are out of range or inconsistent."""
 

@@ -183,8 +183,8 @@ def _part_sets(H):
 def enumerate_multihoms(H, max_cells=None):
     """All multihomomorphisms of H, sorted by (dim, canonical parts).
 
-    The poset order is componentwise inclusion (see hom_leq); the list is the
-    element set of the multihom poset.
+    The poset order is componentwise inclusion, f <= g iff f[j] <= g[j]
+    for every part j; the list is the element set of the multihom poset.
     """
     part = _part_sets(H)
     return [tuple(map(part, c[3])) for c in _hom_cells(H, max_cells)]
@@ -192,11 +192,6 @@ def enumerate_multihoms(H, max_cells=None):
 
 def hom_dim(f):
     return sum(len(p) - 1 for p in f)
-
-
-def hom_leq(f, g):
-    """Componentwise inclusion: f <= g in the multihom poset."""
-    return all(a <= b for a, b in zip(f, g))
 
 
 def s_r_labels(r):

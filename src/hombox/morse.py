@@ -278,11 +278,6 @@ def _find_cycle(M):
     return path[seen[x]:]
 
 
-def verify_acyclic(M):
-    """Whether the matching digraph of M is acyclic."""
-    return _find_cycle(M) is None
-
-
 def build_matching(H, max_cells=None):
     """Construct and fully verify the matching on sd B_edge(H).
 

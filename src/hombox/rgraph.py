@@ -15,7 +15,6 @@ from itertools import combinations, permutations, product
 from .errors import (
     DegenerateEdge,
     DuplicateEdge,
-    EmptyPart,
     EdgeWrongArity,
     InputError,
     InvalidParams,
@@ -174,33 +173,6 @@ def kneser_rgraph(n, k, r):
     edges = [[name[s] for s in e] for e in combinations(subsets, r)
              if len(set().union(*e)) == r * k]
     return RGraph(r, list(name.values()), edges)
-
-
-def generates_complete(H, parts, cap=10 ** 6):
-    """True iff every selection of one vertex per part is an edge of H.
-
-    Selections repeating a vertex (overlapping parts) are not edges, so
-    overlapping parts always give False.
-    """
-    parts = [tuple(sorted(set(p), key=canon_key)) for p in parts]
-    if len(parts) != H.r:
-        raise InvalidParams("expected %d parts, got %d" % (H.r, len(parts)))
-    vset = set(H.vertices)
-    work = 1
-    for p in parts:
-        if not p:
-            raise EmptyPart("generates_complete: empty part")
-        for v in p:
-            if v not in vset:
-                raise UnknownVertex("part vertex %r is not in the graph" % (v,))
-        work *= len(p)
-    if work > cap:
-        raise SizeGuard("generates_complete would test %d selections" % work,
-                        needed=work, limit=cap)
-    for sel in product(*parts):
-        if frozenset(sel) not in H._eset or len(set(sel)) != H.r:
-            return False
-    return True
 
 
 def contains_complete_sub(H, sizes, cap=10 ** 6):

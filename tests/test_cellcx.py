@@ -71,9 +71,7 @@ def test_faces_cofaces_star(solid_triangle):
     assert K.faces(top) == set(range(7))
     assert K.faces(eab) == {va, K.index[frozenset("b")], eab}
     assert K.cofaces(va) == {va, eab, K.index[frozenset("ac")], top}
-    assert K.closed_star(va) == set(range(7))
-    assert K.closed_star(eab) == K.faces(top)
-    assert K.maximal_ids() == [top]
+    assert [i for i, u in enumerate(K.up) if not u] == [top]
 
 
 def test_subcomplex_and_fingerprint(solid_triangle):
@@ -197,11 +195,10 @@ def _eager_up(K):
 
 
 def _assert_derived_covers(K):
-    """K's derived up, up-degrees and maximal cells equal the eager
-    construction, and the degrees and maximal cells build no up."""
+    """K's derived up and up-degrees equal the eager construction, and the
+    degrees build no up."""
     up = _eager_up(K)
     assert "up" not in vars(K)
-    assert K.maximal_ids() == [i for i in range(len(K)) if not up[i]]
     assert K.up_degrees() == [len(u) for u in up]
     assert "up" not in vars(K)
     assert K.up == up
@@ -226,7 +223,6 @@ def test_order_complex_of_corpus_equals_reference(name, corpus):
         # order_complex has read the cofaces of its base
         assert cx.up == _eager_up(cx)
         assert cx.up_degrees() == [len(u) for u in cx.up]
-        assert cx.maximal_ids() == [i for i, u in enumerate(cx.up) if not u]
     top = hom.cx.cells_of_dim(hom.cx.max_dim)[0]
     stage = hb.stellar_deformation_certificate(hom.cx, hom.action, top)
     _assert_derived_covers(stage.universe)
@@ -633,18 +629,6 @@ def test_stellar_subdivision_poset_square():
     assert len(out) == 17
     assert out.dim_counts() == [5, 8, 4]
     out.verify()
-
-
-def test_free_facet(solid_triangle, hollow_triangle):
-    K = solid_triangle
-    top = K.index[frozenset("abc")]
-    eab = K.index[frozenset("ab")]
-    va = K.index[frozenset("a")]
-    assert hb.free_facet(K, eab) == top
-    assert hb.free_facet(K, va) == top          # unique maximal, codim 2
-    assert hb.free_facet(K, top) is None        # a facet is never free
-    assert hb.free_facet(hollow_triangle,
-                         hollow_triangle.index[frozenset("ab")]) is None
 
 
 def test_verify_isomorphism(hollow_triangle):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,44 @@ def test_failed_write_leaves_target_unchanged(k32, tmp_path, monkeypatch,
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_write_follows_a_symlink(k32, tmp_path, capsys):
+    # the link stays a link, and the file it points to, in another
+    # directory, gets the report; no temporary file is left in either
+    links, data = tmp_path / "links", tmp_path / "data"
+    links.mkdir()
+    data.mkdir()
+    real, link = data / "real.json", links / "link.json"
+    plain = tmp_path / "plain.json"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert main(["verify", "--input", k32, "--out", str(link)]) == 0
+    assert main(["verify", "--input", k32, "--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == plain.read_bytes()
+    assert list(links.iterdir()) == [link]
+    assert list(data.iterdir()) == [real]
+
+
+def test_write_into_a_named_pipe(k32, tmp_path, capsys):
+    # a target that is not a regular file is written in place; the reading
+    # end is opened first, without blocking, and the report fits the pipe
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain.json"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["verify", "--input", k32, "--out", str(fifo)]) == 0
+        got = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert main(["verify", "--input", k32, "--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == plain.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fifo", "k32.json", "plain.json"]
+
+
 def test_build_edgeless_graph(edgeless, capsys):
     assert main(["build", "--input", edgeless]) == 0
     assert "box: 0 cells" in capsys.readouterr().out
@@ -220,6 +259,41 @@ def test_theorem_build_then_replay_former_matching_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "replayed: 6 stages ok" in out
     assert "homology agrees" in out
+
+
+# The report `hombox theorem --out` writes for the Kneser r-graph
+# KG^r(n, k) (rgraph.kneser_rgraph), built and replayed alike.
+KNESER_REPORTS = {
+    (5, 2, 2): '{"agree":true,"betti":[1,11,0],"endpoints":['
+               '"945fd1bb5737dec75b24784957b1e71b",'
+               '"45daa2916cf57216b612dd52d85bb0e3"],"torsion":[[],[],[]]}\n',
+    (6, 2, 3): '{"agree":true,"betti":[90],"endpoints":['
+               '"212ca3dceed79cda0ed6112f90220806",'
+               '"4da096739eff9fccad44b144c5c96d38"],"torsion":[[]]}\n',
+    (8, 2, 4): '{"agree":true,"betti":[2520],"endpoints":['
+               '"d88124c988eed5714bb4b206168e54be",'
+               '"c26755d7bb40dc8c163b9c9f5abc0e53"],"torsion":[[]]}\n',
+}
+
+
+@pytest.mark.parametrize("n, k, r", sorted(KNESER_REPORTS))
+def test_theorem_reports_of_kneser_graphs(n, k, r, tmp_path, capsys):
+    graph = tmp_path / "kneser.json"
+    graph.write_text(hb.kneser_rgraph(n, k, r).to_json_str())
+    cert = str(tmp_path / "theorem.json")
+    reports = []
+    for run, said in enumerate(["built: 6 stages", "replayed: 6 stages ok"]):
+        rep = tmp_path / ("report%d.json" % run)
+        assert main(["theorem", "--input", str(graph), "--certificate", cert,
+                     "--out", str(rep)]) == 0
+        assert said in capsys.readouterr().out
+        reports.append(rep.read_text())
+    assert reports == [KNESER_REPORTS[n, k, r]] * 2
+    if r == 2:
+        # Hom(K_2, KG(n, k)) is (n - 2k - 1)-connected (Lovasz 1978), so
+        # its reduced Betti numbers vanish in degrees 0 to n - 2k - 1
+        betti = json.loads(reports[0])["betti"]
+        assert [betti[0] - 1] + betti[1:n - 2 * k] == [0] * (n - 2 * k)
 
 
 def test_theorem_z2(k32, capsys):

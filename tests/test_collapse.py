@@ -71,54 +71,66 @@ def product_square():
     return hb.CellComplex.from_graded_cells(cells), P("ab", "xy")
 
 
-# -- elementary collapses ---------------------------------------------------
+# -- elementary collapses: one orbit step on a collapse state --------------
 
 
 def test_elementary_collapse_edge(solid_triangle):
-    A = hb.trivial_action(solid_triangle)
-    eab = solid_triangle.index[frozenset("ab")]
-    g = hb.elementary_g_collapse(solid_triangle, A, eab)
-    assert len(g.cx) == 5
-    assert g.orbit == [eab]
-    assert frozenset("ab") not in g.cx.index
-    assert frozenset("abc") not in g.cx.index
-    assert g.cx.verify()
-    assert g.action.verify()
+    K = solid_triangle
+    A = hb.trivial_action(K)
+    eab, top = K.index[frozenset("ab")], K.index[frozenset("abc")]
+    st = hb.CollapseState(K)
+    assert hb.apply_orbit_step(st, A, "c", eab, top) == {eab: top}
+    sub, _ = K.subcomplex(st.alive_ids())
+    assert len(sub) == st.n_alive == 5
+    assert frozenset("ab") not in sub.index
+    assert frozenset("abc") not in sub.index
+    assert sub.verify()
+    assert st.fingerprint == sub.fingerprint
 
 
 def test_elementary_collapse_not_free(hollow_triangle):
-    A = hb.trivial_action(hollow_triangle)
+    # the vertex a lies in the two edges ab and ac
+    K = hollow_triangle
     with pytest.raises(NotFree):
-        hb.elementary_g_collapse(
-            hollow_triangle, A, hollow_triangle.index[frozenset("ab")])
+        hb.apply_orbit_step(hb.CollapseState(K), hb.trivial_action(K), "c",
+                            K.index[frozenset("a")], K.index[frozenset("ab")])
 
 
 def test_elementary_collapse_wrong_codimension(solid_triangle):
-    A = hb.trivial_action(solid_triangle)
+    # the triangle is the one facet above the vertex a, two dimensions up
+    K = solid_triangle
     with pytest.raises(WrongCodimension):
-        hb.elementary_g_collapse(
-            solid_triangle, A, solid_triangle.index[frozenset("a")])
+        hb.apply_orbit_step(hb.CollapseState(K), hb.trivial_action(K), "c",
+                            K.index[frozenset("a")], K.index[frozenset("abc")])
 
 
 def test_elementary_collapse_orbit_share_coface():
     seg, A = seg_with_flip()
+    x, y = seg.index[frozenset("x")], seg.index[frozenset("y")]
     with pytest.raises(OrbitNotIndependentlyFree):
-        hb.elementary_g_collapse(seg, A, seg.index[frozenset("x")])
+        hb.apply_orbit_step(hb.CollapseState(seg), A, "c", min(x, y),
+                            seg.index[frozenset("xy")])
 
 
 def test_equivariant_elementary_collapse():
     two = hb.CellComplex.from_simplices([frozenset("abc"), frozenset("pqr")])
     swap = dict(zip("abcpqr", "pqrabc"))
-    A = hb.GroupAction.symmetric(
-        two, [lambda p: frozenset(swap[v] for v in p)], [(1, 0)])
-    eab = two.index[frozenset("ab")]
-    g = hb.elementary_g_collapse(two, A, eab)
-    assert len(g.cx) == 10
-    assert g.orbit == sorted([eab, two.index[frozenset("pq")]])
-    assert set(g.facets) == {two.index[frozenset("abc")],
-                             two.index[frozenset("pqr")]}
-    assert g.action.verify()
-    assert g.action.is_free()
+
+    def act(p):
+        return frozenset(swap[v] for v in p)
+
+    A = hb.GroupAction.symmetric(two, [act], [(1, 0)])
+    ids = {s: two.index[frozenset(s)] for s in ("ab", "pq", "abc", "pqr")}
+    assert A.orbit(ids["ab"]) == (ids["ab"], ids["pq"])
+    st = hb.CollapseState(two)
+    orbit = hb.apply_orbit_step(st, A, "c", ids["ab"], ids["abc"])
+    assert orbit == {ids["ab"]: ids["abc"], ids["pq"]: ids["pqr"]}
+    sub, _ = two.subcomplex(st.alive_ids())
+    assert len(sub) == 10
+    # the swap still acts on what is left, and freely
+    B = hb.GroupAction.symmetric(sub, [act], [(1, 0)])
+    assert B.verify()
+    assert B.is_free()
 
 
 # -- collapse state and orbit steps ----------------------------------------
@@ -640,7 +652,7 @@ def test_stellar_cell_digests_from_parts(side, matchings):
         bundle = getattr(M, side)
         K, A = bundle.cx, bundle.action
         if K.max_dim > 0:
-            top = K.maximal_ids()[0]
+            top = K.up_degrees().index(0)
             st = hb.stellar_deformation_certificate(K, A, top)
             assert st.universe.digests == _digests_from_parts(
                 K, st.universe), name

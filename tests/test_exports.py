@@ -1,11 +1,17 @@
-"""The public names: every name in hombox.__all__ resolves, and the names
-removed from the API stay removed."""
+"""The public names: every name in hombox.__all__ resolves and is
+documented in README.md, and the names removed from the API stay removed."""
+
+import re
+from pathlib import Path
 
 import hombox as hb
-from hombox import boxcx, cellcx, collapse, homcx, rgraph
+from hombox import boxcx, cellcx, collapse, errors, homcx, morse, rgraph
 
-# deletion and independently_free: folded into elementary_g_collapse, which
-# checks its step with apply_orbit_step.  _presentation: every action is
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# deletion and independently_free: every orbit step, built or replayed, is
+# checked by apply_orbit_step, which also tells a free pair from a non-free
+# one.  _presentation: every action is
 # given by a presentation, so no presentation is searched for.
 # critical_complex: the stage-3 check builds the critical subcomplex, and
 # the collapse of a matching ends at its fingerprint without building it.
@@ -14,10 +20,19 @@ from hombox import boxcx, cellcx, collapse, homcx, rgraph
 # stellar_subdivision_poset is the one reference subdivision.
 # _boxes, _spanning_subsets and _multihom_encoder: multihoms, spanning
 # subsets and their encodings are built on integer ids (homcx and boxcx).
+# elementary_g_collapse, GCollapse and free_facet: apply_orbit_step on a
+# CollapseState is the one elementary collapse, and it finds a pair that is
+# not free.  closed_star and maximal_ids: no caller; a complex's maximal
+# cells are those whose up tuple is empty.  verify_acyclic: Matching.verify
+# runs the cycle search.  hom_leq: the multihom order is componentwise
+# inclusion (enumerate_multihoms).  generates_complete and EmptyPart:
+# contains_complete_sub is the one complete-subgraph test.
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
-           "_multihom_encoder")
+           "_multihom_encoder", "elementary_g_collapse", "GCollapse",
+           "free_facet", "closed_star", "maximal_ids", "verify_acyclic",
+           "hom_leq", "generates_complete", "EmptyPart")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph),)
 
@@ -31,8 +46,15 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in hb.__all__
         assert not hasattr(hb, name)
-        for module in (boxcx, cellcx, collapse, homcx):
+        for module in (boxcx, cellcx, collapse, errors, homcx, morse,
+                       rgraph):
             assert not hasattr(module, name)
+        assert not hasattr(cellcx.CellComplex, name)
+
+
+def test_every_exported_name_is_documented():
+    words = set(re.findall(r"\w+", README.read_text()))
+    assert [name for name in hb.__all__ if name not in words] == []
 
 
 def test_added_names_are_exported():

@@ -71,8 +71,10 @@ def test_hom_dim_and_leq():
     f = (frozenset(["a0"]), frozenset(["b0", "b1"]), frozenset(["c0"]))
     g = (frozenset(["a0"]), frozenset(["b0"]), frozenset(["c0"]))
     assert hb.hom_dim(f) == 1 and hb.hom_dim(g) == 0
-    assert hb.hom_leq(g, f) and not hb.hom_leq(f, g)
-    assert hb.hom_leq(f, f)
+    # g <= f componentwise, so g is a face of f in the Hom complex
+    cx = hb.hom_complex(hb.complete_multipartite([1, 2, 1])).cx
+    assert cx.index[g] in cx.faces(cx.index[f])
+    assert cx.index[f] not in cx.faces(cx.index[g])
 
 
 def test_enumerate_guard(corpus):
@@ -95,7 +97,7 @@ def test_hom_complex_structure(corpus):
                     want.add(f[:j] + (part - {v},) + f[j + 1:])
         assert {cx.payloads[j] for j in cx.down[i]} == want
     # six maximal cells, all of dimension 2
-    tops = cx.maximal_ids()
+    tops = [i for i, d in enumerate(cx.up_degrees()) if not d]
     assert len(tops) == 6 and all(cx.dims[t] == 2 for t in tops)
 
 

@@ -119,7 +119,7 @@ def test_boundary_rejects_cone_payloads(corpus):
     # stellar_subdivision_poset names its new cells by cone payloads
     # ("*c", apex, base), which are neither simplices nor products
     hom = hb.hom_complex(corpus["K_3^2"])
-    top = hom.cx.maximal_ids()[0]
+    top = hom.cx.up_degrees().index(0)
     K = hb.stellar_subdivision_poset(
         hom.cx, hb.trivial_action(hom.cx), top)
     with pytest.raises(InputError, match="cannot orient"):

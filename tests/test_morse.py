@@ -3,6 +3,7 @@ on the corpus, on graphs where the former rule failed, and on random
 r-graphs."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -105,11 +106,53 @@ def test_matching_golden_counts(matchings, name):
 def test_matching_verify_and_acyclic(matchings):
     M = matchings["K3_122"]
     assert M.verify() is True
-    assert hb.verify_acyclic(M)
+    assert morse._find_cycle(M) is None
     # mu targets cover their sources and raise dimension by one
     for x, y in M.mu.items():
         assert x in M.sd.down[y]
         assert M.sd.dims[y] == M.sd.dims[x] + 1
+
+
+def pillow():
+    """Two vertices u and v, two edges e1 and e2 between them, and two
+    2-cells t1 and t2, each with covers e1 and e2.  The payload of the cell
+    named n is (n,), a one-item chain; returns the complex and the id of
+    each name."""
+    names = ("u", "v", "e1", "e2", "t1", "t2")
+    cx = hb.CellComplex.from_graded_cells([
+        (("u",), 0, []), (("v",), 0, []),
+        (("e1",), 1, [("u",), ("v",)]), (("e2",), 1, [("u",), ("v",)]),
+        (("t1",), 2, [("e1",), ("e2",)]), (("t2",), 2, [("e1",), ("e2",)])])
+    return cx, {n: cx.index[(n,)] for n in names}
+
+
+def test_find_cycle_on_a_pillow():
+    # e1 -> e2 (a facet of t1 = mu(e1)) and e2 -> e1 (a facet of t2)
+    cx, c = pillow()
+    e1, e2, t1, t2 = c["e1"], c["e2"], c["t1"], c["t2"]
+    M = SimpleNamespace(sd=cx, sigma=lambda: [e1, e2], mu={e1: t1, e2: t2})
+    assert morse._find_cycle(M) == [e1, e2]
+    M = SimpleNamespace(sd=cx, sigma=lambda: [e1], mu={e1: t1})
+    assert morse._find_cycle(M) is None
+
+
+def test_verify_rejects_a_cyclic_matching(monkeypatch):
+    # every check before the cycle search passes: mu covers, is injective
+    # and partitions D = {e1, e2, t1, t2}, the trivial action keeps it, and
+    # the critical cells u and v are the chains of the products
+    cx, c = pillow()
+    tags = [morse.CRITICAL] * len(cx)
+    tags[c["e1"]] = tags[c["e2"]] = morse.SIGMA
+    tags[c["t1"]] = tags[c["t2"]] = morse.UPPER
+    mu_map = {c["e1"]: c["t1"], c["e2"]: c["t2"]}
+    box = SimpleNamespace(
+        cx=SimpleNamespace(payloads={n: frozenset([n]) for n in c}))
+    monkeypatch.setattr(morse, "i_image_ids", lambda hom, box: ["u", "v"])
+    M = morse.Matching(None, None, box, cx, hb.trivial_action(cx), tags,
+                       mu_map)
+    with pytest.raises(MatchingInvalid, match=re.escape(
+            "matching digraph has a cycle through [[['e1']], [['e2']]]")):
+        M.verify()
 
 
 def test_matching_equivariance_explicit(matchings):

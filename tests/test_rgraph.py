@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 import hombox as hb
-from hombox import (DegenerateEdge, DuplicateEdge, EdgeWrongArity, EmptyPart,
+from hombox import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                     InputError, InvalidParams, SizeGuard, UnknownVertex)
 
 
@@ -188,27 +188,6 @@ def test_bool_sizes_are_invalid(build):
     # True == 1 in Python, but a bool is not a size
     with pytest.raises(InvalidParams):
         build()
-
-
-def test_generates_complete():
-    H = hb.complete_multipartite([1, 2, 2])
-    assert hb.generates_complete(H, [["a0"], ["b0", "b1"], ["c0", "c1"]])
-    assert hb.generates_complete(H, [["a0"], ["b0"], ["c1"]])
-    # coordinate order matters: parts must sit in edge-compatible positions,
-    # but edges are sets, so any order of the same parts works
-    assert hb.generates_complete(H, [["b0", "b1"], ["a0"], ["c0", "c1"]])
-    # a selection that is not an edge
-    assert not hb.generates_complete(H, [["a0"], ["b0", "c0"], ["c1"]])
-    # overlapping parts can only produce degenerate selections
-    assert not hb.generates_complete(H, [["a0"], ["b0"], ["b0"]])
-    with pytest.raises(EmptyPart):
-        hb.generates_complete(H, [["a0"], [], ["c0"]])
-    with pytest.raises(UnknownVertex):
-        hb.generates_complete(H, [["a0"], ["zz"], ["c0"]])
-    with pytest.raises(InvalidParams):
-        hb.generates_complete(H, [["a0"], ["b0"]])
-    with pytest.raises(SizeGuard):
-        hb.generates_complete(H, [["a0"], ["b0", "b1"], ["c0", "c1"]], cap=3)
 
 
 def oracle_contains(H, sizes):
