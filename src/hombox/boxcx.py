@@ -131,7 +131,9 @@ def _box_cx(H, max_cells):
     A simplex is listed as the ascending tuple of its edge ids, and keyed
     by their mask.  Coordinate j taking vertex id v is requirement bit
     j * n + v, for n vertices: an edge provides r bits, and multihom f needs
-    the bits of its Hom key.
+    the bits of its Hom key.  The complex's closure list holds the id of
+    i(p(F)) for each simplex F: F is listed under f = p(F), whose i(f) is
+    the mask of all the edges listed.
     """
     homs = _multihom_masks(H, max_cells)
     if max_cells is not None:
@@ -152,41 +154,38 @@ def _box_cx(H, max_cells):
     provides = [sum(1 << (j * n + vid[v]) for j, v in enumerate(t))
                 for t in edges]
     members = _memo(_members)
-    simplices = []
+    simplices, closure = [], []
     for f in homs:
         els = sorted(map(eid.__getitem__, product(*map(members, f))))
         _spanning(els, sum(m << (j * n) for j, m in enumerate(f)), provides,
                   simplices)
+        # i(f), all of els, is the closure of each simplex listed under f
+        closure += [sum(1 << e for e in els)] * (len(simplices) - len(closure))
     cells = []
-    for S in simplices:
+    for S, c in zip(simplices, closure):
         g = 0
         for e in S:
             g |= 1 << e
         cells.append((len(S) - 1, b"F" + b"".join(map(epiece.__getitem__, S)),
-                      g, S))
+                      g, (S, c)))
     cells.sort()
 
-    def faces(g, S):
+    def faces(g, data):
+        S = data[0]
         return [g ^ 1 << e for e in S] if len(S) >= 2 else []
 
-    return _keyed_cx(cells, faces,
-                     lambda S: frozenset(map(edges.__getitem__, S)))
+    cx = _keyed_cx(cells, faces,
+                   lambda data: frozenset(map(edges.__getitem__, data[0])))
+    id_of = {c[2]: i for i, c in enumerate(cells)}
+    cx.closure = [id_of[c[3][1]] for c in cells]
+    return cx
 
 
 def ip_tables(box):
-    """Per box cell: (is i∘p-fixed, id of the cell i(p(F))).
-
-    i(p(F)) is itself always a simplex (the full product over p(F)), so the
-    id lookup never fails.
-    """
-    cx = box.cx
-    fixed = []
-    ipim = []
-    for F in cx.payloads:
-        P = map_i(map_p(F))
-        fixed.append(P == F)
-        ipim.append(cx.index[P])
-    return fixed, ipim
+    """Per box cell: (is i∘p-fixed, id of the cell i(p(F))), as two lists,
+    read from the closure list of box_edge's complex (_box_cx)."""
+    closure = box.cx.closure
+    return [c == i for i, c in enumerate(closure)], list(closure)
 
 
 def i_image_ids(hom, box):

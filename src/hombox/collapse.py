@@ -6,8 +6,22 @@ Three layers live here:
   cell orbit together with its facets (or adds them back), and checks every
   orbit step, built or replayed: given the orbit's least cell and its
   facet, it regenerates the orbit and the other facets from the action's
-  generators.  A greedy whole-orbit engine executes an equivariant acyclic
-  matching as a sequence of such steps (matching_to_collapse).
+  generators.  Each acyclic matching collapses whole orbit by whole orbit,
+  in the order of a key that its acyclicity proof gives, a linear extension
+  of its modified Hasse diagram (Forman, "Morse theory for cell complexes",
+  Adv. Math. 1998; Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11):
+
+  1. the matching on sd B_edge(H): chain length descending, then the box
+     dimension of the chain's topmost non-product x descending, since a
+     gradient path strictly lowers x (morse);
+  2. leg B of a stellar stage: the open-star cell's dimension descending;
+  3. leg A: cone-cell dimension descending, then ascending in the
+     coordinate j that the anchor toggle changes (_conepartner), since a
+     pair waits on one of its own dimension only if that one toggles a
+     coordinate k < j.
+
+  Build and replay apply every step through apply_orbit_step, so a wrong
+  key fails there.
 
 * Stellar deformations: a stellar G-subdivision K -> sd_sigma(K) is certified
   as a zig-zag through the auxiliary complex L = K + cones over the closed
@@ -55,11 +69,10 @@ on sd B_edge(H), which expands to sd B_edge(H) ~ B_edge(H).
 """
 
 import hashlib
-import heapq
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import chain, compress
+from itertools import compress
 
 from .boxcx import box_edge, i_image_ids, ip_tables
 from .cellcx import (
@@ -256,11 +269,13 @@ def _facet_clash(s, cell):
                              "equivariant under generator %r" % (s,))
 
 
-def _replay_steps(state, action, steps, first, to_state, end, where):
-    """Apply certificate steps, numbered from `first`, to state, then check
-    that it ends at the fingerprint `end` of their run, named by `where`.
-    to_state(k) is the state id of certificate cell id k, or raises
-    InputError.  A failing step is named with its direction and its cell."""
+def _apply_steps(state, action, steps, first, to_state, end=None,
+                 where=None):
+    """Apply certificate steps, numbered from `first`, to state; unless end
+    is None, then check that it ends at the fingerprint `end` of their run,
+    named by `where`.  to_state(k) is the state id of certificate cell id k,
+    or raises InputError.  A failing step is named with its direction and
+    its cell."""
     for i, (direction, sigma, facet) in enumerate(steps, first):
         s = None
         try:
@@ -273,10 +288,14 @@ def _replay_steps(state, action, steps, first, to_state, end, where):
             raise type(e)("step %d (%s at %s): %s"
                           % (i, _DIRECTIONS.get(direction, repr(direction)),
                              cell, e)) from e
-    if state.fingerprint != end:
+    if end is not None and state.fingerprint != end:
         raise VerificationError(
             "%s: the state after step %d is not the run's end fingerprint"
             % (where, first + len(steps) - 1))
+
+
+def _same(k):
+    return k
 
 
 def _undo(steps):
@@ -404,80 +423,28 @@ def _fingerprints(obj, what, where):
 
 
 # ---------------------------------------------------------------------------
-# greedy whole-orbit engine
+# collapse order
 
 
-def _run_greedy(state, action, mu):
-    """Collapse every matched pair of mu (cell -> facet), whole orbits at a
-    time, smallest representative first among the ready orbits.
-
-    Readiness of an orbit is monotone (a ready orbit stays ready until it is
-    consumed), so an orbit is queued once, when it becomes ready, and taking
-    the minimal queued representative each time reproduces a deterministic
-    scan of the matched cells in id order.  A step can only make ready the
-    orbits of the alive faces of the cells it removed.
-    Returns the steps as DeformationCertificate holds them; raises Stuck if
-    unmatched readiness never arrives (which is exactly a cycle in the
-    matching digraph).
-    """
-    sigma_ids = sorted(mu)
-    orbs = action.orbits(sigma_ids)
-    members, facets = [], []
-    member_orbit, facet_orbit = {}, {}
-    for k, ob in enumerate(orbs):
-        ms = list(ob)
-        fs = []
-        for m in ms:
+def _orbit_steps(action, mu, key):
+    """The collapse steps of the matching mu (cell -> facet), one per orbit,
+    as DeformationCertificate holds them: ("c", least member, its facet),
+    sorted by key(orbit), a sorted tuple, then by least member.  Raises
+    Stuck if the matched cells are not closed under the action, or if a
+    cell lies in two pairs."""
+    cells = set(mu)
+    for f in mu.values():
+        if f in cells:
+            raise Stuck("cell %d appears in two matched pairs" % f)
+        cells.add(f)
+    orbs = action.orbits(mu)
+    for ob in orbs:
+        for m in ob:
             if m not in mu:
-                raise Stuck(
-                    "matched set is not closed under the action at cell %d" % m)
-            fs.append(mu[m])
-            member_orbit[m] = k
-        members.append(ms)
-        facets.append(fs)
-        for f in fs:
-            if f in facet_orbit or f in member_orbit:
-                raise Stuck("cell %d appears in two matched pairs" % f)
-            facet_orbit[f] = k
-
-    alive, updeg = state.alive, state.updeg
-    queued = [False] * len(orbs)
-    heap = []
-
-    def queue_if_ready(k):
-        if (not queued[k]
-                and all(alive[m] and updeg[m] == 1 for m in members[k])
-                and all(alive[f] and updeg[f] == 0 for f in facets[k])):
-            queued[k] = True
-            heapq.heappush(heap, (members[k][0], k))
-
-    for k in range(len(orbs)):
-        queue_if_ready(k)
-    steps = []
-    while heap:
-        _, k = heapq.heappop(heap)
-        sigma = members[k][0]
-        orbit = apply_orbit_step(state, action, "c", sigma, mu[sigma])
-        steps.append(("c", sigma, mu[sigma]))
-        seen = set()
-        for x in chain(orbit, orbit.values()):
-            for y in state.cx.down[x]:
-                if y in seen or not alive[y]:
-                    continue
-                seen.add(y)
-                j = member_orbit.get(y)
-                if j is not None and updeg[y] == 1:
-                    queue_if_ready(j)
-                j = facet_orbit.get(y)
-                if j is not None and updeg[y] == 0:
-                    queue_if_ready(j)
-    left = [members[k][0] for k in range(len(orbs)) if not queued[k]]
-    if left:
-        raise Stuck(
-            "collapse stuck with %d orbit(s) remaining (first representative "
-            "cell %d): the matching is not acyclic on the alive set"
-            % (len(left), min(left)))
-    return steps
+                raise Stuck("matched set is not closed under the action "
+                            "at cell %d" % m)
+    orbs.sort(key=key)
+    return [("c", ob[0], mu[ob[0]]) for ob in orbs]
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +469,23 @@ def matching_to_collapse(K, A, M):
     M.action, as a sequence of elementary S_r-collapses, yielding a
     replayable certificate whose end complex is the critical subcomplex.
 
-    Removes exactly |Sigma| + |mu(Sigma)| cells in whole-orbit steps;
-    raises Stuck if the greedy scan cannot finish (impossible for an acyclic
-    matching).  No end complex is built: once the alive cells are checked
-    to be M.critical, the end fingerprint is the state's, which is that of
-    the critical subcomplex, as a subcomplex keeps its cells' digests.
+    Removes exactly |Sigma| + |mu(Sigma)| cells in whole-orbit steps, in
+    the order of the first key in the module docstring.  No end complex is
+    built: once the alive cells are checked to be M.critical, the end
+    fingerprint is the state's, which is that of the critical subcomplex,
+    as a subcomplex keeps its cells' digests.
     """
+    pay, box_dims = K.payloads, M.box.cx.dims
+
+    def key(ob):
+        # mu inserts c(x) directly after x, the topmost non-product
+        s, t = pay[ob[0]], pay[M.mu[ob[0]]]
+        k = next((k for k, (a, b) in enumerate(zip(s, t)) if a != b), len(s))
+        return -len(s), -box_dims[s[k - 1]]
+
     state = CollapseState(K)
-    steps = _run_greedy(state, A, M.mu)
+    steps = _orbit_steps(A, M.mu, key)
+    _apply_steps(state, A, steps, 0, _same)
     moved = len(K.payloads) - state.n_alive
     expect = len(M.sigma()) + len(M.upper)
     if moved != expect:
@@ -567,8 +543,8 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
             raise VerificationError(
                 "step %d names a stellar universe in a collapse certificate"
                 % first)
-        _replay_steps(state, action, steps, first,
-                      lambda k: _cell_id(k, n), end, "run %d" % j)
+        _apply_steps(state, action, steps, first,
+                     lambda k: _cell_id(k, n), end, "run %d" % j)
         first += len(steps)
     if state.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
@@ -583,9 +559,10 @@ class _CellStore(CollapseState):
     """The append-only cells of one stellar deformation.
 
     It starts as a copy of K and its action A.  Each stellar stage appends
-    its apex and cone cells, with their digests and the generators'
-    permutation entries, and then collapses and expands on the store's
-    alive flags; no id ever moves.
+    its apex and cone cells, dead, with their digests and the generators'
+    permutation entries, then expands them and collapses its open stars on
+    the store's alive flags, in one step loop for build and replay; no id
+    ever moves.
     The live cells in id order are the current complex, and the cells a
     stage appends come after all of them.  Cells that died give up their
     payloads, index entries and up links when the next stage settles the
@@ -601,8 +578,8 @@ class _CellStore(CollapseState):
     payload it already holds.
 
     The store is the state, the universe complex and the group action that
-    apply_orbit_step, _run_greedy and orbit_star_data work on, so it borrows
-    the methods they call from CellComplex and GroupAction.
+    apply_orbit_step, _orbit_steps and orbit_star_data work on, so it
+    borrows the methods they call from CellComplex and GroupAction.
     """
 
     faces = CellComplex.faces
@@ -775,30 +752,31 @@ def _cone_universe(store, orbit, cof, ring, max_cells):
 
 
 def _conepartner(B, tstar, sstar):
-    """Partner of a payload B under the anchored pairing; sstar is the
-    anchor vertex's payload, and tstar, for a product anchor, its vertex in
-    each coordinate.  An apex pairs with its cone over the anchor, and a
-    cone with the cone from its apex over its base's partner, recursing
-    through nested cones.  A cell of K toggles the anchor: a vertex set B
-    gives B ^ sstar, and a product toggles tstar[j] in its first coordinate
-    j that is not tstar[j] alone.  None means the empty base: a cone over
-    the anchor alone pairs with its bare apex.
+    """Partner of a payload B under the anchored pairing, and the coordinate
+    j its toggle changes; sstar is the anchor vertex's payload, and tstar,
+    for a product anchor, its vertex in each coordinate.  An apex pairs with
+    its cone over the anchor, and a cone with the cone from its apex over
+    its base's partner, recursing through nested cones, so the innermost
+    base gives j.  A cell of K toggles the anchor: a vertex set B gives B ^
+    sstar, j = 0, and a product toggles tstar[j] in its first coordinate j
+    that is not tstar[j] alone.  None means the empty base: a cone over the
+    anchor alone pairs with its bare apex.
     """
     if isinstance(B, tuple) and len(B) == 2 and B[0] == BARY:
-        return (CONE, B, sstar)
+        return (CONE, B, sstar), 0
     if isinstance(B, tuple) and len(B) == 3 and B[0] == CONE:
-        q = _conepartner(B[2], tstar, sstar)
-        return B[1] if q is None else (CONE, B[1], q)
+        q, j = _conepartner(B[2], tstar, sstar)
+        return B[1] if q is None else (CONE, B[1], q), j
     if isinstance(B, frozenset):
-        return B ^ sstar or None
+        return B ^ sstar or None, 0
     if isinstance(B, tuple) and all(isinstance(q, frozenset) for q in B):
         for j, part in enumerate(B):
             tj = tstar[j]
             if len(part) == 1 and tj in part:
                 continue
             new = part - {tj} if tj in part else part | {tj}
-            return B[:j] + (new,) + B[j + 1:]
-        return None
+            return B[:j] + (new,) + B[j + 1:], j
+        return None, 0
     raise InputError("no pairing rule for cone base %r" % (B,))
 
 
@@ -815,7 +793,8 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
     product coordinates.  Raises Stuck when a stabilizer moves the anchor
     (then no equivariant matching of this shape exists), or the pairing
     escapes the cone cells, fails to be a perfect involution, or clashes
-    with a stabilizer."""
+    with a stabilizer.  Returns the matching (cell -> facet) and the key of
+    its collapse order on orbits."""
     rep = orbit[0]
     pay = L.payloads[rep]
     tstar = None
@@ -832,11 +811,11 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
     _carry(L, rep, L.index[a_pay], list.__getitem__, lambda s, m: Stuck(
         "the stabilizer of cell %s moves its anchor vertex: the cone cells "
         "admit no equivariant matching" % fmt_payload(L.payloads[m])))
-    partner_rep = {}
+    partner_rep, toggled = {}, {}
     for cid in [apex_id[rep]] + [cone_id[(rep, b)]
                                  for b in sorted(cof[rep] | ring[rep])]:
         X = L.payloads[cid]
-        q_pay = _conepartner(X, tstar, a_pay)
+        q_pay, toggled[cid] = _conepartner(X, tstar, a_pay)
         if q_pay not in L.index:
             raise Stuck("anchor toggle leaves the cone cells at cell %s"
                         % fmt_payload(X))
@@ -866,7 +845,11 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
                         % fmt_payload(L.payloads[x]))
     if 2 * len(mu) != len(cone_cells):
         raise Stuck("cone pairing does not cover the cone cells")
-    return mu
+
+    def key(ob):
+        # the third key of the module docstring, read at rep's pair
+        return -L.dims[ob[0]], next(toggled[x] for x in ob if x in toggled)
+    return mu, key
 
 
 def _leg_b_pairs(cof, cone_id):
@@ -883,15 +866,16 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     """One stellar stage, at the orbit of store cell rep: K (the live cells)
     ~ L (K plus the cells _cone_universe appends) ~ sd_rep(K).
 
-    To build (replay None): leg A collapses the cone cells of L back onto K
-    and is recorded reversed, as expansions K -> L; the cone cells are then
-    restored, and leg B collapses the open stars and their cones, L ->
-    sd_rep(K).  To replay, `replay` is the stage's run (universe
-    fingerprint, end fingerprint, steps), the number of its first step and
-    the run's number: L's fingerprint is checked, the steps applied from K
-    and the end checked.  Either way the store's live cells end as the
-    stage's end complex, which has the cells of stellar_subdivision_poset.
-    Returns L as a _Universe and the stage's run, its steps in L's ids.
+    To build (replay None): the steps are leg A's collapse undone, as
+    expansions K -> L, then leg B's collapse of the open stars and their
+    cones, L -> sd_rep(K), each in the order of its key (module docstring);
+    they are applied as a replay applies them.  To replay, `replay` is the
+    stage's run (universe fingerprint, end fingerprint, steps), the number
+    of its first step and the run's number: L's fingerprint is checked, the
+    steps applied from K and the end checked.  Either way the store's live
+    cells end as the stage's end complex, which has the cells of
+    stellar_subdivision_poset.  Returns L as a _Universe and the stage's
+    run, its steps in L's ids.
     """
     store.settle()
     if not store.alive[rep]:
@@ -905,20 +889,19 @@ def _stellar_stage(store, rep, max_cells, replay=None):
         if U.fingerprint != run[0]:
             raise VerificationError(
                 "%s: universe fingerprint mismatch" % where)
-        _replay_steps(store, store, run[2], first, U.store_id, run[1], where)
+        _apply_steps(store, store, run[2], first, U.store_id, run[1], where)
         return U, run
 
-    mu_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id)
-    for x in U.new:
-        store.add(x)
-    steps_a = _run_greedy(store, store, mu_a)
-    if any(store.alive[x] for x in U.new):
-        raise Stuck("cone collapse did not retract the universe onto K")
-    for x in U.new:
-        store.add(x)
-    steps_b = _run_greedy(store, store, _leg_b_pairs(cof, cone_id))
+    mu_a, key_a = _leg_a_pairs(store, orbit, cof, ring, apex_id, cone_id)
+    steps = _undo(_orbit_steps(store, mu_a, key_a))
+    _apply_steps(store, store, steps, 0, _same)
+    if not all(map(store.alive.__getitem__, U.new)):
+        raise Stuck("cone expansion did not fill the universe")
+    leg_b = _orbit_steps(store, _leg_b_pairs(cof, cone_id),
+                         lambda ob: -store.dims[ob[0]])
+    _apply_steps(store, store, leg_b, len(steps), _same)
     local = U.local_id
-    steps = [(d, local(s), local(f)) for d, s, f in _undo(steps_a) + steps_b]
+    steps = [(d, local(s), local(f)) for d, s, f in steps + leg_b]
     return U, (U.fingerprint, store.fingerprint, steps)
 
 

@@ -148,6 +148,19 @@ def test_ip_tables_and_image(corpus):
         assert box.cx.payloads[b] == hb.map_i(hom.cx.payloads[h])
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["KG^2(5,2)", "KG^3(7,2)"])
+def test_ip_tables_equal_the_payload_definition(corpus, name):
+    # the closure ids _box_cx records while listing are i(p(F)), looked up
+    # by payload, and the products are the cells they fix
+    H = (corpus[name] if name in corpus
+         else hb.kneser_rgraph(int(name[5]), int(name[7]), int(name[3])))
+    box = hb.box_edge(H)
+    cx = box.cx
+    fixed, ipim = hb.ip_tables(box)
+    assert ipim == [cx.index[hb.map_i(hb.map_p(F))] for F in cx.payloads]
+    assert fixed == list(map(hb.ip_fixed, cx.payloads))
+
+
 def test_iso_criterion_agreement_on_corpus(corpus):
     for name, H in corpus.items():
         a, b = hb.iso_criterion(H)

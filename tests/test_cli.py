@@ -273,6 +273,13 @@ KNESER_REPORTS = {
     (8, 2, 4): '{"agree":true,"betti":[2520],"endpoints":['
                '"d88124c988eed5714bb4b206168e54be",'
                '"c26755d7bb40dc8c163b9c9f5abc0e53"],"torsion":[[]]}\n',
+    (7, 3, 2): '{"agree":true,"betti":[1,71,0,0],"endpoints":['
+               '"a755b3756da89fc4f794a46874cbe0d7",'
+               '"e071273f3e9c900739affdb9cade146d"],'
+               '"torsion":[[],[],[],[]]}\n',
+    (7, 2, 3): '{"agree":true,"betti":[1,631,0],"endpoints":['
+               '"1da3e7cd7467326db88b887ebd0a0423",'
+               '"1a6e37ac222af1bfb96780da9cf5b56c"],"torsion":[[],[],[]]}\n',
 }
 
 

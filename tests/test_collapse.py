@@ -1,8 +1,7 @@
-"""Collapsing: elementary G-collapses, the greedy engine, stellar and full
+"""Collapsing: elementary G-collapses, the collapse order, stellar and full
 subdivision deformations, certificates, replay, and tamper detection."""
 
 import hashlib
-import heapq
 import json
 import re
 from pathlib import Path
@@ -22,8 +21,9 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def fixture(name, version):
-    """The theorem certificate of the given version, 1 to 4, that the CLI
-    wrote for a corpus graph before the next version, as JSON text."""
+    """The theorem certificate of the given version, 1 to 5, that the CLI
+    wrote for a corpus graph before the next version (for 5, before steps
+    were sorted by their order key), as JSON text."""
     return (FIXTURES / ("theorem_v%d_%s.json"
                         % (version, name.replace("^", "_")))).read_text()
 
@@ -284,6 +284,25 @@ def test_stellar_stage_stuck_when_a_stabilizer_moves_the_anchor():
         hb.stellar_deformation_certificate(seg, A, seg.index[frozenset("xy")])
 
 
+def test_stellar_stage_checks_its_expansions_fill_the_universe(
+        solid_triangle, monkeypatch):
+    # leg A with its top pair dropped expands every cone cell but two, and
+    # the build refuses to go on to leg B
+    leg_a_pairs = collapse._leg_a_pairs
+
+    def short(L, *args):
+        mu, key = leg_a_pairs(L, *args)
+        del mu[max(mu, key=lambda x: (L.dims[x], x))]
+        return mu, key
+
+    monkeypatch.setattr(collapse, "_leg_a_pairs", short)
+    A = hb.trivial_action(solid_triangle)
+    with pytest.raises(Stuck,
+                       match="^cone expansion did not fill the universe$"):
+        hb.stellar_deformation_certificate(
+            solid_triangle, A, solid_triangle.index[frozenset("abc")])
+
+
 def test_apply_orbit_step_codimension():
     # a cover relation jumping two dimensions is caught by the step checker
     K = hb.CellComplex.from_graded_cells([("v", 0, []), ("c", 2, ["v"])])
@@ -355,23 +374,29 @@ def test_replay_collapse_certificate_and_tampering(matchings):
         with pytest.raises(VerificationError):
             hb.replay_collapse_certificate(M.sd, M.action, bad)
 
-    # the collapse of the version 4 fixture has these steps, reversed: its
-    # rows are the version 5 rows with the fingerprint after each step, and
-    # the last of those is the end of the version 5 run
+    # the collapse of the version 4 fixture has these steps, reversed, in
+    # another order: its rows are the version 5 rows with the fingerprint
+    # after each step, and the last of those is the end of the version 5 run
     old = json.loads(fixture("K3_122", 4))["stages"][3]["certificate"]
     new = cert.reversed().to_json_obj()
     assert new["endpoints"] == old["endpoints"]
     [[universe, end, *rows]], [[_, *old_rows]] = new["runs"], old["runs"]
-    assert universe is None and rows == [row[:3] for row in old_rows]
+    assert universe is None
+    assert sorted(rows) == sorted(row[:3] for row in old_rows)
     assert end == old_rows[-1][3] == new["endpoints"][1]
 
-    # tamper: swap steps 2 and 3, which do not commute: the facet of step
-    # 3 is not maximal before step 2
+    # tamper: swap steps 0 and 24, which do not commute: the facet of step
+    # 24 is a face of the facet of step 0, so it is not maximal before it
     obj = cert.to_json_obj()
     steps = obj["runs"][0][2:]
-    steps[2], steps[3] = steps[3], steps[2]
+    assert steps[24][2] in M.sd.down[steps[0][2]]
+    steps[0], steps[24] = steps[24], steps[0]
     obj["runs"][0][2:] = steps
-    rejected(obj)
+    with pytest.raises(NotFree, match=r"^step 0 \(collapse at cell %d .*\): "
+                       r"facet .* is not maximal in the alive set$"
+                       % steps[0][1]):
+        hb.replay_collapse_certificate(
+            M.sd, M.action, hb.DeformationCertificate.from_json_obj(obj))
     # steps 3 and 4 commute: swapped, they are another valid collapse of
     # the same cells, which replays to the same end
     obj = cert.to_json_obj()
@@ -534,23 +559,98 @@ def test_critical_subcomplex_built_once(corpus, monkeypatch):
         assert iso.critical_action.cx is iso.critical
 
 
-def test_greedy_queues_each_orbit_once(matchings, monkeypatch):
-    # readiness is monotone, so each orbit enters the heap once, when it
-    # becomes ready, and leaves it as one step
-    pops = []
+def _matching_key(M, fixed, sigma):
+    """The order key of a collapse step of the matching M at chain sigma:
+    chain length descending, then the box dimension of the chain's topmost
+    non-product descending; fixed[i] tells if box cell i is a product."""
+    chain = M.sd.payloads[sigma]
+    x = [i for i in chain if not fixed[i]][-1]
+    return -len(chain), -M.box.cx.dims[x]
 
-    class CountingHeap:
-        heappush = staticmethod(heapq.heappush)
 
-        @staticmethod
-        def heappop(heap):
-            pops.append(1)
-            return heapq.heappop(heap)
+def _innermost(p):
+    while type(p) is tuple and len(p) == 3 and p[0] == CONE:
+        p = p[2]
+    return p
 
+
+def _stellar_key(K, direction, sigma, facet):
+    """The order key of a step of a stellar run on the cells K: leg A's
+    expansions by cone-cell dimension, toggled coordinate descending, then
+    leg B's collapses by open-star dimension descending.  The toggled
+    coordinate is where the innermost bases of the cone cells differ, or 0
+    unless both are products."""
+    if direction == "c":
+        return 1, -K.dims[sigma], 0
+    bases = [_innermost(K.payloads[x]) for x in (sigma, facet)]
+    j = 0
+    if all(type(b) is tuple and all(isinstance(q, frozenset) for q in b)
+           for b in bases):
+        j = next(k for k, (p, q) in enumerate(zip(*bases)) if p != q)
+    return 0, K.dims[facet], -j
+
+
+def test_every_run_follows_its_order_key(matchings, monkeypatch):
+    # the matching collapse by chain length and the dimension of its
+    # topmost non-product, and each stellar run, recorded as replay applies
+    # it, by cone-cell dimension and toggled coordinate, then by open-star
+    # dimension; the keys are recomputed from the payloads here
+    keys = []
+    apply_steps = collapse._apply_steps
+
+    def recording(state, action, steps, first, to_state, *args):
+        keys.append([_stellar_key(state, d, to_state(s), to_state(f))
+                     for d, s, f in steps])
+        return apply_steps(state, action, steps, first, to_state, *args)
+
+    for name, M in sorted(matchings.items()):
+        fixed = hb.ip_tables(M.box)[0]
+        for _, _, steps in hb.matching_to_collapse(
+                M.sd, M.action, M).certificate.runs:
+            run = [_matching_key(M, fixed, s) for _, s, _ in steps]
+            assert run == sorted(run), name
+        cert = hb.main_theorem_certificate(M.graph, matching=M)
+        with monkeypatch.context() as m:
+            m.setattr(collapse, "_apply_steps", recording)
+            for bundle, d in ((M.hom, cert.hom_def), (M.box, cert.box_def)):
+                hb.replay_sd_deformation(bundle.cx, bundle.action,
+                                         d.certificate)
+    assert len(keys) > 100
+    assert all(run == sorted(run) for run in keys)
+    # some run expands cone cells of one dimension toggling two coordinates
+    assert any(len({(k[1], k[2]) for k in run if k[0] == 0})
+               > len({k[1] for k in run if k[0] == 0}) for run in keys)
+
+
+def test_steps_out_of_key_order_fail_the_step_checks(matchings):
+    # the order is checked, not trusted: the matching collapse, and leg B
+    # of a stellar run, applied in reversed key order fail at their first
+    # step, named with its cell
     M = matchings["K3_122"]
-    monkeypatch.setattr(collapse, "heapq", CountingHeap)
-    run = hb.matching_to_collapse(M.sd, M.action, M)
-    assert len(pops) == len(run.certificate) == 58
+    cert = hb.matching_to_collapse(M.sd, M.action, M).certificate
+    [(universe, end, steps)] = cert.runs
+    back = hb.DeformationCertificate(cert.endpoints,
+                                     [(universe, end, steps[::-1])])
+    sigma = steps[-1][1]
+    label = re.escape(fmt_payload(M.sd.payloads[sigma]))
+    with pytest.raises(NotFree, match=r"^step 0 \(collapse at cell %d %s\): "
+                       % (sigma, label)):
+        hb.replay_collapse_certificate(M.sd, M.action, back)
+
+    K, A = M.hom.cx, M.hom.action
+    cert = hb.main_theorem_certificate(M.graph, matching=M).hom_def.certificate
+    first = 0
+    for j, (universe, end, steps) in enumerate(cert.runs):
+        k = [d for d, _, _ in steps].index("c")
+        if len(steps) - k > 1:
+            break
+        first += len(steps)
+    runs = list(cert.runs)
+    runs[j] = (universe, end, steps[:k] + steps[k:][::-1])
+    with pytest.raises(NotFree, match=r"^step %d \(collapse at cell %d \S+\): "
+                       % (first + k, steps[-1][1])):
+        hb.replay_sd_deformation(
+            K, A, hb.DeformationCertificate(cert.endpoints, runs))
 
 
 # -- stellar deformation -----------------------------------------------------
@@ -711,6 +811,14 @@ def v5_runs(runs):
     end, step, ...], the end being the last step's after."""
     return [[run[0], run[-1][3]] + [row[:3] for row in run[1:]]
             for run in runs]
+
+
+def same_runs(runs, others):
+    """Whether two lists of version 5 runs hold the same universes, ends
+    and sets of steps, in any order within a run."""
+    return (len(runs) == len(others)
+            and all(a[:2] == b[:2] and sorted(a[2:]) == sorted(b[2:])
+                    for a, b in zip(runs, others)))
 
 
 def test_replay_sd_deformation_tamper(solid_triangle, matchings):
@@ -887,16 +995,18 @@ CERT_V4_SHA256 = {
     "K3_122": "f162ae8375fc269ff0d4a4e518daa68c933a0e9794152d6757f706dce62ac976",
 }
 # sha256 and bytes of the canonical JSON of the version 5 theorem
-# certificates of the corpus.
+# certificates of the corpus.  The hashes of K_4^2, K_5^3 and K3_122 changed
+# when each matching came to be collapsed in the order of its key, which
+# reorders steps within a run; the bytes did not.
 CERT_V5_SHA256 = {
     "K_2^2": "e0c7e5ed40134150ebc6db9332c253c4ee0563d75f91cb129524dc58be430812",
     "K_3^2": "5a9aedd4d54c5c06507c10fc8db204a10ba3c46e8016b2308090b2ea9873acff",
-    "K_4^2": "2abf1d2973004a878e71bb3835f606c84af60109991f1cb5afb224cd0696f17a",
+    "K_4^2": "bca54802f9fb247fd06ced497a9c671d7ddf791d0129017f2ad1119ce886095d",
     "K_3^3": "ec45c3a6209be5ff952a45a8e51eff5c4b5ee19c42fbe9deb054bee0efbc499f",
     "K_4^3": "252396e74bdc8b60808ad5bb2b04bd05dc955e082a55369fba65fd488aed87f0",
-    "K_5^3": "c928e702684696265d315a139dc999cfa941e641eea80510fe352848784132ac",
+    "K_5^3": "98b1782411d052a2e6ccd590a80b12d2a29db1e82e68b23dd82240667386a137",
     "K3_112": "8bea6f08050535da8d46393628855ef2758556d3213c069c8d006a49b097fdd6",
-    "K3_122": "87445de5b78107e2aa5f9cb4e1fd2c2d130f67eb39164c29b6146e0971c394ab",
+    "K3_122": "6778eea54fd492bb0bb2f772d8acdeedd4edae5d3b473e9b5750e711c58cea27",
 }
 CERT_V5_BYTES = {
     "K_2^2": 989, "K_3^2": 1629, "K_4^2": 16743, "K_3^3": 989,
@@ -946,10 +1056,10 @@ def test_main_theorem_certificate_v5_bytes_pinned(matchings, name):
     text = canonical_json(cert.to_json_obj())
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
     replays(M.graph, json.loads(text))
-    # against version 4, only the fingerprints after each step went: the
-    # endpoints, the isomorphism stages, every step's direction, sigma and
-    # facet, and each run's universe are the same, and a run's end is the
-    # fingerprint after its last step
+    # against version 4, only the fingerprints after each step went, and
+    # the order of the steps within a run: the endpoints, the isomorphism
+    # stages, each run's steps, universe and end are the same, and a run's
+    # end is the fingerprint after its last step of version 4
     new, old = json.loads(text), json.loads(fixture(name, 4))
     assert new["endpoints"] == old["endpoints"]
     for k in (1, 2, 4):
@@ -957,7 +1067,7 @@ def test_main_theorem_certificate_v5_bytes_pinned(matchings, name):
     for k in (0, 3, 5):
         runs = [s["stages"][k]["certificate"] for s in (new, old)]
         assert runs[0]["endpoints"] == runs[1]["endpoints"]
-        assert runs[0]["runs"] == v5_runs(runs[1]["runs"])
+        assert same_runs(runs[0]["runs"], v5_runs(runs[1]["runs"]))
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V5_BYTES))
@@ -980,6 +1090,31 @@ def test_main_theorem_certificate_v5_size(matchings, name):
             assert steps and all(
                 len(step) == 3 and step[0] in ("c", "e")
                 and all(type(i) is int for i in step[1:]) for step in steps)
+
+
+# sha256 of the version 5 fixture of K3_122, written before the steps of a
+# run were sorted by their order key.
+CERT_V5_UNSORTED_SHA256 = (
+    "87445de5b78107e2aa5f9cb4e1fd2c2d130f67eb39164c29b6146e0971c394ab")
+
+
+def test_version_5_certificate_in_an_earlier_step_order_replays(matchings):
+    # a run is checked at its end only, so the fixture, whose runs hold the
+    # steps of today's runs in another order, still replays
+    M = matchings["K3_122"]
+    text = fixture("K3_122", 5)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_UNSORTED_SHA256
+    replays(M.graph, json.loads(text))
+    old = json.loads(text)
+    new = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    assert old != new and old["endpoints"] == new["endpoints"]
+    for a, b in zip(old["stages"], new["stages"]):
+        if a["kind"] == "deformation":
+            a, b = a["certificate"], b["certificate"]
+            assert a["endpoints"] == b["endpoints"]
+            assert same_runs(a["runs"], b["runs"])
+        else:
+            assert a == b
 
 
 def test_replay_error_names_stage_and_step(matchings):
