@@ -8,7 +8,7 @@ from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
                      canon_bytes, canon_key, lift_action_to_order_complex,
                      order_complex, orbit_star_data,
                      stellar_subdivision_poset, trivial_action,
-                     verify_isomorphism)
+                     verify_iso_ids, verify_isomorphism)
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        DeformationCertificate, MainTheoremCertificate,
                        SdDeformation, StellarStage, apply_orbit_step,
@@ -16,7 +16,7 @@ from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        replay_collapse_certificate,
                        replay_main_theorem, replay_sd_deformation,
                        sd_deformation, stellar_deformation_certificate,
-                       verify_critical_isomorphism, verify_iso_ids)
+                       verify_critical_isomorphism)
 from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                      HomboxError, InputError, InvalidParams, MatchingInvalid,
                      NotFree, NotInSigma, OrbitCofaceClash,
@@ -39,14 +39,13 @@ __all__ = [
     "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
     "canon_key", "lift_action_to_order_complex", "order_complex",
     "orbit_star_data", "stellar_subdivision_poset",
-    "trivial_action", "verify_isomorphism",
+    "trivial_action", "verify_iso_ids", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",
     "MainTheoremCertificate", "SdDeformation", "StellarStage",
     "apply_orbit_step", "main_theorem_certificate", "matching_to_collapse",
     "replay_collapse_certificate", "replay_main_theorem",
     "replay_sd_deformation", "sd_deformation",
     "stellar_deformation_certificate", "verify_critical_isomorphism",
-    "verify_iso_ids",
     "DegenerateEdge", "DuplicateEdge", "EdgeWrongArity",
     "HomboxError", "InputError", "InvalidParams", "MatchingInvalid",
     "NotFree", "NotInSigma", "OrbitCofaceClash", "OrbitNotIndependentlyFree",

@@ -115,6 +115,14 @@ def fmt_payload(x):
     return repr(x)
 
 
+def _label(K, i):
+    return fmt_payload(K.payloads[i])
+
+
+def _is_id(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _digests(encoding, dims, down):
     """The digests of all cells, from canon_bytes of their payloads (cell i
     encodes as encoding(i), called once), computed in order of dimension so
@@ -742,19 +750,26 @@ def lift_action_to_order_complex(A, sd):
     return _lift(A, sd, _chain_blocks(sd))
 
 
+def _check_acts_on(A, K, what):
+    """InputError unless the action A is on K, what names K: compared by
+    cell count, fingerprint and the lengths of the permutations."""
+    n = len(K.payloads)
+    if (len(A.cx.payloads) != n or A.cx.fingerprint != K.fingerprint
+            or any(len(p) != n for p in A.perms)):
+        raise InputError(
+            "the action is on a complex of %d cells with fingerprint %s, not "
+            "on %s (%d cells, %s)"
+            % (len(A.cx.payloads), A.cx.fingerprint_hex[:8], what, n,
+               K.fingerprint_hex[:8]))
+
+
 def _lift(A, sd, blocks):
     """lift_action_to_order_complex(A, sd), given blocks = _chain_blocks(sd),
     so that build_matching reads the blocks once for the lift and the
     classification."""
     K = sd.base
     n = len(K.payloads)
-    if (len(A.cx.payloads) != n or A.cx.fingerprint != K.fingerprint
-            or any(len(p) != n for p in A.perms)):
-        raise InputError(
-            "the action is on a complex of %d cells with fingerprint %s, not "
-            "on the base of the order complex (%d cells, %s)"
-            % (len(A.cx.payloads), A.cx.fingerprint_hex[:8], n,
-               K.fingerprint_hex[:8]))
+    _check_acts_on(A, K, "the base of the order complex")
     layers, ids, head, shift, pair = blocks
     down = sd.down
     twos = layers[1] if len(layers) > 1 else range(0)
@@ -851,52 +866,63 @@ def stellar_subdivision_poset(K, A, sigma, max_cells=None):
 
 
 def verify_isomorphism(K1, K2, payload_map, A1=None, A2=None):
-    """Check that payload_map induces an isomorphism K1 -> K2 (and that it is
-    equivariant when actions are supplied).  Returns the id-level map.
-
-    Raises VerificationError with a counterexample cell on any failure.
-    """
-    n1, n2 = len(K1.payloads), len(K2.payloads)
-    if n1 != n2:
+    """verify_iso_ids on the id table that payload_map, from the payloads of
+    K1 to those of K2, induces; returns it.  Raises VerificationError
+    naming a cell whose image is not a cell of K2."""
+    get = K2.index.get
+    f = [get(payload_map(p)) for p in K1.payloads]
+    if None in f:
+        p = K1.payloads[f.index(None)]
         raise VerificationError(
-            "cell counts differ: %d vs %d" % (n1, n2))
-    f = [None] * n1
-    seen = set()
-    for i in range(n1):
-        q = payload_map(K1.payloads[i])
-        j = K2.index.get(q)
-        if j is None:
+            "cell %s maps to %s, which is not a cell of the target"
+            % (fmt_payload(p), fmt_payload(payload_map(p))))
+    return verify_iso_ids(K1, K2, f, A1, A2)
+
+
+def verify_iso_ids(K1, K2, f, A1=None, A2=None):
+    """Check that the id table f, f[i] the image of K1 cell i, is an
+    isomorphism K1 -> K2: a bijection of the cell ids that preserves
+    dimensions and covers and, when actions are supplied, commutes with
+    each generator, so with every element.  Returns f as a list.
+
+    Raises VerificationError naming the cell by its payload label: a row
+    out of range, two cells that share an image, a cell whose dimension or
+    covers its image does not keep, or a cell and a generator that do not
+    commute; InputError for an action on a complex other than K1 or K2."""
+    n = len(K1.payloads)
+    if len(K2.payloads) != n:
+        raise VerificationError("cell counts differ: %d vs %d"
+                                % (n, len(K2.payloads)))
+    if len(f) != n:
+        raise VerificationError("isomorphism table has %d rows, expected %d"
+                                % (len(f), n))
+    f = list(f)
+    i = next((i for i, j in enumerate(f) if not (_is_id(j) and j < n)), None)
+    if i is not None:
+        raise VerificationError("cell %s maps to %r, which is not a cell id "
+                                "below %d" % (_label(K1, i), f[i], n))
+    if len(set(f)) != n:
+        first = {}
+        i = next(i for i, j in enumerate(f) if first.setdefault(j, i) != i)
+        raise VerificationError("cells %s and %s both map to %s" % (
+            _label(K1, first[f[i]]), _label(K1, i), _label(K2, f[i])))
+    for i, j in enumerate(f):
+        if (K1.dims[i] != K2.dims[j]
+                or {f[k] for k in K1.down[i]} != set(K2.down[j])):
             raise VerificationError(
-                "image of cell %d (%s) is not a cell of the target"
-                % (i, fmt_payload(K1.payloads[i])))
-        if j in seen:
-            raise VerificationError("payload map is not injective at cell %d" % i)
-        seen.add(j)
-        f[i] = j
-    return _check_iso(K1, K2, f, A1, A2)
-
-
-def _check_iso(K1, K2, f, A1, A2):
-    """The checks shared by verify_isomorphism and collapse.verify_iso_ids:
-    the id bijection f (a list indexed by K1 ids) preserves dimensions and
-    covers, and commutes with the actions when they are supplied.  Returns
-    f; raises VerificationError with the offending cell."""
-    n = len(f)
-    for i in range(n):
-        if K1.dims[i] != K2.dims[f[i]]:
-            raise VerificationError("dimension mismatch at cell %d" % i)
-    for i in range(n):
-        if {f[j] for j in K1.down[i]} != set(K2.down[f[i]]):
-            raise VerificationError("covers are not preserved at cell %d" % i)
+                "dimension or covers are not preserved at cell %s, which "
+                "maps to %s" % (_label(K1, i), _label(K2, j)))
     if A1 is not None or A2 is not None:
         if (A1 is None or A2 is None or A1.labels != A2.labels
                 or A1.order != A2.order):
             raise VerificationError("group actions are not aligned")
+        _check_acts_on(A1, K1, "the source of the map")
+        _check_acts_on(A2, K2, "the target of the map")
         # commuting with every generator, f commutes with every element
         for s, p1, p2 in zip(A1.labels, A1.perms, A2.perms):
             if list(map(f.__getitem__, p1)) != list(map(p2.__getitem__, f)):
                 i = next(i for i in range(n) if f[p1[i]] != p2[f[i]])
                 raise VerificationError(
-                    "map is not equivariant at cell %d, generator %r"
-                    % (i, s))
+                    "map is not equivariant at cell %s, generator %r"
+                    % (_label(K1, i), s))
     return f

@@ -32,12 +32,14 @@ Three layers live here:
   certificate from K to a complex isomorphic to the barycentric subdivision
   sd K.  Starring at a vertex only renames it, so no stage stars a vertex
   orbit: the end complex keeps each vertex of K, and the isomorphism onto
-  sd K maps it to its one-element chain.  All stages of one
-  deformation, built or replayed, run in one append-only cell store: a stage
-  appends its apex and cone cells and then works on alive flags, so it costs
-  about its star, not the whole complex.  A step names a cell by its id in
-  the stage's L: its rank among the live cells, which L lists first in
-  store order, or its place after them for a cell the stage appended.
+  sd K maps it to its one-element chain, an apex of m to (m,), and a cone
+  from that apex to its base's chain with m inserted.  All stages of one
+  deformation, built or replayed, run in one append-only cell store: a
+  stage appends its apex and cone cells, each with its member m, and then
+  works on alive flags, so it costs about its star, not the whole complex.
+  A step names a cell by its id in the stage's L: its rank among the live
+  cells, which L lists first in store order, or its place after them for a
+  cell the stage appended.
 
   A cell a stage appends gets its digest from its parts, and its payload is
   never encoded: an apex digests the tag b"A" and its member's digest, a
@@ -80,12 +82,14 @@ from .cellcx import (
     CONE,
     CellComplex,
     GroupAction,
-    _check_iso,
+    _is_id,
+    _label,
     barycentric_subdivision,
     canon_key,
     fmt_payload,
     lift_action_to_order_complex,
     orbit_star_data,
+    verify_iso_ids,
     verify_isomorphism,
 )
 from .errors import (
@@ -163,10 +167,6 @@ class CollapseState:
 
     def alive_ids(self):
         return [i for i, a in enumerate(self.alive) if a]
-
-
-def _label(K, i):
-    return fmt_payload(K.payloads[i])
 
 
 def apply_orbit_step(state, action, direction, sigma, facet):
@@ -396,10 +396,6 @@ def _need(ok, what, msg):
         raise InputError("malformed %s certificate: %s" % (what, msg))
 
 
-def _is_id(x):
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 def _cell_id(k, n):
     """k, if it is the id of a cell of an n-cell universe; else InputError."""
     if not _is_id(k) or k >= n:
@@ -564,9 +560,13 @@ class _CellStore(CollapseState):
     the store's alive flags, in one step loop for build and replay; no id
     ever moves.
     The live cells in id order are the current complex, and the cells a
-    stage appends come after all of them.  Cells that died give up their
-    payloads, index entries and up links when the next stage settles the
-    store.
+    stage appends come after all of them, so store order lists every cell
+    after its faces.  Cells that died give up their payloads, members,
+    index entries and up links when the next stage settles the store.
+
+    Like its digest, each cell gets its member when it is appended, the id
+    in K that _unfold reads: v for a vertex v of K, m for the apex of m and
+    for a cone from it, and None for a cell of K of positive dimension.
 
     The cells of K keep their digests.  An appended cell's digest comes from
     its parts (_cone_universe): the tag b"A" and its member's digest for an
@@ -600,6 +600,7 @@ class _CellStore(CollapseState):
         self.down = list(K.down)
         self.up = [list(u) for u in K.up]
         self.digests = list(K.digests)
+        self.members = [i if d == 0 else None for i, d in enumerate(K.dims)]
         self.index = dict(K.index)
         self.perms = [list(p) for p in A.perms]
         self.alive = [True] * n
@@ -615,10 +616,10 @@ class _CellStore(CollapseState):
         self.removed.append(i)
 
     def extend(self, cells):
-        """Append (payload, dim, down, digest) cells, dead, with their up
-        links; down is a tuple.  Returns their ids."""
+        """Append (payload, dim, down, digest, member) cells, dead, with
+        their up links; down is a tuple.  Returns their ids."""
         first = len(self.payloads)
-        payloads, dims, downs, digests = zip(*cells)
+        payloads, dims, downs, digests, members = zip(*cells)
         new = range(first, first + len(cells))
         index = self.index
         for i, payload in zip(new, payloads):
@@ -629,6 +630,7 @@ class _CellStore(CollapseState):
         self.dims += dims
         self.down += downs
         self.digests += digests
+        self.members += members
         self.up += [[] for _ in new]
         self.alive += [False] * len(new)
         self.updeg += [0] * len(new)
@@ -651,15 +653,17 @@ class _CellStore(CollapseState):
             for j in self.down[i]:
                 if self.alive[j]:
                     self.up[j].remove(i)
-            self.payloads[i] = None
+            self.payloads[i] = self.members[i] = None
             self.down[i] = self.up[i] = ()
         # A new list: a stage's _Universe keeps the one it started with.
         self.dead = sorted(self.dead + gone)
 
     def complex(self, ids):
         """The complex on the downward closed store ids `ids`, as
-        CellComplex.subcomplex builds it, and the action restricted to it."""
+        CellComplex.subcomplex builds it, with the members of its cells as
+        cx.members, and the action restricted to it."""
         cx, old2new = CellComplex.subcomplex(self, ids)
+        cx.members = list(map(self.members.__getitem__, old2new))
         return cx, _restrict_action(self, old2new, cx)
 
 
@@ -728,7 +732,7 @@ def _cone_universe(store, orbit, cof, ring, max_cells):
     for m in orbit:
         tok = (BARY, store.payloads[m])
         toks[m] = tok, _part_digest(_APEX_TAG, digests[m])
-        cells.append((tok, 0, (), toks[m][1]))
+        cells.append((tok, 0, (), toks[m][1], m))
     for m in orbit:
         tok, apex = toks[m]
         prefix = _CONE_TAG + apex.to_bytes(16, "big")
@@ -738,7 +742,7 @@ def _cone_universe(store, orbit, cof, ring, max_cells):
             else:
                 down = (b, *[cone_id[(m, j)] for j in store.down[b]])
             cells.append(((CONE, tok, store.payloads[b]), store.dims[b] + 1,
-                          down, _part_digest(prefix, digests[b])))
+                          down, _part_digest(prefix, digests[b]), m))
     new = store.extend(cells)
 
     for p in store.perms:
@@ -921,10 +925,11 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
     store = _CellStore(K, A)
     run = _stellar_stage(store, sigma, max_cells)[1]
     L, LA = store.complex(range(len(store.payloads)))
-    final, old2new = L.subcomplex(store.alive_ids())
+    alive = store.alive_ids()
+    final, final_action = store.complex(alive)
     cert = DeformationCertificate((K.fingerprint, final.fingerprint), [run])
-    return StellarStage(cert, L, LA, final,
-                        _restrict_action(LA, old2new, final), old2new)
+    return StellarStage(cert, L, LA, final, final_action,
+                        dict(zip(alive, range(len(alive)))))
 
 
 # ---------------------------------------------------------------------------
@@ -951,49 +956,33 @@ def _schedule(K, A):
     return sorted(orbs, key=lambda ob: (-K.dims[ob[0]], ob[0]))
 
 
-def _flatten_map(K):
-    """Payload map from the cells of an sd-deformation's end complex to
-    chains of K-ids, i.e. cells of sd K.  Such a cell is an apex (BARY,
-    payload of a cell of K), a vertex of K, which no stage stars and which
-    keeps its K payload, or a cone (CONE, apex, base) over such a cell.
-    Raises VerificationError naming the cell for any other part, as the
-    map is only proposed and verify_isomorphism certifies it."""
-    found = {}
-
-    def k_id(cell, tok):
-        # the K-id of an apex token (BARY, q), or of a vertex token
-        i = found.get(tok)
-        if i is None:
-            vertex = not (isinstance(tok, tuple) and len(tok) == 2
-                          and tok[0] == BARY)
-            q = tok if vertex else tok[1]
-            i = K.index.get(q)
-            if i is None or (vertex and K.dims[i] != 0):
+def _unfold(E, EA, sd_action):
+    """The id table of the G-isomorphism from E, the end complex of an
+    sd-deformation of K with action EA, onto sd K = sd_action.cx, checked by
+    verify_iso_ids.  One pass reads it from E.members, as E lists every cell
+    after its faces: a vertex v of K or an apex of m goes to the chain (v,)
+    or (m,), whose id is v or m, and a cone from the apex of m to its base's
+    (first cover's) chain with m inserted.  Raises VerificationError naming
+    a cone over a cell of K of positive dimension, which has no image, or a
+    cone whose image is not a chain of K."""
+    chains, index = sd_action.cx.payloads, sd_action.cx.index
+    f = []
+    for i, (m, down) in enumerate(zip(E.members, E.down)):
+        if down and m is not None:
+            if f[down[0]] is None:
                 raise VerificationError(
-                    "cell %s is not fully subdivided: %s is not a %s of K"
-                    % (fmt_payload(cell), fmt_payload(q),
-                       "vertex" if vertex else "cell"))
-            found[tok] = i
-        return i
-
-    def flat(p):
-        # a cone's apex is a token, so only its base nests
-        ids = []
-        x = p
-        while type(x) is tuple and len(x) == 3 and x[0] == CONE:
-            ids.append(k_id(p, x[1]))
-            x = x[2]
-        ids.append(k_id(p, x))
-        return tuple(sorted(ids))
-    return flat
-
-
-def _unfold(K, E, EA, sd_action):
-    """The id map of the G-isomorphism from E, the end complex of an
-    sd-deformation of K with action EA, onto sd K = sd_action.cx, as
-    _flatten_map proposes it and verify_isomorphism checks it."""
-    return verify_isomorphism(E, sd_action.cx, _flatten_map(K), EA,
-                              sd_action)
+                    "cell %s is not fully subdivided: it is a cone over %s, "
+                    "a cell of K" % (_label(E, i), _label(E, down[0])))
+            ch = chains[f[down[0]]]
+            k = bisect_left(ch, m)
+            ch = ch[:k] + (m,) + ch[k:]
+            m = index.get(ch)
+            if m is None:
+                raise VerificationError(
+                    "cell %s maps to %s, which is not a chain of K"
+                    % (_label(E, i), fmt_payload(ch)))
+        f.append(m)
+    return verify_iso_ids(E, sd_action.cx, f, EA, sd_action)
 
 
 def sd_deformation(K, A, sd_action, max_cells=None):
@@ -1013,7 +1002,7 @@ def sd_deformation(K, A, sd_action, max_cells=None):
             for ob in _schedule(K, A)]
     cur, cur_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), runs)
-    iso = _unfold(K, cur, cur_action, sd_action)
+    iso = _unfold(cur, cur_action, sd_action)
     return SdDeformation(cert, cur, cur_action, sd_action.cx, sd_action, iso)
 
 
@@ -1046,25 +1035,6 @@ def replay_sd_deformation(K, A, cert, max_cells=None):
 # the main theorem certificate
 
 
-def verify_iso_ids(K1, K2, f, A1=None, A2=None):
-    """Check that the id list f, f[i] the image of K1 cell i, is a
-    (G-)isomorphism K1 -> K2.
-
-    Raises VerificationError with the offending cell; returns f as a
-    list."""
-    n = len(K1.payloads)
-    if len(K2.payloads) != n:
-        raise VerificationError("cell counts differ: %d vs %d"
-                                % (n, len(K2.payloads)))
-    if len(f) != n:
-        raise VerificationError("isomorphism table has %d rows, expected %d"
-                                % (len(f), n))
-    if not all(_is_id(j) and j < n for j in f) or len(set(f)) != n:
-        raise VerificationError("isomorphism table is not a bijection of "
-                                "cell ids")
-    return _check_iso(K1, K2, list(f), A1, A2)
-
-
 class MainTheoremCertificate:
     """A six-stage machine-checkable witness that Hom(K_r^r, H) and
     B_edge(H) are simple-S_r-homotopy equivalent.
@@ -1080,9 +1050,10 @@ class MainTheoremCertificate:
     Each stage is a dict with its "kind" and "name".  A deformation stage
     holds its DeformationCertificate under "certificate"; an isomorphism
     stage holds the fingerprints of its two complexes under "from" and
-    "to".  It stores no map: replay regenerates each isomorphism from the
-    payloads as the build does (_unfold for stages 2 and 5, the product map
-    i for stage 3) and checks it.  The JSON form is of format version 5;
+    "to".  It stores no map: replay regenerates each isomorphism as the
+    build does (_unfold for stages 2 and 5, from the members of the end
+    complex's cells; the product map i for stage 3) and checks it with
+    verify_iso_ids.  The JSON form is of format version 5;
     see DeformationCertificate for its runs and steps.
     """
 
@@ -1237,7 +1208,7 @@ def replay_main_theorem(H, cert, max_cells=None):
     the chains of products, whose items i∘p fixes (ip_tables), the set
     Matching.verify checks a matching's critical cells against.  Every
     deformation is replayed step by step, every isomorphism is regenerated
-    from the payloads and re-verified, including equivariance, and all
+    as the build does and re-verified, including equivariance, and all
     stage endpoints must chain.  Returns the (hom, box) bundles it checked;
     raises VerificationError (or a subclass) on any mismatch, and
     InputError on a malformed certificate, with the stage name first in the
@@ -1277,7 +1248,7 @@ def replay_main_theorem(H, cert, max_cells=None):
 
     with _stage("unfold-hom-subdivision"):
         _check_ends(s[1], e_hom, crit.sd_hom)
-        _unfold(hom.cx, e_hom, e_hom_action, crit.sd_hom_action)
+        _unfold(e_hom, e_hom_action, crit.sd_hom_action)
 
     with _stage("expand-to-sd-box"):
         c3 = s[3]["certificate"]
@@ -1304,5 +1275,5 @@ def replay_main_theorem(H, cert, max_cells=None):
 
     with _stage("fold-box-subdivision"):
         _check_ends(s[4], sd, e_box)
-        _unfold(box.cx, e_box, e_box_action, action)
+        _unfold(e_box, e_box_action, action)
     return hom, box

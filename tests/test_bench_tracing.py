@@ -43,8 +43,8 @@ def test_tracer_installs_and_traces_theorem_build_and_replay(tmp_path):
     for layer in ("cellcx.order_complex_s", "cellcx.lift_action_s",
                   "cellcx.group_action_s", "morse.classify_s",
                   "collapse.sd_box_s", "collapse.assembly_s",
-                  "collapse.replay_main_s", "homology.betti_s",
-                  "cli.json_s"):
+                  "collapse.replay_main_s", "collapse.iso_check_s",
+                  "homology.betti_s", "cli.json_s"):
         assert layers[layer] > 0, layer
     assert counts["morse.chains"] > 0 and counts["cellcx.group_actions"] > 0
     assert counts["collapse.stellar_stages"] > 0

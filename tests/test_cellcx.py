@@ -638,10 +638,19 @@ def test_verify_isomorphism(hollow_triangle):
     f = hb.verify_isomorphism(
         hollow_triangle, K2, lambda p: frozenset(ren[v] for v in p))
     assert sorted(f) == list(range(6))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError,
+                       match=r"^cells \{a,b\} and \{a,c\} both map to "
+                             r"\{p,q\}$"):
         hb.verify_isomorphism(
             hollow_triangle, K2,
             lambda p: frozenset("pq") if len(p) == 2 else
+            frozenset(ren[v] for v in p))
+    with pytest.raises(VerificationError,
+                       match=r"^cell \{a,b\} maps to \{p,r\}, which is "
+                             r"not a cell of the target$"):
+        hb.verify_isomorphism(
+            hollow_triangle, K2,
+            lambda p: frozenset("pr") if p == frozenset("ab") else
             frozenset(ren[v] for v in p))
     # equivariance: rotation on both sides commutes with renaming
     A1, A2 = z3_action(hollow_triangle), z3_action(K2, "pqs")

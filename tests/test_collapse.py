@@ -866,26 +866,76 @@ def test_replay_sd_deformation_tamper(solid_triangle, matchings):
 
 
 def test_verify_iso_ids_rejects(hollow_triangle):
+    # each failure names the cell by its payload label
     K2 = hb.CellComplex.from_simplices(
         [frozenset("pq"), frozenset("qs"), frozenset("sp")])
     ren = {"a": "p", "b": "q", "c": "s"}
     f = [K2.index[frozenset(ren[v] for v in p)]
          for p in hollow_triangle.payloads]
     assert hb.verify_iso_ids(hollow_triangle, K2, f)
+
+    def refused(table, message, *actions):
+        with pytest.raises(VerificationError, match="^%s$" % re.escape(
+                message)):
+            hb.verify_iso_ids(hollow_triangle, K2, table, *actions)
+
+    def swapped(i, j):
+        bad = list(f)
+        bad[i], bad[j] = bad[j], bad[i]
+        return bad
+
     bad = list(f)
     bad[0] = bad[1]
-    with pytest.raises(VerificationError):
-        hb.verify_iso_ids(hollow_triangle, K2, bad)
-    with pytest.raises(VerificationError):
-        hb.verify_iso_ids(hollow_triangle, K2, f[:-1])
+    refused(bad, "cells {a} and {b} both map to {q}")
+    refused(f[:-1], "isomorphism table has 5 rows, expected 6")
     bad = list(f)
     bad[0] = len(f)
-    with pytest.raises(VerificationError):
-        hb.verify_iso_ids(hollow_triangle, K2, bad)
+    refused(bad, "cell {a} maps to 6, which is not a cell id below 6")
     # rows [i, f(i)] are not a map
-    with pytest.raises(VerificationError, match="bijection of cell ids"):
-        hb.verify_iso_ids(hollow_triangle, K2, [[i, j] for i, j in
-                                                enumerate(f)])
+    refused([[i, j] for i, j in enumerate(f)],
+            "cell {a} maps to [0, 0], which is not a cell id below 6")
+    # a vertex swapped with an edge, and two vertices swapped
+    refused(swapped(0, 3), "dimension or covers are not preserved at cell "
+            "{a}, which maps to {p,q}")
+    refused(swapped(0, 1), "dimension or covers are not preserved at cell "
+            "{a,c}, which maps to {p,s}")
+    # a target whose last cell has the covers of an edge but dimension 2
+    odd = hb.CellComplex(K2.payloads, K2.dims[:-1] + [2], K2.down)
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(
+            "dimension or covers are not preserved at cell {b,c}, which "
+            "maps to {q,s}")):
+        hb.verify_iso_ids(hollow_triangle, odd, f)
+    # the rotation a -> b -> c against p -> s -> q
+    A1 = z3_action(hollow_triangle)
+    refused(f, "map is not equivariant at cell {a}, generator 'r'", A1,
+            z3_action(K2, "psq"))
+    refused(f, "group actions are not aligned", A1)
+
+
+def test_isomorphism_checkers_refuse_actions_on_other_complexes():
+    # C acts on the 5-cell path K, B on the 7-cell triangle L, both by one
+    # generator "t" of order 2.  Neither front certifies an identity of K
+    # against B, in either order, nor against an action on K whose
+    # permutation is too short
+    K = hb.CellComplex.from_simplices([frozenset("ab"), frozenset("bc")])
+    L = hb.CellComplex.from_simplices([frozenset("abc")])
+    C = _explicit_action(K, "t", {"a": "c", "c": "a"})
+    B = _explicit_action(L, "t", {"a": "b", "b": "a"})
+    short = hb.GroupAction(K, [[0, 1, 2, 3]], ["t"], False, order=2,
+                           relations=[((0, 0), ())])
+    f = list(range(len(K)))
+    assert hb.verify_iso_ids(K, K, f, C, C) == f
+    assert hb.verify_isomorphism(K, K, lambda p: p, C, C) == f
+    for A1, A2, side, A in ((C, B, "target", B), (B, C, "source", B),
+                            (C, short, "target", short)):
+        message = ("the action is on a complex of %d cells with fingerprint "
+                   "%s, not on the %s of the map (5 cells, %s)"
+                   % (len(A.cx), A.cx.fingerprint_hex[:8], side,
+                      K.fingerprint_hex[:8]))
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            hb.verify_iso_ids(K, K, f, A1, A2)
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            hb.verify_isomorphism(K, K, lambda p: p, A1, A2)
 
 
 def test_main_theorem_certificate_round_trip(matchings):
@@ -944,29 +994,38 @@ def test_main_theorem_tamper_detection(matchings):
 
 
 def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
-    # replay checks each isomorphism it regenerates from the payloads: a
-    # payload map that is no isomorphism fails with the stage named.  Each
-    # map here sends every cell to one cell of the target
+    # replay checks each isomorphism it regenerates: a table that is no
+    # isomorphism fails with the stage named.  Each table here sends every
+    # cell to one cell of the target
     M = matchings["K3_122"]
     obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
-    flatten_map = collapse._flatten_map
+    check = collapse.verify_iso_ids
     # the stage is chosen by K's payload type: Hom cells are products
-    # (tuples), box cells vertex sets (frozensets)
-    for stage, kind in (("unfold-hom-subdivision", tuple),
-                        ("fold-box-subdivision", frozenset)):
+    # (tuples), box cells vertex sets (frozensets).  An end complex lists
+    # the vertices of K first, in K's order
+    for stage, K, kind in (("unfold-hom-subdivision", M.hom.cx, tuple),
+                           ("fold-box-subdivision", M.box.cx, frozenset)):
         monkeypatch.setattr(
-            collapse, "_flatten_map",
-            lambda K: ((lambda p: (0,)) if isinstance(K.payloads[0], kind)
-                       else flatten_map(K)))
-        with pytest.raises(VerificationError, match="^%s: payload map is "
-                           "not injective at cell 1$" % stage):
+            collapse, "verify_iso_ids",
+            lambda K1, K2, f, *a, kind=kind: check(
+                K1, K2, [0] * len(f) if isinstance(K1.payloads[0], kind)
+                else f, *a))
+        with pytest.raises(VerificationError, match="^%s$" % re.escape(
+                "%s: cells %s and %s both map to (0)"
+                % (stage, fmt_payload(K.payloads[0]),
+                   fmt_payload(K.payloads[1])))):
             hb.replay_main_theorem(M.graph, obj)
     monkeypatch.undo()
     product = hb.i_image_ids(M.hom, M.box)[0]
     monkeypatch.setattr(collapse, "i_image_ids",
                         lambda hom, box: [product] * len(hom.cx))
-    with pytest.raises(VerificationError, match="^products-into-sd-box: "
-                       "payload map is not injective at cell 1$"):
+    # the first chain of two items maps to a chain that repeats an item
+    sdh = hb.barycentric_subdivision(M.hom.cx)
+    two = next(ch for ch in sdh.payloads if len(ch) == 2)
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(
+            "products-into-sd-box: cell %s maps to %s, which is not a cell "
+            "of the target" % (fmt_payload(two),
+                               fmt_payload((product, product))))):
         hb.replay_main_theorem(M.graph, obj)
 
 
@@ -1386,41 +1445,69 @@ def test_version_3_rejects_vertex_runs(matchings):
             hb.replay_main_theorem(M.graph, bad)
 
 
-def _crafted(E, old, new):
-    """E with the payload old replaced by new."""
-    return hb.CellComplex([new if p == old else p for p in E.payloads],
-                          E.dims, E.down)
+def test_unfold_refuses_the_end_of_one_stellar_stage(solid_triangle):
+    # _unfold maps the end of a whole sd-deformation onto sd K, and refuses
+    # the end of one stellar stage, naming its first cone over a cell of K
+    # that no stage starred, on vertex sets and products alike, and a cone
+    # whose image is not a chain of K
+    for K, top in ((solid_triangle, frozenset("abc")), product_square()):
+        A = hb.trivial_action(K)
+        d = sd_deformation(K, A)
+        assert collapse._unfold(d.final, d.final_action, d.sd_action) == d.iso
+        E = hb.stellar_deformation_certificate(K, A, K.index[top]).final
+        cone = next(p for p in E.payloads if type(p) is tuple
+                    and p[0] == CONE and K.dims[K.index[p[2]]] > 0)
+        with pytest.raises(VerificationError, match="^%s$" % re.escape(
+                "cell %s is not fully subdivided: it is a cone over %s, a "
+                "cell of K" % (fmt_payload(cone), fmt_payload(cone[2])))):
+            collapse._unfold(E, hb.trivial_action(E), d.sd_action)
+        # a cone over a vertex, with its member set to that vertex's
+        E = d.final
+        i = next(i for i, dn in enumerate(E.down) if dn and not E.down[dn[0]])
+        v = E.members[i] = E.members[E.down[i][0]]
+        with pytest.raises(VerificationError, match="^%s$" % re.escape(
+                "cell %s maps to (%d,%d), which is not a chain of K"
+                % (fmt_payload(E.payloads[i]), v, v))):
+            collapse._unfold(E, d.final_action, d.sd_action)
 
 
-def test_flatten_map_names_a_cell_outside_k(solid_triangle):
-    # the end complex's payload map raises a VerificationError that names
-    # the cell, for a bare vertex that is not one of K and an apex of a
-    # cell that K lacks, on vertex sets and products alike: each case
-    # replaces the payload old of the end complex by new, whose part q is
-    # at fault
-    from hombox.collapse import _flatten_map
+def _flattened(K, E, sd):
+    """The id table of E, the end complex of an sd-deformation of K, onto sd
+    K, read from the payloads: the reference for _unfold.  A cell of E is a
+    vertex of K, an apex (BARY, q) of a cell q of K, or a cone (CONE, apex,
+    base) over such a cell, so its chain is the sorted K-ids of the apexes'
+    cells down its nested bases and of the innermost base."""
+    def k_id(x):
+        if type(x) is tuple and x[0] == BARY:
+            return K.index[x[1]]
+        assert K.dims[K.index[x]] == 0, fmt_payload(x)
+        return K.index[x]
 
-    def P(*sets):
-        return tuple(frozenset(s) for s in sets)
+    table = []
+    for p in E.payloads:
+        ids = []
+        while type(p) is tuple and p[0] == CONE:
+            ids.append(k_id(p[1]))
+            p = p[2]
+        table.append(sd.index[tuple(sorted(ids + [k_id(p)]))])
+    return table
 
-    F = frozenset
-    K, _ = product_square()
-    for K, cases in (
-            (solid_triangle, [
-                (F("a"), F("z"), F("z"), "vertex"),
-                (F("a"), F("ab"), F("ab"), "vertex"),
-                ((BARY, F("ab")), (BARY, F("az")), F("az"), "cell")]),
-            (K, [
-                (P("a", "x"), P("c", "x"), P("c", "x"), "vertex"),
-                (P("a", "x"), P("ab", "x"), P("ab", "x"), "vertex"),
-                ((BARY, P("ab", "x")), (BARY, P("bc", "x")), P("bc", "x"),
-                 "cell")])):
-        d = sd_deformation(K, hb.trivial_action(K))
-        flat = _flatten_map(K)
-        assert hb.verify_isomorphism(d.final, d.sd, flat) == d.iso
-        for old, new, q, kind in cases:
-            E = _crafted(d.final, old, new)
-            with pytest.raises(VerificationError, match="^%s$" % re.escape(
-                    "cell %s is not fully subdivided: %s is not a %s of K"
-                    % (fmt_payload(new), fmt_payload(q), kind))):
-                hb.verify_isomorphism(E, d.sd, flat)
+
+def test_unfold_equals_the_flattened_cone_payloads(matchings):
+    for label, K, A, sd_action in _corpus_complexes(matchings):
+        d = hb.sd_deformation(K, A, sd_action)
+        assert d.iso == _flattened(K, d.final, d.sd), label
+
+
+def test_store_order_lists_every_cell_after_its_faces(matchings):
+    # _unfold reads a cone's image from its base's row, an earlier one: in
+    # the store a cell's covers have lower ids, through every stage, so the
+    # end complex lists each cell after its faces
+    for label, K, A, _ in _corpus_complexes(matchings):
+        store = collapse._CellStore(K, A)
+        for ob in collapse._schedule(K, A):
+            collapse._stellar_stage(store, ob[0], None)
+        E = store.complex(store.alive_ids())[0]
+        for cx in (store, E):
+            assert all(j < i for i, down in enumerate(cx.down)
+                       for j in down), label

@@ -26,13 +26,17 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # cells are those whose up tuple is empty.  verify_acyclic: Matching.verify
 # runs the cycle search.  hom_leq: the multihom order is componentwise
 # inclusion (enumerate_multihoms).  generates_complete and EmptyPart:
-# contains_complete_sub is the one complete-subgraph test.
+# contains_complete_sub is the one complete-subgraph test.  _flatten_map and
+# _check_iso: verify_iso_ids is the one isomorphism checker, on id tables;
+# _unfold reads the table of a stellar end complex from its cells' members,
+# and verify_isomorphism is the payload front of verify_iso_ids.
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
            "_multihom_encoder", "elementary_g_collapse", "GCollapse",
            "free_facet", "closed_star", "maximal_ids", "verify_acyclic",
-           "hom_leq", "generates_complete", "EmptyPart")
+           "hom_leq", "generates_complete", "EmptyPart", "_flatten_map",
+           "_check_iso")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph),)
 
@@ -61,3 +65,10 @@ def test_added_names_are_exported():
     for name, module in ADDED:
         assert name in hb.__all__
         assert getattr(hb, name) is getattr(module, name)
+
+
+def test_one_isomorphism_checker():
+    # collapse imports the checker by name, as the benchmark's tracer finds
+    # it there
+    assert hb.verify_iso_ids is cellcx.verify_iso_ids
+    assert collapse.verify_iso_ids is cellcx.verify_iso_ids
