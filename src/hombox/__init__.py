@@ -19,14 +19,14 @@ from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        verify_critical_isomorphism)
 from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                      HomboxError, InputError, InvalidParams, MatchingInvalid,
-                     NotFree, NotInSigma, OrbitCofaceClash,
+                     NotFree, OrbitCofaceClash,
                      OrbitNotIndependentlyFree, SizeGuard, Stuck,
                      UnknownVertex, VerificationError, WrongCodimension)
 from .homcx import (HomComplex, action_on_multihoms, enumerate_multihoms,
                     hom_complex, hom_dim, s_r_generators, s_r_labels)
 from .homology import (HomologyAgreement, betti, homology_agreement,
                        homology_report, oriented_boundary)
-from .morse import Matching, build_matching, classify_chain, mu
+from .morse import Matching, build_matching
 from .rgraph import (RGraph, complete_multipartite, complete_rgraph,
                      contains_complete_sub, kneser_rgraph, load_rgraph,
                      new_rgraph)
@@ -48,14 +48,14 @@ __all__ = [
     "stellar_deformation_certificate", "verify_critical_isomorphism",
     "DegenerateEdge", "DuplicateEdge", "EdgeWrongArity",
     "HomboxError", "InputError", "InvalidParams", "MatchingInvalid",
-    "NotFree", "NotInSigma", "OrbitCofaceClash", "OrbitNotIndependentlyFree",
+    "NotFree", "OrbitCofaceClash", "OrbitNotIndependentlyFree",
     "SizeGuard", "Stuck", "UnknownVertex", "VerificationError",
     "WrongCodimension",
     "HomComplex", "action_on_multihoms", "enumerate_multihoms", "hom_complex",
     "hom_dim", "s_r_generators", "s_r_labels",
     "HomologyAgreement", "betti", "homology_agreement", "homology_report",
     "oriented_boundary",
-    "Matching", "build_matching", "classify_chain", "mu",
+    "Matching", "build_matching",
     "RGraph", "complete_multipartite", "complete_rgraph",
     "contains_complete_sub", "kneser_rgraph",
     "load_rgraph", "new_rgraph",

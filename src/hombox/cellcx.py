@@ -442,9 +442,21 @@ class GroupAction:
     permutations; the caller vouches that the relations present a group of
     that order (symmetric), and transport carries both over unchecked.
     Checked, the action copies the permutation lists in perms; unchecked,
-    it takes them over."""
+    it takes them over.
 
-    def __init__(self, cx, perms, labels, check=True, *, order, relations):
+    words is the word table, or None until the first orbit of |G| cells
+    that a search finds (_search) gives it: the rows (parent row,
+    generator) of that search's tree, row k naming the word w_k = w_parent
+    followed by the generator, after the empty word w_0.  On a free orbit
+    g -> x.g is a bijection, so the tree spans G's Cayley graph: the words
+    are all of G, and for every cell x of a free orbit, x.w_0, x.w_1, ...
+    is that orbit in the order a search from x meets it.  orbit (so
+    orbits) and collapse.apply_orbit_step read orbits down the table, one
+    list index per cell; transport hands it on, as the presentation is the
+    same."""
+
+    def __init__(self, cx, perms, labels, check=True, *, order, relations,
+                 words=None):
         self.cx = cx
         self.perms = [list(p) for p in perms] if check else list(perms)
         self.labels = list(labels)
@@ -461,6 +473,7 @@ class GroupAction:
                 raise InputError("relation %r is not a pair of words in the "
                                  "%d generators" % (rel, n))
         self.order, self.relations = order, relations
+        self._set_words(words)
         if check:
             self._check_automorphisms()
             self._check_relations()
@@ -507,7 +520,14 @@ class GroupAction:
         them: the caller passes lists it built for it and changes them no
         more."""
         return GroupAction(cx, perms, self.labels, False, order=self.order,
-                           relations=self.relations)
+                           relations=self.relations, words=self.words)
+
+    def _set_words(self, words):
+        """Keep the word table words, or None while it is unknown, and its
+        rows on this action's generators."""
+        self.words = words
+        self._rows = (None if words is None
+                      else [(a, self.perms[g]) for a, g in words])
 
     def _check_automorphisms(self, ids=None):
         """Check that each generator permutes the cells ids (default: all)
@@ -543,15 +563,41 @@ class GroupAction:
                                             self.cx.payloads[i])))
 
     def orbit(self, i):
-        """The orbit of cell i, as a sorted tuple."""
+        """The orbit of cell i, as a sorted tuple: found by a search while
+        the word table is unknown, and then the cells i.w down the table.
+        Its words are |G| distinct elements, so all of G (this trusts
+        `order`), and the cells i.w are the orbit of i, free or not."""
+        cells = self._word_cells(i)
+        return tuple(sorted(self._search(i) if cells is None else set(cells)))
+
+    def _word_cells(self, i):
+        """The cells i.w for the words w of the table, in its order, one
+        list index each; None while the table is unknown."""
+        rows = self._rows
+        if rows is None:
+            return None
+        cells = [i]
+        for a, p in rows:
+            cells.append(p[cells[a]])
+        return cells
+
+    def _search(self, i):
+        """The orbit of cell i, searched breadth first along the
+        generators, as a list in the order the search meets its cells.  The
+        first orbit of |G| cells found gives the action its word table."""
         seen = {i}
         todo = [i]
-        for x in todo:
-            for p in self.perms:
-                if p[x] not in seen:
-                    seen.add(p[x])
-                    todo.append(p[x])
-        return tuple(sorted(seen))
+        words = []
+        for a, x in enumerate(todo):
+            for g, p in enumerate(self.perms):
+                y = p[x]
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+                    words.append((a, g))
+        if self.words is None and len(todo) == self.order:
+            self._set_words(words)
+        return todo
 
     def orbits(self, ids=None):
         """Orbits (as sorted tuples) listed by ascending minimal member."""

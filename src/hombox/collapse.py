@@ -5,11 +5,13 @@ Three layers live here:
 * Elementary G-collapses: one primitive, apply_orbit_step, removes a free
   cell orbit together with its facets (or adds them back), and checks every
   orbit step, built or replayed: given the orbit's least cell and its
-  facet, it regenerates the orbit and the other facets from the action's
-  generators.  Each acyclic matching collapses whole orbit by whole orbit,
-  in the order of a key that its acyclicity proof gives, a linear extension
-  of its modified Hasse diagram (Forman, "Morse theory for cell complexes",
-  Adv. Math. 1998; Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11):
+  facet, it regenerates the orbit and the other facets down the action's
+  word table, trusting the action's order |G| (cellcx.GroupAction), and
+  moves them in one update of the alive set.  Each acyclic matching
+  collapses whole orbit by whole orbit, in the order of a key that its
+  acyclicity proof gives, a linear extension of its modified Hasse diagram
+  (Forman, "Morse theory for cell complexes", Adv. Math. 1998; Kozlov,
+  Combinatorial Algebraic Topology, 2008, ch. 11):
 
   1. the matching on sd B_edge(H): chain length descending, then the box
      dimension of the chain's topmost non-product x descending, since a
@@ -125,8 +127,8 @@ class CollapseState:
 
     Tracks, per cell, the number of alive cells covering it (updeg) and the
     order-independent fingerprint of the alive set, both maintained
-    incrementally under removals and additions.  With every cell alive,
-    updeg starts as a copy of the universe's up-degree count.
+    incrementally by set_alive, one call per orbit step.  With every cell
+    alive, updeg starts as a copy of the universe's up-degree count.
     """
 
     def __init__(self, universe, alive=None):
@@ -151,19 +153,18 @@ class CollapseState:
     def fingerprint_hex(self):
         return "%032x" % self.fingerprint
 
-    def remove(self, i):
-        self.alive[i] = False
-        self.n_alive -= 1
-        self.fingerprint = (self.fingerprint - self.cx.digests[i]) & _MASK128
-        for j in self.cx.down[i]:
-            self.updeg[j] -= 1
-
-    def add(self, i):
-        self.alive[i] = True
-        self.n_alive += 1
-        self.fingerprint = (self.fingerprint + self.cx.digests[i]) & _MASK128
-        for j in self.cx.down[i]:
-            self.updeg[j] += 1
+    def set_alive(self, ids, alive):
+        """Set the flag of the distinct cells ids, a list of cells that
+        each have the other flag now, to alive (True) or dead (False)."""
+        flags, updeg, down = self.alive, self.updeg, self.cx.down
+        step = 1 if alive else -1
+        for i in ids:
+            flags[i] = alive
+            for j in down[i]:
+                updeg[j] += step
+        self.n_alive += step * len(ids)
+        self.fingerprint = (self.fingerprint + step * sum(
+            map(self.cx.digests.__getitem__, ids))) & _MASK128
 
     def alive_ids(self):
         return [i for i, a in enumerate(self.alive) if a]
@@ -174,10 +175,18 @@ def apply_orbit_step(state, action, direction, sigma, facet):
 
     The step moves the orbit of cell sigma with one facet per member: sigma
     gets `facet`, and a generator carries a member's facet to its image's.
-    The orbit and its facets come from a search along the generators
-    (_carry); unless the orbit is free, every generator must carry the
-    facets so, which covers the stabilizers.  direction "c" collapses the
-    orbit with its facets, "e" expands them.
+    The orbit and its facets come from the action's word table
+    (cellcx.GroupAction), one list index per cell: the member sigma.w gets
+    the facet facet.w, for each word w of the table, in the order a search
+    from sigma meets the orbit.  While the table is unknown, a search of
+    sigma's orbit reads it first.  If the members are |G| distinct cells,
+    the orbit is free and they are all of it: this fast path trusts
+    `order` = |G|, as _carry's stabilizer skip does.  Otherwise the orbit
+    and its facets come from a search along the generators (_carry), and
+    every generator must carry the facets so, which covers the
+    stabilizers.  direction "c" collapses the orbit with its facets, "e"
+    expands them.  Every check runs before any cell moves, and the state
+    then changes in one set_alive call.
 
     Raises InputError for another direction; WrongCodimension if facet is
     not one dimension above sigma; VerificationError if it does not cover
@@ -198,7 +207,13 @@ def apply_orbit_step(state, action, direction, sigma, facet):
     if sigma not in K.down[facet]:
         raise VerificationError("cell %s is not a cover of cell %s"
                                 % (_label(K, facet), _label(K, sigma)))
-    orbit = _carry(action, sigma, facet, list.__getitem__, _facet_clash)
+    if action.words is None:
+        action._search(sigma)
+    members = action._word_cells(sigma)
+    orbit = None if members is None else dict(
+        zip(members, action._word_cells(facet)))
+    if orbit is None or len(orbit) != action.order:
+        orbit = _carry(action, sigma, facet, list.__getitem__, _facet_clash)
     if min(orbit) != sigma:
         raise VerificationError("step sigma is not the orbit representative")
     if len(set(orbit.values())) != len(orbit):
@@ -216,9 +231,7 @@ def apply_orbit_step(state, action, direction, sigma, facet):
                 raise NotFree(
                     "cell %s has %d alive cofacets, so it is not free"
                     % (_label(K, m), updeg[m]))
-        for m, f in orbit.items():
-            state.remove(f)
-            state.remove(m)
+        state.set_alive([*orbit, *orbit.values()], False)
         return orbit
     for m, f in orbit.items():
         if alive[m] or alive[f]:
@@ -236,9 +249,7 @@ def apply_orbit_step(state, action, direction, sigma, facet):
                 raise VerificationError(
                     "expansion of facet %s lacks face %s"
                     % (_label(K, f), _label(K, j)))
-    for m, f in orbit.items():
-        state.add(m)
-        state.add(f)
+    state.set_alive([*orbit, *orbit.values()], True)
     return orbit
 
 
@@ -586,6 +597,9 @@ class _CellStore(CollapseState):
     cofaces = CellComplex.cofaces
     orbit = GroupAction.orbit
     orbits = GroupAction.orbits
+    _word_cells = GroupAction._word_cells
+    _search = GroupAction._search
+    _set_words = GroupAction._set_words
     transport = GroupAction.transport
     _check_automorphisms = GroupAction._check_automorphisms
     _check_relations = GroupAction._check_relations
@@ -603,6 +617,7 @@ class _CellStore(CollapseState):
         self.members = [i if d == 0 else None for i, d in enumerate(K.dims)]
         self.index = dict(K.index)
         self.perms = [list(p) for p in A.perms]
+        self._set_words(A.words)
         self.alive = [True] * n
         self.n_alive = n
         self.updeg = K.up_degrees()
@@ -611,9 +626,10 @@ class _CellStore(CollapseState):
         self.n_settled = n    # cells appended after this are not settled
         self.removed = []     # ids removed since the last settle
 
-    def remove(self, i):
-        CollapseState.remove(self, i)
-        self.removed.append(i)
+    def set_alive(self, ids, alive):
+        CollapseState.set_alive(self, ids, alive)
+        if not alive:
+            self.removed += ids
 
     def extend(self, cells):
         """Append (payload, dim, down, digest, member) cells, dead, with

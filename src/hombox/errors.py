@@ -89,10 +89,6 @@ class OrbitNotIndependentlyFree(VerificationError):
     the same cofacet, or an orbit member's pairing leaves the orbit."""
 
 
-class NotInSigma(VerificationError):
-    """A chain submitted for matching lookup is not in the matched family."""
-
-
 class MatchingInvalid(VerificationError):
     """The partial matching fails one of its defining identities
     (partition, involution-freeness, cover condition, equivariance)."""

@@ -27,8 +27,8 @@ not critical, the chain takes t's tag and its partner is (i,) +
 partner(t); otherwise it is critical if i is a product, upper if t starts
 with c(i), and in Sigma with partner (i, c(i)) + t if not.  build_matching
 applies the rule this way, finding partners through the blocks of the
-order complex's ids (cellcx._chain_blocks); classify_chain applies it
-item by item.
+order complex's ids (cellcx._chain_blocks); the tests apply it item by
+item to chains of payloads, as the oracle they compare with.
 
 Equivariance: S_r permutes the coordinates of ordered edges, which commutes
 with p and with i, hence with c; the rule uses nothing else.
@@ -43,42 +43,14 @@ build_matching checks all of this explicitly (Matching.verify) and
 raises MatchingInvalid with a counterexample chain if any check fails.
 """
 
-from .boxcx import box_edge, i_image_ids, ip_tables, map_i, map_p
+from .boxcx import box_edge, i_image_ids, ip_tables
 from .cellcx import _chain_blocks, _lift, barycentric_subdivision, canon_key
-from .errors import MatchingInvalid, NotInSigma
+from .errors import MatchingInvalid
 from .homcx import hom_complex
 
 CRITICAL = "critical"
 SIGMA = "sigma"
 UPPER = "upper"
-
-
-def classify_chain(chain):
-    """Classify a chain of box simplices given as payloads (ascending tuple
-    of frozensets of ordered edges) by the rule, item by item: toggle c(x)
-    at the topmost non-product x.  Returns (tag, partner) with tag one of
-    "critical", "sigma", "upper"; partner is the chain matched with it, or
-    None for a critical chain.  build_matching applies the same rule
-    through tails (_classify); the tests compare the two."""
-    items = tuple(chain)
-    for k in range(len(items) - 1, -1, -1):
-        x = items[k]
-        c = map_i(map_p(x))
-        if c == x:
-            continue
-        if k + 1 < len(items) and items[k + 1] == c:
-            return UPPER, items[:k + 1] + items[k + 2:]
-        return SIGMA, items[:k + 1] + (c,) + items[k + 1:]
-    return CRITICAL, None
-
-
-def mu(chain):
-    """The matched partner of a Sigma-chain of box simplex payloads.
-    Raises NotInSigma on critical and upper chains."""
-    tag, partner = classify_chain(chain)
-    if tag != SIGMA:
-        raise NotInSigma("chain is %s, not in Sigma" % tag)
-    return partner
 
 
 class Matching:

@@ -515,6 +515,38 @@ def test_generator_form_equals_itemwise_action(name):
         assert A.is_free(range(0, n, 2)) == fixed.isdisjoint(range(0, n, 2))
 
 
+def test_word_table_orbits_equal_searched_orbits(corpus):
+    # the sd box action of K_4^3 is free: the first search reads the word
+    # table, a spanning tree of S_3's Cayley graph, and every cell's orbit
+    # down it is the search's, in the order the search meets it
+    box = hb.box_edge(corpus["K_4^3"])
+    A = hb.lift_action_to_order_complex(box.action,
+                                        hb.order_complex(box.cx))
+    assert A.words is None and A._word_cells(0) is None
+    A.orbit(0)
+    assert len(A.words) == A.order - 1 == 5
+    for i in range(len(A.cx)):
+        assert A._word_cells(i) == A._search(i)
+        assert A.orbit(i) == tuple(sorted(A._search(i)))
+    # transport, so a lift or a restriction, hands the table on
+    assert A.transport(A.cx, A.perms).words is A.words
+
+
+def test_word_table_gives_orbits_that_are_not_free():
+    # the flip swaps x and y and fixes xy: the orbit {x, y} gives the
+    # table, and down it xy meets itself, so its orbit is {xy}
+    seg = hb.CellComplex.from_simplices([frozenset("xy")])
+    A = hb.GroupAction.symmetric(
+        seg, [lambda p: frozenset({"x": "y", "y": "x"}[v] for v in p)],
+        [(1, 0)])
+    x, y, xy = (seg.index[frozenset(s)] for s in ("x", "y", "xy"))
+    assert A.orbit(xy) == (xy,) and A.words is None
+    assert A.orbit(x) == (x, y) and A.words == [(0, 0)]
+    assert A._word_cells(xy) == [xy, xy]
+    assert A.orbit(xy) == (xy,)
+    assert A.orbits() == [(x, y), (xy,)] and not A.is_free()
+
+
 def test_lift_rejects_non_automorphism():
     seg = hb.CellComplex.from_simplices([frozenset("xy")])
     x, xy = seg.index[frozenset("x")], seg.index[frozenset("xy")]

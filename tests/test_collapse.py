@@ -141,12 +141,10 @@ def test_collapse_state_fingerprint(solid_triangle):
     assert st.fingerprint == solid_triangle.fingerprint
     eab = solid_triangle.index[frozenset("ab")]
     top = solid_triangle.index[frozenset("abc")]
-    st.remove(top)
-    st.remove(eab)
+    st.set_alive([top, eab], False)
     sub, _ = solid_triangle.subcomplex(st.alive_ids())
     assert st.fingerprint == sub.fingerprint
-    st.add(eab)
-    st.add(top)
+    st.set_alive([eab, top], True)
     assert st.fingerprint == solid_triangle.fingerprint
     assert st.n_alive == 7
 
@@ -326,6 +324,100 @@ def test_step_equivariance_enforced():
     _replay_one_step(two, A2, "x", "xa", ["x", "y", "xa", "yb"])
     with pytest.raises(VerificationError, match="not the run's end finger"):
         _replay_one_step(two, A2, "x", "xa", ["x", "xa"])
+
+
+def test_steps_on_orbits_that_are_not_free_with_the_word_table_known():
+    # with the table read from a free orbit, a step at a fixed cell still
+    # searches its orbit and checks the stabilizer, and a free orbit whose
+    # members share their facet still fails, with the same messages
+    seg, A = seg_with_flip()
+    x, y = seg.index[frozenset("x")], seg.index[frozenset("y")]
+    assert A.orbit(x) == (x, y) and A.words is not None
+    with pytest.raises(OrbitNotIndependentlyFree,
+                       match="^facets of one orbit coincide$"):
+        hb.apply_orbit_step(hb.CollapseState(seg), A, "c", x,
+                            seg.index[frozenset("xy")])
+    K = hb.CellComplex.from_simplices(map(frozenset, ["am", "bm"]))
+    A = _explicit_action(K, "flip", {"a": "b", "b": "a"})
+    A.orbit(K.index[frozenset("a")])
+    assert A.words is not None
+    with pytest.raises(VerificationError,
+                       match="^facet assignment of the step is not "
+                             "equivariant under generator 'flip'$"):
+        hb.apply_orbit_step(hb.CollapseState(K), A, "c",
+                            K.index[frozenset("m")], K.index[frozenset("am")])
+
+
+def test_free_orbit_step_names_the_member_a_search_meets_first(matchings):
+    # the first collapse step of K3_122's matching, with the facets of the
+    # orbit's fourth and sixth members, in search order, dead: the step
+    # fails at the fourth, as a search from sigma meets it first
+    M = matchings["K3_122"]
+    run = hb.matching_to_collapse(M.sd, M.action, M)
+    _, sigma, facet = run.certificate.runs[0][2][0]
+    A = M.action
+    members = A._search(sigma)
+    assert len(members) == A.order == 6
+    dead = {M.mu[members[3]], M.mu[members[5]]}
+    state = hb.CollapseState(
+        M.sd, alive=[i for i in range(len(M.sd)) if i not in dead])
+    with pytest.raises(NotFree, match="^collapse step touches dead cell %s$"
+                       % re.escape(fmt_payload(M.sd.payloads[members[3]]))):
+        hb.apply_orbit_step(state, A, "c", sigma, facet)
+
+
+def test_settle_forgets_the_cells_that_died(matchings):
+    # a store after two stellar stages of K3_122's box: settling forgets
+    # exactly the cells that are dead, and no live cell keeps an up link to
+    # one of them
+    box = matchings["K3_122"].box
+    store = collapse._CellStore(box.cx, box.action)
+    for ob in collapse._schedule(box.cx, box.action)[:2]:
+        collapse._stellar_stage(store, ob[0], None)
+    assert store.removed
+    dead = [i for i, a in enumerate(store.alive) if not a]
+    store.settle()
+    assert store.dead == dead and store.removed == []
+    gone = set(dead)
+    for i, p in enumerate(store.payloads):
+        assert (p is None) == (i in gone)
+        if i in gone:
+            assert store.down[i] == store.up[i] == ()
+        else:
+            assert store.index[p] == i and gone.isdisjoint(store.up[i])
+    assert len(store.index) == store.n_alive
+
+
+def test_store_orbits_down_the_word_table(matchings):
+    # after some stages, every cell of the store has the orbit a search
+    # gives, in the search's order, down a table of |G| - 1 rows
+    box = matchings["K_4^3"].box
+    store = collapse._CellStore(box.cx, box.action)
+    for ob in collapse._schedule(box.cx, box.action)[:5]:
+        collapse._stellar_stage(store, ob[0], None)
+    assert len(store.words) == store.order - 1
+    for i in range(len(store.payloads)):
+        assert store._word_cells(i) == store._search(i)
+
+
+def test_replayed_steps_never_search_free_orbits(matchings, monkeypatch):
+    # every orbit of the K_4^3 and K3_122 certificates is free, so after
+    # the first step has read the word table, no step replayed searches
+    # its orbit along the generators (_carry)
+    for name in ("K_4^3", "K3_122"):
+        cert = hb.main_theorem_certificate(matchings[name].graph,
+                                           matching=matchings[name])
+        calls = {"_carry": 0, "apply_orbit_step": 0}
+        for fn in calls:
+            def counted(*args, fn=fn, original=getattr(collapse, fn)):
+                calls[fn] += 1
+                return original(*args)
+            monkeypatch.setattr(collapse, fn, counted)
+        replays(matchings[name].graph, cert)
+        monkeypatch.undo()
+        assert calls == {"_carry": 0, "apply_orbit_step": sum(
+            len(s["certificate"]) for s in cert.stages
+            if s["kind"] == "deformation")}, name
 
 
 # -- certificates -----------------------------------------------------------
