@@ -444,19 +444,18 @@ class GroupAction:
     Checked, the action copies the permutation lists in perms; unchecked,
     it takes them over.
 
-    words is the word table, or None until the first orbit of |G| cells
-    that a search finds (_search) gives it: the rows (parent row,
+    The action keeps a word table, words, None until the first orbit of
+    |G| cells that a search finds (_search) gives it: the rows (parent row,
     generator) of that search's tree, row k naming the word w_k = w_parent
     followed by the generator, after the empty word w_0.  On a free orbit
     g -> x.g is a bijection, so the tree spans G's Cayley graph: the words
     are all of G, and for every cell x of a free orbit, x.w_0, x.w_1, ...
     is that orbit in the order a search from x meets it.  orbit (so
-    orbits) and collapse.apply_orbit_step read orbits down the table, one
-    list index per cell; transport hands it on, as the presentation is the
-    same."""
+    orbits) and collapse.apply_orbit_step read orbits down the table
+    (_orbit_list), one list index per cell; transport hands it on, as the
+    presentation is the same."""
 
-    def __init__(self, cx, perms, labels, check=True, *, order, relations,
-                 words=None):
+    def __init__(self, cx, perms, labels, check=True, *, order, relations):
         self.cx = cx
         self.perms = [list(p) for p in perms] if check else list(perms)
         self.labels = list(labels)
@@ -473,7 +472,7 @@ class GroupAction:
                 raise InputError("relation %r is not a pair of words in the "
                                  "%d generators" % (rel, n))
         self.order, self.relations = order, relations
-        self._set_words(words)
+        self._set_words(None)
         if check:
             self._check_automorphisms()
             self._check_relations()
@@ -519,8 +518,10 @@ class GroupAction:
         The new action takes over perms and its lists, without copying
         them: the caller passes lists it built for it and changes them no
         more."""
-        return GroupAction(cx, perms, self.labels, False, order=self.order,
-                           relations=self.relations, words=self.words)
+        action = GroupAction(cx, perms, self.labels, False, order=self.order,
+                             relations=self.relations)
+        action._set_words(self.words)
+        return action
 
     def _set_words(self, words):
         """Keep the word table words, or None while it is unknown, and its
@@ -563,19 +564,20 @@ class GroupAction:
                                             self.cx.payloads[i])))
 
     def orbit(self, i):
-        """The orbit of cell i, as a sorted tuple: found by a search while
-        the word table is unknown, and then the cells i.w down the table.
-        Its words are |G| distinct elements, so all of G (this trusts
-        `order`), and the cells i.w are the orbit of i, free or not."""
-        cells = self._word_cells(i)
-        return tuple(sorted(self._search(i) if cells is None else set(cells)))
+        """The orbit of cell i, as a sorted tuple: the cells of
+        _orbit_list.  The table's words are |G| distinct elements, so all of
+        G (this trusts `order`), and the cells i.w are the orbit of i, free
+        or not."""
+        return tuple(sorted(set(self._orbit_list(i))))
 
-    def _word_cells(self, i):
+    def _orbit_list(self, i):
         """The cells i.w for the words w of the table, in its order, one
-        list index each; None while the table is unknown."""
+        list index each: |G| cells, distinct iff the orbit is free.  While
+        the table is unknown, the list a search of i's orbit gives
+        (_search), which reads the table if the orbit has |G| cells."""
         rows = self._rows
         if rows is None:
-            return None
+            return self._search(i)
         cells = [i]
         for a, p in rows:
             cells.append(p[cells[a]])

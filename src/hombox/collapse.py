@@ -178,9 +178,10 @@ def apply_orbit_step(state, action, direction, sigma, facet):
     The orbit and its facets come from the action's word table
     (cellcx.GroupAction), one list index per cell: the member sigma.w gets
     the facet facet.w, for each word w of the table, in the order a search
-    from sigma meets the orbit.  While the table is unknown, a search of
-    sigma's orbit reads it first.  If the members are |G| distinct cells,
-    the orbit is free and they are all of it: this fast path trusts
+    from sigma meets the orbit (GroupAction._orbit_list).  While the table
+    is unknown, the members come from a search of sigma's orbit, which
+    reads the table if it finds |G| cells.  If the members are |G| distinct
+    cells, the orbit is free and they are all of it: this fast path trusts
     `order` = |G|, as _carry's stabilizer skip does.  Otherwise the orbit
     and its facets come from a search along the generators (_carry), and
     every generator must carry the facets so, which covers the
@@ -207,12 +208,10 @@ def apply_orbit_step(state, action, direction, sigma, facet):
     if sigma not in K.down[facet]:
         raise VerificationError("cell %s is not a cover of cell %s"
                                 % (_label(K, facet), _label(K, sigma)))
-    if action.words is None:
-        action._search(sigma)
-    members = action._word_cells(sigma)
-    orbit = None if members is None else dict(
-        zip(members, action._word_cells(facet)))
-    if orbit is None or len(orbit) != action.order:
+    members = action._orbit_list(sigma)
+    orbit = (dict(zip(members, action._orbit_list(facet)))
+             if len(members) == action.order else {})
+    if len(orbit) != action.order:
         orbit = _carry(action, sigma, facet, list.__getitem__, _facet_clash)
     if min(orbit) != sigma:
         raise VerificationError("step sigma is not the orbit representative")
@@ -597,7 +596,7 @@ class _CellStore(CollapseState):
     cofaces = CellComplex.cofaces
     orbit = GroupAction.orbit
     orbits = GroupAction.orbits
-    _word_cells = GroupAction._word_cells
+    _orbit_list = GroupAction._orbit_list
     _search = GroupAction._search
     _set_words = GroupAction._set_words
     transport = GroupAction.transport

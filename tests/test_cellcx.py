@@ -522,11 +522,12 @@ def test_word_table_orbits_equal_searched_orbits(corpus):
     box = hb.box_edge(corpus["K_4^3"])
     A = hb.lift_action_to_order_complex(box.action,
                                         hb.order_complex(box.cx))
-    assert A.words is None and A._word_cells(0) is None
-    A.orbit(0)
+    assert A.words is None
+    first = A._orbit_list(0)
     assert len(A.words) == A.order - 1 == 5
+    assert A._orbit_list(0) == first
     for i in range(len(A.cx)):
-        assert A._word_cells(i) == A._search(i)
+        assert A._orbit_list(i) == A._search(i)
         assert A.orbit(i) == tuple(sorted(A._search(i)))
     # transport, so a lift or a restriction, hands the table on
     assert A.transport(A.cx, A.perms).words is A.words
@@ -542,7 +543,7 @@ def test_word_table_gives_orbits_that_are_not_free():
     x, y, xy = (seg.index[frozenset(s)] for s in ("x", "y", "xy"))
     assert A.orbit(xy) == (xy,) and A.words is None
     assert A.orbit(x) == (x, y) and A.words == [(0, 0)]
-    assert A._word_cells(xy) == [xy, xy]
+    assert A._orbit_list(xy) == [xy, xy]
     assert A.orbit(xy) == (xy,)
     assert A.orbits() == [(x, y), (xy,)] and not A.is_free()
 

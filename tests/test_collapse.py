@@ -397,7 +397,7 @@ def test_store_orbits_down_the_word_table(matchings):
         collapse._stellar_stage(store, ob[0], None)
     assert len(store.words) == store.order - 1
     for i in range(len(store.payloads)):
-        assert store._word_cells(i) == store._search(i)
+        assert store._orbit_list(i) == store._search(i)
 
 
 def test_replayed_steps_never_search_free_orbits(matchings, monkeypatch):
