@@ -12,7 +12,8 @@ H = hb.complete_multipartite([1, 2, 2])
 print("graph: %r" % H)
 
 M = hb.build_matching(H)
-print("matching: %s" % M.summary())
+print("matching: %d chains, %d of them in D and %d critical"
+      % (len(M.sd), len(M.d_cells()), len(M.critical)))
 # verify rechecks the partition, mu and its equivariance, the critical
 # cells, and runs a cycle search on the matching digraph
 assert M.verify()

@@ -13,12 +13,14 @@ import json
 import os
 import sys
 
-from .boxcx import _box_cx
+from .boxcx import _box_cx, box_edge
 from .cellcx import barycentric_subdivision
-from .collapse import (MainTheoremCertificate, main_theorem_certificate,
-                       replay_main_theorem, verify_critical_isomorphism)
+from .collapse import (DeformationCertificate, MainTheoremCertificate,
+                       main_theorem_certificate, matching_to_collapse,
+                       replay_critical_expansion, replay_main_theorem,
+                       verify_critical_isomorphism)
 from .errors import InputError, SizeGuard, VerificationError
-from .homcx import _hom_cx
+from .homcx import _hom_cx, hom_complex
 from .homology import homology_agreement
 from .morse import build_matching
 from .rgraph import load_rgraph
@@ -79,8 +81,8 @@ def make_parser():
         "verify", help="build and verify the equivariant acyclic matching")
     _add_common(v)
     v.add_argument("--certificate", metavar="PATH",
-                   help="matching certificate: checked if present, "
-                        "written otherwise")
+                   help="collapse certificate of the matching: replayed if "
+                        "present, written otherwise")
 
     t = sub.add_parser(
         "theorem",
@@ -117,13 +119,12 @@ def _write(path, text):
         raise InputError("cannot write %s: %s" % (path, e))
 
 
-def _read(path, what, parse=str):
-    """The text of the certificate file path, parsed; InputError if it
-    cannot be read as text or parsed (JSON nested too deeply for the parser
-    included)."""
+def _read(path, what):
+    """The JSON in the certificate file path; InputError if it cannot be
+    read as text or parsed (JSON nested too deeply for the parser included)."""
     try:
         with open(path) as fh:
-            return parse(fh.read())
+            return json.load(fh)
     except (OSError, ValueError, RecursionError) as e:
         raise InputError("cannot read %s certificate %s: %s" % (what, path, e))
 
@@ -152,36 +153,41 @@ def cmd_build(args):
     return 0
 
 
-def _check_or_write(path, payload, what):
-    if os.path.exists(path):
-        if _read(path, what) != payload:
-            raise VerificationError(
-                "%s certificate %s does not match this run" % (what, path))
-        _say("%s certificate %s verified" % (what, path))
-    else:
-        _write(path, payload)
-        _say("%s certificate written to %s" % (what, path))
-
-
 def cmd_verify(args):
     H = _load(args)
-    M = build_matching(H, max_cells=args.max_cells)
-    verify_critical_isomorphism(M, max_cells=args.max_cells)
-    if not M.d_cells():
+    mc = args.max_cells
+    path = args.certificate
+    replay = path and os.path.exists(path)
+    if replay:
+        obj = _read(path, "matching")
+        if isinstance(obj, dict) and ("sigma" in obj or "critical" in obj):
+            raise InputError("%s is a chain listing, which is no longer "
+                             "checked: write it again with `hombox verify "
+                             "--certificate`" % path)
+        crit, action = replay_critical_expansion(
+            hom_complex(H, max_cells=mc), box_edge(H, max_cells=mc),
+            DeformationCertificate.from_json_obj(obj), mc)
+        cells, critical = len(action.cx), len(crit.critical)
+    else:
+        M = build_matching(H, max_cells=mc)
+        verify_critical_isomorphism(M, max_cells=mc)
+        cells, critical = len(M.sd), len(M.critical)
+    # A verified collapse removes the cells of D in facet pairs.
+    d_cells = cells - critical
+    report = {"cells": cells, "d_cells": d_cells, "sigma": d_cells // 2,
+              "critical": critical, "isomorphic_onto_critical": True}
+    if not d_cells:
         _say("D empty; complexes isomorphic")
     else:
-        _say(M.summary())
-    payload = canonical_json(M.to_json_obj())
-    if args.certificate:
-        _check_or_write(args.certificate, payload, "matching")
+        _say("%(cells)d chains; D %(d_cells)d = sigma %(sigma)d + upper "
+             "%(sigma)d; critical %(critical)d" % report)
+    if replay:
+        _say("matching certificate %s verified" % path)
+    elif path:
+        run = matching_to_collapse(M.sd, M.action, M)
+        _write(path, canonical_json(run.certificate.reversed().to_json_obj()))
+        _say("matching certificate written to %s" % path)
     if args.out:
-        report = {
-            "cells": len(M.sd),
-            "d_cells": len(M.d_cells()),
-            "sigma": len(M.sigma()),
-            "critical": len(M.critical),
-            "isomorphic_onto_critical": True,
-        }
         _write(args.out, canonical_json(report))
     return 0
 
@@ -191,8 +197,7 @@ def cmd_theorem(args):
     mc = args.max_cells
     path = args.certificate
     if path and os.path.exists(path):
-        cert = MainTheoremCertificate.from_json_obj(
-            _read(path, "theorem", json.loads))
+        cert = MainTheoremCertificate.from_json_obj(_read(path, "theorem"))
         complexes = replay_main_theorem(H, cert, max_cells=mc)
         _say("theorem certificate %s replayed: %d stages ok"
              % (path, len(cert.stages)))

@@ -370,11 +370,13 @@ class DeformationCertificate:
 
     @classmethod
     def from_json_obj(cls, obj):
-        """Parse the JSON form; raises InputError unless every field has its
-        type: hex fingerprints, and steps with a direction and non-negative
-        integer cell ids."""
+        """Parse the JSON form; raises InputError for a field it does not
+        know, or unless every field has its type: hex fingerprints, and
+        steps with a direction and non-negative integer cell ids."""
         what = "deformation"
         _need(isinstance(obj, dict), what, "not an object")
+        _need(set(obj) <= {"endpoints", "runs"}, what,
+              "fields %s, not endpoints, runs" % sorted(obj))
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
         rows = obj.get("runs")
         _need(isinstance(rows, list), what, "runs is not a list")
@@ -508,7 +510,7 @@ def matching_to_collapse(K, A, M):
 
 
 CriticalIso = namedtuple(
-    "CriticalIso", "sd_hom sd_hom_action critical critical_action old2new map")
+    "CriticalIso", "sd_hom sd_hom_action critical critical_action map")
 
 
 def verify_critical_isomorphism(M, max_cells=None):
@@ -530,7 +532,7 @@ def _critical_iso(hom, box, sd, action, critical, max_cells):
         sdh, crit,
         lambda ch: tuple(iids[h] for h in ch),
         sdh_action, crit_action)
-    return CriticalIso(sdh, sdh_action, crit, crit_action, old2new, f)
+    return CriticalIso(sdh, sdh_action, crit, crit_action, f)
 
 
 def replay_collapse_certificate(universe, action, cert, start_alive=None):
@@ -925,8 +927,7 @@ def _stellar_stage(store, rep, max_cells, replay=None):
 
 
 StellarStage = namedtuple(
-    "StellarStage",
-    "certificate universe universe_action final final_action old2new")
+    "StellarStage", "certificate universe universe_action final final_action")
 
 
 def stellar_deformation_certificate(K, A, sigma, max_cells=None):
@@ -940,11 +941,9 @@ def stellar_deformation_certificate(K, A, sigma, max_cells=None):
     store = _CellStore(K, A)
     run = _stellar_stage(store, sigma, max_cells)[1]
     L, LA = store.complex(range(len(store.payloads)))
-    alive = store.alive_ids()
-    final, final_action = store.complex(alive)
+    final, final_action = store.complex(store.alive_ids())
     cert = DeformationCertificate((K.fingerprint, final.fingerprint), [run])
-    return StellarStage(cert, L, LA, final, final_action,
-                        dict(zip(alive, range(len(alive)))))
+    return StellarStage(cert, L, LA, final, final_action)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,10 +1097,10 @@ class MainTheoremCertificate:
     @classmethod
     def from_json_obj(cls, obj):
         """Parse the JSON form of version 5; raises InputError for another
-        version (one without a version field is version 1), or unless every
-        stage is an object with a name, a kind and the fields its kind
-        needs, and no others: a well-formed deformation certificate, or the
-        from and to fingerprints."""
+        version (one without a version field is version 1), for a field it
+        does not know, or unless every stage is an object with a name, a
+        kind and the fields its kind needs, and no others: a well-formed
+        deformation certificate, or the from and to fingerprints."""
         what = "main theorem"
         _need(isinstance(obj, dict), what, "not an object")
         version = obj.get("version", 1)
@@ -1112,6 +1111,8 @@ class MainTheoremCertificate:
                 % version)
         _need(version == VERSION and _is_id(version), what,
               "unknown version %r" % (version,))
+        _need(set(obj) <= {"version", "endpoints", "stages"}, what,
+              "fields %s, not version, endpoints, stages" % sorted(obj))
         endpoints = _fingerprints(obj.get("endpoints"), what, "endpoints")
         rows = obj.get("stages")
         _need(isinstance(rows, list), what, "stages is not a list")
@@ -1184,7 +1185,7 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     and verify_critical_isomorphism builds sd Hom while it checks stage 3.
     The two sd-deformations unfold onto these, with their lifted actions.
     The returned object also carries the working pieces as attributes
-    (matching, hom_def, box_def, collapse_run) for callers that want them.
+    (matching, hom_def, box_def) for callers that want them.
     """
     from .morse import build_matching
 
@@ -1211,25 +1212,48 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     cert.matching = M
     cert.hom_def = hom_def
     cert.box_def = box_def
-    cert.collapse_run = run
     return cert
+
+
+def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
+    """Replay stages 3 and 4 of a main theorem certificate for the graph of
+    the bundles hom and box: cert is stage 4, expand-to-sd-box, in the form
+    `hombox verify --certificate` writes, and products, if given, stage 3.
+    No matching is built: the critical cells are the chains of products,
+    whose items i∘p fixes (ip_tables).  Their subcomplex must be
+    S_r-isomorphic to sd Hom under i (_critical_iso), and cert is replayed
+    from it to sd B_edge(H) step by step.  Errors name the stage first.
+    Returns the CriticalIso and the action lifted to sd B_edge(H)."""
+    sd = barycentric_subdivision(box.cx, max_cells=max_cells)
+    action = lift_action_to_order_complex(box.action, sd)
+    fixed = ip_tables(box)[0]
+    critical = [k for k, chain in enumerate(sd.payloads)
+                if all(map(fixed.__getitem__, chain))]
+    with _stage("products-into-sd-box"):
+        crit = _critical_iso(hom, box, sd, action, critical, max_cells)
+        if products is not None:
+            _check_ends(products, crit.sd_hom, crit.critical)
+    with _stage("expand-to-sd-box"):
+        if cert.endpoints != (crit.critical.fingerprint, sd.fingerprint):
+            raise VerificationError("endpoints do not match")
+        replay_collapse_certificate(sd, action, cert, start_alive=critical)
+    return crit, action
 
 
 def replay_main_theorem(H, cert, max_cells=None):
     """Re-verify a main theorem certificate against a fresh build for H.
 
     The endpoints are checked against Hom(K_r^r, H) and B_edge(H) before
-    anything is subdivided.  No matching is built: the critical cells are
-    the chains of products, whose items i∘p fixes (ip_tables), the set
-    Matching.verify checks a matching's critical cells against.  Every
-    deformation is replayed step by step, every isomorphism is regenerated
-    as the build does and re-verified, including equivariance, and all
-    stage endpoints must chain.  Returns the (hom, box) bundles it checked;
-    raises VerificationError (or a subclass) on any mismatch, and
-    InputError on a malformed certificate, with the stage name first in the
-    message.  Stage 3 is checked before stage 2, since it builds sd Hom, and
-    stage 6 before stage 5, replayed from its end, so a step or run number
-    there counts from the end of its step or run list."""
+    anything is subdivided.  Every deformation is replayed step by step,
+    every isomorphism is regenerated as the build does and re-verified,
+    including equivariance, and all stage endpoints must chain; stages 3
+    and 4 go through replay_critical_expansion, which builds no matching.
+    Returns the (hom, box) bundles it checked; raises VerificationError (or
+    a subclass) on any mismatch, and InputError on a malformed certificate,
+    with the stage name first in the message.  Stages 3 and 4 are checked
+    before stage 2, which needs the sd Hom of stage 3, and stage 6 before
+    stage 5, replayed from its end, so a step or run number there counts
+    from the end of its step or run list."""
     if not isinstance(cert, MainTheoremCertificate):
         cert = MainTheoremCertificate.from_json_obj(cert)
     hom = hom_complex(H, max_cells=max_cells)
@@ -1247,29 +1271,17 @@ def replay_main_theorem(H, cert, max_cells=None):
             raise VerificationError("stage %s has kind %r, expected %r"
                                     % (name, s.get("kind"), kind))
     s = cert.stages
-    sd = barycentric_subdivision(box.cx, max_cells=max_cells)
-    action = lift_action_to_order_complex(box.action, sd)
-    fixed = ip_tables(box)[0]
-    critical = [k for k, chain in enumerate(sd.payloads)
-                if all(map(fixed.__getitem__, chain))]
 
     with _stage("subdivide-hom"):
         e_hom, e_hom_action = replay_sd_deformation(
             hom.cx, hom.action, s[0]["certificate"], max_cells=max_cells)
 
-    with _stage("products-into-sd-box"):
-        crit = _critical_iso(hom, box, sd, action, critical, max_cells)
-        _check_ends(s[2], crit.sd_hom, crit.critical)
+    crit, action = replay_critical_expansion(
+        hom, box, s[3]["certificate"], max_cells, products=s[2])
 
     with _stage("unfold-hom-subdivision"):
         _check_ends(s[1], e_hom, crit.sd_hom)
         _unfold(e_hom, e_hom_action, crit.sd_hom_action)
-
-    with _stage("expand-to-sd-box"):
-        c3 = s[3]["certificate"]
-        if c3.endpoints != (crit.critical.fingerprint, sd.fingerprint):
-            raise VerificationError("endpoints do not match")
-        replay_collapse_certificate(sd, action, c3, start_alive=critical)
 
     # Stage 6 is replayed from its end, so its step and run numbers count
     # from there.
@@ -1289,6 +1301,6 @@ def replay_main_theorem(H, cert, max_cells=None):
             raise VerificationError("endpoints do not match")
 
     with _stage("fold-box-subdivision"):
-        _check_ends(s[4], sd, e_box)
+        _check_ends(s[4], action.cx, e_box)
         _unfold(e_box, e_box_action, action)
     return hom, box

@@ -143,19 +143,6 @@ class Matching:
                 % ([self._chain_payloads(x) for x in cyc],))
         return True
 
-    def to_json_obj(self):
-        pay = self.sd.payloads
-        return {
-            "sigma": [{"chain": list(pay[x]), "mu": list(pay[self.mu[x]])}
-                      for x in self.sigma()],
-            "critical": [list(pay[c]) for c in self.critical],
-        }
-
-    def summary(self):
-        return ("%d chains; D %d = sigma %d + upper %d; critical %d"
-                % (len(self.sd), len(self.d_cells()), len(self.sigma()),
-                   len(self.upper), len(self.critical)))
-
 
 def _chain_payloads(box, sd, i):
     """Chain i of sd as a list of box simplex payloads, for messages."""

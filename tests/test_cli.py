@@ -210,16 +210,153 @@ def test_verify_certificate_write_then_check(k3_112, tmp_path, capsys):
     assert open(cert).read() == first
 
 
-def test_verify_certificate_mismatch(k3_112, tmp_path, capsys):
+def test_verify_certificate_mismatch(k3_122, tmp_path, capsys):
+    # a run's steps in reverse order: each step is still well formed, but
+    # the first one expands a cell whose faces are not there yet
     cert = str(tmp_path / "matching.json")
-    assert main(["verify", "--input", k3_112, "--certificate", cert]) == 0
+    assert main(["verify", "--input", k3_122, "--certificate", cert]) == 0
     obj = json.loads(open(cert).read())
-    obj["critical"] = obj["critical"][::-1]
+    run = obj["runs"][0]
+    run[2:] = run[:1:-1]
     with open(cert, "w") as fh:
         json.dump(obj, fh)
+    capsys.readouterr()
+    assert main(["verify", "--input", k3_122, "--certificate", cert]) == 2
+    assert capsys.readouterr().err.startswith(
+        "verification failed: expand-to-sd-box: step 0 (expand at cell ")
+
+
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_verify_certificate_is_stage_4(corpus, matchings, tmp_path, capsys):
+    # on every corpus graph, verify writes stage 4 of the theorem
+    # certificate, byte for byte, and its replay reports what the write
+    # did, which is the report the matching's own counts give
+    for name, H in corpus.items():
+        M = matchings[name]
+        graph = tmp_path / ("%s.json" % name)
+        graph.write_text(H.to_json_str())
+        cert, reports = tmp_path / ("%s.cert.json" % name), []
+        for k in range(2):
+            rep = tmp_path / ("%s.report%d.json" % (name, k))
+            assert main(["verify", "--input", str(graph), "--certificate",
+                         str(cert), "--out", str(rep)]) == 0
+            reports.append(rep.read_text())
+        stage = hb.main_theorem_certificate(H, matching=M).stages[3]
+        assert stage["name"] == "expand-to-sd-box"
+        assert cert.read_text() == _canonical(
+            stage["certificate"].to_json_obj()), name
+        assert reports[0] == reports[1] == _canonical({
+            "cells": len(M.sd), "d_cells": len(M.d_cells()),
+            "sigma": len(M.sigma()), "critical": len(M.critical),
+            "isomorphic_onto_critical": True}), name
+        out = capsys.readouterr().out.splitlines()
+        assert out == [out[0], "matching certificate written to %s" % cert,
+                       out[0], "matching certificate %s verified" % cert]
+        if name == "K_5^3":
+            assert cert.stat().st_size == 14443
+
+
+def test_verify_replay_builds_no_matching(k3_122, tmp_path, monkeypatch,
+                                         capsys):
+    # as a theorem replay does, a verify replay takes the critical cells as
+    # the chains of products: no chain is classified and no matching checked
+    from hombox import cli, morse
+
+    cert = str(tmp_path / "matching.json")
+    assert main(["verify", "--input", k3_122, "--certificate", cert]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replay built or checked a matching")
+
+    for owner in (morse, cli):
+        monkeypatch.setattr(owner, "build_matching", refuse)
+    monkeypatch.setattr(morse, "_classify", refuse)
+    monkeypatch.setattr(morse.Matching, "verify", refuse)
+    with pytest.raises(AssertionError):
+        main(["verify", "--input", k3_122, "--certificate",
+              str(tmp_path / "other.json")])
+    assert main(["verify", "--input", k3_122, "--certificate", cert]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
+def test_verify_certificate_of_another_graph(k3_112, k3_122, tmp_path,
+                                             capsys):
+    cert = str(tmp_path / "matching.json")
+    assert main(["verify", "--input", k3_122, "--certificate", cert]) == 0
+    capsys.readouterr()
     assert main(["verify", "--input", k3_112, "--certificate", cert]) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: expand-to-sd-box: endpoints do not match\n")
+
+
+def _flip(fingerprint):
+    return "%032x" % (int(fingerprint, 16) ^ 1)
+
+
+def _verify_endpoint(obj):
+    obj["endpoints"][0] = _flip(obj["endpoints"][0])
+
+
+def _verify_run_end(obj):
+    obj["runs"][0][1] = _flip(obj["runs"][0][1])
+
+
+def _verify_direction(obj):
+    obj["runs"][0][2][0] = "c"
+
+
+def _verify_unknown_direction(obj):
+    obj["runs"][0][2][0] = "x"
+
+
+def _verify_sigma(obj):
+    obj["runs"][0][2][1] += 1
+
+
+def _verify_sigma_outside(obj):
+    obj["runs"][0][2][1] = 10 ** 6
+
+
+def _verify_extra_field(obj):
+    obj["extra"] = 1
+
+
+@pytest.mark.parametrize("tamper, code", [
+    (_verify_endpoint, 2), (_verify_run_end, 2), (_verify_direction, 2),
+    (_verify_unknown_direction, 4), (_verify_sigma, 2),
+    (_verify_sigma_outside, 4), (_verify_extra_field, 4)])
+def test_verify_tampered_certificate(k3_122, tamper, code, tmp_path, capsys):
+    # one changed field is refused with an exit code and a message, never a
+    # traceback
+    cert = tmp_path / "matching.json"
+    assert main(["verify", "--input", k3_122, "--certificate", str(cert)]) \
+        == 0
+    obj = json.loads(cert.read_text())
+    tamper(obj)
+    cert.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", "--input", k3_122, "--certificate", str(cert)]) \
+        == code
     err = capsys.readouterr().err
-    assert "does not match this run" in err
+    assert err.startswith({2: "verification failed: ",
+                           4: "input error: "}[code])
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_chain_listing(k3_122, tmp_path, capsys):
+    # the form verify wrote before, every Sigma chain with its partner and
+    # every critical chain, is no longer checked
+    cert = tmp_path / "matching.json"
+    cert.write_text(json.dumps({
+        "sigma": [{"chain": [0], "mu": [0, 1]}], "critical": [[1]]}))
+    assert main(["verify", "--input", k3_122, "--certificate", str(cert)]) \
+        == 4
+    assert capsys.readouterr().err == (
+        "input error: %s is a chain listing, which is no longer checked: "
+        "write it again with `hombox verify --certificate`\n" % cert)
 
 
 # -- theorem -----------------------------------------------------------------
@@ -470,11 +607,19 @@ def _universe_not_hex(obj):
     obj["stages"][0]["certificate"]["runs"][0][0] = "z" * 32
 
 
+def _unknown_field(obj):
+    obj["junk"] = 1
+
+
+def _unknown_deformation_field(obj):
+    obj["stages"][0]["certificate"]["extra"] = 1
+
+
 @pytest.mark.parametrize("tamper", [
     _drop_direction_v2, _stage_not_an_object, _drop_certificate,
     _bool_id_v2, _negative_id_v2, _id_outside_stellar_universe_v2,
     _id_outside_collapse_universe_v2, _bool_in_iso_map_v2, _unknown_version,
-    _universe_not_hex])
+    _universe_not_hex, _unknown_field, _unknown_deformation_field])
 def test_theorem_malformed_certificate_v2(k3_122_theorem, tamper, tmp_path,
                                           capsys):
     rc, err = _replay_tampered(k3_122_theorem, 5, tamper, tmp_path, capsys)

@@ -79,3 +79,18 @@ def test_one_isomorphism_checker():
     # it there
     assert hb.verify_iso_ids is cellcx.verify_iso_ids
     assert collapse.verify_iso_ids is cellcx.verify_iso_ids
+
+
+def test_removed_fields():
+    # old2new of StellarStage and CriticalIso, and collapse_run of a main
+    # theorem certificate: nothing read them.  Matching's to_json_obj (the
+    # chain listing) and summary: `hombox verify --certificate` writes and
+    # replays the collapse certificate of the theorem's stage 4, and prints
+    # the counts it reports.  Other classes keep their to_json_obj.
+    assert "old2new" not in hb.StellarStage._fields
+    assert "old2new" not in hb.CriticalIso._fields
+    assert not hasattr(hb.Matching, "to_json_obj")
+    assert not hasattr(hb.Matching, "summary")
+    assert hasattr(hb.DeformationCertificate, "to_json_obj")
+    cert = hb.main_theorem_certificate(hb.complete_rgraph(3, 2))
+    assert not hasattr(cert, "collapse_run")

@@ -198,17 +198,6 @@ def test_critical_cells_are_chains_of_products(matchings):
         assert (M.tags[i] == "critical") == all(x in iP for x in items)
 
 
-def test_matching_json_shape(matchings):
-    M = matchings["K3_122"]
-    obj = M.to_json_obj()
-    assert sorted(obj) == ["critical", "sigma"]
-    assert len(obj["sigma"]) == 348
-    assert len(obj["critical"]) == 198
-    ent = obj["sigma"][0]
-    assert sorted(ent) == ["chain", "mu"]
-    assert len(ent["mu"]) == len(ent["chain"]) + 1
-
-
 def test_corrupted_matching_detected(matchings):
     M = matchings["K3_122"]
     bad = hb.Matching(M.graph, M.hom, M.box, M.sd, M.action,
