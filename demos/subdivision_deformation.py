@@ -62,9 +62,13 @@ d2 = hb.sd_deformation(box.cx, box.action,
 print("box(K3_122): %d cells deform to sd with %d chains in %d steps"
       % (len(box.cx), len(d2.sd), len(d2.certificate)))
 
-# with a non-free action the anchors can clash; the engine refuses instead
-# of producing an unverified deformation.  S_3 acts by the transpositions
-# a <-> b and b <-> c
+# hombox certifies free actions only, as S_r acts on the paper's complexes:
+# a cell that a transposition (i j) fixes would need an edge with a
+# repeated vertex.  Orbit steps and cone pairings are read down the
+# action's word table, one image per group element, so an orbit with a
+# stabilizer is refused instead of producing an unverified deformation.
+# Here S_3 acts by the transpositions a <-> b and b <-> c, and a <-> b
+# fixes the edge ab
 A6 = hb.GroupAction.symmetric(
     K, [lambda p, m=m: frozenset(m.get(v, v) for v in p)
         for m in ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})],

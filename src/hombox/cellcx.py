@@ -451,9 +451,13 @@ class GroupAction:
     g -> x.g is a bijection, so the tree spans G's Cayley graph: the words
     are all of G, and for every cell x of a free orbit, x.w_0, x.w_1, ...
     is that orbit in the order a search from x meets it.  orbit (so
-    orbits) and collapse.apply_orbit_step read orbits down the table
-    (_orbit_list), one list index per cell; transport hands it on, as the
-    presentation is the same."""
+    orbits) and collapse's orbit steps and cone pairings read orbits down
+    the table (_orbit_list), one list index per cell; transport hands it
+    on, as the presentation is the same.  collapse certifies free actions
+    only: S_r acts freely on Hom(K_r^r, H) and B_edge(H), as a cell that a
+    transposition (i j) fixes would need an edge with a repeated vertex,
+    and so on their subdivisions and cone universes; it refuses an orbit
+    that is not free."""
 
     def __init__(self, cx, perms, labels, check=True, *, order, relations):
         self.cx = cx

@@ -7,7 +7,12 @@ Three layers live here:
   orbit step, built or replayed: given the orbit's least cell and its
   facet, it regenerates the orbit and the other facets down the action's
   word table, trusting the action's order |G| (cellcx.GroupAction), and
-  moves them in one update of the alive set.  Each acyclic matching
+  moves them in one update of the alive set.  hombox certifies free
+  actions only, and refuses an orbit that is not free: a cell of
+  Hom(K_r^r, H) or B_edge(H) that a transposition (i j) fixes would need
+  f(i) = f(j), an edge with a repeated vertex, so S_r acts freely on both,
+  on sd B_edge(H), and on every stellar cone universe, whose apexes and
+  cone cells move with their members.  Each acyclic matching
   collapses whole orbit by whole orbit, in the order of a key that its
   acyclicity proof gives, a linear extension of its modified Hasse diagram
   (Forman, "Morse theory for cell complexes", Adv. Math. 1998; Kozlov,
@@ -175,26 +180,24 @@ def apply_orbit_step(state, action, direction, sigma, facet):
 
     The step moves the orbit of cell sigma with one facet per member: sigma
     gets `facet`, and a generator carries a member's facet to its image's.
-    The orbit and its facets come from the action's word table
-    (cellcx.GroupAction), one list index per cell: the member sigma.w gets
-    the facet facet.w, for each word w of the table, in the order a search
-    from sigma meets the orbit (GroupAction._orbit_list).  While the table
-    is unknown, the members come from a search of sigma's orbit, which
-    reads the table if it finds |G| cells.  If the members are |G| distinct
-    cells, the orbit is free and they are all of it: this fast path trusts
-    `order` = |G|, as _carry's stabilizer skip does.  Otherwise the orbit
-    and its facets come from a search along the generators (_carry), and
-    every generator must carry the facets so, which covers the
-    stabilizers.  direction "c" collapses the orbit with its facets, "e"
-    expands them.  Every check runs before any cell moves, and the state
-    then changes in one set_alive call.
+    The orbit must be free, as every orbit of the paper's complexes is
+    (GroupAction).  It and its facets come from the action's word table,
+    one list index per cell: the member sigma.w gets the facet facet.w, for
+    each word w of the table, in the order a search from sigma meets the
+    orbit (GroupAction._orbit_list).  While the table is unknown, the
+    members come from a search of sigma's orbit, which reads the table if
+    it finds |G| cells.  The orbit is free iff the members are |G| distinct
+    cells, and then they are all of it: this trusts `order` = |G|.
+    direction "c" collapses the orbit with its facets, "e" expands them.
+    Every check runs before any cell moves, and the state then changes in
+    one set_alive call.
 
     Raises InputError for another direction; WrongCodimension if facet is
     not one dimension above sigma; VerificationError if it does not cover
-    sigma, if sigma is not the least cell of its orbit, or if a stabilizer
-    moves the facet; OrbitNotIndependentlyFree if two members share their
-    facet; NotFree if a collapsed cell is not free in the alive set; and
-    VerificationError for an expansion whose cells are alive or lack a
+    sigma or if sigma is not the least cell of its orbit;
+    OrbitNotIndependentlyFree if the orbit is not free or two members share
+    their facet; NotFree if a collapsed cell is not free in the alive set;
+    and VerificationError for an expansion whose cells are alive or lack a
     face.  Returns the orbit as {member: facet}.
     """
     if direction not in ("c", "e"):
@@ -208,11 +211,10 @@ def apply_orbit_step(state, action, direction, sigma, facet):
     if sigma not in K.down[facet]:
         raise VerificationError("cell %s is not a cover of cell %s"
                                 % (_label(K, facet), _label(K, sigma)))
-    members = action._orbit_list(sigma)
-    orbit = (dict(zip(members, action._orbit_list(facet)))
-             if len(members) == action.order else {})
+    orbit = dict(zip(action._orbit_list(sigma), action._orbit_list(facet)))
     if len(orbit) != action.order:
-        orbit = _carry(action, sigma, facet, list.__getitem__, _facet_clash)
+        raise OrbitNotIndependentlyFree(
+            "the orbit of cell %s is not free" % _label(K, sigma))
     if min(orbit) != sigma:
         raise VerificationError("step sigma is not the orbit representative")
     if len(set(orbit.values())) != len(orbit):
@@ -250,33 +252,6 @@ def apply_orbit_step(state, action, direction, sigma, facet):
                     % (_label(K, f), _label(K, j)))
     state.set_alive([*orbit, *orbit.values()], True)
     return orbit
-
-
-def _carry(L, start, value, move, clash):
-    """{cell: value} on the orbit of cell start, searched along the
-    generators of L, where start gets value and generator p takes the value
-    v at x to p[x] as move(p, v).  Unless the orbit is free (|G| cells),
-    each generator must take every cell's value to its image's, which
-    covers the stabilizers, or clash(generator label, image) is raised."""
-    family = {start: value}
-    todo = [start]
-    for x in todo:
-        v = family[x]
-        for p in L.perms:
-            if p[x] not in family:
-                family[p[x]] = move(p, v)
-                todo.append(p[x])
-    if len(family) < L.order:
-        for s, p in zip(L.labels, L.perms):
-            for x, v in family.items():
-                if family[p[x]] != move(p, v):
-                    raise clash(s, p[x])
-    return family
-
-
-def _facet_clash(s, cell):
-    return VerificationError("facet assignment of the step is not "
-                             "equivariant under generator %r" % (s,))
 
 
 def _apply_steps(state, action, steps, first, to_state, end=None,
@@ -809,13 +784,14 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
     a vertex set, its least vertex; of a product, its least vertex in each
     coordinate.
     The pairing is built on the representative's cone cells only and then
-    carried along the generators (_carry), with the anchor: a per-member
-    construction would break equivariance whenever a group element reorders
-    product coordinates.  Raises Stuck when a stabilizer moves the anchor
-    (then no equivariant matching of this shape exists), or the pairing
-    escapes the cone cells, fails to be a perfect involution, or clashes
-    with a stabilizer.  Returns the matching (cell -> facet) and the key of
-    its collapse order on orbits."""
+    read down the word table with them (GroupAction._orbit_list): the cone
+    cell c.w pairs with q.w for each pair (c, q) of the representative and
+    each word w.  A per-member construction would break equivariance
+    whenever a group element reorders product coordinates.  This needs a
+    free orbit; the orbits of the paper's complexes are (GroupAction).
+    Raises Stuck if the orbit is not free, or the pairing escapes the cone
+    cells or fails to be a perfect involution.  Returns the matching (cell
+    -> facet) and the key of its collapse order on orbits."""
     rep = orbit[0]
     pay = L.payloads[rep]
     tstar = None
@@ -829,9 +805,8 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
             "no anchor rule for payloads of shape %r" % (type(pay).__name__,))
     if a_pay not in L.index:
         raise Stuck("anchor vertex %r is not a cell" % (a_pay,))
-    _carry(L, rep, L.index[a_pay], list.__getitem__, lambda s, m: Stuck(
-        "the stabilizer of cell %s moves its anchor vertex: the cone cells "
-        "admit no equivariant matching" % fmt_payload(L.payloads[m])))
+    if len(orbit) != L.order:
+        raise Stuck("the orbit of cell %s is not free" % fmt_payload(pay))
     partner_rep, toggled = {}, {}
     for cid in [apex_id[rep]] + [cone_id[(rep, b)]
                                  for b in sorted(cof[rep] | ring[rep])]:
@@ -846,14 +821,8 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
         cone_cells.add(apex_id[m])
         cone_cells.update(cone_id[(m, b)] for b in cof[m] | ring[m])
     partner = {}
-    for part in _carry(
-            L, rep, partner_rep,
-            lambda p, d: dict(zip(map(p.__getitem__, d),
-                                  map(p.__getitem__, d.values()))),
-            lambda s, m: Stuck("a stabilizer of cell %s is incompatible "
-                               "with its cone pairing"
-                               % fmt_payload(L.payloads[m]))).values():
-        partner.update(part)
+    for cid, q in partner_rep.items():
+        partner.update(zip(L._orbit_list(cid), L._orbit_list(q)))
     mu = {}
     for x, y in partner.items():
         if y not in partner or partner[y] != x or y not in cone_cells:

@@ -85,8 +85,8 @@ class OrbitCofaceClash(VerificationError):
 
 
 class OrbitNotIndependentlyFree(VerificationError):
-    """An orbit is not independently free: distinct orbit members pair with
-    the same cofacet, or an orbit member's pairing leaves the orbit."""
+    """An orbit step's orbit is not free, or not independently free:
+    distinct orbit members pair with the same cofacet."""
 
 
 class MatchingInvalid(VerificationError):

@@ -235,14 +235,35 @@ def test_step_closed_under_generators_but_two_orbits():
 
 
 def test_step_facets_misaligned_by_a_stabilizer():
-    # the flip fixes m but swaps its cofacets am and bm: no facet choice
-    # for the orbit {m} commutes with it
+    # the flip fixes m but swaps its cofacets am and bm: the orbit {m} is
+    # not free, so no step moves it
     K = hb.CellComplex.from_simplices(map(frozenset, ["am", "bm"]))
     A = _explicit_action(K, "flip", {"a": "b", "b": "a"})
-    with pytest.raises(VerificationError,
-                       match="not equivariant under generator 'flip'"):
+    with pytest.raises(OrbitNotIndependentlyFree,
+                       match=r"^the orbit of cell \{m\} is not free$"):
         hb.apply_orbit_step(hb.CollapseState(K), A, "c",
                             K.index[frozenset("m")], K.index[frozenset("am")])
+
+
+def test_step_refused_on_an_orbit_with_a_stabilizer():
+    # Z_6 = <g | g^6> acts through Z_3, rotating the edges ab, cd and ef:
+    # the orbit {a, c, e} has 3 cells, not 6, and every element carries
+    # the facets along, yet the step is refused, built or replayed
+    K = hb.CellComplex.from_simplices(map(frozenset, ["ab", "cd", "ef"]))
+    rot = {"a": "c", "c": "e", "e": "a", "b": "d", "d": "f", "f": "b"}
+    A = hb.GroupAction.from_payload_maps(
+        K, [lambda p: frozenset(rot[v] for v in p)], ["g"], order=6,
+        relations=[((0,) * 6, ())])
+    a = K.index[frozenset("a")]
+    state = hb.CollapseState(K)
+    with pytest.raises(OrbitNotIndependentlyFree,
+                       match=r"^the orbit of cell \{a\} is not free$"):
+        hb.apply_orbit_step(state, A, "c", a, K.index[frozenset("ab")])
+    assert state.n_alive == len(K)
+    with pytest.raises(OrbitNotIndependentlyFree,
+                       match=r"^step 0 \(collapse at cell %d \{a\}\): the "
+                             r"orbit of cell \{a\} is not free$" % a):
+        _replay_one_step(K, A, "a", "ab", ["a", "c", "e", "ab", "cd", "ef"])
 
 
 def test_cone_cell_image_that_is_not_a_cone_cell():
@@ -273,12 +294,12 @@ def test_cone_cells_checked_against_the_relations(hollow_triangle):
 
 
 def test_stellar_stage_stuck_when_a_stabilizer_moves_the_anchor():
-    # the flip fixes the edge xy and swaps its vertices, so it moves the
-    # anchor x of the orbit {xy}: carrying the anchor along the generators
-    # meets xy again with the anchor y
+    # the flip fixes the edge xy and swaps its vertices, so it would move
+    # the anchor x of the orbit {xy}: that orbit is not free, and leg A
+    # refuses it
     seg, A = seg_with_flip()
     with pytest.raises(Stuck,
-                       match=r"stabilizer of cell \{x,y\} moves its anchor"):
+                       match=r"^the orbit of cell \{x,y\} is not free$"):
         hb.stellar_deformation_certificate(seg, A, seg.index[frozenset("xy")])
 
 
@@ -327,9 +348,9 @@ def test_step_equivariance_enforced():
 
 
 def test_steps_on_orbits_that_are_not_free_with_the_word_table_known():
-    # with the table read from a free orbit, a step at a fixed cell still
-    # searches its orbit and checks the stabilizer, and a free orbit whose
-    # members share their facet still fails, with the same messages
+    # with the table read from a free orbit, a step at a fixed cell is
+    # refused as one whose orbit is not free, and a free orbit whose
+    # members share their facet still fails
     seg, A = seg_with_flip()
     x, y = seg.index[frozenset("x")], seg.index[frozenset("y")]
     assert A.orbit(x) == (x, y) and A.words is not None
@@ -341,9 +362,8 @@ def test_steps_on_orbits_that_are_not_free_with_the_word_table_known():
     A = _explicit_action(K, "flip", {"a": "b", "b": "a"})
     A.orbit(K.index[frozenset("a")])
     assert A.words is not None
-    with pytest.raises(VerificationError,
-                       match="^facet assignment of the step is not "
-                             "equivariant under generator 'flip'$"):
+    with pytest.raises(OrbitNotIndependentlyFree,
+                       match=r"^the orbit of cell \{m\} is not free$"):
         hb.apply_orbit_step(hb.CollapseState(K), A, "c",
                             K.index[frozenset("m")], K.index[frozenset("am")])
 
@@ -401,23 +421,39 @@ def test_store_orbits_down_the_word_table(matchings):
 
 
 def test_replayed_steps_never_search_free_orbits(matchings, monkeypatch):
-    # every orbit of the K_4^3 and K3_122 certificates is free, so after
-    # the first step has read the word table, no step replayed searches
-    # its orbit along the generators (_carry)
+    # every orbit of the K_4^3 and K3_122 certificates is free, so an
+    # action (or cell store) searches an orbit only until that search has
+    # given it its word table, and every step reads its two orbit lists
+    # down the table
     for name in ("K_4^3", "K3_122"):
         cert = hb.main_theorem_certificate(matchings[name].graph,
                                            matching=matchings[name])
-        calls = {"_carry": 0, "apply_orbit_step": 0}
-        for fn in calls:
-            def counted(*args, fn=fn, original=getattr(collapse, fn)):
-                calls[fn] += 1
-                return original(*args)
-            monkeypatch.setattr(collapse, fn, counted)
+        searched_with_table, table_reads, steps = [], [], []
+
+        def search(self, i, original=hb.GroupAction._search):
+            if self.words is not None:
+                searched_with_table.append(i)
+            return original(self, i)
+
+        def orbit_list(self, i, original=hb.GroupAction._orbit_list):
+            if self.words is not None:
+                table_reads.append(i)
+            return original(self, i)
+
+        def step(*args, original=collapse.apply_orbit_step):
+            steps.append(args[3])
+            return original(*args)
+
+        for cls in (hb.GroupAction, collapse._CellStore):
+            monkeypatch.setattr(cls, "_search", search)
+            monkeypatch.setattr(cls, "_orbit_list", orbit_list)
+        monkeypatch.setattr(collapse, "apply_orbit_step", step)
         replays(matchings[name].graph, cert)
         monkeypatch.undo()
-        assert calls == {"_carry": 0, "apply_orbit_step": sum(
-            len(s["certificate"]) for s in cert.stages
-            if s["kind"] == "deformation")}, name
+        assert searched_with_table == [], name
+        assert len(steps) == sum(len(s["certificate"]) for s in cert.stages
+                                 if s["kind"] == "deformation"), name
+        assert len(table_reads) >= 2 * len(steps) > 0, name
 
 
 # -- certificates -----------------------------------------------------------

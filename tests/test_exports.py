@@ -33,7 +33,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # classify_chain, mu and NotInSigma, which only mu raised: build_matching
 # applies the one matching rule, and test_morse keeps the item-by-item form
 # as its oracle.  remove and add, of CollapseState and the cell store:
-# set_alive moves the cells of a whole orbit step at once.
+# set_alive moves the cells of a whole orbit step at once.  _carry and
+# _facet_clash: every orbit an orbit step or a cone pairing reads is free,
+# and is read down the action's word table; an orbit that is not free is
+# refused, so no orbit is searched along the generators for its stabilizer.
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
@@ -41,7 +44,7 @@ REMOVED = ("deletion", "independently_free", "_presentation",
            "free_facet", "closed_star", "maximal_ids", "verify_acyclic",
            "hom_leq", "generates_complete", "EmptyPart", "_flatten_map",
            "_check_iso", "classify_chain", "mu", "NotInSigma", "remove",
-           "add")
+           "add", "_carry", "_facet_clash")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph),)
 

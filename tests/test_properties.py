@@ -1,8 +1,9 @@
 """Properties that hold for every r-graph, checked on random small ones:
-the theorem certificate builds and replays, box and Hom homology agree, and
+the theorem certificate builds and replays, box and Hom homology agree,
 the Hom complex oriented by its product cells has the homology of its order
-complex.  And a property of replay: a theorem certificate with any one
-field changed is rejected with a HomboxError."""
+complex, and S_r acts freely on Hom, box and sd box.  And a property of
+replay: a theorem certificate with any one field changed is rejected with a
+HomboxError."""
 
 import json
 from pathlib import Path
@@ -50,6 +51,21 @@ def test_homology_agrees_and_hom_needs_no_subdivision(H):
     sd_hom = hb.order_complex(M.hom.cx)
     for coeff in ("z", "z2"):
         assert hb.betti(M.hom.cx, coeff) == hb.betti(sd_hom, coeff)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(small_rgraphs())
+def test_actions_are_free(H):
+    # a cell that a transposition (i j) fixes would need f(i) = f(j), an
+    # edge with a repeated vertex; the orbit kernel of collapse relies on it
+    try:
+        hom = hb.hom_complex(H, max_cells=CHAIN_CAP)
+        box = hb.box_edge(H, max_cells=CHAIN_CAP)
+        sd = hb.barycentric_subdivision(box.cx, max_cells=CHAIN_CAP)
+    except hb.SizeGuard:
+        return
+    assert hom.action.is_free() and box.action.is_free()
+    assert hb.lift_action_to_order_complex(box.action, sd).is_free()
 
 
 def _fields(obj, path=()):
