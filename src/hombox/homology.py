@@ -11,16 +11,26 @@ factors before k), the sign of the product boundary
 d(a x b) = da x b + (-1)^dim(a) a x db.  So the polytopal Hom complex is
 taken as it is, with no subdivision.
 
-Integer ranks and torsion come from a Smith normal form computed in two
-phases: a sparse elimination that only ever pivots on +-1 entries (chosen by
-a lazy minimum-fill heap), followed by an exact dense Smith normal form of
-whatever small block remains.  Since unit pivots are invertible row/column
-operations, the invariant factors are the units' 1s followed by the dense
-block's factors.
+Homology is computed in three phases.  First the whole chain complex is
+reduced by pairs that cost no fill (Kaczynski, Mrozek and Slusarek,
+"Homology computation by reduction of chain complexes", Comput. Math.
+Appl. 1998; Mrozek and Batko, "Coreduction homology algorithm", Discrete
+Comput. Geom. 2009): a pair (tau, sigma) of incidence +-1 goes when sigma is
+the only remaining face of tau, or tau the only remaining coface of sigma.
+Either way deleting both cells changes no other entry, and is a chain
+homotopy equivalence over any ring.  A closed complex has no such pair, so
+one vertex per connected component is taken out first, and given back to
+b_0: H(K) = H(seeds) + H(K, seeds).  What is left is the original boundary
+restricted to the cells that remain, ranked over Z/2 by bitmask elimination,
+or over Z by the two phases of a Smith normal form: a sparse elimination that
+only ever pivots on +-1 entries (chosen by a lazy minimum-fill heap),
+followed by an exact dense Smith normal form of whatever small block
+remains.  Since unit pivots are invertible row/column operations, the
+invariant factors are the units' 1s followed by the dense block's factors.
 """
 
 import heapq
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .cellcx import canon_bytes
 from .errors import InputError
@@ -238,25 +248,95 @@ def _snf_invariants(columns):
 # Betti numbers and torsion
 
 
+def _reduce(K, bnd):
+    """Reduce the chain complex of K by zero-fill pairs.  Returns (alive,
+    seeds): which cells are left, and how many vertices were taken out as
+    seeds, one per connected component.
+
+    The pass is driven by a first-in first-out work list, so it spreads out
+    from the seeds breadth first, as a coreduction does; on the box and Hom
+    complexes of K_5^3, K_6^4 and K_7^5 it leaves only b_2 cells.  Every
+    entry of bnd is +-1, so each pair found qualifies, and the reduced
+    boundary is bnd restricted to the cells left."""
+    n = len(bnd)
+    up = [[] for _ in range(n)]
+    for i, col in enumerate(bnd):
+        for f in col:
+            up[f].append(i)
+    faces_left = list(map(len, bnd))
+    cofaces_left = list(map(len, up))
+    alive = [True] * n
+    todo = deque()
+
+    def remove(x):
+        alive[x] = False
+        for f in bnd[x]:
+            if alive[f]:
+                cofaces_left[f] -= 1
+                if cofaces_left[f] == 1:
+                    todo.append(f)
+        for c in up[x]:
+            if alive[c]:
+                faces_left[c] -= 1
+                if faces_left[c] == 1:
+                    todo.append(c)
+
+    reached = [False] * n
+    seeds = 0
+    for v in K.cells_of_dim(0):
+        if reached[v]:
+            continue
+        seeds += 1
+        reached[v] = True
+        stack = [v]
+        while stack:
+            for e in up[stack.pop()]:
+                for w in bnd[e]:
+                    if not reached[w]:
+                        reached[w] = True
+                        stack.append(w)
+        remove(v)
+
+    todo.extend(range(n))
+    while todo:
+        x = todo.popleft()
+        if not alive[x]:
+            continue
+        if faces_left[x] == 1:
+            y = next(f for f in bnd[x] if alive[f])
+        elif cofaces_left[x] == 1:
+            y = next(c for c in up[x] if alive[c])
+        else:
+            continue
+        remove(x)
+        remove(y)
+    return alive, seeds
+
+
 def betti(K, coeff="z"):
     """(Betti numbers, torsion) of K.
 
     Over the integers ("z"), torsion[d] lists the invariant factors > 1 of
     the boundary in dimension d+1, i.e. the torsion coefficients of H_d.
     Over Z/2 ("z2"), Betti numbers are Z/2-dimensions and torsion rows are
-    empty.  Cells are oriented by oriented_boundary, so K needs payloads
-    of the shapes it accepts."""
+    empty.  The chain complex is first reduced by zero-fill pairs and one
+    seed vertex per component (see the module docstring); the cells left
+    are ranked over the chosen ring.  Cells are oriented by
+    oriented_boundary, so K needs payloads of the shapes it accepts."""
     if coeff not in ("z", "z2"):
         raise InputError("coeff must be 'z' or 'z2', not %r" % (coeff,))
     if len(K.payloads) == 0:
         return [], []
     D = K.max_dim
     bnd = oriented_boundary(K)
-    ids_of = [K.cells_of_dim(d) for d in range(D + 1)]
+    alive, seeds = _reduce(K, bnd)
+    ids_of = [[i for i in K.cells_of_dim(d) if alive[i]]
+              for d in range(D + 1)]
     ranks = [0] * (D + 2)
     invs = [[] for _ in range(D + 2)]
     for d in range(1, D + 1):
-        cols = {i: bnd[i] for i in ids_of[d]}
+        cols = {i: {r: s for r, s in bnd[i].items() if alive[r]}
+                for i in ids_of[d]}
         if coeff == "z2":
             pos = {r: k for k, r in enumerate(ids_of[d - 1])}
             masks = []
@@ -270,6 +350,7 @@ def betti(K, coeff="z"):
             invs[d] = _snf_invariants(cols)
             ranks[d] = len(invs[d])
     bettis = [len(ids_of[d]) - ranks[d] - ranks[d + 1] for d in range(D + 1)]
+    bettis[0] += seeds
     torsion = [[f for f in invs[d + 1] if f != 1] for d in range(D + 1)]
     return bettis, torsion
 

@@ -513,8 +513,9 @@ def test_theorem_refuses_old_versions(k3_122_theorem, tmp_path, capsys):
             "theorem`\n" % version)
 
 
-# Tampers of a version 1 certificate: a step is [before, after, {...}].  A
-# version 1 certificate is refused by its version, whatever its fields.
+# A tampered version 1 certificate, whose steps are [before, after, {...}],
+# is refused by its version before any other field is read.  The tampers of
+# version 5 below cover the fields themselves.
 
 
 def _first_step(obj, stage):
@@ -525,49 +526,15 @@ def _drop_direction(obj):
     del _first_step(obj, 0)["direction"]
 
 
-def _stage_not_an_object(obj):
-    obj["stages"][1] = ["unfold-hom-subdivision"]
-
-
-def _drop_certificate(obj):
-    del obj["stages"][3]["certificate"]
-
-
-def _bool_id(obj):
-    _first_step(obj, 0)["sigma"] = True
-
-
-def _negative_id(obj):
-    _first_step(obj, 5)["facets"][0] = -1
-
-
-def _id_outside_stellar_universe(obj):
-    step = _first_step(obj, 0)
-    step["sigma"] = step["orbit"][0] = 10 ** 6
-
-
-def _id_outside_collapse_universe(obj):
-    _first_step(obj, 3)["facets"][0] = 10 ** 6
-
-
-def _bool_in_iso_map(obj):
-    obj["stages"][4]["map"][0][0] = True
-
-
-@pytest.mark.parametrize("tamper", [
-    _drop_direction, _stage_not_an_object, _drop_certificate, _bool_id,
-    _negative_id, _id_outside_stellar_universe,
-    _id_outside_collapse_universe, _bool_in_iso_map])
-def test_theorem_malformed_certificate(k3_122_theorem, tamper, tmp_path,
-                                       capsys):
-    rc, err = _replay_tampered(k3_122_theorem, 1, tamper, tmp_path, capsys)
+def test_theorem_malformed_certificate(k3_122_theorem, tmp_path, capsys):
+    rc, err = _replay_tampered(k3_122_theorem, 1, _drop_direction, tmp_path,
+                               capsys)
     assert rc == 4
     assert "input error: main theorem certificate of format version 1" in err
 
 
-# The same tampers of a version 5 certificate, whose steps are rows
-# [direction, sigma, facet] after each run's universe and end, and two that
-# only versions 2 to 5 have.
+# Tampers of a version 5 certificate, whose steps are rows
+# [direction, sigma, facet] after each run's universe and end.
 
 
 def _first_row(obj, stage):
@@ -576,6 +543,14 @@ def _first_row(obj, stage):
 
 def _drop_direction_v2(obj):
     del _first_row(obj, 0)[0]
+
+
+def _stage_not_an_object(obj):
+    obj["stages"][1] = ["unfold-hom-subdivision"]
+
+
+def _drop_certificate(obj):
+    del obj["stages"][3]["certificate"]
 
 
 def _bool_id_v2(obj):

@@ -8,7 +8,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import hombox as hb
-from hombox import InputError
+from hombox import InputError, homology
 from hombox.cellcx import canon_key
 
 from conftest import CORPUS_NAMES
@@ -30,6 +30,31 @@ def hexagon():
     verts = "uvwxyz"
     return hb.CellComplex.from_simplices(
         [frozenset((verts[i], verts[(i + 1) % 6])) for i in range(6)])
+
+
+def dunce_hat():
+    """A triangle whose three sides are glued as a a a^-1: each side is the
+    path 1-2-3-1, so the boundary 9-gon reads 1 2 3 1 2 3 1 3 2.  It is
+    the cone on that 9-gon from a centre o, subdivided once (the spokes at
+    s_i, the glued edges at m_ab, the cone triangles at t_i), so that the
+    glued cells stay simplices."""
+    ring = "123123132"
+    tris = []
+    for i in range(9):
+        a, b = ring[i], ring[(i + 1) % 9]
+        sa, sb, t = "s%d" % i, "s%d" % ((i + 1) % 9), "t%d" % i
+        m = "m" + "".join(sorted(a + b))
+        tris += [("o", sa, t), ("o", sb, t), (a, sa, t), (a, m, t),
+                 (b, m, t), (b, sb, t)]
+    return hb.CellComplex.from_simplices([frozenset(x) for x in tris])
+
+
+def three_components():
+    """A 2-sphere, a hexagon and a solid triangle, side by side."""
+    return hb.CellComplex.from_simplices(
+        [frozenset("abcd") - {v} for v in "abcd"]
+        + [frozenset((v, w)) for v, w in zip("uvwxyz", "vwxyzu")]
+        + [frozenset("pqr")])
 
 
 def oracle_homology(K):
@@ -74,7 +99,8 @@ def oracle_cases():
         [frozenset("abc"), frozenset("pq"), frozenset("qr"), frozenset("rp")])
     return [("point", pt), ("segment", seg), ("solid", solid),
             ("hollow", hollow), ("sphere", sphere2()), ("rp2", rp2()),
-            ("hexagon", hexagon()), ("union", both)]
+            ("hexagon", hexagon()), ("union", both),
+            ("dunce", dunce_hat()), ("three", three_components())]
 
 
 # -- oriented boundaries -----------------------------------------------------
@@ -205,6 +231,51 @@ def test_rp2_torsion():
         assert len(K.up[e]) == 2
     assert hb.betti(K, "z") == ([1, 0, 0], [[], [2], []])
     assert hb.betti(K, "z2") == ([1, 1, 1], [[], [], []])
+
+
+def test_sd_rp2_torsion():
+    sd = hb.barycentric_subdivision(rp2())
+    assert hb.betti(sd, "z") == ([1, 0, 0], [[], [2], []])
+    assert hb.betti(sd, "z2") == ([1, 1, 1], [[], [], []])
+
+
+def test_dunce_hat_has_no_free_face():
+    # no pair can go before a seed vertex does: every edge lies in at
+    # least two triangles, and some in three
+    K = dunce_hat()
+    degrees = [len(K.up[e]) for e in K.cells_of_dim(1)]
+    assert min(degrees) == 2 and max(degrees) == 3
+    assert hb.betti(K, "z") == ([1, 0, 0], [[], [], []])
+    assert hb.betti(K, "z2") == ([1, 0, 0], [[], [], []])
+
+
+def test_betti_of_three_components():
+    K = three_components()
+    assert hb.betti(K, "z") == ([3, 1, 1], [[], [], []])
+    assert hb.betti(K, "z2") == ([3, 1, 1], [[], [], []])
+
+
+@pytest.mark.parametrize("which", ["box", "hom"])
+def test_reduction_leaves_few_cells_to_rank(which, corpus, monkeypatch):
+    # the ranks see only the cells that the pass by zero-fill pairs leaves;
+    # without it they would see every cell of positive dimension
+    cx = {"box": hb.box_edge, "hom": hb.hom_complex}[which](corpus["K_5^3"]).cx
+    seen = []
+
+    def counting(rank):
+        def counted(columns):
+            seen.append(len(columns))
+            return rank(columns)
+        return counted
+
+    for name in ("_snf_invariants", "_rank_gf2"):
+        monkeypatch.setattr(homology, name, counting(getattr(homology, name)))
+    assert hb.betti(cx, "z") == ([1, 0, 29] + [0] * (cx.max_dim - 2),
+                                 [[]] * (cx.max_dim + 1))
+    assert 0 < sum(seen) < len(cx) / 10
+    seen.clear()
+    assert hb.betti(cx, "z2")[0] == [1, 0, 29] + [0] * (cx.max_dim - 2)
+    assert 0 < sum(seen) < len(cx) / 10
 
 
 def test_betti_invariant_under_subdivision():

@@ -1,7 +1,8 @@
 """Properties that hold for every r-graph, checked on random small ones:
 the theorem certificate builds and replays, box and Hom homology agree,
 the Hom complex oriented by its product cells has the homology of its order
-complex, and S_r acts freely on Hom, box and sd box.  And a property of
+complex, and S_r acts freely on Hom, box and sd box.  Homology agrees with
+a dense oracle on random simplicial complexes.  And a property of
 replay: a theorem certificate with any one field changed is rejected with a
 HomboxError."""
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import hombox as hb
 
 from conftest import replays, small_rgraphs
+from test_homology import oracle_homology
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -51,6 +53,23 @@ def test_homology_agrees_and_hom_needs_no_subdivision(H):
     sd_hom = hb.order_complex(M.hom.cx)
     for coeff in ("z", "z2"):
         assert hb.betti(M.hom.cx, coeff) == hb.betti(sd_hom, coeff)
+
+
+# 6 to 14 facets of 1 to 4 vertices among 8: of the 100 drawn, a quarter
+# are disconnected and half have 1-cycles.
+simplicial_complexes = st.lists(
+    st.frozensets(st.integers(0, 7), min_size=1, max_size=4),
+    min_size=6, max_size=14).map(hb.CellComplex.from_simplices)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(simplicial_complexes)
+def test_betti_matches_the_dense_oracle(K):
+    # the pass by zero-fill pairs and seed vertices is exact over Z and Z/2
+    ob, ot, ob2 = oracle_homology(K)
+    b, t = hb.betti(K, "z")
+    assert (b, [sorted(row) for row in t]) == (ob, ot)
+    assert hb.betti(K, "z2") == (ob2, [[] for _ in ob2])
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
