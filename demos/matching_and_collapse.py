@@ -14,9 +14,9 @@ print("graph: %r" % H)
 M = hb.build_matching(H)
 print("matching: %d chains, %d of them in D and %d critical"
       % (len(M.sd), len(M.d_cells()), len(M.critical)))
-# verify rechecks the partition, mu and its equivariance, the critical
-# cells, and runs a cycle search on the matching digraph
-assert M.verify()
+# verify proves the matching by its collapse into elementary S_3-collapses:
+# mu equivariant, each pair free when it is taken, the critical cells left
+run = M.verify()
 
 # classification of a single chain, spelled out
 x = M.sigma()[0]
@@ -29,8 +29,7 @@ print("  chain ids  %s" % (chain,))
 print("  mu(chain)  %s" % (M.sd.payloads[y],))
 assert x in M.sd.down[y]
 
-# execute the matching as elementary S_3-collapses
-run = hb.matching_to_collapse(M.sd, M.action, M)
+# the collapse, one certificate row per whole-orbit step
 cert = run.certificate
 print()
 print("collapse: %d whole-orbit steps, %d cells moved (= |Sigma|+|mu(Sigma)|)"

@@ -171,6 +171,8 @@ def cmd_verify(args):
     else:
         M = build_matching(H, max_cells=mc)
         verify_critical_isomorphism(M, max_cells=mc)
+        # the collapse proves the matching acyclic; --certificate writes it
+        run = matching_to_collapse(M.sd, M.action, M)
         cells, critical = len(M.sd), len(M.critical)
     # A verified collapse removes the cells of D in facet pairs.
     d_cells = cells - critical
@@ -184,7 +186,6 @@ def cmd_verify(args):
     if replay:
         _say("matching certificate %s verified" % path)
     elif path:
-        run = matching_to_collapse(M.sd, M.action, M)
         _write(path, canonical_json(run.certificate.reversed().to_json_obj()))
         _say("matching certificate written to %s" % path)
     if args.out:

@@ -413,19 +413,27 @@ def _orbit_steps(action, mu, key):
     """The collapse steps of the matching mu (cell -> facet), one per orbit,
     as DeformationCertificate holds them: ("c", least member, its facet),
     sorted by key(orbit), a sorted tuple, then by least member.  Raises
-    Stuck if the matched cells are not closed under the action, or if a
-    cell lies in two pairs."""
+    Stuck, naming the cell, if a cell lies in two pairs, or if mu is not
+    equivariant: not closed under the action, or a member rep.w of an
+    orbit not matched with mu(rep).w, for a word w of the action's table."""
+    K = action.cx
     cells = set(mu)
     for f in mu.values():
         if f in cells:
-            raise Stuck("cell %d appears in two matched pairs" % f)
+            raise Stuck("cell %s appears in two matched pairs" % _label(K, f))
         cells.add(f)
     orbs = action.orbits(mu)
     for ob in orbs:
         for m in ob:
             if m not in mu:
                 raise Stuck("matched set is not closed under the action "
-                            "at cell %d" % m)
+                            "at cell %s" % _label(K, m))
+        rep = ob[0]
+        for m, f in zip(action._orbit_list(rep), action._orbit_list(mu[rep])):
+            if mu[m] != f:
+                raise Stuck("matching is not equivariant at cell %s: it is "
+                            "matched with %s, the action gives %s"
+                            % (_label(K, m), _label(K, mu[m]), _label(K, f)))
     orbs.sort(key=key)
     return [("c", ob[0], mu[ob[0]]) for ob in orbs]
 
@@ -448,15 +456,14 @@ CollapseRun = namedtuple("CollapseRun", "certificate cells_moved")
 
 
 def matching_to_collapse(K, A, M):
-    """Execute the verified matching M on K = M.sd = sd B_edge(H), with A =
-    M.action, as a sequence of elementary S_r-collapses, yielding a
-    replayable certificate whose end complex is the critical subcomplex.
-
-    Removes exactly |Sigma| + |mu(Sigma)| cells in whole-orbit steps, in
-    the order of the first key in the module docstring.  No end complex is
-    built: once the alive cells are checked to be M.critical, the end
-    fingerprint is the state's, which is that of the critical subcomplex,
-    as a subcomplex keeps its cells' digests.
+    """Collapse the matching M on K = M.sd = sd B_edge(H), with A =
+    M.action, in checked orbit steps, in the order of the first key in the
+    module docstring: the proof that M is an equivariant acyclic matching
+    (morse), and a replayable certificate whose end is the critical
+    subcomplex.  The collapse must remove |Sigma| + |mu(Sigma)| cells and
+    leave M.critical, whose fingerprint, as a subcomplex keeps its cells'
+    digests, is the state's: no end complex is built.  Raises
+    VerificationError (a subclass), naming a cell, where M fails.
     """
     pay, box_dims = K.payloads, M.box.cx.dims
 
@@ -475,9 +482,12 @@ def matching_to_collapse(K, A, M):
         raise VerificationError(
             "bookkeeping: removed %d cells, expected |Sigma|+|mu(Sigma)| = %d"
             % (moved, expect))
-    if state.alive_ids() != sorted(M.critical):
+    alive = state.alive_ids()
+    if alive != M.critical:
+        k = min(set(alive).symmetric_difference(M.critical))
         raise VerificationError(
-            "collapse endpoint differs from the critical subcomplex")
+            "collapse endpoint differs from the critical subcomplex at "
+            "cell %s" % _label(K, k))
     cert = DeformationCertificate(
         (K.fingerprint, state.fingerprint),
         [(None, state.fingerprint, steps)] if steps else [])
@@ -1148,7 +1158,8 @@ def _check_ends(stage, K1, K2):
 
 def main_theorem_certificate(H, max_cells=None, matching=None):
     """Build (and fully verify while building) the six-stage certificate for
-    H.  Pass a prebuilt verified matching to avoid reconstructing it.
+    H.  Pass a prebuilt matching to avoid reconstructing it; stage 4, its
+    collapse, proves it.
 
     Each complex is subdivided once: sd B_edge(H) is the matching's M.sd,
     and verify_critical_isomorphism builds sd Hom while it checks stage 3.
@@ -1184,6 +1195,15 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     return cert
 
 
+def _product_chains(box, sd):
+    """The ids of the chains of products in sd = sd B_edge(H): the chains
+    whose items i∘p fixes (ip_tables), the critical cells of the matching
+    on sd."""
+    fixed = ip_tables(box)[0]
+    return [k for k, ch in enumerate(sd.payloads)
+            if all(map(fixed.__getitem__, ch))]
+
+
 def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     """Replay stages 3 and 4 of a main theorem certificate for the graph of
     the bundles hom and box: cert is stage 4, expand-to-sd-box, in the form
@@ -1195,9 +1215,7 @@ def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     Returns the CriticalIso and the action lifted to sd B_edge(H)."""
     sd = barycentric_subdivision(box.cx, max_cells=max_cells)
     action = lift_action_to_order_complex(box.action, sd)
-    fixed = ip_tables(box)[0]
-    critical = [k for k, chain in enumerate(sd.payloads)
-                if all(map(fixed.__getitem__, chain))]
+    critical = _product_chains(box, sd)
     with _stage("products-into-sd-box"):
         crit = _critical_iso(hom, box, sd, action, critical, max_cells)
         if products is not None:

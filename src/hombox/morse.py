@@ -39,12 +39,17 @@ topmost with c(x) above it, which is upper.  So y drops x, and the topmost
 non-product of y lies strictly below x.  Its box id therefore strictly
 decreases along every path, and no path closes.
 
-build_matching checks all of this explicitly (Matching.verify) and
-raises MatchingInvalid with a counterexample chain if any check fails.
+The collapse is the proof.  build_matching checks that the critical chains
+are the chains of products; Matching.verify collapses the matching, orbit
+by orbit in the order of the acyclicity proof above, checking that mu is
+equivariant, that each pair is free when taken, and that the critical
+chains survive.  Elementary collapses in some order exist only for an
+acyclic matching (Kozlov, ch. 11).
 """
 
-from .boxcx import box_edge, i_image_ids, ip_tables
+from .boxcx import box_edge, ip_tables
 from .cellcx import _chain_blocks, _lift, barycentric_subdivision, canon_key
+from .collapse import _product_chains, matching_to_collapse
 from .errors import MatchingInvalid
 from .homcx import hom_complex
 
@@ -54,7 +59,8 @@ UPPER = "upper"
 
 
 class Matching:
-    """A verified equivariant acyclic matching on sd B_edge(H).
+    """An equivariant matching on sd B_edge(H) whose critical chains are the
+    chains of products; verify proves it acyclic by collapsing it.
 
     Attributes (ids refer to cells of .sd unless stated otherwise):
       graph, hom, box   the r-graph and its Hom/box complex bundles
@@ -81,67 +87,10 @@ class Matching:
     def d_cells(self):
         return [i for i, t in enumerate(self.tags) if t != CRITICAL]
 
-    def _chain_payloads(self, i):
-        return _chain_payloads(self.box, self.sd, i)
-
     def verify(self):
-        """Re-run every structural check; raise MatchingInvalid on failure."""
-        sd, mu_map = self.sd, self.mu
-        sig = self.sigma()
-        if sorted(mu_map) != sig:
-            raise MatchingInvalid("mu domain differs from Sigma")
-        seen = {}
-        for x in sig:
-            y = mu_map[x]
-            if self.tags[y] != UPPER:
-                raise MatchingInvalid(
-                    "mu target of chain %r is %s, not upper"
-                    % (self._chain_payloads(x), self.tags[y]))
-            if x not in sd.down[y]:
-                raise MatchingInvalid(
-                    "mu(%r) does not cover it" % (self._chain_payloads(x),))
-            if y in seen:
-                raise MatchingInvalid(
-                    "mu not injective: chains %r and %r share target %r"
-                    % (self._chain_payloads(seen[y]),
-                       self._chain_payloads(x), self._chain_payloads(y)))
-            seen[y] = x
-        for y in self.upper:
-            if y not in seen:
-                raise MatchingInvalid(
-                    "upper chain %r not matched by any Sigma chain: "
-                    "D is not partitioned" % (self._chain_payloads(y),))
-        A, tags = self.action, self.tags
-        mu_of = mu_map.__getitem__
-        for g, p in enumerate(A.perms):
-            act = p.__getitem__
-            # each test runs at C speed; the loop after it finds the cell
-            if list(map(tags.__getitem__, p)) != tags:
-                for x, t in enumerate(tags):
-                    if tags[p[x]] != t:
-                        raise MatchingInvalid(
-                            "classification not equivariant at %r under %r"
-                            % (self._chain_payloads(x), A.labels[g]))
-            if (list(map(mu_of, map(act, sig)))
-                    != list(map(act, map(mu_of, sig)))):
-                for x in sig:
-                    if mu_map[p[x]] != p[mu_map[x]]:
-                        raise MatchingInvalid(
-                            "mu not equivariant at %r under %r"
-                            % (self._chain_payloads(x), A.labels[g]))
-        iP = set(i_image_ids(self.hom, self.box))
-        for i, items in enumerate(sd.payloads):
-            expect = iP.issuperset(items)
-            if expect != (self.tags[i] == CRITICAL):
-                raise MatchingInvalid(
-                    "critical cells differ from chains of products at %r"
-                    % (self._chain_payloads(i),))
-        cyc = _find_cycle(self)
-        if cyc is not None:
-            raise MatchingInvalid(
-                "matching digraph has a cycle through %r"
-                % ([self._chain_payloads(x) for x in cyc],))
-        return True
+        """The matching's proof, its collapse: collapse.matching_to_collapse,
+        which returns a CollapseRun or raises naming the cell that fails."""
+        return matching_to_collapse(self.sd, self.action, self)
 
 
 def _chain_payloads(box, sd, i):
@@ -203,51 +152,15 @@ def _classify(box, sd, closure, blocks):
     return tags, mu_map
 
 
-def _find_cycle(M):
-    """A cycle in the matching digraph (x -> y iff y != x, y in Sigma, y a
-    facet of mu(x)), or None.  Kahn peeling; returns one cycle's node list."""
-    sig = M.sigma()
-    sigset = set(sig)
-    succ = {}
-    indeg = dict.fromkeys(sig, 0)
-    for x in sig:
-        outs = tuple([y for y in M.sd.down[M.mu[x]]
-                      if y != x and y in sigset])
-        succ[x] = outs
-        for y in outs:
-            indeg[y] += 1
-    queue = [x for x in sig if indeg[x] == 0]
-    done = 0
-    while queue:
-        x = queue.pop()
-        done += 1
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if done == len(sig):
-        return None
-    rest = {x for x in sig if indeg[x] > 0}
-    x = min(rest)
-    path, seen = [], {}
-    while x not in seen:
-        seen[x] = len(path)
-        path.append(x)
-        x = next(y for y in succ[x] if y in rest)
-    return path[seen[x]:]
-
-
 def build_matching(H, max_cells=None):
-    """Construct and fully verify the matching on sd B_edge(H).
+    """Construct the matching on sd B_edge(H); Matching.verify proves it.
 
     The lift and the classification read the chains by bottom and tail
     from the covers of sd, through one set of tables (cellcx._chain_blocks)
-    that they share and that is dropped before Matching.verify rechecks the
-    result from the chains' payloads.
-
-    Raises MatchingInvalid (with a counterexample chain in the message) if
-    the rule fails any check of Matching.verify on this graph; raises
-    SizeGuard via the complex constructors.
+    that they share.  Raises MatchingInvalid, naming the chain, if a toggle
+    partner is not a chain or the critical chains are not the chains of
+    products (collapse._product_chains); raises SizeGuard via the complex
+    constructors.
     """
     hom = hom_complex(H, max_cells=max_cells)
     box = box_edge(H, max_cells=max_cells)
@@ -257,5 +170,10 @@ def build_matching(H, max_cells=None):
     tags, mu_map = _classify(box, sd, ip_tables(box)[1], blocks)
     del blocks
     M = Matching(H, hom, box, sd, action, tags, mu_map)
-    M.verify()
+    products = _product_chains(box, sd)
+    if M.critical != products:
+        k = min(set(M.critical).symmetric_difference(products))
+        raise MatchingInvalid(
+            "critical cells differ from chains of products at %r"
+            % (_chain_payloads(box, sd, k),))
     return M

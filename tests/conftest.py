@@ -30,7 +30,8 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def matchings(corpus):
-    """Verified matchings for every corpus graph, built once per session."""
+    """Matchings for every corpus graph, built once per session; a test
+    proves one by collapsing it (Matching.verify)."""
     return {name: hb.build_matching(H) for name, H in corpus.items()}
 
 

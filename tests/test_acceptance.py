@@ -2,6 +2,7 @@
 bounds, on the standard corpus of small complete and complete-multipartite
 r-graphs."""
 
+import re
 import time
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import hombox as hb
 from hombox import (NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
-from hombox.morse import Matching, MatchingInvalid, _find_cycle
+from hombox.cellcx import _label
+from hombox.morse import Matching
 
 from conftest import CORPUS_NAMES, elements, replays, z3_action
 
@@ -104,10 +106,10 @@ def test_ac4_matching_validity(corpus):
     for name in CORPUS_NAMES:
         M, dt = timed(lambda H=corpus[name]: hb.build_matching(H))
         worst = max(worst, dt)
-        assert M.verify()
-        assert _find_cycle(M) is None
-        # partition of D and covering were re-checked by verify(); pin the
-        # gross shape too
+        # the collapse proves the matching: it removes D in cover pairs
+        run = M.verify()
+        assert run.cells_moved == len(M.sigma()) + len(M.upper)
+        # pin the gross shape too
         assert sorted(M.sigma() + M.upper + M.critical) == list(
             range(len(M.sd)))
         assert all(x in M.sd.down[M.mu[x]] for x in M.sigma())
@@ -221,17 +223,33 @@ def non_cover_duplicate_mu(M):
     return mu
 
 
-MATCHING_MUTATIONS = [swap_mu_across_orbits, swap_mu_on_orbit_pair,
-                      drop_mu_pair, non_cover_duplicate_mu]
+def second_member(M):
+    # the orbit of the least Sigma chain is checked first, from its least
+    # member, the first cell of its word table
+    return M.action._orbit_list(M.sigma()[0])[1]
+
+
+# Each mutation, the cell its refusal names, and the refusal.
+MATCHING_MUTATIONS = [
+    (swap_mu_across_orbits, second_member,
+     "matching is not equivariant at cell %s: "),
+    (swap_mu_on_orbit_pair, second_member,
+     "matching is not equivariant at cell %s: "),
+    (drop_mu_pair, lambda M: M.sigma()[0],
+     "matched set is not closed under the action at cell %s"),
+    (non_cover_duplicate_mu, lambda M: M.mu[M.sigma()[-1]],
+     "cell %s appears in two matched pairs"),
+]
 
 
 def test_ac8_negative_controls(matchings):
     def body():
         M = matchings["K3_122"]
-        for mutate in MATCHING_MUTATIONS:
+        for mutate, cell, refusal in MATCHING_MUTATIONS:
             bad = Matching(M.graph, M.hom, M.box, M.sd, M.action,
                            M.tags, mutate(M))
-            with pytest.raises(MatchingInvalid):
+            with pytest.raises(Stuck, match="^" + re.escape(
+                    refusal % _label(M.sd, cell(M)))):
                 bad.verify()
 
         # a dropped pair also derails the collapse engine itself

@@ -200,6 +200,27 @@ def test_verify_collapsing_case(k3_122, tmp_path, capsys):
         "isomorphic_onto_critical": True}
 
 
+def test_verify_runs_the_collapse_once(corpus, tmp_path, monkeypatch):
+    # with no certificate to write, verify still proves the matching by its
+    # collapse, and runs it once
+    from hombox import cli, morse
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hb.matching_to_collapse(*args)
+
+    for owner in (cli, morse):
+        monkeypatch.setattr(owner, "matching_to_collapse", counted)
+    for name, H in corpus.items():
+        path = tmp_path / "graph.json"
+        path.write_text(H.to_json_str())
+        calls.clear()
+        assert main(["verify", "--input", str(path)]) == 0, name
+        assert len(calls) == 1, name
+
+
 def test_verify_certificate_write_then_check(k3_112, tmp_path, capsys):
     cert = str(tmp_path / "matching.json")
     assert main(["verify", "--input", k3_112, "--certificate", cert]) == 0

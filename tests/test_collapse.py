@@ -490,6 +490,27 @@ def test_matching_to_collapse_bookkeeping(matchings):
     assert all(len(M.action.orbit(s[1])) == 6 for s in steps)
 
 
+def test_collapse_refuses_an_off_representative_swap(corpus, matchings):
+    # the partners of two members of one Sigma orbit, neither its least,
+    # trade places: the steps read mu only at least members, so they stay
+    # as they were, and the equivariance check refuses the matching
+    M = matchings["K3_122"]
+    xs = M.action._orbit_list(M.sigma()[0])
+    a, b = xs[1], xs[2]
+    mu = dict(M.mu)
+    mu[a], mu[b] = mu[b], mu[a]
+    bad = hb.Matching(M.graph, M.hom, M.box, M.sd, M.action, M.tags, mu)
+    refusal = "^" + re.escape("matching is not equivariant at cell %s: it "
+                              "is matched with %s, the action gives %s"
+                              % tuple(map(fmt_payload, map(
+                                  M.sd.payloads.__getitem__,
+                                  (a, M.mu[b], M.mu[a])))))
+    with pytest.raises(Stuck, match=refusal):
+        hb.matching_to_collapse(M.sd, M.action, bad)
+    with pytest.raises(Stuck, match=refusal):
+        hb.main_theorem_certificate(corpus["K3_122"], matching=bad)
+
+
 def test_replay_collapse_certificate_and_tampering(matchings):
     M = matchings["K3_122"]
     run = hb.matching_to_collapse(M.sd, M.action, M)

@@ -23,10 +23,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # elementary_g_collapse, GCollapse and free_facet: apply_orbit_step on a
 # CollapseState is the one elementary collapse, and it finds a pair that is
 # not free.  closed_star and maximal_ids: no caller; a complex's maximal
-# cells are those whose up tuple is empty.  verify_acyclic: Matching.verify
-# runs the cycle search.  hom_leq: the multihom order is componentwise
-# inclusion (enumerate_multihoms).  generates_complete and EmptyPart:
-# contains_complete_sub is the one complete-subgraph test.  _flatten_map and
+# cells are those whose up tuple is empty.  verify_acyclic and _find_cycle:
+# a matching is proven acyclic by its collapse (Matching.verify).  hom_leq:
+# the multihom order is componentwise inclusion (enumerate_multihoms).
+# generates_complete and EmptyPart: contains_complete_sub is the one
+# complete-subgraph test.  _flatten_map and
 # _check_iso: verify_iso_ids is the one isomorphism checker, on id tables;
 # _unfold reads the table of a stellar end complex from its cells' members,
 # and verify_isomorphism is the payload front of verify_iso_ids.
@@ -44,7 +45,7 @@ REMOVED = ("deletion", "independently_free", "_presentation",
            "free_facet", "closed_star", "maximal_ids", "verify_acyclic",
            "hom_leq", "generates_complete", "EmptyPart", "_flatten_map",
            "_check_iso", "classify_chain", "mu", "NotInSigma", "remove",
-           "add", "_carry", "_facet_clash")
+           "add", "_carry", "_facet_clash", "_find_cycle")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph),)
 
@@ -62,7 +63,7 @@ def test_removed_names_are_not_exported():
                        rgraph):
             assert not hasattr(module, name)
         for cls in (cellcx.CellComplex, collapse.CollapseState,
-                    collapse._CellStore):
+                    collapse._CellStore, morse.Matching):
             assert not hasattr(cls, name)
 
 

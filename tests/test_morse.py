@@ -1,6 +1,6 @@
-"""The chain matching: the payload-level toggle rule, the verified matchings
-on the corpus, on graphs where the former rule failed, and on random
-r-graphs."""
+"""The chain matching: the payload-level toggle rule, the matchings on the
+corpus, on graphs where the former rule failed, and on random r-graphs,
+and the collapse that proves a matching (Matching.verify)."""
 
 import re
 from types import SimpleNamespace
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 import hombox as hb
-from hombox import MatchingInvalid, morse
-from hombox.cellcx import canon_key
+from hombox import MatchingInvalid, NotFree, Stuck, VerificationError, morse
+from hombox.cellcx import _label, canon_key
 
 from conftest import CORPUS_NAMES, elements, small_rgraphs
 
@@ -132,8 +132,8 @@ def test_matching_golden_counts(matchings, name):
 
 def test_matching_verify_and_acyclic(matchings):
     M = matchings["K3_122"]
-    assert M.verify() is True
-    assert morse._find_cycle(M) is None
+    run = M.verify()
+    assert run.cells_moved == len(M.sigma()) + len(M.upper)
     # mu targets cover their sources and raise dimension by one
     for x, y in M.mu.items():
         assert x in M.sd.down[y]
@@ -153,32 +153,43 @@ def pillow():
     return cx, {n: cx.index[(n,)] for n in names}
 
 
-def test_find_cycle_on_a_pillow():
-    # e1 -> e2 (a facet of t1 = mu(e1)) and e2 -> e1 (a facet of t2)
-    cx, c = pillow()
-    e1, e2, t1, t2 = c["e1"], c["e2"], c["t1"], c["t2"]
-    M = SimpleNamespace(sd=cx, sigma=lambda: [e1, e2], mu={e1: t1, e2: t2})
-    assert morse._find_cycle(M) == [e1, e2]
-    M = SimpleNamespace(sd=cx, sigma=lambda: [e1], mu={e1: t1})
-    assert morse._find_cycle(M) is None
-
-
-def test_verify_rejects_a_cyclic_matching(monkeypatch):
-    # every check before the cycle search passes: mu covers, is injective
-    # and partitions D = {e1, e2, t1, t2}, the trivial action keeps it, and
-    # the critical cells u and v are the chains of the products
-    cx, c = pillow()
+def one_item_matching(cx, mu_map):
+    """The matching mu_map on cx, a complex of one-item chains as pillow
+    builds, under the trivial action: its sources in Sigma, its targets
+    upper, every other cell critical.  The item of a chain is its own box
+    cell, of the chain's dimension."""
     tags = [morse.CRITICAL] * len(cx)
-    tags[c["e1"]] = tags[c["e2"]] = morse.SIGMA
-    tags[c["t1"]] = tags[c["t2"]] = morse.UPPER
-    mu_map = {c["e1"]: c["t1"], c["e2"]: c["t2"]}
-    box = SimpleNamespace(
-        cx=SimpleNamespace(payloads={n: frozenset([n]) for n in c}))
-    monkeypatch.setattr(morse, "i_image_ids", lambda hom, box: ["u", "v"])
-    M = morse.Matching(None, None, box, cx, hb.trivial_action(cx), tags,
-                       mu_map)
-    with pytest.raises(MatchingInvalid, match=re.escape(
-            "matching digraph has a cycle through [[['e1']], [['e2']]]")):
+    for x, y in mu_map.items():
+        tags[x], tags[y] = morse.SIGMA, morse.UPPER
+    box = SimpleNamespace(cx=SimpleNamespace(
+        dims={p[0]: d for p, d in zip(cx.payloads, cx.dims)}))
+    return morse.Matching(None, None, box, cx, hb.trivial_action(cx), tags,
+                          mu_map)
+
+
+def test_collapse_on_a_pillow():
+    # e1 -> e2 (a facet of t1 = mu(e1)) and e2 -> e1 (a facet of t2): the
+    # cycle leaves no pair to collapse first.  Without t2, e1 is free in t1
+    # and the pair collapses onto u, v and e2
+    cx, c = pillow()
+    M = one_item_matching(cx, {c["e1"]: c["t1"], c["e2"]: c["t2"]})
+    with pytest.raises(NotFree):
+        hb.matching_to_collapse(cx, M.action, M)
+    disk, _ = cx.subcomplex(sorted(set(range(len(cx))) - {c["t2"]}))
+    e1, t1 = disk.index[("e1",)], disk.index[("t1",)]
+    run = hb.matching_to_collapse(
+        disk, hb.trivial_action(disk), one_item_matching(disk, {e1: t1}))
+    assert run.cells_moved == 2
+
+
+def test_verify_rejects_a_cyclic_matching():
+    # mu covers, is injective and partitions D = {e1, e2, t1, t2}, and the
+    # trivial action keeps it, but the cycle e1 -> e2 -> e1 leaves e1 in two
+    # cofacets when the collapse takes it
+    cx, c = pillow()
+    M = one_item_matching(cx, {c["e1"]: c["t1"], c["e2"]: c["t2"]})
+    with pytest.raises(NotFree, match=re.escape(
+            "cell (e1) has 2 alive cofacets, so it is not free")):
         M.verify()
 
 
@@ -204,29 +215,39 @@ def test_corrupted_matching_detected(matchings):
                       list(M.tags), dict(M.mu))
     x = M.sigma()[0]
     bad.mu[x] = M.mu[M.sigma()[1]]
-    with pytest.raises(MatchingInvalid):
+    with pytest.raises(Stuck, match="^" + re.escape(
+            "cell %s appears in two matched pairs"
+            % _label(M.sd, M.mu[M.sigma()[1]]))):
         bad.verify()
 
 
-def _with_swap(M, a, b):
-    """M under a two-element action whose non-identity element swaps the
-    chains a and b and fixes every other chain."""
-    n = len(M.sd)
-    swap = list(range(n))
-    swap[a], swap[b] = b, a
-    action = hb.GroupAction(M.sd, [swap], ["swap"], check=False, order=2,
-                            relations=[((0, 0), ())])
-    return hb.Matching(M.graph, M.hom, M.box, M.sd, action, M.tags, M.mu)
-
-
 def test_verify_checks_equivariance_under_every_element(matchings):
+    # mu swapped between the members x.w and y.w of two Sigma orbits, for
+    # each element w but the identity: the orbit of x, the least Sigma
+    # chain, is checked first and fails at x.w
     M = matchings["K3_122"]
     sig = M.sigma()
-    with pytest.raises(MatchingInvalid,
-                       match="classification not equivariant .* 'swap'"):
-        _with_swap(M, sig[0], M.critical[0]).verify()
-    with pytest.raises(MatchingInvalid, match="mu not equivariant .* 'swap'"):
-        _with_swap(M, sig[0], sig[1]).verify()
+    xs = M.action._orbit_list(sig[0])
+    ys = M.action._orbit_list(min(set(sig) - set(xs)))
+    for w in range(1, M.action.order):
+        mu = dict(M.mu)
+        mu[xs[w]], mu[ys[w]] = mu[ys[w]], mu[xs[w]]
+        bad = hb.Matching(M.graph, M.hom, M.box, M.sd, M.action, M.tags, mu)
+        with pytest.raises(Stuck, match="^" + re.escape(
+                "matching is not equivariant at cell %s: " % _label(
+                    M.sd, xs[w]))):
+            bad.verify()
+    # the least Sigma chain and the least critical one trade tags, so the
+    # critical cells are no longer a union of orbits: the collapse ends
+    # elsewhere, and names the first cell where
+    tags = list(M.tags)
+    a, b = sig[0], M.critical[0]
+    tags[a], tags[b] = tags[b], tags[a]
+    bad = hb.Matching(M.graph, M.hom, M.box, M.sd, M.action, tags, M.mu)
+    with pytest.raises(VerificationError, match="^" + re.escape(
+            "collapse endpoint differs from the critical subcomplex at cell "
+            "%s" % _label(M.sd, min(a, b)))):
+        bad.verify()
 
 
 @pytest.mark.parametrize("sizes", [[2, 3], [1, 2, 3]])
@@ -267,6 +288,29 @@ def _assert_classified_as_payload_rule(M):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_classification_equals_payload_rule(matchings, name):
     _assert_classified_as_payload_rule(matchings[name])
+
+
+def test_build_matching_checks_the_critical_tags(corpus, matchings,
+                                                 monkeypatch):
+    # a Sigma chain tagged critical: the critical chains are no longer the
+    # chains of products, and build_matching names the chain
+    classify = morse._classify
+    tampered = []
+
+    def tamper(*args):
+        tags, mu_map = classify(*args)
+        tampered.append(tags.index(morse.SIGMA))
+        tags[tampered[0]] = morse.CRITICAL
+        return tags, mu_map
+
+    monkeypatch.setattr(morse, "_classify", tamper)
+    with pytest.raises(MatchingInvalid) as info:
+        hb.build_matching(corpus["K3_122"])
+    M = matchings["K3_122"]
+    named = [sorted(M.box.cx.payloads[x], key=canon_key)
+             for x in M.sd.payloads[tampered[0]]]
+    assert str(info.value) == (
+        "critical cells differ from chains of products at %r" % (named,))
 
 
 @pytest.mark.parametrize("case", ["closure below", "non-product fixed"])
