@@ -6,17 +6,15 @@ from .boxcx import (BoxComplex, box_edge, count_spanning, i_image_ids,
                     ip_fixed, ip_tables, iso_criterion, map_i, map_p)
 from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
                      canon_bytes, canon_key, lift_action_to_order_complex,
-                     order_complex, orbit_star_data,
-                     stellar_subdivision_poset, trivial_action,
-                     verify_iso_ids, verify_isomorphism)
+                     order_complex, trivial_action, verify_iso_ids,
+                     verify_isomorphism)
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        DeformationCertificate, MainTheoremCertificate,
-                       SdDeformation, StellarStage, apply_orbit_step,
+                       SdDeformation, apply_orbit_step,
                        main_theorem_certificate, matching_to_collapse,
                        replay_collapse_certificate,
                        replay_main_theorem, replay_sd_deformation,
-                       sd_deformation, stellar_deformation_certificate,
-                       verify_critical_isomorphism)
+                       sd_deformation, verify_critical_isomorphism)
 from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                      HomboxError, InputError, InvalidParams, MatchingInvalid,
                      NotFree, OrbitCofaceClash,
@@ -38,14 +36,12 @@ __all__ = [
     "ip_tables", "iso_criterion", "map_i", "map_p",
     "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
     "canon_key", "lift_action_to_order_complex", "order_complex",
-    "orbit_star_data", "stellar_subdivision_poset",
     "trivial_action", "verify_iso_ids", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",
-    "MainTheoremCertificate", "SdDeformation", "StellarStage",
+    "MainTheoremCertificate", "SdDeformation",
     "apply_orbit_step", "main_theorem_certificate", "matching_to_collapse",
     "replay_collapse_certificate", "replay_main_theorem",
-    "replay_sd_deformation", "sd_deformation",
-    "stellar_deformation_certificate", "verify_critical_isomorphism",
+    "replay_sd_deformation", "sd_deformation", "verify_critical_isomorphism",
     "DegenerateEdge", "DuplicateEdge", "EdgeWrongArity",
     "HomboxError", "InputError", "InvalidParams", "MatchingInvalid",
     "NotFree", "OrbitCofaceClash", "OrbitNotIndependentlyFree",

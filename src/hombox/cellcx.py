@@ -40,12 +40,11 @@ import hashlib
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from math import factorial
 
 from .errors import (
     InputError,
-    OrbitCofaceClash,
     SizeGuard,
     VerificationError,
 )
@@ -848,69 +847,6 @@ def _lift(A, sd, blocks):
                      for dn, e in zip(down[a:b], head[a:b])]
         perms.append(lift)
     return A.transport(sd, perms)
-
-
-# ---------------------------------------------------------------------------
-# stellar subdivision
-
-
-def orbit_star_data(K, A, sigma):
-    """Shared preprocessing for stellar subdivision at the orbit of sigma.
-
-    Returns (orbit, cofaces-per-member, ring-per-member) where ring(m) is the
-    set of cells sharing a coface with m but not above m -- the base of the
-    cone replacing the open star of m.  Raises OrbitCofaceClash if two orbit
-    members share a coface.
-    """
-    orbit = A.orbit(sigma)
-    cof = {m: K.cofaces(m) for m in orbit}
-    for a, b in combinations(orbit, 2):
-        common = cof[a] & cof[b]
-        if common:
-            raise OrbitCofaceClash(
-                "cells %d and %d of one orbit share coface %d"
-                % (a, b, min(common)))
-    ring = {}
-    for m in orbit:
-        star = set()
-        for c in cof[m]:
-            star |= K.faces(c)
-        ring[m] = star - cof[m]
-    return orbit, cof, ring
-
-
-def stellar_subdivision_poset(K, A, sigma, max_cells=None):
-    """Simultaneous stellar subdivision of K at the orbit of sigma, at
-    face-poset level, for any complex, vertex sets and products alike.
-
-    Cells not above any orbit member survive; the open star of each member
-    m is replaced by the cone from a fresh apex ("*b", payload of m) over
-    the star's boundary ring, whose cells are named by cone payloads ("*c",
-    apex, base).  A stellar stage of collapse ends at these cells.
-    """
-    orbit, cof, ring = orbit_star_data(K, A, sigma)
-    removed = set()
-    for m in orbit:
-        removed |= cof[m]
-    survivors = [i for i in range(len(K.payloads)) if i not in removed]
-    new_total = len(survivors) + sum(1 + len(ring[m]) for m in orbit)
-    if max_cells is not None and new_total > max_cells:
-        raise SizeGuard(
-            "stellar subdivision needs %d cells, over the %d-cell guard"
-            % (new_total, max_cells), needed=new_total, limit=max_cells)
-    cells = [(K.payloads[i], K.dims[i], [K.payloads[j] for j in K.down[i]])
-             for i in survivors]
-    for m in orbit:
-        ax = (BARY, K.payloads[m])
-        cells.append((ax, 0, []))
-        for b in ring[m]:
-            bp = K.payloads[b]
-            if K.dims[b] == 0:
-                faces = [bp, ax]
-            else:
-                faces = [bp] + [(CONE, ax, K.payloads[j]) for j in K.down[b]]
-            cells.append(((CONE, ax, bp), K.dims[b] + 1, faces))
-    return CellComplex.from_graded_cells(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ import hashlib
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import compress
+from itertools import combinations, compress
 
 from .boxcx import box_edge, i_image_ids, ip_tables
 from .cellcx import (
@@ -95,13 +95,13 @@ from .cellcx import (
     canon_key,
     fmt_payload,
     lift_action_to_order_complex,
-    orbit_star_data,
     verify_iso_ids,
     verify_isomorphism,
 )
 from .errors import (
     InputError,
     NotFree,
+    OrbitCofaceClash,
     OrbitNotIndependentlyFree,
     SizeGuard,
     Stuck,
@@ -463,8 +463,13 @@ def matching_to_collapse(K, A, M):
     subcomplex.  The collapse must remove |Sigma| + |mu(Sigma)| cells and
     leave M.critical, whose fingerprint, as a subcomplex keeps its cells'
     digests, is the state's: no end complex is built.  Raises
-    VerificationError (a subclass), naming a cell, where M fails.
+    VerificationError (a subclass), naming a cell, where M fails, and
+    InputError for a K or A that is not M's own.
     """
+    if K is not M.sd:
+        raise InputError("K is not the matching's complex M.sd")
+    if A is not M.action:
+        raise InputError("A is not the matching's action M.action")
     pay, box_dims = K.payloads, M.box.cx.dims
 
     def key(ob):
@@ -551,7 +556,8 @@ def replay_collapse_certificate(universe, action, cert, start_alive=None):
 class _CellStore(CollapseState):
     """The append-only cells of one stellar deformation.
 
-    It starts as a copy of K and its action A.  Each stellar stage appends
+    It starts as a copy of K and its action A; sd_deformation and
+    replay_sd_deformation run all their stages in one.  Each stage appends
     its apex and cone cells, dead, with their digests and the generators'
     permutation entries, then expands them and collapses its open stars on
     the store's alive flags, in one step loop for build and replay; no id
@@ -575,8 +581,8 @@ class _CellStore(CollapseState):
     payload it already holds.
 
     The store is the state, the universe complex and the group action that
-    apply_orbit_step, _orbit_steps and orbit_star_data work on, so it
-    borrows the methods they call from CellComplex and GroupAction.
+    apply_orbit_step, _orbit_steps and _orbit_star work on, so it borrows
+    the methods they call from CellComplex and GroupAction.
     """
 
     faces = CellComplex.faces
@@ -703,6 +709,31 @@ def _part_digest(prefix, digest):
     member (apex) or base (cone cell).  Digests enter as 16 bytes."""
     return int.from_bytes(hashlib.blake2b(
         prefix + digest.to_bytes(16, "big"), digest_size=16).digest(), "big")
+
+
+def _orbit_star(store, rep):
+    """The open and closed stars of the orbit of store cell rep, which a
+    stellar stage cones: (orbit, cof, ring), where cof[m] is the set of
+    cofaces of the member m (m included), its open star, and ring[m] the
+    cells that share a coface with m but are not above m, the boundary of
+    its closed star and the base of the cone replacing the open star.
+    Raises OrbitCofaceClash if two orbit members share a coface.
+    """
+    orbit = store.orbit(rep)
+    cof = {m: store.cofaces(m) for m in orbit}
+    for a, b in combinations(orbit, 2):
+        common = cof[a] & cof[b]
+        if common:
+            raise OrbitCofaceClash(
+                "cells %d and %d of one orbit share coface %d"
+                % (a, b, min(common)))
+    ring = {}
+    for m in orbit:
+        star = set()
+        for c in cof[m]:
+            star |= store.faces(c)
+        ring[m] = star - cof[m]
+    return orbit, cof, ring
 
 
 def _cone_universe(store, orbit, cof, ring, max_cells):
@@ -873,15 +904,18 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     stage's run (universe fingerprint, end fingerprint, steps), the number
     of its first step and the run's number: L's fingerprint is checked, the
     steps applied from K and the end checked.  Either way the store's live
-    cells end as the stage's end complex, which has the cells of
-    stellar_subdivision_poset.  Returns L as a _Universe and the stage's
-    run, its steps in L's ids.
+    cells end as the stage's end complex, the stellar subdivision of K at
+    the orbit: the cells of K above no member, and per member m the apex
+    (BARY, payload of m) and a cone (CONE, apex, payload of b) over each
+    cell b of ring[m] (_orbit_star).  This is the library's one stellar
+    subdivision.  Returns L as a _Universe and the stage's run, its steps
+    in L's ids.
     """
     store.settle()
     if not store.alive[rep]:
         raise VerificationError(
             "schedule cell %d vanished before its stage" % rep)
-    orbit, cof, ring = orbit_star_data(store, store, rep)
+    orbit, cof, ring = _orbit_star(store, rep)
     U, apex_id, cone_id = _cone_universe(store, orbit, cof, ring, max_cells)
     if replay is not None:
         run, first, j = replay
@@ -903,26 +937,6 @@ def _stellar_stage(store, rep, max_cells, replay=None):
     local = U.local_id
     steps = [(d, local(s), local(f)) for d, s, f in steps + leg_b]
     return U, (U.fingerprint, store.fingerprint, steps)
-
-
-StellarStage = namedtuple(
-    "StellarStage", "certificate universe universe_action final final_action")
-
-
-def stellar_deformation_certificate(K, A, sigma, max_cells=None):
-    """Certify K ~ stellar G-subdivision of K at the orbit of sigma, as
-    expansions K -> L followed by collapses L -> sd_sigma(K).
-
-    The end complex has the cells of stellar_subdivision_poset, cone
-    payloads included, whether the cells of K are vertex sets or products;
-    the cells the stage appended keep the digests of their parts.
-    """
-    store = _CellStore(K, A)
-    run = _stellar_stage(store, sigma, max_cells)[1]
-    L, LA = store.complex(range(len(store.payloads)))
-    final, final_action = store.complex(store.alive_ids())
-    cert = DeformationCertificate((K.fingerprint, final.fingerprint), [run])
-    return StellarStage(cert, L, LA, final, final_action)
 
 
 # ---------------------------------------------------------------------------

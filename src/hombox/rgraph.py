@@ -1,6 +1,6 @@
 """r-graphs: simple nondegenerate r-uniform hypergraphs.
 
-Every edge is a set of exactly r distinct vertices; no repeated edges.
+Every edge is a set of exactly r distinct vertices; no vertex or edge twice.
 Vertices are opaque tokens (strings or ints; strings must not start with
 "*", which is reserved for synthetic payloads downstream).  All constructors
 canonicalize: vertices and edges are stored sorted, so iteration order -- and
@@ -49,6 +49,9 @@ class RGraph:
         for v in vertices:
             _check_vertex_token(v)
         self.vertices = tuple(sorted(set(vertices), key=canon_key))
+        if len(self.vertices) != len(vertices):
+            v = next(v for k, v in enumerate(vertices) if v in vertices[:k])
+            raise InputError("vertex %r appears twice" % (v,))
         vset = set(self.vertices)
         canon = []
         seen = set()

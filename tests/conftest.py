@@ -1,12 +1,15 @@
 """Shared fixtures: the standard graph corpus, session-cached matchings,
-and a hypothesis strategy for small random r-graphs."""
+a single stellar stage, and a hypothesis strategy for small random
+r-graphs."""
 
+from collections import namedtuple
 from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
 import hombox as hb
+from hombox import collapse
 
 CORPUS_NAMES = [
     "K_2^2", "K_3^2", "K_4^2", "K_3^3", "K_4^3", "K_5^3",
@@ -55,6 +58,22 @@ def replays(H, cert):
         cert = hb.MainTheoremCertificate.from_json_obj(cert)
     assert (hom.cx.fingerprint, box.cx.fingerprint) == cert.endpoints
     return hom, box
+
+
+Stage = namedtuple("Stage", "run universe universe_action final final_action")
+
+
+def stellar_stage(K, A, sigma):
+    """One stellar stage of K at the orbit of cell sigma, run as
+    sd_deformation runs each of its stages: collapse._stellar_stage in a
+    fresh cell store of K and A.  Returns the stage's run (universe
+    fingerprint, end fingerprint, steps), its universe L and its end
+    complex, the stellar subdivision, each with its action."""
+    store = collapse._CellStore(K, A)
+    run = collapse._stellar_stage(store, sigma, None)[1]
+    universe, universe_action = store.complex(range(len(store.payloads)))
+    final, final_action = store.complex(store.alive_ids())
+    return Stage(run, universe, universe_action, final, final_action)
 
 
 def elements(A):

@@ -16,7 +16,8 @@ from hombox import cellcx, morse
 from hombox.cellcx import canon_bytes, canon_key, fmt_payload
 
 from conftest import (CORPUS_NAMES, elements, itemwise_action, make_graph,
-                      z3_action)
+                      stellar_stage, z3_action)
+from stellar_reference import stellar_subdivision
 
 
 def test_canon_key_total_order():
@@ -224,7 +225,7 @@ def test_order_complex_of_corpus_equals_reference(name, corpus):
         assert cx.up == _eager_up(cx)
         assert cx.up_degrees() == [len(u) for u in cx.up]
     top = hom.cx.cells_of_dim(hom.cx.max_dim)[0]
-    stage = hb.stellar_deformation_certificate(hom.cx, hom.action, top)
+    stage = stellar_stage(hom.cx, hom.action, top)
     _assert_derived_covers(stage.universe)
     _assert_derived_covers(stage.final)
     _assert_derived_covers(hb.CellComplex.empty())
@@ -617,37 +618,49 @@ def test_trivial_action(solid_triangle):
 
 
 def test_stellar_subdivision_of_segment_is_path():
+    # the reference (tests/stellar_reference.py) and the stage alike
     seg = hb.CellComplex.from_simplices([frozenset("xy")])
     A = hb.trivial_action(seg)
-    out = hb.stellar_subdivision_poset(seg, A, seg.index[frozenset("xy")])
-    assert len(out) == 5
-    assert out.dim_counts() == [3, 2]
-    out.verify()
+    xy = seg.index[frozenset("xy")]
+    for out in (stellar_subdivision(seg, A, xy),
+                stellar_stage(seg, A, xy).final):
+        assert len(out) == 5
+        assert out.dim_counts() == [3, 2]
+        out.verify()
 
 
 def test_stellar_subdivision_hollow_triangle_orbit(hollow_triangle):
     A = z3_action(hollow_triangle)
     e = hollow_triangle.index[frozenset("ab")]
-    out = hb.stellar_subdivision_poset(hollow_triangle, A, e)
-    assert out.dim_counts() == [6, 6]      # a 6-cycle
-    out.verify()
-    # each old edge is gone, replaced by two edges through a new vertex
-    assert frozenset("ab") not in out.index
+    for out in (stellar_subdivision(hollow_triangle, A, e),
+                stellar_stage(hollow_triangle, A, e).final):
+        assert out.dim_counts() == [6, 6]      # a 6-cycle
+        out.verify()
+        # each old edge is gone, replaced by two edges through a new vertex
+        assert frozenset("ab") not in out.index
 
 
 def test_stellar_orbit_coface_clash(solid_triangle):
     # vertices a and b share the coface ab, so subdividing at a Z2-orbit
-    # {a, b} must be refused
+    # {a, b} must be refused, by the stage (its _orbit_star) and by the
+    # reference
     A = hb.GroupAction.symmetric(
         solid_triangle, _vertex_maps({"a": "b", "b": "a"}), [(1, 0)])
     va = solid_triangle.index[frozenset("a")]
+    vb = solid_triangle.index[frozenset("b")]
+    ab = solid_triangle.index[frozenset("ab")]
+    with pytest.raises(OrbitCofaceClash, match="^cells %d and %d of one "
+                       "orbit share coface %d$" % (va, vb, ab)):
+        stellar_stage(solid_triangle, A, va)
     with pytest.raises(OrbitCofaceClash):
-        hb.stellar_subdivision_poset(solid_triangle, A, va)
+        stellar_subdivision(solid_triangle, A, va)
 
 
 def test_stellar_subdivision_poset_square():
-    # a single square cell, which is not a simplex: its stellar
-    # subdivision at the square is the 4-triangle fan
+    # a single square cell, which is not a simplex: the reference's
+    # stellar subdivision at the square is the 4-triangle fan.  The stage
+    # has no anchor rule for these payloads; it stars the product square in
+    # test_collapse
     cells = [
         ("p", 0, []), ("q", 0, []), ("s", 0, []), ("t", 0, []),
         (("e", "pq"), 1, ["p", "q"]), (("e", "qs"), 1, ["q", "s"]),
@@ -657,7 +670,7 @@ def test_stellar_subdivision_poset_square():
     K = hb.CellComplex.from_graded_cells(cells)
     A = hb.trivial_action(K)
     sq = K.index[("sq",)]
-    out = hb.stellar_subdivision_poset(K, A, sq)
+    out = stellar_subdivision(K, A, sq)
     # 8 old boundary cells + apex + 4 cone edges + 4 cone triangles
     assert len(out) == 17
     assert out.dim_counts() == [5, 8, 4]

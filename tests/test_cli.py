@@ -734,6 +734,17 @@ def test_bad_graph_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_vertex_exit_code(tmp_path, capsys):
+    # a vertex listed twice is refused, as an edge given twice is, not
+    # merged into one
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"r": 2, "vertices": ["a", "a", "b"], "edges": [["a", "b"]]}))
+    assert main(["build", "--input", str(path)]) == 4
+    assert ("input error: vertex 'a' appears twice"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("graph", [
     {"r": 2, "vertices": 5, "edges": []},
     {"r": 2, "vertices": ["a", "b"], "edges": 7},

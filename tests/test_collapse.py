@@ -15,7 +15,8 @@ from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
 from hombox.cellcx import BARY, CONE, fmt_payload
 from hombox.cli import canonical_json
 
-from conftest import replays, z3_action
+from conftest import replays, stellar_stage, z3_action
+from stellar_reference import stellar_subdivision
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -278,7 +279,7 @@ def test_cone_cell_image_that_is_not_a_cone_cell():
                        relations=[((0, 0), ())])
     with pytest.raises(VerificationError,
                        match="generator 'swap' does not permute the cells"):
-        hb.stellar_deformation_certificate(K, A, K.index[frozenset("x")])
+        stellar_stage(K, A, K.index[frozenset("x")])
 
 
 def test_cone_cells_checked_against_the_relations(hollow_triangle):
@@ -289,7 +290,7 @@ def test_cone_cells_checked_against_the_relations(hollow_triangle):
                          relations=[((0, 0), ())])
     with pytest.raises(VerificationError,
                        match="relation 'r' 'r' = 1 fails at cell"):
-        hb.stellar_deformation_certificate(
+        stellar_stage(
             hollow_triangle, bad, hollow_triangle.index[frozenset("ab")])
 
 
@@ -300,7 +301,7 @@ def test_stellar_stage_stuck_when_a_stabilizer_moves_the_anchor():
     seg, A = seg_with_flip()
     with pytest.raises(Stuck,
                        match=r"^the orbit of cell \{x,y\} is not free$"):
-        hb.stellar_deformation_certificate(seg, A, seg.index[frozenset("xy")])
+        stellar_stage(seg, A, seg.index[frozenset("xy")])
 
 
 def test_stellar_stage_checks_its_expansions_fill_the_universe(
@@ -318,7 +319,7 @@ def test_stellar_stage_checks_its_expansions_fill_the_universe(
     A = hb.trivial_action(solid_triangle)
     with pytest.raises(Stuck,
                        match="^cone expansion did not fill the universe$"):
-        hb.stellar_deformation_certificate(
+        stellar_stage(
             solid_triangle, A, solid_triangle.index[frozenset("abc")])
 
 
@@ -652,7 +653,7 @@ def test_transported_actions_share_no_lists(matchings, monkeypatch):
 
     monkeypatch.setattr(collapse, "_CellStore", RecordingStore)
     d = hb.sd_deformation(M.box.cx, A, lifted)
-    stage = hb.stellar_deformation_certificate(
+    stage = stellar_stage(
         M.hom.cx, M.hom.action, M.hom.cx.cells_of_dim(M.hom.cx.max_dim)[0])
     box_store, hom_store = stores
     assert _shared(d.final_action.perms,
@@ -808,13 +809,14 @@ def test_steps_out_of_key_order_fail_the_step_checks(matchings):
 def test_stellar_deformation_matches_direct_subdivision(hollow_triangle):
     A = z3_action(hollow_triangle)
     e = hollow_triangle.index[frozenset("ab")]
-    st = hb.stellar_deformation_certificate(hollow_triangle, A, e)
-    assert_same_cells(st.final, hb.stellar_subdivision_poset(hollow_triangle,
-                                                             A, e))
-    assert st.certificate.endpoints == (
-        hollow_triangle.fingerprint, st.final.fingerprint)
+    st = stellar_stage(hollow_triangle, A, e)
+    assert_same_cells(st.final, stellar_subdivision(hollow_triangle, A, e))
+    # the run replays from a fresh store of K to the same end
+    store = collapse._CellStore(hollow_triangle, A)
+    collapse._stellar_stage(store, e, None, (st.run, 0, 0))
+    assert store.fingerprint == st.final.fingerprint
     # expansions first (into the cone universe), then collapses
-    [(universe, end, steps)] = st.certificate.runs
+    universe, end, steps = st.run
     assert end == st.final.fingerprint
     dirs = [s[0] for s in steps]
     k = dirs.index("c")
@@ -827,8 +829,8 @@ def test_stellar_deformation_product_square():
     K, sq_pay = product_square()
     A = hb.trivial_action(K)
     sq = K.index[sq_pay]
-    st = hb.stellar_deformation_certificate(K, A, sq)
-    assert_same_cells(st.final, hb.stellar_subdivision_poset(K, A, sq))
+    st = stellar_stage(K, A, sq)
+    assert_same_cells(st.final, stellar_subdivision(K, A, sq))
     assert st.final.dim_counts() == [5, 8, 4]
 
 
@@ -895,18 +897,17 @@ def test_stellar_cell_digests_from_parts(side, matchings):
     # the digest of every cell a stage appends follows the rule: from its
     # parts, not from its payload's encoding.  Hom cells are products and
     # box cells vertex sets; the cells a stage appends are cones on both,
-    # so a stage at a maximal cell ends at the cells of the one reference,
-    # stellar_subdivision_poset
+    # so a stage at a maximal cell ends at the cells of the reference
+    # subdivision (tests/stellar_reference.py)
     for name, M in sorted(matchings.items()):
         bundle = getattr(M, side)
         K, A = bundle.cx, bundle.action
         if K.max_dim > 0:
             top = K.up_degrees().index(0)
-            st = hb.stellar_deformation_certificate(K, A, top)
+            st = stellar_stage(K, A, top)
             assert st.universe.digests == _digests_from_parts(
                 K, st.universe), name
-            assert_same_cells(st.final,
-                              hb.stellar_subdivision_poset(K, A, top))
+            assert_same_cells(st.final, stellar_subdivision(K, A, top))
         d = sd_deformation(K, A)
         assert d.final.digests == _digests_from_parts(K, d.final), name
 
@@ -1565,8 +1566,8 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
             pairs.append((K, A))
         for E, EA in pairs:
             m = E.index[K.payloads[vertex]]
-            st = hb.stellar_deformation_certificate(E, EA, m)
-            assert_same_cells(st.final, hb.stellar_subdivision_poset(E, EA, m))
+            st = stellar_stage(E, EA, m)
+            assert_same_cells(st.final, stellar_subdivision(E, EA, m))
             f = _renamed(E, st.final, EA.orbit(m))
             hb.verify_iso_ids(E, st.final, f, EA, st.final_action)
 
@@ -1603,7 +1604,7 @@ def test_unfold_refuses_the_end_of_one_stellar_stage(solid_triangle):
         A = hb.trivial_action(K)
         d = sd_deformation(K, A)
         assert collapse._unfold(d.final, d.final_action, d.sd_action) == d.iso
-        E = hb.stellar_deformation_certificate(K, A, K.index[top]).final
+        E = stellar_stage(K, A, K.index[top]).final
         cone = next(p for p in E.payloads if type(p) is tuple
                     and p[0] == CONE and K.dims[K.index[p[2]]] > 0)
         with pytest.raises(VerificationError, match="^%s$" % re.escape(

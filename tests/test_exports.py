@@ -1,6 +1,7 @@
 """The public names: every name in hombox.__all__ resolves and is
 documented in README.md, and the names removed from the API stay removed."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import hombox as hb
 from hombox import boxcx, cellcx, collapse, errors, homcx, morse, rgraph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+REFERENCE = Path(__file__).resolve().parent / "stellar_reference.py"
 
 # deletion and independently_free: every orbit step, built or replayed, is
 # checked by apply_orbit_step, which also tells a free pair from a non-free
@@ -16,8 +18,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # critical_complex: the stage-3 check builds the critical subcomplex, and
 # the collapse of a matching ends at its fingerprint without building it.
 # stellar_g_subdivision, _stellar_cells and _is_simplicial: every stellar
-# cell is named by a cone payload, on vertex sets and products alike, so
-# stellar_subdivision_poset is the one reference subdivision.
+# cell is named by a cone payload, on vertex sets and products alike.
 # _boxes, _spanning_subsets and _multihom_encoder: multihoms, spanning
 # subsets and their encodings are built on integer ids (homcx and boxcx).
 # elementary_g_collapse, GCollapse and free_facet: apply_orbit_step on a
@@ -38,6 +39,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # _facet_clash: every orbit an orbit step or a cone pairing reads is free,
 # and is read down the action's word table; an orbit that is not free is
 # refused, so no orbit is searched along the generators for its stabilizer.
+# stellar_subdivision_poset, stellar_deformation_certificate, StellarStage
+# and orbit_star_data: the stellar stage (collapse._stellar_stage) is the
+# library's one stellar subdivision, and its star is the private
+# collapse._orbit_star; the tests hold the stage to a direct subdivision of
+# their own (tests/stellar_reference.py).
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
@@ -45,7 +51,9 @@ REMOVED = ("deletion", "independently_free", "_presentation",
            "free_facet", "closed_star", "maximal_ids", "verify_acyclic",
            "hom_leq", "generates_complete", "EmptyPart", "_flatten_map",
            "_check_iso", "classify_chain", "mu", "NotInSigma", "remove",
-           "add", "_carry", "_facet_clash", "_find_cycle")
+           "add", "_carry", "_facet_clash", "_find_cycle",
+           "stellar_subdivision_poset", "stellar_deformation_certificate",
+           "StellarStage", "orbit_star_data")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph),)
 
@@ -86,15 +94,30 @@ def test_one_isomorphism_checker():
 
 
 def test_removed_fields():
-    # old2new of StellarStage and CriticalIso, and collapse_run of a main
-    # theorem certificate: nothing read them.  Matching's to_json_obj (the
+    # old2new of CriticalIso, and collapse_run of a main theorem
+    # certificate: nothing read them.  Matching's to_json_obj (the
     # chain listing) and summary: `hombox verify --certificate` writes and
     # replays the collapse certificate of the theorem's stage 4, and prints
     # the counts it reports.  Other classes keep their to_json_obj.
-    assert "old2new" not in hb.StellarStage._fields
     assert "old2new" not in hb.CriticalIso._fields
     assert not hasattr(hb.Matching, "to_json_obj")
     assert not hasattr(hb.Matching, "summary")
     assert hasattr(hb.DeformationCertificate, "to_json_obj")
     cert = hb.main_theorem_certificate(hb.complete_rgraph(3, 2))
     assert not hasattr(cert, "collapse_run")
+
+
+def test_stellar_reference_shares_no_code_with_the_stage():
+    # the oracle that the stellar stage is held to takes from hombox only
+    # the complex class, the payload tags and the clash error, so a fault
+    # in the stage's star or cones cannot hide in code both share
+    allowed = {"CellComplex", "BARY", "CONE", "OrbitCofaceClash"}
+    taken = []
+    for node in ast.walk(ast.parse(REFERENCE.read_text())):
+        if isinstance(node, ast.Import):
+            taken += [a.name for a in node.names
+                      if a.name.split(".")[0] == "hombox"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "hombox"):
+            taken += [a.name for a in node.names]
+    assert taken and set(taken) <= allowed, taken

@@ -11,7 +11,7 @@ import hombox as hb
 from hombox import InputError, homology
 from hombox.cellcx import canon_key
 
-from conftest import CORPUS_NAMES
+from conftest import CORPUS_NAMES, stellar_stage
 
 
 def rp2():
@@ -142,12 +142,11 @@ def test_boundary_shape(solid_triangle):
 
 
 def test_boundary_rejects_cone_payloads(corpus):
-    # stellar_subdivision_poset names its new cells by cone payloads
+    # a stellar stage names the cells it appends by cone payloads
     # ("*c", apex, base), which are neither simplices nor products
     hom = hb.hom_complex(corpus["K_3^2"])
     top = hom.cx.up_degrees().index(0)
-    K = hb.stellar_subdivision_poset(
-        hom.cx, hb.trivial_action(hom.cx), top)
+    K = stellar_stage(hom.cx, hb.trivial_action(hom.cx), top).final
     with pytest.raises(InputError, match="cannot orient"):
         hb.oriented_boundary(K)
 

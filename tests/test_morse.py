@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 import hombox as hb
-from hombox import MatchingInvalid, NotFree, Stuck, VerificationError, morse
+from hombox import (InputError, MatchingInvalid, NotFree, Stuck,
+                    VerificationError, morse)
 from hombox.cellcx import _label, canon_key
 
 from conftest import CORPUS_NAMES, elements, small_rgraphs
@@ -177,9 +178,26 @@ def test_collapse_on_a_pillow():
         hb.matching_to_collapse(cx, M.action, M)
     disk, _ = cx.subcomplex(sorted(set(range(len(cx))) - {c["t2"]}))
     e1, t1 = disk.index[("e1",)], disk.index[("t1",)]
-    run = hb.matching_to_collapse(
-        disk, hb.trivial_action(disk), one_item_matching(disk, {e1: t1}))
+    M = one_item_matching(disk, {e1: t1})
+    run = hb.matching_to_collapse(disk, M.action, M)
     assert run.cells_moved == 2
+
+
+def test_collapse_refuses_a_foreign_complex_or_action(matchings):
+    # the collapse proves M on its own sd and action, whose ids its tags
+    # and mu name: another complex or action is refused before any step,
+    # an equal rebuild of M's own included
+    M = matchings["K3_122"]
+    for K in (matchings["K3_112"].sd, hb.barycentric_subdivision(M.box.cx)):
+        with pytest.raises(InputError,
+                           match=r"^K is not the matching's complex M\.sd$"):
+            hb.matching_to_collapse(K, M.action, M)
+    lifted = hb.lift_action_to_order_complex(M.box.action, M.sd)
+    for A in (hb.trivial_action(M.sd), lifted):
+        with pytest.raises(InputError,
+                           match=r"^A is not the matching's action "
+                                 r"M\.action$"):
+            hb.matching_to_collapse(M.sd, A, M)
 
 
 def test_verify_rejects_a_cyclic_matching():

@@ -12,7 +12,9 @@ from hombox import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
 
 
 def test_canonical_form():
-    H = hb.new_rgraph(2, ["b", "a", "c", "a"], [["c", "b"], ["a", "b"]])
+    # a vertex listed twice is refused (test_constructor_rejects), so the
+    # input lists each vertex once, out of order
+    H = hb.new_rgraph(2, ["b", "a", "c"], [["c", "b"], ["a", "b"]])
     assert H.vertices == ("a", "b", "c")
     assert [sorted(e) for e in H.edges] == [["a", "b"], ["b", "c"]]
     # identical content in another input order gives identical objects
@@ -44,6 +46,7 @@ def test_int_and_str_tokens_mix():
     (dict(r=2, vertices=["a", "b"], edges=7), InputError),
     (dict(r=2, vertices=["a", "b"], edges=[5]), InputError),
     (dict(r=2, vertices=["a", "b"], edges=[[["a"], "b"]]), InputError),
+    (dict(r=2, vertices=["a", "a", "b"], edges=[["a", "b"]]), InputError),
 ])
 def test_constructor_rejects(bad, err):
     with pytest.raises(err):
