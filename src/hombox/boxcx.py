@@ -84,26 +84,30 @@ def _spanning(els, need, provides, out):
     missing.  suffix[k] is what els[k:] provide together, so a branch is
     taken only while it can still cover need, and every branch ends in at
     least one subset.  Once nothing is missing, the edges left are each
-    freely in or out.
+    freely in or out.  The DFS keeps its branches on a stack, the edge in
+    on top so that it is taken first: a recursive nested function would
+    reach itself through its closure cell, a reference cycle that only the
+    cyclic collector frees, and the pipeline runs with it paused
+    (cellcx._paused_collector).
     """
     m = len(els)
     suffix = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         suffix[k] = suffix[k + 1] | provides[els[k]]
 
-    def dfs(k, chosen, missing):
+    stack = [(0, (), need)]
+    while stack:
+        k, chosen, missing = stack.pop()
         if not missing:
             found = [chosen]
             for e in els[k:]:
                 found += [s + (e,) for s in found]
             out.extend(found)
-            return
+            continue
         e = els[k]
-        dfs(k + 1, chosen + (e,), missing & ~provides[e])
         if not missing & ~suffix[k + 1]:
-            dfs(k + 1, chosen, missing)
-
-    dfs(0, (), need)
+            stack.append((k + 1, chosen, missing))
+        stack.append((k + 1, chosen + (e,), missing & ~provides[e]))
 
 
 def box_edge(H, max_cells=None):

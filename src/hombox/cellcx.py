@@ -36,10 +36,11 @@ Conventions used throughout the package:
   payloads does not.
 """
 
+import gc
 import hashlib
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from itertools import accumulate, chain
 from math import factorial
 
@@ -120,6 +121,28 @@ def _label(K, i):
 
 def _is_id(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _paused_collector(fn):
+    """fn, run with the cyclic garbage collector paused, as timeit runs its
+    statement.  A build holds millions of long-lived lists and tuples, which
+    every full collection would traverse for nothing: hombox makes no
+    reference cycles, so reference counting frees all it drops.  The
+    collector is re-enabled on every exit, errors included, but only if it
+    was on when fn was called, so nested calls and a caller that turned it
+    off find it as they left it.  Nothing is collected, frozen or
+    re-tuned.  The pause is process-wide: other threads run without the
+    collector until fn returns."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return paused
 
 
 def _digests(encoding, dims, down):

@@ -91,6 +91,7 @@ from .cellcx import (
     GroupAction,
     _is_id,
     _label,
+    _paused_collector,
     barycentric_subdivision,
     canon_key,
     fmt_payload,
@@ -455,6 +456,7 @@ def _restrict_action(A, old2new, sub):
 CollapseRun = namedtuple("CollapseRun", "certificate cells_moved")
 
 
+@_paused_collector
 def matching_to_collapse(K, A, M):
     """Collapse the matching M on K = M.sd = sd B_edge(H), with A =
     M.action, in checked orbit steps, in the order of the first key in the
@@ -503,6 +505,7 @@ CriticalIso = namedtuple(
     "CriticalIso", "sd_hom sd_hom_action critical critical_action map")
 
 
+@_paused_collector
 def verify_critical_isomorphism(M, max_cells=None):
     """Check that chains of products (the critical cells of the matching M)
     form a complex S_r-isomorphic to sd Hom(K_r^r, H), via the itemwise
@@ -525,6 +528,7 @@ def _critical_iso(hom, box, sd, action, critical, max_cells):
     return CriticalIso(sdh, sdh_action, crit, crit_action, f)
 
 
+@_paused_collector
 def replay_collapse_certificate(universe, action, cert, start_alive=None):
     """Replay a single-universe certificate from the given alive set (default
     all cells), re-verifying fingerprints and every step precondition.
@@ -582,9 +586,14 @@ class _CellStore(CollapseState):
 
     The store is the state, the universe complex and the group action that
     apply_orbit_step, _orbit_steps and _orbit_star work on, so it borrows
-    the methods they call from CellComplex and GroupAction.
+    the methods they call from CellComplex and GroupAction.  As a state and
+    an action it is its own complex, cx; a class property gives it, since
+    an attribute self.cx = self would be a reference cycle, and the store,
+    with its index and per-cell lists, would then wait for the cyclic
+    collector to be freed.
     """
 
+    cx = property(lambda self: self)
     faces = CellComplex.faces
     cofaces = CellComplex.cofaces
     orbit = GroupAction.orbit
@@ -598,7 +607,6 @@ class _CellStore(CollapseState):
 
     def __init__(self, K, A):
         n = len(K.payloads)
-        self.cx = self
         self.labels, self.order, self.relations = (A.labels, A.order,
                                                    A.relations)
         self.payloads = list(K.payloads)
@@ -1170,6 +1178,7 @@ def _check_ends(stage, K1, K2):
         raise VerificationError("endpoints do not match")
 
 
+@_paused_collector
 def main_theorem_certificate(H, max_cells=None, matching=None):
     """Build (and fully verify while building) the six-stage certificate for
     H.  Pass a prebuilt matching to avoid reconstructing it; stage 4, its
@@ -1241,6 +1250,7 @@ def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     return crit, action
 
 
+@_paused_collector
 def replay_main_theorem(H, cert, max_cells=None):
     """Re-verify a main theorem certificate against a fresh build for H.
 

@@ -72,6 +72,13 @@ def _multihom_masks(H, max_cells):
     _BITS_PER_EDGE bits per ordered edge (k = r on dense graphs), and the
     first ones are a dict key: common tails are then the & of the masks
     under each key.
+
+    parts and keyed_parts call themselves through the closure cells of
+    their names, a reference cycle of each function and its cell.  Their
+    names are deleted on the way out, errors included, so the cycles end
+    with the call and reference counting frees them: the pipeline runs with
+    the cyclic collector paused (cellcx._paused_collector).  _choose, which
+    needs no closure, recurses at module level.
     """
     n, r = len(H.vertices), H.r
     vid = {v: i for i, v in enumerate(H.vertices)}
@@ -94,20 +101,6 @@ def _multihom_masks(H, max_cells):
         edges[head] = int.from_bytes(bits, "little")
     out = []
 
-    def choose(cands, meet, descend):
-        # Every nonempty set of candidates (bit, tails), in order, whose
-        # tails meet; descend(part, common tails) for each.
-        def extend(start, part, common):
-            for i in range(start, len(cands)):
-                bit, t = cands[i]
-                if common is not None:
-                    t = meet(common, t)
-                if t:
-                    descend(part | bit, t)
-                    extend(i + 1, part | bit, t)
-
-        extend(0, 0, None)
-
     def parts(j, mask, prefix):
         # The tails of length r - j <= k, as one mask.
         if j == r - 1:
@@ -122,9 +115,9 @@ def _multihom_masks(H, max_cells):
             return
         block = n ** (r - 1 - j)
         low = (1 << block) - 1
-        choose([(1 << v, t) for v in range(n)
-                if (t := mask >> (v * block) & low)], int.__and__,
-               lambda part, t: parts(j + 1, t, prefix + (part,)))
+        _choose([(1 << v, t) for v in range(n)
+                 if (t := mask >> (v * block) & low)], int.__and__,
+                lambda part, t: parts(j + 1, t, prefix + (part,)))
 
     def keyed_parts(j, tails, prefix):
         # The tails of length r - j > k, as masks under their first
@@ -138,14 +131,31 @@ def _multihom_masks(H, max_cells):
         else:
             def descend(part, t):
                 keyed_parts(j + 1, t, prefix + (part,))
-        choose([(1 << v, t) for v, t in sorted(by_vertex.items())], _meet,
-               descend)
+        _choose([(1 << v, t) for v, t in sorted(by_vertex.items())], _meet,
+                descend)
 
-    if k == r:
-        parts(0, edges.get((), 0), ())
-    else:
-        keyed_parts(0, edges, ())
+    try:
+        if k == r:
+            parts(0, edges.get((), 0), ())
+        else:
+            keyed_parts(0, edges, ())
+    finally:
+        del parts, keyed_parts
     return out
+
+
+def _choose(cands, meet, descend, start=0, part=0, common=None):
+    """descend(part, common tails) for every nonempty set of the
+    candidates (bit, tails) from cands[start:], in order, whose tails meet,
+    each set joined to part, whose tails are common (None for no tails
+    yet)."""
+    for i in range(start, len(cands)):
+        bit, t = cands[i]
+        if common is not None:
+            t = meet(common, t)
+        if t:
+            descend(part | bit, t)
+            _choose(cands, meet, descend, i + 1, part | bit, t)
 
 
 def _meet(a, b):

@@ -32,7 +32,7 @@ invariant factors are the units' 1s followed by the dense block's factors.
 import heapq
 from collections import deque, namedtuple
 
-from .cellcx import canon_bytes
+from .cellcx import _paused_collector, canon_bytes
 from .errors import InputError
 
 
@@ -371,6 +371,7 @@ def _pad(report, upto):
     return {"betti": b, "torsion": t}
 
 
+@_paused_collector
 def homology_agreement(H, coeff="z", max_cells=None, complexes=None):
     """Compare integral (or Z/2) homology of B_edge(H) and Hom(K_r^r, H).
 

@@ -48,7 +48,8 @@ acyclic matching (Kozlov, ch. 11).
 """
 
 from .boxcx import box_edge, ip_tables
-from .cellcx import _chain_blocks, _lift, barycentric_subdivision, canon_key
+from .cellcx import (_chain_blocks, _lift, _paused_collector,
+                     barycentric_subdivision, canon_key)
 from .collapse import _product_chains, matching_to_collapse
 from .errors import MatchingInvalid
 from .homcx import hom_complex
@@ -152,6 +153,7 @@ def _classify(box, sd, closure, blocks):
     return tags, mu_map
 
 
+@_paused_collector
 def build_matching(H, max_cells=None):
     """Construct the matching on sd B_edge(H); Matching.verify proves it.
 
