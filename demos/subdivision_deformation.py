@@ -17,19 +17,21 @@ print("K: %d cells %s with a free Z_3 action (%d orbits)"
       % (len(K), K.dim_counts(), len(A.orbits())))
 
 # K deforms to (a complex isomorphic to) sd K, one stellar stage per orbit
-# of positive dimension.  The caller subdivides K once and lifts the
-# action; the deformation unfolds onto that subdivision and checks the
-# isomorphism against it.  Here the one such orbit is the edge orbit, so
+# of positive dimension.  Here the one such orbit is the edge orbit, so
 # the deformation is a single stage: expansions into a cone universe, then
 # collapses onto the stellar subdivision at the three edges, each new cell
 # named as a cone ("*c", apex, base) from an apex ("*b", edge)
-sd = hb.barycentric_subdivision(K)
-d = hb.sd_deformation(K, A, hb.lift_action_to_order_complex(A, sd))
+d = hb.sd_deformation(K, A)
 [(_, _, steps)] = d.certificate.runs
+# The unfold onto sd K is a step of its own: the caller subdivides K once,
+# lifts the action, and checks the end complex against that subdivision
+sd = hb.barycentric_subdivision(K)
+sd_action = hb.lift_action_to_order_complex(A, sd)
+iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
 print("starring the edge orbit: %d cells -> %d (sd K has %d chains), "
-      "certified in %d steps: %s" % (len(K), len(d.final), len(d.sd),
+      "certified in %d steps: %s" % (len(K), len(d.final), len(sd),
                                      len(steps), [s[0] for s in steps]))
-hb.verify_iso_ids(d.final, d.sd, d.iso, d.final_action, d.sd_action)
+hb.verify_iso_ids(d.final, sd, iso, d.final_action, sd_action)
 print("endpoint is Z_3-isomorphic to sd K (explicit table verified)")
 
 # a replay re-derives every cone universe in one cell store, checks its
@@ -43,11 +45,12 @@ print("replay ok; certificates compose backwards too:"
 # the same machinery runs on polytopal (product) cells: the box complex of
 # K3_122 with its full S_3 action
 box = hb.box_edge(hb.complete_multipartite([1, 2, 2]))
+d2 = hb.sd_deformation(box.cx, box.action)
 sd_box = hb.barycentric_subdivision(box.cx)
-d2 = hb.sd_deformation(box.cx, box.action,
-                       hb.lift_action_to_order_complex(box.action, sd_box))
+hb.unfold_subdivision(d2.final, d2.final_action,
+                      hb.lift_action_to_order_complex(box.action, sd_box))
 print("box(K3_122): %d cells deform to sd with %d chains in %d steps"
-      % (len(box.cx), len(d2.sd), len(d2.certificate)))
+      % (len(box.cx), len(sd_box), len(d2.certificate)))
 
 # hombox certifies free actions only, as S_r acts on the paper's complexes:
 # a cell that a transposition (i j) fixes would need an edge with a
@@ -61,6 +64,6 @@ A6 = hb.GroupAction.symmetric(
         for m in ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})],
     hb.s_r_generators(3))
 try:
-    hb.sd_deformation(K, A6, hb.lift_action_to_order_complex(A6, sd))
+    hb.sd_deformation(K, A6)
 except hb.Stuck as e:
     print("full S_3 on the triangle is refused: %s" % e)

@@ -14,7 +14,8 @@ from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        main_theorem_certificate, matching_to_collapse,
                        replay_collapse_certificate,
                        replay_main_theorem, replay_sd_deformation,
-                       sd_deformation, verify_critical_isomorphism)
+                       sd_deformation, unfold_subdivision,
+                       verify_critical_isomorphism)
 from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                      HomboxError, InputError, InvalidParams, MatchingInvalid,
                      NotFree, OrbitCofaceClash,
@@ -41,7 +42,8 @@ __all__ = [
     "MainTheoremCertificate", "SdDeformation",
     "apply_orbit_step", "main_theorem_certificate", "matching_to_collapse",
     "replay_collapse_certificate", "replay_main_theorem",
-    "replay_sd_deformation", "sd_deformation", "verify_critical_isomorphism",
+    "replay_sd_deformation", "sd_deformation", "unfold_subdivision",
+    "verify_critical_isomorphism",
     "DegenerateEdge", "DuplicateEdge", "EdgeWrongArity",
     "HomboxError", "InputError", "InvalidParams", "MatchingInvalid",
     "NotFree", "OrbitCofaceClash", "OrbitNotIndependentlyFree",

@@ -205,29 +205,35 @@ class CellComplex:
     The constructor is low-level and trusts its arguments; build complexes
     through from_graded_cells / from_simplices / order_complex and friends.
     index, if given, is the payload -> id dict of payloads, which the
-    complex then keeps instead of building its own.
+    complex then keeps; otherwise it builds its index on first use.
     """
 
     def __init__(self, payloads, dims, down, digests=None, index=None):
         self.payloads = list(payloads)
         self.dims = list(dims)
         self.down = list(map(tuple, down))
-        n = len(self.payloads)
-        self.index = (dict(zip(self.payloads, range(n))) if index is None
-                      else index)
-        if len(self.index) != n:
-            seen = set()
-            for p in self.payloads:
-                if p in seen:
-                    raise InputError(
-                        "duplicate cell payload: %s" % fmt_payload(p))
-                seen.add(p)
+        if index is not None:
+            self.index = index
         if digests is None:
             digests = _digests(lambda i: canon_bytes(self.payloads[i]),
                                self.dims, self.down)
         self.digests = list(digests)
         self.fingerprint = sum(self.digests) & _MASK128
         self._by_dim = None
+
+    @cached_property
+    def index(self):
+        """The payload -> id dict, built on first use; InputError if two
+        cells share a payload."""
+        index = dict(zip(self.payloads, range(len(self.payloads))))
+        if len(index) != len(self.payloads):
+            seen = set()
+            for p in self.payloads:
+                if p in seen:
+                    raise InputError(
+                        "duplicate cell payload: %s" % fmt_payload(p))
+                seen.add(p)
+        return index
 
     # -- construction ------------------------------------------------------
 
@@ -356,6 +362,35 @@ class CellComplex:
                     stack.append(j)
         return seen
 
+    @cached_property
+    def _chain_counts(self):
+        """(above, counts) for order_complex: above[i] lists the strict
+        cofaces of cell i, ascending, and counts[L][j] is the number of
+        chains of length L + 1 with bottom j.  InputError unless every
+        cover has a lower id than its cell."""
+        n = len(self.payloads)
+        for i in range(n):
+            for j in self.down[i]:
+                if j >= i:
+                    raise InputError(
+                        "order_complex needs ids sorted by dimension")
+        above = [None] * n
+        for i in reversed(range(n)):
+            a = set()
+            for j in self.up[i]:
+                a.add(j)
+                a |= above[j]
+            above[i] = a
+        above = list(map(sorted, above))
+        counts = [[1] * n]
+        while True:
+            prev = counts[-1]
+            cnt = [sum(map(prev.__getitem__, a)) for a in above]
+            if not any(cnt):
+                break
+            counts.append(cnt)
+        return above, counts
+
     @property
     def fingerprint_hex(self):
         return "%032x" % self.fingerprint
@@ -366,23 +401,29 @@ class CellComplex:
         """Restrict to the cell ids in `keep`, which must be downward closed
         (InputError otherwise).
 
-        Returns (complex, old2new dict).  Relative id order is preserved, so
-        a subcomplex of a canonically-sorted complex stays canonically sorted.
+        Returns (complex, old2new): old2new is a list over this complex's
+        ids, the new id of each kept cell and None for the others.  Relative
+        id order is preserved, so a subcomplex of a canonically-sorted
+        complex stays canonically sorted.  The subcomplex keeps its cells'
+        digests and builds its index on first use.
         """
         keep = sorted(set(keep))
-        old2new = {o: n for n, o in enumerate(keep)}
+        old2new = [None] * len(self.payloads)
+        for n, o in enumerate(keep):
+            old2new[o] = n
         new = old2new.__getitem__
-        down = []
-        for o in keep:
-            try:
-                down.append(tuple(map(new, self.down[o])))
-            except KeyError:
+
+        def covers(o):
+            row = tuple(map(new, self.down[o]))
+            if None in row:
                 raise InputError("subcomplex is not downward closed at cell "
-                                 "%d" % o) from None
+                                 "%d" % o)
+            return row
+
         sub = CellComplex(
-            [self.payloads[o] for o in keep],
-            [self.dims[o] for o in keep], down,
-            digests=[self.digests[o] for o in keep])
+            map(self.payloads.__getitem__, keep),
+            map(self.dims.__getitem__, keep), map(covers, keep),
+            digests=map(self.digests.__getitem__, keep))
         return sub, old2new
 
     # -- verification ------------------------------------------------------
@@ -687,31 +728,8 @@ def order_complex(K, max_cells=None):
     and tail from these covers (_chain_blocks).
     """
     n = len(K.payloads)
-    for i in range(n):
-        for j in K.down[i]:
-            if j >= i:
-                raise InputError("order_complex needs ids sorted by dimension")
-    above = [None] * n
-    for i in reversed(range(n)):
-        a = set()
-        for j in K.up[i]:
-            a.add(j)
-            a |= above[j]
-        above[i] = a
-    above = list(map(sorted, above))
-    # counts[L][j]: the chains of length L + 1 with bottom j
-    counts = [[1] * n]
-    while True:
-        prev = counts[-1]
-        cnt = [sum(map(prev.__getitem__, a)) for a in above]
-        if not any(cnt):
-            break
-        counts.append(cnt)
-    total = sum(map(sum, counts))
-    if max_cells is not None and total > max_cells:
-        raise SizeGuard(
-            "order complex needs %d cells, over the %d-cell guard" % (total, max_cells),
-            needed=total, limit=max_cells)
+    total = _order_complex_size(K, max_cells)
+    above, counts = K._chain_counts
     # firsts[L][j]: the id of the first chain of length L + 1 with bottom j
     firsts, start = [], 0
     for cnt in counts:
@@ -759,6 +777,18 @@ def order_complex(K, max_cells=None):
     oc = CellComplex(chains, dims, down, digests, index)
     oc.base = K
     return oc
+
+
+def _order_complex_size(K, max_cells=None):
+    """The number of cells of order_complex(K), counted without building
+    it; raises SizeGuard if it is over max_cells.  The count is kept on K
+    (CellComplex._chain_counts), so order_complex(K) counts no more."""
+    total = sum(map(sum, K._chain_counts[1]))
+    if max_cells is not None and total > max_cells:
+        raise SizeGuard(
+            "order complex needs %d cells, over the %d-cell guard" % (total, max_cells),
+            needed=total, limit=max_cells)
+    return total
 
 
 def barycentric_subdivision(K, max_cells=None):

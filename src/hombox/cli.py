@@ -204,7 +204,7 @@ def cmd_theorem(args):
              % (path, len(cert.stages)))
     else:
         cert = main_theorem_certificate(H, max_cells=mc)
-        complexes = (cert.matching.hom, cert.matching.box)
+        complexes = (cert.hom, cert.box)
         _say("theorem certificate built: %d stages" % len(cert.stages))
         if path:
             _write(path, canonical_json(cert.to_json_obj()))

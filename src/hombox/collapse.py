@@ -39,8 +39,9 @@ Three layers live here:
   certificate from K to a complex isomorphic to the barycentric subdivision
   sd K.  Starring at a vertex only renames it, so no stage stars a vertex
   orbit: the end complex keeps each vertex of K, and the isomorphism onto
-  sd K maps it to its one-element chain, an apex of m to (m,), and a cone
-  from that apex to its base's chain with m inserted.  All stages of one
+  sd K, a step of its own (unfold_subdivision), maps it to its one-element
+  chain, an apex of m to (m,), and a cone from that apex to its base's
+  chain with m inserted.  All stages of one
   deformation, built or replayed, run in one append-only cell store: a
   stage appends its apex and cone cells, each with its member m, and then
   works on alive flags, so it costs about its star, not the whole complex.
@@ -71,6 +72,24 @@ Three layers live here:
   schedule cell.  Certificates are of format version 5; versions 1-4 are
   refused.
 
+  A fingerprint is a sum of 128-bit digests, so equal fingerprints name a
+  set of cells without proving it: a set whose digests sum to 0 changes
+  no sum.  Each fingerprint a replay compares, and what it rests on:
+
+  - the certificate's endpoints, against the Hom and box complexes that
+    replay builds for H: they bind the certificate to H;
+  - the two fingerprints of an isomorphism stage, against two complexes
+    that replay built itself, between which verify_iso_ids then checks
+    the map cell by cell;
+  - a stellar run's universe and end, and a deformation's end: replay
+    carries the real cell store from stage to stage, and stages 2 and 5
+    check the end complex cell by cell against the sd that replay built,
+    so these locate a wrong step at its run's end and prove nothing more;
+  - the run ends of a collapse certificate: they locate a wrong step;
+  - the end of stage 4, sd B_edge(H): the one place where the sum alone
+    would stand for a set, so replay_critical_expansion also requires
+    every cell of sd B_edge(H) alive at the stage's end.
+
 main_theorem_certificate chains these into a single machine-checkable
 witness that Hom(K_r^r, H) and B_edge(H) are simple-S_r-homotopy equivalent:
 Hom ~ sd Hom = order complex of products = critical cells of the matching
@@ -91,6 +110,7 @@ from .cellcx import (
     GroupAction,
     _is_id,
     _label,
+    _order_complex_size,
     _paused_collector,
     barycentric_subdivision,
     canon_key,
@@ -445,8 +465,8 @@ def _orbit_steps(action, mu, key):
 
 def _restrict_action(A, old2new, sub):
     """A on the subcomplex sub; old2new, as subcomplex returns it, maps the
-    kept ids in ascending order to 0, 1, ..."""
-    keep = list(old2new)
+    kept ids in ascending order to 0, 1, ... and the others to None."""
+    keep = [o for o, n in enumerate(old2new) if n is not None]
     return A.transport(sub, [list(map(old2new.__getitem__,
                                       map(p.__getitem__, keep)))
                              for p in A.perms])
@@ -572,7 +592,7 @@ class _CellStore(CollapseState):
     index entries and up links when the next stage settles the store.
 
     Like its digest, each cell gets its member when it is appended, the id
-    in K that _unfold reads: v for a vertex v of K, m for the apex of m and
+    in K that unfold_subdivision reads: v for a vertex v of K, m for the apex of m and
     for a cone from it, and None for a cell of K of positive dimension.
 
     The cells of K keep their digests.  An appended cell's digest comes from
@@ -675,12 +695,24 @@ class _CellStore(CollapseState):
         self.dead = sorted(self.dead + gone)
 
     def complex(self, ids):
-        """The complex on the downward closed store ids `ids`, as
-        CellComplex.subcomplex builds it, with the members of its cells as
-        cx.members, and the action restricted to it."""
+        """The complex on the downward closed store ids `ids`, with the
+        members of its cells as cx.members, and the action restricted to
+        it.  CellComplex.subcomplex copies the cells out: payloads,
+        dimensions, covers and digests, with ids mapped through a list.  It
+        builds no payload index until one is read (CellComplex.index); the
+        stage-2 and stage-5 checks read none."""
         cx, old2new = CellComplex.subcomplex(self, ids)
-        cx.members = list(map(self.members.__getitem__, old2new))
+        cx.members = [m for m, n in zip(self.members, old2new)
+                      if n is not None]
         return cx, _restrict_action(self, old2new, cx)
+
+    def end_complex(self):
+        """The live complex and its action, as complex() copies them, after
+        the last stage.  The payload index, the up links and the up-degrees
+        go first, as only a stage reads them, so that the copy reuses their
+        memory; the store runs no stage after."""
+        self.index = self.up = self.updeg = None
+        return self.complex(self.alive_ids())
 
 
 class _Universe:
@@ -951,8 +983,8 @@ def _stellar_stage(store, rep, max_cells, replay=None):
 # full subdivision deformation
 
 
-SdDeformation = namedtuple(
-    "SdDeformation", "certificate final final_action sd sd_action iso")
+SdDeformation = namedtuple("SdDeformation",
+                           "certificate final final_action")
 
 
 def _run_name(j, K, rep):
@@ -971,10 +1003,12 @@ def _schedule(K, A):
     return sorted(orbs, key=lambda ob: (-K.dims[ob[0]], ob[0]))
 
 
-def _unfold(E, EA, sd_action):
+def unfold_subdivision(E, EA, sd_action):
     """The id table of the G-isomorphism from E, the end complex of an
     sd-deformation of K with action EA, onto sd K = sd_action.cx, checked by
-    verify_iso_ids.  One pass reads it from E.members, as E lists every cell
+    verify_iso_ids: stages 2 and 5 of the main theorem certificate, which a
+    caller runs once sd K and its lifted action exist (sd_deformation
+    builds neither).  One pass reads it from E.members, as E lists every cell
     after its faces: a vertex v of K or an apex of m goes to the chain (v,)
     or (m,), whose id is v or m, and a cone from the apex of m to its base's
     (first cover's) chain with m inserted.  Raises VerificationError naming
@@ -1000,25 +1034,25 @@ def _unfold(E, EA, sd_action):
     return verify_iso_ids(E, sd_action.cx, f, EA, sd_action)
 
 
-def sd_deformation(K, A, sd_action, max_cells=None):
+def sd_deformation(K, A, max_cells=None):
     """Certify K ~ (a complex isomorphic to) sd K by composing one stellar
     stage per orbit of K of positive dimension, dimension descending, all
-    in one cell store (_schedule).
+    in one cell store (_schedule).  Returns
+    SdDeformation(certificate, final, final_action): the end complex E,
+    copied out of the store, which is freed on return, and its action.
 
-    sd_action is A lifted to sd = sd_action.cx, the barycentric subdivision
-    of K, which the caller builds once (barycentric_subdivision, then
-    lift_action_to_order_complex).  Verifies that the end complex, in which
-    each vertex of K stands for its one-element chain, is G-isomorphic to
-    sd and returns
-    SdDeformation(certificate, final, final_action, sd, sd_action, iso).
+    The isomorphism of E onto sd K, in which each vertex of K stands for
+    its one-element chain, is a step of its own: unfold_subdivision(final,
+    final_action, sd_action), with sd_action A lifted to the barycentric
+    subdivision of K (barycentric_subdivision, then
+    lift_action_to_order_complex).
     """
     store = _CellStore(K, A)
     runs = [_stellar_stage(store, ob[0], max_cells)[1]
             for ob in _schedule(K, A)]
-    cur, cur_action = store.complex(store.alive_ids())
+    cur, cur_action = store.end_complex()
     cert = DeformationCertificate((K.fingerprint, cur.fingerprint), runs)
-    iso = _unfold(cur, cur_action, sd_action)
-    return SdDeformation(cert, cur, cur_action, sd_action.cx, sd_action, iso)
+    return SdDeformation(cert, cur, cur_action)
 
 
 def replay_sd_deformation(K, A, cert, max_cells=None):
@@ -1040,7 +1074,7 @@ def replay_sd_deformation(K, A, cert, max_cells=None):
     for j, (ob, run) in enumerate(zip(schedule, cert.runs)):
         _stellar_stage(store, ob[0], max_cells, (run, first, j))
         first += len(run[2])
-    cur, cur_action = store.complex(store.alive_ids())
+    cur, cur_action = store.end_complex()
     if cur.fingerprint != cert.endpoints[1]:
         raise VerificationError("certificate end fingerprint does not match")
     return cur, cur_action
@@ -1066,8 +1100,8 @@ class MainTheoremCertificate:
     holds its DeformationCertificate under "certificate"; an isomorphism
     stage holds the fingerprints of its two complexes under "from" and
     "to".  It stores no map: replay regenerates each isomorphism as the
-    build does (_unfold for stages 2 and 5, from the members of the end
-    complex's cells; the product map i for stage 3) and checks it with
+    build does (unfold_subdivision for stages 2 and 5, from the members of
+    the end complex's cells; the product map i for stage 3) and checks it with
     verify_iso_ids.  The JSON form is of format version 5;
     see DeformationCertificate for its runs and steps.
     """
@@ -1184,37 +1218,62 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     H.  Pass a prebuilt matching to avoid reconstructing it; stage 4, its
     collapse, proves it.
 
-    Each complex is subdivided once: sd B_edge(H) is the matching's M.sd,
-    and verify_critical_isomorphism builds sd Hom while it checks stage 3.
-    The two sd-deformations unfold onto these, with their lifted actions.
-    The returned object also carries the working pieces as attributes
-    (matching, hom_def, box_def) for callers that want them.
+    The steps run in the order of the lifetimes of the large structures
+    they make, so that one at a time is alive:
+      1. Hom(K_r^r, H) and B_edge(H), and the size guard of sd B_edge(H),
+         counted before any stellar stage;
+      2. the box stellar stages (stage 6), whose end complex E_box is
+         copied out of the cell store, which is then freed;
+      3. the matching on sd B_edge(H), from the same box bundle;
+      4. stage 5, which unfolds E_box onto the matching's M.sd; E_box goes;
+      5. stage 3, which builds sd Hom (verify_critical_isomorphism);
+      6. the Hom stellar stages (stage 1) and stage 2, which unfolds their
+         end onto that sd Hom; only their certificate and the two
+         fingerprints stay;
+      7. the matching's collapse (stage 4), and the assembly.
+    Each complex is subdivided once.  The certificate returned carries the
+    Hom and box bundles it certifies, as cert.hom and cert.box, for callers
+    that want them.
     """
     from .morse import build_matching
 
-    M = matching if matching is not None else build_matching(H, max_cells)
+    if matching is None:
+        hom = hom_complex(H, max_cells=max_cells)
+        box = box_edge(H, max_cells=max_cells)
+    else:
+        hom, box = matching.hom, matching.box
+    _order_complex_size(box.cx, max_cells)
+    box_def = sd_deformation(box.cx, box.action, max_cells=max_cells)
+    M = matching
+    if M is None:
+        M = build_matching(H, max_cells, complexes=(hom, box))
+    unfold_subdivision(box_def.final, box_def.final_action, M.action)
+    fold = _iso_stage("fold-box-subdivision", M.sd, box_def.final)
+    desubdivide = box_def.certificate.reversed()
+    del box_def
     crit = verify_critical_isomorphism(M, max_cells)
-    hom_def = sd_deformation(M.hom.cx, M.hom.action, crit.sd_hom_action,
-                             max_cells=max_cells)
+    products = _iso_stage("products-into-sd-box", crit.sd_hom, crit.critical)
+    hom_def = sd_deformation(hom.cx, hom.action, max_cells=max_cells)
+    unfold_subdivision(hom_def.final, hom_def.final_action,
+                       crit.sd_hom_action)
+    unfold = _iso_stage("unfold-hom-subdivision", hom_def.final, crit.sd_hom)
+    subdivide = hom_def.certificate
+    del hom_def, crit
     run = matching_to_collapse(M.sd, M.action, M)
-    box_def = sd_deformation(M.box.cx, M.box.action, M.action,
-                             max_cells=max_cells)
     stages = [
         {"kind": "deformation", "name": "subdivide-hom",
-         "certificate": hom_def.certificate},
-        _iso_stage("unfold-hom-subdivision", hom_def.final, hom_def.sd),
-        _iso_stage("products-into-sd-box", crit.sd_hom, crit.critical),
+         "certificate": subdivide},
+        unfold,
+        products,
         {"kind": "deformation", "name": "expand-to-sd-box",
          "certificate": run.certificate.reversed()},
-        _iso_stage("fold-box-subdivision", M.sd, box_def.final),
+        fold,
         {"kind": "deformation", "name": "desubdivide-box",
-         "certificate": box_def.certificate.reversed()},
+         "certificate": desubdivide},
     ]
     cert = MainTheoremCertificate(
-        (M.hom.cx.fingerprint, M.box.cx.fingerprint), stages)
-    cert.matching = M
-    cert.hom_def = hom_def
-    cert.box_def = box_def
+        (hom.cx.fingerprint, box.cx.fingerprint), stages)
+    cert.hom, cert.box = hom, box
     return cert
 
 
@@ -1227,6 +1286,7 @@ def _product_chains(box, sd):
             if all(map(fixed.__getitem__, ch))]
 
 
+@_paused_collector
 def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     """Replay stages 3 and 4 of a main theorem certificate for the graph of
     the bundles hom and box: cert is stage 4, expand-to-sd-box, in the form
@@ -1234,8 +1294,10 @@ def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     No matching is built: the critical cells are the chains of products,
     whose items i∘p fixes (ip_tables).  Their subcomplex must be
     S_r-isomorphic to sd Hom under i (_critical_iso), and cert is replayed
-    from it to sd B_edge(H) step by step.  Errors name the stage first.
-    Returns the CriticalIso and the action lifted to sd B_edge(H)."""
+    from it to sd B_edge(H) step by step, to a state in which every cell of
+    sd B_edge(H) is alive: the count of the live cells is checked, not only
+    their fingerprint.  Errors name the stage first.  Returns the
+    CriticalIso and the action lifted to sd B_edge(H)."""
     sd = barycentric_subdivision(box.cx, max_cells=max_cells)
     action = lift_action_to_order_complex(box.action, sd)
     critical = _product_chains(box, sd)
@@ -1246,7 +1308,12 @@ def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     with _stage("expand-to-sd-box"):
         if cert.endpoints != (crit.critical.fingerprint, sd.fingerprint):
             raise VerificationError("endpoints do not match")
-        replay_collapse_certificate(sd, action, cert, start_alive=critical)
+        state = replay_collapse_certificate(sd, action, cert,
+                                            start_alive=critical)
+        if state.n_alive != len(sd.payloads):
+            raise VerificationError(
+                "the expansion reaches %d of the %d cells of sd B_edge(H)"
+                % (state.n_alive, len(sd.payloads)))
     return crit, action
 
 
@@ -1255,16 +1322,23 @@ def replay_main_theorem(H, cert, max_cells=None):
     """Re-verify a main theorem certificate against a fresh build for H.
 
     The endpoints are checked against Hom(K_r^r, H) and B_edge(H) before
-    anything is subdivided.  Every deformation is replayed step by step,
-    every isomorphism is regenerated as the build does and re-verified,
-    including equivariance, and all stage endpoints must chain; stages 3
-    and 4 go through replay_critical_expansion, which builds no matching.
-    Returns the (hom, box) bundles it checked; raises VerificationError (or
-    a subclass) on any mismatch, and InputError on a malformed certificate,
-    with the stage name first in the message.  Stages 3 and 4 are checked
-    before stage 2, which needs the sd Hom of stage 3, and stage 6 before
-    stage 5, replayed from its end, so a step or run number there counts
-    from the end of its step or run list."""
+    anything is subdivided, and the size guard of sd B_edge(H) before any
+    stellar stage.  Every deformation is replayed step by step, every
+    isomorphism is regenerated as the build does and re-verified, including
+    equivariance, and all stage endpoints must chain; stages 3 and 4 go
+    through replay_critical_expansion, which builds no matching.  Returns
+    the (hom, box) bundles it checked; raises VerificationError (or a
+    subclass) on any mismatch, and InputError on a malformed certificate,
+    with the stage name first in the message.
+
+    The stages are checked in the order in which the build makes their
+    structures, so that one large structure at a time is alive: stage 6,
+    whose end complex E_box is copied out of the cell store, which is then
+    freed; stages 3 and 4, which build sd B_edge(H) and sd Hom; stage 5,
+    after which E_box and sd B_edge(H) go; then stage 1, and stage 2, which
+    needs the sd Hom of stage 3.  Stage 6 is replayed from its end, so a
+    step or run number there counts from the end of its step or run
+    list."""
     if not isinstance(cert, MainTheoremCertificate):
         cert = MainTheoremCertificate.from_json_obj(cert)
     hom = hom_complex(H, max_cells=max_cells)
@@ -1282,20 +1356,8 @@ def replay_main_theorem(H, cert, max_cells=None):
             raise VerificationError("stage %s has kind %r, expected %r"
                                     % (name, s.get("kind"), kind))
     s = cert.stages
+    _order_complex_size(box.cx, max_cells)
 
-    with _stage("subdivide-hom"):
-        e_hom, e_hom_action = replay_sd_deformation(
-            hom.cx, hom.action, s[0]["certificate"], max_cells=max_cells)
-
-    crit, action = replay_critical_expansion(
-        hom, box, s[3]["certificate"], max_cells, products=s[2])
-
-    with _stage("unfold-hom-subdivision"):
-        _check_ends(s[1], e_hom, crit.sd_hom)
-        _unfold(e_hom, e_hom_action, crit.sd_hom_action)
-
-    # Stage 6 is replayed from its end, so its step and run numbers count
-    # from there.
     with _stage("desubdivide-box, replayed reversed"):
         c5 = s[5]["certificate"]
         if c5.runs and c5.runs[-1][1] != c5.endpoints[1]:
@@ -1311,7 +1373,21 @@ def replay_main_theorem(H, cert, max_cells=None):
         if c5.endpoints != (e_box.fingerprint, box.cx.fingerprint):
             raise VerificationError("endpoints do not match")
 
+    crit, action = replay_critical_expansion(
+        hom, box, s[3]["certificate"], max_cells, products=s[2])
+    sd_hom, sd_hom_action = crit.sd_hom, crit.sd_hom_action
+    del crit
+
     with _stage("fold-box-subdivision"):
         _check_ends(s[4], action.cx, e_box)
-        _unfold(e_box, e_box_action, action)
+        unfold_subdivision(e_box, e_box_action, action)
+    del e_box, e_box_action, action
+
+    with _stage("subdivide-hom"):
+        e_hom, e_hom_action = replay_sd_deformation(
+            hom.cx, hom.action, s[0]["certificate"], max_cells=max_cells)
+
+    with _stage("unfold-hom-subdivision"):
+        _check_ends(s[1], e_hom, sd_hom)
+        unfold_subdivision(e_hom, e_hom_action, sd_hom_action)
     return hom, box

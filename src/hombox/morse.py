@@ -154,8 +154,10 @@ def _classify(box, sd, closure, blocks):
 
 
 @_paused_collector
-def build_matching(H, max_cells=None):
+def build_matching(H, max_cells=None, complexes=None):
     """Construct the matching on sd B_edge(H); Matching.verify proves it.
+    complexes, if given, is the (hom, box) pair of H's bundles, which the
+    matching then keeps instead of building its own.
 
     The lift and the classification read the chains by bottom and tail
     from the covers of sd, through one set of tables (cellcx._chain_blocks)
@@ -164,8 +166,10 @@ def build_matching(H, max_cells=None):
     products (collapse._product_chains); raises SizeGuard via the complex
     constructors.
     """
-    hom = hom_complex(H, max_cells=max_cells)
-    box = box_edge(H, max_cells=max_cells)
+    if complexes is None:
+        complexes = (hom_complex(H, max_cells=max_cells),
+                     box_edge(H, max_cells=max_cells))
+    hom, box = complexes
     sd = barycentric_subdivision(box.cx, max_cells=max_cells)
     blocks = _chain_blocks(sd)
     action = _lift(box.action, sd, blocks)

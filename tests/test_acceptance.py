@@ -152,12 +152,12 @@ def test_ac6_subdivision_deformation(matchings):
 
     def body():
         for K, A in cases():
+            d = hb.sd_deformation(K, A)
             sd = hb.barycentric_subdivision(K)
-            d = hb.sd_deformation(K, A,
-                                  hb.lift_action_to_order_complex(A, sd))
-            assert len(d.final) == len(d.sd)
-            hb.verify_iso_ids(d.final, d.sd, d.iso, d.final_action,
-                              d.sd_action)
+            sd_action = hb.lift_action_to_order_complex(A, sd)
+            iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
+            assert len(d.final) == len(sd)
+            hb.verify_iso_ids(d.final, sd, iso, d.final_action, sd_action)
         return None
 
     _, dt = timed(body)

@@ -721,6 +721,39 @@ def test_size_guard_exit_code(k32, capsys):
     assert "size guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, max_cells", [
+    (4, 60), (4, 100), (4, 131), (5, 930), (5, 5000), (5, 13349)])
+def test_theorem_size_guard_before_any_stellar_stage(n, max_cells, tmp_path,
+                                                     monkeypatch, capsys):
+    # with a guard from |B_edge| up to |sd B_edge| - 1 (60 and 132 cells on
+    # K_4^3, 930 and 13,350 on K_5^3), build and replay refuse with the
+    # order complex's guard, counted before any stellar stage runs: a stage
+    # on an input over the guard fails the test
+    from hombox import collapse
+
+    sd_cells = {4: 132, 5: 13350}[n]
+    graph = tmp_path / "graph.json"
+    graph.write_text(hb.complete_rgraph(n, 3).to_json_str())
+    cert = str(tmp_path / "theorem.json")
+    argv = ["theorem", "--input", str(graph), "--certificate", cert]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stellar stage ran over the size guard")
+
+    monkeypatch.setattr(collapse, "_stellar_stage", refuse)
+    guard = ("size guard: order complex needs %d cells, over the %d-cell "
+             "guard\n" % (sd_cells, max_cells))
+    # a replay of the certificate written above, then a build
+    for replay in (True, False):
+        assert os.path.exists(cert) == replay
+        assert main(argv + ["--max-cells", str(max_cells)]) == 3
+        assert capsys.readouterr() == ("", guard)
+        if replay:
+            os.unlink(cert)
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     assert main(["build", "--input", str(tmp_path / "nope.json")]) == 4
     assert "input error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ subdivision deformations, certificates, replay, and tamper detection."""
 import hashlib
 import json
 import re
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -37,10 +38,20 @@ def seg_with_flip():
     return seg, A
 
 
+# An sd-deformation with its unfold onto sd K: the table iso of the
+# end complex onto sd, with sd_action A lifted to sd.
+Unfolded = namedtuple("Unfolded",
+                      "certificate final final_action sd sd_action iso")
+
+
 def sd_deformation(K, A):
-    """sd_deformation onto the barycentric subdivision of K, built here."""
-    sd = hb.barycentric_subdivision(K)
-    return hb.sd_deformation(K, A, hb.lift_action_to_order_complex(A, sd))
+    """sd_deformation, then its unfold onto the barycentric subdivision of
+    K, built here."""
+    d = hb.sd_deformation(K, A)
+    sd_action = hb.lift_action_to_order_complex(
+        A, hb.barycentric_subdivision(K))
+    iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
+    return Unfolded(*d, sd_action.cx, sd_action, iso)
 
 
 def assert_same_cells(K1, K2):
@@ -652,7 +663,7 @@ def test_transported_actions_share_no_lists(matchings, monkeypatch):
             stores.append(self)
 
     monkeypatch.setattr(collapse, "_CellStore", RecordingStore)
-    d = hb.sd_deformation(M.box.cx, A, lifted)
+    d = hb.sd_deformation(M.box.cx, A)
     stage = stellar_stage(
         M.hom.cx, M.hom.action, M.hom.cx.cells_of_dim(M.hom.cx.max_dim)[0])
     box_store, hom_store = stores
@@ -759,10 +770,10 @@ def test_every_run_follows_its_order_key(matchings, monkeypatch):
                 M.sd, M.action, M).certificate.runs:
             run = [_matching_key(M, fixed, s) for _, s, _ in steps]
             assert run == sorted(run), name
-        cert = hb.main_theorem_certificate(M.graph, matching=M)
         with monkeypatch.context() as m:
             m.setattr(collapse, "_apply_steps", recording)
-            for bundle, d in ((M.hom, cert.hom_def), (M.box, cert.box_def)):
+            for bundle in (M.hom, M.box):
+                d = hb.sd_deformation(bundle.cx, bundle.action)
                 hb.replay_sd_deformation(bundle.cx, bundle.action,
                                          d.certificate)
     assert len(keys) > 100
@@ -788,7 +799,7 @@ def test_steps_out_of_key_order_fail_the_step_checks(matchings):
         hb.replay_collapse_certificate(M.sd, M.action, back)
 
     K, A = M.hom.cx, M.hom.action
-    cert = hb.main_theorem_certificate(M.graph, matching=M).hom_def.certificate
+    cert = hb.sd_deformation(K, A).certificate
     first = 0
     for j, (universe, end, steps) in enumerate(cert.runs):
         k = [d for d, _, _ in steps].index("c")
@@ -864,8 +875,10 @@ def test_sd_deformation_checks_the_subdivision_it_is_given(
     # subdivision of another complex is refused
     A = hb.trivial_action(solid_triangle)
     other = hb.barycentric_subdivision(hollow_triangle)
+    d = hb.sd_deformation(solid_triangle, A)
     with pytest.raises(VerificationError):
-        hb.sd_deformation(solid_triangle, A, hb.trivial_action(other))
+        hb.unfold_subdivision(d.final, d.final_action,
+                              hb.trivial_action(other))
 
 
 def _part_digest(tag, *parts):
@@ -977,7 +990,7 @@ def test_replay_sd_deformation_tamper(solid_triangle, matchings):
     d = sd_deformation(solid_triangle, A)
     M = matchings["K_4^3"]
     hom = M.hom
-    hom_def = hb.main_theorem_certificate(M.graph, matching=M).hom_def
+    hom_def = hb.sd_deformation(hom.cx, hom.action)
     for K, A, clean in ((solid_triangle, A, d.certificate.to_json_obj()),
                         (hom.cx, hom.action,
                          hom_def.certificate.to_json_obj())):
@@ -1141,6 +1154,143 @@ def test_main_theorem_tamper_detection(matchings):
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
                 H, hb.MainTheoremCertificate.from_json_obj(obj))
+
+
+def _zero_fingerprints(monkeypatch):
+    """Cut every fingerprint to 0 bits, so that each complex, state and
+    universe has fingerprint 0: a fingerprint then stands for no set of
+    cells, and only the checks that compare cells themselves can refuse."""
+    from hombox import cellcx
+    for module in (cellcx, collapse):
+        monkeypatch.setattr(module, "_MASK128", 0)
+
+
+def _drop_last_expansions(stage, k):
+    """The JSON form of a stage-4 certificate, one run of expansions, with
+    its last k steps dropped: what is left is a valid expansion that stops
+    short of sd B_edge(H)."""
+    [run] = stage["runs"]
+    assert len(run) > 2 + k and all(step[0] == "e" for step in run[2:])
+    return dict(stage, runs=[run[:-k]])
+
+
+def test_stage_4_must_reach_every_cell_of_sd_box(corpus, monkeypatch):
+    # a stage 4 that leaves cells of sd B_edge(H) unexpanded is refused
+    # even where its fingerprints match, as they do here for any set of
+    # cells: the replay counts the live cells at the stage's end
+    _zero_fingerprints(monkeypatch)
+    H = corpus["K3_122"]
+    clean = hb.main_theorem_certificate(H).to_json_obj()
+    replays(H, clean)
+    sd_cells = len(hb.barycentric_subdivision(hb.box_edge(H).cx))
+    for k in (1, 3):
+        obj = json.loads(json.dumps(clean))
+        obj["stages"][3]["certificate"] = _drop_last_expansions(
+            obj["stages"][3]["certificate"], k)
+        with pytest.raises(VerificationError, match="^%s$" % re.escape(
+                "expand-to-sd-box: the expansion reaches %d of the %d cells "
+                "of sd B_edge(H)" % (sd_cells - 12 * k, sd_cells))):
+            hb.replay_main_theorem(H, obj)
+
+
+def test_verify_certificate_must_reach_every_cell_of_sd_box(
+        corpus, monkeypatch, tmp_path, capsys):
+    # `hombox verify --certificate` replays stage 4 through the same check
+    from hombox.cli import main
+
+    _zero_fingerprints(monkeypatch)
+    graph = tmp_path / "graph.json"
+    graph.write_text(corpus["K3_122"].to_json_str())
+    path = tmp_path / "stage4.json"
+    argv = ["verify", "--input", str(graph), "--certificate", str(path)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    path.write_text(canonical_json(
+        _drop_last_expansions(json.loads(path.read_text()), 1)))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: expand-to-sd-box: the expansion reaches 882 "
+        "of the 894 cells of sd B_edge(H)\n")
+
+
+def _record(monkeypatch, module, name, before=None, after=None):
+    """Wrap module.name: before(*args) runs before each call and
+    after(result, *args) after it."""
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        if before is not None:
+            before(*args)
+        result = original(*args, **kwargs)
+        if after is not None:
+            after(result, *args)
+        return result
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+@pytest.mark.parametrize("name", ["K_4^3", "K3_122"])
+def test_build_runs_the_box_stages_first(corpus, name, monkeypatch):
+    # the box stellar stages run before any order complex is built, and
+    # their end complex E_box is gone when stage 3 starts
+    import weakref
+
+    from hombox import cellcx
+
+    H = corpus[name]
+    box = hb.box_edge(H).cx.fingerprint
+    events, e_box = [], []
+
+    def deformed(d, K, *args):
+        side = "box" if K.fingerprint == box else "hom"
+        events.append("%s stages" % side)
+        if side == "box":
+            e_box.append(weakref.ref(d.final))
+
+    def stage_3(*args):
+        events.append("stage 3")
+        assert len(e_box) == 1 and e_box[0]() is None, \
+            "the box stages have not run, or E_box is alive, at stage 3"
+
+    _record(monkeypatch, collapse, "sd_deformation", after=deformed)
+    _record(monkeypatch, cellcx, "order_complex",
+            before=lambda *args: events.append("order complex"))
+    _record(monkeypatch, collapse, "verify_critical_isomorphism",
+            before=stage_3)
+    hb.main_theorem_certificate(H)
+    assert events == ["box stages", "order complex", "stage 3",
+                      "order complex", "hom stages"]
+
+
+@pytest.mark.parametrize("name", ["K_4^3", "K3_122"])
+def test_replay_runs_stage_6_first(corpus, name, monkeypatch):
+    # stage 6 replays before stages 3 and 4, which build sd B_edge(H), and
+    # its end complex is gone when stage 1 starts
+    import weakref
+
+    H = corpus[name]
+    cert = hb.main_theorem_certificate(H).to_json_obj()
+    box = hb.box_edge(H).cx.fingerprint
+    events, e_box = [], []
+
+    def replayed(end, K, *args):
+        side = "box" if K.fingerprint == box else "hom"
+        events.append("%s stages" % side)
+        if side == "box":
+            e_box.append(weakref.ref(end[0]))
+
+    def replay(K, *args, **kwargs):
+        if K.fingerprint != box:
+            assert len(e_box) == 1 and e_box[0]() is None, \
+                "stage 6 has not run, or E_box is alive, at stage 1"
+
+    _record(monkeypatch, collapse, "replay_sd_deformation", before=replay,
+            after=replayed)
+    _record(monkeypatch, collapse, "replay_critical_expansion",
+            before=lambda *args: events.append("stages 3 and 4"))
+    replays(H, cert)
+    assert events == ["box stages", "stages 3 and 4", "hom stages"]
 
 
 def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
@@ -1411,7 +1561,7 @@ def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
     d = sd_deformation(solid_triangle, A)
     M = matchings["K_4^3"]
     hom = M.hom
-    hom_def = hb.main_theorem_certificate(M.graph, matching=M).hom_def
+    hom_def = hb.sd_deformation(hom.cx, hom.action)
     for K, A, clean in ((solid_triangle, A, d.certificate.to_json_obj()),
                         (hom.cx, hom.action,
                          hom_def.certificate.to_json_obj())):
@@ -1555,7 +1705,8 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
     # such a complex itself; a Hom complex is not, as starring a square at
     # a corner cuts it in two triangles
     for label, K, A, sd_action in _corpus_complexes(matchings):
-        d = hb.sd_deformation(K, A, sd_action)
+        d = hb.sd_deformation(K, A)
+        hb.unfold_subdivision(d.final, d.final_action, sd_action)
         positive = [ob for ob in A.orbits() if K.dims[ob[0]] > 0]
         assert len(d.certificate.runs) == len(positive), label
         assert all(u is not None and steps
@@ -1596,21 +1747,22 @@ def test_version_3_rejects_vertex_runs(matchings):
 
 
 def test_unfold_refuses_the_end_of_one_stellar_stage(solid_triangle):
-    # _unfold maps the end of a whole sd-deformation onto sd K, and refuses
-    # the end of one stellar stage, naming its first cone over a cell of K
-    # that no stage starred, on vertex sets and products alike, and a cone
-    # whose image is not a chain of K
+    # unfold_subdivision maps the end of a whole sd-deformation onto sd K,
+    # and refuses the end of one stellar stage, naming its first cone over
+    # a cell of K that no stage starred, on vertex sets and products alike,
+    # and a cone whose image is not a chain of K
     for K, top in ((solid_triangle, frozenset("abc")), product_square()):
         A = hb.trivial_action(K)
         d = sd_deformation(K, A)
-        assert collapse._unfold(d.final, d.final_action, d.sd_action) == d.iso
+        assert hb.unfold_subdivision(d.final, d.final_action,
+                                     d.sd_action) == d.iso
         E = stellar_stage(K, A, K.index[top]).final
         cone = next(p for p in E.payloads if type(p) is tuple
                     and p[0] == CONE and K.dims[K.index[p[2]]] > 0)
         with pytest.raises(VerificationError, match="^%s$" % re.escape(
                 "cell %s is not fully subdivided: it is a cone over %s, a "
                 "cell of K" % (fmt_payload(cone), fmt_payload(cone[2])))):
-            collapse._unfold(E, hb.trivial_action(E), d.sd_action)
+            hb.unfold_subdivision(E, hb.trivial_action(E), d.sd_action)
         # a cone over a vertex, with its member set to that vertex's
         E = d.final
         i = next(i for i, dn in enumerate(E.down) if dn and not E.down[dn[0]])
@@ -1618,15 +1770,15 @@ def test_unfold_refuses_the_end_of_one_stellar_stage(solid_triangle):
         with pytest.raises(VerificationError, match="^%s$" % re.escape(
                 "cell %s maps to (%d,%d), which is not a chain of K"
                 % (fmt_payload(E.payloads[i]), v, v))):
-            collapse._unfold(E, d.final_action, d.sd_action)
+            hb.unfold_subdivision(E, d.final_action, d.sd_action)
 
 
 def _flattened(K, E, sd):
     """The id table of E, the end complex of an sd-deformation of K, onto sd
-    K, read from the payloads: the reference for _unfold.  A cell of E is a
-    vertex of K, an apex (BARY, q) of a cell q of K, or a cone (CONE, apex,
-    base) over such a cell, so its chain is the sorted K-ids of the apexes'
-    cells down its nested bases and of the innermost base."""
+    K, read from the payloads: the reference for unfold_subdivision.  A cell
+    of E is a vertex of K, an apex (BARY, q) of a cell q of K, or a cone
+    (CONE, apex, base) over such a cell, so its chain is the sorted K-ids of
+    the apexes' cells down its nested bases and of the innermost base."""
     def k_id(x):
         if type(x) is tuple and x[0] == BARY:
             return K.index[x[1]]
@@ -1645,14 +1797,15 @@ def _flattened(K, E, sd):
 
 def test_unfold_equals_the_flattened_cone_payloads(matchings):
     for label, K, A, sd_action in _corpus_complexes(matchings):
-        d = hb.sd_deformation(K, A, sd_action)
-        assert d.iso == _flattened(K, d.final, d.sd), label
+        d = hb.sd_deformation(K, A)
+        iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
+        assert iso == _flattened(K, d.final, sd_action.cx), label
 
 
 def test_store_order_lists_every_cell_after_its_faces(matchings):
-    # _unfold reads a cone's image from its base's row, an earlier one: in
-    # the store a cell's covers have lower ids, through every stage, so the
-    # end complex lists each cell after its faces
+    # unfold_subdivision reads a cone's image from its base's row, an
+    # earlier one: in the store a cell's covers have lower ids, through
+    # every stage, so the end complex lists each cell after its faces
     for label, K, A, _ in _corpus_complexes(matchings):
         store = collapse._CellStore(K, A)
         for ob in collapse._schedule(K, A):

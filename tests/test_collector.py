@@ -94,6 +94,15 @@ def _tampered_collapse(run):
     return hb.DeformationCertificate.from_json_obj(obj)
 
 
+def _stage_4(cert, tamper=False):
+    """Stage 4 of the theorem certificate cert (JSON), as `hombox verify
+    --certificate` replays it, its start fingerprint flipped if tamper."""
+    obj = json.loads(json.dumps(cert["stages"][3]["certificate"]))
+    if tamper:
+        obj["endpoints"][0] = _flip(obj["endpoints"][0])
+    return hb.DeformationCertificate.from_json_obj(obj)
+
+
 def _tampered_theorem(cert):
     obj = json.loads(json.dumps(cert))
     obj["stages"][2]["from"] = _flip(obj["stages"][2]["from"])
@@ -138,6 +147,13 @@ ENTRY_POINTS = {
         lambda H, M, run, cert: hb.replay_main_theorem(H, cert),
         lambda H, M, run, cert: hb.replay_main_theorem(
             H, _tampered_theorem(cert)),
+        hb.VerificationError),
+    "replay_critical_expansion": (
+        (collapse, "replay_collapse_certificate"),
+        lambda H, M, run, cert: collapse.replay_critical_expansion(
+            M.hom, M.box, _stage_4(cert)),
+        lambda H, M, run, cert: collapse.replay_critical_expansion(
+            M.hom, M.box, _stage_4(cert, tamper=True)),
         hb.VerificationError),
     "homology_agreement": (
         (homology, "homology_report"),

@@ -43,7 +43,9 @@ REFERENCE = Path(__file__).resolve().parent / "stellar_reference.py"
 # and orbit_star_data: the stellar stage (collapse._stellar_stage) is the
 # library's one stellar subdivision, and its star is the private
 # collapse._orbit_star; the tests hold the stage to a direct subdivision of
-# their own (tests/stellar_reference.py).
+# their own (tests/stellar_reference.py).  _unfold: the unfold of a stellar
+# end complex onto sd K is a step the caller runs once sd K exists, the
+# public unfold_subdivision.
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
@@ -53,9 +55,9 @@ REMOVED = ("deletion", "independently_free", "_presentation",
            "_check_iso", "classify_chain", "mu", "NotInSigma", "remove",
            "add", "_carry", "_facet_clash", "_find_cycle",
            "stellar_subdivision_poset", "stellar_deformation_certificate",
-           "StellarStage", "orbit_star_data")
+           "StellarStage", "orbit_star_data", "_unfold")
 # Names added to the API, each with the module that defines it.
-ADDED = (("kneser_rgraph", rgraph),)
+ADDED = (("kneser_rgraph", rgraph), ("unfold_subdivision", collapse))
 
 
 def test_every_exported_name_resolves():
@@ -99,12 +101,22 @@ def test_removed_fields():
     # chain listing) and summary: `hombox verify --certificate` writes and
     # replays the collapse certificate of the theorem's stage 4, and prints
     # the counts it reports.  Other classes keep their to_json_obj.
+    # sd, sd_action and iso of SdDeformation: sd_deformation builds no sd K,
+    # and its unfold onto sd K is unfold_subdivision.  matching, hom_def and
+    # box_def of a main theorem certificate: the build lets each go when
+    # it is done with it, and the certificate carries the Hom and box
+    # bundles (hom, box) that the CLI's homology reads.
     assert "old2new" not in hb.CriticalIso._fields
+    assert hb.SdDeformation._fields == ("certificate", "final",
+                                        "final_action")
     assert not hasattr(hb.Matching, "to_json_obj")
     assert not hasattr(hb.Matching, "summary")
     assert hasattr(hb.DeformationCertificate, "to_json_obj")
     cert = hb.main_theorem_certificate(hb.complete_rgraph(3, 2))
-    assert not hasattr(cert, "collapse_run")
+    for name in ("collapse_run", "matching", "hom_def", "box_def"):
+        assert not hasattr(cert, name), name
+    assert (cert.hom.cx.fingerprint, cert.box.cx.fingerprint) \
+        == cert.endpoints
 
 
 def test_stellar_reference_shares_no_code_with_the_stage():
