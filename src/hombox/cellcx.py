@@ -364,10 +364,11 @@ class CellComplex:
 
     @cached_property
     def _chain_counts(self):
-        """(above, counts) for order_complex: above[i] lists the strict
-        cofaces of cell i, ascending, and counts[L][j] is the number of
-        chains of length L + 1 with bottom j.  InputError unless every
-        cover has a lower id than its cell."""
+        """(above, counts) for order_complex, which takes them off the
+        complex: above[i] lists the strict cofaces of cell i, ascending,
+        and counts[L][j] is the number of chains of length L + 1 with
+        bottom j.  InputError unless every cover has a lower id than its
+        cell."""
         n = len(self.payloads)
         for i in range(n):
             for j in self.down[i]:
@@ -730,6 +731,7 @@ def order_complex(K, max_cells=None):
     n = len(K.payloads)
     total = _order_complex_size(K, max_cells)
     above, counts = K._chain_counts
+    del K._chain_counts
     # firsts[L][j]: the id of the first chain of length L + 1 with bottom j
     firsts, start = [], 0
     for cnt in counts:
@@ -781,8 +783,9 @@ def order_complex(K, max_cells=None):
 
 def _order_complex_size(K, max_cells=None):
     """The number of cells of order_complex(K), counted without building
-    it; raises SizeGuard if it is over max_cells.  The count is kept on K
-    (CellComplex._chain_counts), so order_complex(K) counts no more."""
+    it; raises SizeGuard if it is over max_cells.  The count stays on K
+    (CellComplex._chain_counts) until order_complex(K) takes it, so a size
+    guard checked first costs order_complex no second count."""
     total = sum(map(sum, K._chain_counts[1]))
     if max_cells is not None and total > max_cells:
         raise SizeGuard(

@@ -4,6 +4,7 @@ group actions, fingerprints, and isomorphism checking."""
 import hashlib
 import math
 import re
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,9 @@ def test_subcomplex_and_fingerprint(solid_triangle):
     keep = sorted(K.faces(K.index[frozenset("ab")]) | {K.index[frozenset("ab")]})
     sub, old2new = K.subcomplex(keep)
     assert len(sub) == 3
+    # old2new maps ids through a list, None for the cells left out
+    assert [old2new[o] for o in keep] == [0, 1, 2]
+    assert len(old2new) == len(K) and old2new.count(None) == len(K) - 3
     rebuilt = hb.CellComplex.from_simplices([frozenset("ab")])
     assert sub.fingerprint_hex == rebuilt.fingerprint_hex
     assert sub.fingerprint_hex != K.fingerprint_hex
@@ -123,6 +127,33 @@ def test_order_complex_guard(solid_triangle):
     with pytest.raises(SizeGuard):
         hb.barycentric_subdivision(solid_triangle, max_cells=24)
     assert len(hb.barycentric_subdivision(solid_triangle, max_cells=25)) == 25
+
+
+def test_order_complex_size_is_counted_once(monkeypatch):
+    # the size guard, checked before the order complex is built, counts its
+    # cells; order_complex then takes that count off the complex, and a
+    # later order complex of it counts afresh
+    calls = []
+    count = hb.CellComplex._chain_counts.func
+
+    def counting(K):
+        calls.append(len(K))
+        return count(K)
+
+    counted = cached_property(counting)
+    counted.__set_name__(hb.CellComplex, "_chain_counts")
+    monkeypatch.setattr(hb.CellComplex, "_chain_counts", counted)
+    K = hb.CellComplex.from_simplices([frozenset("abc")])
+    with pytest.raises(SizeGuard, match="^order complex needs 25 cells, "
+                       "over the 24-cell guard$"):
+        cellcx._order_complex_size(K, 24)
+    assert cellcx._order_complex_size(K, 25) == 25
+    assert K._chain_counts[1] == [[1] * 7, [3] * 3 + [1] * 3 + [0],
+                                  [2] * 3 + [0] * 4]
+    assert len(hb.order_complex(K, max_cells=25)) == 25
+    assert calls == [7] and "_chain_counts" not in vars(K)
+    assert len(hb.order_complex(K)) == 25
+    assert calls == [7, 7]
 
 
 def test_order_complex_rejects_unsorted_ids():

@@ -1802,6 +1802,18 @@ def test_unfold_equals_the_flattened_cone_payloads(matchings):
         assert iso == _flattened(K, d.final, sd_action.cx), label
 
 
+def test_end_complex_builds_its_index_only_when_read(matchings):
+    # the copy of the end complex out of the cell store builds no payload
+    # index, and the unfold onto sd K reads none; the index is built on
+    # first read, as every complex builds its own
+    for label, K, A, sd_action in _corpus_complexes(matchings):
+        d = hb.sd_deformation(K, A)
+        hb.unfold_subdivision(d.final, d.final_action, sd_action)
+        assert "index" not in vars(d.final), label
+        assert d.final.index == {p: i for i, p in
+                                 enumerate(d.final.payloads)}, label
+
+
 def test_store_order_lists_every_cell_after_its_faces(matchings):
     # unfold_subdivision reads a cone's image from its base's row, an
     # earlier one: in the store a cell's covers have lower ids, through
