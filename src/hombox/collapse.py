@@ -41,10 +41,10 @@ Three layers live here:
   orbit: the end complex keeps each vertex of K, and the isomorphism onto
   sd K, a step of its own (unfold_subdivision), maps it to its one-element
   chain, an apex of m to (m,), and a cone from that apex to its base's
-  chain with m inserted.  All stages of one
-  deformation, built or replayed, run in one append-only cell store: a
-  stage appends its apex and cone cells, each with its member m, and then
-  works on alive flags, so it costs about its star, not the whole complex.
+  chain with m inserted.  All stages of one deformation, built or
+  replayed, run in one append-only cell store: a stage appends its apex
+  and cone cells, each with its member m, and then works on alive flags,
+  so it costs about its star, not the whole complex.
   A step names a cell by its id in the stage's L: its rank among the live
   cells, which L lists first in store order, or its place after them for a
   cell the stage appended.
@@ -592,8 +592,9 @@ class _CellStore(CollapseState):
     index entries and up links when the next stage settles the store.
 
     Like its digest, each cell gets its member when it is appended, the id
-    in K that unfold_subdivision reads: v for a vertex v of K, m for the apex of m and
-    for a cone from it, and None for a cell of K of positive dimension.
+    in K that unfold_subdivision reads: v for a vertex v of K, m for the
+    apex of m and for a cone from it, and None for a cell of K of positive
+    dimension.
 
     The cells of K keep their digests.  An appended cell's digest comes from
     its parts (_cone_universe): the tag b"A" and its member's digest for an
@@ -1008,10 +1009,10 @@ def unfold_subdivision(E, EA, sd_action):
     sd-deformation of K with action EA, onto sd K = sd_action.cx, checked by
     verify_iso_ids: stages 2 and 5 of the main theorem certificate, which a
     caller runs once sd K and its lifted action exist (sd_deformation
-    builds neither).  One pass reads it from E.members, as E lists every cell
-    after its faces: a vertex v of K or an apex of m goes to the chain (v,)
-    or (m,), whose id is v or m, and a cone from the apex of m to its base's
-    (first cover's) chain with m inserted.  Raises VerificationError naming
+    builds neither).  One pass reads it from E.members, as E lists every
+    cell after its faces: a vertex v of K or an apex of m goes to the chain
+    (v,) or (m,), whose id is v or m, and a cone from the apex of m to its
+    base's (first cover's) chain with m inserted.  Raises VerificationError naming
     a cone over a cell of K of positive dimension, which has no image, or a
     cone whose image is not a chain of K."""
     chains, index = sd_action.cx.payloads, sd_action.cx.index
@@ -1101,9 +1102,9 @@ class MainTheoremCertificate:
     stage holds the fingerprints of its two complexes under "from" and
     "to".  It stores no map: replay regenerates each isomorphism as the
     build does (unfold_subdivision for stages 2 and 5, from the members of
-    the end complex's cells; the product map i for stage 3) and checks it with
-    verify_iso_ids.  The JSON form is of format version 5;
-    see DeformationCertificate for its runs and steps.
+    the end complex's cells; the product map i for stage 3) and checks it
+    with verify_iso_ids.  The JSON form is of format version 5; see
+    DeformationCertificate for its runs and steps.
     """
 
     def __init__(self, endpoints, stages):
