@@ -4,17 +4,18 @@ subdivision deformations, certificates, replay, and tamper detection."""
 import hashlib
 import json
 import re
+import weakref
 from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 import hombox as hb
-from hombox import collapse
+from hombox import cellcx, collapse
 from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
 from hombox.cellcx import BARY, CONE, fmt_payload
-from hombox.cli import canonical_json
+from hombox.cli import canonical_json, main
 
 from conftest import replays, stellar_stage, z3_action
 from stellar_reference import stellar_subdivision
@@ -1160,7 +1161,6 @@ def _zero_fingerprints(monkeypatch):
     """Cut every fingerprint to 0 bits, so that each complex, state and
     universe has fingerprint 0: a fingerprint then stands for no set of
     cells, and only the checks that compare cells themselves can refuse."""
-    from hombox import cellcx
     for module in (cellcx, collapse):
         monkeypatch.setattr(module, "_MASK128", 0)
 
@@ -1196,8 +1196,6 @@ def test_stage_4_must_reach_every_cell_of_sd_box(corpus, monkeypatch):
 def test_verify_certificate_must_reach_every_cell_of_sd_box(
         corpus, monkeypatch, tmp_path, capsys):
     # `hombox verify --certificate` replays stage 4 through the same check
-    from hombox.cli import main
-
     _zero_fingerprints(monkeypatch)
     graph = tmp_path / "graph.json"
     graph.write_text(corpus["K3_122"].to_json_str())
@@ -1234,10 +1232,6 @@ def _record(monkeypatch, module, name, before=None, after=None):
 def test_build_runs_the_box_stages_first(corpus, name, monkeypatch):
     # the box stellar stages run before any order complex is built, and
     # their end complex E_box is gone when stage 3 starts
-    import weakref
-
-    from hombox import cellcx
-
     H = corpus[name]
     box = hb.box_edge(H).cx.fingerprint
     events, e_box = [], []
@@ -1267,8 +1261,6 @@ def test_build_runs_the_box_stages_first(corpus, name, monkeypatch):
 def test_replay_runs_stage_6_first(corpus, name, monkeypatch):
     # stage 6 replays before stages 3 and 4, which build sd B_edge(H), and
     # its end complex is gone when stage 1 starts
-    import weakref
-
     H = corpus[name]
     cert = hb.main_theorem_certificate(H).to_json_obj()
     box = hb.box_edge(H).cx.fingerprint
