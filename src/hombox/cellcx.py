@@ -789,8 +789,8 @@ def _order_complex_size(K, max_cells=None):
     total = sum(map(sum, K._chain_counts[1]))
     if max_cells is not None and total > max_cells:
         raise SizeGuard(
-            "order complex needs %d cells, over the %d-cell guard" % (total, max_cells),
-            needed=total, limit=max_cells)
+            "order complex needs %d cells, over the %d-cell guard"
+            % (total, max_cells), needed=total, limit=max_cells)
     return total
 
 

@@ -1012,9 +1012,9 @@ def unfold_subdivision(E, EA, sd_action):
     builds neither).  One pass reads it from E.members, as E lists every
     cell after its faces: a vertex v of K or an apex of m goes to the chain
     (v,) or (m,), whose id is v or m, and a cone from the apex of m to its
-    base's (first cover's) chain with m inserted.  Raises VerificationError naming
-    a cone over a cell of K of positive dimension, which has no image, or a
-    cone whose image is not a chain of K."""
+    base's (first cover's) chain with m inserted.  Raises
+    VerificationError naming a cone over a cell of K of positive dimension,
+    which has no image, or a cone whose image is not a chain of K."""
     chains, index = sd_action.cx.payloads, sd_action.cx.index
     f = []
     for i, (m, down) in enumerate(zip(E.members, E.down)):
