@@ -25,7 +25,7 @@ d = hb.sd_deformation(K, A)
 [(_, _, steps)] = d.certificate.runs
 # The unfold onto sd K is a step of its own: the caller subdivides K once,
 # lifts the action, and checks the end complex against that subdivision
-sd = hb.barycentric_subdivision(K)
+sd = hb.order_complex(K)
 sd_action = hb.lift_action_to_order_complex(A, sd)
 iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
 print("starring the edge orbit: %d cells -> %d (sd K has %d chains), "
@@ -46,7 +46,7 @@ print("replay ok; certificates compose backwards too:"
 # K3_122 with its full S_3 action
 box = hb.box_edge(hb.complete_multipartite([1, 2, 2]))
 d2 = hb.sd_deformation(box.cx, box.action)
-sd_box = hb.barycentric_subdivision(box.cx)
+sd_box = hb.order_complex(box.cx)
 hb.unfold_subdivision(d2.final, d2.final_action,
                       hb.lift_action_to_order_complex(box.action, sd_box))
 print("box(K3_122): %d cells deform to sd with %d chains in %d steps"

@@ -4,10 +4,9 @@ r-uniform hypergraphs."""
 
 from .boxcx import (BoxComplex, box_edge, count_spanning, i_image_ids,
                     ip_fixed, ip_tables, iso_criterion, map_i, map_p)
-from .cellcx import (CellComplex, GroupAction, barycentric_subdivision,
-                     canon_bytes, canon_key, lift_action_to_order_complex,
-                     order_complex, trivial_action, verify_iso_ids,
-                     verify_isomorphism)
+from .cellcx import (CellComplex, GroupAction, canon_bytes,
+                     lift_action_to_order_complex, order_complex,
+                     trivial_action, verify_iso_ids, verify_isomorphism)
 from .collapse import (CollapseRun, CollapseState, CriticalIso,
                        DeformationCertificate, MainTheoremCertificate,
                        SdDeformation, apply_orbit_step,
@@ -21,8 +20,7 @@ from .errors import (DegenerateEdge, DuplicateEdge, EdgeWrongArity,
                      NotFree, OrbitCofaceClash,
                      OrbitNotIndependentlyFree, SizeGuard, Stuck,
                      UnknownVertex, VerificationError, WrongCodimension)
-from .homcx import (HomComplex, action_on_multihoms, enumerate_multihoms,
-                    hom_complex, hom_dim, s_r_generators, s_r_labels)
+from .homcx import HomComplex, hom_complex, s_r_generators
 from .homology import (HomologyAgreement, betti, homology_agreement,
                        homology_report, oriented_boundary)
 from .morse import Matching, build_matching
@@ -35,9 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxComplex", "box_edge", "count_spanning", "i_image_ids", "ip_fixed",
     "ip_tables", "iso_criterion", "map_i", "map_p",
-    "CellComplex", "GroupAction", "barycentric_subdivision", "canon_bytes",
-    "canon_key", "lift_action_to_order_complex", "order_complex",
-    "trivial_action", "verify_iso_ids", "verify_isomorphism",
+    "CellComplex", "GroupAction", "canon_bytes",
+    "lift_action_to_order_complex", "order_complex", "trivial_action",
+    "verify_iso_ids", "verify_isomorphism",
     "CollapseRun", "CollapseState", "CriticalIso", "DeformationCertificate",
     "MainTheoremCertificate", "SdDeformation",
     "apply_orbit_step", "main_theorem_certificate", "matching_to_collapse",
@@ -49,8 +47,7 @@ __all__ = [
     "NotFree", "OrbitCofaceClash", "OrbitNotIndependentlyFree",
     "SizeGuard", "Stuck", "UnknownVertex", "VerificationError",
     "WrongCodimension",
-    "HomComplex", "action_on_multihoms", "enumerate_multihoms", "hom_complex",
-    "hom_dim", "s_r_generators", "s_r_labels",
+    "HomComplex", "hom_complex", "s_r_generators",
     "HomologyAgreement", "betti", "homology_agreement", "homology_report",
     "oriented_boundary",
     "Matching", "build_matching",

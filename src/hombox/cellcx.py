@@ -93,11 +93,6 @@ def _piece(enc):
     return len(enc).to_bytes(4, "big") + enc
 
 
-def canon_key(x):
-    """Sort key giving a total order on payloads."""
-    return canon_bytes(x)
-
-
 def fmt_payload(x):
     """Compact human-readable label for a payload (for dumps and DOT only)."""
     if isinstance(x, str):
@@ -111,7 +106,8 @@ def fmt_payload(x):
             return "c<%s;%s>" % (fmt_payload(x[1]), fmt_payload(x[2]))
         return "(%s)" % ",".join(fmt_payload(y) for y in x)
     if isinstance(x, frozenset):
-        return "{%s}" % ",".join(fmt_payload(y) for y in sorted(x, key=canon_key))
+        return "{%s}" % ",".join(fmt_payload(y)
+                                 for y in sorted(x, key=canon_bytes))
     return repr(x)
 
 
@@ -236,10 +232,6 @@ class CellComplex:
         return index
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def empty(cls):
-        return cls([], [], [])
 
     @classmethod
     def from_graded_cells(cls, cells):
@@ -794,12 +786,6 @@ def _order_complex_size(K, max_cells=None):
     return total
 
 
-def barycentric_subdivision(K, max_cells=None):
-    """sd K = order complex of the face poset of K, which is how K is
-    stored."""
-    return order_complex(K, max_cells=max_cells)
-
-
 def _chain_blocks(sd):
     """sd = order_complex(K) by bottom and tail, read from its covers.
 
@@ -930,9 +916,10 @@ def verify_iso_ids(K1, K2, f, A1=None, A2=None):
     each generator, so with every element.  Returns f as a list.
 
     Raises VerificationError naming the cell by its payload label: a row
-    out of range, two cells that share an image, a cell whose dimension or
-    covers its image does not keep, or a cell and a generator that do not
-    commute; InputError for an action on a complex other than K1 or K2."""
+    out of range, or else the first cell, in id order, that shares its
+    image with an earlier one or whose dimension or covers its image does
+    not keep, or a cell and a generator that do not commute; InputError
+    for an action on a complex other than K1 or K2."""
     n = len(K1.payloads)
     if len(K2.payloads) != n:
         raise VerificationError("cell counts differ: %d vs %d"
@@ -945,12 +932,14 @@ def verify_iso_ids(K1, K2, f, A1=None, A2=None):
     if i is not None:
         raise VerificationError("cell %s maps to %r, which is not a cell id "
                                 "below %d" % (_label(K1, i), f[i], n))
-    if len(set(f)) != n:
-        first = {}
-        i = next(i for i, j in enumerate(f) if first.setdefault(j, i) != i)
-        raise VerificationError("cells %s and %s both map to %s" % (
-            _label(K1, first[f[i]]), _label(K1, i), _label(K2, f[i])))
+    # f has n rows in range(n), so it is a bijection if no image is taken
+    # twice; a flag per id keeps the check to n bytes
+    taken = bytearray(n)
     for i, j in enumerate(f):
+        if taken[j]:
+            raise VerificationError("cells %s and %s both map to %s" % (
+                _label(K1, f.index(j)), _label(K1, i), _label(K2, j)))
+        taken[j] = 1
         if (K1.dims[i] != K2.dims[j]
                 or {f[k] for k in K1.down[i]} != set(K2.down[j])):
             raise VerificationError(

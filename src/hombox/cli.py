@@ -14,7 +14,7 @@ import os
 import sys
 
 from .boxcx import _box_cx, box_edge
-from .cellcx import barycentric_subdivision
+from .cellcx import order_complex
 from .collapse import (DeformationCertificate, MainTheoremCertificate,
                        main_theorem_certificate, matching_to_collapse,
                        replay_critical_expansion, replay_main_theorem,
@@ -142,7 +142,7 @@ def cmd_build(args):
     build = _box_cx if kind in ("box", "sd-box") else _hom_cx
     cx = build(H, mc)
     if kind.startswith("sd-"):
-        cx = barycentric_subdivision(cx, max_cells=mc)
+        cx = order_complex(cx, max_cells=mc)
     _say("%s: %d cells" % (kind, len(cx)))
     for d, n in enumerate(cx.dim_counts()):
         _say("  dim %d: %d" % (d, n))

@@ -112,10 +112,10 @@ from .cellcx import (
     _label,
     _order_complex_size,
     _paused_collector,
-    barycentric_subdivision,
-    canon_key,
+    canon_bytes,
     fmt_payload,
     lift_action_to_order_complex,
+    order_complex,
     verify_iso_ids,
     verify_isomorphism,
 )
@@ -536,7 +536,7 @@ def verify_critical_isomorphism(M, max_cells=None):
 
 def _critical_iso(hom, box, sd, action, critical, max_cells):
     """verify_critical_isomorphism on the parts of a matching."""
-    sdh = barycentric_subdivision(hom.cx, max_cells=max_cells)
+    sdh = order_complex(hom.cx, max_cells=max_cells)
     sdh_action = lift_action_to_order_complex(hom.action, sdh)
     iids = i_image_ids(hom, box)
     crit, old2new = sd.subcomplex(critical)
@@ -878,9 +878,9 @@ def _leg_a_pairs(L, orbit, cof, ring, apex_id, cone_id):
     pay = L.payloads[rep]
     tstar = None
     if isinstance(pay, frozenset):
-        a_pay = frozenset([min(pay, key=canon_key)])
+        a_pay = frozenset([min(pay, key=canon_bytes)])
     elif isinstance(pay, tuple) and all(isinstance(q, frozenset) for q in pay):
-        tstar = tuple(min(q, key=canon_key) for q in pay)
+        tstar = tuple(min(q, key=canon_bytes) for q in pay)
         a_pay = tuple(frozenset([t]) for t in tstar)
     else:
         raise InputError(
@@ -1045,8 +1045,7 @@ def sd_deformation(K, A, max_cells=None):
     The isomorphism of E onto sd K, in which each vertex of K stands for
     its one-element chain, is a step of its own: unfold_subdivision(final,
     final_action, sd_action), with sd_action A lifted to the barycentric
-    subdivision of K (barycentric_subdivision, then
-    lift_action_to_order_complex).
+    subdivision of K (order_complex, then lift_action_to_order_complex).
     """
     store = _CellStore(K, A)
     runs = [_stellar_stage(store, ob[0], max_cells)[1]
@@ -1214,10 +1213,9 @@ def _check_ends(stage, K1, K2):
 
 
 @_paused_collector
-def main_theorem_certificate(H, max_cells=None, matching=None):
+def main_theorem_certificate(H, max_cells=None):
     """Build (and fully verify while building) the six-stage certificate for
-    H.  Pass a prebuilt matching to avoid reconstructing it; stage 4, its
-    collapse, proves it.
+    H.  Stage 4, the collapse of the matching, proves the matching.
 
     The steps run in the order of the lifetimes of the large structures
     they make, so that one at a time is alive:
@@ -1238,16 +1236,11 @@ def main_theorem_certificate(H, max_cells=None, matching=None):
     """
     from .morse import build_matching
 
-    if matching is None:
-        hom = hom_complex(H, max_cells=max_cells)
-        box = box_edge(H, max_cells=max_cells)
-    else:
-        hom, box = matching.hom, matching.box
+    hom = hom_complex(H, max_cells=max_cells)
+    box = box_edge(H, max_cells=max_cells)
     _order_complex_size(box.cx, max_cells)
     box_def = sd_deformation(box.cx, box.action, max_cells=max_cells)
-    M = matching
-    if M is None:
-        M = build_matching(H, max_cells, complexes=(hom, box))
+    M = build_matching(H, max_cells, complexes=(hom, box))
     unfold_subdivision(box_def.final, box_def.final_action, M.action)
     fold = _iso_stage("fold-box-subdivision", M.sd, box_def.final)
     desubdivide = box_def.certificate.reversed()
@@ -1299,7 +1292,7 @@ def replay_critical_expansion(hom, box, cert, max_cells=None, products=None):
     sd B_edge(H) is alive: the count of the live cells is checked, not only
     their fingerprint.  Errors name the stage first.  Returns the
     CriticalIso and the action lifted to sd B_edge(H)."""
-    sd = barycentric_subdivision(box.cx, max_cells=max_cells)
+    sd = order_complex(box.cx, max_cells=max_cells)
     action = lift_action_to_order_complex(box.action, sd)
     critical = _product_chains(box, sd)
     with _stage("products-into-sd-box"):

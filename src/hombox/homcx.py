@@ -21,7 +21,6 @@ masks.
 """
 
 from collections import namedtuple
-from itertools import permutations
 
 from .cellcx import GroupAction, _keyed_cx, _piece, canon_bytes
 from .errors import InvalidParams, SizeGuard
@@ -190,25 +189,6 @@ def _part_sets(H):
     return _memo(lambda m: frozenset(map(verts.__getitem__, _members(m))))
 
 
-def enumerate_multihoms(H, max_cells=None):
-    """All multihomomorphisms of H, sorted by (dim, canonical parts).
-
-    The poset order is componentwise inclusion, f <= g iff f[j] <= g[j]
-    for every part j; the list is the element set of the multihom poset.
-    """
-    part = _part_sets(H)
-    return [tuple(map(part, c[3])) for c in _hom_cells(H, max_cells)]
-
-
-def hom_dim(f):
-    return sum(len(p) - 1 for p in f)
-
-
-def s_r_labels(r):
-    """The elements of S_r as image tuples, identity first (lex order)."""
-    return [tuple(p) for p in permutations(range(r))]
-
-
 def s_r_generators(r):
     """The adjacent transpositions s_i = (i, i+1), i < r - 1, as image
     tuples: the Coxeter generators of S_r."""
@@ -222,11 +202,6 @@ def coordinate_map(sigma, r):
     if sorted(sigma) != list(range(r)):
         raise InvalidParams("not a permutation of 0..%d: %r" % (r - 1, sigma))
     return lambda x: tuple(map(x.__getitem__, sigma))
-
-
-def action_on_multihoms(f, sigma):
-    """The right action (f sigma)(j) = f(sigma(j))."""
-    return coordinate_map(sigma, len(f))(f)
 
 
 def hom_complex(H, max_cells=None):

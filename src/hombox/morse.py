@@ -48,8 +48,8 @@ acyclic matching (Kozlov, ch. 11).
 """
 
 from .boxcx import box_edge, ip_tables
-from .cellcx import (_chain_blocks, _lift, _paused_collector,
-                     barycentric_subdivision, canon_key)
+from .cellcx import (_chain_blocks, _lift, _paused_collector, canon_bytes,
+                     order_complex)
 from .collapse import _product_chains, matching_to_collapse
 from .errors import MatchingInvalid
 from .homcx import hom_complex
@@ -97,7 +97,7 @@ class Matching:
 def _chain_payloads(box, sd, i):
     """Chain i of sd as a list of box simplex payloads, for messages."""
     pay = box.cx.payloads
-    return [sorted(pay[x], key=canon_key) for x in sd.payloads[i]]
+    return [sorted(pay[x], key=canon_bytes) for x in sd.payloads[i]]
 
 
 def _classify(box, sd, closure, blocks):
@@ -170,7 +170,7 @@ def build_matching(H, max_cells=None, complexes=None):
         complexes = (hom_complex(H, max_cells=max_cells),
                      box_edge(H, max_cells=max_cells))
     hom, box = complexes
-    sd = barycentric_subdivision(box.cx, max_cells=max_cells)
+    sd = order_complex(box.cx, max_cells=max_cells)
     blocks = _chain_blocks(sd)
     action = _lift(box.action, sd, blocks)
     tags, mu_map = _classify(box, sd, ip_tables(box)[1], blocks)

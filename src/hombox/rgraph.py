@@ -21,7 +21,7 @@ from .errors import (
     SizeGuard,
     UnknownVertex,
 )
-from .cellcx import canon_key
+from .cellcx import canon_bytes
 
 
 def _check_vertex_token(v):
@@ -48,7 +48,7 @@ class RGraph:
         vertices = _collection(vertices, "vertices")
         for v in vertices:
             _check_vertex_token(v)
-        self.vertices = tuple(sorted(set(vertices), key=canon_key))
+        self.vertices = tuple(sorted(set(vertices), key=canon_bytes))
         if len(self.vertices) != len(vertices):
             v = next(v for k, v in enumerate(vertices) if v in vertices[:k])
             raise InputError("vertex %r appears twice" % (v,))
@@ -72,7 +72,8 @@ class RGraph:
                 raise DuplicateEdge("edge %r appears twice" % (e,))
             seen.add(fe)
             canon.append(fe)
-        canon.sort(key=lambda fe: canon_key(tuple(sorted(fe, key=canon_key))))
+        canon.sort(key=lambda fe: canon_bytes(
+            tuple(sorted(fe, key=canon_bytes))))
         self.edges = tuple(canon)
         self._eset = seen
 
@@ -83,7 +84,7 @@ class RGraph:
         """All r-tuples whose underlying set is an edge, in deterministic order."""
         out = []
         for e in self.edges:
-            base = tuple(sorted(e, key=canon_key))
+            base = tuple(sorted(e, key=canon_bytes))
             out.extend(permutations(base))
         return out
 
@@ -91,7 +92,7 @@ class RGraph:
         return {
             "r": self.r,
             "vertices": list(self.vertices),
-            "edges": [sorted(e, key=canon_key) for e in self.edges],
+            "edges": [sorted(e, key=canon_bytes) for e in self.edges],
         }
 
     def to_json_str(self):
@@ -200,7 +201,7 @@ def contains_complete_sub(H, sizes, cap=10 ** 6):
     # last level a subset of size r inside an edge *is* that edge).
     edge_subsets = set()
     for e in H.edges:
-        es = sorted(e, key=canon_key)
+        es = sorted(e, key=canon_bytes)
         for k in range(len(es) + 1):
             edge_subsets.update(frozenset(c) for c in combinations(es, k))
 

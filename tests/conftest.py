@@ -1,9 +1,9 @@
-"""Shared fixtures: the standard graph corpus, session-cached matchings,
-a single stellar stage, and a hypothesis strategy for small random
-r-graphs."""
+"""Shared fixtures: the standard graph corpus, session-cached matchings
+and theorem certificates, a single stellar stage, and a hypothesis strategy
+for small random r-graphs."""
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -39,6 +39,15 @@ def matchings(corpus):
 
 
 @pytest.fixture(scope="session")
+def certificates(corpus):
+    """The main theorem certificate of every corpus graph, built once per
+    session.  A test that tampers with one tampers with its JSON form
+    (to_json_obj builds a new one on each call)."""
+    return {name: hb.main_theorem_certificate(H)
+            for name, H in corpus.items()}
+
+
+@pytest.fixture(scope="session")
 def solid_triangle():
     return hb.CellComplex.from_simplices([frozenset("abc")])
 
@@ -58,6 +67,44 @@ def replays(H, cert):
         cert = hb.MainTheoremCertificate.from_json_obj(cert)
     assert (hom.cx.fingerprint, box.cx.fingerprint) == cert.endpoints
     return hom, box
+
+
+def _runs(obj, k):
+    """The runs of deformation stage k of a theorem certificate's JSON."""
+    return obj["stages"][k]["certificate"]["runs"]
+
+
+def _drop_last_run(k):
+    def tamper(obj):
+        _runs(obj, k).pop()
+    return tamper
+
+
+def _swap_first_runs(k):
+    def tamper(obj):
+        runs = _runs(obj, k)
+        runs[0], runs[1] = runs[1], runs[0]
+    return tamper
+
+
+def _drop_last_steps(obj):
+    [run] = _runs(obj, 3)
+    del run[-3:]
+
+
+# Edits of the structure of a theorem certificate (JSON), each valid in
+# form, and the stage that a replay names first when it refuses one: the
+# last run of stage 1 or 6 dropped, its first two runs swapped, and the
+# last three steps of stage 4 dropped.  Stage 6 is replayed reversed.
+STRUCTURED_TAMPERS = {
+    "drop-run-stage-1": (_drop_last_run(0), "subdivide-hom"),
+    "drop-run-stage-6": (_drop_last_run(5),
+                         "desubdivide-box, replayed reversed"),
+    "swap-runs-stage-1": (_swap_first_runs(0), "subdivide-hom"),
+    "swap-runs-stage-6": (_swap_first_runs(5),
+                          "desubdivide-box, replayed reversed"),
+    "drop-steps-stage-4": (_drop_last_steps, "expand-to-sd-box"),
+}
 
 
 Stage = namedtuple("Stage", "run universe universe_action final final_action")
@@ -88,6 +135,11 @@ def elements(A):
                 seen.add(qp)
                 found.append(qp)
     return seen
+
+
+def s_r_labels(r):
+    """The elements of S_r as image tuples, identity first (lex order)."""
+    return list(permutations(range(r)))
 
 
 def itemwise_action(cx, maps):

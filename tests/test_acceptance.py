@@ -153,7 +153,7 @@ def test_ac6_subdivision_deformation(matchings):
     def body():
         for K, A in cases():
             d = hb.sd_deformation(K, A)
-            sd = hb.barycentric_subdivision(K)
+            sd = hb.order_complex(K)
             sd_action = hb.lift_action_to_order_complex(A, sd)
             iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
             assert len(d.final) == len(sd)
@@ -167,13 +167,12 @@ def test_ac6_subdivision_deformation(matchings):
 # -- 7: the main theorem pipeline ----------------------------------------------
 
 
-def test_ac7_main_theorem_pipeline(matchings):
+def test_ac7_main_theorem_pipeline(corpus):
     def body():
         for name in CORPUS_NAMES:
-            M = matchings[name]
-            cert = hb.main_theorem_certificate(M.graph, matching=M)
-            replays(M.graph, cert)
-            agree = hb.homology_agreement(M.graph)
+            H = corpus[name]
+            replays(H, hb.main_theorem_certificate(H))
+            agree = hb.homology_agreement(H)
             assert agree.agree
             if name == "K3_122":
                 assert agree.box_report["betti"] == [6, 0, 0, 0]

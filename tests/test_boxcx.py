@@ -8,7 +8,7 @@ import pytest
 import hombox as hb
 from hombox import SizeGuard
 
-from conftest import CORPUS_NAMES, elements, itemwise_action
+from conftest import CORPUS_NAMES, elements, itemwise_action, s_r_labels
 
 
 def oracle_count_spanning(sizes):
@@ -72,7 +72,7 @@ def test_box_cell_counts(corpus, name, total, counts):
 def test_box_cells_are_spanning_subsets(corpus):
     H = corpus["K3_122"]
     box = hb.box_edge(H)
-    homs = set(hb.enumerate_multihoms(H))
+    homs = set(hb.hom_complex(H).cx.payloads)
     for S in box.cx.payloads:
         f = hb.map_p(S)
         assert f in homs, "p(S) must be a multihom"
@@ -94,7 +94,7 @@ def test_box_cells_are_spanning_subsets(corpus):
 def _coordinate_maps(box):
     """Per element sigma of S_r, its payload map on box simplices."""
     return {s: lambda F, s=s: frozenset(tuple(t[j] for j in s) for t in F)
-            for s in hb.s_r_labels(box.graph.r)}
+            for s in s_r_labels(box.graph.r)}
 
 
 def test_box_action_free_and_right(corpus):

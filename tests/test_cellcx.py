@@ -14,16 +14,16 @@ import hombox as hb
 from hombox import (InputError, OrbitCofaceClash, SizeGuard,
                     VerificationError)
 from hombox import cellcx, morse
-from hombox.cellcx import canon_bytes, canon_key, fmt_payload
+from hombox.cellcx import canon_bytes, fmt_payload
 
 from conftest import (CORPUS_NAMES, elements, itemwise_action, make_graph,
-                      stellar_stage, z3_action)
+                      s_r_labels, stellar_stage, z3_action)
 from stellar_reference import stellar_subdivision
 
 
 def test_canon_key_total_order():
     toks = [3, 1, "b", "a", 2, "aa"]
-    assert sorted(toks, key=canon_key) == [1, 2, 3, "a", "aa", "b"]
+    assert sorted(toks, key=canon_bytes) == [1, 2, 3, "a", "aa", "b"]
     assert canon_bytes(1) != canon_bytes("1")
     assert canon_bytes((1, 2)) != canon_bytes((1, (2,)))
     assert canon_bytes(frozenset([1, 2])) == canon_bytes(frozenset([2, 1]))
@@ -103,11 +103,11 @@ def test_fingerprint_input_order_invariance():
 
 
 def test_order_complex_counts(solid_triangle):
-    sd = hb.barycentric_subdivision(solid_triangle)
+    sd = hb.order_complex(solid_triangle)
     assert len(sd) == 25
     assert sd.dim_counts() == [7, 12, 6]
     d3 = hb.CellComplex.from_simplices([frozenset("abcd")])
-    sd3 = hb.barycentric_subdivision(d3)
+    sd3 = hb.order_complex(d3)
     assert len(sd3) == 149
     assert sd3.dim_counts()[3] == math.factorial(4)
     # top-cell count of sd of a k-simplex is (k+1)!
@@ -115,7 +115,7 @@ def test_order_complex_counts(solid_triangle):
 
 
 def test_order_complex_payloads_are_chains(solid_triangle):
-    sd = hb.barycentric_subdivision(solid_triangle)
+    sd = hb.order_complex(solid_triangle)
     for ch in sd.payloads:
         assert list(ch) == sorted(ch)
         for a, b in zip(ch, ch[1:]):
@@ -125,8 +125,8 @@ def test_order_complex_payloads_are_chains(solid_triangle):
 
 def test_order_complex_guard(solid_triangle):
     with pytest.raises(SizeGuard):
-        hb.barycentric_subdivision(solid_triangle, max_cells=24)
-    assert len(hb.barycentric_subdivision(solid_triangle, max_cells=25)) == 25
+        hb.order_complex(solid_triangle, max_cells=24)
+    assert len(hb.order_complex(solid_triangle, max_cells=25)) == 25
 
 
 def test_order_complex_size_is_counted_once(monkeypatch):
@@ -259,7 +259,7 @@ def test_order_complex_of_corpus_equals_reference(name, corpus):
     stage = stellar_stage(hom.cx, hom.action, top)
     _assert_derived_covers(stage.universe)
     _assert_derived_covers(stage.final)
-    _assert_derived_covers(hb.CellComplex.empty())
+    _assert_derived_covers(hb.CellComplex([], [], []))
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -298,14 +298,14 @@ class _NoLookup(dict):
 def test_lift_and_classification_look_up_no_chain(corpus, monkeypatch):
     H = corpus["K3_122"]
     want = hb.build_matching(H)
-    real = morse.barycentric_subdivision
+    real = morse.order_complex
 
     def guarded(K, max_cells=None):
         sd = real(K, max_cells=max_cells)
         sd.index = _NoLookup(sd.index)
         return sd
 
-    monkeypatch.setattr(morse, "barycentric_subdivision", guarded)
+    monkeypatch.setattr(morse, "order_complex", guarded)
     M = hb.build_matching(H)
     assert type(M.sd.index) is _NoLookup
     with pytest.raises(AssertionError, match="looked up"):
@@ -315,7 +315,7 @@ def test_lift_and_classification_look_up_no_chain(corpus, monkeypatch):
 
 
 def test_order_complex_and_lift_of_empty_complex():
-    E = hb.CellComplex.empty()
+    E = hb.CellComplex([], [], [])
     sd = hb.order_complex(E)
     assert (sd.payloads, sd.down, sd.index, sd.fingerprint) == ([], [], {}, 0)
     assert sd.base is E
@@ -376,7 +376,7 @@ def test_group_action_rejects_non_automorphism(hollow_triangle):
 
 def test_lift_action_to_order_complex(hollow_triangle):
     A = z3_action(hollow_triangle)
-    sd = hb.barycentric_subdivision(hollow_triangle)
+    sd = hb.order_complex(hollow_triangle)
     sdA = hb.lift_action_to_order_complex(A, sd)
     assert sdA.order == 3
     sdA.verify()
@@ -521,7 +521,7 @@ def test_generator_form_equals_itemwise_action(name):
     # of the r! elements applied one by one, with the same orbits and
     # freeness
     H = make_graph(name)
-    labels = hb.s_r_labels(H.r)
+    labels = s_r_labels(H.r)
     box, hom = hb.box_edge(H), hb.hom_complex(H)
     sd = hb.order_complex(box.cx)
     box_all = itemwise_action(box.cx, [

@@ -15,7 +15,7 @@ import pytest
 import hombox as hb
 from hombox.cli import main
 
-from conftest import replays
+from conftest import STRUCTURED_TAMPERS, replays
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -251,7 +251,8 @@ def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_verify_certificate_is_stage_4(corpus, matchings, tmp_path, capsys):
+def test_verify_certificate_is_stage_4(corpus, matchings, certificates,
+                                       tmp_path, capsys):
     # on every corpus graph, verify writes stage 4 of the theorem
     # certificate, byte for byte, and its replay reports what the write
     # did, which is the report the matching's own counts give
@@ -265,7 +266,7 @@ def test_verify_certificate_is_stage_4(corpus, matchings, tmp_path, capsys):
             assert main(["verify", "--input", str(graph), "--certificate",
                          str(cert), "--out", str(rep)]) == 0
             reports.append(rep.read_text())
-        stage = hb.main_theorem_certificate(H, matching=M).stages[3]
+        stage = certificates[name].stages[3]
         assert stage["name"] == "expand-to-sd-box"
         assert cert.read_text() == _canonical(
             stage["certificate"].to_json_obj()), name
@@ -519,6 +520,15 @@ def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
                                capsys)
     assert rc == 2
     assert "verification failed: products-into-sd-box" in err
+
+
+@pytest.mark.parametrize("tamper", sorted(STRUCTURED_TAMPERS))
+def test_theorem_refuses_structured_tampers(k3_122_theorem, tamper, tmp_path,
+                                            capsys):
+    edit, stage = STRUCTURED_TAMPERS[tamper]
+    rc, err = _replay_tampered(k3_122_theorem, 5, edit, tmp_path, capsys)
+    assert rc == 2
+    assert err.startswith("verification failed: %s: " % stage), err
 
 
 def test_theorem_refuses_old_versions(k3_122_theorem, tmp_path, capsys):

@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 import hombox as hb
-from hombox import cellcx, collapse
+from hombox import cellcx, collapse, morse
 from hombox import (InputError, NotFree, OrbitNotIndependentlyFree, Stuck,
                     VerificationError, WrongCodimension)
 from hombox.cellcx import BARY, CONE, fmt_payload
 from hombox.cli import canonical_json, main
 
-from conftest import replays, stellar_stage, z3_action
+from conftest import STRUCTURED_TAMPERS, replays, stellar_stage, z3_action
 from stellar_reference import stellar_subdivision
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -50,7 +50,7 @@ def sd_deformation(K, A):
     K, built here."""
     d = hb.sd_deformation(K, A)
     sd_action = hb.lift_action_to_order_complex(
-        A, hb.barycentric_subdivision(K))
+        A, hb.order_complex(K))
     iso = hb.unfold_subdivision(d.final, d.final_action, sd_action)
     return Unfolded(*d, sd_action.cx, sd_action, iso)
 
@@ -433,14 +433,14 @@ def test_store_orbits_down_the_word_table(matchings):
         assert store._orbit_list(i) == store._search(i)
 
 
-def test_replayed_steps_never_search_free_orbits(matchings, monkeypatch):
+def test_replayed_steps_never_search_free_orbits(certificates, corpus,
+                                                 monkeypatch):
     # every orbit of the K_4^3 and K3_122 certificates is free, so an
     # action (or cell store) searches an orbit only until that search has
     # given it its word table, and every step reads its two orbit lists
     # down the table
     for name in ("K_4^3", "K3_122"):
-        cert = hb.main_theorem_certificate(matchings[name].graph,
-                                           matching=matchings[name])
+        cert = certificates[name]
         searched_with_table, table_reads, steps = [], [], []
 
         def search(self, i, original=hb.GroupAction._search):
@@ -461,7 +461,7 @@ def test_replayed_steps_never_search_free_orbits(matchings, monkeypatch):
             monkeypatch.setattr(cls, "_search", search)
             monkeypatch.setattr(cls, "_orbit_list", orbit_list)
         monkeypatch.setattr(collapse, "apply_orbit_step", step)
-        replays(matchings[name].graph, cert)
+        replays(corpus[name], cert)
         monkeypatch.undo()
         assert searched_with_table == [], name
         assert len(steps) == sum(len(s["certificate"]) for s in cert.stages
@@ -503,7 +503,7 @@ def test_matching_to_collapse_bookkeeping(matchings):
     assert all(len(M.action.orbit(s[1])) == 6 for s in steps)
 
 
-def test_collapse_refuses_an_off_representative_swap(corpus, matchings):
+def test_collapse_refuses_an_off_representative_swap(matchings):
     # the partners of two members of one Sigma orbit, neither its least,
     # trade places: the steps read mu only at least members, so they stay
     # as they were, and the equivariance check refuses the matching
@@ -520,8 +520,6 @@ def test_collapse_refuses_an_off_representative_swap(corpus, matchings):
                                   (a, M.mu[b], M.mu[a])))))
     with pytest.raises(Stuck, match=refusal):
         hb.matching_to_collapse(M.sd, M.action, bad)
-    with pytest.raises(Stuck, match=refusal):
-        hb.main_theorem_certificate(corpus["K3_122"], matching=bad)
 
 
 def test_replay_collapse_certificate_and_tampering(matchings):
@@ -651,7 +649,7 @@ def test_transported_actions_share_no_lists(matchings, monkeypatch):
     # must be new: the cell store extends its own lists at every stage.
     M = matchings["K3_122"]
     A = M.box.action
-    sd = hb.barycentric_subdivision(M.box.cx)
+    sd = hb.order_complex(M.box.cx)
     lifted = hb.lift_action_to_order_complex(A, sd)
     assert _shared(lifted.perms, A.perms) == []
     critical_action = hb.verify_critical_isomorphism(M).critical_action
@@ -849,7 +847,7 @@ def test_stellar_deformation_product_square():
 def test_sd_deformation_trivial_and_replay(solid_triangle):
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
-    sd = hb.barycentric_subdivision(solid_triangle)
+    sd = hb.order_complex(solid_triangle)
     assert len(d.final) == 25
     assert len(d.certificate) == 23
     assert d.sd.fingerprint_hex == sd.fingerprint_hex
@@ -875,7 +873,7 @@ def test_sd_deformation_checks_the_subdivision_it_is_given(
     # the end complex is checked against the caller's subdivision, so a
     # subdivision of another complex is refused
     A = hb.trivial_action(solid_triangle)
-    other = hb.barycentric_subdivision(hollow_triangle)
+    other = hb.order_complex(hollow_triangle)
     d = hb.sd_deformation(solid_triangle, A)
     with pytest.raises(VerificationError):
         hb.unfold_subdivision(d.final, d.final_action,
@@ -1102,10 +1100,9 @@ def test_isomorphism_checkers_refuse_actions_on_other_complexes():
             hb.verify_isomorphism(K, K, lambda p: p, A1, A2)
 
 
-def test_main_theorem_certificate_round_trip(matchings):
-    M = matchings["K3_112"]
-    H = M.graph
-    cert = hb.main_theorem_certificate(H, matching=M)
+def test_main_theorem_certificate_round_trip(corpus, certificates):
+    H = corpus["K3_112"]
+    cert = certificates["K3_112"]
     names = [s.get("name") for s in cert.stages]
     assert names == ["subdivide-hom", "unfold-hom-subdivision",
                      "products-into-sd-box", "expand-to-sd-box",
@@ -1119,12 +1116,10 @@ def test_main_theorem_certificate_round_trip(matchings):
     replays(H, back)
 
 
-def test_main_theorem_tamper_detection(matchings):
-    # K3_112 and K3_122, built here
-    for M in (matchings["K3_112"], matchings["K3_122"]):
-        H = M.graph
-        clean = json.dumps(
-            hb.main_theorem_certificate(H, matching=M).to_json_obj())
+def test_main_theorem_tamper_detection(corpus, certificates):
+    for name in ("K3_112", "K3_122"):
+        H = corpus[name]
+        clean = json.dumps(certificates[name].to_json_obj())
 
         # each fingerprint of each isomorphism stage, with the stage named
         for k in (1, 2, 4):
@@ -1157,6 +1152,18 @@ def test_main_theorem_tamper_detection(matchings):
                 H, hb.MainTheoremCertificate.from_json_obj(obj))
 
 
+@pytest.mark.parametrize("tamper", sorted(STRUCTURED_TAMPERS))
+def test_structured_tamper_is_refused_naming_its_stage(corpus, certificates,
+                                                        tamper):
+    # K3_122: each stage that is edited has runs and steps to spare, and a
+    # replay refuses the edit with the stage's name first
+    edit, stage = STRUCTURED_TAMPERS[tamper]
+    obj = certificates["K3_122"].to_json_obj()
+    edit(obj)
+    with pytest.raises(VerificationError, match="^%s: " % re.escape(stage)):
+        hb.replay_main_theorem(corpus["K3_122"], obj)
+
+
 def _zero_fingerprints(monkeypatch):
     """Cut every fingerprint to 0 bits, so that each complex, state and
     universe has fingerprint 0: a fingerprint then stands for no set of
@@ -1182,7 +1189,7 @@ def test_stage_4_must_reach_every_cell_of_sd_box(corpus, monkeypatch):
     H = corpus["K3_122"]
     clean = hb.main_theorem_certificate(H).to_json_obj()
     replays(H, clean)
-    sd_cells = len(hb.barycentric_subdivision(hb.box_edge(H).cx))
+    sd_cells = len(hb.order_complex(hb.box_edge(H).cx))
     for k in (1, 3):
         obj = json.loads(json.dumps(clean))
         obj["stages"][3]["certificate"] = _drop_last_expansions(
@@ -1248,8 +1255,10 @@ def test_build_runs_the_box_stages_first(corpus, name, monkeypatch):
             "the box stages have not run, or E_box is alive, at stage 3"
 
     _record(monkeypatch, collapse, "sd_deformation", after=deformed)
-    _record(monkeypatch, cellcx, "order_complex",
-            before=lambda *args: events.append("order complex"))
+    # the build calls order_complex by the name it imports
+    for module in (collapse, morse):
+        _record(monkeypatch, module, "order_complex",
+                before=lambda *args: events.append("order complex"))
     _record(monkeypatch, collapse, "verify_critical_isomorphism",
             before=stage_3)
     hb.main_theorem_certificate(H)
@@ -1285,12 +1294,13 @@ def test_replay_runs_stage_6_first(corpus, name, monkeypatch):
     assert events == ["box stages", "stages 3 and 4", "hom stages"]
 
 
-def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
+def test_isomorphism_stages_regenerate_their_maps(matchings, certificates,
+                                                  monkeypatch):
     # replay checks each isomorphism it regenerates: a table that is no
     # isomorphism fails with the stage named.  Each table here sends every
     # cell to one cell of the target
     M = matchings["K3_122"]
-    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    obj = certificates["K3_122"].to_json_obj()
     check = collapse.verify_iso_ids
     # the stage is chosen by K's payload type: Hom cells are products
     # (tuples), box cells vertex sets (frozensets).  An end complex lists
@@ -1312,7 +1322,7 @@ def test_isomorphism_stages_regenerate_their_maps(matchings, monkeypatch):
     monkeypatch.setattr(collapse, "i_image_ids",
                         lambda hom, box: [product] * len(hom.cx))
     # the first chain of two items maps to a chain that repeats an item
-    sdh = hb.barycentric_subdivision(M.hom.cx)
+    sdh = hb.order_complex(M.hom.cx)
     two = next(ch for ch in sdh.payloads if len(ch) == 2)
     with pytest.raises(VerificationError, match="^%s$" % re.escape(
             "products-into-sd-box: cell %s maps to %s, which is not a cell "
@@ -1401,12 +1411,11 @@ def test_main_theorem_certificate_v4_bytes_pinned(matchings, name):
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V4_SHA256))
-def test_main_theorem_certificate_v5_bytes_pinned(matchings, name):
-    M = matchings[name]
-    cert = hb.main_theorem_certificate(M.graph, matching=M)
-    text = canonical_json(cert.to_json_obj())
+def test_main_theorem_certificate_v5_bytes_pinned(corpus, certificates,
+                                                  name):
+    text = canonical_json(certificates[name].to_json_obj())
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
-    replays(M.graph, json.loads(text))
+    replays(corpus[name], json.loads(text))
     # against version 4, only the fingerprints after each step went, and
     # the order of the steps within a run: the endpoints, the isomorphism
     # stages, each run's steps, universe and end are the same, and a run's
@@ -1422,12 +1431,11 @@ def test_main_theorem_certificate_v5_bytes_pinned(matchings, name):
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V5_BYTES))
-def test_main_theorem_certificate_v5_size(matchings, name):
+def test_main_theorem_certificate_v5_size(certificates, name):
     # the byte count of each corpus certificate, and no per-step data: a
     # deformation run holds two fingerprints, its universe (None for the
     # collapse) and its end, and then steps [direction, sigma, facet]
-    M = matchings[name]
-    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    obj = certificates[name].to_json_obj()
     text = canonical_json(obj)
     assert len(text) == CERT_V5_BYTES[name]
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
@@ -1449,15 +1457,15 @@ CERT_V5_UNSORTED_SHA256 = (
     "87445de5b78107e2aa5f9cb4e1fd2c2d130f67eb39164c29b6146e0971c394ab")
 
 
-def test_version_5_certificate_in_an_earlier_step_order_replays(matchings):
+def test_version_5_certificate_in_an_earlier_step_order_replays(
+        corpus, certificates):
     # a run is checked at its end only, so the fixture, whose runs hold the
     # steps of today's runs in another order, still replays
-    M = matchings["K3_122"]
     text = fixture("K3_122", 5)
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_UNSORTED_SHA256
-    replays(M.graph, json.loads(text))
+    replays(corpus["K3_122"], json.loads(text))
     old = json.loads(text)
-    new = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    new = certificates["K3_122"].to_json_obj()
     assert old != new and old["endpoints"] == new["endpoints"]
     for a, b in zip(old["stages"], new["stages"]):
         if a["kind"] == "deformation":
@@ -1468,16 +1476,16 @@ def test_version_5_certificate_in_an_earlier_step_order_replays(matchings):
             assert a == b
 
 
-def test_replay_error_names_stage_and_step(matchings):
-    # K3_112 and K3_122, built here.  Stage 6 is replayed from its end, so
-    # the end of its run k is the end of run n - 2 - k of the replay, which
-    # the error names with its schedule cell and its last step, counted
-    # from the end; its last run is run 0 of the replay, named with its
-    # schedule cell too
-    for M in (matchings["K3_112"], matchings["K3_122"]):
-        clean = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+def test_replay_error_names_stage_and_step(certificates):
+    # K3_112 and K3_122.  Stage 6 is replayed from its end, so the end of
+    # its run k is the end of run n - 2 - k of the replay, which the error
+    # names with its schedule cell and its last step, counted from the end;
+    # its last run is run 0 of the replay, named with its schedule cell too
+    for cert in (certificates["K3_112"], certificates["K3_122"]):
+        clean = cert.to_json_obj()
+        box = cert.box
         runs = clean["stages"][5]["certificate"]["runs"]
-        schedule = collapse._schedule(M.box.cx, M.box.action)
+        schedule = collapse._schedule(box.cx, box.action)
         n = len(runs)
         for k in range(n):
             obj = json.loads(json.dumps(clean))
@@ -1487,7 +1495,7 @@ def test_replay_error_names_stage_and_step(matchings):
                 pattern = (r"run 0 \(schedule cell %d %s\): the stage's last "
                            r"run does not end at its end fingerprint"
                            % (rep, re.escape(fmt_payload(
-                               M.box.cx.payloads[rep]))))
+                               box.cx.payloads[rep]))))
             else:
                 j = n - 2 - k
                 rep = schedule[j][0]
@@ -1495,10 +1503,10 @@ def test_replay_error_names_stage_and_step(matchings):
                 pattern = (r"run %d \(schedule cell %d %s\): the state "
                            r"after step %d is not the run's end fingerprint"
                            % (j, rep, re.escape(fmt_payload(
-                               M.box.cx.payloads[rep])), last))
+                               box.cx.payloads[rep])), last))
             with pytest.raises(VerificationError, match="^desubdivide-box, "
                                "replayed reversed: %s$" % pattern):
-                hb.replay_main_theorem(M.graph, obj)
+                hb.replay_main_theorem(box.graph, obj)
 
 
 def _another_last_step(K, A, j):
@@ -1524,13 +1532,13 @@ def _another_last_step(K, A, j):
     return None
 
 
-def test_another_valid_step_fails_at_its_run_end(matchings):
+def test_another_valid_step_fails_at_its_run_end(certificates):
     # the last step of a run of stage 1 swapped for another valid orbit
     # step: every step replays, and the run's end names the stage, the run
     # and its schedule cell
-    M = matchings["K3_122"]
-    K, A = M.hom.cx, M.hom.action
-    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    cert = certificates["K3_122"]
+    K, A = cert.hom.cx, cert.hom.action
+    obj = cert.to_json_obj()
     runs = obj["stages"][0]["certificate"]["runs"]
     j, step = next((j, step) for j in range(len(runs))
                    for step in [_another_last_step(K, A, j)] if step)
@@ -1542,7 +1550,7 @@ def test_another_valid_step_fails_at_its_run_end(matchings):
                r"after step %d is not the run's end fingerprint$"
                % (j, rep, re.escape(fmt_payload(K.payloads[rep])), last))
     with pytest.raises(VerificationError, match=pattern):
-        hb.replay_main_theorem(M.graph, obj)
+        hb.replay_main_theorem(cert.hom.graph, obj)
 
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
@@ -1629,12 +1637,11 @@ def test_universe_store_ids_skip_the_dead(solid_triangle):
     assert deaths[0] == 0 and max(deaths) > 1
 
 
-def test_certificate_versions(matchings):
+def test_certificate_versions(certificates):
     # version 5 parses; versions 1 to 4 (1 has no version field) are input
     # errors that name the version and ask for a rebuild, and any other
     # version is unknown
-    M = matchings["K_4^3"]
-    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    obj = certificates["K_4^3"].to_json_obj()
     assert obj["version"] == 5
     assert hb.MainTheoremCertificate.from_json_obj(obj).to_json_obj() == obj
     for version in (0, 6, True, "5", None, [5], 5.0):
@@ -1665,7 +1672,7 @@ def _corpus_complexes(matchings):
     the box's sd action is the matching's."""
     for name, M in sorted(matchings.items()):
         yield "box " + name, M.box.cx, M.box.action, M.action
-        sd = hb.barycentric_subdivision(M.hom.cx)
+        sd = hb.order_complex(M.hom.cx)
         yield ("hom " + name, M.hom.cx, M.hom.action,
                hb.lift_action_to_order_complex(M.hom.action, sd))
 
@@ -1715,13 +1722,12 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
             hb.verify_iso_ids(E, st.final, f, EA, st.final_action)
 
 
-def test_version_3_rejects_vertex_runs(matchings):
+def test_version_3_rejects_vertex_runs(corpus, certificates):
     # the schedule of version 3 on stars no vertex orbit: a vertex run
     # appended to a deformation, and the runs of a version 2 deformation,
     # which starred the vertex orbits too, are refused naming both counts;
     # the version 2 runs are rewritten in the version 5 layout
-    M = matchings["K_4^3"]
-    obj = hb.main_theorem_certificate(M.graph, matching=M).to_json_obj()
+    obj = certificates["K_4^3"].to_json_obj()
     v2 = json.loads(fixture("K_4^3", 2))["stages"][0]["certificate"]
     v2["runs"] = v5_runs(v2["runs"])
     n4 = len(obj["stages"][0]["certificate"]["runs"])
@@ -1735,7 +1741,7 @@ def test_version_3_rejects_vertex_runs(matchings):
         with pytest.raises(VerificationError,
                            match=r"^subdivide-hom: certificate has %d stages "
                                  r"but the schedule needs %d$" % (runs, n4)):
-            hb.replay_main_theorem(M.graph, bad)
+            hb.replay_main_theorem(corpus["K_4^3"], bad)
 
 
 def test_unfold_refuses_the_end_of_one_stellar_stage(solid_triangle):

@@ -73,11 +73,11 @@ def _flip(fingerprint):
 
 
 @pytest.fixture(scope="module")
-def k3_122(corpus, matchings):
+def k3_122(corpus, matchings, certificates):
     """K3_122's matching, collapse run and theorem certificate (JSON)."""
     H, M = corpus["K3_122"], matchings["K3_122"]
     run = hb.matching_to_collapse(M.sd, M.action, M)
-    cert = hb.main_theorem_certificate(H, matching=M).to_json_obj()
+    cert = certificates["K3_122"].to_json_obj()
     return H, M, run, cert
 
 

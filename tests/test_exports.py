@@ -2,6 +2,7 @@
 documented in README.md, and the names removed from the API stay removed."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -26,7 +27,8 @@ REFERENCE = Path(__file__).resolve().parent / "stellar_reference.py"
 # not free.  closed_star and maximal_ids: no caller; a complex's maximal
 # cells are those whose up tuple is empty.  verify_acyclic and _find_cycle:
 # a matching is proven acyclic by its collapse (Matching.verify).  hom_leq:
-# the multihom order is componentwise inclusion (enumerate_multihoms).
+# the multihom order is componentwise inclusion, the covers of the Hom
+# complex.
 # generates_complete and EmptyPart: contains_complete_sub is the one
 # complete-subgraph test.  _flatten_map and
 # _check_iso: verify_iso_ids is the one isomorphism checker, on id tables;
@@ -45,7 +47,16 @@ REFERENCE = Path(__file__).resolve().parent / "stellar_reference.py"
 # collapse._orbit_star; the tests hold the stage to a direct subdivision of
 # their own (tests/stellar_reference.py).  _unfold: the unfold of a stellar
 # end complex onto sd K is a step the caller runs once sd K exists, the
-# public unfold_subdivision.
+# public unfold_subdivision.  barycentric_subdivision: a second name for
+# order_complex, the one name for sd K, which the benchmark's tracer wraps.
+# canon_key: a second name for canon_bytes, which is the sort key.
+# enumerate_multihoms: the multihoms of H are the payloads of
+# hom_complex(H).cx, and the tests check them against two oracles of their
+# own; a list built by the same code as the Hom complex checked nothing.
+# hom_dim, action_on_multihoms and s_r_labels: only tests called them; a
+# Hom cell's dimension is its complex's dims entry, the action is
+# homcx.coordinate_map, and the tests keep small helpers of their own.
+# empty, of CellComplex: CellComplex([], [], []) is the empty complex.
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
@@ -55,7 +66,9 @@ REMOVED = ("deletion", "independently_free", "_presentation",
            "_check_iso", "classify_chain", "mu", "NotInSigma", "remove",
            "add", "_carry", "_facet_clash", "_find_cycle",
            "stellar_subdivision_poset", "stellar_deformation_certificate",
-           "StellarStage", "orbit_star_data", "_unfold")
+           "StellarStage", "orbit_star_data", "_unfold",
+           "barycentric_subdivision", "canon_key", "enumerate_multihoms",
+           "hom_dim", "action_on_multihoms", "s_r_labels", "empty")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph), ("unfold_subdivision", collapse))
 
@@ -117,6 +130,14 @@ def test_removed_fields():
         assert not hasattr(cert, name), name
     assert (cert.hom.cx.fingerprint, cert.box.cx.fingerprint) \
         == cert.endpoints
+
+
+def test_main_theorem_certificate_takes_the_graph_and_the_guard():
+    # no caller passes a prebuilt matching: the build makes its own, and
+    # lets it go when stage 4 is done with it
+    params = inspect.signature(hb.main_theorem_certificate).parameters
+    assert list(params) == ["H", "max_cells"]
+    assert params["max_cells"].default is None
 
 
 def test_stellar_reference_shares_no_code_with_the_stage():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hombox as hb
 from hombox import (InputError, MatchingInvalid, NotFree, Stuck,
                     VerificationError, morse)
-from hombox.cellcx import _label, canon_key
+from hombox.cellcx import _label, canon_bytes
 
 from conftest import CORPUS_NAMES, elements, small_rgraphs
 
@@ -188,7 +188,7 @@ def test_collapse_refuses_a_foreign_complex_or_action(matchings):
     # and mu name: another complex or action is refused before any step,
     # an equal rebuild of M's own included
     M = matchings["K3_122"]
-    for K in (matchings["K3_112"].sd, hb.barycentric_subdivision(M.box.cx)):
+    for K in (matchings["K3_112"].sd, hb.order_complex(M.box.cx)):
         with pytest.raises(InputError,
                            match=r"^K is not the matching's complex M\.sd$"):
             hb.matching_to_collapse(K, M.action, M)
@@ -325,7 +325,7 @@ def test_build_matching_checks_the_critical_tags(corpus, matchings,
     with pytest.raises(MatchingInvalid) as info:
         hb.build_matching(corpus["K3_122"])
     M = matchings["K3_122"]
-    named = [sorted(M.box.cx.payloads[x], key=canon_key)
+    named = [sorted(M.box.cx.payloads[x], key=canon_bytes)
              for x in M.sd.payloads[tampered[0]]]
     assert str(info.value) == (
         "critical cells differ from chains of products at %r" % (named,))
@@ -354,7 +354,7 @@ def test_missing_toggle_partner_names_the_chain(corpus, monkeypatch, case):
         bad[j] = j
         chain = (i, j)
     monkeypatch.setattr(morse, "ip_tables", lambda box: (fixed, bad))
-    named = [sorted(cx.payloads[x], key=canon_key) for x in chain]
+    named = [sorted(cx.payloads[x], key=canon_bytes) for x in chain]
     with pytest.raises(MatchingInvalid, match=re.escape(
             "toggle partner of chain %r is not a chain" % (named,))):
         hb.build_matching(corpus["K3_122"])
