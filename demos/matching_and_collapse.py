@@ -43,22 +43,23 @@ print("endpoint: %d cells == critical subcomplex" % len(iso.critical))
 print("sd Hom has %d chains; isomorphism onto the critical cells checked"
       % len(iso.map))
 
-# the certificate is replayable JSON, one short row per step after the run's
-# universe (none for a collapse) and the fingerprint of its end: replay
-# regenerates each orbit from the action, re-verifies every step and checks
-# the run's end
+# the certificate is replayable JSON, one short row per step and the
+# fingerprints of its two ends: replay regenerates each orbit from the
+# action, re-verifies every step and checks the end
 text = json.dumps(cert.to_json_obj())
 back = hb.DeformationCertificate.from_json_obj(json.loads(text))
 state = hb.replay_collapse_certificate(M.sd, M.action, back)
 print("replayed %d steps from %d bytes of JSON; %d cells alive"
       % (len(back), len(text), state.n_alive))
 print("first step [direction, sigma, facet]: %s"
-      % json.dumps(back.to_json_obj()["runs"][0][2]))
+      % json.dumps(back.to_json_obj()["runs"][0][0]))
 assert state.alive_ids() == sorted(M.critical)
 
-# tampering is detected: here the fingerprint of the run's end
+# tampering is detected: here the first step names another member of its
+# orbit than the least
 obj = back.to_json_obj()
-obj["runs"][0][1] = "f" * 32
+step = obj["runs"][0][0]
+step[1] = M.action.orbit(step[1])[-1]
 try:
     hb.replay_collapse_certificate(
         M.sd, M.action, hb.DeformationCertificate.from_json_obj(obj))

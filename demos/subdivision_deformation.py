@@ -22,7 +22,7 @@ print("K: %d cells %s with a free Z_3 action (%d orbits)"
 # collapses onto the stellar subdivision at the three edges, each new cell
 # named as a cone ("*c", apex, base) from an apex ("*b", edge)
 d = hb.sd_deformation(K, A)
-[(_, _, steps)] = d.certificate.runs
+[steps] = d.certificate.runs
 # The unfold onto sd K is a step of its own: the caller subdivides K once,
 # lifts the action, and checks the end complex against that subdivision
 sd = hb.order_complex(K)
@@ -34,13 +34,14 @@ print("starring the edge orbit: %d cells -> %d (sd K has %d chains), "
 hb.verify_iso_ids(d.final, sd, iso, d.final_action, sd_action)
 print("endpoint is Z_3-isomorphic to sd K (explicit table verified)")
 
-# a replay re-derives every cone universe in one cell store, checks its
-# fingerprint and re-checks every step
+# a replay re-derives every cone universe in one cell store, re-checks
+# every step and checks the end of each stage as a set of cells
 final, action = hb.replay_sd_deformation(K, A, d.certificate)
-assert final.fingerprint_hex == d.final.fingerprint_hex
-print("replay ok; certificates compose backwards too:"
-      " reversed endpoints %s" % (d.certificate.reversed().endpoints ==
-                                  d.certificate.endpoints[::-1]))
+assert (final.payloads, final.down) == (d.final.payloads, d.final.down)
+back = d.certificate.reversed()
+print("replay ok; certificates compose backwards too: the reversed one "
+      "takes sd K back to K in %d steps, undone twice it is itself: %s"
+      % (len(back), back.reversed() == d.certificate))
 
 # the same machinery runs on polytopal (product) cells: the box complex of
 # K3_122 with its full S_3 action

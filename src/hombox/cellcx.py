@@ -27,13 +27,11 @@ Conventions used throughout the package:
   generators define an action of the group, and a law that holds for every
   generator (an automorphism, an equivariant map) holds for every element.
 * A complex fingerprint is the order-independent 128-bit sum of per-cell
-  digests.  A complex built from payloads gives each cell the digest of its
-  payload, dimension and the digests of its covers, so fingerprints agree
-  between a subcomplex and the same cells rebuilt standalone.  The cells a
-  stellar stage appends get digests from their parts instead (collapse,
-  _CellStore), so a complex holding them keeps the digests it was given: a
-  subcomplex shares its fingerprint, but a standalone rebuild from its
-  payloads does not.
+  digests.  Every cell digests one way: its payload's encoding, its
+  dimension and the digests of its covers (_digests), so fingerprints agree
+  between a subcomplex and the same cells rebuilt standalone.  A complex
+  given no digests computes them, and its fingerprint, when one is first
+  read, and a subcomplex takes over only the digests its source holds.
 """
 
 import gc
@@ -202,6 +200,8 @@ class CellComplex:
     through from_graded_cells / from_simplices / order_complex and friends.
     index, if given, is the payload -> id dict of payloads, which the
     complex then keeps; otherwise it builds its index on first use.
+    digests, if given, are its cells' digests; otherwise it computes them
+    on first use.
     """
 
     def __init__(self, payloads, dims, down, digests=None, index=None):
@@ -210,12 +210,19 @@ class CellComplex:
         self.down = list(map(tuple, down))
         if index is not None:
             self.index = index
-        if digests is None:
-            digests = _digests(lambda i: canon_bytes(self.payloads[i]),
-                               self.dims, self.down)
-        self.digests = list(digests)
-        self.fingerprint = sum(self.digests) & _MASK128
+        if digests is not None:
+            self.digests = list(digests)
         self._by_dim = None
+
+    @cached_property
+    def digests(self):
+        """The cells' digests from their payloads, computed on first use."""
+        return _digests(lambda i: canon_bytes(self.payloads[i]), self.dims,
+                        self.down)
+
+    @cached_property
+    def fingerprint(self):
+        return sum(self.digests) & _MASK128
 
     @cached_property
     def index(self):
@@ -398,7 +405,8 @@ class CellComplex:
         ids, the new id of each kept cell and None for the others.  Relative
         id order is preserved, so a subcomplex of a canonically-sorted
         complex stays canonically sorted.  The subcomplex keeps its cells'
-        digests and builds its index on first use.
+        digests if this complex holds them, and computes them otherwise,
+        as it builds its index, on first use.
         """
         keep = sorted(set(keep))
         old2new = [None] * len(self.payloads)
@@ -413,10 +421,11 @@ class CellComplex:
                                  "%d" % o)
             return row
 
+        digests = vars(self).get("digests")
         sub = CellComplex(
             map(self.payloads.__getitem__, keep),
             map(self.dims.__getitem__, keep), map(covers, keep),
-            digests=map(self.digests.__getitem__, keep))
+            digests=digests and map(digests.__getitem__, keep))
         return sub, old2new
 
     # -- verification ------------------------------------------------------
@@ -838,16 +847,18 @@ def lift_action_to_order_complex(A, sd):
     A's relations.  Raises VerificationError, naming the generator and the
     chain, if an image is not a chain of sd, i.e. A is not an action by
     automorphisms of K, and InputError if A acts on a complex other than K
-    (compared by cell count and fingerprint).
+    (_check_acts_on).
     """
     return _lift(A, sd, _chain_blocks(sd))
 
 
 def _check_acts_on(A, K, what):
-    """InputError unless the action A is on K, what names K: compared by
-    cell count, fingerprint and the lengths of the permutations."""
+    """InputError unless the action A is on K, what names K: A.cx is K, or
+    has its cell count and covers, and each permutation has K's length.
+    The fingerprints are read only to name both complexes in the error."""
     n = len(K.payloads)
-    if (len(A.cx.payloads) != n or A.cx.fingerprint != K.fingerprint
+    if ((A.cx is not K and (len(A.cx.payloads) != n
+                            or A.cx.down != K.down))
             or any(len(p) != n for p in A.perms)):
         raise InputError(
             "the action is on a complex of %d cells with fingerprint %s, not "

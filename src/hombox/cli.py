@@ -164,6 +164,14 @@ def cmd_verify(args):
             raise InputError("%s is a chain listing, which is no longer "
                              "checked: write it again with `hombox verify "
                              "--certificate`" % path)
+        runs = obj.get("runs") if isinstance(obj, dict) else None
+        if (isinstance(runs, list) and runs and isinstance(runs[0], list)
+                and runs[0] and not isinstance(runs[0][0], list)):
+            # a run of format 5 starts with its universe and its end
+            raise InputError("%s is a matching certificate of format "
+                             "version 5, which is no longer replayed: write "
+                             "it again with `hombox verify --certificate`"
+                             % path)
         crit, action = replay_critical_expansion(
             hom_complex(H, max_cells=mc), box_edge(H, max_cells=mc),
             DeformationCertificate.from_json_obj(obj), mc)

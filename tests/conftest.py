@@ -113,11 +113,11 @@ Stage = namedtuple("Stage", "run universe universe_action final final_action")
 def stellar_stage(K, A, sigma):
     """One stellar stage of K at the orbit of cell sigma, run as
     sd_deformation runs each of its stages: collapse._stellar_stage in a
-    fresh cell store of K and A.  Returns the stage's run (universe
-    fingerprint, end fingerprint, steps), its universe L and its end
-    complex, the stellar subdivision, each with its action."""
+    fresh cell store of K and A, as run 0.  Returns the stage's run (its
+    steps), its universe L and its end complex, the stellar subdivision,
+    each with its action."""
     store = collapse._CellStore(K, A)
-    run = collapse._stellar_stage(store, sigma, None)[1]
+    run = collapse._stellar_stage(store, 0, sigma, None)[1]
     universe, universe_action = store.complex(range(len(store.payloads)))
     final, final_action = store.complex(store.alive_ids())
     return Stage(run, universe, universe_action, final, final_action)

@@ -280,7 +280,7 @@ def test_ac8_negative_controls(matchings):
         # tampered replayable certificate
         run = hb.matching_to_collapse(M.sd, M.action, M)
         obj = run.certificate.to_json_obj()
-        obj["runs"][0][1] = "f" * 32
+        obj["endpoints"][1] = "f" * 32
         bad_cert = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(VerificationError):
             hb.replay_collapse_certificate(M.sd, M.action, bad_cert)

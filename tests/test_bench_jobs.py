@@ -1,8 +1,9 @@
 """The benchmark's own jobs still run against the library: the
 `theorem_K5_3` build and replay workers of bench/worker.py exit 0 with
-their golden report, and every `hb.<name>` the worker reads resolves on
-hombox, with the keyword arguments it passes.  The workers run in
-subprocesses, as bench/run.py starts them."""
+their golden report, untraced and, for the build, traced, and every
+`hb.<name>` the worker reads resolves on hombox, with the keyword
+arguments it passes.  The workers run in subprocesses, as bench/run.py
+starts them."""
 
 import ast
 import importlib.util
@@ -28,11 +29,11 @@ def _workloads():
     return module
 
 
-def _worker(tmp_path, phase):
-    """One worker process of phase, untraced and taking no host-speed
+def _worker(tmp_path, phase, trace=False):
+    """One worker process of phase, traced or not and taking no host-speed
     samples; its result line."""
     spec = {"workload": "theorem_K5_3", "seed": 0, "phase": phase,
-            "trace": False, "sample": False,
+            "trace": trace, "sample": False,
             "input": str(tmp_path / "input.json"),
             "cert": str(tmp_path / "cert.json"),
             "out": str(tmp_path / "report.json"),
@@ -50,11 +51,32 @@ def test_theorem_workers_build_and_replay(tmp_path):
     (tmp_path / "input.json").write_text(
         json.dumps(_workloads().complete_rgraph_json(5, 3)))
     build = _worker(tmp_path, "theorem_build")
-    assert build["cert_bytes"] == 76949
+    assert build["cert_bytes"] == 62495
     assert (build["ok"], build["failed"]) == (1, 0)
     replay = _worker(tmp_path, "theorem_replay")
     assert (replay["ok"], replay["failed"]) == (1, 0)
     assert replay["replay_s"] > 0
+
+
+# The stages of a theorem certificate, whose bytes a traced build counts.
+STAGES = ["subdivide-hom", "unfold-hom-subdivision", "products-into-sd-box",
+          "expand-to-sd-box", "fold-box-subdivision", "desubdivide-box"]
+
+
+def test_traced_theorem_build_worker(tmp_path):
+    # the traced build wraps the library's layers (bench/tracing.py) and
+    # counts the canonical bytes of each stage of the certificate it wrote
+    (tmp_path / "input.json").write_text(
+        json.dumps(_workloads().complete_rgraph_json(5, 3)))
+    build = _worker(tmp_path, "theorem_build", trace=True)
+    assert (build["ok"], build["failed"]) == (1, 0)
+    assert build["cert_bytes"] == 62495
+    stage_bytes = {name: build["counts"]["collapse.stage_bytes." + name]
+                   for name in STAGES}
+    assert all(n > 0 for n in stage_bytes.values())
+    assert stage_bytes["unfold-hom-subdivision"] == len(
+        '{"kind":"isomorphism","name":"unfold-hom-subdivision"}')
+    assert (tmp_path / "spans-theorem_build.jsonl").stat().st_size > 0
 
 
 def _reads_hb(node):

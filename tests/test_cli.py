@@ -238,7 +238,7 @@ def test_verify_certificate_mismatch(k3_122, tmp_path, capsys):
     assert main(["verify", "--input", k3_122, "--certificate", cert]) == 0
     obj = json.loads(open(cert).read())
     run = obj["runs"][0]
-    run[2:] = run[:1:-1]
+    run[:] = run[::-1]
     with open(cert, "w") as fh:
         json.dump(obj, fh)
     capsys.readouterr()
@@ -278,7 +278,7 @@ def test_verify_certificate_is_stage_4(corpus, matchings, certificates,
         assert out == [out[0], "matching certificate written to %s" % cert,
                        out[0], "matching certificate %s verified" % cert]
         if name == "K_5^3":
-            assert cert.stat().st_size == 14443
+            assert cert.stat().st_size == 14403
 
 
 def test_verify_replay_builds_no_matching(k3_122, tmp_path, monkeypatch,
@@ -322,34 +322,39 @@ def _verify_endpoint(obj):
     obj["endpoints"][0] = _flip(obj["endpoints"][0])
 
 
-def _verify_run_end(obj):
-    obj["runs"][0][1] = _flip(obj["runs"][0][1])
+def _verify_end_endpoint(obj):
+    obj["endpoints"][1] = _flip(obj["endpoints"][1])
 
 
 def _verify_direction(obj):
-    obj["runs"][0][2][0] = "c"
+    obj["runs"][0][0][0] = "c"
 
 
 def _verify_unknown_direction(obj):
-    obj["runs"][0][2][0] = "x"
+    obj["runs"][0][0][0] = "x"
 
 
 def _verify_sigma(obj):
-    obj["runs"][0][2][1] += 1
+    obj["runs"][0][0][1] += 1
 
 
 def _verify_sigma_outside(obj):
-    obj["runs"][0][2][1] = 10 ** 6
+    obj["runs"][0][0][1] = 10 ** 6
 
 
 def _verify_extra_field(obj):
     obj["extra"] = 1
 
 
+def _verify_no_endpoints(obj):
+    del obj["endpoints"]
+
+
 @pytest.mark.parametrize("tamper, code", [
-    (_verify_endpoint, 2), (_verify_run_end, 2), (_verify_direction, 2),
+    (_verify_endpoint, 2), (_verify_end_endpoint, 2), (_verify_direction, 2),
     (_verify_unknown_direction, 4), (_verify_sigma, 2),
-    (_verify_sigma_outside, 4), (_verify_extra_field, 4)])
+    (_verify_sigma_outside, 4), (_verify_extra_field, 4),
+    (_verify_no_endpoints, 4)])
 def test_verify_tampered_certificate(k3_122, tamper, code, tmp_path, capsys):
     # one changed field is refused with an exit code and a message, never a
     # traceback
@@ -379,6 +384,27 @@ def test_verify_refuses_chain_listing(k3_122, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "input error: %s is a chain listing, which is no longer checked: "
         "write it again with `hombox verify --certificate`\n" % cert)
+
+
+def test_verify_refuses_version_5_matching_certificate(k3_122, tmp_path,
+                                                       capsys):
+    # stage 4 as verify wrote it in format 5, each run starting with its
+    # universe (None) and its end fingerprint, is refused with a request to
+    # write it again; the form it is written in now replays
+    cert = tmp_path / "matching.json"
+    args = ["verify", "--input", k3_122, "--certificate", str(cert)]
+    assert main(args) == 0
+    obj = json.loads(cert.read_text())
+    cert.write_text(json.dumps(dict(obj, runs=[
+        [None, obj["endpoints"][1], *run] for run in obj["runs"]])))
+    capsys.readouterr()
+    assert main(args) == 4
+    assert capsys.readouterr().err == (
+        "input error: %s is a matching certificate of format version 5, "
+        "which is no longer replayed: write it again with `hombox verify "
+        "--certificate`\n" % cert)
+    cert.write_text(json.dumps(obj))
+    assert main(args) == 0
 
 
 # -- theorem -----------------------------------------------------------------
@@ -470,7 +496,7 @@ def test_theorem_z2(k32, capsys):
 @pytest.fixture(scope="module")
 def k3_122_theorem(tmp_path_factory):
     """K3_122 and its theorem certificates by version: the one the CLI
-    writes (5) and the fixtures (1 to 4), which it no longer replays.
+    writes (6) and the fixtures (1 to 5), which it no longer replays.
     Every deformation stage of each has steps."""
     d = tmp_path_factory.mktemp("k3_122")
     graph, cert = str(d / "k3_122.json"), str(d / "theorem.json")
@@ -478,9 +504,9 @@ def k3_122_theorem(tmp_path_factory):
         fh.write(hb.complete_multipartite([1, 2, 2]).to_json_str())
     assert main(["theorem", "--input", graph, "--certificate", cert]) == 0
     certs = {v: json.loads((FIXTURES / ("theorem_v%d_K3_122.json" % v))
-                           .read_text()) for v in (1, 2, 3, 4)}
+                           .read_text()) for v in (1, 2, 3, 4, 5)}
     with open(cert) as fh:
-        certs[5] = json.load(fh)
+        certs[6] = json.load(fh)
     return graph, certs
 
 
@@ -498,10 +524,10 @@ def _replay_tampered(k3_122_theorem, version, tamper, tmp_path, capsys):
     return rc, capsys.readouterr().err
 
 
-def _flip_iso_from(obj):
-    # stage 3's from fingerprint, one bit changed
-    stage = obj["stages"][2]
-    stage["from"] = "%032x" % (int(stage["from"], 16) ^ 1)
+def _flip_stage_4_start(obj):
+    # stage 4's start fingerprint, one bit changed
+    stage = obj["stages"][3]["certificate"]
+    stage["endpoints"][0] = "%032x" % (int(stage["endpoints"][0], 16) ^ 1)
 
 
 def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
@@ -510,31 +536,31 @@ def test_theorem_tampered_certificate(k3_112, k3_122_theorem, tmp_path,
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 0
     capsys.readouterr()
     obj = json.loads(open(cert).read())
-    _flip_iso_from(obj)
+    _flip_stage_4_start(obj)
     with open(cert, "w") as fh:
         json.dump(obj, fh)
     assert main(["theorem", "--input", k3_112, "--certificate", cert]) == 2
-    assert "verification failed: products-into-sd-box: endpoints do not " \
+    assert "verification failed: expand-to-sd-box: endpoints do not " \
         "match" in capsys.readouterr().err
-    rc, err = _replay_tampered(k3_122_theorem, 5, _flip_iso_from, tmp_path,
-                               capsys)
+    rc, err = _replay_tampered(k3_122_theorem, 6, _flip_stage_4_start,
+                               tmp_path, capsys)
     assert rc == 2
-    assert "verification failed: products-into-sd-box" in err
+    assert "verification failed: expand-to-sd-box" in err
 
 
 @pytest.mark.parametrize("tamper", sorted(STRUCTURED_TAMPERS))
 def test_theorem_refuses_structured_tampers(k3_122_theorem, tamper, tmp_path,
                                             capsys):
     edit, stage = STRUCTURED_TAMPERS[tamper]
-    rc, err = _replay_tampered(k3_122_theorem, 5, edit, tmp_path, capsys)
+    rc, err = _replay_tampered(k3_122_theorem, 6, edit, tmp_path, capsys)
     assert rc == 2
     assert err.startswith("verification failed: %s: " % stage), err
 
 
 def test_theorem_refuses_old_versions(k3_122_theorem, tmp_path, capsys):
-    # the certificates of versions 1 to 4 are input errors that name the
+    # the certificates of versions 1 to 5 are input errors that name the
     # version and ask for a rebuild
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         rc, err = _replay_tampered(k3_122_theorem, version, lambda obj: None,
                                    tmp_path, capsys)
         assert rc == 4
@@ -546,7 +572,7 @@ def test_theorem_refuses_old_versions(k3_122_theorem, tmp_path, capsys):
 
 # A tampered version 1 certificate, whose steps are [before, after, {...}],
 # is refused by its version before any other field is read.  The tampers of
-# version 5 below cover the fields themselves.
+# version 6 below cover the fields themselves.
 
 
 def _first_step(obj, stage):
@@ -564,12 +590,12 @@ def test_theorem_malformed_certificate(k3_122_theorem, tmp_path, capsys):
     assert "input error: main theorem certificate of format version 1" in err
 
 
-# Tampers of a version 5 certificate, whose steps are rows
-# [direction, sigma, facet] after each run's universe and end.
+# Tampers of a version 6 certificate, whose runs are lists of steps, rows
+# [direction, sigma, facet].
 
 
 def _first_row(obj, stage):
-    return obj["stages"][stage]["certificate"]["runs"][0][2]
+    return obj["stages"][stage]["certificate"]["runs"][0][0]
 
 
 def _drop_direction_v2(obj):
@@ -601,16 +627,31 @@ def _id_outside_collapse_universe_v2(obj):
 
 
 def _bool_in_iso_map_v2(obj):
-    # version 5 isomorphism stages have no map
+    # version 6 isomorphism stages have no map
     obj["stages"][4]["map"] = [True]
 
 
 def _unknown_version(obj):
-    obj["version"] = 6
+    obj["version"] = 7
 
 
-def _universe_not_hex(obj):
-    obj["stages"][0]["certificate"]["runs"][0][0] = "z" * 32
+def _run_with_a_universe(obj):
+    # a run of version 5 started with its universe's fingerprint
+    obj["stages"][0]["certificate"]["runs"][0].insert(0, "0" * 32)
+
+
+def _endpoints_in_stage_1(obj):
+    obj["stages"][0]["certificate"]["endpoints"] = \
+        obj["stages"][3]["certificate"]["endpoints"]
+
+
+def _no_endpoints_in_stage_4(obj):
+    del obj["stages"][3]["certificate"]["endpoints"]
+
+
+def _iso_stage_with_its_ends(obj):
+    # a version 5 isomorphism stage named its complexes by fingerprint
+    obj["stages"][1]["from"] = obj["endpoints"][0]
 
 
 def _unknown_field(obj):
@@ -625,28 +666,31 @@ def _unknown_deformation_field(obj):
     _drop_direction_v2, _stage_not_an_object, _drop_certificate,
     _bool_id_v2, _negative_id_v2, _id_outside_stellar_universe_v2,
     _id_outside_collapse_universe_v2, _bool_in_iso_map_v2, _unknown_version,
-    _universe_not_hex, _unknown_field, _unknown_deformation_field])
+    _run_with_a_universe, _endpoints_in_stage_1, _no_endpoints_in_stage_4,
+    _iso_stage_with_its_ends, _unknown_field, _unknown_deformation_field])
 def test_theorem_malformed_certificate_v2(k3_122_theorem, tamper, tmp_path,
                                           capsys):
-    rc, err = _replay_tampered(k3_122_theorem, 5, tamper, tmp_path, capsys)
+    rc, err = _replay_tampered(k3_122_theorem, 6, tamper, tmp_path, capsys)
     assert rc == 4
     assert "input error" in err
 
 
-def _end_of_run_0(obj):
-    obj["stages"][5]["certificate"]["runs"][0][1] = "0" * 32
+def _first_step_of_run_0(obj):
+    del obj["stages"][5]["certificate"]["runs"][0][0]
 
 
 def test_theorem_tampered_stage_names_stage_and_step(k3_122_theorem, tmp_path,
                                                      capsys):
-    # stage 6 is replayed from its end, so the end of its first run is the
-    # end of the run before the last
-    rc, err = _replay_tampered(k3_122_theorem, 5, _end_of_run_0,
+    # stage 6 is replayed from its end, so its first run's first step is
+    # the last step of the replay's last run: without it, that run ends
+    # short of the stellar subdivision
+    rc, err = _replay_tampered(k3_122_theorem, 6, _first_step_of_run_0,
                                tmp_path, capsys)
     assert rc == 2
     assert re.match(r"verification failed: desubdivide-box, replayed "
                     r"reversed: run \d+ \(schedule cell \d+ .+\): the state "
-                    r"after step \d+ is not the run's end fingerprint\n$", err)
+                    r"after step \d+ is not the stellar subdivision at the "
+                    r"run's orbit\n$", err)
 
 
 class _ClosedStdout:
@@ -683,7 +727,7 @@ def test_theorem_into_a_closed_pipe(k3_112, tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
-    assert json.loads(cert.read_text())["version"] == 5
+    assert json.loads(cert.read_text())["version"] == 6
 
 
 def test_theorem_unreadable_certificate(k3_112, tmp_path, capsys):
@@ -714,9 +758,7 @@ def test_theorem_with_no_stellar_stage(tmp_path, capsys):
     assert "replayed: 6 stages ok" in capsys.readouterr().out
     for k in (0, 5):
         obj = json.loads(json.dumps(clean))
-        runs = obj["stages"][k]["certificate"]["runs"]
-        fp = obj["stages"][k]["certificate"]["endpoints"][1]
-        runs.append([fp, fp, ["e", 0, 1]])
+        obj["stages"][k]["certificate"]["runs"].append([["e", 0, 1]])
         cert.write_text(json.dumps(obj))
         assert main(args) == 2
         assert re.search("certificate has 1 stages but the schedule needs 0",

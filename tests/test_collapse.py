@@ -25,8 +25,8 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 def fixture(name, version):
     """The theorem certificate of the given version, 1 to 5, that the CLI
-    wrote for a corpus graph before the next version (for 5, before steps
-    were sorted by their order key), as JSON text."""
+    wrote for K3_122 before the next version (for 5, before steps were
+    sorted by their order key), as JSON text."""
     return (FIXTURES / ("theorem_v%d_%s.json"
                         % (version, name.replace("^", "_")))).read_text()
 
@@ -217,8 +217,8 @@ def _explicit_action(K, name, moves):
 
 def _replay_one_step(K, A, sigma, facet, removed):
     """Replay, from all of K, a collapse certificate of one step at sigma
-    with its facet, whose run's end fingerprint claims that the cells
-    `removed` are gone; cells are given as vertex names."""
+    with its facet, whose end fingerprint claims that the cells `removed`
+    are gone; cells are given as vertex names."""
     def ids(cells):
         return {K.index[frozenset(c)] for c in cells}
     [s], [f] = ids([sigma]), ids([facet])
@@ -226,7 +226,7 @@ def _replay_one_step(K, A, sigma, facet, removed):
         .fingerprint
     cert = hb.DeformationCertificate.from_json_obj(
         {"endpoints": ["%032x" % K.fingerprint, end],
-         "runs": [[None, end, ["c", s, f]]]})
+         "runs": [[["c", s, f]]]})
     return hb.replay_collapse_certificate(K, A, cert)
 
 
@@ -241,8 +241,8 @@ def test_step_closed_under_generators_but_two_orbits():
     state = _replay_one_step(K, A, "a", "ab", ["a", "c", "ab", "cd"])
     assert state.n_alive == len(K) - 4
     with pytest.raises(VerificationError,
-                       match=r"^run 0: the state after step 0 is not the "
-                             r"run's end fingerprint$"):
+                       match=r"^the state after step 0 is not the "
+                             r"certificate's end fingerprint$"):
         _replay_one_step(K, A, "a", "ab",
                          ["a", "c", "p", "r", "ab", "cd", "pq", "rs"])
 
@@ -356,7 +356,8 @@ def test_step_equivariance_enforced():
     A2 = _explicit_action(two, "flip", {"x": "y", "y": "x", "a": "b",
                                         "b": "a"})
     _replay_one_step(two, A2, "x", "xa", ["x", "y", "xa", "yb"])
-    with pytest.raises(VerificationError, match="not the run's end finger"):
+    with pytest.raises(VerificationError,
+                       match="not the certificate's end finger"):
         _replay_one_step(two, A2, "x", "xa", ["x", "xa"])
 
 
@@ -387,7 +388,7 @@ def test_free_orbit_step_names_the_member_a_search_meets_first(matchings):
     # fails at the fourth, as a search from sigma meets it first
     M = matchings["K3_122"]
     run = hb.matching_to_collapse(M.sd, M.action, M)
-    _, sigma, facet = run.certificate.runs[0][2][0]
+    _, sigma, facet = run.certificate.runs[0][0]
     A = M.action
     members = A._search(sigma)
     assert len(members) == A.order == 6
@@ -405,8 +406,8 @@ def test_settle_forgets_the_cells_that_died(matchings):
     # one of them
     box = matchings["K3_122"].box
     store = collapse._CellStore(box.cx, box.action)
-    for ob in collapse._schedule(box.cx, box.action)[:2]:
-        collapse._stellar_stage(store, ob[0], None)
+    for j, ob in enumerate(collapse._schedule(box.cx, box.action)[:2]):
+        collapse._stellar_stage(store, j, ob[0], None)
     assert store.removed
     dead = [i for i, a in enumerate(store.alive) if not a]
     store.settle()
@@ -426,8 +427,8 @@ def test_store_orbits_down_the_word_table(matchings):
     # gives, in the search's order, down a table of |G| - 1 rows
     box = matchings["K_4^3"].box
     store = collapse._CellStore(box.cx, box.action)
-    for ob in collapse._schedule(box.cx, box.action)[:5]:
-        collapse._stellar_stage(store, ob[0], None)
+    for j, ob in enumerate(collapse._schedule(box.cx, box.action)[:5]):
+        collapse._stellar_stage(store, j, ob[0], None)
     assert len(store.words) == store.order - 1
     for i in range(len(store.payloads)):
         assert store._orbit_list(i) == store._search(i)
@@ -498,8 +499,7 @@ def test_matching_to_collapse_bookkeeping(matchings):
     assert cert.endpoints[1] == crit.fingerprint
     assert crit.payloads == [M.sd.payloads[i] for i in M.critical]
     # the action is free, so every step moves a whole 6-element orbit
-    [(universe, end, steps)] = cert.runs
-    assert universe is None and end == cert.endpoints[1]
+    [steps] = cert.runs
     assert all(len(M.action.orbit(s[1])) == 6 for s in steps)
 
 
@@ -535,23 +535,21 @@ def test_replay_collapse_certificate_and_tampering(matchings):
             hb.replay_collapse_certificate(M.sd, M.action, bad)
 
     # the collapse of the version 4 fixture has these steps, reversed, in
-    # another order: its rows are the version 5 rows with the fingerprint
-    # after each step, and the last of those is the end of the version 5 run
+    # another order: its rows are the version 6 rows with the fingerprint
+    # after each step, and the last of those is the end endpoint
     old = json.loads(fixture("K3_122", 4))["stages"][3]["certificate"]
     new = cert.reversed().to_json_obj()
     assert new["endpoints"] == old["endpoints"]
-    [[universe, end, *rows]], [[_, *old_rows]] = new["runs"], old["runs"]
-    assert universe is None
+    [rows], [[_, *old_rows]] = new["runs"], old["runs"]
     assert sorted(rows) == sorted(row[:3] for row in old_rows)
-    assert end == old_rows[-1][3] == new["endpoints"][1]
+    assert old_rows[-1][3] == new["endpoints"][1]
 
     # tamper: swap steps 0 and 24, which do not commute: the facet of step
     # 24 is a face of the facet of step 0, so it is not maximal before it
     obj = cert.to_json_obj()
-    steps = obj["runs"][0][2:]
+    steps = obj["runs"][0]
     assert steps[24][2] in M.sd.down[steps[0][2]]
     steps[0], steps[24] = steps[24], steps[0]
-    obj["runs"][0][2:] = steps
     with pytest.raises(NotFree, match=r"^step 0 \(collapse at cell %d .*\): "
                        r"facet .* is not maximal in the alive set$"
                        % steps[0][1]):
@@ -560,22 +558,16 @@ def test_replay_collapse_certificate_and_tampering(matchings):
     # steps 3 and 4 commute: swapped, they are another valid collapse of
     # the same cells, which replays to the same end
     obj = cert.to_json_obj()
-    steps = obj["runs"][0][2:]
+    steps = obj["runs"][0]
     steps[3], steps[4] = steps[4], steps[3]
-    obj["runs"][0][2:] = steps
     swapped = hb.DeformationCertificate.from_json_obj(obj)
     assert hb.replay_collapse_certificate(M.sd, M.action, swapped) \
         .alive_ids() == sorted(M.critical)
 
     # tamper: sigma becomes another member of its orbit
     obj = cert.to_json_obj()
-    sigma = obj["runs"][0][2][1]
-    obj["runs"][0][2][1] = M.action.orbit(sigma)[-1]
-    rejected(obj)
-
-    # tamper: the run's end fingerprint
-    obj = cert.to_json_obj()
-    obj["runs"][0][1] = "0" * 32
+    sigma = obj["runs"][0][0][1]
+    obj["runs"][0][0][1] = M.action.orbit(sigma)[-1]
     rejected(obj)
 
     # tamper: wrong endpoint fingerprint
@@ -583,10 +575,17 @@ def test_replay_collapse_certificate_and_tampering(matchings):
     obj["endpoints"][1] = "0" * 32
     rejected(obj)
 
-    # tamper: a stellar universe named in a collapse
+    # a run that starts with a universe and an end, as in version 5, and a
+    # collapse without its endpoints, are malformed
     obj = cert.to_json_obj()
-    obj["runs"][0][0] = "0" * 32
-    rejected(obj)
+    obj["runs"][0][:0] = [None, obj["endpoints"][1]]
+    with pytest.raises(InputError, match="step 0 is not a "):
+        hb.DeformationCertificate.from_json_obj(obj)
+    obj = cert.to_json_obj()
+    del obj["endpoints"]
+    with pytest.raises(InputError, match="it has no endpoints$"):
+        hb.replay_collapse_certificate(
+            M.sd, M.action, hb.DeformationCertificate.from_json_obj(obj))
 
 
 def test_collapse_state_refuses_ids_outside_the_universe(matchings):
@@ -765,7 +764,7 @@ def test_every_run_follows_its_order_key(matchings, monkeypatch):
 
     for name, M in sorted(matchings.items()):
         fixed = hb.ip_tables(M.box)[0]
-        for _, _, steps in hb.matching_to_collapse(
+        for steps in hb.matching_to_collapse(
                 M.sd, M.action, M).certificate.runs:
             run = [_matching_key(M, fixed, s) for _, s, _ in steps]
             assert run == sorted(run), name
@@ -788,9 +787,8 @@ def test_steps_out_of_key_order_fail_the_step_checks(matchings):
     # step, named with its cell
     M = matchings["K3_122"]
     cert = hb.matching_to_collapse(M.sd, M.action, M).certificate
-    [(universe, end, steps)] = cert.runs
-    back = hb.DeformationCertificate(cert.endpoints,
-                                     [(universe, end, steps[::-1])])
+    [steps] = cert.runs
+    back = hb.DeformationCertificate([steps[::-1]], cert.endpoints)
     sigma = steps[-1][1]
     label = re.escape(fmt_payload(M.sd.payloads[sigma]))
     with pytest.raises(NotFree, match=r"^step 0 \(collapse at cell %d %s\): "
@@ -800,17 +798,19 @@ def test_steps_out_of_key_order_fail_the_step_checks(matchings):
     K, A = M.hom.cx, M.hom.action
     cert = hb.sd_deformation(K, A).certificate
     first = 0
-    for j, (universe, end, steps) in enumerate(cert.runs):
+    for j, steps in enumerate(cert.runs):
         k = [d for d, _, _ in steps].index("c")
         if len(steps) - k > 1:
             break
         first += len(steps)
     runs = list(cert.runs)
-    runs[j] = (universe, end, steps[:k] + steps[k:][::-1])
-    with pytest.raises(NotFree, match=r"^step %d \(collapse at cell %d \S+\): "
-                       % (first + k, steps[-1][1])):
-        hb.replay_sd_deformation(
-            K, A, hb.DeformationCertificate(cert.endpoints, runs))
+    runs[j] = steps[:k] + steps[k:][::-1]
+    rep = collapse._schedule(K, A)[j][0]
+    with pytest.raises(NotFree, match=r"^run %d \(schedule cell %d %s\): "
+                       r"step %d \(collapse at cell %d \S+\): "
+                       % (j, rep, re.escape(fmt_payload(K.payloads[rep])),
+                          first + k, steps[-1][1])):
+        hb.replay_sd_deformation(K, A, hb.DeformationCertificate(runs))
 
 
 # -- stellar deformation -----------------------------------------------------
@@ -823,16 +823,13 @@ def test_stellar_deformation_matches_direct_subdivision(hollow_triangle):
     assert_same_cells(st.final, stellar_subdivision(hollow_triangle, A, e))
     # the run replays from a fresh store of K to the same end
     store = collapse._CellStore(hollow_triangle, A)
-    collapse._stellar_stage(store, e, None, (st.run, 0, 0))
-    assert store.fingerprint == st.final.fingerprint
+    collapse._stellar_stage(store, 0, e, None, (st.run, 0))
+    assert_same_cells(store.complex(store.alive_ids())[0], st.final)
     # expansions first (into the cone universe), then collapses
-    universe, end, steps = st.run
-    assert end == st.final.fingerprint
-    dirs = [s[0] for s in steps]
+    dirs = [s[0] for s in st.run]
     k = dirs.index("c")
     assert all(d == "e" for d in dirs[:k])
     assert all(d == "c" for d in dirs[k:])
-    assert universe == st.universe.fingerprint
 
 
 def test_stellar_deformation_product_square():
@@ -880,74 +877,45 @@ def test_sd_deformation_checks_the_subdivision_it_is_given(
                               hb.trivial_action(other))
 
 
-def _part_digest(tag, *parts):
-    return int.from_bytes(hashlib.blake2b(
-        tag + b"".join(d.to_bytes(16, "big") for d in parts),
-        digest_size=16).digest(), "big")
+class _Unread:
+    """A CellComplex.digests that fails when a complex is asked for digests
+    it was not given."""
+
+    def __get__(self, cx, owner=None):
+        if cx is None:
+            return self
+        raise AssertionError("the digests of a %d-cell complex were read"
+                             % len(cx))
 
 
-def _digests_from_parts(K, cx):
-    """The digests of the cells of cx, a complex built by stellar stages on
-    K, recomputed from their payloads: a cell of K keeps its digest, an
-    apex (BARY, q) digests b"A" and the digest of q, and a cone cell
-    (CONE, apex, base) b"C", its apex's digest and its base's."""
-    digest_of = {}
-
-    def digest(p):
-        if p in K.index:
-            return K.digests[K.index[p]]
-        if p not in digest_of:
-            digest_of[p] = (
-                _part_digest(b"A", K.digests[K.index[p[1]]]) if p[0] == BARY
-                else _part_digest(b"C", digest(p[1]), digest(p[2])))
-        return digest_of[p]
-    return [digest(p) for p in cx.payloads]
-
-
-@pytest.mark.parametrize("side", ["hom", "box"])
-def test_stellar_cell_digests_from_parts(side, matchings):
-    # the digest of every cell a stage appends follows the rule: from its
-    # parts, not from its payload's encoding.  Hom cells are products and
-    # box cells vertex sets; the cells a stage appends are cones on both,
-    # so a stage at a maximal cell ends at the cells of the reference
-    # subdivision (tests/stellar_reference.py)
-    for name, M in sorted(matchings.items()):
-        bundle = getattr(M, side)
-        K, A = bundle.cx, bundle.action
-        if K.max_dim > 0:
-            top = K.up_degrees().index(0)
-            st = stellar_stage(K, A, top)
-            assert st.universe.digests == _digests_from_parts(
-                K, st.universe), name
-            assert_same_cells(st.final, stellar_subdivision(K, A, top))
-        d = sd_deformation(K, A)
-        assert d.final.digests == _digests_from_parts(K, d.final), name
+def test_no_end_complex_is_digested(corpus, monkeypatch):
+    # a build and a replay digest only the complexes whose digests bind
+    # the certificate, as they are built (Hom, box and sd B_edge(H); sd Hom
+    # is built alike): the end complexes of the stellar deformations,
+    # copied out of the cell store, are never digested
+    H = corpus["K3_122"]
+    monkeypatch.setattr(hb.CellComplex, "digests", _Unread())
+    obj = hb.main_theorem_certificate(H).to_json_obj()
+    hb.replay_main_theorem(H, obj)
+    monkeypatch.undo()
+    d = hb.sd_deformation(hb.box_edge(H).cx, hb.box_edge(H).action)
+    assert "digests" not in vars(d.final)
 
 
 @pytest.mark.parametrize("side", ["hom", "box"])
-def test_stellar_universe_digests_are_distinct(side, matchings, monkeypatch):
-    # no two cells of any stage's universe share a digest, and the universe
-    # fingerprint is the sum of its cells' digests
-    universes = []
-    cone_universe = collapse._cone_universe
-
-    def recording(store, *args):
-        U, apex_id, cone_id = cone_universe(store, *args)
-        digests = [d for d, a in zip(store.digests, store.alive) if a]
-        digests += [store.digests[i] for i in U.new]
-        assert len(digests) == len(U)
-        assert len(set(digests)) == len(digests)
-        assert sum(digests) % 2 ** 128 == U.fingerprint
-        universes.append(U)
-        return U, apex_id, cone_id
-
-    monkeypatch.setattr(collapse, "_cone_universe", recording)
+def test_end_complex_digests_its_payloads(side, matchings):
+    # every cell digests one way, from its payload: the end complex of an
+    # sd-deformation, copied out of the store in store order, and the same
+    # cells rebuilt standalone in canonical order have one fingerprint,
+    # and no two of its cells share a digest
     for name, M in sorted(matchings.items()):
         bundle = getattr(M, side)
-        before = len(universes)
-        d = sd_deformation(bundle.cx, bundle.action)
-        assert len(universes) - before == len(d.certificate.runs), name
-    assert len(universes) > 0
+        E = hb.sd_deformation(bundle.cx, bundle.action).final
+        rebuilt = hb.CellComplex.from_graded_cells(
+            (p, d, [E.payloads[j] for j in down])
+            for p, d, down in zip(E.payloads, E.dims, E.down))
+        assert E.fingerprint == rebuilt.fingerprint, name
+        assert len(set(E.digests)) == len(E), name
 
 
 def test_sd_deformation_stuck_on_reflection(hollow_triangle):
@@ -962,29 +930,24 @@ def test_sd_deformation_stuck_on_reflection(hollow_triangle):
         sd_deformation(hollow_triangle, A)
 
 
-def hom_deformation(name, version):
-    """The JSON form of the Hom deformation (stage 1) of a fixture."""
-    return json.loads(fixture(name, version))["stages"][0]["certificate"]
-
-
-def v5_runs(runs):
-    """Runs [universe, step, ...] of versions 2 to 4, whose steps are rows
-    [direction, sigma, facet, after], in the version 5 layout: [universe,
-    end, step, ...], the end being the last step's after."""
-    return [[run[0], run[-1][3]] + [row[:3] for row in run[1:]]
-            for run in runs]
+def v6_runs(runs):
+    """Runs [universe, end, step, ...] of version 5 in the version 6
+    layout: [step, ...]."""
+    return [run[2:] for run in runs]
 
 
 def same_runs(runs, others):
-    """Whether two lists of version 5 runs hold the same universes, ends
-    and sets of steps, in any order within a run."""
+    """Whether two lists of version 6 runs hold the same sets of steps, in
+    any order within a run."""
     return (len(runs) == len(others)
-            and all(a[:2] == b[:2] and sorted(a[2:]) == sorted(b[2:])
-                    for a, b in zip(runs, others)))
+            and all(sorted(a) == sorted(b) for a, b in zip(runs, others)))
 
 
 def test_replay_sd_deformation_tamper(solid_triangle, matchings):
-    # the triangle's deformation, and the Hom deformation of K_4^3
+    # the triangle's deformation, and the Hom deformation of K_4^3: a run
+    # without its last step ends short of its stellar subdivision, and two
+    # runs swapped fail, at a step or at the first one's end, with the run
+    # named
     A = hb.trivial_action(solid_triangle)
     d = sd_deformation(solid_triangle, A)
     M = matchings["K_4^3"]
@@ -993,35 +956,21 @@ def test_replay_sd_deformation_tamper(solid_triangle, matchings):
     for K, A, clean in ((solid_triangle, A, d.certificate.to_json_obj()),
                         (hom.cx, hom.action,
                          hom_def.certificate.to_json_obj())):
+        rep = collapse._schedule(K, A)[0][0]
+        run_0 = r"^run 0 \(schedule cell %d %s\): " % (
+            rep, re.escape(fmt_payload(K.payloads[rep])))
         obj = json.loads(json.dumps(clean))
-        obj["runs"][0][1] = "f" * 32
-        bad = hb.DeformationCertificate.from_json_obj(obj)
-        with pytest.raises(VerificationError):
-            hb.replay_sd_deformation(K, A, bad)
+        obj["runs"][0].pop()
+        with pytest.raises(VerificationError, match=run_0 + re.escape(
+                "the state after step %d is not the stellar subdivision at "
+                "the run's orbit" % (len(obj["runs"][0]) - 1))):
+            hb.replay_sd_deformation(
+                K, A, hb.DeformationCertificate.from_json_obj(obj))
         obj = json.loads(json.dumps(clean))
-        obj["endpoints"] = ["f" * 32, obj["endpoints"][1]]
-        bad = hb.DeformationCertificate.from_json_obj(obj)
-        with pytest.raises(VerificationError):
-            hb.replay_sd_deformation(K, A, bad)
-        # the universe of the first run
-        obj = json.loads(json.dumps(clean))
-        obj["runs"][0][0] = "0" * 32
-        bad = hb.DeformationCertificate.from_json_obj(obj)
-        with pytest.raises(VerificationError):
-            hb.replay_sd_deformation(K, A, bad)
-    # the version 3 fixture's Hom deformation has the same steps, but its
-    # universes digest the stellar cells' payload encodings
-    old = hom_deformation("K_4^3", 3)
-    old["runs"] = v5_runs(old["runs"])
-    old = hb.DeformationCertificate.from_json_obj(old)
-    assert ([steps for _, _, steps in old.runs]
-            == [steps for _, _, steps in hom_def.certificate.runs])
-    rep = collapse._schedule(hom.cx, hom.action)[0][0]
-    with pytest.raises(VerificationError,
-                       match=r"^run 0 \(schedule cell %d %s\): universe "
-                       r"fingerprint mismatch$"
-                       % (rep, re.escape(fmt_payload(hom.cx.payloads[rep])))):
-        hb.replay_sd_deformation(hom.cx, hom.action, old)
+        obj["runs"][:2] = obj["runs"][1::-1]
+        with pytest.raises(VerificationError, match=run_0):
+            hb.replay_sd_deformation(
+                K, A, hb.DeformationCertificate.from_json_obj(obj))
 
 
 # -- iso tables and the main theorem ----------------------------------------
@@ -1108,9 +1057,10 @@ def test_main_theorem_certificate_round_trip(corpus, certificates):
                      "products-into-sd-box", "expand-to-sd-box",
                      "fold-box-subdivision", "desubdivide-box"]
     obj = json.loads(json.dumps(cert.to_json_obj()))
-    # an isomorphism stage stores no map, only its two fingerprints
-    assert [sorted(s) for s in obj["stages"][1::3]] \
-        == [["from", "kind", "name", "to"]] * 2
+    # an isomorphism stage stores no map and no fingerprint: replay builds
+    # both of its complexes
+    assert [sorted(s) for s in obj["stages"][1:3] + obj["stages"][4:5]] \
+        == [["kind", "name"]] * 3
     back = hb.MainTheoremCertificate.from_json_obj(obj)
     assert back == cert
     replays(H, back)
@@ -1121,15 +1071,15 @@ def test_main_theorem_tamper_detection(corpus, certificates):
         H = corpus[name]
         clean = json.dumps(certificates[name].to_json_obj())
 
-        # each fingerprint of each isomorphism stage, with the stage named
-        for k in (1, 2, 4):
-            for end in ("from", "to"):
-                obj = json.loads(clean)
-                stage = obj["stages"][k]
-                stage[end] = "%032x" % (int(stage[end], 16) ^ 1)
-                with pytest.raises(VerificationError, match="^%s: endpoints "
-                                   "do not match$" % stage["name"]):
-                    hb.replay_main_theorem(H, obj)
+        # each endpoint of stage 4, with the stage named
+        for end in (0, 1):
+            obj = json.loads(clean)
+            stage = obj["stages"][3]["certificate"]
+            stage["endpoints"][end] = "%032x" % (
+                int(stage["endpoints"][end], 16) ^ 1)
+            with pytest.raises(VerificationError, match="^expand-to-sd-box: "
+                               "endpoints do not match$"):
+                hb.replay_main_theorem(H, obj)
 
         obj = json.loads(clean)
         obj["endpoints"][0] = "1" * 32
@@ -1143,10 +1093,10 @@ def test_main_theorem_tamper_detection(corpus, certificates):
             hb.replay_main_theorem(
                 H, hb.MainTheoremCertificate.from_json_obj(obj))
 
-        # the end of the last run of stage 6, which its replay from the
-        # end starts from
+        # the last step of the last run of stage 6, the first step of its
+        # replay from the end
         obj = json.loads(clean)
-        obj["stages"][5]["certificate"]["runs"][-1][1] = "0" * 32
+        obj["stages"][5]["certificate"]["runs"][-1].pop()
         with pytest.raises(VerificationError):
             hb.replay_main_theorem(
                 H, hb.MainTheoremCertificate.from_json_obj(obj))
@@ -1177,8 +1127,39 @@ def _drop_last_expansions(stage, k):
     its last k steps dropped: what is left is a valid expansion that stops
     short of sd B_edge(H)."""
     [run] = stage["runs"]
-    assert len(run) > 2 + k and all(step[0] == "e" for step in run[2:])
+    assert len(run) > k and all(step[0] == "e" for step in run)
     return dict(stage, runs=[run[:-k]])
+
+
+@pytest.mark.parametrize("tamper", sorted(STRUCTURED_TAMPERS))
+def test_structured_tamper_is_refused_with_zero_fingerprints(
+        corpus, certificates, tamper, monkeypatch):
+    # with every fingerprint cut to 0, the step checks and the set checks
+    # alone refuse each structured tamper, with the message a replay gives
+    # when the fingerprints are whole: the stage first, then the run, its
+    # schedule cell and the step where the replay stopped, or the count of
+    # runs that differs.  Stage 4 short of its last steps is refused by its
+    # end fingerprint when it is whole, and by the count of its live cells
+    # when it is cut
+    edit, stage = STRUCTURED_TAMPERS[tamper]
+    H = corpus["K3_122"]
+    obj = certificates["K3_122"].to_json_obj()
+    edit(obj)
+    with pytest.raises(VerificationError) as whole:
+        hb.replay_main_theorem(H, obj)
+    _zero_fingerprints(monkeypatch)
+    obj = hb.main_theorem_certificate(H).to_json_obj()
+    assert set(obj["endpoints"]) == {"0" * 32}
+    edit(obj)
+    with pytest.raises(VerificationError) as zero:
+        hb.replay_main_theorem(H, obj)
+    if tamper == "drop-steps-stage-4":
+        assert re.fullmatch(r"expand-to-sd-box: the expansion reaches \d+ of "
+                            r"the \d+ cells of sd B_edge\(H\)",
+                            str(zero.value))
+    else:
+        assert str(zero.value) == str(whole.value)
+    assert str(zero.value).startswith(stage + ": ")
 
 
 def test_stage_4_must_reach_every_cell_of_sd_box(corpus, monkeypatch):
@@ -1332,46 +1313,47 @@ def test_isomorphism_stages_regenerate_their_maps(matchings, certificates,
 
 
 # sha256 of the canonical JSON of the theorem certificates of versions 1
-# to 4, the fixtures.  The version 1 values were recorded when each
+# to 5 of K3_122, the fixtures.  The version 1 value was recorded when each
 # stellar stage rebuilt its complexes from scratch, the others as the
-# builder of each version wrote them.  No version before 5 replays.
+# builder of each version wrote them; the version 5 fixture was written
+# before the steps of a run were sorted by their order key.  No version
+# before 6 replays.
 CERT_V1_SHA256 = {
-    "K_4^2": "352e87faec2699581fb8038aa9c11b9069f280fc05e617c7a7068685261ad3f5",
-    "K_4^3": "5111d0f96caca58332e4d0c069a251a6bfad41ec52dfde3f34eb10fdd043870a",
     "K3_122": "ab699838870e9c2020059134884eec4ad6ab1487c930425dc29d6fd6146bb3c6",
 }
 CERT_V2_SHA256 = {
-    "K_4^2": "c107bd564e337bf8055dfa9b6616dff760007ec6f64ec04e2b7587ac5ddb8d6c",
-    "K_4^3": "b09312bd78ce4aeef74324b452a069dd3dc77848f9e265c75e47b3b325ab9356",
     "K3_122": "c987c42901b8466eebb7e9b44318104940000ea547e15b9a765c368b22cdb1d3",
 }
 CERT_V3_SHA256 = {
-    "K_4^2": "ab8fc2a6469b7eee33271c34cc407c8543a6c3b6f98a665c29eb8651077584d2",
-    "K_4^3": "3e76d2ffc655de0a0de6b0041ee1750f4cbbf79d956186afff6f5b62e843f417",
     "K3_122": "2e5716a45bbb06c68748ff321679e5674d2fc48b911439a0c7fa74f3f82ccd8e",
 }
 CERT_V4_SHA256 = {
-    "K_4^2": "8ae77174285aee69eace5cadf0df2216610a9d814b8a1ea03f6854dbb9c78049",
-    "K_4^3": "f87a92fbd252352a552575871e2ef3c1bcec2c2f263a4840138bcb02481aad05",
     "K3_122": "f162ae8375fc269ff0d4a4e518daa68c933a0e9794152d6757f706dce62ac976",
 }
-# sha256 and bytes of the canonical JSON of the version 5 theorem
-# certificates of the corpus.  The hashes of K_4^2, K_5^3 and K3_122 changed
-# when each matching came to be collapsed in the order of its key, which
-# reorders steps within a run; the bytes did not.
 CERT_V5_SHA256 = {
-    "K_2^2": "e0c7e5ed40134150ebc6db9332c253c4ee0563d75f91cb129524dc58be430812",
-    "K_3^2": "5a9aedd4d54c5c06507c10fc8db204a10ba3c46e8016b2308090b2ea9873acff",
-    "K_4^2": "bca54802f9fb247fd06ced497a9c671d7ddf791d0129017f2ad1119ce886095d",
-    "K_3^3": "ec45c3a6209be5ff952a45a8e51eff5c4b5ee19c42fbe9deb054bee0efbc499f",
-    "K_4^3": "252396e74bdc8b60808ad5bb2b04bd05dc955e082a55369fba65fd488aed87f0",
-    "K_5^3": "98b1782411d052a2e6ccd590a80b12d2a29db1e82e68b23dd82240667386a137",
-    "K3_112": "8bea6f08050535da8d46393628855ef2758556d3213c069c8d006a49b097fdd6",
-    "K3_122": "6778eea54fd492bb0bb2f772d8acdeedd4edae5d3b473e9b5750e711c58cea27",
+    "K3_122": "87445de5b78107e2aa5f9cb4e1fd2c2d130f67eb39164c29b6146e0971c394ab",
 }
+# Bytes of the canonical JSON of the version 5 theorem certificates of the
+# corpus, as the builder of version 5 wrote them.
 CERT_V5_BYTES = {
     "K_2^2": 989, "K_3^2": 1629, "K_4^2": 16743, "K_3^3": 989,
     "K_4^3": 2311, "K_5^3": 76949, "K3_112": 1203, "K3_122": 5553,
+}
+# sha256 and bytes of the canonical JSON of the version 6 theorem
+# certificates of the corpus.
+CERT_V6_SHA256 = {
+    "K_2^2": "15ee0df23f37560ce3552a9d7f77c8546e9031cdae5da1c25b320743eaab8071",
+    "K_3^2": "6f86bda2ebffacdd56113c93d0185adac08e5872145221a95489b4772a1f4a0e",
+    "K_4^2": "76e9c27453c53364ec57a16e54d496da86ee828f6913eb79526c8b909f19609d",
+    "K_3^3": "c0055bc801caaedbfa5934ea25bd13abbc3d4bba261b113e4d2c7b453e413886",
+    "K_4^3": "3209552329ed969b422fdabb169904eaea62999b1dbc63a60cb963510d74a3f7",
+    "K_5^3": "fa6d24e144763012253490889badbf89670d84d9215a5762f6bf85f146c81576",
+    "K3_112": "e2b436b3ed46a5f0268f40a7e87293aba2e178a98150bd1c93bffdec7def4dcf",
+    "K3_122": "5c5862e25559dccce22c877213993b4191dbd994b682933a3ec247ac79295fdd",
+}
+CERT_V6_BYTES = {
+    "K_2^2": 575, "K_3^2": 795, "K_4^2": 12369, "K_3^3": 575,
+    "K_4^3": 1057, "K_5^3": 62495, "K3_112": 649, "K3_122": 3979,
 }
 
 
@@ -1410,77 +1392,73 @@ def test_main_theorem_certificate_v4_bytes_pinned(matchings, name):
     _refused(matchings, name, 4, CERT_V4_SHA256[name])
 
 
-@pytest.mark.parametrize("name", sorted(CERT_V4_SHA256))
-def test_main_theorem_certificate_v5_bytes_pinned(corpus, certificates,
+@pytest.mark.parametrize("name", sorted(CERT_V5_SHA256))
+def test_main_theorem_certificate_v5_bytes_pinned(matchings, certificates,
                                                   name):
-    text = canonical_json(certificates[name].to_json_obj())
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
-    replays(corpus[name], json.loads(text))
-    # against version 4, only the fingerprints after each step went, and
-    # the order of the steps within a run: the endpoints, the isomorphism
-    # stages, each run's steps, universe and end are the same, and a run's
-    # end is the fingerprint after its last step of version 4
-    new, old = json.loads(text), json.loads(fixture(name, 4))
+    _refused(matchings, name, 5, CERT_V5_SHA256[name])
+    # against version 5, only the fingerprints went that do not bind the
+    # certificate: each run's universe and end, the endpoints of stages 1
+    # and 6 and the two ends of each isomorphism stage.  The endpoints,
+    # stage 4's endpoints and the steps of each run stay, in another order
+    # within a run, as the fixture was written before they were sorted
+    new = json.loads(canonical_json(certificates[name].to_json_obj()))
+    old = json.loads(fixture(name, 5))
     assert new["endpoints"] == old["endpoints"]
     for k in (1, 2, 4):
-        assert new["stages"][k] == old["stages"][k]
+        assert new["stages"][k] == {key: old["stages"][k][key]
+                                    for key in ("kind", "name")}
     for k in (0, 3, 5):
         runs = [s["stages"][k]["certificate"] for s in (new, old)]
-        assert runs[0]["endpoints"] == runs[1]["endpoints"]
-        assert same_runs(runs[0]["runs"], v5_runs(runs[1]["runs"]))
+        assert runs[0].get("endpoints") == (
+            runs[1]["endpoints"] if k == 3 else None)
+        assert same_runs(runs[0]["runs"], v6_runs(runs[1]["runs"]))
 
 
 @pytest.mark.parametrize("name", sorted(CERT_V5_BYTES))
 def test_main_theorem_certificate_v5_size(certificates, name):
-    # the byte count of each corpus certificate, and no per-step data: a
-    # deformation run holds two fingerprints, its universe (None for the
-    # collapse) and its end, and then steps [direction, sigma, facet]
+    # version 5 held the bytes of version 6 and of the fingerprints that do
+    # not bind it, each written as 32 hex digits in quotes: 34 bytes, 35
+    # with its comma.  A stellar run held its universe and its end (70
+    # bytes), and stage 4's run null and its end (40); stages 1 and 6 held
+    # "endpoints":[...], (84), and each isomorphism stage "from":...,
+    # and ,"to":... (82)
+    obj = certificates[name].to_json_obj()
+    runs = [len(obj["stages"][k]["certificate"]["runs"]) for k in (0, 3, 5)]
+    dropped = 70 * (runs[0] + runs[2]) + 40 * runs[1] + 2 * 84 + 3 * 82
+    assert len(canonical_json(obj)) + dropped == CERT_V5_BYTES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CERT_V6_BYTES))
+def test_main_theorem_certificate_v6_size(corpus, certificates, name):
+    # the bytes and hash of each corpus certificate, which replays, and its
+    # four fingerprints: the endpoints and stage 4's.  A deformation run is
+    # a list of steps [direction, sigma, facet], and an isomorphism stage
+    # holds its kind and name only
     obj = certificates[name].to_json_obj()
     text = canonical_json(obj)
-    assert len(text) == CERT_V5_BYTES[name]
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_SHA256[name]
-    for stage in obj["stages"]:
+    assert len(text) == CERT_V6_BYTES[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V6_SHA256[name]
+    replays(corpus[name], json.loads(text))
+    assert len(re.findall('"[0-9a-f]{32}"', text)) == 4
+    for k, stage in enumerate(obj["stages"]):
         if stage["kind"] != "deformation":
+            assert sorted(stage) == ["kind", "name"]
             continue
-        for universe, end, *steps in stage["certificate"]["runs"]:
-            assert universe is None or re.fullmatch("[0-9a-f]{32}", universe)
-            assert re.fullmatch("[0-9a-f]{32}", end)
-            assert (universe is None) == (stage["name"] == "expand-to-sd-box")
+        cert = stage["certificate"]
+        assert sorted(cert) == (["endpoints", "runs"] if k == 3
+                                else ["runs"])
+        for steps in cert["runs"]:
             assert steps and all(
                 len(step) == 3 and step[0] in ("c", "e")
                 and all(type(i) is int for i in step[1:]) for step in steps)
 
 
-# sha256 of the version 5 fixture of K3_122, written before the steps of a
-# run were sorted by their order key.
-CERT_V5_UNSORTED_SHA256 = (
-    "87445de5b78107e2aa5f9cb4e1fd2c2d130f67eb39164c29b6146e0971c394ab")
-
-
-def test_version_5_certificate_in_an_earlier_step_order_replays(
-        corpus, certificates):
-    # a run is checked at its end only, so the fixture, whose runs hold the
-    # steps of today's runs in another order, still replays
-    text = fixture("K3_122", 5)
-    assert hashlib.sha256(text.encode()).hexdigest() == CERT_V5_UNSORTED_SHA256
-    replays(corpus["K3_122"], json.loads(text))
-    old = json.loads(text)
-    new = certificates["K3_122"].to_json_obj()
-    assert old != new and old["endpoints"] == new["endpoints"]
-    for a, b in zip(old["stages"], new["stages"]):
-        if a["kind"] == "deformation":
-            a, b = a["certificate"], b["certificate"]
-            assert a["endpoints"] == b["endpoints"]
-            assert same_runs(a["runs"], b["runs"])
-        else:
-            assert a == b
-
-
 def test_replay_error_names_stage_and_step(certificates):
-    # K3_112 and K3_122.  Stage 6 is replayed from its end, so the end of
-    # its run k is the end of run n - 2 - k of the replay, which the error
-    # names with its schedule cell and its last step, counted from the end;
-    # its last run is run 0 of the replay, named with its schedule cell too
+    # K3_112 and K3_122.  Stage 6 is replayed from its end, so its run k is
+    # run n - 1 - k of the replay, undone, and its first step that run's
+    # last: without it, that run ends short of its stellar subdivision, and
+    # the error names the run with its schedule cell and its last step,
+    # counted from the end
     for cert in (certificates["K3_112"], certificates["K3_122"]):
         clean = cert.to_json_obj()
         box = cert.box
@@ -1489,21 +1467,14 @@ def test_replay_error_names_stage_and_step(certificates):
         n = len(runs)
         for k in range(n):
             obj = json.loads(json.dumps(clean))
-            obj["stages"][5]["certificate"]["runs"][k][1] = "f" * 32
-            if k == n - 1:
-                rep = schedule[0][0]
-                pattern = (r"run 0 \(schedule cell %d %s\): the stage's last "
-                           r"run does not end at its end fingerprint"
-                           % (rep, re.escape(fmt_payload(
-                               box.cx.payloads[rep]))))
-            else:
-                j = n - 2 - k
-                rep = schedule[j][0]
-                last = sum(len(run) - 2 for run in runs[k + 1:]) - 1
-                pattern = (r"run %d \(schedule cell %d %s\): the state "
-                           r"after step %d is not the run's end fingerprint"
-                           % (j, rep, re.escape(fmt_payload(
-                               box.cx.payloads[rep])), last))
+            del obj["stages"][5]["certificate"]["runs"][k][0]
+            j = n - 1 - k
+            rep = schedule[j][0]
+            last = sum(map(len, runs[k:])) - 2
+            pattern = (r"run %d \(schedule cell %d %s\): the state after "
+                       r"step %d is not the stellar subdivision at the run's "
+                       r"orbit" % (j, rep, re.escape(fmt_payload(
+                           box.cx.payloads[rep])), last))
             with pytest.raises(VerificationError, match="^desubdivide-box, "
                                "replayed reversed: %s$" % pattern):
                 hb.replay_main_theorem(box.graph, obj)
@@ -1514,8 +1485,8 @@ def _another_last_step(K, A, j):
     sd-deformation of K, valid in the state before that step, in the ids of
     the stage's universe; None if there is none."""
     store = collapse._CellStore(K, A)
-    for ob in collapse._schedule(K, A)[:j + 1]:
-        U, (_, _, steps) = collapse._stellar_stage(store, ob[0], None)
+    for i, ob in enumerate(collapse._schedule(K, A)[:j + 1]):
+        U, steps = collapse._stellar_stage(store, i, ob[0], None)
     last = [U.store_id(k) for k in steps[-1][1:]]
     hb.apply_orbit_step(store, store, "e", *last)
     for x in range(len(store.payloads)):
@@ -1532,25 +1503,58 @@ def _another_last_step(K, A, j):
     return None
 
 
-def test_another_valid_step_fails_at_its_run_end(certificates):
-    # the last step of a run of stage 1 swapped for another valid orbit
-    # step: every step replays, and the run's end names the stage, the run
-    # and its schedule cell
-    cert = certificates["K3_122"]
-    K, A = cert.hom.cx, cert.hom.action
+def _undone(runs):
+    """JSON runs run backwards, as DeformationCertificate.reversed runs
+    them: the runs last first, each step undone."""
+    flip = {"c": "e", "e": "c"}
+    return [[[flip[d], s, f] for d, s, f in run[::-1]] for run in runs[::-1]]
+
+
+def _another_run_end(cert, k):
+    """The JSON form of cert, the last step of a run of its stellar stage k
+    (0 for stage 1; 5 for stage 6, replayed reversed) swapped for another
+    valid orbit step, and the refusal of its replay: the stage, the run, its
+    schedule cell and its last step."""
+    bundle, stage = ((cert.hom, "subdivide-hom") if k == 0 else
+                     (cert.box, "desubdivide-box, replayed reversed"))
+    K, A = bundle.cx, bundle.action
     obj = cert.to_json_obj()
-    runs = obj["stages"][0]["certificate"]["runs"]
-    j, step = next((j, step) for j in range(len(runs))
+    runs = obj["stages"][k]["certificate"]["runs"]
+    forward = runs if k == 0 else _undone(runs)
+    j, step = next((j, step) for j in range(len(forward))
                    for step in [_another_last_step(K, A, j)] if step)
-    assert step != runs[j][-1]
-    runs[j][-1] = step
+    assert step != forward[j][-1]
+    forward[j][-1] = step
+    if k == 5:
+        runs[:] = _undone(forward)
     rep = collapse._schedule(K, A)[j][0]
-    last = sum(len(run) - 2 for run in runs[:j + 1]) - 1
-    pattern = (r"^subdivide-hom: run %d \(schedule cell %d %s\): the state "
-               r"after step %d is not the run's end fingerprint$"
-               % (j, rep, re.escape(fmt_payload(K.payloads[rep])), last))
-    with pytest.raises(VerificationError, match=pattern):
-        hb.replay_main_theorem(cert.hom.graph, obj)
+    return obj, ("%s: run %d (schedule cell %d %s): the state after step %d "
+                 "is not the stellar subdivision at the run's orbit"
+                 % (stage, j, rep, fmt_payload(K.payloads[rep]),
+                    sum(map(len, forward[:j + 1])) - 1))
+
+
+def test_another_valid_step_fails_at_its_run_end(certificates):
+    # the last step of a run of stage 1 or 6 swapped for another valid
+    # orbit step: every step replays, and the run's end names the stage,
+    # the run and its schedule cell
+    cert = certificates["K3_122"]
+    for k in (0, 5):
+        obj, message = _another_run_end(cert, k)
+        with pytest.raises(VerificationError,
+                           match="^%s$" % re.escape(message)):
+            hb.replay_main_theorem(cert.hom.graph, obj)
+
+
+@pytest.mark.parametrize("k", [0, 5], ids=["stage-1", "stage-6"])
+def test_another_valid_step_fails_at_its_run_end_with_zero_fingerprints(
+        corpus, k, monkeypatch):
+    # the set check of the run's end, not a fingerprint, refuses the swap
+    _zero_fingerprints(monkeypatch)
+    H = corpus["K3_122"]
+    obj, message = _another_run_end(hb.main_theorem_certificate(H), k)
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        hb.replay_main_theorem(H, obj)
 
 
 def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
@@ -1566,13 +1570,13 @@ def test_replay_rejects_cell_ids_outside_the_universe(solid_triangle,
                         (hom.cx, hom.action,
                          hom_def.certificate.to_json_obj())):
         obj = json.loads(json.dumps(clean))
-        obj["runs"][0][2][1] = 10 ** 6
+        obj["runs"][0][0][1] = 10 ** 6
         bad = hb.DeformationCertificate.from_json_obj(obj)
         with pytest.raises(InputError, match="outside the .*universe"):
             hb.replay_sd_deformation(K, A, bad)
         for value in (-1, True):
             obj = json.loads(json.dumps(clean))
-            obj["runs"][0][2][2] = value
+            obj["runs"][0][0][2] = value
             with pytest.raises(InputError, match="facet"):
                 hb.DeformationCertificate.from_json_obj(obj)
 
@@ -1586,9 +1590,8 @@ def _segment_certificate(path):
     if path == "collapse":
         end = seg.subcomplex([seg.index[frozenset("y")]])[0].fingerprint
         cert = hb.DeformationCertificate(
-            (seg.fingerprint, end),
-            [(None, end, [("c", seg.index[frozenset("x")],
-                           seg.index[frozenset("xy")])])])
+            [[("c", seg.index[frozenset("x")], seg.index[frozenset("xy")])]],
+            (seg.fingerprint, end))
         return cert, lambda c: hb.replay_collapse_certificate(seg, A, c)
     cert = sd_deformation(seg, A).certificate
     return cert, lambda c: hb.replay_sd_deformation(seg, A, c)
@@ -1603,15 +1606,18 @@ def _segment_certificate(path):
 def test_replay_of_a_certificate_built_in_code(path, field, value, message):
     # a certificate built in code skips the parser's checks, so replay
     # itself refuses a step with another direction or a cell id that is
-    # not a non-negative int, naming the step, as an InputError
+    # not a non-negative int, naming the step (after its run, in a stellar
+    # deformation), as an InputError
     cert, replay = _segment_certificate(path)
     replay(cert)
-    (universe, end, steps), = cert.runs
+    steps, = cert.runs
     step = list(steps[0])
     step[field] = value
-    bad = hb.DeformationCertificate(
-        cert.endpoints, [(universe, end, [tuple(step)] + steps[1:])])
-    with pytest.raises(InputError, match=r"^step 0 \(.*\): %s$" % message):
+    bad = hb.DeformationCertificate([[tuple(step)] + steps[1:]],
+                                    cert.endpoints)
+    run = "" if path == "collapse" else r"run 0 \(schedule cell 2 \{x,y\}\): "
+    with pytest.raises(InputError, match=r"^%sstep 0 \(.*\): %s$"
+                       % (run, message)):
         replay(bad)
 
 
@@ -1622,8 +1628,8 @@ def test_universe_store_ids_skip_the_dead(solid_triangle):
     A = hb.trivial_action(solid_triangle)
     store = collapse._CellStore(solid_triangle, A)
     deaths = []
-    for ob in collapse._schedule(solid_triangle, A):
-        U, _ = collapse._stellar_stage(store, ob[0], None)
+    for j, ob in enumerate(collapse._schedule(solid_triangle, A)):
+        U, _ = collapse._stellar_stage(store, j, ob[0], None)
         dead = set(U.dead)
         deaths.append(len(dead))
         cells = [s for s in range(U.new.start) if s not in dead] + list(U.new)
@@ -1638,25 +1644,26 @@ def test_universe_store_ids_skip_the_dead(solid_triangle):
 
 
 def test_certificate_versions(certificates):
-    # version 5 parses; versions 1 to 4 (1 has no version field) are input
+    # version 6 parses; versions 1 to 5 (1 has no version field) are input
     # errors that name the version and ask for a rebuild, and any other
     # version is unknown
     obj = certificates["K_4^3"].to_json_obj()
-    assert obj["version"] == 5
+    assert obj["version"] == 6
     assert hb.MainTheoremCertificate.from_json_obj(obj).to_json_obj() == obj
-    for version in (0, 6, True, "5", None, [5], 5.0):
+    for version in (0, 7, True, "6", None, [6], 6.0):
         with pytest.raises(InputError, match="unknown version"):
             hb.MainTheoremCertificate.from_json_obj(dict(obj, version=version))
     old = dict(obj)
     del old["version"]
-    for bad, version in ((old, 1), (dict(obj, version=2), 2),
-                         (dict(obj, version=3), 3), (dict(obj, version=4), 4)):
+    for bad, version in ((old, 1), *((dict(obj, version=v), v)
+                                     for v in (2, 3, 4, 5))):
         with pytest.raises(InputError, match="format version %d, which .* "
                            "rebuild it with `hombox theorem`" % version):
             hb.MainTheoremCertificate.from_json_obj(bad)
     # a stage with a field its kind does not have, as a version 3
-    # isomorphism stage with its map, is malformed
-    for k, field in ((4, "map"), (3, "from")):
+    # isomorphism stage with its map or a version 5 one with its ends, is
+    # malformed
+    for k, field in ((4, "map"), (3, "from"), (1, "from")):
         bad = json.loads(json.dumps(obj))
         bad["stages"][k][field] = []
         with pytest.raises(InputError, match="stage %d .* has the fields"
@@ -1708,8 +1715,7 @@ def test_starring_a_vertex_orbit_renames_it(matchings):
         hb.unfold_subdivision(d.final, d.final_action, sd_action)
         positive = [ob for ob in A.orbits() if K.dims[ob[0]] > 0]
         assert len(d.certificate.runs) == len(positive), label
-        assert all(u is not None and steps
-                   for u, _, steps in d.certificate.runs), label
+        assert all(d.certificate.runs), label
         vertex = next(i for i in range(len(K)) if K.dims[i] == 0)
         pairs = [(d.final, d.final_action)]
         if label.startswith("box"):
@@ -1726,10 +1732,11 @@ def test_version_3_rejects_vertex_runs(corpus, certificates):
     # the schedule of version 3 on stars no vertex orbit: a vertex run
     # appended to a deformation, and the runs of a version 2 deformation,
     # which starred the vertex orbits too, are refused naming both counts;
-    # the version 2 runs are rewritten in the version 5 layout
-    obj = certificates["K_4^3"].to_json_obj()
-    v2 = json.loads(fixture("K_4^3", 2))["stages"][0]["certificate"]
-    v2["runs"] = v5_runs(v2["runs"])
+    # the version 2 runs, [universe, step, ...] with rows [direction, sigma,
+    # facet, after], are rewritten in the version 6 layout
+    obj = certificates["K3_122"].to_json_obj()
+    v2 = json.loads(fixture("K3_122", 2))["stages"][0]["certificate"]
+    v2 = {"runs": [[row[:3] for row in run[1:]] for run in v2["runs"]]}
     n4 = len(obj["stages"][0]["certificate"]["runs"])
     n2 = len(v2["runs"])
     assert n2 > n4
@@ -1741,7 +1748,7 @@ def test_version_3_rejects_vertex_runs(corpus, certificates):
         with pytest.raises(VerificationError,
                            match=r"^subdivide-hom: certificate has %d stages "
                                  r"but the schedule needs %d$" % (runs, n4)):
-            hb.replay_main_theorem(corpus["K_4^3"], bad)
+            hb.replay_main_theorem(corpus["K3_122"], bad)
 
 
 def test_unfold_refuses_the_end_of_one_stellar_stage(solid_triangle):
@@ -1818,8 +1825,8 @@ def test_store_order_lists_every_cell_after_its_faces(matchings):
     # every stage, so the end complex lists each cell after its faces
     for label, K, A, _ in _corpus_complexes(matchings):
         store = collapse._CellStore(K, A)
-        for ob in collapse._schedule(K, A):
-            collapse._stellar_stage(store, ob[0], None)
+        for j, ob in enumerate(collapse._schedule(K, A)):
+            collapse._stellar_stage(store, j, ob[0], None)
         E = store.complex(store.alive_ids())[0]
         for cx in (store, E):
             assert all(j < i for i, down in enumerate(cx.down)

@@ -105,7 +105,8 @@ def _stage_4(cert, tamper=False):
 
 def _tampered_theorem(cert):
     obj = json.loads(json.dumps(cert))
-    obj["stages"][2]["from"] = _flip(obj["stages"][2]["from"])
+    stage_4 = obj["stages"][3]["certificate"]
+    stage_4["endpoints"][0] = _flip(stage_4["endpoints"][0])
     return obj
 
 

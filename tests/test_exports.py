@@ -57,6 +57,10 @@ REFERENCE = Path(__file__).resolve().parent / "stellar_reference.py"
 # Hom cell's dimension is its complex's dims entry, the action is
 # homcx.coordinate_map, and the tests keep small helpers of their own.
 # empty, of CellComplex: CellComplex([], [], []) is the empty complex.
+# _part_digest, _APEX_TAG and _CONE_TAG: every cell digests its payload,
+# one way, and no cell a stellar stage appends is digested.  _check_ends
+# and _iso_stage: an isomorphism stage holds its kind and name only, as
+# replay builds both of its complexes.
 REMOVED = ("deletion", "independently_free", "_presentation",
            "critical_complex", "stellar_g_subdivision", "_stellar_cells",
            "_is_simplicial", "_boxes", "_spanning_subsets",
@@ -68,7 +72,9 @@ REMOVED = ("deletion", "independently_free", "_presentation",
            "stellar_subdivision_poset", "stellar_deformation_certificate",
            "StellarStage", "orbit_star_data", "_unfold",
            "barycentric_subdivision", "canon_key", "enumerate_multihoms",
-           "hom_dim", "action_on_multihoms", "s_r_labels", "empty")
+           "hom_dim", "action_on_multihoms", "s_r_labels", "empty",
+           "_part_digest", "_APEX_TAG", "_CONE_TAG", "_check_ends",
+           "_iso_stage")
 # Names added to the API, each with the module that defines it.
 ADDED = (("kneser_rgraph", rgraph), ("unfold_subdivision", collapse))
 
@@ -130,6 +136,11 @@ def test_removed_fields():
         assert not hasattr(cert, name), name
     assert (cert.hom.cx.fingerprint, cert.box.cx.fingerprint) \
         == cert.endpoints
+    # digests of the cell store: the store's cells are never digested, and
+    # a complex copied out of it digests its payloads when one is read
+    store = collapse._CellStore(cert.box.cx, cert.box.action)
+    assert not hasattr(store, "digests")
+    assert not hasattr(store, "fingerprint")
 
 
 def test_main_theorem_certificate_takes_the_graph_and_the_guard():
