@@ -1414,6 +1414,32 @@ def test_main_theorem_certificate_v5_bytes_pinned(matchings, certificates,
         assert same_runs(runs[0]["runs"], v6_runs(runs[1]["runs"]))
 
 
+def test_version_5_certificate_in_an_earlier_step_order_replays(
+        corpus, certificates):
+    # a run is checked at its end only, so the steps of the version 5
+    # fixture, whose runs hold the steps of today's runs in another order,
+    # still replay once written in the version 6 layout
+    old = json.loads(fixture("K3_122", 5))
+    new = certificates["K3_122"].to_json_obj()
+    obj = {"endpoints": old["endpoints"], "stages": [], "version": 6}
+    for k, stage in enumerate(old["stages"]):
+        if stage["kind"] != "deformation":
+            obj["stages"].append({"kind": stage["kind"],
+                                  "name": stage["name"]})
+            continue
+        cert = {"runs": v6_runs(stage["certificate"]["runs"])}
+        if k == 3:
+            cert["endpoints"] = stage["certificate"]["endpoints"]
+        obj["stages"].append({"certificate": cert, "kind": stage["kind"],
+                              "name": stage["name"]})
+    assert obj != new
+    for a, b in zip(obj["stages"], new["stages"]):
+        if a["kind"] == "deformation":
+            assert same_runs(a["certificate"]["runs"],
+                             b["certificate"]["runs"])
+    replays(corpus["K3_122"], obj)
+
+
 @pytest.mark.parametrize("name", sorted(CERT_V5_BYTES))
 def test_main_theorem_certificate_v5_size(certificates, name):
     # version 5 held the bytes of version 6 and of the fingerprints that do
